@@ -22,7 +22,7 @@
    pool must not tax the tail it exists to protect.  Cross-artifact
    wall-clock is only meaningful on comparable hardware, so the bar
    binds only on full artifacts generated with >= 4 cores (the "cores"
-   field records the hardware, mirroring bench9).
+   field records the hardware).
 
    Schema (validated by bench/smoke.exe --validate-json):
      { "schema": "gncg-bench-10",
@@ -147,8 +147,8 @@ let measure ~iterations workers =
   let session =
     if workers = 0 then Session.create ~state_dir:dir ~domains:2 ()
     else
-      Session.create ~state_dir:dir ~workers
-        ~pool_spawn:(Pool.spawn_exec [| gncg_exe; "worker" |])
+      Session.create ~state_dir:dir
+        ~pool:({ Pool.default_config with workers }, Pool.spawn_exec [| gncg_exe; "worker" |])
         ()
   in
   let server = Thread.create (fun () -> Server.serve_unix session ~path) () in

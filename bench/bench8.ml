@@ -10,7 +10,7 @@
      add-kernel   dist_sum_with_edge (the what-if addition kernel)
      nearest-eval k-d nearest neighbour + one exact add kernel (rd only)
 
-   Dense and mmap must tabulate all 8n² bytes, so they are gated by a
+   Dense must tabulate all 8n² bytes, so it is gated by a
    memory ceiling (--mem-limit, default 2 GB — the CI `ulimit -v`):
    above it the row moves to "skipped" with the estimate as the reason;
    an actual allocation failure is caught and recorded as out-of-memory.
@@ -162,19 +162,15 @@ let backend_builders cfg ~n =
   in
   let rd_geo = Random_host.euclidean_geometry rng ~n ~d:2 ~lo:0.0 ~hi:100.0 in
   let dense_bytes = 8 * n * n in
-  let gate name build =
+  let dense =
     if dense_bytes > cfg.mem_limit then
       Error (Printf.sprintf "estimated 8n^2 = %d bytes exceeds mem ceiling" dense_bytes)
-    else begin
-      ignore name;
-      Ok build
-    end
+    else Ok (fun () -> D.dense tree_graph)
   in
   [
     ("tree", Ok (fun () -> Geometry.to_distances tree_geo));
     ("rd", Ok (fun () -> Geometry.to_distances rd_geo));
-    ("dense", gate "dense" (fun () -> D.dense tree_graph));
-    ("mmap", gate "mmap" (fun () -> D.mmap tree_graph));
+    ("dense", dense);
   ]
 
 let all_ops = [ "build"; "query"; "rowsum"; "add-kernel"; "nearest-eval" ]
@@ -309,16 +305,16 @@ let counter_snapshot () =
       ignore (D.dist_sum_with_edge d 0 1 1.5);
       ignore (D.nearest d 0);
       ignore (D.selfcheck_now d))
-    [ Geometry.to_distances tree_geo; Geometry.to_distances rd_geo; D.mmap tg ];
-  (let md = D.mmap tg in
+    [ Geometry.to_distances tree_geo; Geometry.to_distances rd_geo; D.dense tg ];
+  (let dd = D.dense tg in
    let v =
      let rec find v =
        if v > 0 && not (Gncg_graph.Wgraph.has_edge tg 0 v) then v else find (v - 1)
      in
      find (n - 1)
    in
-   ignore (D.add_edge md 0 v 1.0);
-   ignore (D.remove_edge md 0 v));
+   ignore (D.add_edge dd 0 v 1.0);
+   ignore (D.remove_edge dd 0 v));
   (* One mutating dynamics state on a geometric host: exercises the
      require_mutable fallback counter. *)
   (let metric, geometry = Random_host.tree_metric rng ~n:16 ~wmin:1.0 ~wmax:4.0 in
@@ -334,7 +330,7 @@ let counter_snapshot () =
 let () =
   let cfg = parse_cfg () in
   (* The BENCH_4 anchor replay runs first, against a fresh heap: the
-     scaling series grows the major heap by gigabytes (dense/mmap at
+     scaling series grows the major heap by gigabytes (dense at
      n=10⁴), which taxes this allocation-heavy macro by ~30% if it runs
      after. *)
   let n100_ns = dynamics_n100 () in

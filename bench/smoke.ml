@@ -133,131 +133,9 @@ let validate_bench8_json path doc =
     (fun prefix ->
       if not (List.exists (fun k -> String.starts_with ~prefix k) keys) then
         fail "%s: counters missing the %s* backend" path prefix)
-    [ "tree_dist."; "rd_dist."; "mmap_apsp."; "distances." ];
+    [ "tree_dist."; "rd_dist."; "distances." ];
   Printf.printf "bench-smoke: %s valid (%d results, dense macro %.3fx vs BENCH_4)\n%!"
     path (List.length results) ratio
-
-(* gncg-bench-9 is the speculative-dynamics shape (see bench9.ml): every
-   row replays the same converge through a different Dynamics.Engine, so
-   beyond well-formedness the validator enforces the two anchors — the
-   sequential n=100 macro must stay within 1.1x of the committed BENCH_8
-   row after drift normalization (the artifact re-measures two dense
-   micro kernels the redesign never touched and divides out the machine
-   difference), and (on hardware that can show it: full artifact, >= 4
-   cores) the speculative engine must clear 2x over sequential at
-   n=1000.  The counters object must prove the commit protocol actually
-   ran. *)
-let validate_bench9_json path doc =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> fail "%s: %s" path e in
-  let module J = Gncg_runs.Json in
-  let* full = Result.bind (J.member "full" doc) J.get_bool in
-  let* cores = Result.bind (J.member "cores" doc) J.get_int in
-  if cores < 1 then fail "%s: cores must be >= 1" path;
-  let* baseline = J.member "baseline" doc in
-  let* base_ns = Result.bind (J.member "ns_per_op" baseline) J.get_float in
-  if not (base_ns > 0.0) then fail "%s: baseline ns_per_op must be positive" path;
-  let* calibration = J.member "calibration" doc in
-  let* drift = Result.bind (J.member "drift" calibration) J.get_float in
-  (* A drift outside sanity bounds means the calibration kernels broke,
-     not that the machine changed — normalization would be laundering. *)
-  if Float.is_nan drift || drift < 0.2 || drift > 5.0 then
-    fail "%s: calibration drift %.3f outside sanity bounds [0.2, 5]" path drift;
-  let* cal_rows = Result.bind (J.member "rows" calibration) J.get_list in
-  List.iter
-    (fun r ->
-      let* op = Result.bind (J.member "op" r) J.get_string in
-      let* ns = Result.bind (J.member "ns_per_op" r) J.get_float in
-      let* b8 = Result.bind (J.member "bench8_ns_per_op" r) J.get_float in
-      if Float.is_nan ns || ns <= 0.0 || Float.is_nan b8 || b8 <= 0.0 then
-        fail "%s: calibration row %s has invalid timings" path op)
-    cal_rows;
-  if List.length cal_rows < 2 then fail "%s: calibration needs >= 2 kernels" path;
-  let* ratio = Result.bind (J.member "seq_n100_vs_bench8" doc) J.get_float in
-  let* normalized =
-    Result.bind (J.member "seq_n100_vs_bench8_normalized" doc) J.get_float
-  in
-  if not (Gncg_util.Flt.approx_eq ~tol:0.05 normalized (ratio /. drift)) then
-    fail "%s: normalized ratio inconsistent with raw ratio and drift" path;
-  let* speedup = Result.bind (J.member "speculative_speedup_n1000" doc) J.get_float in
-  let* results = Result.bind (J.member "results" doc) J.get_list in
-  if results = [] then fail "%s: empty results" path;
-  let seq100 = ref None in
-  let seq1000 = ref None in
-  let best_spec1000 = ref Float.infinity in
-  let spec_rows = ref 0 in
-  List.iter
-    (fun r ->
-      let* op = Result.bind (J.member "op" r) J.get_string in
-      let* engine = Result.bind (J.member "engine" r) J.get_string in
-      let* domains = Result.bind (J.member "domains" r) J.get_int in
-      let* n = Result.bind (J.member "n" r) J.get_int in
-      let* ns = Result.bind (J.member "ns_per_op" r) J.get_float in
-      let* alloc = Result.bind (J.member "alloc_bytes_per_op" r) J.get_float in
-      if op <> "dynamics-converge" then fail "%s: unexpected op %S" path op;
-      if engine <> "sequential" && engine <> "speculative" then
-        fail "%s: unexpected engine %S" path engine;
-      if domains < 1 then fail "%s: %s has non-positive domains" path engine;
-      if n <= 0 then fail "%s: %s has non-positive n" path engine;
-      if Float.is_nan ns || ns <= 0.0 then
-        fail "%s: %s n=%d has invalid ns_per_op" path engine n;
-      if Float.is_nan alloc || alloc < 0.0 then
-        fail "%s: %s n=%d has invalid alloc_bytes_per_op" path engine n;
-      if engine = "speculative" then incr spec_rows;
-      if engine = "sequential" && n = 100 then seq100 := Some ns;
-      if engine = "sequential" && n = 1000 then seq1000 := Some ns;
-      if engine = "speculative" && n = 1000 && ns < !best_spec1000 then
-        best_spec1000 := ns)
-    results;
-  if !spec_rows = 0 then fail "%s: no speculative engine rows at all" path;
-  (match !seq100 with
-  | None -> fail "%s: missing the sequential dynamics-converge n=100 anchor row" path
-  | Some ns ->
-    if not (Gncg_util.Flt.approx_eq ~tol:0.05 ratio (ns /. base_ns)) then
-      fail "%s: seq_n100_vs_bench8 inconsistent with the macro row" path;
-    (* The regression bar binds the committed reference artifact (full
-       runs); quick CI regenerations on shared runners are indicative. *)
-    if full && normalized > 1.1 then
-      fail "%s: sequential dynamics regressed %.3fx (drift-normalized) vs BENCH_8 \
-           (bar: 1.1x)"
-        path normalized);
-  if full then begin
-    match (!seq1000, !best_spec1000) with
-    | None, _ -> fail "%s: full artifact missing the sequential n=1000 row" path
-    | _, best when not (Float.is_finite best) ->
-      fail "%s: full artifact missing speculative n=1000 rows" path
-    | Some seq_ns, best ->
-      if not (Gncg_util.Flt.approx_eq ~tol:0.05 speedup (seq_ns /. best)) then
-        fail "%s: speculative_speedup_n1000 inconsistent with the n=1000 rows" path;
-      (* The 2x bar only binds where parallelism is physically available:
-         a 1-core container records cores=1 and the figure is informative. *)
-      if cores >= 4 && speedup < 2.0 then
-        fail "%s: speculative speedup %.2fx at %d cores (bar: 2x)" path speedup cores
-  end;
-  let* counters = J.member "counters" doc in
-  let keys =
-    match counters with
-    | J.Obj fields -> List.map fst fields
-    | _ -> fail "%s: counters must be an object" path
-  in
-  List.iter
-    (fun prefix ->
-      if not (List.exists (fun k -> String.starts_with ~prefix k) keys) then
-        fail "%s: counters missing %s*" path prefix)
-    [ "dynamics.speculative_"; "dynamics." ];
-  let committed name =
-    List.exists (fun k -> k = name) keys
-    &&
-    match Result.bind (J.member name counters) J.get_int with
-    | Ok v -> v > 0
-    | Error _ -> false
-  in
-  if not (committed "dynamics.speculative_commits") then
-    fail "%s: dynamics.speculative_commits is zero — the protocol never ran" path;
-  Printf.printf
-    "bench-smoke: %s valid (%d results, seq n=100 %.3fx normalized vs BENCH_8, speedup \
-     %.2fx @ %d cores)\n\
-     %!"
-    path (List.length results) normalized speedup cores
 
 (* gncg-bench-10 is the worker-pool serve-throughput shape (see
    bench10.ml): the bench7 fleet replayed against workers ∈ {0, 1, 4}.
@@ -380,12 +258,10 @@ let validate_bench_json path =
   let* schema = Result.bind (J.member "schema" doc) J.get_string in
   if
     schema <> "gncg-bench-3" && schema <> "gncg-bench-4" && schema <> "gncg-bench-7"
-    && schema <> "gncg-bench-8" && schema <> "gncg-bench-9"
-    && schema <> "gncg-bench-10"
+    && schema <> "gncg-bench-8" && schema <> "gncg-bench-10"
   then fail "%s: unexpected schema %S" path schema;
   if schema = "gncg-bench-7" then validate_bench7_json path doc
   else if schema = "gncg-bench-8" then validate_bench8_json path doc
-  else if schema = "gncg-bench-9" then validate_bench9_json path doc
   else if schema = "gncg-bench-10" then validate_bench10_json path doc
   else begin
   if schema = "gncg-bench-4" then begin
@@ -489,9 +365,9 @@ let chaos_smoke () =
       <> Gncg_workload.Report.runs_to_csv retried.runs
     then fail "chaos: resumed runs differ from the uninterrupted batch");
   Sys.remove journal;
-  (* Mmap-backend fault injection: corrupt one maintained cell in the
-     file-backed mapping, require the drift sentinel to detect and
-     self-heal, and the healed store to match the dense engine exactly. *)
+  (* Distance-store fault injection: corrupt one maintained cell of a
+     dense engine, require the drift sentinel to detect and self-heal,
+     and the healed store to match an untouched dense engine exactly. *)
   (let module D = Gncg_graph.Distances in
    let rng = Gncg_util.Prng.create 11 in
    let n = 24 in
@@ -499,31 +375,29 @@ let chaos_smoke () =
      Gncg_metric.Tree_metric.graph
        (Gncg_metric.Tree_metric.random rng ~n ~wmin:1.0 ~wmax:5.0)
    in
-   let store = Filename.temp_file "gncg_chaos_mmap" ".bin" in
-   let md = D.mmap ~path:store g in
-   let dd = D.dense (Gncg_graph.Wgraph.copy g) in
+   let faulty = D.dense g in
+   let reference = D.dense (Gncg_graph.Wgraph.copy g) in
    let agree msg =
      for u = 0 to n - 1 do
        for v = 0 to n - 1 do
-         if D.distance md u v <> D.distance dd u v then
-           fail "chaos: mmap/dense disagree at (%d,%d) %s" u v msg
+         if D.distance faulty u v <> D.distance reference u v then
+           fail "chaos: faulted/reference dense disagree at (%d,%d) %s" u v msg
        done
      done
    in
    agree "before injection";
-   D.inject_cell_error md 3 7 0.25;
+   D.inject_cell_error faulty 3 7 0.25;
    let detected = ref false in
    (* One sentinel probe covers one source; a full rotation must find the
       corrupt cell and repair it. *)
    for _ = 1 to n do
-     if not (D.selfcheck_now md) then detected := true
+     if not (D.selfcheck_now faulty) then detected := true
    done;
-   if not !detected then fail "chaos: mmap sentinel missed an injected cell error";
-   if not (D.selfcheck_now md) then fail "chaos: mmap sentinel failed to self-heal";
-   agree "after repair";
-   Sys.remove store);
+   if not !detected then fail "chaos: dense sentinel missed an injected cell error";
+   if not (D.selfcheck_now faulty) then fail "chaos: dense sentinel failed to self-heal";
+   agree "after repair");
   Printf.printf "chaos-smoke: %d jobs, %d injected crashes classified, torn journal \
-                 resumed, mmap cell fault healed\n%!"
+                 resumed, dense cell fault healed\n%!"
     (List.length jobs) predicted_crashes;
   print_endline "chaos-smoke ok";
   exit 0

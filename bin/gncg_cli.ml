@@ -128,7 +128,7 @@ module Common = struct
            & opt (some backend_conv) None
            & info [ "dist-backend" ] ~docv:"BACKEND"
                ~doc:
-                 "distance storage backend: auto | dense | tree | rd | mmap[:path].  \
+                 "distance storage backend: auto | dense | tree | rd.  \
                   auto (default) picks an implicit oracle (no O(n²) matrix) when \
                   the host geometry and network shape allow, dense otherwise; \
                   mutating dynamics degrade oracle selections to dense")
@@ -206,31 +206,16 @@ let evaluator_arg =
   Arg.(value
        & opt evaluator_conv `Incremental
        & info [ "evaluator" ]
-           ~doc:"best-move evaluator: reference | fast | stateless | incremental")
+           ~doc:"best-move evaluator: reference | fast | incremental")
 
-(* The dynamics execution engine (see Gncg.Dynamics.Engine): outcomes are
-   engine-independent, so this flag only changes how the work runs. *)
-let engine_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Gncg.Dynamics.Engine.of_string s) in
-  Arg.conv ~docv:"ENGINE" (parse, Gncg.Dynamics.Engine.pp)
-
-let engine_arg =
-  Arg.(value
-       & opt engine_conv Gncg.Dynamics.Engine.Sequential
-       & info [ "engine" ]
-           ~doc:
-             "dynamics engine: sequential | speculative[:K][:batch=B] (K domains, \
-              batch B speculated activations)")
-
-let sweep model n alpha seeds format evaluator engine common =
+let sweep model n alpha seeds format evaluator common =
   let render = require_renderer format in
   let (_ : Gncg_util.Exec.t) =
     Common.setup ~verb:"sweep" ~accepts:Common.all common
   in
   let runs =
     List.init seeds (fun seed ->
-        Gncg_workload.Sweep.dynamics_run model ~n ~alpha ~evaluator ~engine
-          ~seed:(seed + 1))
+        Gncg_workload.Sweep.dynamics_run model ~n ~alpha ~evaluator ~seed:(seed + 1))
   in
   render runs
 
@@ -239,7 +224,7 @@ let format_arg =
 
 let sweep_one_shot_term =
   Term.(const sweep $ model_arg $ n_arg $ alpha_arg $ seeds_arg $ format_arg
-        $ evaluator_arg $ engine_arg $ Common.term)
+        $ evaluator_arg $ Common.term)
 
 (* Journal-backed batch sweeps (the runs subsystem). *)
 
@@ -655,10 +640,15 @@ let serve socket state_dir stdio trace_stream budget retries workers common =
   let domains = Gncg_util.Exec.domain_count exec in
   (* Workers are this very binary re-executed as [gncg worker], so a
      deployed daemon and its fleet can never skew versions. *)
-  let pool_spawn = Gncg_serve.Pool.spawn_exec [| Sys.executable_name; "worker" |] in
+  let pool =
+    if workers <= 0 then None
+    else
+      Some
+        ( { Gncg_serve.Pool.default_config with workers },
+          Gncg_serve.Pool.spawn_exec [| Sys.executable_name; "worker" |] )
+  in
   let session =
-    Gncg_serve.Session.create ~state_dir ~domains ?budget ~retries ~trace_stream
-      ~workers ~pool_spawn ()
+    Gncg_serve.Session.create ~state_dir ~domains ?budget ~retries ~trace_stream ?pool ()
   in
   if stdio then Gncg_serve.Server.serve_stdio session stdin stdout
   else begin

@@ -1,25 +1,14 @@
 module Flt = Gncg_util.Flt
-module Exec = Gncg_util.Exec
 module Changed_rows = Gncg_graph.Changed_rows
 module Metric = Gncg_obs.Metric
 module Span = Gncg_obs.Span
 
 (* Layer-3 probes.  The counters shadow the per-run [metrics] record —
-   same accounting, but global, mergeable and togglable at run time.
-   The dynamics.speculative_* family instruments the optimistic engine:
-   every speculated evaluation, how many landed as-is, how many were
-   aborted by a conflicting commit (and re-run against the committed
-   state), and the realized batch shape. *)
+   same accounting, but global, mergeable and togglable at run time. *)
 let c_evaluations = Metric.Counter.make "dynamics.evaluations"
 let c_moves = Metric.Counter.make "dynamics.moves"
 let c_skips = Metric.Counter.make "dynamics.skips"
 let c_degradations = Metric.Counter.make "dynamics.evaluator_degradations"
-let c_speculations = Metric.Counter.make "dynamics.speculative_speculations"
-let c_spec_commits = Metric.Counter.make "dynamics.speculative_commits"
-let c_spec_conflicts = Metric.Counter.make "dynamics.speculative_conflicts"
-let c_spec_retries = Metric.Counter.make "dynamics.speculative_retries"
-let c_spec_batches = Metric.Counter.make "dynamics.speculative_batches"
-let h_spec_batch = Metric.Histogram.make "dynamics.speculative_batch_size"
 let p_step = Span.probe "dynamics.step"
 let p_run = Span.probe "dynamics.run"
 
@@ -44,93 +33,26 @@ type metrics = {
   mutable skips : int;
 }
 
-module Engine = struct
-  type t =
-    | Sequential
-    | Speculative of { exec : Exec.t; batch : int }
-
-  let sequential = Sequential
-
-  let speculative ?(exec = Exec.default) ?(batch = 0) () = Speculative { exec; batch }
-
-  (* [batch <= 0] means auto: enough lookahead to keep every domain fed
-     through a few abort/retry rounds without speculating so far ahead
-     that a movey phase throws most of the work away. *)
-  let resolve_batch ~exec batch = if batch > 0 then batch else 4 * Exec.domain_count exec
-
-  let to_string = function
-    | Sequential -> "sequential"
-    | Speculative { exec; batch } ->
-      let e =
-        match exec with
-        | Exec.Seq -> ":seq"
-        | Exec.Par { domains = None } -> ""
-        | Exec.Par { domains = Some d } -> Printf.sprintf ":%d" d
-      in
-      let b = if batch > 0 then Printf.sprintf ":batch=%d" batch else "" in
-      "speculative" ^ e ^ b
-
-  let of_string s =
-    let err () =
-      Error
-        (Printf.sprintf
-           "invalid dynamics engine %S (want sequential, speculative, speculative:K, \
-            speculative:seq, or an extra :batch=B)"
-           s)
-    in
-    match String.split_on_char ':' s with
-    | [ ("sequential" | "seq") ] -> Ok Sequential
-    | "speculative" :: rest ->
-      let parse_batch b =
-        match String.index_opt b '=' with
-        | Some i when String.sub b 0 i = "batch" -> (
-          match int_of_string_opt (String.sub b (i + 1) (String.length b - i - 1)) with
-          | Some k when k >= 1 -> Some k
-          | _ -> None)
-        | _ -> None
-      in
-      let with_exec exec = function
-        | [] -> Ok (Speculative { exec; batch = 0 })
-        | [ b ] -> (
-          match parse_batch b with
-          | Some batch -> Ok (Speculative { exec; batch })
-          | None -> err ())
-        | _ -> err ()
-      in
-      (match rest with
-      | [] -> Ok (Speculative { exec = Exec.default; batch = 0 })
-      | "seq" :: tl -> with_exec Exec.Seq tl
-      | first :: tl -> (
-        match int_of_string_opt first with
-        | Some d when d >= 1 -> with_exec (Exec.Par { domains = Some d }) tl
-        | _ -> with_exec Exec.default rest))
-    | _ -> err ()
-
-  let pp fmt t = Format.pp_print_string fmt (to_string t)
-end
-
 module Config = struct
   type t = {
     rule : rule;
     scheduler : scheduler;
     max_steps : int;
     evaluator : Evaluator.t;
-    engine : Engine.t;
     metrics : metrics option;
   }
 
-  let make ?(max_steps = 10_000) ?(evaluator = `Reference) ?(engine = Engine.Sequential)
-      ?metrics rule scheduler =
-    { rule; scheduler; max_steps; evaluator; engine; metrics }
+  let make ?(max_steps = 10_000) ?(evaluator = `Reference) ?metrics rule scheduler =
+    { rule; scheduler; max_steps; evaluator; metrics }
 end
 
 let rule_kinds = function Add_only -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ]
 
 (* Like [deviation], but also reports the mover's current cost so the
-   caller never has to recompute it for the step record.  Stateless by
-   construction: [`Incremental] has no threaded state here, so it is
-   evaluated as [`Stateless] — counted, because silent degradation cost
-   PR-7 a confusing bench (callers see the counter climb instead). *)
+   caller never has to recompute it for the step record.  [`Incremental]
+   has no threaded state here, so it is evaluated as [`Fast] — counted,
+   so a caller that asked for the stateful path sees the counter climb
+   instead of a silent slowdown. *)
 let deviation_full ?(evaluator = `Reference) rule host s u =
   match rule with
   | Best_response ->
@@ -146,7 +68,7 @@ let deviation_full ?(evaluator = `Reference) rule host s u =
       | `Reference ->
         let graph = Network.graph host s in
         (Greedy.best_move ~kinds ~graph host s ~agent:u, Cost.agent_cost ~graph host s u)
-      | `Fast | `Stateless | `Incremental ->
+      | `Fast | `Incremental ->
         if evaluator = `Incremental then Metric.Counter.incr c_degradations;
         (Fast_response.best_move ~kinds host s ~agent:u, Cost.agent_cost host s u)
     in
@@ -179,18 +101,8 @@ let deviation ?evaluator rule host s u =
    evaluated exactly for the targets Move.candidates deems addable. *)
 let eligible_target host s a v = Move.addable host s ~agent:a v
 
-(* A worker's verdict for one agent, produced against the profile the
-   batch started from.  [Spec_state] carries the raw move (not an applied
-   profile: application is the commit step's job); [Spec_dev] carries the
-   full stateless deviation, which is only reusable while nothing at all
-   has been committed since (stateless verdicts depend on the entire
-   graph). *)
-type speculation =
-  | Spec_state of { mv : (Move.t * float) option; before : float; rowlocal : bool }
-  | Spec_dev of (Strategy.t * float * float) option
-
 let run cfg host start =
-  let { Config.rule; scheduler; max_steps; evaluator; engine; metrics } = cfg in
+  let { Config.rule; scheduler; max_steps; evaluator; metrics } = cfg in
   let n = Strategy.n start in
   let m = match metrics with Some m -> m | None -> { evaluations = 0; moves = 0; skips = 0 } in
   (* Hoisted out of the activation loop: the kinds list used to be
@@ -211,33 +123,19 @@ let run cfg host start =
   (* rowlocal.(u): u's latest "no improving move" verdict was decided with
      zero what-if Dijkstras — see Fast_response.best_move_state_verdict. *)
   let rowlocal = Array.make n false in
-  (* One stateful evaluation, against any state (the threaded primary or
-     a speculative replica).  Does not touch the [metrics] record — plain
-     mutable fields cannot be updated from worker domains; the obs
-     counter is atomic under profiling and merges exactly. *)
-  let eval_state st u =
-    Metric.Counter.incr c_evaluations;
-    let best, rl = Fast_response.best_move_state_verdict ~kinds st ~agent:u in
-    match best with
-    | None -> Spec_state { mv = None; before = 0.0; rowlocal = rl }
-    | Some _ -> Spec_state { mv = best; before = Net_state.agent_cost st u; rowlocal = rl }
-  in
   let attempt s u =
     m.evaluations <- m.evaluations + 1;
+    Metric.Counter.incr c_evaluations;
     match state with
     | Some st -> (
-      match eval_state st u with
-      | Spec_state { mv = None; rowlocal = rl; _ } ->
+      match Fast_response.best_move_state_verdict ~kinds st ~agent:u with
+      | None, rl ->
         rowlocal.(u) <- rl;
         None
-      | Spec_state { mv = Some (mv, gain); before; _ } ->
-        Some (Net_state.apply_move st ~agent:u mv, gain, before)
-      | Spec_dev _ ->
-        Gncg_util.Gncg_error.unreachable ~context:"Dynamics.run"
-          "eval_state returned a stateless verdict")
-    | None ->
-      Metric.Counter.incr c_evaluations;
-      deviation_full ~evaluator rule host s u
+      | Some (mv, gain), _ ->
+        let before = Net_state.agent_cost st u in
+        Some (Net_state.apply_move st ~agent:u mv, gain, before))
+    | None -> deviation_full ~evaluator rule host s u
   in
   let seen = Hashtbl.create 97 in
   (* Trace of profiles since the start, newest first, for cycle extraction.
@@ -246,10 +144,8 @@ let run cfg host start =
   let trace = ref [ start ] in
   Hashtbl.replace seen (Strategy.canonical_key start) 0;
   let steps = ref [] in
-  (* For [Random_order] the rng must be drawn exactly once per slot, in
-     slot order: the sequential loop does so by construction; the
-     speculative engine memoizes its lookahead draws (see [form_batch])
-     so both engines consume the identical activation stream. *)
+  (* For [Random_order] the rng is drawn exactly once per slot, in slot
+     order, so a seeded run replays the identical activation stream. *)
   let next_agent slot =
     match scheduler with
     | Round_robin -> slot mod n
@@ -315,9 +211,8 @@ let run cfg host start =
           else drop_idle a
       done
   in
-  (* Shared move-commit bookkeeping for both engines: counters, step
-     record, revisit detection, idle settlement.  Returns the drained
-     change report (state path only) and [Some outcome] on a certified
+  (* Move-commit bookkeeping: counters, step record, revisit detection,
+     idle settlement.  Returns [Some outcome] on a certified
      improving-move cycle. *)
   let commit_move u s' gain before =
     m.moves <- m.moves + 1;
@@ -333,23 +228,15 @@ let run cfg host start =
           if Strategy.canonical_key p = key then p :: acc else take (p :: acc) rest
       in
       let cycle = take [] !trace in
-      (None, Some (Cycle { profiles = cycle @ [ s' ]; steps = List.rev !steps }))
+      Some (Cycle { profiles = cycle @ [ s' ]; steps = List.rev !steps })
     | None ->
       Hashtbl.replace seen key 0;
       trace := s' :: !trace;
-      let report =
-        match state with
-        | Some st ->
-          let ch = Net_state.drain_changes st in
-          settle_after_move ch s';
-          Some ch
-        | None ->
-          reset_idle ();
-          None
-      in
-      (report, None)
+      (match state with
+      | Some st -> settle_after_move (Net_state.drain_changes st) s'
+      | None -> reset_idle ());
+      None
   in
-  (* ------------------------------------------------ sequential engine *)
   let rec go s slot =
     if !idle_count >= n then
       Converged { profile = s; rounds = slot / n; steps = List.rev !steps }
@@ -364,241 +251,8 @@ let run cfg host start =
           go s (slot + 1)
         | Some (s', gain, before) -> (
           match commit_move u s' gain before with
-          | _, Some cycle -> cycle
-          | _, None -> go s' (slot + 1))
+          | Some cycle -> cycle
+          | None -> go s' (slot + 1))
     end
   in
-  (* ------------------------------------------------ speculative engine
-
-     Evaluate the next activations of the sequential schedule
-     concurrently against the profile the batch starts from, then walk
-     the slots in order and commit each speculation that is provably the
-     verdict the sequential engine would have computed at that slot:
-
-     - while nothing has been committed since the batch started, every
-       speculation is trivially valid (the state is the state it was
-       evaluated against);
-     - after a commit, a stateful speculation survives iff its verdict
-       was row-local and the merged change reports of the commits since
-       left all of its inputs untouched — the same four-condition rule
-       that preserves idle verdicts across moves (see above), applied to
-       move verdicts as well (the verdict, its gain and the mover's
-       before-cost are pure functions of the same inputs);
-     - everything else aborts and is re-evaluated inline against the
-       committed state (the retry), exactly as the sequential engine
-       would have.
-
-     The commit walk *is* the sequential loop with memoized evaluation
-     results, so the outcome — profiles, steps, rounds, cycle
-     certificates — is byte-identical to [Sequential] by construction
-     (property-tested in test_speculative).  Workers never touch the
-     primary state: each domain owns a replica kept in sync by replaying
-     the committed moves, so the zero-alloc what-if kernels run against
-     per-domain workspaces with no cross-domain writes. *)
-  let run_speculative exec batch_arg =
-    let domains = Exec.domain_count exec in
-    let batch_target = Engine.resolve_batch ~exec batch_arg in
-    let replicas =
-      match state with
-      | Some st -> Array.init domains (fun _ -> Net_state.copy st)
-      | None -> [||]
-    in
-    (* Committed (agent, move) log, newest first; each replica replays
-       its missing suffix before evaluating (worker-side, so the replays
-       run concurrently across domains). *)
-    let commit_log = ref [] in
-    let commit_count = ref 0 in
-    let synced = Array.make domains 0 in
-    let sync_replica d st =
-      let missing = !commit_count - synced.(d) in
-      if missing > 0 then begin
-        let rec take k acc l =
-          if k = 0 then acc
-          else match l with x :: tl -> take (k - 1) (x :: acc) tl | [] -> acc
-        in
-        List.iter
-          (fun (u, mv) -> ignore (Net_state.apply_move st ~agent:u mv))
-          (take missing [] !commit_log);
-        ignore (Net_state.drain_changes st);
-        synced.(d) <- !commit_count
-      end
-    in
-    let log_move u mv =
-      commit_log := (u, mv) :: !commit_log;
-      incr commit_count
-    in
-    (* One-slot pushback: formation stops when it meets a second
-       activation of an already-speculated agent, whose rng draw is
-       already consumed — it must open the next batch. *)
-    let pending = ref None in
-    let agent_of_slot slot =
-      match !pending with
-      | Some (k, u) when k = slot ->
-        pending := None;
-        u
-      | _ -> next_agent slot
-    in
-    let in_batch = Array.make n false in
-    (* The upcoming consecutive slots, with the distinct non-idle agents
-       to speculate.  Bounded lookahead: under a mostly-idle population
-       the commit walk burns idle slots for free, so scanning far past
-       the batch target only wastes draws. *)
-    let form_batch slot0 =
-      let cap = slot0 + max (2 * n) (8 * batch_target) in
-      let slots = ref [] and agents = ref [] and nspec = ref 0 in
-      let k = ref slot0 and stop = ref false in
-      while (not !stop) && !k < max_steps && !k < cap && !nspec < batch_target do
-        let u = agent_of_slot !k in
-        if (not idle.(u)) && in_batch.(u) then begin
-          pending := Some (!k, u);
-          stop := true
-        end
-        else begin
-          if not idle.(u) then begin
-            in_batch.(u) <- true;
-            agents := u :: !agents;
-            incr nspec
-          end;
-          slots := (!k, u) :: !slots;
-          incr k
-        end
-      done;
-      (List.rev !slots, Array.of_list (List.rev !agents), !k)
-    in
-    let specs : (int, speculation) Hashtbl.t = Hashtbl.create 97 in
-    let speculate s_base agents =
-      let nspec = Array.length agents in
-      Hashtbl.reset specs;
-      if nspec > 0 then begin
-        Metric.Counter.incr c_spec_batches;
-        Metric.Histogram.observe h_spec_batch (float_of_int nspec);
-        Metric.Counter.add c_speculations nspec;
-        m.evaluations <- m.evaluations + nspec;
-        let chunks =
-          Exec.init ~exec domains (fun d ->
-              let lo = d * nspec / domains and hi = (d + 1) * nspec / domains in
-              match state with
-              | Some _ ->
-                let st = replicas.(d) in
-                sync_replica d st;
-                Array.init (hi - lo) (fun i ->
-                    let u = agents.(lo + i) in
-                    (u, eval_state st u))
-              | None ->
-                Array.init (hi - lo) (fun i ->
-                    let u = agents.(lo + i) in
-                    Metric.Counter.incr c_evaluations;
-                    (u, Spec_dev (deviation_full ~evaluator rule host s_base u))))
-        in
-        Array.iter (Array.iter (fun (u, sp) -> Hashtbl.replace specs u sp)) chunks
-      end
-    in
-    (* Validity of a speculation at commit time, against everything
-       committed since the batch base.  [batch_reports] holds the change
-       report of each commit of this batch (state path); the conditions
-       are conjunctive per report, so no merge is materialized. *)
-    let batch_reports = ref [] in
-    let batch_moved = ref false in
-    let valid_state_spec s_cur u rl =
-      (not !batch_moved)
-      || (rl && List.for_all (fun ch -> untouched_by ch s_cur u) !batch_reports)
-    in
-    (* Inline abort/retry: the slot re-evaluates against the committed
-       state, exactly as the sequential engine would have. *)
-    let retry s u =
-      m.evaluations <- m.evaluations + 1;
-      Span.with_probe p_step (fun () ->
-          match state with
-          | Some st -> eval_state st u
-          | None ->
-            Metric.Counter.incr c_evaluations;
-            Spec_dev (deviation_full ~evaluator rule host s u))
-    in
-    let rec batch_loop s slot =
-      if !idle_count >= n then
-        Converged { profile = s; rounds = slot / n; steps = List.rev !steps }
-      else if slot >= max_steps then Out_of_steps { profile = s; steps = List.rev !steps }
-      else begin
-        let slots, agents, slot_end = form_batch slot in
-        Array.iter (fun u -> in_batch.(u) <- false) agents;
-        speculate s agents;
-        batch_reports := [];
-        batch_moved := false;
-        commit s slots slot_end
-      end
-    and commit s slots slot_end =
-      match slots with
-      | [] -> batch_loop s slot_end
-      | (k, u) :: rest ->
-        if !idle_count >= n then
-          Converged { profile = s; rounds = k / n; steps = List.rev !steps }
-        else if idle.(u) then commit s rest slot_end
-        else begin
-          let verdict =
-            match Hashtbl.find_opt specs u with
-            | Some (Spec_state { mv; before; rowlocal = rl })
-              when valid_state_spec s u rl ->
-              Metric.Counter.incr c_spec_commits;
-              Spec_state { mv; before; rowlocal = rl }
-            | Some (Spec_dev dev) when not !batch_moved ->
-              Metric.Counter.incr c_spec_commits;
-              Spec_dev dev
-            | Some _ ->
-              (* A commit since the batch base invalidated this
-                 speculation: abort it and retry. *)
-              Metric.Counter.incr c_spec_conflicts;
-              Metric.Counter.incr c_spec_retries;
-              retry s u
-            | None ->
-              (* The agent looked idle at formation but a commit of this
-                 batch un-idled it: no speculation exists, evaluate
-                 inline. *)
-              Metric.Counter.incr c_spec_retries;
-              retry s u
-          in
-          match verdict with
-          | Spec_state { mv = None; rowlocal = rl; _ } ->
-            rowlocal.(u) <- rl;
-            mark_idle u;
-            commit s rest slot_end
-          | Spec_dev None ->
-            mark_idle u;
-            commit s rest slot_end
-          | Spec_state { mv = Some (mv, gain); before; _ } -> (
-            let st =
-              match state with
-              | Some st -> st
-              | None ->
-                Gncg_util.Gncg_error.unreachable ~context:"Dynamics.run"
-                  "stateful speculation without a threaded state"
-            in
-            let s' = Net_state.apply_move st ~agent:u mv in
-            log_move u mv;
-            match commit_move u s' gain before with
-            | _, Some cycle -> cycle
-            | report, None ->
-              (match report with
-              | Some ch -> batch_reports := ch :: !batch_reports
-              | None -> ());
-              batch_moved := true;
-              commit s' rest slot_end)
-          | Spec_dev (Some (s', gain, before)) -> (
-            match commit_move u s' gain before with
-            | _, Some cycle -> cycle
-            | _, None ->
-              batch_moved := true;
-              commit s' rest slot_end)
-        end
-    in
-    batch_loop start 0
-  in
-  Span.with_probe p_run (fun () ->
-      match engine with
-      | Engine.Sequential -> go start 0
-      | Engine.Speculative _ when (match rule with Random_improving _ -> true | _ -> false)
-        ->
-        (* The random-improving rule draws from its rng inside the
-           evaluation, so concurrent speculation would reorder the
-           stream: degrade to the sequential engine (documented). *)
-        go start 0
-      | Engine.Speculative { exec; batch } -> run_speculative exec batch)
+  Span.with_probe p_run (fun () -> go start 0)

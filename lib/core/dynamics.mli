@@ -5,13 +5,9 @@
     finite improvement property — Cor. 1, Thms. 14, 17): the engine
     therefore detects both convergence and revisited profiles (cycles).
 
-    The activation order is sequential semantics; {e executing} it need
-    not be: the [Speculative] engine evaluates upcoming activations
-    concurrently across OCaml 5 domains and commits them in slot order,
-    aborting any speculation invalidated by an earlier commit — the
-    outcome is byte-identical to [Sequential] under the same scheduler
-    (see {!Engine} and docs/ALGORITHMS.md, "Speculative commit
-    protocol"). *)
+    The loop is sequential by definition: each activation sees every
+    move committed before it, which is the sequence an improving-move
+    cycle certificate is stated on. *)
 
 type rule =
   | Best_response  (** exact best response (branch-and-bound) *)
@@ -60,42 +56,6 @@ type outcome =
           equal. *)
   | Out_of_steps of { profile : Strategy.t; steps : step list }
 
-(** How the activation loop executes.  Semantics are engine-independent:
-    for any config, both engines produce byte-identical outcomes
-    (property-tested in test_speculative). *)
-module Engine : sig
-  type t =
-    | Sequential  (** one activation at a time, in schedule order *)
-    | Speculative of { exec : Gncg_util.Exec.t; batch : int }
-        (** Evaluate up to [batch] upcoming activations concurrently
-            across the domains of [exec], then commit them in slot
-            order; a speculation invalidated by an earlier commit of the
-            batch (per the four-condition dirty-row rule) is aborted and
-            re-evaluated inline.  [batch <= 0] means auto (4 × domain
-            count).  Instrumented on the [dynamics.speculative_*]
-            counters.  [Random_improving] degrades to [Sequential] (its
-            rng draws happen inside the evaluation, so concurrent
-            speculation would reorder the stream). *)
-
-  val sequential : t
-
-  val speculative : ?exec:Gncg_util.Exec.t -> ?batch:int -> unit -> t
-  (** Defaults: [Exec.default] (all recommended domains), auto batch. *)
-
-  val resolve_batch : exec:Gncg_util.Exec.t -> int -> int
-  (** The effective batch size for a [batch] argument ([<= 0] → auto). *)
-
-  val to_string : t -> string
-
-  val of_string : string -> (t, string) result
-  (** ["sequential"] (or ["seq"]), ["speculative"],
-      ["speculative:K"] (K domains), ["speculative:seq"] (single-domain
-      execution of the speculative protocol — deterministic batching for
-      tests), each optionally followed by [":batch=B"]. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
 (** The engine configuration: what used to be a sprawl of optional
     arguments on [run].  Build one with {!Config.make}, override fields
     with [{ cfg with ... }]. *)
@@ -105,20 +65,18 @@ module Config : sig
     scheduler : scheduler;
     max_steps : int;
     evaluator : Evaluator.t;
-    engine : Engine.t;
     metrics : metrics option;
   }
 
   val make :
     ?max_steps:int ->
     ?evaluator:Evaluator.t ->
-    ?engine:Engine.t ->
     ?metrics:metrics ->
     rule ->
     scheduler ->
     t
-  (** Defaults: [max_steps] 10_000, [evaluator] [`Reference], [engine]
-      [Sequential], no metrics record. *)
+  (** Defaults: [max_steps] 10_000, [evaluator] [`Reference], no
+      metrics record. *)
 end
 
 val run : Config.t -> Host.t -> Strategy.t -> outcome
@@ -129,8 +87,8 @@ val run : Config.t -> Host.t -> Strategy.t -> outcome
 
     - [`Reference] (default): rebuild + Dijkstra per candidate — obviously
       correct;
-    - [`Fast] / [`Stateless]: the stateless incremental evaluation of
-      [Fast_response];
+    - [`Fast]: the incremental evaluation of [Fast_response], which
+      keeps no state between calls;
     - [`Incremental]: one [Net_state] threaded through the whole run — the
       network and its full distance matrix are maintained across steps, so
       a step costs O(n²) instead of a rebuild plus Dijkstra per candidate.
@@ -139,13 +97,10 @@ val run : Config.t -> Host.t -> Strategy.t -> outcome
       unaffected (row-local verdict, own row unchanged, no incident
       strategy pair modified, no changed row among its addable targets) —
       provably byte-identical to re-evaluating everyone, and the reason a
-      step no longer costs a full rescan.  Under the [Speculative] engine
-      each domain owns a replica of the state, kept in sync by replaying
-      committed moves.
+      step no longer costs a full rescan.
 
     All evaluators are semantically equivalent (property-tested);
-    tie-breaking may differ within float tolerance.  Engines are exactly
-    equivalent: same [outcome], same [steps], byte-identical profiles. *)
+    tie-breaking may differ within float tolerance. *)
 
 val deviation :
   ?evaluator:Evaluator.t ->
@@ -155,8 +110,8 @@ val deviation :
   int ->
   (Strategy.t * float) option
 (** One improving deviation for an agent under the rule, with its gain:
-    the building block of [run], exposed for tests and tools.  Stateless:
-    [`Incremental] is evaluated as [`Stateless] here (the threaded state
-    only exists inside [run]) and the degradation is counted on the
-    [dynamics.evaluator_degradations] counter — pass [`Stateless] to opt
-    in explicitly. *)
+    the building block of [run], exposed for tests and tools.  It keeps
+    no state between calls: [`Incremental] is evaluated as [`Fast] here
+    (the threaded state only exists inside [run]) and the degradation is
+    counted on the [dynamics.evaluator_degradations] counter — pass
+    [`Fast] to opt in explicitly. *)

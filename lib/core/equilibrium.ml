@@ -162,7 +162,7 @@ module Tracker = struct
           Fast_response.best_move_state_verdict ~kinds:(kinds_of t.kind) t.st ~agent:u
         in
         (best = None, rl)
-      | `Fast | `Stateless ->
+      | `Fast ->
         let best =
           Fast_response.best_move ~kinds:(kinds_of t.kind) (Net_state.host t.st)
             (Net_state.profile t.st) ~agent:u

@@ -1,25 +1,22 @@
 type t =
   [ `Reference
   | `Fast
-  | `Stateless
   | `Incremental
   ]
 
-let all = [ `Reference; `Fast; `Stateless; `Incremental ]
+let all = [ `Reference; `Fast; `Incremental ]
 
 let to_string = function
   | `Reference -> "reference"
   | `Fast -> "fast"
-  | `Stateless -> "stateless"
   | `Incremental -> "incremental"
 
 let of_string = function
   | "reference" -> Ok `Reference
   | "fast" -> Ok `Fast
-  | "stateless" -> Ok `Stateless
   | "incremental" -> Ok `Incremental
   | s ->
     Error
-      (Printf.sprintf "unknown evaluator %S (reference | fast | stateless | incremental)" s)
+      (Printf.sprintf "unknown evaluator %S (reference | fast | incremental)" s)
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

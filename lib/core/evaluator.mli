@@ -5,26 +5,22 @@
 
     - [`Reference]: rebuild the network and run fresh Dijkstras per
       candidate move — the specification the others are tested against;
-    - [`Fast]: batched gain evaluation with shared SSSP passes;
-    - [`Stateless]: explicit alias of [`Fast] for call sites with no
-      threaded state ({!Dynamics.deviation}): passing [`Incremental]
-      there degrades to this evaluator and is counted on
-      [dynamics.evaluator_degradations] — pass [`Stateless] to say so
-      on purpose;
+    - [`Fast]: batched gain evaluation with shared SSSP passes and no
+      threaded state — what {!Dynamics.deviation} runs when passed
+      [`Incremental] (counted on [dynamics.evaluator_degradations]);
     - [`Incremental]: the live distance-matrix engine ({!Net_state} +
       {!Fast_response}) — the hot path. *)
 
 type t =
   [ `Reference
   | `Fast
-  | `Stateless
   | `Incremental
   ]
 
 val all : t list
 
 val to_string : t -> string
-(** ["reference"] | ["fast"] | ["stateless"] | ["incremental"] — the
+(** ["reference"] | ["fast"] | ["incremental"] — the
     spelling used by the [--evaluator] CLI flag and the journal
     manifests. *)
 

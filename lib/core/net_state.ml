@@ -52,7 +52,6 @@ let resolve_backend spec ~require_mutable host g =
   in
   match (spec : Distances.spec) with
   | Dense -> dense ()
-  | Mmap path -> Distances.mmap ?path g
   | Tree -> if require_mutable then fallback () else Distances.tree g
   | Rd ->
     if require_mutable then fallback ()

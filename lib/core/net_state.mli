@@ -42,9 +42,9 @@ val create :
 
     [?backend] defaults to {!Gncg_graph.Distances.default_spec} (the
     CLI's [--dist-backend], [Auto] out of the box).  Resolution:
-    [Dense] / [Mmap] wrap the network in the corresponding incremental
-    engine; [Tree] requires the network to be a connected tree; [Rd]
-    requires point-set geometry on the host and a complete network;
+    [Dense] wraps the network in the incremental APSP engine; [Tree]
+    requires the network to be a connected tree; [Rd] requires point-set
+    geometry on the host and a complete network;
     [Auto] picks the tree oracle when the network {e is} the host's
     tree, the R^d oracle when the network is complete over point-set
     geometry, and dense otherwise.
@@ -61,7 +61,7 @@ val distances : t -> Gncg_graph.Distances.t
 (** The live distance backend (benches, tests, sentinel tooling). *)
 
 val backend_id : t -> string
-(** ["dense" | "tree" | "rd" | "mmap"]. *)
+(** ["dense" | "tree" | "rd"]. *)
 
 val host : t -> Host.t
 

@@ -1,8 +1,8 @@
 (* The DISTANCES seam: every engine layer above mgraph reads distances
    through this first-class-module dispatch instead of a concrete
    matrix, so the storage can be a dense floatarray (the historic
-   default), a memory-mapped bigarray, or an implicit oracle that never
-   materializes O(n²) floats at all.
+   default) or an implicit oracle that never materializes O(n²) floats
+   at all.
 
    First-class modules rather than a functor: the dispatch cost is one
    indirect call per operation — and every operation here is O(n) or
@@ -21,7 +21,7 @@ let unsupported backend op =
     (Unsupported
        (Printf.sprintf
           "Distances: the %s backend is read-only and does not support %s \
-           (use a dense or mmap backend for mutating dynamics)"
+           (use a dense backend for mutating dynamics)"
           backend op))
 
 module type S = sig
@@ -79,31 +79,6 @@ module Dense_backend = struct
   let selfcheck_now = Incr_apsp.selfcheck_now
   let inject_cell_error = Incr_apsp.inject_cell_error
   let memory_bytes t = 8 * Incr_apsp.n t * Incr_apsp.n t
-end
-
-module Mmap_backend = struct
-  type t = Mmap_apsp.t
-
-  let id = "mmap"
-  let is_mutable = true
-  let n = Mmap_apsp.n
-  let graph t = Some (Mmap_apsp.graph t)
-  let distance = Mmap_apsp.distance
-  let row_into = Mmap_apsp.row_into
-  let dist_sum = Mmap_apsp.dist_sum
-  let dist_sum_with_edge = Mmap_apsp.dist_sum_with_edge
-  let min_sum_against = Mmap_apsp.min_sum_against
-  let nearest _ ~accept:_ _ = None
-  let add_edge = Mmap_apsp.add_edge
-  let remove_edge = Mmap_apsp.remove_edge
-  let sssp_edited_into = Mmap_apsp.sssp_edited_into
-  let sssp_edited_sum = Mmap_apsp.sssp_edited_sum
-  let copy = Mmap_apsp.copy
-  let set_selfcheck = Mmap_apsp.set_selfcheck
-  let selfcheck_cadence = Mmap_apsp.selfcheck_cadence
-  let selfcheck_now = Mmap_apsp.selfcheck_now
-  let inject_cell_error = Mmap_apsp.inject_cell_error
-  let memory_bytes = Mmap_apsp.memory_bytes
 end
 
 module Tree_backend = struct
@@ -172,11 +147,9 @@ let pack (type a) (module M : S with type t = a) (x : a) =
   Packed ((module M), x)
 
 let of_incr e = pack (module Dense_backend) e
-let of_mmap_apsp e = pack (module Mmap_backend) e
 let of_tree_dist e = pack (module Tree_backend) e
 let of_rd_dist e = pack (module Rd_backend) e
 let dense g = of_incr (Incr_apsp.of_graph_no_copy g)
-let mmap ?path g = of_mmap_apsp (Mmap_apsp.of_graph_no_copy ?path g)
 let tree g = of_tree_dist (Tree_dist.of_tree_no_copy g)
 let rd norm pts = of_rd_dist (Rd_dist.of_points norm pts)
 let rd_flat norm ~flat ~d = of_rd_dist (Rd_dist.make norm ~flat ~d)
@@ -226,15 +199,13 @@ let memory_bytes (Packed ((module M), x)) = M.memory_bytes x
 
 (* --- backend selection -------------------------------------------------- *)
 
-type spec = Auto | Dense | Tree | Rd | Mmap of string option
+type spec = Auto | Dense | Tree | Rd
 
 let spec_to_string = function
   | Auto -> "auto"
   | Dense -> "dense"
   | Tree -> "tree"
   | Rd -> "rd"
-  | Mmap None -> "mmap"
-  | Mmap (Some p) -> "mmap:" ^ p
 
 let spec_of_string s =
   match s with
@@ -242,13 +213,7 @@ let spec_of_string s =
   | "dense" -> Ok Dense
   | "tree" -> Ok Tree
   | "rd" -> Ok Rd
-  | "mmap" -> Ok (Mmap None)
-  | _ when String.length s > 5 && String.sub s 0 5 = "mmap:" ->
-    Ok (Mmap (Some (String.sub s 5 (String.length s - 5))))
-  | _ ->
-    Error
-      (Printf.sprintf "unknown distance backend %S (auto | dense | tree | rd | mmap[:path])"
-         s)
+  | _ -> Error (Printf.sprintf "unknown distance backend %S (auto | dense | tree | rd)" s)
 
 (* Process-wide default applied where no explicit spec is given — how the
    CLI's [--dist-backend] reaches internally constructed states (mirrors

@@ -5,8 +5,6 @@
     module, so the storage can be:
 
     - {b dense} — the historic flat floatarray {!Incr_apsp} (default);
-    - {b mmap} — the same algorithms over a [Bigarray] store, optionally
-      a shared file mapping ({!Mmap_apsp});
     - {b tree} — an implicit Euler-tour/LCA oracle for tree networks,
       O(n log n) ints, no matrix ({!Tree_dist});
     - {b rd} — an implicit p-norm oracle for complete networks on R^d
@@ -22,8 +20,8 @@
     maintained state; the drift sentinel cross-checks maintained values
     against an independent recompute and self-heals on mismatch.
     Implicit oracles are {e read-only}: their updates raise
-    {!Unsupported}, and mutating dynamics must resolve to a dense or
-    mmap backend (see {!Gncg.Net_state.create}). *)
+    {!Unsupported}, and mutating dynamics must resolve to a dense
+    backend (see {!Gncg.Net_state.create}). *)
 
 exception Unsupported of string
 (** Raised by [add_edge] / [remove_edge] on read-only (oracle)
@@ -72,14 +70,11 @@ type t = Packed : (module S with type t = 'a) * 'a -> t
 (** {1 Constructors} *)
 
 val of_incr : Incr_apsp.t -> t
-val of_mmap_apsp : Mmap_apsp.t -> t
 val of_tree_dist : Tree_dist.t -> t
 val of_rd_dist : Rd_dist.t -> t
 
 val dense : Wgraph.t -> t
 (** Wraps the graph (no copy) in the default dense engine. *)
-
-val mmap : ?path:string -> Wgraph.t -> t
 
 val tree : Wgraph.t -> t
 (** The graph must be a connected tree; it {e is} the network. *)
@@ -122,12 +117,12 @@ val memory_bytes : t -> int
 
 (** {1 Backend selection} *)
 
-type spec = Auto | Dense | Tree | Rd | Mmap of string option
+type spec = Auto | Dense | Tree | Rd
 
 val spec_to_string : spec -> string
 
 val spec_of_string : string -> (spec, string) result
-(** ["auto" | "dense" | "tree" | "rd" | "mmap" | "mmap:<path>"]. *)
+(** ["auto" | "dense" | "tree" | "rd"]. *)
 
 val set_default_spec : spec -> unit
 (** Process-wide default where no explicit spec is given — backs the

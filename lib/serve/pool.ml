@@ -101,7 +101,7 @@ let status_string = function
 
 (* --- spawning ------------------------------------------------------------ *)
 
-(* Spawns are serialized process-wide: two lifecycle threads forking
+(* Spawns are serialized process-wide: two lifecycle threads spawning
    concurrently would each inherit the other's freshly-made pipe ends,
    and a leaked write end keeps a dead worker's pipe from ever reaching
    EOF — the supervisor would never observe the death.  Holding this
@@ -130,29 +130,6 @@ let spawn_exec argv () =
       Unix.close to_r;
       Unix.close from_w;
       proc_of_pipes ~pid ~to_w ~from_r)
-
-let spawn_forked ?heartbeat ?query_exec ?chaos ?exec () () =
-  serialized (fun () ->
-      let to_r, to_w = Unix.pipe () in
-      let from_r, from_w = Unix.pipe () in
-      match Unix.fork () with
-      | 0 ->
-        (* Child: only the forking thread survives; the worker loop
-           builds the threads it needs.  [_exit], not [exit] — the
-           parent's at_exit handlers and buffered channels are not ours
-           to run or flush. *)
-        (try
-           Unix.close to_w;
-           Unix.close from_r;
-           let ic = Unix.in_channel_of_descr to_r in
-           let oc = Unix.out_channel_of_descr from_w in
-           Worker.main ?heartbeat ?query_exec ?chaos ?exec ic oc
-         with _ -> ());
-        Unix._exit 0
-      | pid ->
-        Unix.close to_r;
-        Unix.close from_w;
-        proc_of_pipes ~pid ~to_w ~from_r)
 
 (* --- the per-worker lifecycle thread ------------------------------------- *)
 

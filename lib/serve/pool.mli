@@ -1,9 +1,8 @@
 (** A supervised pool of worker processes for [gncg serve].
 
     The pool launches [config.workers] child processes (via a {!spawn}
-    function — {!spawn_exec} re-executes the CLI as [gncg worker],
-    {!spawn_forked} forks in place) and dispatches jobs to them over
-    {!Protocol.Worker_wire}.
+    function — {!spawn_exec} re-executes the CLI as [gncg worker]) and
+    dispatches jobs to them over {!Protocol.Worker_wire}.
     The supervisor owns, per worker:
 
     - {b heartbeats}: workers beat every 250 ms; a worker silent for
@@ -57,25 +56,6 @@ val spawn_exec : string array -> spawn
 (** [spawn_exec argv] launches [argv] via [Unix.create_process] with
     stdin/stdout piped to the supervisor and stderr inherited.  The
     production spawn: [spawn_exec [| Sys.executable_name; "worker" |]]. *)
-
-val spawn_forked :
-  ?heartbeat:float ->
-  ?query_exec:Gncg_util.Exec.t ->
-  ?chaos:Gncg_runs.Chaos.process_plan ->
-  ?exec:(Gncg_runs.Job.spec -> Gncg_workload.Sweep.run) ->
-  unit ->
-  spawn
-(** Forks the current process; the child runs {!Worker.main} over a pipe
-    pair and [_exit]s.  Lets embedders run multi-process supervision
-    with injected {!Gncg_runs.Chaos} process faults and execution seams,
-    no separate binary needed — but note the OCaml 5 restriction:
-    [Unix.fork] raises while other domains are running, and respawns
-    happen mid-sweep with the scheduler's domains live, so under this
-    spawner a worker death during a parallel sweep cannot be healed (the
-    failed respawns count as faults, trip the breaker, and the pool
-    degrades to in-process execution).  Anything that needs respawn under
-    load — chaos tests included — should {!spawn_exec} a real binary
-    ([gncg worker --chaos-*]) instead. *)
 
 type t
 

@@ -318,22 +318,9 @@ let install_trace_stream t =
 type submitted = { job_id : string; attached : bool }
 
 let create ?(state_dir = "gncg-serve-state") ?domains ?budget ?retries
-    ?(trace_stream = false) ?exec_seam ?(workers = 0) ?pool_spawn ?pool_config () =
+    ?(trace_stream = false) ?exec_seam ?pool () =
   mkdir_p state_dir;
-  let pool =
-    if workers <= 0 then None
-    else begin
-      let config =
-        match pool_config with
-        | Some c -> { c with Pool.workers }
-        | None -> { Pool.default_config with Pool.workers }
-      in
-      let spawn =
-        match pool_spawn with Some s -> s | None -> Pool.spawn_forked ()
-      in
-      Some (Pool.create ~config ~spawn ())
-    end
-  in
+  let pool = Option.map (fun (config, spawn) -> Pool.create ~config ~spawn ()) pool in
   (* One executor per worker keeps the fleet busy (a query occupies one
      worker end to end); without a pool, execution is single-file as
      before. *)

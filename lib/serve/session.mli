@@ -46,9 +46,7 @@ val create :
   ?retries:int ->
   ?trace_stream:bool ->
   ?exec_seam:(Gncg_runs.Job.spec -> Gncg_workload.Sweep.run) ->
-  ?workers:int ->
-  ?pool_spawn:Pool.spawn ->
-  ?pool_config:Pool.config ->
+  ?pool:Pool.config * Pool.spawn ->
   unit ->
   t
 (** Starts the executor threads.  [state_dir] (default
@@ -62,14 +60,11 @@ val create :
     it — the chaos tests do.  With a pool it is also the degraded
     in-process executor.
 
-    [workers] (default 0: no pool, single in-process executor) starts a
-    supervised {!Pool} of that many worker processes, launched by
-    [pool_spawn] (default {!Pool.spawn_forked}[ ()]; the CLI passes
-    {!Pool.spawn_exec} to re-execute itself as [gncg worker] — prefer
-    that whenever a binary is available, since fork-based respawn is
-    unavailable while scheduler domains run, see {!Pool.spawn_forked})
-    and supervised per [pool_config] (default {!Pool.default_config};
-    its [workers] field is overridden by [workers]). *)
+    [pool] (default: none, single in-process executor) starts a
+    supervised {!Pool} of [config.workers] worker processes launched by
+    [spawn]; the CLI passes {!Pool.spawn_exec} to re-execute itself as
+    [gncg worker].
+    @raise Invalid_argument if [config.workers < 1]. *)
 
 val submit : t -> Protocol.job -> (submitted, Gncg_util.Gncg_error.t) result
 (** Validates, dedups by content key, enqueues.  Refused with [Io] when

@@ -109,7 +109,11 @@ let eval_query ?(exec = Gncg_util.Exec.Seq) cache job =
 
 (* --- the worker loop ----------------------------------------------------- *)
 
-let main ?(heartbeat = 0.25) ?query_exec ?chaos ?(exec = Job.execute) ic oc =
+(* Seconds between heartbeats; the pool's liveness deadline is a
+   multiple of it. *)
+let heartbeat = 0.25
+
+let main ?chaos ic oc =
   Printexc.record_backtrace true;
   (* A supervisor that died mid-read must not take the worker down with
      SIGPIPE; the write error surfaces as an exception instead. *)
@@ -173,8 +177,8 @@ let main ?(heartbeat = 0.25) ?query_exec ?chaos ?(exec = Job.execute) ic oc =
         let outcome =
           try
             match payload with
-            | W.Spec spec -> W.Run_result (exec spec)
-            | W.Query job -> W.Query_result (snd (eval_query ?exec:query_exec cache job))
+            | W.Spec spec -> W.Run_result (Job.execute spec)
+            | W.Query job -> W.Query_result (snd (eval_query cache job))
           with e ->
             W.Job_error
               { msg = Printexc.to_string e; backtrace = Printexc.get_backtrace () }

@@ -45,20 +45,12 @@ val eval_query :
     equilibrium scan.  @raise Invalid_argument on a [Sweep] job — sweeps
     are dispatched spec by spec so the journal stays in the daemon. *)
 
-val main :
-  ?heartbeat:float ->
-  ?query_exec:Gncg_util.Exec.t ->
-  ?chaos:Gncg_runs.Chaos.process_plan ->
-  ?exec:(Gncg_runs.Job.spec -> Gncg_workload.Sweep.run) ->
-  in_channel ->
-  out_channel ->
-  unit
-(** The worker loop: says hello, beats every [heartbeat] (default 0.25)
-    seconds from a side thread, then executes [run] requests one at a
-    time until EOF or [quit].  Returns normally on every orderly or
-    disorderly supervisor exit (EOF, closed pipe); never raises for
-    input.  [chaos] injects process-level faults per
+val main : ?chaos:Gncg_runs.Chaos.process_plan -> in_channel -> out_channel -> unit
+(** The worker loop: says hello, beats every 0.25 seconds from a side
+    thread, then executes [run] requests one at a time until EOF or
+    [quit].  Returns normally on every orderly or disorderly supervisor
+    exit (EOF, closed pipe); never raises for input.  [chaos] injects process-level faults per
     {!Gncg_runs.Chaos.decide_process} keyed on the payload key and the
-    supervisor-tracked attempt number; [exec] is the sweep-spec
-    execution seam (default {!Gncg_runs.Job.execute}).  Ignores SIGPIPE
+    supervisor-tracked attempt number.  Sweep specs run through
+    {!Gncg_runs.Job.execute}, queries sequentially.  Ignores SIGPIPE
     and enables backtrace recording. *)

@@ -14,14 +14,14 @@ type run = {
 }
 
 let dynamics_run ?(rule = Gncg.Dynamics.Greedy_response) ?(max_steps = 5000)
-    ?(evaluator = `Incremental) ?engine model ~n ~alpha ~seed =
+    ?(evaluator = `Incremental) model ~n ~alpha ~seed =
   let rng = Gncg_util.Prng.create seed in
   let host = Instances.random_host rng model ~n ~alpha in
   let start = Instances.random_profile rng host in
   let scheduler = Gncg.Dynamics.Random_order (Gncg_util.Prng.split rng) in
   let outcome =
     Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~max_steps ~evaluator ?engine rule scheduler)
+      (Gncg.Dynamics.Config.make ~max_steps ~evaluator rule scheduler)
       host start
   in
   let profile, converged, steps =

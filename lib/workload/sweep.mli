@@ -21,7 +21,6 @@ val dynamics_run :
   ?rule:Gncg.Dynamics.rule ->
   ?max_steps:int ->
   ?evaluator:Gncg.Evaluator.t ->
-  ?engine:Gncg.Dynamics.Engine.t ->
   Instances.model ->
   n:int ->
   alpha:float ->
@@ -31,9 +30,7 @@ val dynamics_run :
     [Social_optimum.best_known] (exact on small hosts).  The dynamics run
     through the incrementally maintained distance engine by default
     ([`Incremental]); pass [`Reference] to force the from-scratch
-    evaluator.  [engine] (default [Sequential]) selects the execution
-    engine — outcomes are engine-independent, so sweep results are
-    reproducible across both. *)
+    evaluator. *)
 
 val cartesian :
   ns:int list -> alphas:float list -> seeds:int list -> (int * float * int) list

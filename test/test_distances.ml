@@ -1,8 +1,7 @@
 (* Equivalence of every DISTANCES backend against from-scratch oracles:
    the tree and R^d implicit backends must agree with a fresh Dijkstra /
-   the tabulated point metric within Flt tolerance, the mmap engine must
-   stay bit-identical to dense through random edit sequences (including
-   Changed_rows parity), the k-d index must agree with a linear scan,
+   the tabulated point metric within Flt tolerance, the k-d index must
+   agree with a linear scan,
    Net_state must auto-select the right backend, and each backend's
    drift sentinel must detect and heal injected cell faults. *)
 
@@ -13,7 +12,6 @@ module Dijkstra = Gncg_graph.Dijkstra
 module D = Gncg_graph.Distances
 module Kd_tree = Gncg_graph.Kd_tree
 module Pnorm = Gncg_graph.Pnorm
-module Changed_rows = Gncg_graph.Changed_rows
 module Tree_metric = Gncg_metric.Tree_metric
 module Euclidean = Gncg_metric.Euclidean
 module Geometry = Gncg_metric.Geometry
@@ -33,19 +31,6 @@ let close_or_inf a b = (a = Float.infinity && b = Float.infinity) || close a b
 
 let random_tree r n =
   Tree_metric.graph (Tree_metric.random r ~n ~wmin:0.5 ~wmax:9.0)
-
-let random_connected_graph r n =
-  let g = Wgraph.create n in
-  let order = Prng.permutation r n in
-  for i = 1 to n - 1 do
-    Wgraph.add_edge g order.(i) order.(Prng.int r i) (Prng.float_in r 0.5 9.0)
-  done;
-  for _ = 1 to n do
-    let u = Prng.int r n and v = Prng.int r n in
-    if u <> v && not (Wgraph.has_edge g u v) then
-      Wgraph.add_edge g u v (Prng.float_in r 0.5 9.0)
-  done;
-  g
 
 (* --- tree oracle vs fresh Dijkstra --- *)
 
@@ -193,60 +178,6 @@ let prop_rd_whatif_matches_dense seed =
   done;
   !ok
 
-(* --- mmap engine: bit-identical to dense through edit sequences --- *)
-
-let matrices_equal a b n =
-  let ok = ref true in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      (* Same algorithm over both stores: exact equality, not tolerance. *)
-      if D.distance a u v <> D.distance b u v then ok := false
-    done
-  done;
-  !ok
-
-let prop_mmap_matches_dense_under_edits seed =
-  let r = Prng.create (seed + 806) in
-  let n = 4 + Prng.int r 12 in
-  let g = random_connected_graph r n in
-  let md = D.mmap (Wgraph.copy g) in
-  let dd = D.dense (Wgraph.copy g) in
-  let ok = ref (matrices_equal md dd n) in
-  let removable = ref [] in
-  for _ = 1 to 12 do
-    let u = Prng.int r n and v = Prng.int r n in
-    if u <> v && not (Wgraph.has_edge (Option.get (D.graph dd)) u v) then begin
-      let w = Prng.float_in r 0.5 9.0 in
-      let cm = D.add_edge md u v w in
-      let cd = D.add_edge dd u v w in
-      removable := (u, v) :: !removable;
-      if Changed_rows.to_list cm <> Changed_rows.to_list cd then ok := false;
-      if not (matrices_equal md dd n) then ok := false
-    end;
-    match !removable with
-    | (u, v) :: rest when Prng.bool r ->
-      removable := rest;
-      let cm = D.remove_edge md u v in
-      let cd = D.remove_edge dd u v in
-      if Changed_rows.to_list cm <> Changed_rows.to_list cd then ok := false;
-      if not (matrices_equal md dd n) then ok := false
-    | _ -> ()
-  done;
-  !ok
-
-(* A file-backed mapping behaves like the anonymous one. *)
-let test_mmap_file_backed () =
-  let r = Prng.create 41 in
-  let n = 10 in
-  let g = random_connected_graph r n in
-  let path = Filename.temp_file "gncg_test_mmap" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let md = D.mmap ~path g in
-      let dd = D.dense (Wgraph.copy g) in
-      Alcotest.(check bool) "file-backed matches dense" true (matrices_equal md dd n))
-
 (* --- k-d index vs linear scan --- *)
 
 let prop_kd_nearest_matches_linear seed =
@@ -312,9 +243,6 @@ let test_auto_selection () =
   Alcotest.(check string)
     "explicit dense overrides auto" "dense"
     (Gncg.Net_state.backend_id (tree_state ~backend:D.Dense ()));
-  Alcotest.(check string)
-    "explicit mmap" "mmap"
-    (Gncg.Net_state.backend_id (tree_state ~backend:(D.Mmap None) ()));
   let r = Prng.create 7 in
   let host =
     Gncg.Host.make ~alpha:2.0 (Random_host.uniform_metric r ~n:8 ~lo:1.0 ~hi:4.0)
@@ -326,22 +254,16 @@ let test_auto_selection () =
 
 let test_cost_parity_across_backends () =
   let dense = tree_state ~backend:D.Dense () in
-  List.iter
-    (fun (name, st) ->
-      Alcotest.(check bool)
-        (name ^ " social cost matches dense")
-        true
-        (close (Gncg.Net_state.social_cost st) (Gncg.Net_state.social_cost dense));
-      for a = 0 to 11 do
-        Alcotest.(check bool)
-          (Printf.sprintf "%s agent %d cost matches dense" name a)
-          true
-          (close (Gncg.Net_state.agent_cost st a) (Gncg.Net_state.agent_cost dense a))
-      done)
-    [
-      ("tree", tree_state ());
-      ("mmap", tree_state ~backend:(D.Mmap None) ());
-    ];
+  let tree = tree_state () in
+  Alcotest.(check bool)
+    "tree social cost matches dense" true
+    (close (Gncg.Net_state.social_cost tree) (Gncg.Net_state.social_cost dense));
+  for a = 0 to 11 do
+    Alcotest.(check bool)
+      (Printf.sprintf "tree agent %d cost matches dense" a)
+      true
+      (close (Gncg.Net_state.agent_cost tree a) (Gncg.Net_state.agent_cost dense a))
+  done;
   (* rd parity on its own complete-network instance. *)
   let rd = rd_state () in
   let dense_rd = rd_state ~backend:D.Dense () in
@@ -413,9 +335,6 @@ let sentinel_tests =
     sentinel_case "dense"
       (fun () -> D.dense (graph ()))
       (fun () -> Dijkstra.apsp (graph ()));
-    sentinel_case "mmap"
-      (fun () -> D.mmap (graph ()))
-      (fun () -> Dijkstra.apsp (graph ()));
     sentinel_case "tree"
       (fun () -> D.tree (graph ()))
       (fun () -> Dijkstra.apsp (graph ()));
@@ -451,7 +370,7 @@ let test_spec_round_trip () =
       match D.spec_of_string s with
       | Ok spec -> Alcotest.(check string) s s (D.spec_to_string spec)
       | Error e -> Alcotest.fail e)
-    [ "auto"; "dense"; "tree"; "rd"; "mmap"; "mmap:/tmp/x.bin" ];
+    [ "auto"; "dense"; "tree"; "rd" ];
   Alcotest.(check bool)
     "garbage rejected" true
     (Result.is_error (D.spec_of_string "quantum"))
@@ -466,10 +385,6 @@ let suites =
         qtest "rd oracle = tabulated metric" seed_gen prop_rd_matches_metric;
         qtest "rd what-ifs = dense on complete graph" seed_gen
           prop_rd_whatif_matches_dense;
-        qtest ~count:20 "mmap = dense through edits (rows + matrix)" seed_gen
-          prop_mmap_matches_dense_under_edits;
-        Alcotest.test_case "file-backed mmap matches dense" `Quick
-          test_mmap_file_backed;
         qtest "k-d nearest = linear scan" seed_gen prop_kd_nearest_matches_linear;
       ] );
     ( "distances-net-state",

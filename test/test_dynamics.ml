@@ -3,6 +3,8 @@ module Prng = Gncg_util.Prng
 module Dyn = Gncg.Dynamics
 module Eq = Gncg.Equilibrium
 module Strategy = Gncg.Strategy
+module Metric = Gncg_obs.Metric
+module D = Gncg_graph.Distances
 
 let small_metric_host r ~n ~alpha =
   Gncg.Host.make ~alpha (Gncg_metric.Random_host.uniform_metric r ~n ~lo:1.0 ~hi:5.0)
@@ -112,6 +114,98 @@ let test_cycle_certificates_verified () =
   (* Not finding any cycle is possible but unexpected; record it loudly. *)
   if !found = 0 then Printf.printf "  note: no improving cycles found in this search budget\n"
 
+let random_game seed ~n =
+  let r = Prng.create seed in
+  let alpha = 0.5 +. Prng.float r 3.0 in
+  let model = List.nth Gncg_workload.Instances.default_models (Prng.int r 6) in
+  let host = Gncg_workload.Instances.random_host r model ~n ~alpha in
+  let s = Gncg_workload.Instances.random_profile r host in
+  (host, s)
+
+let steps_equal (a : Dyn.step list) (b : Dyn.step list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Dyn.step) (y : Dyn.step) ->
+         x.mover = y.mover
+         && Float.equal x.before_cost y.before_cost
+         && Float.equal x.after_cost y.after_cost)
+       a b
+
+(* Same constructor, same rounds, same step list bit for bit, and
+   structurally equal profiles. *)
+let outcomes_identical a b =
+  match (a, b) with
+  | ( Dyn.Converged { profile = p1; rounds = r1; steps = s1 },
+      Dyn.Converged { profile = p2; rounds = r2; steps = s2 } ) ->
+    Strategy.equal p1 p2 && r1 = r2 && steps_equal s1 s2
+  | Dyn.Cycle { profiles = ps1; steps = s1 }, Dyn.Cycle { profiles = ps2; steps = s2 } ->
+    List.length ps1 = List.length ps2
+    && List.for_all2 Strategy.equal ps1 ps2
+    && steps_equal s1 s2
+  | ( Dyn.Out_of_steps { profile = p1; steps = s1 },
+      Dyn.Out_of_steps { profile = p2; steps = s2 } ) ->
+    Strategy.equal p1 p2 && steps_equal s1 s2
+  | _ -> false
+
+(* The incremental evaluator mutates its distance backend, so a read-only
+   oracle selection (tree, rd) must degrade to dense: the outcome is the
+   same bytes whatever the process-wide backend default.  Fresh scheduler
+   rngs per run keep the activation streams identical. *)
+let prop_backends_agree =
+  QCheck.Test.make ~count:40 ~name:"outcome identical across dist backends"
+    QCheck.(pair small_nat (int_range 1 2))
+    (fun (seed, backend_idx) ->
+      let host, start = random_game (seed + 37) ~n:8 in
+      let go spec =
+        let saved = D.default_spec () in
+        D.set_default_spec spec;
+        Fun.protect
+          ~finally:(fun () -> D.set_default_spec saved)
+          (fun () ->
+            let scheduler =
+              if seed mod 2 = 0 then Dyn.Round_robin
+              else Dyn.Random_order (Prng.create (7919 * seed))
+            in
+            Dyn.run
+              (Dyn.Config.make ~max_steps:3000 ~evaluator:`Incremental Dyn.Greedy_response
+                 scheduler)
+              host start)
+      in
+      outcomes_identical (go D.Dense) (go (List.nth [ D.Dense; D.Tree; D.Rd ] backend_idx)))
+
+let test_deviation_degradation_counter () =
+  let host, s = random_game 777 ~n:6 in
+  let c = Metric.Counter.make "dynamics.evaluator_degradations" in
+  let was_enabled = Metric.enabled () in
+  Metric.set_enabled true;
+  let v0 = Metric.Counter.value c in
+  let inc = Dyn.deviation ~evaluator:`Incremental Dyn.Greedy_response host s 0 in
+  let after_incremental = Metric.Counter.value c in
+  let fast = Dyn.deviation ~evaluator:`Fast Dyn.Greedy_response host s 0 in
+  let after_fast = Metric.Counter.value c in
+  Metric.set_enabled was_enabled;
+  Alcotest.(check int) "`Incremental degradation counted" (v0 + 1) after_incremental;
+  Alcotest.(check int) "`Fast is not a degradation" after_incremental after_fast;
+  check_true "degraded result = explicit `Fast result"
+    (match (inc, fast) with
+    | None, None -> true
+    | Some (s1, g1), Some (s2, g2) -> Strategy.equal s1 s2 && Float.equal g1 g2
+    | _ -> false)
+
+let test_config_defaults () =
+  let cfg = Dyn.Config.make Dyn.Greedy_response Dyn.Round_robin in
+  Alcotest.(check int) "default max_steps" 10_000 cfg.Dyn.Config.max_steps;
+  check_true "default evaluator" (cfg.Dyn.Config.evaluator = `Reference);
+  check_true "no metrics record" (cfg.Dyn.Config.metrics = None)
+
+let test_evaluator_strings () =
+  check_true "evaluator strings roundtrip"
+    (List.for_all
+       (fun e -> Gncg.Evaluator.of_string (Gncg.Evaluator.to_string e) = Ok e)
+       Gncg.Evaluator.all);
+  check_true "no alias spellings"
+    (Result.is_error (Gncg.Evaluator.of_string "stateless"))
+
 let suites =
   [
     ( "dynamics",
@@ -123,5 +217,9 @@ let suites =
         case "out of steps" test_out_of_steps;
         case "random scheduler" test_random_scheduler_runs;
         slow_case "cycle certificates verify" test_cycle_certificates_verified;
+        case "deviation degradation counter" test_deviation_degradation_counter;
+        case "config defaults" test_config_defaults;
+        case "evaluator strings" test_evaluator_strings;
+        QCheck_alcotest.to_alcotest prop_backends_agree;
       ] );
   ]

@@ -485,9 +485,10 @@ let test_pool_kill_requeue () =
       let restarts0 = Metric.Counter.value (counter "restarts") in
       (* Every spec's first dispatch SIGKILLs its worker mid-job. *)
       let session =
-        Session.create ~state_dir:(tmp_dir ()) ~workers:2
-          ~pool_spawn:(chaos_spawn ~kill_p:1.0 ~fault_attempts:1 ~seed:11 ())
-          ~pool_config:{ Pool.default_config with Pool.breaker_threshold = 1000 }
+        Session.create ~state_dir:(tmp_dir ())
+          ~pool:
+            ( { Pool.default_config with Pool.workers = 2; breaker_threshold = 1000 },
+              chaos_spawn ~kill_p:1.0 ~fault_attempts:1 ~seed:11 () )
           ()
       in
       let id, events = submit_and_finish session sweep_job in
@@ -518,9 +519,10 @@ let test_pool_hang_times_out () =
         Batch.config ~max_steps:4000 model ~ns:[ 4 ] ~alphas:[ 1.5 ] ~seeds:[ 1 ]
       in
       let session =
-        Session.create ~state_dir:(tmp_dir ()) ~workers:1
-          ~pool_spawn:(chaos_spawn ~hang_p:1.0 ~hang_s:30.0 ~fault_attempts:1 ~seed:7 ())
-          ~pool_config:{ Pool.default_config with Pool.breaker_threshold = 1000 }
+        Session.create ~state_dir:(tmp_dir ())
+          ~pool:
+            ( { Pool.default_config with Pool.breaker_threshold = 1000 },
+              chaos_spawn ~hang_p:1.0 ~hang_s:30.0 ~fault_attempts:1 ~seed:7 () )
           ()
       in
       let t0 = Unix.gettimeofday () in
@@ -547,16 +549,16 @@ let test_pool_breaker_degrades () =
          The breaker must trip and the session must finish the sweep
          in-process. *)
       let session =
-        Session.create ~state_dir:(tmp_dir ()) ~workers:1
-          ~pool_spawn:(chaos_spawn ~kill_p:1.0 ~fault_attempts:1_000 ~seed:3 ())
-          ~pool_config:
-            {
-              Pool.default_config with
-              Pool.breaker_threshold = 3;
-              breaker_window = 60.0;
-              max_requeues = 50;
-              backoff_base = 0.01;
-            }
+        Session.create ~state_dir:(tmp_dir ())
+          ~pool:
+            ( {
+                Pool.default_config with
+                Pool.breaker_threshold = 3;
+                breaker_window = 60.0;
+                max_requeues = 50;
+                backoff_base = 0.01;
+              },
+              chaos_spawn ~kill_p:1.0 ~fault_attempts:1_000 ~seed:3 () )
           ()
       in
       let id, events = submit_and_finish session sweep_job in
@@ -585,15 +587,15 @@ let test_pool_crash_frames_in_status () =
          job fails with the supervisor's crash record, and `client
          status` must show it even though no watcher saw the job die. *)
       let session =
-        Session.create ~state_dir:(tmp_dir ()) ~workers:1
-          ~pool_spawn:(chaos_spawn ~kill_p:1.0 ~fault_attempts:1_000 ~seed:5 ())
-          ~pool_config:
-            {
-              Pool.default_config with
-              Pool.breaker_threshold = 1000;
-              max_requeues = 1;
-              backoff_base = 0.01;
-            }
+        Session.create ~state_dir:(tmp_dir ())
+          ~pool:
+            ( {
+                Pool.default_config with
+                Pool.breaker_threshold = 1000;
+                max_requeues = 1;
+                backoff_base = 0.01;
+              },
+              chaos_spawn ~kill_p:1.0 ~fault_attempts:1_000 ~seed:5 () )
           ()
       in
       let { Session.job_id = id; _ } =
