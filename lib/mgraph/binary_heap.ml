@@ -16,15 +16,6 @@ let create capacity =
 
 let is_empty h = h.size = 0
 
-let capacity h = Array.length h.pos
-
-let clear h =
-  (* Only the stored ids have a live [pos] entry: O(size), not O(capacity). *)
-  for i = 0 to h.size - 1 do
-    h.pos.(h.ids.(i)) <- -1
-  done;
-  h.size <- 0
-
 let size h = h.size
 
 let mem h id = id >= 0 && id < Array.length h.pos && h.pos.(id) >= 0

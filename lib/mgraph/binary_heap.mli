@@ -8,13 +8,6 @@ val create : int -> t
 
 val is_empty : t -> bool
 
-val capacity : t -> int
-(** The id range the heap was created for. *)
-
-val clear : t -> unit
-(** Empties the heap in O(stored entries) — makes one heap reusable
-    across many Dijkstra passes without reallocation. *)
-
 val size : t -> int
 
 val mem : t -> int -> bool

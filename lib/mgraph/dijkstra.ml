@@ -40,69 +40,6 @@ let run ?(limit = Float.infinity) g s =
 
 let sssp g s = fst (run g s)
 
-(* Workspace-reusing single-source passes: the what-if evaluation paths
-   (Incr_apsp.sssp_edited and the deletion fallback of remove_edge) run
-   thousands of SSSP calls per dynamics step; reusing one heap and writing
-   into caller-provided rows removes every per-call allocation. *)
-
-type workspace = { heap : Binary_heap.t }
-
-let workspace n = { heap = Binary_heap.create n }
-
-let workspace_capacity ws = Binary_heap.capacity ws.heap
-
-let check_workspace ws g s =
-  let n = Wgraph.n g in
-  if s < 0 || s >= n then invalid_arg "Dijkstra: source out of range";
-  if Binary_heap.capacity ws.heap < n then
-    invalid_arg "Dijkstra: workspace smaller than graph";
-  n
-
-let sssp_into ws g s dist =
-  let n = check_workspace ws g s in
-  if Array.length dist < n then invalid_arg "Dijkstra.sssp_into: row too short";
-  Array.fill dist 0 n Float.infinity;
-  let heap = ws.heap in
-  Binary_heap.clear heap;
-  Array.unsafe_set dist s 0.0;
-  Binary_heap.insert heap s 0.0;
-  let rec loop () =
-    match Binary_heap.pop_min heap with
-    | None -> ()
-    | Some (u, du) ->
-      Wgraph.iter_neighbors g u (fun v w ->
-          let dv = du +. w in
-          if dv < Array.unsafe_get dist v then begin
-            Array.unsafe_set dist v dv;
-            Binary_heap.insert_or_decrease heap v dv
-          end);
-      loop ()
-  in
-  loop ()
-
-let sssp_flat_into ws g s dist off =
-  let n = check_workspace ws g s in
-  if off < 0 || off + n > Float.Array.length dist then
-    invalid_arg "Dijkstra.sssp_flat_into: offset out of range";
-  Float.Array.fill dist off n Float.infinity;
-  let heap = ws.heap in
-  Binary_heap.clear heap;
-  Float.Array.unsafe_set dist (off + s) 0.0;
-  Binary_heap.insert heap s 0.0;
-  let rec loop () =
-    match Binary_heap.pop_min heap with
-    | None -> ()
-    | Some (u, du) ->
-      Wgraph.iter_neighbors g u (fun v w ->
-          let dv = du +. w in
-          if dv < Float.Array.unsafe_get dist (off + v) then begin
-            Float.Array.unsafe_set dist (off + v) dv;
-            Binary_heap.insert_or_decrease heap v dv
-          end);
-      loop ()
-  in
-  loop ()
-
 let sssp_with_parents g s = run g s
 
 let sssp_bounded g s limit = fst (run ~limit g s)

@@ -5,28 +5,9 @@
     cost. *)
 
 val sssp : Wgraph.t -> int -> float array
-(** [sssp g s] is the array of shortest-path distances from [s]. *)
-
-type workspace
-(** A reusable heap for repeated single-source passes: one allocation for
-    the lifetime of an engine instead of one per call.  Not thread-safe;
-    each domain needs its own. *)
-
-val workspace : int -> workspace
-(** [workspace n] serves graphs of up to [n] vertices. *)
-
-val workspace_capacity : workspace -> int
-
-val sssp_into : workspace -> Wgraph.t -> int -> float array -> unit
-(** [sssp_into ws g s row] writes the distances from [s] into
-    [row.(0 .. n-1)] (longer rows keep their tail) — allocation-free.
-    Raises [Invalid_argument] when the workspace or the row is smaller
-    than the graph. *)
-
-val sssp_flat_into : workspace -> Wgraph.t -> int -> Float.Array.t -> int -> unit
-(** [sssp_flat_into ws g s d off] writes the distances from [s] into the
-    unboxed slice [d.[off .. off+n-1]] — the row-update primitive of the
-    flat matrices in {!Dist_matrix} / {!Incr_apsp}. *)
+(** [sssp g s] is the array of shortest-path distances from [s].  The
+    distance stores run their repeated passes through {!Flat_adj}'s
+    allocation-free kernel instead, which yields the same rows. *)
 
 val sssp_with_parents : Wgraph.t -> int -> float array * int array
 (** Also returns a shortest-path-tree parent array ([-1] for the source and

@@ -41,9 +41,13 @@ let of_matrix m =
 let of_graph g =
   let n = Wgraph.n g in
   let t = alloc n in
-  let ws = Dijkstra.workspace n in
+  let adj = Flat_adj.of_wgraph g in
+  let row = Array.make n Float.infinity in
   for u = 0 to n - 1 do
-    Dijkstra.sssp_flat_into ws g u t.d (u * n)
+    Flat_adj.sssp_into adj u row;
+    for v = 0 to n - 1 do
+      Float.Array.unsafe_set t.d ((u * n) + v) (Array.unsafe_get row v)
+    done
   done;
   t
 

@@ -1,0 +1,56 @@
+(** Flat adjacency and the reusable single-source shortest-path kernel of
+    the distance stores.
+
+    Each vertex holds an array of neighbour ids and an unboxed array of
+    edge weights, plus its degree.  Adding an edge appends to both
+    endpoints; removing one swap-removes it in O(degree).  The structure
+    also owns the scratch of one indexed binary heap, so {!sssp_into}
+    allocates nothing: the heap stores vertex ids only and is keyed on
+    the output row itself, and the loop passes no float across a
+    function call.
+
+    The kernel computes exactly the distances of {!Dijkstra.sssp} on the
+    same edge set.  Each is the minimum, over all paths from the source,
+    of the path's length summed edge by edge in floating point.  Dijkstra
+    finds that minimum whatever its neighbour order or heap tie-breaking,
+    because each step [x -> fl(x + w)] is monotone and never below [x]
+    (weights are non-negative and rounding is monotone).
+
+    Not thread-safe: one value serves one domain. *)
+
+type t
+
+val of_wgraph : Wgraph.t -> t
+(** The same edge set as the graph, in flat form. *)
+
+val has_edge : t -> int -> int -> bool
+
+val degree : t -> int -> int
+
+val add_edge : t -> int -> int -> float -> unit
+(** Appends the undirected edge [(u,v)] with weight [w >= 0].  Raises
+    [Invalid_argument] on self-loops, out-of-range vertices, negative or
+    NaN weights, and edges already present. *)
+
+val remove_edge : t -> int -> int -> unit
+(** Swap-removes the edge from both endpoints; no-op when absent. *)
+
+val copy : t -> t
+(** An independent copy: later edits to either side do not reach the
+    other. *)
+
+val sssp_into : t -> int -> float array -> unit
+(** [sssp_into t s row] writes the distances from [s] into
+    [row.(0 .. n-1)] ([Float.infinity] when unreachable; longer rows keep
+    their tail).  Allocation-free.  Raises [Invalid_argument] when [s] is
+    out of range or the row is shorter than [n]. *)
+
+val sssp_edited_into :
+  t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit
+(** {!sssp_into} on a hypothetical edit: the edge [remove] taken out
+    and/or the edge [add] put in, then both undone.  An absent removal
+    or an already-present addition is ignored; the removal applies
+    first.  Every argument is checked before the first edit, and the
+    edits are undone even if the pass raises, so the adjacency always
+    leaves with the edge set it came with (neighbour order may differ,
+    which no result depends on). *)

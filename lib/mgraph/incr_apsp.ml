@@ -19,12 +19,12 @@ let c_selfcheck_repairs = Metric.Counter.make "incr_apsp.selfcheck_repairs"
 
 type t = {
   g : Wgraph.t;
+  adj : Flat_adj.t;           (* the same edge set in flat form: every pass runs on it *)
   n : int;
   d : Float.Array.t;          (* n*n distances *)
   snap_u : Float.Array.t;     (* row snapshots for the insertion update *)
   snap_v : Float.Array.t;
   scratch : float array;      (* reusable row for what-if / recompute passes *)
-  ws : Dijkstra.workspace;    (* reusable Dijkstra heap *)
   mutable last_recomputed : int;
   (* Drift sentinel: every [selfcheck_every] updates (0 = off), cross-check
      the matrix and self-heal by rebuilding on a mismatch. *)
@@ -42,26 +42,37 @@ let set_default_selfcheck n = default_selfcheck := max 0 n
 
 let default_selfcheck_cadence () = !default_selfcheck
 
+(* Recomputes source row [s] through the scratch row. *)
+let fill_row t s =
+  Flat_adj.sssp_into t.adj s t.scratch;
+  let base = s * t.n in
+  for x = 0 to t.n - 1 do
+    Float.Array.unsafe_set t.d (base + x) (Array.unsafe_get t.scratch x)
+  done
+
+let rebuild t =
+  for s = 0 to t.n - 1 do
+    fill_row t s
+  done
+
 let of_graph_no_copy g =
   let n = Wgraph.n g in
   let t =
     {
       g;
+      adj = Flat_adj.of_wgraph g;
       n;
       d = Float.Array.create (n * n);
       snap_u = Float.Array.create n;
       snap_v = Float.Array.create n;
       scratch = Array.make n Float.infinity;
-      ws = Dijkstra.workspace n;
       last_recomputed = 0;
       selfcheck_every = !default_selfcheck;
       selfcheck_countdown = (if !default_selfcheck > 0 then !default_selfcheck else 0);
       selfcheck_cursor = 0;
     }
   in
-  for s = 0 to n - 1 do
-    Dijkstra.sssp_flat_into t.ws g s t.d (s * n)
-  done;
+  rebuild t;
   t
 
 let of_graph g = of_graph_no_copy (Wgraph.copy g)
@@ -161,11 +172,6 @@ let min_sum_against t r v w =
   done;
   if !any_inf then Float.infinity else !s
 
-let rebuild t =
-  for s = 0 to t.n - 1 do
-    Dijkstra.sssp_flat_into t.ws t.g s t.d (s * t.n)
-  done
-
 (* --- drift sentinel ---------------------------------------------------- *)
 
 (* The incremental updates are exact in exact arithmetic, but float
@@ -214,7 +220,7 @@ let selfcheck_now t =
   if !clean && n > 0 then begin
     let s = t.selfcheck_cursor mod n in
     t.selfcheck_cursor <- (s + 1) mod n;
-    Dijkstra.sssp_into t.ws t.g s t.scratch;
+    Flat_adj.sssp_into t.adj s t.scratch;
     let base = s * n in
     try
       for x = 0 to n - 1 do
@@ -265,6 +271,7 @@ let add_edge t u v w =
   check t v "add_edge";
   if Wgraph.has_edge t.g u v then invalid_arg "Incr_apsp.add_edge: edge already present";
   Wgraph.add_edge t.g u v w;
+  Flat_adj.add_edge t.adj u v w;
   Metric.Counter.incr c_insertions;
   let n = t.n in
   let changed = Changed_rows.create n in
@@ -307,6 +314,7 @@ let remove_edge t u v =
   | None -> t.last_recomputed <- 0
   | Some w ->
     Wgraph.remove_edge t.g u v;
+    Flat_adj.remove_edge t.adj u v;
     Metric.Counter.incr c_deletions;
     (* A shortest path from s can use (u,v) only if the edge is tight on
        s's row: d(s,u) + w = d(s,v) (or symmetrically).  Tightness is
@@ -315,10 +323,9 @@ let remove_edge t u v =
        differently than Dijkstra would, so a genuinely used edge can be
        off by ulps.  The tolerance only over-approximates the affected
        set (extra recomputes), never misses a used edge.  Each affected
-       row is recomputed into the preallocated scratch with the reusable
-       Dijkstra workspace (no fresh heap, no fresh rows) and written back
-       only where it differs, so the change report is exact on the
-       recomputed set. *)
+       row is recomputed into the preallocated scratch by the flat
+       adjacency's allocation-free kernel and written back only where it
+       differs, so the change report is exact on the recomputed set. *)
     let recomputed = ref 0 in
     for s = 0 to n - 1 do
       let base = s * n in
@@ -328,7 +335,7 @@ let remove_edge t u v =
         Gncg_util.Flt.approx_eq (dsu +. w) dsv
         || Gncg_util.Flt.approx_eq (dsv +. w) dsu
       then begin
-        Dijkstra.sssp_into t.ws t.g s t.scratch;
+        Flat_adj.sssp_into t.adj s t.scratch;
         let differs = ref false in
         for x = 0 to n - 1 do
           let fresh = Array.unsafe_get t.scratch x in
@@ -351,34 +358,12 @@ let last_deletion_recomputed t = t.last_recomputed
 
 (* --- what-if evaluation --- *)
 
-let with_edits t ?remove ?add f =
-  let removed =
-    match remove with
-    | None -> None
-    | Some (u, v) -> (
-      match Wgraph.weight t.g u v with
-      | None -> None
-      | Some w ->
-        Wgraph.remove_edge t.g u v;
-        Some (u, v, w))
-  in
-  let added =
-    match add with
-    | None -> None
-    | Some (u, v, w) when not (Wgraph.has_edge t.g u v) ->
-      Wgraph.add_edge t.g u v w;
-      Some (u, v)
-    | Some _ -> None
-  in
-  let r = f () in
-  (match added with None -> () | Some (u, v) -> Wgraph.remove_edge t.g u v);
-  (match removed with None -> () | Some (u, v, w) -> Wgraph.add_edge t.g u v w);
-  r
-
+(* The edit lives only in the flat adjacency, for the length of one
+   kernel pass; the graph and the matrix are never touched. *)
 let sssp_edited_into t ?remove ?add source dst =
   check t source "sssp_edited_into";
   Metric.Counter.incr c_whatif_sssp;
-  with_edits t ?remove ?add (fun () -> Dijkstra.sssp_into t.ws t.g source dst)
+  Flat_adj.sssp_edited_into t.adj ?remove ?add source dst
 
 let sssp_edited t ?remove ?add source =
   check t source "sssp_edited";
@@ -389,20 +374,19 @@ let sssp_edited t ?remove ?add source =
 let sssp_edited_sum t ?remove ?add source =
   check t source "sssp_edited_sum";
   Metric.Counter.incr c_whatif_sssp;
-  with_edits t ?remove ?add (fun () ->
-      Dijkstra.sssp_into t.ws t.g source t.scratch;
-      Gncg_util.Flt.sum t.scratch)
+  Flat_adj.sssp_edited_into t.adj ?remove ?add source t.scratch;
+  Gncg_util.Flt.sum t.scratch
 
 let copy t =
   let t' =
     {
       g = Wgraph.copy t.g;
+      adj = Flat_adj.copy t.adj;
       n = t.n;
       d = Float.Array.create (t.n * t.n);
       snap_u = Float.Array.create t.n;
       snap_v = Float.Array.create t.n;
       scratch = Array.make t.n Float.infinity;
-      ws = Dijkstra.workspace t.n;
       last_recomputed = t.last_recomputed;
       selfcheck_every = t.selfcheck_every;
       selfcheck_countdown = t.selfcheck_countdown;

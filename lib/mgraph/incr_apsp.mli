@@ -14,7 +14,7 @@
       whose shortest paths may use [(u,v)] must have the edge tight, i.e.
       [d(s,u) + w = d(s,v)] or [d(s,v) + w = d(s,u)].  Rows of unaffected
       sources are provably unchanged; each affected row costs one pass of
-      the reusable Dijkstra workspace.
+      the allocation-free {!Flat_adj} kernel.
 
     Storage is one flat row-major unboxed [floatarray] of length n²
     (index [u*n + v]): the relaxation kernels stream a single contiguous
@@ -23,8 +23,10 @@
     rows they actually modified, so callers can invalidate per-agent
     caches selectively.
 
-    The wrapped graph is owned by this structure: mutate it only through
-    {!add_edge} / {!remove_edge}, never directly.  Not thread-safe; the
+    The wrapped graph is owned by this structure and mirrored into a
+    private {!Flat_adj} that every SSSP pass runs on: mutate it only
+    through {!add_edge} / {!remove_edge}, never directly, or the mirror
+    goes stale.  Not thread-safe; the
     read-only accessors may be shared across domains between updates. *)
 
 type t
@@ -80,8 +82,8 @@ val add_edge : t -> int -> int -> float -> Changed_rows.t
 
 val remove_edge : t -> int -> int -> Changed_rows.t
 (** Removes the edge (no-op when absent) and recomputes the rows of
-    affected sources only, through the preallocated Dijkstra workspace
-    and scratch row.  Returns exactly the recomputed rows that differ
+    affected sources only, through the flat-adjacency kernel and the
+    preallocated scratch row.  Returns exactly the recomputed rows that differ
     from their previous contents. *)
 
 val last_deletion_recomputed : t -> int
@@ -91,13 +93,15 @@ val last_deletion_recomputed : t -> int
 val sssp_edited : t -> ?remove:int * int -> ?add:int * int * float -> int -> float array
 (** Single-source distances on a hypothetical edit of the tracked graph
     (one edge removed and/or one added), without touching the maintained
-    matrix: the graph is edited in place, measured, and restored.  Absent
-    removals and already-present additions are ignored.  The what-if
-    primitive of single-move evaluation; not thread-safe. *)
+    matrix: the flat adjacency is edited, measured, and restored, also
+    when the pass raises.  Absent removals and already-present additions
+    are ignored.  The what-if primitive of single-move evaluation; not
+    thread-safe. *)
 
 val sssp_edited_into :
   t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit
-(** {!sssp_edited} into a caller-provided row — no allocation. *)
+(** {!sssp_edited} into a caller-provided row of length >= n, checked
+    before any edit — allocation independent of n. *)
 
 val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int -> float
 (** [Flt.sum] of the {!sssp_edited} row computed through the internal
@@ -107,8 +111,8 @@ val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int ->
 val copy : t -> t
 
 val rebuild : t -> unit
-(** Recomputes the whole matrix from the graph through the reusable
-    workspace (an oracle/repair hook; normal use never needs it). *)
+(** Recomputes the whole matrix from the graph through the flat-adjacency
+    kernel (an oracle/repair hook; normal use never needs it). *)
 
 (** {1 Drift sentinel}
 

@@ -13,8 +13,9 @@
    Distance sums are O(1): a two-pass subtree DP precomputes
    sums(u) = Σ_v d(u,v) for every vertex at build time.
 
-   What-if edits (the response engines' delete/swap probes) run fresh
-   Dijkstra over the edited tree — n-1 edges, so O(n log n) per probe. *)
+   What-if edits (the response engines' delete/swap probes) run the
+   flat-adjacency SSSP kernel over the edited tree — n-1 edges, so
+   O(n log n) per probe. *)
 
 module Metric = Gncg_obs.Metric
 
@@ -36,7 +37,7 @@ type t = {
   sparse : int array array;   (* sparse.(k).(i): argmin-depth position in [i, i+2^k) *)
   lg : int array;             (* floor log2 per range length *)
   scratch : float array;      (* reusable row for what-ifs / selfcheck *)
-  ws : Dijkstra.workspace;
+  adj : Flat_adj.t;           (* the tree in flat form, for what-ifs / selfcheck *)
   mutable selfcheck_every : int;
   mutable selfcheck_countdown : int;
   mutable selfcheck_cursor : int;
@@ -189,7 +190,7 @@ let of_tree_no_copy tree =
       sparse = [||];
       lg = [||];
       scratch = Array.make n Float.infinity;
-      ws = Dijkstra.workspace n;
+      adj = Flat_adj.of_wgraph tree;
       selfcheck_every = default_selfcheck_ref ();
       selfcheck_countdown = 0;
       selfcheck_cursor = 0;
@@ -281,43 +282,18 @@ let min_sum_against t r v w =
   done;
   if !any_inf then Float.infinity else !s
 
-(* --- what-if evaluation: fresh Dijkstra on the edited tree ------------- *)
-
-let with_edits t ?remove ?add f =
-  let removed =
-    match remove with
-    | None -> None
-    | Some (u, v) -> (
-      match Wgraph.weight t.tree u v with
-      | None -> None
-      | Some w ->
-        Wgraph.remove_edge t.tree u v;
-        Some (u, v, w))
-  in
-  let added =
-    match add with
-    | None -> None
-    | Some (u, v, w) when not (Wgraph.has_edge t.tree u v) ->
-      Wgraph.add_edge t.tree u v w;
-      Some (u, v)
-    | Some _ -> None
-  in
-  let r = f () in
-  (match added with None -> () | Some (u, v) -> Wgraph.remove_edge t.tree u v);
-  (match removed with None -> () | Some (u, v, w) -> Wgraph.add_edge t.tree u v w);
-  r
+(* --- what-if evaluation: the SSSP kernel on the edited tree ------------- *)
 
 let sssp_edited_into t ?remove ?add source dst =
   check t source "sssp_edited_into";
   Metric.Counter.incr c_whatif_sssp;
-  with_edits t ?remove ?add (fun () -> Dijkstra.sssp_into t.ws t.tree source dst)
+  Flat_adj.sssp_edited_into t.adj ?remove ?add source dst
 
 let sssp_edited_sum t ?remove ?add source =
   check t source "sssp_edited_sum";
   Metric.Counter.incr c_whatif_sssp;
-  with_edits t ?remove ?add (fun () ->
-      Dijkstra.sssp_into t.ws t.tree source t.scratch;
-      Gncg_util.Flt.sum t.scratch)
+  Flat_adj.sssp_edited_into t.adj ?remove ?add source t.scratch;
+  Gncg_util.Flt.sum t.scratch
 
 (* --- drift sentinel ---------------------------------------------------- *)
 
@@ -337,11 +313,11 @@ let rebuild_in_place t =
 
 let selfcheck_now t =
   Metric.Counter.incr c_selfcheck_probes;
-  (* Fresh Dijkstra on the tree vs the LCA oracle for one round-robin
+  (* A kernel pass over the tree vs the LCA oracle for one round-robin
      source — fully independent code paths over the same structure. *)
   let s = t.selfcheck_cursor mod t.n in
   t.selfcheck_cursor <- (s + 1) mod t.n;
-  Dijkstra.sssp_into t.ws t.tree s t.scratch;
+  Flat_adj.sssp_into t.adj s t.scratch;
   let clean = ref true in
   (try
      for x = 0 to t.n - 1 do

@@ -5,7 +5,7 @@
     follow from an Euler tour + sparse-table LCA in O(1) per query and
     O(n log n) ints of storage, against the dense backend's O(n²)
     floats.  Distance sums are O(1) via a build-time reroot DP; what-if
-    edits run fresh Dijkstra over the (sparse) edited tree.
+    edits run the {!Flat_adj} SSSP kernel over the (sparse) edited tree.
 
     The structure is read-only: there are no [add_edge] / [remove_edge]
     updates — response engines evaluate hypothetical moves through the
@@ -61,7 +61,7 @@ val set_selfcheck : t -> int -> unit
 val selfcheck_cadence : t -> int
 
 val selfcheck_now : t -> bool
-(** Fresh Dijkstra on the tree vs the LCA oracle for one round-robin
+(** A fresh SSSP pass over the tree vs the LCA oracle for one round-robin
     source (plus a sum cross-check); on mismatch bumps the
     [tree_dist.selfcheck_*] counters, rebuilds the tour/DP arrays from
     the tree, and returns [false]. *)

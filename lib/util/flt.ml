@@ -22,8 +22,13 @@ let sum a =
   (* Kahan summation: distance costs add up thousands of terms and the
      equilibrium checks compare them with a 1e-9 tolerance.  Infinite
      entries (disconnected agents) must propagate as infinity — the naive
-     compensation would produce inf - inf = NaN. *)
-  if Array.exists (fun x -> x = Float.infinity) a then Float.infinity
+     compensation would produce inf - inf = NaN.  Both passes are plain
+     loops: [Array.exists] with a closure would box every element. *)
+  let any_inf = ref false in
+  for i = 0 to Array.length a - 1 do
+    if Array.unsafe_get a i = Float.infinity then any_inf := true
+  done;
+  if !any_inf then Float.infinity
   else begin
     let s = ref 0.0 and c = ref 0.0 in
     for i = 0 to Array.length a - 1 do
