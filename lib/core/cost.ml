@@ -3,11 +3,10 @@ module Flt = Gncg_util.Flt
 
 type parts = { edge : float; dist : float }
 
-let agent_edge_cost host s u =
-  let total =
-    ISet.fold (fun v acc -> acc +. Host.weight host u v) (Strategy.strategy s u) 0.0
-  in
-  Host.alpha host *. total
+let edge_cost_of host u set =
+  Host.alpha host *. ISet.fold (fun v acc -> acc +. Host.weight host u v) set 0.0
+
+let agent_edge_cost host s u = edge_cost_of host u (Strategy.strategy s u)
 
 let dist_sum dists u =
   (* Sum of distances to all other agents; own entry is 0 so it is harmless

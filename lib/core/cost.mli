@@ -6,6 +6,11 @@
 
 type parts = { edge : float; dist : float }
 
+val edge_cost_of : Host.t -> int -> Strategy.ISet.t -> float
+(** [α · w(u, set)], the weights summed in ascending target order — the
+    fold behind [agent_edge_cost], so an edited set prices to the same
+    bits as the profile that holds it. *)
+
 val agent_edge_cost : Host.t -> Strategy.t -> int -> float
 (** [α · w(u, S_u)] — the price of everything [u] buys (including edges
     also bought by the other side: both owners pay). *)

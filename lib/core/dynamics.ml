@@ -66,8 +66,8 @@ let deviation_full ?(evaluator = `Reference) rule host s u =
     let best, current =
       match evaluator with
       | `Reference ->
-        let graph = Network.graph host s in
-        (Greedy.best_move ~kinds ~graph host s ~agent:u, Cost.agent_cost ~graph host s u)
+        let current, best = Greedy.scan ~kinds host s ~agent:u in
+        (best, current)
       | `Fast | `Incremental ->
         if evaluator = `Incremental then Metric.Counter.incr c_degradations;
         (Fast_response.best_move ~kinds host s ~agent:u, Cost.agent_cost host s u)
@@ -111,7 +111,8 @@ let run cfg host start =
   (* The incremental evaluator threads one mutable state (network + full
      distance matrix) through the whole run: a step then costs an O(n²)
      insertion update (or an affected-sources deletion) instead of a
-     network rebuild plus Dijkstra per candidate. *)
+     network rebuild per evaluation and a shortest-path pass per
+     candidate. *)
   let state =
     match (evaluator, rule) with
     | `Incremental, (Greedy_response | Add_only) ->

@@ -10,19 +10,25 @@ let p_check = Gncg_obs.Span.probe "equilibrium.check"
 
 let kinds_of = function AE -> [ `Add ] | GE -> [ `Add; `Delete; `Swap ] | NE -> []
 
-let best_deviation_cost ?(oracle = `Branch_and_bound) ?graph kind host s u =
+(* The agent's current cost and the cost of its cheapest deviation of the
+   kind.  The greedy kinds get both from one scan: one network build and
+   one incumbent shortest-path pass per agent. *)
+let current_and_best ?(oracle = `Branch_and_bound) kind host s u =
   match kind with
-  | NE -> (
-    match oracle with
-    | `Branch_and_bound -> snd (Best_response.exact host s u)
-    | `Enumerate -> snd (Best_response.exact_enum host s u))
-  | GE | AE -> Greedy.best_single_move_cost ~kinds:(kinds_of kind) ?graph host s ~agent:u
+  | NE ->
+    let best =
+      match oracle with
+      | `Branch_and_bound -> snd (Best_response.exact host s u)
+      | `Enumerate -> snd (Best_response.exact_enum host s u)
+    in
+    (Cost.agent_cost host s u, best)
+  | GE | AE -> (
+    match Greedy.scan ~kinds:(kinds_of kind) host s ~agent:u with
+    | current, None -> (current, current)
+    | current, Some (_, gain) -> (current, current -. gain))
 
 let agent_happy ?oracle kind host s u =
-  (* One network build shared by the incumbent cost and the move scan. *)
-  let graph = Network.graph host s in
-  let current = Cost.agent_cost ~graph host s u in
-  let best = best_deviation_cost ?oracle ~graph kind host s u in
+  let current, best = current_and_best ?oracle kind host s u in
   Flt.le current best
 
 (* The per-agent check is pure on immutable host/profile data, so under
@@ -48,9 +54,7 @@ let is_equilibrium ?exec kind host s =
   | NE -> is_ne ?exec host s
 
 let agent_approx_factor kind host s u =
-  let graph = Network.graph host s in
-  let current = Cost.agent_cost ~graph host s u in
-  let best = best_deviation_cost ~graph kind host s u in
+  let current, best = current_and_best kind host s u in
   if Flt.approx_eq current best then 1.0
   else if best <= 0.0 then if current <= 0.0 then 1.0 else Float.infinity
   else current /. best
@@ -85,15 +89,14 @@ type grievance = {
 }
 
 let agent_grievance kind host s u =
-  let graph = Network.graph host s in
-  let current = Cost.agent_cost ~graph host s u in
-  let best, deviation =
+  let current, best, deviation =
     match kind with
     | NE ->
       let set, cost = Best_response.exact host s u in
-      (cost, Some set)
+      (Cost.agent_cost host s u, cost, Some set)
     | GE | AE ->
-      (Greedy.best_single_move_cost ~kinds:(kinds_of kind) ~graph host s ~agent:u, None)
+      let current, best = current_and_best kind host s u in
+      (current, best, None)
   in
   if Flt.lt best current then
     Some { agent = u; current_cost = current; best_cost = best; deviation }
@@ -169,11 +172,8 @@ module Tracker = struct
         in
         (best = None, false)
       | `Reference ->
-        let host = Net_state.host t.st and s = Net_state.profile t.st in
-        let graph = Network.graph host s in
-        let current = Cost.agent_cost ~graph host s u in
-        let best =
-          Greedy.best_single_move_cost ~kinds:(kinds_of t.kind) ~graph host s ~agent:u
+        let current, best =
+          current_and_best t.kind (Net_state.host t.st) (Net_state.profile t.st) u
         in
         (Flt.le current best, false)
     in

@@ -1,5 +1,5 @@
-module Wgraph = Gncg_graph.Wgraph
 module Dijkstra = Gncg_graph.Dijkstra
+module Flat_adj = Gncg_graph.Flat_adj
 module Flt = Gncg_util.Flt
 module ISet = Strategy.ISet
 module Metric = Gncg_obs.Metric
@@ -21,59 +21,36 @@ let dist_sum_with_added_edge d_u d_v w = Flt.sum_min_add d_u w d_v
 let gain_between cur_cost cost' =
   if Flt.approx_eq cost' cur_cost then 0.0 else cur_cost -. cost'
 
+(* One flat adjacency of G(s) serves every candidate: the mover's row
+   and each addition target's row are plain passes into reused rows (the
+   network is unmodified there), deletions and swaps one what-if pass
+   each.  The rows equal [Dijkstra.sssp]'s bit for bit. *)
 let move_gains ?kinds host s ~agent =
   Metric.Counter.incr c_stateless_evals;
-  let g = Network.graph host s in
-  let d_u = Dijkstra.sssp g agent in
+  let adj = Flat_adj.of_wgraph (Network.graph host s) in
+  let n = Strategy.n s in
+  let d_u = Array.make n 0.0 and row = Array.make n 0.0 in
+  Flat_adj.sssp_into adj agent d_u;
   let cur_dist = Flt.sum d_u in
   let cur_edge = Cost.agent_edge_cost host s agent in
   let cur_cost = cur_edge +. cur_dist in
   let alpha = Host.alpha host in
-  (* SSSP cache for addition targets (the graph is unmodified there). *)
-  let sssp_cache = Hashtbl.create 16 in
-  let d_of v =
-    match Hashtbl.find_opt sssp_cache v with
-    | Some d -> d
-    | None ->
-      let d = Dijkstra.sssp g v in
-      Hashtbl.add sssp_cache v d;
-      d
-  in
-  (* The built edge (u,v) persists after u sells it iff v also buys it. *)
-  let edge_survives_sale v = Strategy.owns s v agent in
+  let dist_after = Move.dist_sum_after adj host s ~agent ~current:cur_dist row in
   let gain_of = function
     | Move.Add v ->
       let w = Host.weight host agent v in
-      let cost' =
-        cur_edge +. (alpha *. w) +. dist_sum_with_added_edge d_u (d_of v) w
-      in
+      Flat_adj.sssp_into adj v row;
+      let cost' = cur_edge +. (alpha *. w) +. dist_sum_with_added_edge d_u row w in
       gain_between cur_cost cost'
-    | Move.Delete v ->
+    | Move.Delete v as mv ->
       let w = Host.weight host agent v in
-      if edge_survives_sale v then alpha *. w
-      else begin
-        Wgraph.remove_edge g agent v;
-        let dist' = Flt.sum (Dijkstra.sssp g agent) in
-        Wgraph.add_edge g agent v w;
-        let cost' = cur_edge -. (alpha *. w) +. dist' in
-        gain_between cur_cost cost'
-      end
-    | Move.Swap (old_t, new_t) ->
+      (* The built edge (u,v) persists after u sells it iff v also buys it. *)
+      if Strategy.owns s v agent then alpha *. w
+      else gain_between cur_cost (cur_edge -. (alpha *. w) +. dist_after mv)
+    | Move.Swap (old_t, new_t) as mv ->
       let w_old = Host.weight host agent old_t in
       let w_new = Host.weight host agent new_t in
-      let removed =
-        if edge_survives_sale old_t then false
-        else begin
-          Wgraph.remove_edge g agent old_t;
-          true
-        end
-      in
-      Wgraph.add_edge g agent new_t w_new;
-      let dist' = Flt.sum (Dijkstra.sssp g agent) in
-      Wgraph.remove_edge g agent new_t;
-      if removed then Wgraph.add_edge g agent old_t w_old;
-      let cost' = cur_edge +. (alpha *. (w_new -. w_old)) +. dist' in
-      gain_between cur_cost cost'
+      gain_between cur_cost (cur_edge +. (alpha *. (w_new -. w_old)) +. dist_after mv)
   in
   List.map (fun mv -> (mv, gain_of mv)) (Move.candidates ?kinds host s ~agent)
 

@@ -1,14 +1,15 @@
 (** Optimized single-move evaluation.
 
-    [Greedy] re-builds the network and re-runs Dijkstra for every candidate
-    move — simple and obviously correct, but wasteful inside dynamics.
-    This module evaluates the same move set incrementally:
+    [Greedy.move_gain] re-builds the network and re-runs Dijkstra for a
+    move — simple and obviously correct, the specification.  This module
+    evaluates the same move set incrementally:
 
-    - the network is built once and edited in place (delete/swap), and
+    - the network is built once as a flat adjacency; each deletion and
+      swap is one what-if pass on it ([Flat_adj.sssp_edited_into]), and
     - additions use the exact identity
       [d_{G+(u,v)}(u,x) = min(d_G(u,x), w(u,v) + d_G(v,x))]
       (any shortest path from [u] through the new edge starts with it),
-      so each addition costs one Dijkstra pass on the *unmodified* graph.
+      so each addition costs one pass on the *unmodified* graph.
 
     Results are identical to [Greedy] up to tie-breaking; the equivalence
     is covered by tests, and the speedup is measured in the bench

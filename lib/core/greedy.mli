@@ -1,14 +1,17 @@
 (** Greedy (single-edge) responses: the move set underlying Greedy
     Equilibria and Add-only Equilibria.
 
-    Every function accepts an optional pre-built network [?graph] of the
-    current profile: scans that evaluate many candidates (equilibrium
-    checks, dynamics steps) build [Network.graph host s] once and thread
-    it through, halving the per-scan Dijkstra count. *)
+    [?graph] is a pre-built network of the current profile
+    ([Network.graph host s] when omitted).  The scans turn it into one
+    flat adjacency per call and evaluate each candidate as one what-if
+    shortest-path pass on it; every gain is bitwise the one {!move_gain}
+    computes by rebuilding the moved network. *)
 
 val move_gain :
   ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> agent:int -> Move.t -> float
-(** Cost decrease of a move ([> 0] means improving). *)
+(** Cost decrease of a move ([> 0] means improving): the cost of the
+    moved profile's rebuilt network against the current one.  The
+    specification the scans below are tested against. *)
 
 val best_move :
   ?kinds:[ `Add | `Delete | `Swap ] list ->
@@ -30,3 +33,14 @@ val best_single_move_cost :
   float
 (** The lowest cost the agent can reach with at most one single-edge move
     (her current cost when nothing improves). *)
+
+val scan :
+  ?kinds:[ `Add | `Delete | `Swap ] list ->
+  Host.t ->
+  Strategy.t ->
+  agent:int ->
+  float * (Move.t * float) option
+(** [(current, best)]: the agent's current cost ([Cost.agent_cost], to
+    the bit) and {!best_move}'s result, from one scan.  The best
+    single-move cost is [current -. gain] ([current] when [best] is
+    [None]), as in {!best_single_move_cost}. *)

@@ -75,8 +75,8 @@ let test_round_add_gains_match () =
   done
 
 let test_graph_restored_after_evaluation () =
-  (* move_gains edits its private network copy, never the caller's data:
-     evaluating twice must give identical results. *)
+  (* move_gains edits only its private flat adjacency, never the caller's
+     data: evaluating twice must give identical results. *)
   let r = rng 1103 in
   let host, s = random_setup r ~n:6 in
   let a = Fr.move_gains host s ~agent:2 in

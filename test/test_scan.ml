@@ -1,0 +1,191 @@
+(* The single-move scans against their specifications, bit for bit.
+   [Greedy.scan], [best_move], [best_single_move_cost] and the greedy
+   [Equilibrium.certify] verdicts run one what-if pass per candidate on
+   a flat adjacency; [Greedy.move_gain] rebuilds the moved network.  Every gain, cost and grievance must agree exactly, compared
+   by [Int64.bits_of_float], never within a tolerance.  Likewise
+   [Fast_response.move_gains] against its closed-form gains evaluated by
+   editing a hashtable [Wgraph] and re-running [Dijkstra.sssp]. *)
+
+module Prng = Gncg_util.Prng
+module Flt = Gncg_util.Flt
+module Wgraph = Gncg_graph.Wgraph
+module Dijkstra = Gncg_graph.Dijkstra
+module Metric = Gncg_metric.Metric
+module Strategy = Gncg.Strategy
+module Move = Gncg.Move
+module Greedy = Gncg.Greedy
+module Eq = Gncg.Equilibrium
+
+let seed_gen = QCheck.small_nat
+
+let qtest ?(count = 60) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Host weights are integers 1-3 (equal-cost moves are common, so
+   tie-breaking is exercised), fractions in [0.5, 3), or spread over four
+   decades, where the order in which edge prices are summed shows in the
+   bits; alpha is sometimes a power of two, whose products are exact.
+   About one pair in eight is forbidden (infinite weight).  Each endpoint
+   buys a pair independently, so double-bought edges are common; sparse
+   draws leave the network disconnected, and a forbidden pair is
+   sometimes bought anyway (priced at infinity, absent from the network). *)
+let random_game seed =
+  let r = Prng.create (seed + 1400) in
+  let n = 4 + Prng.int r 7 in
+  let weight =
+    match Prng.int r 3 with
+    | 0 -> fun () -> float_of_int (1 + Prng.int r 3)
+    | 1 -> fun () -> Prng.float_in r 0.5 3.0
+    | _ -> fun () -> Float.pow 10.0 (Prng.float_in r (-2.0) 2.0)
+  in
+  let m =
+    Metric.make n (fun _ _ -> if Prng.coin r 0.125 then Float.infinity else weight ())
+  in
+  let alpha =
+    if Prng.coin r 0.4 then List.nth [ 0.5; 1.0; 2.0 ] (Prng.int r 3)
+    else 0.3 +. Prng.float r 3.0
+  in
+  let host = Gncg.Host.make ~alpha m in
+  let p = List.nth [ 0.1; 0.3; 0.6 ] (Prng.int r 3) in
+  let buys u =
+    List.filter
+      (fun v ->
+        v <> u
+        &&
+        let w = Gncg.Host.weight host u v in
+        Prng.coin r (if Float.is_finite w then p else 0.05))
+      (List.init n Fun.id)
+  in
+  (host, Strategy.of_lists n (List.init n (fun u -> (u, buys u))))
+
+let kind_sets = [ [ `Add ]; [ `Add; `Delete; `Swap ] ]
+
+(* The pick rule folded over the rebuild-path gain of every candidate. *)
+let spec_best ~kinds host s ~agent =
+  List.fold_left
+    (fun acc mv ->
+      let gain = Greedy.move_gain host s ~agent mv in
+      match acc with
+      | Some (_, g) when g >= gain -> acc
+      | _ when gain > Flt.eps -> Some (mv, gain)
+      | _ -> acc)
+    None
+    (Move.candidates ~kinds host s ~agent)
+
+let spec_best_cost ~kinds host s ~agent =
+  let current = Gncg.Cost.agent_cost host s agent in
+  match spec_best ~kinds host s ~agent with
+  | None -> current
+  | Some (_, gain) -> current -. gain
+
+let same_pick a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (mv, g), Some (mv', g') -> mv = mv' && same g g'
+  | _ -> false
+
+let prop_best_move_exact seed =
+  let host, s = random_game seed in
+  List.for_all
+    (fun kinds ->
+      List.for_all
+        (fun agent ->
+          let current, best = Greedy.scan ~kinds host s ~agent in
+          same_pick best (spec_best ~kinds host s ~agent)
+          && same_pick (Greedy.best_move ~kinds host s ~agent) best
+          && same current (Gncg.Cost.agent_cost host s agent)
+          && same
+               (Greedy.best_single_move_cost ~kinds host s ~agent)
+               (spec_best_cost ~kinds host s ~agent))
+        (List.init (Strategy.n s) Fun.id))
+    kind_sets
+
+(* Certify's grievances, from the specification: every agent whose best
+   single-move cost beats its current cost, largest saving first. *)
+let spec_grievances kind host s =
+  let kinds = match kind with Eq.AE -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ] in
+  List.filter_map
+    (fun u ->
+      let current = Gncg.Cost.agent_cost host s u in
+      let best = spec_best_cost ~kinds host s ~agent:u in
+      if Flt.lt best current then Some (u, current, best) else None)
+    (List.init (Strategy.n s) Fun.id)
+  |> List.stable_sort (fun (_, c, b) (_, c', b') -> Float.compare (c' -. b') (c -. b))
+
+let prop_certify_exact seed =
+  let host, s = random_game seed in
+  List.for_all
+    (fun kind ->
+      let got =
+        match Eq.certify kind host s with
+        | Ok () -> []
+        | Error gs ->
+          List.map (fun g -> Eq.(g.agent, g.current_cost, g.best_cost, g.deviation)) gs
+      in
+      let want = spec_grievances kind host s in
+      List.length got = List.length want
+      && List.for_all2
+           (fun (u, c, b, dev) (u', c', b') -> u = u' && same c c' && same b b' && dev = None)
+           got want)
+    [ Eq.GE; Eq.AE ]
+
+(* [Fast_response.move_gains]'s closed forms, with every distance sum
+   from [Dijkstra.sssp] on an edited copy of the hashtable graph. *)
+let spec_fast_gains ~kinds host s ~agent =
+  let g = Gncg.Network.graph host s in
+  let d_u = Dijkstra.sssp g agent in
+  let cur_edge = Gncg.Cost.agent_edge_cost host s agent in
+  let cur_cost = cur_edge +. Flt.sum d_u in
+  let alpha = Gncg.Host.alpha host in
+  let gain cost' = if Flt.approx_eq cost' cur_cost then 0.0 else cur_cost -. cost' in
+  let survives v = Strategy.owns s v agent in
+  let edited ~remove ~add =
+    let g' = Wgraph.copy g in
+    Option.iter (fun v -> Wgraph.remove_edge g' agent v) remove;
+    Option.iter (fun (v, w) -> Wgraph.add_edge g' agent v w) add;
+    Flt.sum (Dijkstra.sssp g' agent)
+  in
+  List.map
+    (fun mv ->
+      ( mv,
+        match mv with
+        | Move.Add v ->
+          let w = Gncg.Host.weight host agent v in
+          gain (cur_edge +. (alpha *. w) +. Flt.sum_min_add d_u w (Dijkstra.sssp g v))
+        | Move.Delete v ->
+          let w = Gncg.Host.weight host agent v in
+          if survives v then alpha *. w
+          else gain (cur_edge -. (alpha *. w) +. edited ~remove:(Some v) ~add:None)
+        | Move.Swap (o, t) ->
+          let w_old = Gncg.Host.weight host agent o and w_new = Gncg.Host.weight host agent t in
+          let remove = if survives o then None else Some o in
+          gain
+            (cur_edge
+            +. (alpha *. (w_new -. w_old))
+            +. edited ~remove ~add:(Some (t, w_new))) ))
+    (Move.candidates ~kinds host s ~agent)
+
+let prop_fast_gains_exact seed =
+  let host, s = random_game seed in
+  List.for_all
+    (fun kinds ->
+      List.for_all
+        (fun agent ->
+          let got = Gncg.Fast_response.move_gains ~kinds host s ~agent in
+          let want = spec_fast_gains ~kinds host s ~agent in
+          List.length got = List.length want
+          && List.for_all2 (fun (mv, g) (mv', g') -> mv = mv' && same g g') got want)
+        (List.init (Strategy.n s) Fun.id))
+    kind_sets
+
+let suites =
+  [
+    ( "greedy-scan",
+      [
+        qtest ~count:150 "best move = spec (bits)" seed_gen prop_best_move_exact;
+        qtest ~count:100 "certify GE/AE = spec (bits)" seed_gen prop_certify_exact;
+        qtest ~count:150 "fast gains = closed forms (bits)" seed_gen prop_fast_gains_exact;
+      ] );
+  ]
