@@ -78,13 +78,9 @@ let prepared () =
     (* Substrate: MST of the host. *)
     Test.make ~name:"substrate/prim mst (n=30)" (Staged.stage (fun () ->
         ignore (Gncg_graph.Mst.prim_complete 30 (fun u v -> Gncg.Host.weight host30 u v))));
-    (* Ablation: reference vs incremental move evaluation. *)
+    (* Ablation: the stateless greedy move scan. *)
     Test.make ~name:"ablation/greedy best-move reference (n=30)" (Staged.stage (fun () ->
         ignore (Gncg.Greedy.best_move host30 profile30 ~agent:3)));
-    Test.make ~name:"ablation/fast best-move incremental (n=30)" (Staged.stage (fun () ->
-        ignore (Gncg.Fast_response.best_move host30 profile30 ~agent:3)));
-    Test.make ~name:"ablation/batch add-gains (n=30)" (Staged.stage (fun () ->
-        ignore (Gncg.Fast_response.round_add_gains host30 profile30)));
     (* Ablation: exact best response, branch & bound vs enumeration. *)
     Test.make ~name:"ablation/BR branch&bound (n=10)" (Staged.stage (fun () ->
         ignore (Gncg.Best_response.exact host10 profile10 5)));

@@ -33,20 +33,33 @@ let model_arg =
        & opt model_conv (Gncg_workload.Instances.Euclid { norm = L2; d = 2; box = 100.0 })
        & info [ "model" ] ~doc:"one-two | tree | euclid | l1 | graph | general | one-inf")
 
-let alpha_arg = Arg.(value & opt float 2.0 & info [ "alpha" ] ~doc:"edge price factor")
-
-let n_arg = Arg.(value & opt int 8 & info [ "n" ] ~doc:"number of agents")
-
-let seeds_arg = Arg.(value & opt int 5 & info [ "seeds" ] ~doc:"seeded repetitions")
-
-let positive_int =
+(* [base] narrowed by a range check: an out-of-range value is a usage
+   error, reported before any work starts. *)
+let checked base check =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok d when d >= 1 -> Ok d
-    | Ok _ -> Error (`Msg "expected a positive integer")
+    match Arg.conv_parser base s with
+    | Ok x -> Result.map_error (fun m -> `Msg m) (check x)
     | Error _ as e -> e
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int =
+  checked Arg.int (fun d -> if d >= 1 then Ok d else Error "expected a positive integer")
+
+let nonneg_int =
+  checked Arg.int (fun k -> if k >= 0 then Ok k else Error "expected a non-negative integer")
+
+(* The engine's own rules for instance sizes and edge prices, shared with
+   the serve protocol. *)
+let n_conv = checked Arg.int Gncg.Host.check_n
+
+let alpha_conv = checked Arg.float Gncg.Host.check_alpha
+
+let alpha_arg = Arg.(value & opt alpha_conv 2.0 & info [ "alpha" ] ~doc:"edge price factor")
+
+let n_arg = Arg.(value & opt n_conv 8 & info [ "n" ] ~doc:"number of agents")
+
+let seeds_arg = Arg.(value & opt nonneg_int 5 & info [ "seeds" ] ~doc:"seeded repetitions")
 
 (* Execution/observability flags shared by every verb: one argument-spec
    table instead of per-verb copies.  Each verb declares which of the
@@ -206,7 +219,7 @@ let evaluator_arg =
   Arg.(value
        & opt evaluator_conv `Incremental
        & info [ "evaluator" ]
-           ~doc:"best-move evaluator: reference | fast | incremental")
+           ~doc:"best-move evaluator: reference | incremental")
 
 let sweep model n alpha seeds format evaluator common =
   let render = require_renderer format in
@@ -229,11 +242,11 @@ let sweep_one_shot_term =
 (* Journal-backed batch sweeps (the runs subsystem). *)
 
 let ns_arg =
-  Arg.(value & opt (list int) [ 8 ] & info [ "ns" ] ~doc:"comma-separated agent counts")
+  Arg.(value & opt (list n_conv) [ 8 ] & info [ "ns" ] ~doc:"comma-separated agent counts")
 
 let alphas_arg =
   Arg.(value
-       & opt (list float) [ 2.0 ]
+       & opt (list alpha_conv) [ 2.0 ]
        & info [ "alphas" ] ~doc:"comma-separated edge price factors")
 
 let rule_conv =
@@ -273,15 +286,7 @@ let budget_arg =
            ~doc:"per-job wall-clock budget; over-budget jobs are recorded as timeouts")
 
 let retries_arg =
-  let nonneg =
-    let parse s =
-      match int_of_string_opt s with
-      | Some k when k >= 0 -> Ok k
-      | _ -> Error (`Msg "expected a non-negative integer")
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
-  in
-  Arg.(value & opt nonneg 0 & info [ "retries" ] ~doc:"extra attempts for crashed jobs")
+  Arg.(value & opt nonneg_int 0 & info [ "retries" ] ~doc:"extra attempts for crashed jobs")
 
 let report_summary ~label (s : Gncg_runs.Batch.summary) =
   Format.eprintf "%s: %a@." label Gncg_runs.Batch.pp_progress s.progress

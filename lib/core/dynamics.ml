@@ -8,7 +8,6 @@ module Span = Gncg_obs.Span
 let c_evaluations = Metric.Counter.make "dynamics.evaluations"
 let c_moves = Metric.Counter.make "dynamics.moves"
 let c_skips = Metric.Counter.make "dynamics.skips"
-let c_degradations = Metric.Counter.make "dynamics.evaluator_degradations"
 let p_step = Span.probe "dynamics.step"
 let p_run = Span.probe "dynamics.run"
 
@@ -49,11 +48,10 @@ end
 let rule_kinds = function Add_only -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ]
 
 (* Like [deviation], but also reports the mover's current cost so the
-   caller never has to recompute it for the step record.  [`Incremental]
-   has no threaded state here, so it is evaluated as [`Fast] — counted,
-   so a caller that asked for the stateful path sees the counter climb
-   instead of a silent slowdown. *)
-let deviation_full ?(evaluator = `Reference) rule host s u =
+   caller never has to recompute it for the step record.  The single-edge
+   rules run on [Greedy]'s stateless scan. *)
+let deviation_full rule host s u =
+  let commit (mv, gain) current = Some (Move.apply s ~agent:u mv, gain, current) in
   match rule with
   | Best_response ->
     let current = Cost.agent_cost host s u in
@@ -61,40 +59,20 @@ let deviation_full ?(evaluator = `Reference) rule host s u =
     if Flt.lt cost current then
       Some (Strategy.with_strategy s u set, current -. cost, current)
     else None
-  | Greedy_response | Add_only ->
-    let kinds = rule_kinds rule in
-    let best, current =
-      match evaluator with
-      | `Reference ->
-        let current, best = Greedy.scan ~kinds host s ~agent:u in
-        (best, current)
-      | `Fast | `Incremental ->
-        if evaluator = `Incremental then Metric.Counter.incr c_degradations;
-        (Fast_response.best_move ~kinds host s ~agent:u, Cost.agent_cost host s u)
-    in
-    (match best with
-    | Some (mv, gain) -> Some (Move.apply s ~agent:u mv, gain, current)
-    | None -> None)
-  | Random_improving rng ->
-    let graph = Network.graph host s in
-    let before = Cost.agent_cost ~graph host s u in
-    let improving =
-      List.filter_map
-        (fun mv ->
-          let after = Cost.agent_cost host (Move.apply s ~agent:u mv) u in
-          let gain = if Flt.approx_eq before after then 0.0 else before -. after in
-          if gain > Flt.eps then Some (mv, gain) else None)
-        (Move.candidates host s ~agent:u)
-    in
-    (match improving with
+  | Greedy_response | Add_only -> (
+    match Greedy.scan ~kinds:(rule_kinds rule) host s ~agent:u with
+    | current, Some best -> commit best current
+    | _, None -> None)
+  | Random_improving rng -> (
+    let current, gains = Greedy.gains host s ~agent:u in
+    match List.filter (fun (_, gain) -> gain > Flt.eps) gains with
     | [] -> None
-    | _ ->
+    | improving ->
       let arr = Array.of_list improving in
-      let mv, gain = arr.(Gncg_util.Prng.int rng (Array.length arr)) in
-      Some (Move.apply s ~agent:u mv, gain, before))
+      commit arr.(Gncg_util.Prng.int rng (Array.length arr)) current)
 
-let deviation ?evaluator rule host s u =
-  Option.map (fun (s', gain, _) -> (s', gain)) (deviation_full ?evaluator rule host s u)
+let deviation rule host s u =
+  Option.map (fun (s', gain, _) -> (s', gain)) (deviation_full rule host s u)
 
 (* Can the distance row of [v] enter agent [a]'s row-local verdict?  Only
    through the insertion kernel Σ_x min(d_a(x), w + d_v(x)), which is
@@ -136,7 +114,7 @@ let run cfg host start =
       | Some (mv, gain), _ ->
         let before = Net_state.agent_cost st u in
         Some (Net_state.apply_move st ~agent:u mv, gain, before))
-    | None -> deviation_full ~evaluator rule host s u
+    | None -> deviation_full rule host s u
   in
   let seen = Hashtbl.create 97 in
   (* Trace of profiles since the start, newest first, for cycle extraction.

@@ -85,13 +85,14 @@ val run : Config.t -> Host.t -> Strategy.t -> outcome
     since the last accepted move.  [Config.evaluator] selects the
     single-move engine for [Greedy_response]/[Add_only]:
 
-    - [`Reference] (default): rebuild + Dijkstra per candidate — obviously
-      correct;
-    - [`Fast]: the incremental evaluation of [Fast_response], which
-      keeps no state between calls;
+    - [`Reference] (default): the stateless {!Greedy} scan — one flat
+      adjacency of the current network per evaluation and one what-if
+      shortest-path pass per candidate, every gain bitwise
+      {!Greedy.move_gain}'s;
     - [`Incremental]: one [Net_state] threaded through the whole run — the
       network and its full distance matrix are maintained across steps, so
-      a step costs O(n²) instead of a rebuild plus Dijkstra per candidate.
+      a step costs O(n²) instead of a network build plus a what-if pass per
+      candidate.
       After an accepted move the engine drains the state's change report
       and preserves the idle verdict of every agent it can prove
       unaffected (row-local verdict, own row unchanged, no incident
@@ -99,19 +100,14 @@ val run : Config.t -> Host.t -> Strategy.t -> outcome
       provably byte-identical to re-evaluating everyone, and the reason a
       step no longer costs a full rescan.
 
-    All evaluators are semantically equivalent (property-tested);
-    tie-breaking may differ within float tolerance. *)
+    Both evaluators are semantically equivalent (property-tested);
+    tie-breaking may differ within float tolerance.  [Best_response] and
+    [Random_improving] ignore [Config.evaluator]: they run the stateless
+    path of {!deviation}. *)
 
-val deviation :
-  ?evaluator:Evaluator.t ->
-  rule ->
-  Host.t ->
-  Strategy.t ->
-  int ->
-  (Strategy.t * float) option
+val deviation : rule -> Host.t -> Strategy.t -> int -> (Strategy.t * float) option
 (** One improving deviation for an agent under the rule, with its gain:
     the building block of [run], exposed for tests and tools.  It keeps
-    no state between calls: [`Incremental] is evaluated as [`Fast] here
-    (the threaded state only exists inside [run]) and the degradation is
-    counted on the [dynamics.evaluator_degradations] counter — pass
-    [`Fast] to opt in explicitly. *)
+    no state between calls: the single-edge rules run {!Greedy.scan}
+    ([Greedy_response], [Add_only]) or draw uniformly from the improving
+    candidates of {!Greedy.gains} ([Random_improving]). *)

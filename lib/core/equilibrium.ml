@@ -154,7 +154,7 @@ module Tracker = struct
     mutable last_reevaluated : int;
   }
 
-  (* The non-incremental evaluators never prove row-locality, so their
+  (* The stateless [`Reference] scan never proves row-locality, so its
      verdicts are re-derived on every refresh — correct (the dirty rule
      treats non-row-local as always dirty), just without the skipping. *)
   let evaluate t u =
@@ -165,12 +165,6 @@ module Tracker = struct
           Fast_response.best_move_state_verdict ~kinds:(kinds_of t.kind) t.st ~agent:u
         in
         (best = None, rl)
-      | `Fast ->
-        let best =
-          Fast_response.best_move ~kinds:(kinds_of t.kind) (Net_state.host t.st)
-            (Net_state.profile t.st) ~agent:u
-        in
-        (best = None, false)
       | `Reference ->
         let current, best =
           current_and_best t.kind (Net_state.host t.st) (Net_state.profile t.st) u

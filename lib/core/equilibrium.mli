@@ -84,9 +84,9 @@ module Tracker : sig
       only.
 
       [evaluator] (default [`Incremental]) selects the single-move
-      engine behind each verdict.  All three agree on every verdict
+      engine behind each verdict.  Both agree on every verdict
       (property-tested), but only [`Incremental] produces row-locality
-      proofs, so the others re-evaluate every agent on each
+      proofs, so [`Reference] re-evaluates every agent on each
       {!refresh}. *)
 
   val state : t -> Net_state.t

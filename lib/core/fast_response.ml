@@ -1,69 +1,17 @@
-module Dijkstra = Gncg_graph.Dijkstra
-module Flat_adj = Gncg_graph.Flat_adj
 module Flt = Gncg_util.Flt
 module ISet = Strategy.ISet
 module Metric = Gncg_obs.Metric
 
-(* Layer-2 probes: how often each evaluator runs, and how many stateful
+(* Layer-2 probes: how often the state evaluator runs, and how many
    verdicts were decided without a what-if Dijkstra. *)
-let c_stateless_evals = Metric.Counter.make "fast_response.stateless_evals"
 let c_state_evals = Metric.Counter.make "fast_response.state_evals"
 let c_rowlocal_verdicts = Metric.Counter.make "fast_response.rowlocal_verdicts"
-
-(* Distance sum from the agent given the min-formula over an added edge
-   (u,v): d'(x) = min(d_u(x), w + d_v(x)) — one streaming pass, nothing
-   materialized. *)
-let dist_sum_with_added_edge d_u d_v w = Flt.sum_min_add d_u w d_v
 
 (* Near-ties are classified with the engine tolerance, like everywhere
    else: a candidate within [Flt.eps] of the incumbent cost is "no gain"
    (this also absorbs inf - inf for disconnected states). *)
 let gain_between cur_cost cost' =
   if Flt.approx_eq cost' cur_cost then 0.0 else cur_cost -. cost'
-
-(* One flat adjacency of G(s) serves every candidate: the mover's row
-   and each addition target's row are plain passes into reused rows (the
-   network is unmodified there), deletions and swaps one what-if pass
-   each.  The rows equal [Dijkstra.sssp]'s bit for bit. *)
-let move_gains ?kinds host s ~agent =
-  Metric.Counter.incr c_stateless_evals;
-  let adj = Flat_adj.of_wgraph (Network.graph host s) in
-  let n = Strategy.n s in
-  let d_u = Array.make n 0.0 and row = Array.make n 0.0 in
-  Flat_adj.sssp_into adj agent d_u;
-  let cur_dist = Flt.sum d_u in
-  let cur_edge = Cost.agent_edge_cost host s agent in
-  let cur_cost = cur_edge +. cur_dist in
-  let alpha = Host.alpha host in
-  let dist_after = Move.dist_sum_after adj host s ~agent ~current:cur_dist row in
-  let gain_of = function
-    | Move.Add v ->
-      let w = Host.weight host agent v in
-      Flat_adj.sssp_into adj v row;
-      let cost' = cur_edge +. (alpha *. w) +. dist_sum_with_added_edge d_u row w in
-      gain_between cur_cost cost'
-    | Move.Delete v as mv ->
-      let w = Host.weight host agent v in
-      (* The built edge (u,v) persists after u sells it iff v also buys it. *)
-      if Strategy.owns s v agent then alpha *. w
-      else gain_between cur_cost (cur_edge -. (alpha *. w) +. dist_after mv)
-    | Move.Swap (old_t, new_t) as mv ->
-      let w_old = Host.weight host agent old_t in
-      let w_new = Host.weight host agent new_t in
-      gain_between cur_cost (cur_edge +. (alpha *. (w_new -. w_old)) +. dist_after mv)
-  in
-  List.map (fun mv -> (mv, gain_of mv)) (Move.candidates ?kinds host s ~agent)
-
-let pick_best gains =
-  List.fold_left
-    (fun acc (mv, gain) ->
-      match acc with
-      | Some (_, g) when g >= gain -> acc
-      | _ when gain > Flt.eps -> Some (mv, gain)
-      | _ -> acc)
-    None gains
-
-let best_move ?kinds host s ~agent = pick_best (move_gains ?kinds host s ~agent)
 
 (* State-based evaluation: no graph build, no SSSP for the mover or for
    addition targets — their rows live in the state's flat matrix, so an
@@ -229,60 +177,3 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   (!best, !rowlocal)
 
 let best_move_state ?kinds st ~agent = fst (best_move_state_verdict ?kinds st ~agent)
-
-(* --- geometric shortcut ------------------------------------------------- *)
-
-let c_nearest_evals = Metric.Counter.make "fast_response.nearest_evals"
-
-let nearest_addable_target st ~agent =
-  let host = Net_state.host st in
-  let s = Net_state.profile st in
-  Net_state.nearest_target st ~accept:(fun v -> Move.addable host s ~agent v) agent
-
-(* When the state's backend carries a geometric index (the R^d oracle's
-   k-d tree), rank addable targets by host distance without the O(n)
-   scan: the nearest addable point is the natural greedy candidate —
-   its edge is the cheapest to buy — and its exact gain is one O(n)
-   streaming kernel.  This is a heuristic shortlist (the gain-optimal
-   add can differ), so callers needing exactness keep the full scan. *)
-let best_add_nearest st ~agent =
-  match nearest_addable_target st ~agent with
-  | None -> None
-  | Some (v, w) ->
-    Metric.Counter.incr c_nearest_evals;
-    let host = Net_state.host st in
-    let cur_cost =
-      Cost.agent_edge_cost host (Net_state.profile st) agent
-      +. Net_state.agent_dist_sum st agent
-    in
-    let alpha = Host.alpha host in
-    let cost' =
-      (cur_cost -. Net_state.agent_dist_sum st agent)
-      +. (alpha *. w)
-      +. Net_state.dist_sum_with_edge st agent v w
-    in
-    let gain = gain_between cur_cost cost' in
-    if gain > Flt.eps then Some (Move.Add v, gain) else None
-
-let round_add_gains host s =
-  let g = Network.graph host s in
-  let n = Strategy.n s in
-  let apsp = Dijkstra.apsp g in
-  let alpha = Host.alpha host in
-  let acc = ref [] in
-  for u = 0 to n - 1 do
-    let cur_dist = Flt.sum apsp.(u) in
-    List.iter
-      (fun mv ->
-        match mv with
-        | Move.Add v ->
-          let w = Host.weight host u v in
-          let dist' = dist_sum_with_added_edge apsp.(u) apsp.(v) w in
-          (* Same tolerance discipline as the single-move paths: ties and
-             inf - inf both classify as "no gain" through gain_between. *)
-          let gain = gain_between cur_dist ((alpha *. w) +. dist') in
-          if gain > Flt.eps then acc := (u, v, gain) :: !acc
-        | Move.Delete _ | Move.Swap _ -> ())
-      (Move.candidates ~kinds:[ `Add ] host s ~agent:u)
-  done;
-  List.rev !acc

@@ -1,38 +1,26 @@
-(** Optimized single-move evaluation.
+(** The stateful single-move evaluator: the [`Incremental] engine.
 
-    [Greedy.move_gain] re-builds the network and re-runs Dijkstra for a
-    move — simple and obviously correct, the specification.  This module
-    evaluates the same move set incrementally:
+    It evaluates {!Greedy}'s move set against a {!Net_state.t}, whose
+    maintained distance matrix replaces the per-call network build and
+    shortest-path passes of the stateless scan:
 
-    - the network is built once as a flat adjacency; each deletion and
-      swap is one what-if pass on it ([Flat_adj.sssp_edited_into]), and
     - additions use the exact identity
       [d_{G+(u,v)}(u,x) = min(d_G(u,x), w(u,v) + d_G(v,x))]
       (any shortest path from [u] through the new edge starts with it),
-      so each addition costs one pass on the *unmodified* graph.
+      one O(n) streaming kernel over two live rows and no Dijkstra;
+    - deletions and swaps cost one what-if pass each on the state's
+      scratch buffers, and {!best_move_state_verdict} prunes most of
+      them with admissible gain bounds.
 
-    Results are identical to [Greedy] up to tie-breaking; the equivalence
-    is covered by tests, and the speedup is measured in the bench
-    harness. *)
-
-val move_gains : ?kinds:[ `Add | `Delete | `Swap ] list -> Host.t -> Strategy.t -> agent:int -> (Move.t * float) list
-(** Gain of every coherent single-edge move for the agent (positive =
-    improving), in the order produced by [Move.candidates]. *)
-
-val best_move :
-  ?kinds:[ `Add | `Delete | `Swap ] list ->
-  Host.t ->
-  Strategy.t ->
-  agent:int ->
-  (Move.t * float) option
-(** Drop-in replacement for [Greedy.best_move]. *)
+    Gains agree with {!Greedy.move_gain} within float tolerance and
+    picks agree up to tie-breaking (property-tested). *)
 
 val move_gains_state :
   ?kinds:[ `Add | `Delete | `Swap ] list -> Net_state.t -> agent:int -> (Move.t * float) list
-(** [move_gains] against an incrementally maintained {!Net_state.t}: the
-    state's distance matrix makes every addition O(n) with no Dijkstra at
-    all; deletions and swaps cost one what-if SSSP each.  The state is
-    not modified. *)
+(** Gain of every coherent single-edge move for the agent (positive =
+    improving), in the order produced by [Move.candidates], against the
+    state: every addition O(n) with no Dijkstra at all; deletions and
+    swaps cost one what-if SSSP each.  The state is not modified. *)
 
 val best_move_state :
   ?kinds:[ `Add | `Delete | `Swap ] list -> Net_state.t -> agent:int -> (Move.t * float) option
@@ -54,20 +42,3 @@ val best_move_state_verdict :
     verdicts stay valid while those inputs are untouched — the exactness
     basis of the dirty-agent skipping in {!Dynamics} and
     {!Equilibrium}. *)
-
-val nearest_addable_target : Net_state.t -> agent:int -> (int * float) option
-(** The geometrically nearest vertex the agent could buy an edge to,
-    with its host distance — answered by the backend's k-d index when
-    the state runs on the R^d oracle ([None] on matrix backends, which
-    have no geometric index, or when nothing is addable). *)
-
-val best_add_nearest : Net_state.t -> agent:int -> (Move.t * float) option
-(** Exact gain of adding the edge to the nearest addable target — one
-    O(log n) index query plus one O(n) streaming kernel, against the
-    full scan's n kernels.  A greedy shortlist, not a replacement for
-    {!best_move_state}: the gain-optimal addition can differ. *)
-
-val round_add_gains : Host.t -> Strategy.t -> (int * int * float) list
-(** [(agent, target, gain)] for every improving addition of every agent,
-    from a single all-pairs pass — the batch primitive for add-only
-    dynamics rounds. *)

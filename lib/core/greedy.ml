@@ -12,13 +12,33 @@ let move_gain ?graph host s ~agent mv =
     (Cost.agent_cost ?graph host s agent)
     (Cost.agent_cost host (Move.apply s ~agent mv) agent)
 
-(* One scan over the agent's candidates.  G(s) becomes one flat adjacency,
-   private to the call (parallel scans share nothing), and every candidate
-   is one allocation-free what-if pass on it into a reused row.  Each
-   candidate's cost is [Cost.agent_cost] of the moved profile to the bit:
-   the kernel's rows are [Dijkstra.sssp]'s, and the edited set is priced
-   by the same ascending fold.  Ties keep the earlier candidate. *)
-let scan_on ?kinds ?graph host s ~agent =
+(* The agent's distance sum in the moved profile's network, where [adj]
+   holds G(s) and [current] is the sum in it: one what-if pass into
+   [row].  A sold edge that the other endpoint also buys stays built, so
+   such a [Delete] changes nothing and needs no pass. *)
+let dist_sum_after adj host s ~agent ~current row mv =
+  let sold v = if Strategy.owns s v agent then None else Some (agent, v) in
+  let bought v = Some (agent, v, Host.weight host agent v) in
+  let remove, add =
+    match mv with
+    | Move.Add v -> (None, bought v)
+    | Move.Delete v -> (sold v, None)
+    | Move.Swap (o, t) -> (sold o, bought t)
+  in
+  match (remove, add) with
+  | None, None -> current
+  | _ ->
+    Flat_adj.sssp_edited_into adj ?remove ?add agent row;
+    Flt.sum row
+
+(* One fold over the agent's candidates, in [Move.candidates] order.  G(s)
+   becomes one flat adjacency, private to the call (parallel scans share
+   nothing), and every candidate is one allocation-free what-if pass on it
+   into a reused row.  Each candidate's cost is [Cost.agent_cost] of the
+   moved profile to the bit: the kernel's rows are [Dijkstra.sssp]'s, and
+   the edited set is priced by the same ascending fold.  Returns the
+   current cost and the folded result. *)
+let fold_gains ?kinds ?graph host s ~agent f init =
   let graph = match graph with Some g -> g | None -> Network.graph host s in
   let adj = Flat_adj.of_wgraph graph in
   let row = Array.make (Strategy.n s) 0.0 in
@@ -31,24 +51,31 @@ let scan_on ?kinds ?graph host s ~agent =
     | Move.Delete v -> ISet.remove v owned
     | Move.Swap (o, t) -> ISet.add t (ISet.remove o owned)
   in
-  let pick acc mv =
+  let step acc mv =
     let after =
       Cost.edge_cost_of host agent (edited_set mv)
-      +. Move.dist_sum_after adj host s ~agent ~current:cur_dist row mv
+      +. dist_sum_after adj host s ~agent ~current:cur_dist row mv
     in
-    let gain = gain_between before after in
-    match acc with
-    | Some (_, g) when g >= gain -> acc
-    | _ when gain > Flt.eps -> Some (mv, gain)
-    | _ -> acc
+    f acc mv (gain_between before after)
   in
-  (before, List.fold_left pick None (Move.candidates ?kinds host s ~agent))
+  (before, List.fold_left step init (Move.candidates ?kinds host s ~agent))
 
-let scan ?kinds host s ~agent = scan_on ?kinds host s ~agent
+(* The largest strict improvement; ties keep the earlier candidate. *)
+let pick acc mv gain =
+  match acc with
+  | Some (_, g) when g >= gain -> acc
+  | _ when gain > Flt.eps -> Some (mv, gain)
+  | _ -> acc
 
-let best_move ?kinds ?graph host s ~agent = snd (scan_on ?kinds ?graph host s ~agent)
+let scan ?kinds host s ~agent = fold_gains ?kinds host s ~agent pick None
+
+let gains ?kinds host s ~agent =
+  let current, rev = fold_gains ?kinds host s ~agent (fun acc mv g -> (mv, g) :: acc) [] in
+  (current, List.rev rev)
+
+let best_move ?kinds ?graph host s ~agent = snd (fold_gains ?kinds ?graph host s ~agent pick None)
 
 let best_single_move_cost ?kinds ?graph host s ~agent =
-  match scan_on ?kinds ?graph host s ~agent with
+  match fold_gains ?kinds ?graph host s ~agent pick None with
   | current, None -> current
   | current, Some (_, gain) -> current -. gain

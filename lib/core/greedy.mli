@@ -5,7 +5,9 @@
     ([Network.graph host s] when omitted).  The scans turn it into one
     flat adjacency per call and evaluate each candidate as one what-if
     shortest-path pass on it; every gain is bitwise the one {!move_gain}
-    computes by rebuilding the moved network. *)
+    computes by rebuilding the moved network.  This is the engine's one
+    stateless single-move evaluator: the GE/AE checks, the [`Reference]
+    dynamics evaluator and tracker, and [Random_improving] all run on it. *)
 
 val move_gain :
   ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> agent:int -> Move.t -> float
@@ -44,3 +46,14 @@ val scan :
     the bit) and {!best_move}'s result, from one scan.  The best
     single-move cost is [current -. gain] ([current] when [best] is
     [None]), as in {!best_single_move_cost}. *)
+
+val gains :
+  ?kinds:[ `Add | `Delete | `Swap ] list ->
+  Host.t ->
+  Strategy.t ->
+  agent:int ->
+  float * (Move.t * float) list
+(** [(current, gains)]: the agent's current cost, as in {!scan}, and the
+    gain of every candidate in [Move.candidates] order, each bitwise
+    {!move_gain}.  {!scan}'s [best] is the first candidate with the
+    largest gain above [Flt.eps]. *)

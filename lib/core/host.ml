@@ -4,9 +4,14 @@ type t = {
   geometry : Gncg_metric.Geometry.t option;
 }
 
+let check_alpha alpha =
+  if alpha > 0.0 && Float.is_finite alpha then Ok alpha
+  else Error "alpha must be positive and finite"
+
+let check_n n = if n >= 1 then Ok n else Error "n must be positive"
+
 let make ?geometry ~alpha metric =
-  if alpha <= 0.0 || not (Float.is_finite alpha) then
-    invalid_arg "Host.make: alpha must be positive and finite";
+  (match check_alpha alpha with Ok _ -> () | Error m -> invalid_arg ("Host.make: " ^ m));
   (match geometry with
   | Some g when Gncg_metric.Geometry.n g <> Gncg_metric.Metric.n metric ->
     invalid_arg "Host.make: geometry/metric size mismatch"

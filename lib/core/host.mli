@@ -5,8 +5,15 @@
 
 type t
 
+val check_alpha : float -> (float, string) result
+(** [Ok alpha] when it is a valid edge-price factor: positive and finite.
+    The one rule behind {!make} and the CLI and serve boundaries. *)
+
+val check_n : int -> (int, string) result
+(** [Ok n] when it is a valid instance size: at least one agent. *)
+
 val make : ?geometry:Gncg_metric.Geometry.t -> alpha:float -> Gncg_metric.Metric.t -> t
-(** Requires [alpha > 0].  An attached [?geometry] records the implicit
+(** Requires {!check_alpha}.  An attached [?geometry] records the implicit
     structure (tree / point set) the metric was tabulated from, letting
     {!Net_state} select an oracle distance backend that never
     materializes the O(n²) matrix; sizes must agree. *)

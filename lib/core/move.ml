@@ -20,22 +20,6 @@ let addable host s ~agent v =
   && (not (Strategy.edge_in_network s agent v))
   && Float.is_finite (Host.weight host agent v)
 
-let dist_sum_after adj host s ~agent ~current row mv =
-  (* The built edge (agent, v) outlives its sale iff v also buys it. *)
-  let sold v = if Strategy.owns s v agent then None else Some (agent, v) in
-  let bought v = Some (agent, v, Host.weight host agent v) in
-  let remove, add =
-    match mv with
-    | Add v -> (None, bought v)
-    | Delete v -> (sold v, None)
-    | Swap (o, t) -> (sold o, bought t)
-  in
-  match (remove, add) with
-  | None, None -> current
-  | _ ->
-    Gncg_graph.Flat_adj.sssp_edited_into adj ?remove ?add agent row;
-    Gncg_util.Flt.sum row
-
 let candidates ?(kinds = [ `Add; `Delete; `Swap ]) host s ~agent =
   let n = Strategy.n s in
   let owned = Strategy.strategy s agent in

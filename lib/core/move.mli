@@ -20,25 +20,6 @@ val addable : Host.t -> Strategy.t -> agent:int -> int -> bool
     [Equilibrium.Tracker] (a changed distance row can enter a row-local
     verdict only through an addable target). *)
 
-val dist_sum_after :
-  Gncg_graph.Flat_adj.t ->
-  Host.t ->
-  Strategy.t ->
-  agent:int ->
-  current:float ->
-  float array ->
-  t ->
-  float
-(** [dist_sum_after adj host s ~agent ~current row mv]: the agent's
-    distance sum in the network of the moved profile, where [adj] holds
-    [G(s)] and [current] is the agent's distance sum in it.  One what-if
-    pass ([Flat_adj.sssp_edited_into]) into [row], which must have length
-    at least [n]; [adj] is left as it came.  A sold edge that the other
-    endpoint also buys stays built, so such a [Delete] changes nothing
-    and returns [current] without a pass.  For every move of
-    {!candidates} the sum is bitwise the one [Dijkstra.sssp] gives on the
-    moved profile's rebuilt network. *)
-
 val candidates : ?kinds:[ `Add | `Delete | `Swap ] list -> Host.t -> Strategy.t -> agent:int -> t list
 (** All coherent single-edge moves for the agent.  [Add v] is proposed only
     when the edge [(u,v)] is absent from [G(s)] in both directions (buying

@@ -119,8 +119,6 @@ let dist_sum_with_edge t u v w = Distances.dist_sum_with_edge t.dist u v w
 
 let min_sum_against t r v w = Distances.min_sum_against t.dist r v w
 
-let nearest_target t ?accept u = Distances.nearest t.dist ?accept u
-
 let agent_cost t u =
   if Bytes.unsafe_get t.cost_valid u = '\001' then begin
     Metric.Counter.incr c_cache_hits;

@@ -90,12 +90,6 @@ val dist_sum_with_edge : t -> int -> int -> float -> float
 val min_sum_against : t -> float array -> int -> float -> float
 (** See {!Gncg_graph.Incr_apsp.min_sum_against}. *)
 
-val nearest_target : t -> ?accept:(int -> bool) -> int -> (int * float) option
-(** Nearest other vertex passing [accept], when the backend has a
-    geometric index (the R^d oracle's k-d tree); [None] otherwise.  The
-    shortcut {!Fast_response} uses to rank addable targets without an
-    O(n) scan. *)
-
 val agent_cost : t -> int -> float
 (** Edge price plus the agent's distance sum, served from the per-agent
     cache (recomputed in O(n) only after the agent's row or strategy

@@ -15,7 +15,7 @@ type rule = Best_response | Greedy_response | Add_only
     must be reproducible from its spec alone. *)
 
 type evaluator = Gncg.Evaluator.t
-(** = [[ `Reference | `Fast | `Incremental ]]; the shared engine type. *)
+(** = [[ `Reference | `Incremental ]]; the shared engine type. *)
 
 type spec = {
   model : Gncg_workload.Instances.model;

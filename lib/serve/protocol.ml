@@ -127,13 +127,28 @@ let float_list j =
     (Ok []) items
   |> Result.map List.rev
 
+(* The engine's own range rules, as typed parse errors. *)
+let all_ok check xs =
+  List.fold_left
+    (fun acc x -> Result.bind acc (fun () -> Result.map ignore (lift (check x))))
+    (Ok ()) xs
+
+let n_alpha j =
+  let* n = Result.bind (mem "n" j) int in
+  let* n = lift (Gncg.Host.check_n n) in
+  let* alpha = Result.bind (mem "alpha" j) flt in
+  let* alpha = lift (Gncg.Host.check_alpha alpha) in
+  Ok (n, alpha)
+
 let job_of_json j =
   let* kind = Result.bind (mem "kind" j) str in
   match kind with
   | "sweep" ->
     let* model = model_field j in
     let* ns = Result.bind (mem "ns" j) int_list in
+    let* () = all_ok Gncg.Host.check_n ns in
     let* alphas = Result.bind (mem "alphas" j) float_list in
+    let* () = all_ok Gncg.Host.check_alpha alphas in
     let* seeds = Result.bind (mem "seeds" j) int_list in
     let* rule =
       match mem_opt "rule" j with
@@ -180,22 +195,19 @@ let job_of_json j =
            })
   | "eq-check" ->
     let* model = model_field j in
-    let* n = Result.bind (mem "n" j) int in
-    let* alpha = Result.bind (mem "alpha" j) flt in
+    let* n, alpha = n_alpha j in
     let* seed = Result.bind (mem "seed" j) int in
     let* check = Result.bind (Result.bind (mem "check" j) str) check_of_string in
     let* stabilize =
       match mem_opt "stabilize" j with None -> Ok false | Some v -> bol v
     in
-    if n < 1 then perr "n must be positive"
-    else Ok (Eq_check { model; n; alpha; seed; check; stabilize })
+    Ok (Eq_check { model; n; alpha; seed; check; stabilize })
   | "best-response" ->
     let* model = model_field j in
-    let* n = Result.bind (mem "n" j) int in
-    let* alpha = Result.bind (mem "alpha" j) flt in
+    let* n, alpha = n_alpha j in
     let* seed = Result.bind (mem "seed" j) int in
     let* agent = Result.bind (mem "agent" j) int in
-    if n < 1 then perr "n must be positive"
+    if agent < 0 || agent >= n then perr "agent %d out of range [0, %d)" agent n
     else Ok (Best_response { model; n; alpha; seed; agent })
   | k -> perr "unknown job kind %S (sweep | eq-check | best-response)" k
 

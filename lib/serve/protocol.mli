@@ -68,6 +68,10 @@ val job_key : job -> string
 
 val job_to_json : job -> Json.t
 val job_of_json : Json.t -> (job, Gncg_util.Gncg_error.t) result
+(** Out-of-range values are [Parse] errors: every [n] and [ns] entry must
+    pass {!Gncg.Host.check_n}, every [alpha] and [alphas] entry
+    {!Gncg.Host.check_alpha}, and a best-response [agent] must lie in
+    [\[0, n)]. *)
 
 val check_to_string : Gncg.Equilibrium.kind -> string
 (** ["ne"] | ["ge"] | ["ae"]. *)

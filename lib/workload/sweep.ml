@@ -44,7 +44,10 @@ let dynamics_run ?(rule = Gncg.Dynamics.Greedy_response) ?(max_steps = 5000)
     steps;
     stable_cost;
     opt_cost;
-    ratio = (if converged then stable_cost /. opt_cost else Float.nan);
+    ratio =
+      (if not converged then Float.nan
+       else if stable_cost = 0.0 && opt_cost = 0.0 then 1.0 (* one agent: 0/0 *)
+       else stable_cost /. opt_cost);
     diameter = Gncg_graph.Dijkstra.diameter g;
     stretch = Gncg.Quality.host_stretch host g;
     is_tree = Gncg_graph.Connectivity.is_tree g;

@@ -11,7 +11,7 @@ type run = {
   steps : int;
   stable_cost : float;
   opt_cost : float;
-  ratio : float;  (** stable/opt; NaN when not converged *)
+  ratio : float;  (** stable/opt (1 when both are 0); NaN when not converged *)
   diameter : float;
   stretch : float;  (** spanner stretch of the stable network *)
   is_tree : bool;

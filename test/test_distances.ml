@@ -288,9 +288,9 @@ let test_best_response_parity () =
       ga gb
   done
 
-let test_nearest_target () =
+let test_nearest_index () =
   let rd = rd_state () in
-  match Gncg.Net_state.nearest_target rd 0 with
+  match D.nearest (Gncg.Net_state.distances rd) 0 with
   | None -> Alcotest.fail "rd state must expose a nearest target"
   | Some (v, w) ->
     Alcotest.(check bool) "target is another vertex" true (v <> 0);
@@ -298,7 +298,7 @@ let test_nearest_target () =
     let dense = tree_state ~backend:D.Dense () in
     Alcotest.(check bool)
       "dense has no geometric index" true
-      (Gncg.Net_state.nearest_target dense 0 = None)
+      (D.nearest (Gncg.Net_state.distances dense) 0 = None)
 
 (* --- sentinel: inject -> detect -> repair, per backend --- *)
 
@@ -394,7 +394,7 @@ let suites =
           test_cost_parity_across_backends;
         Alcotest.test_case "best-response parity tree vs dense" `Quick
           test_best_response_parity;
-        Alcotest.test_case "nearest target via k-d index" `Quick test_nearest_target;
+        Alcotest.test_case "nearest target via k-d index" `Quick test_nearest_index;
         Alcotest.test_case "oracles are read-only" `Quick test_oracles_are_read_only;
         Alcotest.test_case "spec round-trip" `Quick test_spec_round_trip;
       ] );

@@ -3,7 +3,6 @@ module Prng = Gncg_util.Prng
 module Dyn = Gncg.Dynamics
 module Eq = Gncg.Equilibrium
 module Strategy = Gncg.Strategy
-module Metric = Gncg_obs.Metric
 module D = Gncg_graph.Distances
 
 let small_metric_host r ~n ~alpha =
@@ -173,24 +172,87 @@ let prop_backends_agree =
       in
       outcomes_identical (go D.Dense) (go (List.nth [ D.Dense; D.Tree; D.Rd ] backend_idx)))
 
-let test_deviation_degradation_counter () =
-  let host, s = random_game 777 ~n:6 in
-  let c = Metric.Counter.make "dynamics.evaluator_degradations" in
-  let was_enabled = Metric.enabled () in
-  Metric.set_enabled true;
-  let v0 = Metric.Counter.value c in
-  let inc = Dyn.deviation ~evaluator:`Incremental Dyn.Greedy_response host s 0 in
-  let after_incremental = Metric.Counter.value c in
-  let fast = Dyn.deviation ~evaluator:`Fast Dyn.Greedy_response host s 0 in
-  let after_fast = Metric.Counter.value c in
-  Metric.set_enabled was_enabled;
-  Alcotest.(check int) "`Incremental degradation counted" (v0 + 1) after_incremental;
-  Alcotest.(check int) "`Fast is not a degradation" after_incremental after_fast;
-  check_true "degraded result = explicit `Fast result"
-    (match (inc, fast) with
-    | None, None -> true
-    | Some (s1, g1), Some (s2, g2) -> Strategy.equal s1 s2 && Float.equal g1 g2
-    | _ -> false)
+(* [Random_improving]: a uniformly random improving single-edge move,
+   drawn from the improving candidates of [Greedy.gains]. *)
+
+let test_random_improving_replays () =
+  let moved = ref 0 in
+  for seed = 0 to 5 do
+    let host, start = random_game (500 + seed) ~n:7 in
+    let go () =
+      Dyn.run
+        (Dyn.Config.make ~max_steps:400 (Dyn.Random_improving (Prng.create seed))
+           Dyn.Round_robin)
+        host start
+    in
+    let a = go () in
+    check_true "same outcome from the same seed" (outcomes_identical a (go ()));
+    match a with
+    | Dyn.Converged { steps; _ } | Dyn.Cycle { steps; _ } | Dyn.Out_of_steps { steps; _ } ->
+      List.iter
+        (fun (st : Dyn.step) ->
+          check_true "recorded step strictly improves" (st.after_cost < st.before_cost))
+        steps;
+      moved := !moved + List.length steps
+  done;
+  check_true "some runs moved" (!moved > 0)
+
+(* The single-edge move that turns [s] into [s'] for agent [u], if that
+   is all that changed. *)
+let move_between s s' u =
+  let module I = Strategy.ISet in
+  let others_kept =
+    List.for_all
+      (fun v -> v = u || I.equal (Strategy.strategy s v) (Strategy.strategy s' v))
+      (List.init (Strategy.n s) Fun.id)
+  in
+  let a = Strategy.strategy s u and b = Strategy.strategy s' u in
+  match (others_kept, I.elements (I.diff b a), I.elements (I.diff a b)) with
+  | true, [ v ], [] -> Some (Gncg.Move.Add v)
+  | true, [], [ v ] -> Some (Gncg.Move.Delete v)
+  | true, [ t ], [ o ] -> Some (Gncg.Move.Swap (o, t))
+  | _ -> None
+
+let test_random_improving_steps_are_move_gains () =
+  let bits = Int64.bits_of_float in
+  let moved = ref 0 in
+  for seed = 0 to 5 do
+    let host, start = random_game (600 + seed) ~n:7 in
+    let rule = Dyn.Random_improving (Prng.create seed) in
+    let rec walk s k =
+      if k < 60 then begin
+        let u = k mod Strategy.n s in
+        match Dyn.deviation rule host s u with
+        | None -> walk s (k + 1)
+        | Some (s', gain) ->
+          incr moved;
+          (match move_between s s' u with
+          | None -> Alcotest.fail "a random improving step is one single-edge move"
+          | Some mv ->
+            check_true "gain is Greedy.move_gain, bit for bit"
+              (Int64.equal (bits gain) (bits (Gncg.Greedy.move_gain host s ~agent:u mv)));
+            check_true "strict improvement"
+              (gain > Gncg_util.Flt.eps
+              && Gncg.Cost.agent_cost host s' u < Gncg.Cost.agent_cost host s u));
+          walk s' (k + 1)
+      end
+    in
+    walk start 0
+  done;
+  check_true "some deviations found" (!moved > 0)
+
+(* The E10 live search on the Fig. 8 host, under [Random_improving] alone. *)
+let test_random_improving_fig8_cycle () =
+  let module B = Gncg_constructions.Brcycle in
+  match
+    B.search_host
+      ~rules:[ Dyn.Random_improving (Prng.create 0xC1C1E) ]
+      ~tries:150 ~max_steps:1500 (Prng.create 998) (B.fig8_host ~alpha:1.0)
+  with
+  | None -> Alcotest.fail "Random_improving must find a cycle on the Fig. 8 host"
+  | Some f ->
+    check_true "certificate verifies" (B.verify_cycle f.host f.cycle);
+    Alcotest.(check int) "cycle length (profiles, first = last)" 11 (List.length f.cycle)
 
 let test_config_defaults () =
   let cfg = Dyn.Config.make Dyn.Greedy_response Dyn.Round_robin in
@@ -203,8 +265,11 @@ let test_evaluator_strings () =
     (List.for_all
        (fun e -> Gncg.Evaluator.of_string (Gncg.Evaluator.to_string e) = Ok e)
        Gncg.Evaluator.all);
-  check_true "no alias spellings"
-    (Result.is_error (Gncg.Evaluator.of_string "stateless"))
+  check_true "two evaluators" (Gncg.Evaluator.all = [ `Reference; `Incremental ]);
+  check_true "no alias or deleted spellings"
+    (List.for_all
+       (fun s -> Result.is_error (Gncg.Evaluator.of_string s))
+       [ "stateless"; "fast" ])
 
 let suites =
   [
@@ -217,7 +282,9 @@ let suites =
         case "out of steps" test_out_of_steps;
         case "random scheduler" test_random_scheduler_runs;
         slow_case "cycle certificates verify" test_cycle_certificates_verified;
-        case "deviation degradation counter" test_deviation_degradation_counter;
+        case "random improving replays" test_random_improving_replays;
+        case "random improving steps are move gains" test_random_improving_steps_are_move_gains;
+        slow_case "random improving Fig. 8 cycle" test_random_improving_fig8_cycle;
         case "config defaults" test_config_defaults;
         case "evaluator strings" test_evaluator_strings;
         QCheck_alcotest.to_alcotest prop_backends_agree;

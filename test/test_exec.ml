@@ -72,7 +72,7 @@ let prop_seq_par_agree =
            (Gncg.Cost.social_cost host s)
            (Gncg.Cost.social_cost ~exec:par host s))
 
-(* All three tracker evaluators must produce identical verdicts, both on
+(* Both tracker evaluators must produce identical verdicts, both on
    the initial scan and across refreshes after local perturbations. *)
 let prop_tracker_evaluators_agree =
   QCheck.Test.make ~count:15 ~name:"tracker evaluators agree"
@@ -84,7 +84,7 @@ let prop_tracker_evaluators_agree =
           (fun evaluator ->
             Gncg.Equilibrium.Tracker.create ~evaluator Gncg.Equilibrium.GE
               (Gncg.Net_state.create host s))
-          [ `Incremental; `Fast; `Reference ]
+          [ `Incremental; `Reference ]
       in
       let agree () =
         match

@@ -10,6 +10,10 @@ let random_setup r ~n =
   let s = Gncg_workload.Instances.random_profile r host in
   (host, s)
 
+(* The stateless greedy scan and the state evaluator on the same random
+   instances: per-candidate gains agree within tolerance, and so do the
+   best gains (moves may differ on exact ties). *)
+
 let test_gains_match_reference () =
   let r = rng 1100 in
   for trial = 1 to 12 do
@@ -17,13 +21,13 @@ let test_gains_match_reference () =
     let host, s = random_setup r ~n in
     let agent = Prng.int r n in
     List.iter
-      (fun (mv, fast_gain) ->
+      (fun (mv, scan_gain) ->
         let slow_gain = Gncg.Greedy.move_gain host s ~agent mv in
-        if not (approx ~tol:1e-6 fast_gain slow_gain) then
-          Alcotest.failf "trial %d agent %d move %s: fast=%g slow=%g" trial agent
+        if not (approx ~tol:1e-6 scan_gain slow_gain) then
+          Alcotest.failf "trial %d agent %d move %s: scan=%g spec=%g" trial agent
             (Format.asprintf "%a" Gncg.Move.pp mv)
-            fast_gain slow_gain)
-      (Fr.move_gains host s ~agent)
+            scan_gain slow_gain)
+      (snd (Gncg.Greedy.gains host s ~agent))
   done
 
 let test_best_move_equivalent () =
@@ -32,63 +36,34 @@ let test_best_move_equivalent () =
     let n = 5 + Prng.int r 4 in
     let host, s = random_setup r ~n in
     let agent = Prng.int r n in
-    let fast = Fr.best_move host s ~agent in
+    let fast = Fr.best_move_state (Gncg.Net_state.create host s) ~agent in
     let slow = Gncg.Greedy.best_move host s ~agent in
     match (fast, slow) with
     | None, None -> ()
-    | Some (_, gf), Some (_, gs) ->
-      (* Moves may differ on exact ties; the achieved gain must agree. *)
-      check_float ~tol:1e-6 "same best gain" gs gf
+    | Some (_, gf), Some (_, gs) -> check_float ~tol:1e-6 "same best gain" gs gf
     | Some (mv, g), None ->
-      Alcotest.failf "fast found %s gain %g where reference found none"
+      Alcotest.failf "state evaluator found %s gain %g where the scan found none"
         (Format.asprintf "%a" Gncg.Move.pp mv) g
     | None, Some (mv, g) ->
-      Alcotest.failf "reference found %s gain %g where fast found none"
+      Alcotest.failf "the scan found %s gain %g where the state evaluator found none"
         (Format.asprintf "%a" Gncg.Move.pp mv) g
-  done
-
-let test_round_add_gains_match () =
-  let r = rng 1102 in
-  for _ = 1 to 8 do
-    let n = 5 + Prng.int r 3 in
-    let host, s = random_setup r ~n in
-    let batch = Fr.round_add_gains host s in
-    (* Every batched gain agrees with the reference evaluator, and every
-       improving addition the reference finds appears in the batch. *)
-    List.iter
-      (fun (u, v, gain) ->
-        let slow = Gncg.Greedy.move_gain host s ~agent:u (Gncg.Move.Add v) in
-        check_float ~tol:1e-6 "batched gain correct" slow gain)
-      batch;
-    for u = 0 to n - 1 do
-      List.iter
-        (fun mv ->
-          match mv with
-          | Gncg.Move.Add v ->
-            let slow = Gncg.Greedy.move_gain host s ~agent:u mv in
-            if slow > 1e-6 then
-              check_true "improving addition present in batch"
-                (List.exists (fun (u', v', _) -> u' = u && v' = v) batch)
-          | _ -> ())
-        (Gncg.Move.candidates ~kinds:[ `Add ] host s ~agent:u)
-    done
   done
 
 let test_graph_restored_after_evaluation () =
-  (* move_gains edits only its private flat adjacency, never the caller's
+  (* The scan edits only its private flat adjacency, never the caller's
      data: evaluating twice must give identical results. *)
   let r = rng 1103 in
   let host, s = random_setup r ~n:6 in
-  let a = Fr.move_gains host s ~agent:2 in
-  let b = Fr.move_gains host s ~agent:2 in
+  let a = snd (Gncg.Greedy.gains host s ~agent:2) in
+  let b = snd (Gncg.Greedy.gains host s ~agent:2) in
   Alcotest.(check int) "same count" (List.length a) (List.length b);
   List.iter2
     (fun (_, ga) (_, gb) -> check_float ~tol:0.0 "bit-identical" ga gb)
     a b
 
 let test_dynamics_evaluators_agree () =
-  (* Full dynamics runs under the reference and fast evaluators reach
-     equally good stable states (profiles may differ on exact ties). *)
+  (* Full dynamics runs under the reference and incremental evaluators
+     reach equally good stable states (profiles may differ on exact ties). *)
   let r = rng 1106 in
   for _ = 1 to 6 do
     let n = 6 + Prng.int r 3 in
@@ -98,10 +73,10 @@ let test_dynamics_evaluators_agree () =
       (Gncg.Dynamics.Config.make ~max_steps:4000 ~evaluator Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
       host start
     in
-    match (run `Reference, run `Fast) with
+    match (run `Reference, run `Incremental) with
     | ( Gncg.Dynamics.Converged { profile = a; _ },
         Gncg.Dynamics.Converged { profile = b; _ } ) ->
-      check_true "fast result is GE" (Gncg.Equilibrium.is_ge host b);
+      check_true "incremental result is GE" (Gncg.Equilibrium.is_ge host b);
       check_float ~tol:1e-6 "same social cost"
         (Gncg.Cost.social_cost host a)
         (Gncg.Cost.social_cost host b)
@@ -150,7 +125,6 @@ let suites =
       [
         case "gains match reference" test_gains_match_reference;
         case "best move equivalent" test_best_move_equivalent;
-        case "batched add gains" test_round_add_gains_match;
         case "evaluation is effect-free" test_graph_restored_after_evaluation;
         case "dynamics evaluators agree" test_dynamics_evaluators_agree;
       ] );

@@ -254,7 +254,7 @@ let prop_fast_response_equivalence seed =
   List.for_all
     (fun (mv, fast) ->
       Gncg_util.Flt.approx_eq ~tol:1e-6 fast (Gncg.Greedy.move_gain host s ~agent:u mv))
-    (Gncg.Fast_response.move_gains host s ~agent:u)
+    (Gncg.Fast_response.move_gains_state (Gncg.Net_state.create host s) ~agent:u)
 
 let prop_betweenness_distance_identity seed =
   let r = Prng.create (seed + 17) in

@@ -19,7 +19,7 @@ let sample_specs =
         [
           (R.Job.Greedy_response, `Incremental, 5000);
           (R.Job.Best_response, `Reference, 123);
-          (R.Job.Add_only, `Fast, 1);
+          (R.Job.Add_only, `Reference, 1);
         ])
     W.Instances.default_models
 

@@ -1,15 +1,12 @@
-(* The single-move scans against their specifications, bit for bit.
-   [Greedy.scan], [best_move], [best_single_move_cost] and the greedy
-   [Equilibrium.certify] verdicts run one what-if pass per candidate on
-   a flat adjacency; [Greedy.move_gain] rebuilds the moved network.  Every gain, cost and grievance must agree exactly, compared
-   by [Int64.bits_of_float], never within a tolerance.  Likewise
-   [Fast_response.move_gains] against its closed-form gains evaluated by
-   editing a hashtable [Wgraph] and re-running [Dijkstra.sssp]. *)
+(* The single-move scan against its specification, bit for bit.
+   [Greedy.scan], [gains], [best_move], [best_single_move_cost] and the
+   greedy [Equilibrium.certify] verdicts run one what-if pass per
+   candidate on a flat adjacency; [Greedy.move_gain] rebuilds the moved
+   network.  Every gain, cost and grievance must agree exactly, compared
+   by [Int64.bits_of_float], never within a tolerance. *)
 
 module Prng = Gncg_util.Prng
 module Flt = Gncg_util.Flt
-module Wgraph = Gncg_graph.Wgraph
-module Dijkstra = Gncg_graph.Dijkstra
 module Metric = Gncg_metric.Metric
 module Strategy = Gncg.Strategy
 module Move = Gncg.Move
@@ -131,52 +128,21 @@ let prop_certify_exact seed =
            got want)
     [ Eq.GE; Eq.AE ]
 
-(* [Fast_response.move_gains]'s closed forms, with every distance sum
-   from [Dijkstra.sssp] on an edited copy of the hashtable graph. *)
-let spec_fast_gains ~kinds host s ~agent =
-  let g = Gncg.Network.graph host s in
-  let d_u = Dijkstra.sssp g agent in
-  let cur_edge = Gncg.Cost.agent_edge_cost host s agent in
-  let cur_cost = cur_edge +. Flt.sum d_u in
-  let alpha = Gncg.Host.alpha host in
-  let gain cost' = if Flt.approx_eq cost' cur_cost then 0.0 else cur_cost -. cost' in
-  let survives v = Strategy.owns s v agent in
-  let edited ~remove ~add =
-    let g' = Wgraph.copy g in
-    Option.iter (fun v -> Wgraph.remove_edge g' agent v) remove;
-    Option.iter (fun (v, w) -> Wgraph.add_edge g' agent v w) add;
-    Flt.sum (Dijkstra.sssp g' agent)
-  in
-  List.map
-    (fun mv ->
-      ( mv,
-        match mv with
-        | Move.Add v ->
-          let w = Gncg.Host.weight host agent v in
-          gain (cur_edge +. (alpha *. w) +. Flt.sum_min_add d_u w (Dijkstra.sssp g v))
-        | Move.Delete v ->
-          let w = Gncg.Host.weight host agent v in
-          if survives v then alpha *. w
-          else gain (cur_edge -. (alpha *. w) +. edited ~remove:(Some v) ~add:None)
-        | Move.Swap (o, t) ->
-          let w_old = Gncg.Host.weight host agent o and w_new = Gncg.Host.weight host agent t in
-          let remove = if survives o then None else Some o in
-          gain
-            (cur_edge
-            +. (alpha *. (w_new -. w_old))
-            +. edited ~remove ~add:(Some (t, w_new))) ))
-    (Move.candidates ~kinds host s ~agent)
-
-let prop_fast_gains_exact seed =
+(* [Greedy.gains]: the current cost and every candidate's gain, in
+   [Move.candidates] order, each the rebuild path's [move_gain]. *)
+let prop_gains_exact seed =
   let host, s = random_game seed in
   List.for_all
     (fun kinds ->
       List.for_all
         (fun agent ->
-          let got = Gncg.Fast_response.move_gains ~kinds host s ~agent in
-          let want = spec_fast_gains ~kinds host s ~agent in
-          List.length got = List.length want
-          && List.for_all2 (fun (mv, g) (mv', g') -> mv = mv' && same g g') got want)
+          let current, got = Greedy.gains ~kinds host s ~agent in
+          let cands = Move.candidates ~kinds host s ~agent in
+          same current (Gncg.Cost.agent_cost host s agent)
+          && List.length got = List.length cands
+          && List.for_all2
+               (fun (mv, g) mv' -> mv = mv' && same g (Greedy.move_gain host s ~agent mv'))
+               got cands)
         (List.init (Strategy.n s) Fun.id))
     kind_sets
 
@@ -186,6 +152,6 @@ let suites =
       [
         qtest ~count:150 "best move = spec (bits)" seed_gen prop_best_move_exact;
         qtest ~count:100 "certify GE/AE = spec (bits)" seed_gen prop_certify_exact;
-        qtest ~count:150 "fast gains = closed forms (bits)" seed_gen prop_fast_gains_exact;
+        qtest ~count:150 "gains = move_gain (bits)" seed_gen prop_gains_exact;
       ] );
   ]

@@ -131,6 +131,36 @@ let test_malformed_requests () =
     {|{"v":1,"id":"x","op":"submit","job":{"kind":"sweep","model":"euclid","ns":[],"alphas":[1.0],"seeds":[1]}}|};
   refused {|{"v":1,"id":"x","op":"submit","job":{"kind":"eq-check","model":"euclid","n":0,"alpha":1.0,"seed":1,"check":"ge"}}|}
 
+(* Out-of-range parameters are typed [Parse] refusals at the wire, by the
+   same rules the CLI applies ([Host.check_n], [Host.check_alpha]). *)
+let test_out_of_range_jobs_refused () =
+  let with_fields job fields =
+    match P.job_to_json job with
+    | Json.Obj kvs ->
+      Json.Obj (List.map (fun (k, v) -> (k, Option.value ~default:v (List.assoc_opt k fields))) kvs)
+    | _ -> Alcotest.fail "a job encodes as an object"
+  in
+  let refused label job fields =
+    match P.job_of_json (with_fields job fields) with
+    | Error e -> check_true (label ^ ": Parse error") (e.E.kind = E.Parse)
+    | Ok _ -> Alcotest.failf "%s must be refused" label
+  in
+  let nums xs = Json.List (List.map (fun x -> Json.Num x) xs) in
+  refused "ns [0]" sweep_job [ ("ns", nums [ 4.0; 0.0 ]) ];
+  refused "alphas [0]" sweep_job [ ("alphas", nums [ 0.0 ]) ];
+  refused "alphas [-1]" sweep_job [ ("alphas", nums [ 1.5; -1.0 ]) ];
+  refused "alphas [nan]" sweep_job [ ("alphas", nums [ Float.nan ]) ];
+  refused "eq-check n 0" (eq_job ~seed:1) [ ("n", Json.num_int 0) ];
+  refused "eq-check alpha 0" (eq_job ~seed:1) [ ("alpha", Json.Num 0.0) ];
+  refused "eq-check alpha inf" (eq_job ~seed:1) [ ("alpha", Json.Num Float.infinity) ];
+  let br = P.Best_response { model; n = 5; alpha = 1.0; seed = 1; agent = 0 } in
+  refused "best-response alpha -2" br [ ("alpha", Json.Num (-2.0)) ];
+  refused "best-response agent n" br [ ("agent", Json.num_int 5) ];
+  refused "best-response agent -1" br [ ("agent", Json.num_int (-1)) ];
+  List.iter
+    (fun job -> ignore (ok_exn "in-range job" (P.job_of_json (P.job_to_json job))))
+    [ sweep_job; eq_job ~seed:1; br ]
+
 let test_job_keys () =
   let k1 = P.job_key sweep_job and k1' = P.job_key sweep_job in
   Alcotest.(check string) "key is deterministic" k1 k1';
@@ -455,6 +485,35 @@ let gncg_exe =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "gncg_cli.exe")
 
+(* The CLI refuses the same out-of-range values as a usage error: never
+   success, never an uncaught exception (exit 125). *)
+let test_cli_rejects_out_of_range () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let status args =
+    let pid = Unix.create_process gncg_exe (Array.of_list (gncg_exe :: args)) null null null in
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED code -> code
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code = status args in
+          if code = 0 || code = 125 then
+            Alcotest.failf "gncg %s exited %d" (String.concat " " args) code)
+        [
+          [ "sweep"; "-n"; "0" ];
+          [ "sweep"; "--alpha"; "0" ];
+          [ "sweep"; "--alpha"; "nan" ];
+          [ "sweep"; "--seeds=-2" ];
+          [ "sweep"; "run"; "--seeds=-1" ];
+          [ "sweep"; "run"; "--ns"; "0" ];
+          [ "sweep"; "run"; "--alphas"; "0" ];
+          [ "sweep"; "--evaluator"; "fast" ];
+        ])
+
 let chaos_spawn ?(kill_p = 0.0) ?(hang_p = 0.0) ?(hang_s = 5.0) ?(fault_attempts = 1)
     ~seed () =
   Pool.spawn_exec
@@ -689,6 +748,8 @@ let suites =
         case "version mismatch rejected" test_version_rejected;
         case "malformed requests refused" test_malformed_requests;
         case "content keys" test_job_keys;
+        case "out-of-range jobs refused" test_out_of_range_jobs_refused;
+        case "cli rejects out-of-range values" test_cli_rejects_out_of_range;
       ] );
     ( "serve-json-hostile",
       [

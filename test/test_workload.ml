@@ -55,6 +55,18 @@ let test_dynamics_run_record () =
     check_true "tree-shaped" run.W.Sweep.is_tree
   end
 
+let test_one_agent_ratio () =
+  (* One agent builds nothing and pays nothing, as does the optimum: the
+     PoA ratio of that 0/0 is 1, never NaN, in the record and the CSV. *)
+  List.iter
+    (fun model ->
+      let run = W.Sweep.dynamics_run model ~n:1 ~alpha:2.0 ~seed:1 in
+      check_true "converged" run.W.Sweep.converged;
+      Alcotest.(check (float 0.)) "ratio of 0/0 is 1" 1.0 run.W.Sweep.ratio;
+      check_false "no nan in the csv"
+        (contains (String.lowercase_ascii (W.Report.runs_to_csv [ run ])) "nan"))
+    W.Instances.default_models
+
 let test_batch_shape () =
   let runs =
     W.Sweep.dynamics_batch
@@ -162,6 +174,7 @@ let suites =
         case "random profiles connected & affordable" test_random_profile_connected;
         case "model names distinct" test_model_names_distinct;
         case "dynamics run record" test_dynamics_run_record;
+        case "one-agent ratio" test_one_agent_ratio;
         case "batch shape" test_batch_shape;
         case "empty sweep guards" test_empty_sweep_guards;
         case "json: non-finite fields are null" test_json_nonfinite_roundtrip;
