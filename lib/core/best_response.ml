@@ -1,11 +1,9 @@
 module ISet = Strategy.ISet
 module Wgraph = Gncg_graph.Wgraph
 
-(* Vertex <-> facility index mapping: facilities are all vertices except
-   [u], in increasing order. *)
+(* Facility index -> vertex: facilities are all vertices except [u], in
+   increasing order. *)
 let vertex_of_index u k = if k < u then k else k + 1
-
-let index_of_vertex u v = if v < u then v else v - 1
 
 let umfl_instance host s u =
   let n = Strategy.n s in
@@ -81,5 +79,3 @@ let exact_enum host s u =
   (!best_set, !best_cost)
 
 let best_cost host s u = snd (exact host s u)
-
-let _ = index_of_vertex

@@ -45,6 +45,44 @@ module Config = struct
     { rule; scheduler; max_steps; evaluator; metrics }
 end
 
+(* The profiles a run has visited, keyed by a 63-bit hash of the
+   ownership pairs: the XOR of one pair hash per bought edge, so a move
+   rekeys in O(deg) by XORing the mover's old strategy out and its new
+   one in.  A hash hit is a revisit only once [Strategy.equal] confirms
+   it against a stored profile, so a collision costs a comparison and
+   never fakes a cycle.  [pair_hash] is replaceable for tests only (a
+   constant hash makes every lookup collide). *)
+module Visited = struct
+  let default_pair_hash u v =
+    let h = ((u lsl 31) lxor v) * 0x2545F4914F6CDD1D in
+    let h = (h lxor (h lsr 29)) * 0x1B873593CC9E2D51 in
+    h lxor (h lsr 32)
+
+  let pair_hash = ref default_pair_hash
+
+  type t = { hash : int -> int -> int; seen : (int, Strategy.t) Hashtbl.t }
+
+  let create () = { hash = !pair_hash; seen = Hashtbl.create 97 }
+
+  let strategy_key t u set = Strategy.ISet.fold (fun v h -> h lxor t.hash u v) set 0
+
+  let key t s =
+    let h = ref 0 in
+    for u = 0 to Strategy.n s - 1 do
+      h := !h lxor strategy_key t u (Strategy.strategy s u)
+    done;
+    !h
+
+  (* The key of [s'], which differs from [s] (key [k]) in [u]'s strategy
+     only. *)
+  let rekey t k s s' u =
+    k lxor strategy_key t u (Strategy.strategy s u) lxor strategy_key t u (Strategy.strategy s' u)
+
+  let mem t k s = List.exists (Strategy.equal s) (Hashtbl.find_all t.seen k)
+
+  let add t k s = Hashtbl.add t.seen k s
+end
+
 let rule_kinds = function Add_only -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ]
 
 (* Like [deviation], but also reports the mover's current cost so the
@@ -116,12 +154,13 @@ let run cfg host start =
         Some (Net_state.apply_move st ~agent:u mv, gain, before))
     | None -> deviation_full rule host s u
   in
-  let seen = Hashtbl.create 97 in
+  let visited = Visited.create () in
   (* Trace of profiles since the start, newest first, for cycle extraction.
      A revisited profile certifies an improving-move cycle under any
      scheduler: every recorded transition strictly improves its mover. *)
   let trace = ref [ start ] in
-  Hashtbl.replace seen (Strategy.canonical_key start) 0;
+  let key = ref (Visited.key visited start) in
+  Visited.add visited !key start;
   let steps = ref [] in
   (* For [Random_order] the rng is drawn exactly once per slot, in slot
      order, so a seeded run replays the identical activation stream. *)
@@ -193,28 +232,28 @@ let run cfg host start =
   (* Move-commit bookkeeping: counters, step record, revisit detection,
      idle settlement.  Returns [Some outcome] on a certified
      improving-move cycle. *)
-  let commit_move u s' gain before =
+  let commit_move u s s' gain before =
     m.moves <- m.moves + 1;
     Metric.Counter.incr c_moves;
     steps := { mover = u; before_cost = before; after_cost = before -. gain } :: !steps;
-    let key = Strategy.canonical_key s' in
-    match Hashtbl.find_opt seen key with
-    | Some _ ->
+    key := Visited.rekey visited !key s s' u;
+    if Visited.mem visited !key s' then begin
       (* Extract the segment of the trace from the previous visit. *)
       let rec take acc = function
         | [] -> acc
-        | p :: rest ->
-          if Strategy.canonical_key p = key then p :: acc else take (p :: acc) rest
+        | p :: rest -> if Strategy.equal p s' then p :: acc else take (p :: acc) rest
       in
       let cycle = take [] !trace in
       Some (Cycle { profiles = cycle @ [ s' ]; steps = List.rev !steps })
-    | None ->
-      Hashtbl.replace seen key 0;
+    end
+    else begin
+      Visited.add visited !key s';
       trace := s' :: !trace;
       (match state with
       | Some st -> settle_after_move (Net_state.drain_changes st) s'
       | None -> reset_idle ());
       None
+    end
   in
   let rec go s slot =
     if !idle_count >= n then
@@ -229,7 +268,7 @@ let run cfg host start =
           mark_idle u;
           go s (slot + 1)
         | Some (s', gain, before) -> (
-          match commit_move u s' gain before with
+          match commit_move u s s' gain before with
           | Some cycle -> cycle
           | None -> go s' (slot + 1))
     end

@@ -100,6 +100,11 @@ val run : Config.t -> Host.t -> Strategy.t -> outcome
       provably byte-identical to re-evaluating everyone, and the reason a
       step no longer costs a full rescan.
 
+    Revisits are detected in O(deg) per move: the visited set is keyed
+    by a 63-bit hash of the ownership pairs, updated by XORing the
+    mover's old strategy out and its new one in, and a hash hit counts
+    as a revisit only after [Strategy.equal] confirms it.
+
     Both evaluators are semantically equivalent (property-tested);
     tie-breaking may differ within float tolerance.  [Best_response] and
     [Random_improving] ignore [Config.evaluator]: they run the stateless
@@ -111,3 +116,13 @@ val deviation : rule -> Host.t -> Strategy.t -> int -> (Strategy.t * float) opti
     no state between calls: the single-edge rules run {!Greedy.scan}
     ([Greedy_response], [Add_only]) or draw uniformly from the improving
     candidates of {!Greedy.gains} ([Random_improving]). *)
+
+(**/**)
+
+(** The visited-profile set's pair hash, replaceable so that a test can
+    force every lookup to collide.  A test seam, not a user option: run
+    outcomes never depend on it. *)
+module Visited : sig
+  val default_pair_hash : int -> int -> int
+  val pair_hash : (int -> int -> int) ref
+end

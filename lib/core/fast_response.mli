@@ -25,10 +25,13 @@ val move_gains_state :
 val best_move_state :
   ?kinds:[ `Add | `Delete | `Swap ] list -> Net_state.t -> agent:int -> (Move.t * float) option
 (** Best improving move per {!move_gains_state} — the per-step engine of
-    the incremental dynamics evaluator.  Candidate enumeration, gain
-    bounds, and what-if Dijkstras all run through the state's
-    preallocated scratch buffers and streaming kernels, so evaluating an
-    agent allocates O(n) transients instead of one row per candidate. *)
+    the incremental dynamics evaluator.  The insertion sums of all
+    addable targets come from one batched
+    {!Net_state.dist_sums_with_edges} call; each owned edge costs at most
+    one deletion what-if row, which the delete candidate sums and every
+    swap from that edge reuses for its pruning bound.  Targets, sums and
+    rows live in the state's {!Net_state.scratch}, so evaluating an
+    agent allocates no array. *)
 
 val best_move_state_verdict :
   ?kinds:[ `Add | `Delete | `Swap ] list ->

@@ -20,6 +20,14 @@ type changes = {
   full : bool;
 }
 
+type scratch = {
+  mutable targets : int array;
+  mutable weights : float array;
+  mutable sums : float array;
+  mutable del_rows : float array array;
+  mutable del_for : int array;
+}
+
 type t = {
   host : Host.t;
   mutable profile : Strategy.t;
@@ -30,7 +38,11 @@ type t = {
   mutable pending_rows : Changed_rows.t;  (* rows changed since last drain *)
   mutable pending_pairs : (int * int) list; (* strategy pairs modified since last drain *)
   mutable pending_full : bool;  (* set_profile happened: everything dirty *)
+  scratch : scratch;            (* the move evaluator's workspace *)
 }
+
+let empty_scratch () =
+  { targets = [||]; weights = [||]; sums = [||]; del_rows = [||]; del_for = [||] }
 
 (* --- backend selection -------------------------------------------------- *)
 
@@ -95,6 +107,7 @@ let create ?backend ?(require_mutable = false) host profile =
     pending_rows = Changed_rows.create n;
     pending_pairs = [];
     pending_full = false;
+    scratch = empty_scratch ();
   }
 
 let host t = t.host
@@ -117,7 +130,12 @@ let agent_dist_sum t u = Distances.dist_sum t.dist u
 
 let dist_sum_with_edge t u v w = Distances.dist_sum_with_edge t.dist u v w
 
+let dist_sums_with_edges t u targets weights k out =
+  Distances.dist_sums_with_edges t.dist u targets weights k out
+
 let min_sum_against t r v w = Distances.min_sum_against t.dist r v w
+
+let scratch t = t.scratch
 
 let agent_cost t u =
   if Bytes.unsafe_get t.cost_valid u = '\001' then begin
@@ -254,6 +272,7 @@ let copy t =
     pending_rows = Changed_rows.copy t.pending_rows;
     pending_pairs = t.pending_pairs;
     pending_full = t.pending_full;
+    scratch = empty_scratch ();
   }
 
 let check_consistent t =

@@ -87,8 +87,31 @@ val dist_sum_with_edge : t -> int -> int -> float -> float
 (** [Σ_x min(d(u,x), w + d(v,x))] — see
     {!Gncg_graph.Incr_apsp.dist_sum_with_edge}. *)
 
+val dist_sums_with_edges : t -> int -> int array -> float array -> int -> float array -> unit
+(** [dist_sums_with_edges t u targets weights k out] sets [out.(i)] to
+    [dist_sum_with_edge t u targets.(i) weights.(i)], bit for bit, for
+    [i < k] — the batched form; see
+    {!Gncg_graph.Incr_apsp.dist_sums_with_edges}. *)
+
 val min_sum_against : t -> float array -> int -> float -> float
 (** See {!Gncg_graph.Incr_apsp.min_sum_against}. *)
+
+(** The workspace of the stateful move evaluator ({!Fast_response}),
+    kept here so that evaluating an agent allocates no per-call arrays:
+    the agent's addable targets with their weights and insertion sums,
+    and one deletion what-if row per owned edge ([del_for.(i)] is the
+    target whose row [del_rows.(i)] holds, or [-1]).  The evaluator
+    grows it on demand; its contents mean nothing between evaluations,
+    and {!copy} starts a fresh one. *)
+type scratch = {
+  mutable targets : int array;
+  mutable weights : float array;
+  mutable sums : float array;
+  mutable del_rows : float array array;
+  mutable del_for : int array;
+}
+
+val scratch : t -> scratch
 
 val agent_cost : t -> int -> float
 (** Edge price plus the agent's distance sum, served from the per-agent

@@ -84,6 +84,13 @@ let copy t =
   Float.Array.blit t.d 0 t'.d 0 (t.n * t.n);
   t'
 
+(* Compare-select minimum for the distance kernels: the bits of
+   [Float.min] on shortest-path distances, which are never NaN and
+   never -0 (sums of non-negative weights or +inf, +0 on the diagonal),
+   without its sign-bit C call.  Local, not shared: under the dev
+   profile's -opaque a cross-module helper would box both floats. *)
+let[@inline] fmin (a : float) b = if b < a then b else a
+
 let add_edge t u v w =
   check t u "add_edge";
   check t v "add_edge";
@@ -106,7 +113,7 @@ let add_edge t u v w =
         let via_uv = dxu +. w +. Float.Array.unsafe_get dv y in
         let via_vu = dxv +. w +. Float.Array.unsafe_get du y in
         let cur = Float.Array.unsafe_get t.d (base + y) in
-        let best = Float.min cur (Float.min via_uv via_vu) in
+        let best = fmin cur (fmin via_uv via_vu) in
         if best < cur then Float.Array.unsafe_set t.d (base + y) best
       done
     done
@@ -134,9 +141,7 @@ let total_with_edge_added t u v w =
       for y = 0 to n - 1 do
         let via_uv = dxu +. w +. Float.Array.unsafe_get t.d (vbase + y) in
         let via_vu = dxv +. w +. Float.Array.unsafe_get t.d (ubase + y) in
-        let d =
-          Float.min (Float.Array.unsafe_get t.d (base + y)) (Float.min via_uv via_vu)
-        in
+        let d = fmin (Float.Array.unsafe_get t.d (base + y)) (fmin via_uv via_vu) in
         if d = Float.infinity then any_inf := true
         else begin
           let y' = d -. !c in

@@ -35,6 +35,7 @@ module type S = sig
   val row_into : t -> int -> float array -> unit
   val dist_sum : t -> int -> float
   val dist_sum_with_edge : t -> int -> int -> float -> float
+  val dist_sums_with_edges : t -> int -> int array -> float array -> int -> float array -> unit
   val min_sum_against : t -> float array -> int -> float -> float
   val nearest : t -> accept:(int -> bool) -> int -> (int * float) option
   val add_edge : t -> int -> int -> float -> Changed_rows.t
@@ -56,6 +57,15 @@ type t = Packed : (module S with type t = 'a) * 'a -> t
 
 (* --- backend adapters --------------------------------------------------- *)
 
+(* The batched insertion sum for oracles with no faster form: one
+   single-target kernel call per target. *)
+let each_sum_with_edge dist_sum_with_edge t u targets weights k out =
+  if k < 0 || k > Array.length targets || k > Array.length weights || k > Array.length out
+  then invalid_arg "Distances.dist_sums_with_edges: arrays shorter than k";
+  for i = 0 to k - 1 do
+    out.(i) <- dist_sum_with_edge t u targets.(i) weights.(i)
+  done
+
 module Dense_backend = struct
   type t = Incr_apsp.t
 
@@ -67,6 +77,7 @@ module Dense_backend = struct
   let row_into = Incr_apsp.row_into
   let dist_sum = Incr_apsp.dist_sum
   let dist_sum_with_edge = Incr_apsp.dist_sum_with_edge
+  let dist_sums_with_edges = Incr_apsp.dist_sums_with_edges
   let min_sum_against = Incr_apsp.min_sum_against
   let nearest _ ~accept:_ _ = None
   let add_edge = Incr_apsp.add_edge
@@ -92,6 +103,7 @@ module Tree_backend = struct
   let row_into = Tree_dist.row_into
   let dist_sum = Tree_dist.dist_sum
   let dist_sum_with_edge = Tree_dist.dist_sum_with_edge
+  let dist_sums_with_edges = each_sum_with_edge Tree_dist.dist_sum_with_edge
   let min_sum_against = Tree_dist.min_sum_against
   let nearest _ ~accept:_ _ = None
   let add_edge _ _ _ _ = unsupported id "add_edge"
@@ -117,6 +129,7 @@ module Rd_backend = struct
   let row_into = Rd_dist.row_into
   let dist_sum = Rd_dist.dist_sum
   let dist_sum_with_edge = Rd_dist.dist_sum_with_edge
+  let dist_sums_with_edges = each_sum_with_edge Rd_dist.dist_sum_with_edge
   let min_sum_against = Rd_dist.min_sum_against
   let nearest t ~accept u = Rd_dist.nearest t ~accept u
   let add_edge _ _ _ _ = unsupported id "add_edge"
@@ -171,6 +184,10 @@ let row t u =
 let matrix t = Array.init (n t) (fun u -> row t u)
 let dist_sum (Packed ((module M), x)) u = M.dist_sum x u
 let dist_sum_with_edge (Packed ((module M), x)) u v w = M.dist_sum_with_edge x u v w
+
+let dist_sums_with_edges (Packed ((module M), x)) u targets weights k out =
+  M.dist_sums_with_edges x u targets weights k out
+
 let min_sum_against (Packed ((module M), x)) r v w = M.min_sum_against x r v w
 
 let nearest (Packed ((module M), x)) ?(accept = fun _ -> true) u =

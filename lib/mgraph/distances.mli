@@ -44,6 +44,14 @@ module type S = sig
   val row_into : t -> int -> float array -> unit
   val dist_sum : t -> int -> float
   val dist_sum_with_edge : t -> int -> int -> float -> float
+
+  val dist_sums_with_edges : t -> int -> int array -> float array -> int -> float array -> unit
+  (** [dist_sums_with_edges t u targets weights k out]: [out.(i)] is
+      [dist_sum_with_edge t u targets.(i) weights.(i)] for [i < k], bit
+      for bit.  Dense runs four targets per pass
+      ({!Incr_apsp.dist_sums_with_edges}); the oracles loop over their
+      single-target kernel. *)
+
   val min_sum_against : t -> float array -> int -> float -> float
 
   val nearest : t -> accept:(int -> bool) -> int -> (int * float) option
@@ -96,6 +104,7 @@ val row_into : t -> int -> float array -> unit
 val matrix : t -> float array array
 val dist_sum : t -> int -> float
 val dist_sum_with_edge : t -> int -> int -> float -> float
+val dist_sums_with_edges : t -> int -> int array -> float array -> int -> float array -> unit
 val min_sum_against : t -> float array -> int -> float -> float
 val nearest : t -> ?accept:(int -> bool) -> int -> (int * float) option
 val add_edge : t -> int -> int -> float -> Changed_rows.t

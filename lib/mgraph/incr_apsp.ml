@@ -107,6 +107,16 @@ let matrix t = Array.init t.n (fun u -> row t u)
 
 (* --- streaming row kernels (allocation-free, Kahan, inf-propagating) --- *)
 
+(* Compare-select minimum for the distance kernels.  Distances are never
+   NaN (sums of non-negative weights, or +inf when unreachable; no kernel
+   subtracts two of them) and never -0 (every zero is a source's own +0),
+   so on every input these kernels see it returns the bits [Float.min]
+   would, without [Float.min]'s sign-bit test, a C call whenever its
+   first comparison fails.  Defined here and not shared: the dev profile
+   compiles with -opaque, so a helper in another module would be an
+   out-of-line call boxing both floats. *)
+let[@inline] fmin (a : float) b = if b < a then b else a
+
 let dist_sum t u =
   check t u "dist_sum";
   let base = u * t.n in
@@ -124,18 +134,16 @@ let dist_sum t u =
   done;
   if !any_inf then Float.infinity else !s
 
-let dist_sum_with_edge t u v w =
-  check t u "dist_sum_with_edge";
-  check t v "dist_sum_with_edge";
-  Metric.Counter.incr c_add_kernels;
-  (* Σ_x min(d(u,x), w + d(v,x)) — the mover's distance sum after buying
-     edge (u,v): any shortest path through the new edge starts with it. *)
+(* Σ_x min(d(u,x), w + d(v,x)) — the mover's distance sum after buying
+   edge (u,v): any shortest path through the new edge starts with it.
+   Unchecked and uncounted: the single-target lane of both entry points. *)
+let sum_with_edge t u v w =
   let ubase = u * t.n and vbase = v * t.n in
   let s = ref 0.0 and c = ref 0.0 in
   let any_inf = ref false in
   for x = 0 to t.n - 1 do
     let m =
-      Float.min
+      fmin
         (Float.Array.unsafe_get t.d (ubase + x))
         (w +. Float.Array.unsafe_get t.d (vbase + x))
     in
@@ -149,6 +157,83 @@ let dist_sum_with_edge t u v w =
   done;
   if !any_inf then Float.infinity else !s
 
+let dist_sum_with_edge t u v w =
+  check t u "dist_sum_with_edge";
+  check t v "dist_sum_with_edge";
+  Metric.Counter.incr c_add_kernels;
+  sum_with_edge t u v w
+
+let dist_sums_with_edges t u targets weights k out =
+  check t u "dist_sums_with_edges";
+  if k < 0 || k > Array.length targets || k > Array.length weights || k > Array.length out
+  then invalid_arg "Incr_apsp.dist_sums_with_edges: arrays shorter than k";
+  for i = 0 to k - 1 do
+    check t (Array.unsafe_get targets i) "dist_sums_with_edges"
+  done;
+  Metric.Counter.add c_add_kernels k;
+  (* Four targets per pass over the mover's row: four independent Kahan
+     chains hide each other's latency.  Lane j performs exactly the
+     operations of [sum_with_edge] for target j, in the same order, so
+     every sum is bitwise the single-target one. *)
+  let n = t.n and d = t.d in
+  let ubase = u * n in
+  let i = ref 0 in
+  while !i + 4 <= k do
+    let j = !i in
+    let b0 = Array.unsafe_get targets j * n and w0 = Array.unsafe_get weights j in
+    let b1 = Array.unsafe_get targets (j + 1) * n and w1 = Array.unsafe_get weights (j + 1) in
+    let b2 = Array.unsafe_get targets (j + 2) * n and w2 = Array.unsafe_get weights (j + 2) in
+    let b3 = Array.unsafe_get targets (j + 3) * n and w3 = Array.unsafe_get weights (j + 3) in
+    let s0 = ref 0.0 and c0 = ref 0.0 and f0 = ref false in
+    let s1 = ref 0.0 and c1 = ref 0.0 and f1 = ref false in
+    let s2 = ref 0.0 and c2 = ref 0.0 and f2 = ref false in
+    let s3 = ref 0.0 and c3 = ref 0.0 and f3 = ref false in
+    for x = 0 to n - 1 do
+      let du = Float.Array.unsafe_get d (ubase + x) in
+      let m0 = fmin du (w0 +. Float.Array.unsafe_get d (b0 + x)) in
+      let m1 = fmin du (w1 +. Float.Array.unsafe_get d (b1 + x)) in
+      let m2 = fmin du (w2 +. Float.Array.unsafe_get d (b2 + x)) in
+      let m3 = fmin du (w3 +. Float.Array.unsafe_get d (b3 + x)) in
+      if m0 = Float.infinity then f0 := true
+      else begin
+        let y = m0 -. !c0 in
+        let tt = !s0 +. y in
+        c0 := tt -. !s0 -. y;
+        s0 := tt
+      end;
+      if m1 = Float.infinity then f1 := true
+      else begin
+        let y = m1 -. !c1 in
+        let tt = !s1 +. y in
+        c1 := tt -. !s1 -. y;
+        s1 := tt
+      end;
+      if m2 = Float.infinity then f2 := true
+      else begin
+        let y = m2 -. !c2 in
+        let tt = !s2 +. y in
+        c2 := tt -. !s2 -. y;
+        s2 := tt
+      end;
+      if m3 = Float.infinity then f3 := true
+      else begin
+        let y = m3 -. !c3 in
+        let tt = !s3 +. y in
+        c3 := tt -. !s3 -. y;
+        s3 := tt
+      end
+    done;
+    Array.unsafe_set out j (if !f0 then Float.infinity else !s0);
+    Array.unsafe_set out (j + 1) (if !f1 then Float.infinity else !s1);
+    Array.unsafe_set out (j + 2) (if !f2 then Float.infinity else !s2);
+    Array.unsafe_set out (j + 3) (if !f3 then Float.infinity else !s3);
+    i := j + 4
+  done;
+  for j = !i to k - 1 do
+    Array.unsafe_set out j
+      (sum_with_edge t u (Array.unsafe_get targets j) (Array.unsafe_get weights j))
+  done
+
 let min_sum_against t r v w =
   check t v "min_sum_against";
   Metric.Counter.incr c_add_kernels;
@@ -160,7 +245,7 @@ let min_sum_against t r v w =
   let any_inf = ref false in
   for x = 0 to t.n - 1 do
     let m =
-      Float.min (Array.unsafe_get r x) (w +. Float.Array.unsafe_get t.d (vbase + x))
+      fmin (Array.unsafe_get r x) (w +. Float.Array.unsafe_get t.d (vbase + x))
     in
     if m = Float.infinity then any_inf := true
     else begin
@@ -292,7 +377,7 @@ let add_edge t u v w =
         let via_uv = dxu +. w +. Float.Array.unsafe_get dv y in
         let via_vu = dxv +. w +. Float.Array.unsafe_get du y in
         let cur = Float.Array.unsafe_get t.d (base + y) in
-        let best = Float.min cur (Float.min via_uv via_vu) in
+        let best = fmin cur (fmin via_uv via_vu) in
         if best < cur then begin
           Float.Array.unsafe_set t.d (base + y) best;
           touched := true

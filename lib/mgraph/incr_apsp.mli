@@ -16,6 +16,13 @@
       sources are provably unchanged; each affected row costs one pass of
       the allocation-free {!Flat_adj} kernel.
 
+    Distances are never NaN and never -0: each is a sum of non-negative
+    edge weights, or +inf when unreachable, no kernel subtracts two
+    distances, and every zero is a source's own +0.  The kernels rely on this: they
+    take minima by compare-select ([if b < a then b else a]), which
+    returns the same bits as [Float.min] on such inputs, without its
+    sign-bit test.
+
     Storage is one flat row-major unboxed [floatarray] of length n²
     (index [u*n + v]): the relaxation kernels stream a single contiguous
     buffer, the row snapshots and what-if rows are preallocated
@@ -67,6 +74,16 @@ val dist_sum_with_edge : t -> int -> int -> float -> float
     through a new incident edge starts with it).  Streaming, Kahan,
     infinity-propagating; the what-if {e addition} kernel of the
     response engines. *)
+
+val dist_sums_with_edges :
+  t -> int -> int array -> float array -> int -> float array -> unit
+(** [dist_sums_with_edges t u targets weights k out] sets [out.(i)] to
+    [dist_sum_with_edge t u targets.(i) weights.(i)] for [i < k], bit
+    for bit: the batched insertion sum.  Four targets share each pass
+    over [u]'s row as four independent Kahan lanes, each running exactly
+    the single-target operations in the same order; the [k mod 4] left
+    over run the single-target kernel.  Counts one
+    [incr_apsp.add_kernels] per sum. *)
 
 val min_sum_against : t -> float array -> int -> float -> float
 (** [min_sum_against t r v w] is [Σ_x min(r.(x), w + d(v,x))]: the same

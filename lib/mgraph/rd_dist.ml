@@ -112,13 +112,20 @@ let dist_sum t u =
   done;
   !s
 
+(* Compare-select minimum for the distance kernels: the bits of
+   [Float.min] on p-norm distances, which are never NaN and never -0
+   (norms of differences, +0 on the diagonal), without its sign-bit C
+   call.  Local, not shared: under the dev profile's -opaque a
+   cross-module helper would box both floats. *)
+let[@inline] fmin (a : float) b = if b < a then b else a
+
 let dist_sum_with_edge t u v w =
   check t u "dist_sum_with_edge";
   check t v "dist_sum_with_edge";
   Metric.Counter.incr c_row_kernels;
   let s = ref 0.0 and c = ref 0.0 in
   for x = 0 to t.n - 1 do
-    let m = Float.min (unsafe_distance t u x) (w +. unsafe_distance t v x) in
+    let m = fmin (unsafe_distance t u x) (w +. unsafe_distance t v x) in
     let y = m -. !c in
     let tt = !s +. y in
     c := tt -. !s -. y;
@@ -133,7 +140,7 @@ let min_sum_against t r v w =
   let s = ref 0.0 and c = ref 0.0 in
   let any_inf = ref false in
   for x = 0 to t.n - 1 do
-    let m = Float.min (Array.unsafe_get r x) (w +. unsafe_distance t v x) in
+    let m = fmin (Array.unsafe_get r x) (w +. unsafe_distance t v x) in
     if m = Float.infinity then any_inf := true
     else begin
       let y = m -. !c in
@@ -183,7 +190,7 @@ let sssp_edited_into t ?remove ?add source dst =
     for x = 0 to t.n - 1 do
       let via_uv = dsu +. w +. rm_dist v x in
       let via_vu = dsv +. w +. rm_dist u x in
-      Array.unsafe_set dst x (Float.min (rm_dist s x) (Float.min via_uv via_vu))
+      Array.unsafe_set dst x (fmin (rm_dist s x) (fmin via_uv via_vu))
     done)
 
 let sssp_edited_sum t ?remove ?add source =
@@ -204,8 +211,7 @@ let sssp_edited_sum t ?remove ?add source =
     | Some (u, v, w) ->
       let dsu = rm_dist s u and dsv = rm_dist s v in
       fun x ->
-        Float.min (rm_dist s x)
-          (Float.min (dsu +. w +. rm_dist v x) (dsv +. w +. rm_dist u x))
+        fmin (rm_dist s x) (fmin (dsu +. w +. rm_dist v x) (dsv +. w +. rm_dist u x))
   in
   for x = 0 to t.n - 1 do
     let m = addk x in

@@ -248,6 +248,13 @@ let dist_sum t u =
   check t u "dist_sum";
   Array.unsafe_get t.sums u
 
+(* Compare-select minimum for the distance kernels: the bits of
+   [Float.min] on tree distances, which are never NaN and never -0
+   (r_u + r_v - 2·r_lca rounds to >= +0; the diagonal is +0), without
+   its sign-bit C call.  Local, not shared: under the dev profile's
+   -opaque a cross-module helper would box both floats. *)
+let[@inline] fmin (a : float) b = if b < a then b else a
+
 let dist_sum_with_edge t u v w =
   check t u "dist_sum_with_edge";
   check t v "dist_sum_with_edge";
@@ -256,7 +263,7 @@ let dist_sum_with_edge t u v w =
      in the dense kernel (tree distances are finite by construction). *)
   let s = ref 0.0 and c = ref 0.0 in
   for x = 0 to t.n - 1 do
-    let m = Float.min (unsafe_distance t u x) (w +. unsafe_distance t v x) in
+    let m = fmin (unsafe_distance t u x) (w +. unsafe_distance t v x) in
     let y = m -. !c in
     let tt = !s +. y in
     c := tt -. !s -. y;
@@ -271,7 +278,7 @@ let min_sum_against t r v w =
   let s = ref 0.0 and c = ref 0.0 in
   let any_inf = ref false in
   for x = 0 to t.n - 1 do
-    let m = Float.min (Array.unsafe_get r x) (w +. unsafe_distance t v x) in
+    let m = fmin (Array.unsafe_get r x) (w +. unsafe_distance t v x) in
     if m = Float.infinity then any_inf := true
     else begin
       let y = m -. !c in

@@ -39,26 +39,3 @@ let sum a =
     done;
     !s
   end
-
-let sum_min_add a w b =
-  (* Σ_i min(a_i, w + b_i), the edge-insertion distance sum, in one
-     allocation-free pass.  Same semantics as materialising the per-entry
-     minima and running [sum]: Kahan-compensated, and any infinite term
-     (both sides disconnected) makes the whole sum infinite.  Infinite
-     terms are flagged instead of added so no inf ever reaches the
-     compensation arithmetic. *)
-  let n = Array.length a in
-  if Array.length b <> n then invalid_arg "Flt.sum_min_add: length mismatch";
-  let s = ref 0.0 and c = ref 0.0 in
-  let any_inf = ref false in
-  for i = 0 to n - 1 do
-    let m = Float.min (Array.unsafe_get a i) (w +. Array.unsafe_get b i) in
-    if m = Float.infinity then any_inf := true
-    else begin
-      let y = m -. !c in
-      let t = !s +. y in
-      c := t -. !s -. y;
-      s := t
-    end
-  done;
-  if !any_inf then Float.infinity else !s

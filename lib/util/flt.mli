@@ -26,9 +26,3 @@ val max_array : float array -> float
 
 val sum : float array -> float
 (** Kahan-compensated sum. *)
-
-val sum_min_add : float array -> float -> float array -> float
-(** [sum_min_add a w b] is [Σ_i min(a_i, w +. b_i)] in one
-    allocation-free Kahan-compensated pass — the streaming form of the
-    edge-insertion distance sum ([sum] over the materialized minima).
-    Any infinite term makes the result infinite, like [sum]. *)

@@ -178,6 +178,123 @@ let prop_rd_whatif_matches_dense seed =
   done;
   !ok
 
+(* --- the oracle kernels against their Float.min references ---
+
+   Bit for bit, with [Test_flat.sum_min_add] (stdlib [Float.min], the
+   kernels' Kahan order) as the insertion-sum reference. *)
+
+let same_bits = Test_flat.same_bits
+
+let insertion_kernels_bitwise r dist n =
+  let ok = ref true in
+  for _ = 1 to 6 do
+    let u = Prng.int r n and v = Prng.int r n in
+    let w = Prng.float_in r 0.0 9.0 in
+    let row_v = D.row dist v in
+    if
+      not
+        (same_bits (D.dist_sum_with_edge dist u v w)
+           (Test_flat.sum_min_add (D.row dist u) w row_v))
+    then ok := false;
+    let held = Test_flat.held_row r n in
+    if not (same_bits (D.min_sum_against dist held v w) (Test_flat.sum_min_add held w row_v))
+    then ok := false
+  done;
+  !ok
+
+(* The rd what-if row and sum after removing (a,b) and adding (u,v,w):
+   the removed pair falls back to its best 2-hop detour, then one
+   insertion relaxation with [Float.min]. *)
+let rd_whatif_reference rd s (a, b) (u, v, w) =
+  let n = D.n rd in
+  let rm p q =
+    if p = q then 0.0
+    else if (p = a && q = b) || (p = b && q = a) then begin
+      let best = ref Float.infinity in
+      for z = 0 to n - 1 do
+        if z <> a && z <> b then begin
+          let c = D.distance rd a z +. D.distance rd z b in
+          if c < !best then best := c
+        end
+      done;
+      !best
+    end
+    else D.distance rd p q
+  in
+  let dsu = rm s u and dsv = rm s v in
+  Array.init n (fun x ->
+      Float.min (rm s x) (Float.min (dsu +. w +. rm v x) (dsv +. w +. rm u x)))
+
+let prop_oracle_kernels_match_float_min seed =
+  let r = Prng.create (seed + 808) in
+  let n = 3 + Prng.int r 20 in
+  let td = D.tree (random_tree r n) in
+  let d = 1 + Prng.int r 3 in
+  let pts = Euclidean.random_uniform r ~n ~d ~lo:(-5.0) ~hi:5.0 in
+  let rd = D.rd (Geometry.pnorm norms.(Prng.int r 4)) pts in
+  let whatif_ok = ref true in
+  for _ = 1 to 4 do
+    let s = Prng.int r n and a = Prng.int r n and u = Prng.int r n in
+    let b = (a + 1 + Prng.int r (n - 1)) mod n and v = (u + 1 + Prng.int r (n - 1)) mod n in
+    let add = (u, v, Prng.float_in r 0.1 2.0) in
+    let expected = rd_whatif_reference rd s (a, b) add in
+    let row = D.sssp_edited rd ~remove:(a, b) ~add s in
+    if not (Array.for_all2 same_bits row expected) then whatif_ok := false;
+    if not (same_bits (D.sssp_edited_sum rd ~remove:(a, b) ~add s) (Flt.sum expected)) then
+      whatif_ok := false
+  done;
+  insertion_kernels_bitwise r td n && insertion_kernels_bitwise r rd n && !whatif_ok
+
+(* The batched insertion sum is the single-target kernel, bit for bit,
+   for every k in 0..9 (every remainder mod 4), on each backend; the
+   dense graph is often disconnected and some weights are infinite, so
+   infinite lanes sit among finite ones.  Entries from k on are left
+   alone, and the dense engine counts one add kernel per sum. *)
+let prop_batched_sums_match_single seed =
+  let r = Prng.create (seed + 809) in
+  let n = 2 + Prng.int r 14 in
+  let d = 1 + Prng.int r 3 in
+  let pts = Euclidean.random_uniform r ~n ~d ~lo:(-5.0) ~hi:5.0 in
+  let backends =
+    [
+      D.dense (Test_flat.random_sparse_graph r n);
+      D.tree (random_tree r n);
+      D.rd (Geometry.pnorm norms.(Prng.int r 4)) pts;
+    ]
+  in
+  let kernels () =
+    match Gncg_obs.Metric.find_counter "incr_apsp.add_kernels" with
+    | Some c -> Gncg_obs.Metric.Counter.value c
+    | None -> 0
+  in
+  Gncg_obs.Obs.set_profiling true;
+  Fun.protect
+    ~finally:(fun () -> Gncg_obs.Obs.set_profiling false)
+    (fun () ->
+      List.for_all
+        (fun dist ->
+          List.for_all
+            (fun k ->
+              let u = Prng.int r n in
+              let targets = Array.init (k + 2) (fun _ -> Prng.int r n) in
+              let weights =
+                Array.init (k + 2) (fun _ ->
+                    if Prng.int r 6 = 0 then Float.infinity else Prng.float_in r 0.0 9.0)
+              in
+              let out = Array.make (k + 2) Float.nan in
+              let before = kernels () in
+              D.dist_sums_with_edges dist u targets weights k out;
+              let counted = kernels () - before in
+              (D.backend_id dist <> "dense" || counted = k)
+              && List.for_all
+                   (fun i ->
+                     if i < k then
+                       same_bits out.(i) (D.dist_sum_with_edge dist u targets.(i) weights.(i))
+                     else Float.is_nan out.(i))
+                   (List.init (k + 2) Fun.id))
+            (List.init 10 Fun.id))
+        backends)
+
 (* --- k-d index vs linear scan --- *)
 
 let prop_kd_nearest_matches_linear seed =
@@ -386,6 +503,9 @@ let suites =
         qtest "rd what-ifs = dense on complete graph" seed_gen
           prop_rd_whatif_matches_dense;
         qtest "k-d nearest = linear scan" seed_gen prop_kd_nearest_matches_linear;
+        qtest "oracle kernels = Float.min, bitwise" seed_gen
+          prop_oracle_kernels_match_float_min;
+        qtest "batched insertion sums = single" seed_gen prop_batched_sums_match_single;
       ] );
     ( "distances-net-state",
       [

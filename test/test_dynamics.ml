@@ -172,6 +172,156 @@ let prop_backends_agree =
       in
       outcomes_identical (go D.Dense) (go (List.nth [ D.Dense; D.Tree; D.Rd ] backend_idx)))
 
+(* --- collision-safe cycle detection ---
+
+   [spec_run] is the run loop with its visited set keyed by
+   [Strategy.canonical_key], re-evaluating every agent after each move.
+   With the pair hash forced constant, every lookup of [Dyn.run]'s
+   visited set collides, so only its [Strategy.equal] confirmation
+   separates revisits from collisions: the outcome must still be the
+   spec's. *)
+
+let spec_run ?(incremental = false) ~max_steps rule scheduler host start =
+  let n = Strategy.n start in
+  let kinds = match rule with Dyn.Add_only -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ] in
+  let st =
+    if incremental then Some (Gncg.Net_state.create ~require_mutable:true host start) else None
+  in
+  let attempt s u =
+    match st with
+    | Some st -> (
+      match Gncg.Fast_response.best_move_state ~kinds st ~agent:u with
+      | None -> None
+      | Some (mv, gain) ->
+        let before = Gncg.Net_state.agent_cost st u in
+        Some (Gncg.Net_state.apply_move st ~agent:u mv, gain, before))
+    | None ->
+      Option.map
+        (fun (s', gain) -> (s', gain, Gncg.Cost.agent_cost host s u))
+        (Dyn.deviation rule host s u)
+  in
+  let seen = Hashtbl.create 97 in
+  Hashtbl.replace seen (Strategy.canonical_key start) ();
+  let trace = ref [ start ] and steps = ref [] in
+  let idle = Array.make n false and idle_count = ref 0 in
+  let rec go s slot =
+    if !idle_count >= n then Dyn.Converged { profile = s; rounds = slot / n; steps = List.rev !steps }
+    else if slot >= max_steps then Dyn.Out_of_steps { profile = s; steps = List.rev !steps }
+    else
+      let u =
+        match scheduler with Dyn.Round_robin -> slot mod n | Dyn.Random_order r -> Prng.int r n
+      in
+      if idle.(u) then go s (slot + 1)
+      else
+        match attempt s u with
+        | None ->
+          idle.(u) <- true;
+          incr idle_count;
+          go s (slot + 1)
+        | Some (s', gain, before) ->
+          steps := { Dyn.mover = u; before_cost = before; after_cost = before -. gain } :: !steps;
+          let key = Strategy.canonical_key s' in
+          if Hashtbl.mem seen key then begin
+            let rec take acc = function
+              | [] -> acc
+              | p :: rest ->
+                if Strategy.canonical_key p = key then p :: acc else take (p :: acc) rest
+            in
+            Dyn.Cycle { profiles = take [] !trace @ [ s' ]; steps = List.rev !steps }
+          end
+          else begin
+            Hashtbl.replace seen key ();
+            trace := s' :: !trace;
+            Array.fill idle 0 n false;
+            idle_count := 0;
+            go s' (slot + 1)
+          end
+  in
+  go start 0
+
+let with_colliding_hash f =
+  Dyn.Visited.pair_hash := (fun _ _ -> 0);
+  Fun.protect ~finally:(fun () -> Dyn.Visited.pair_hash := Dyn.Visited.default_pair_hash) f
+
+(* Profiles and steps bit for bit, ignoring [rounds]: the incremental
+   engine keeps provably idle agents idle across moves and so may
+   converge in fewer rounds than a spec that re-evaluates everyone. *)
+let same_trajectory a b =
+  match (a, b) with
+  | Dyn.Converged { profile = p1; steps = s1; _ }, Dyn.Converged { profile = p2; steps = s2; _ }
+  | Dyn.Out_of_steps { profile = p1; steps = s1 }, Dyn.Out_of_steps { profile = p2; steps = s2 } ->
+    Strategy.equal p1 p2 && steps_equal s1 s2
+  | Dyn.Cycle _, Dyn.Cycle _ -> outcomes_identical a b
+  | _ -> false
+
+(* Runs [rule] under [scheduler] (both rebuilt from their seeds for each
+   run) through [Dyn.run], with a colliding hash and with the default
+   one, and through the spec. *)
+let collision_case ?(evaluator = `Reference) ~max_steps mk_rule mk_scheduler host start =
+  let run () =
+    Dyn.run (Dyn.Config.make ~max_steps ~evaluator (mk_rule ()) (mk_scheduler ())) host start
+  in
+  let colliding = with_colliding_hash run and default = run () in
+  let incremental = evaluator = `Incremental in
+  let spec = spec_run ~incremental ~max_steps (mk_rule ()) (mk_scheduler ()) host start in
+  outcomes_identical colliding default
+  && if incremental then same_trajectory default spec else outcomes_identical default spec
+
+let test_colliding_hash_random_games () =
+  for seed = 0 to 7 do
+    let host, start = random_game (700 + seed) ~n:6 in
+    let round_robin () = Dyn.Round_robin in
+    let random_order () = Dyn.Random_order (Prng.create (31 * seed)) in
+    let const rule () = rule in
+    let improving () = Dyn.Random_improving (Prng.create seed) in
+    List.iter
+      (fun (name, mk_rule, mk_scheduler, evaluator) ->
+        check_true name (collision_case ~evaluator ~max_steps:600 mk_rule mk_scheduler host start))
+      [
+        ("greedy, round robin", const Dyn.Greedy_response, round_robin, `Reference);
+        ("greedy, random order", const Dyn.Greedy_response, random_order, `Reference);
+        ("best response", const Dyn.Best_response, round_robin, `Reference);
+        ("random improving", improving, random_order, `Reference);
+        ("add only", const Dyn.Add_only, round_robin, `Reference);
+        ("incremental greedy", const Dyn.Greedy_response, round_robin, `Incremental);
+        ("incremental greedy, random order", const Dyn.Greedy_response, random_order, `Incremental);
+        ("incremental add only", const Dyn.Add_only, random_order, `Incremental);
+      ]
+  done
+
+(* The E10 live search on the Fig. 8 host (as in the Random_improving
+   cycle test above), each try run with a colliding hash and through the
+   spec from copies of the same rng states, until the first cycle. *)
+let test_colliding_hash_fig8 () =
+  let module B = Gncg_constructions.Brcycle in
+  let host = B.fig8_host ~alpha:1.0 in
+  let rng = Prng.create 998 and rule_rng = Prng.create 0xC1C1E in
+  let rec try_ k =
+    if k = 0 then Alcotest.fail "Random_improving must find a cycle on the Fig. 8 host"
+    else begin
+      let start = B.random_profile rng host in
+      let sched_rng = Prng.split rng in
+      let run rule_rng sched_rng =
+        Dyn.run
+          (Dyn.Config.make ~max_steps:1500 (Dyn.Random_improving rule_rng)
+             (Dyn.Random_order sched_rng))
+          host start
+      in
+      let spec =
+        spec_run ~max_steps:1500
+          (Dyn.Random_improving (Prng.copy rule_rng))
+          (Dyn.Random_order (Prng.copy sched_rng))
+          host start
+      in
+      let default = run (Prng.copy rule_rng) (Prng.copy sched_rng) in
+      let engine = with_colliding_hash (fun () -> run rule_rng sched_rng) in
+      check_true "Fig. 8: default hash = spec" (outcomes_identical default spec);
+      check_true "Fig. 8: colliding hash = spec" (outcomes_identical engine spec);
+      match engine with Dyn.Cycle _ -> () | _ -> try_ (k - 1)
+    end
+  in
+  try_ 150
+
 (* [Random_improving]: a uniformly random improving single-edge move,
    drawn from the improving candidates of [Greedy.gains]. *)
 
@@ -288,5 +438,7 @@ let suites =
         case "config defaults" test_config_defaults;
         case "evaluator strings" test_evaluator_strings;
         QCheck_alcotest.to_alcotest prop_backends_agree;
+        case "colliding hash = canonical-key spec" test_colliding_hash_random_games;
+        slow_case "colliding hash on the Fig. 8 host" test_colliding_hash_fig8;
       ] );
   ]

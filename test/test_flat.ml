@@ -91,7 +91,145 @@ let prop_changed_rows_exact seed =
   done;
   !ok
 
-(* --- streaming min-sum kernel vs the materialized reference --- *)
+(* --- the Float.min references ---
+
+   The distance kernels take minima by compare-select, which returns
+   [Float.min]'s bits on distances (never NaN, never -0).  These
+   references keep the stdlib [Float.min] and every other operation of
+   the kernels, so a kernel must match them bit for bit. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Σ_i min(a_i, w + b_i): Kahan-compensated, and any infinite term makes
+   the sum infinite without reaching the compensation. *)
+let sum_min_add a w b =
+  let n = Array.length a in
+  if Array.length b <> n then invalid_arg "sum_min_add: length mismatch";
+  let s = ref 0.0 and c = ref 0.0 in
+  let any_inf = ref false in
+  for i = 0 to n - 1 do
+    let m = Float.min a.(i) (w +. b.(i)) in
+    if m = Float.infinity then any_inf := true
+    else begin
+      let y = m -. !c in
+      let t = !s +. y in
+      c := t -. !s -. y;
+      s := t
+    end
+  done;
+  if !any_inf then Float.infinity else !s
+
+(* The insertion update of edge (u,v,w) on a boxed matrix: every pair
+   relaxed through the edge in either direction, against snapshots of
+   rows u and v. *)
+let relax_reference m u v w =
+  let n = Array.length m in
+  if w < m.(u).(v) then begin
+    let du = Array.copy m.(u) and dv = Array.copy m.(v) in
+    for x = 0 to n - 1 do
+      for y = 0 to n - 1 do
+        let best = Float.min m.(x).(y) (Float.min (du.(x) +. w +. dv.(y)) (dv.(x) +. w +. du.(y))) in
+        if best < m.(x).(y) then m.(x).(y) <- best
+      done
+    done
+  end
+
+(* The deletion update: the rows on which the edge was tight (engine
+   tolerance) recomputed on the edited graph by the SSSP kernel. *)
+let remove_reference m g u v w =
+  let adj = Gncg_graph.Flat_adj.of_wgraph g in
+  Array.iteri
+    (fun s row ->
+      if Flt.approx_eq (row.(u) +. w) row.(v) || Flt.approx_eq (row.(v) +. w) row.(u) then
+        Gncg_graph.Flat_adj.sssp_into adj s row)
+    m
+
+let matrices_bitwise a b =
+  Array.for_all2 (fun ra rb -> Array.for_all2 same_bits ra rb) a b
+
+(* A sparse graph that is often disconnected: a random forest plus a
+   few extra edges, so matrices carry infinite entries. *)
+let random_sparse_graph r n =
+  let g = Wgraph.create n in
+  for i = 1 to n - 1 do
+    if Prng.int r 4 > 0 then Wgraph.add_edge g i (Prng.int r i) (Prng.float_in r 0.5 9.0)
+  done;
+  for _ = 1 to n / 3 do
+    let u = Prng.int r n and v = Prng.int r n in
+    if u <> v && not (Wgraph.has_edge g u v) then
+      Wgraph.add_edge g u v (Prng.float_in r 0.5 9.0)
+  done;
+  g
+
+(* After every add or remove of a random sequence, the maintained matrix
+   is bitwise the Float.min reference (and so is Dist_matrix's insertion
+   update, fed the same additions from the same start). *)
+let prop_incr_apsp_matches_float_min seed =
+  let r = Prng.create (seed + 305) in
+  let n = 3 + Prng.int r 10 in
+  let incr = Incr_apsp.of_graph (random_sparse_graph r n) in
+  let g = Incr_apsp.graph incr in
+  let reference = Incr_apsp.matrix incr in
+  let dm = Dist_matrix.of_matrix (Incr_apsp.matrix incr) in
+  let dm_reference = Incr_apsp.matrix incr in
+  let ok = ref true in
+  for _ = 1 to 14 do
+    let u = Prng.int r n and v = Prng.int r n in
+    if u <> v then begin
+      (match Wgraph.weight g u v with
+      | Some w ->
+        ignore (Incr_apsp.remove_edge incr u v);
+        remove_reference reference g u v w
+      | None ->
+        let w = Prng.float_in r 0.5 9.0 in
+        ignore (Incr_apsp.add_edge incr u v w);
+        relax_reference reference u v w;
+        let total = Dist_matrix.total_with_edge_added dm u v w in
+        Dist_matrix.add_edge dm u v w;
+        relax_reference dm_reference u v w;
+        let flat = Array.concat (Array.to_list dm_reference) in
+        if not (same_bits total (Flt.sum flat)) then ok := false;
+        for x = 0 to n - 1 do
+          for y = 0 to n - 1 do
+            if not (same_bits (Dist_matrix.distance dm x y) dm_reference.(x).(y)) then
+              ok := false
+          done
+        done);
+      if not (matrices_bitwise (Incr_apsp.matrix incr) reference) then ok := false
+    end
+  done;
+  !ok
+
+(* A caller-held row with some infinite entries, like a deletion
+   what-if that disconnects. *)
+let held_row r n =
+  Array.init n (fun _ -> if Prng.int r 5 = 0 then Float.infinity else Prng.float_in r 0.0 30.0)
+
+(* The streaming insertion kernels against the reference on the live
+   rows, disconnected graphs included: Σ_x min(d(u,x), w + d(v,x)) and
+   Σ_x min(r(x), w + d(v,x)) for a caller row with infinite entries. *)
+let prop_insertion_kernels_match_float_min seed =
+  let r = Prng.create (seed + 306) in
+  let n = 2 + Prng.int r 12 in
+  let incr = Incr_apsp.of_graph (random_sparse_graph r n) in
+  let ok = ref true in
+  for _ = 1 to 8 do
+    let u = Prng.int r n and v = Prng.int r n in
+    let w = Prng.float_in r 0.0 9.0 in
+    let row_v = Incr_apsp.row incr v in
+    if
+      not
+        (same_bits
+           (Incr_apsp.dist_sum_with_edge incr u v w)
+           (sum_min_add (Incr_apsp.row incr u) w row_v))
+    then ok := false;
+    let held = held_row r n in
+    if not (same_bits (Incr_apsp.min_sum_against incr held v w) (sum_min_add held w row_v))
+    then ok := false
+  done;
+  !ok
+
+(* --- streaming min-sum reference vs the materialized sum --- *)
 
 let prop_sum_min_add_matches_naive seed =
   let r = Prng.create (seed + 303) in
@@ -103,7 +241,7 @@ let prop_sum_min_add_matches_naive seed =
   let a = gen_row () and b = gen_row () in
   let w = Prng.float_in r 0.0 10.0 in
   let naive = Flt.sum (Array.init n (fun i -> Float.min a.(i) (w +. b.(i)))) in
-  let streamed = Flt.sum_min_add a w b in
+  let streamed = sum_min_add a w b in
   if naive = Float.infinity || streamed = Float.infinity then naive = streamed
   else Flt.approx_eq ~tol:1e-9 naive streamed
 
@@ -113,11 +251,10 @@ let prop_dist_sum_with_edge_matches seed =
   let incr = Incr_apsp.of_graph (random_connected_graph r n) in
   let u = Prng.int r n and v = Prng.int r n in
   let w = Prng.float_in r 0.5 9.0 in
-  if u = v then true
-  else
-    Flt.approx_eq ~tol:1e-9
-      (Incr_apsp.dist_sum_with_edge incr u v w)
-      (Flt.sum_min_add (Incr_apsp.row incr u) w (Incr_apsp.row incr v))
+  u = v
+  || same_bits
+       (Incr_apsp.dist_sum_with_edge incr u v w)
+       (sum_min_add (Incr_apsp.row incr u) w (Incr_apsp.row incr v))
 
 (* --- infinity propagation through the fused total --- *)
 
@@ -260,6 +397,10 @@ let suites =
         qtest ~count:25 "change reports are exact" seed_gen prop_changed_rows_exact;
         qtest ~count:50 "sum_min_add = naive" seed_gen prop_sum_min_add_matches_naive;
         qtest ~count:25 "dist_sum_with_edge kernel" seed_gen prop_dist_sum_with_edge_matches;
+        qtest ~count:40 "incr APSP = Float.min relax, bitwise" seed_gen
+          prop_incr_apsp_matches_float_min;
+        qtest ~count:40 "insertion kernels = Float.min, bitwise" seed_gen
+          prop_insertion_kernels_match_float_min;
         Alcotest.test_case "fused total: infinity" `Quick test_total_with_edge_added_infinity;
         Alcotest.test_case "tracker: partial refresh" `Quick test_tracker_partial_refresh;
         Alcotest.test_case "dynamics: clean agents skipped" `Quick

@@ -121,6 +121,202 @@ let prop_best_move_state_equivalence seed =
   | Some (_, g1), Some (_, g2) -> Flt.approx_eq ~tol:1e-6 g1 g2
   | Some (_, g), None | None, Some (_, g) -> Float.abs g <= 1e-6
 
+(* --- the state evaluator against its specification ---
+
+   [spec_verdict] is the evaluator as it was before its arrays moved
+   into the state's workspace, the insertion sums were batched and the
+   deletion what-if rows were shared between the delete and swap loops:
+   a lazy per-target memo, one deletion what-if per pruning test that
+   needs it.  The evaluator must return the same move, the same gain
+   bits and the same row-local flag, with no more what-if Dijkstras. *)
+
+module ISet = Strategy.ISet
+module Move = Gncg.Move
+module Host = Gncg.Host
+module Cost = Gncg.Cost
+module Net_state = Gncg.Net_state
+
+let spec_gain_between cur_cost cost' =
+  if Flt.approx_eq cost' cur_cost then 0.0 else cur_cost -. cost'
+
+let spec_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
+  let host = Net_state.host st in
+  let s = Net_state.profile st in
+  let n = Strategy.n s in
+  let cur_dist = Net_state.agent_dist_sum st agent in
+  let cur_edge = Cost.agent_edge_cost host s agent in
+  let cur_cost = cur_edge +. cur_dist in
+  let alpha = Host.alpha host in
+  let edge_survives_sale v = Strategy.owns s v agent in
+  let addable v = Move.addable host s ~agent v in
+  let owned = Strategy.strategy s agent in
+  (* Σ_x min(d_u(x), w + d_v(x)) per addition target, memoized (NaN =
+     unset; a distance sum is never NaN): shared by the Add candidates
+     and by every swap bound below. *)
+  let added_memo = Array.make n Float.nan in
+  let added_dist v w =
+    let x = Array.unsafe_get added_memo v in
+    if Float.is_nan x then begin
+      let x = Net_state.dist_sum_with_edge st agent v w in
+      Array.unsafe_set added_memo v x;
+      x
+    end
+    else x
+  in
+  let rowlocal = ref true in
+  let best = ref None in
+  let pick mv gain =
+    match !best with
+    | Some (_, g) when g >= gain -> ()
+    | _ -> if gain > Flt.eps then best := Some (mv, gain)
+  in
+  let best_gain () = match !best with Some (_, g) -> g | None -> Flt.eps in
+  if List.mem `Add kinds then
+    for v = 0 to n - 1 do
+      if addable v then begin
+        let w = Host.weight host agent v in
+        let cost' = cur_edge +. (alpha *. w) +. added_dist v w in
+        pick (Move.Add v) (spec_gain_between cur_cost cost')
+      end
+    done;
+  (* Branch-and-bound over deletions and swaps: a what-if Dijkstra is
+     spent only on moves whose admissible gain bound beats the incumbent
+     best.  Deleting an edge gains at most its price back (the removal
+     can only lengthen distances); a swap gains at most its pure-
+     insertion relaxation.  Skipping a bounded-out move is exact: its
+     true gain can never replace the incumbent. *)
+  if List.mem `Delete kinds then
+    ISet.iter
+      (fun v ->
+        let w = Host.weight host agent v in
+        if edge_survives_sale v then pick (Move.Delete v) (alpha *. w)
+        else if alpha *. w > best_gain () then begin
+          rowlocal := false;
+          let dist' = Net_state.sssp_edited_sum st ~remove:(agent, v) agent in
+          pick (Move.Delete v) (spec_gain_between cur_cost (cur_edge -. (alpha *. w) +. dist'))
+        end)
+      owned;
+  if List.mem `Swap kinds then begin
+    (* Per old endpoint, the deletion what-if row r_del(x) = d_{G-e}(u,x)
+       is computed at most once and reused across every new endpoint: the
+       refined bound Σ_x min(r_del(x), w_new + d(new_t,x)) is a valid
+       lower bound on the swap distance sum (d_{G-e} >= d on the new
+       endpoint's row) and is much tighter than the pure-insertion bound,
+       so most swap Dijkstras are pruned away. *)
+    let r_del = Array.make n Float.infinity in
+    let r_del_for = ref (-1) in
+    ISet.iter
+      (fun old_t ->
+        let w_old = Host.weight host agent old_t in
+        let survives = edge_survives_sale old_t in
+        for new_t = 0 to n - 1 do
+          if addable new_t then begin
+            let w_new = Host.weight host agent new_t in
+            let edge_delta = alpha *. (w_new -. w_old) in
+            let insertion_cost = cur_edge +. edge_delta +. added_dist new_t w_new in
+            if survives then
+              (* The sold edge stays (other side owns it too): the swap is
+                 a pure insertion, evaluated exactly by the O(n) formula. *)
+              pick (Move.Swap (old_t, new_t)) (spec_gain_between cur_cost insertion_cost)
+            else if cur_cost -. insertion_cost > best_gain () then begin
+              rowlocal := false;
+              if !r_del_for <> old_t then begin
+                Net_state.sssp_edited_into st ~remove:(agent, old_t) agent r_del;
+                r_del_for := old_t
+              end;
+              let refined_cost =
+                cur_edge +. edge_delta +. Net_state.min_sum_against st r_del new_t w_new
+              in
+              if cur_cost -. refined_cost > best_gain () then begin
+                let dist' =
+                  Net_state.sssp_edited_sum st ~remove:(agent, old_t)
+                    ~add:(agent, new_t, w_new) agent
+                in
+                pick (Move.Swap (old_t, new_t)) (spec_gain_between cur_cost (cur_edge +. edge_delta +. dist'))
+              end
+            end
+          end
+        done)
+      owned
+  end;
+  (!best, !rowlocal)
+
+(* A random state with co-owned edges (some owned edges bought back by
+   their other endpoint) and, often, isolated agents (every edge at an
+   agent sold from both sides), so infinite distance sums show up. *)
+let random_eval_state seed =
+  let r, host, s = random_game seed ~n:(5 + (seed mod 4)) in
+  let n = Strategy.n s in
+  let s = ref s in
+  List.iter
+    (fun (u, v) -> if Prng.int r 3 = 0 then s := Strategy.buy !s v u)
+    (Strategy.owned_edges !s);
+  if Prng.int r 2 = 0 then begin
+    let a = Prng.int r n in
+    s := Strategy.with_strategy !s a ISet.empty;
+    for v = 0 to n - 1 do
+      if Strategy.owns !s v a then s := Strategy.sell !s v a
+    done
+  end;
+  (host, !s)
+
+let whatifs () =
+  match Gncg_obs.Metric.find_counter "incr_apsp.whatif_sssp" with
+  | Some c -> Gncg_obs.Metric.Counter.value c
+  | None -> 0
+
+let kinds_lists =
+  [ [ `Add; `Delete; `Swap ]; [ `Add ]; [ `Delete; `Swap ]; [ `Delete ]; [ `Swap ] ]
+
+let same_verdict (a, rla) (b, rlb) =
+  rla = rlb
+  &&
+  match (a, b) with
+  | None, None -> true
+  | Some (ma, ga), Some (mb, gb) ->
+    ma = mb && Test_flat.same_bits ga gb
+  | _ -> false
+
+(* Every agent under every kinds list, on one state. *)
+let all_verdicts_agree st =
+  List.for_all
+    (fun kinds ->
+      List.for_all
+        (fun agent ->
+          let w0 = whatifs () in
+          let got = Gncg.Fast_response.best_move_state_verdict ~kinds st ~agent in
+          let w1 = whatifs () in
+          let want = spec_verdict ~kinds st ~agent in
+          let w2 = whatifs () in
+          same_verdict got want && w1 - w0 <= w2 - w1)
+        (List.init (Strategy.n (Net_state.profile st)) Fun.id))
+    kinds_lists
+
+(* On the random state and after each of a few random moves, so the
+   state's workspace is reused across evaluations of a changing
+   network.  Mutable states are dense; the others may resolve to the
+   tree or rd oracle. *)
+let prop_evaluator_matches_spec seed =
+  let host, s = random_eval_state (seed + 111) in
+  let r = Prng.create seed in
+  Gncg_obs.Obs.set_profiling true;
+  Fun.protect
+    ~finally:(fun () -> Gncg_obs.Obs.set_profiling false)
+    (fun () ->
+      let st = Net_state.create ~require_mutable:true host s in
+      let ok = ref (all_verdicts_agree (Net_state.create host s)) in
+      for _ = 1 to 4 do
+        if !ok && all_verdicts_agree st then begin
+          let u = Prng.int r (Strategy.n s) in
+          match Move.candidates host (Net_state.profile st) ~agent:u with
+          | [] -> ()
+          | cands ->
+            ignore (Net_state.apply_move st ~agent:u (List.nth cands (Prng.int r (List.length cands))))
+        end
+        else ok := false
+      done;
+      !ok)
+
 (* Incremental dynamics reach a greedy equilibrium, like the reference
    engine (trajectories may split on tolerance ties, so only stability
    of the limit is asserted). *)
@@ -186,6 +382,7 @@ let suites =
         qtest ~count:25 "net-state set_profile" seed_gen prop_net_state_set_profile;
         qtest ~count:25 "state move gains = reference" seed_gen prop_move_gains_state_equivalence;
         qtest ~count:25 "pruned best move = reference" seed_gen prop_best_move_state_equivalence;
+        qtest ~count:60 "state evaluator = spec, bitwise" seed_gen prop_evaluator_matches_spec;
         qtest ~count:15 "incremental dynamics reach GE" seed_gen
           prop_incremental_dynamics_converge_to_ge;
         qtest ~count:15 "parallel checks = sequential" seed_gen prop_parallel_checks_agree;
