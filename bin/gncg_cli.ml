@@ -574,8 +574,7 @@ let br model n alpha seed common =
   Printf.printf "agent  current      exact BR     local (3-approx)\n";
   for u = 0 to n - 1 do
     let current = Gncg.Cost.agent_cost host s u in
-    let _, exact = Gncg.Best_response.exact host s u in
-    let _, local = Gncg.Best_response.local host s u in
+    let (_, exact), (_, local) = Gncg.Best_response.exact_and_local host s u in
     Printf.printf "%5d  %-11.4f  %-11.4f  %-11.4f\n" u current exact local
   done
 

@@ -1,5 +1,5 @@
 module ISet = Strategy.ISet
-module Wgraph = Gncg_graph.Wgraph
+module Flat_adj = Gncg_graph.Flat_adj
 
 (* Facility index -> vertex: facilities are all vertices except [u], in
    increasing order. *)
@@ -8,9 +8,10 @@ let vertex_of_index u k = if k < u then k else k + 1
 let umfl_instance host s u =
   let n = Strategy.n s in
   let alpha = Host.alpha host in
-  (* G' = G(s) without the edges owned by u. *)
-  let s' = Strategy.with_strategy s u ISet.empty in
-  let g' = Network.graph host s' in
+  (* G' = G(s) without the edges owned by u, as one flat adjacency whose
+     rows are bitwise [Dijkstra.sssp]'s. *)
+  let g' = Flat_adj.of_wgraph (Network.graph host (Strategy.with_strategy s u ISet.empty)) in
+  let d = Array.make n 0.0 in
   let nf = n - 1 in
   let open_cost = Array.make nf Float.infinity in
   let forced = Array.make nf false in
@@ -24,7 +25,7 @@ let umfl_instance host s u =
     end
     else open_cost.(k) <- alpha *. w_uf;
     if Float.is_finite w_uf then begin
-      let d = Gncg_graph.Dijkstra.sssp g' f in
+      Flat_adj.sssp_into g' f d;
       for c = 0 to nf - 1 do
         service.(k).(c) <- w_uf +. d.(vertex_of_index u c)
       done
@@ -47,10 +48,11 @@ let exact host s u =
   let open_set, cost = Facility_location.solve_exact inst in
   (decode open_set, cost)
 
-let local host s u =
+let exact_and_local host s u =
   let inst, decode = umfl_instance host s u in
-  let open_set, cost = Facility_location.local_search inst in
-  (decode open_set, cost)
+  let ((local_set, local_cost) as local) = Facility_location.local_search inst in
+  let exact_set, exact_cost = Facility_location.solve_exact ~start:local inst in
+  ((decode exact_set, exact_cost), (decode local_set, local_cost))
 
 let exact_enum host s u =
   let n = Strategy.n s in

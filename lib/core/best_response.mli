@@ -22,9 +22,12 @@ val exact_enum : Host.t -> Strategy.t -> int -> Strategy.ISet.t * float
 (** Independent oracle: enumerate all 2^(n-1) strategies, evaluating each
     on a freshly built network.  Only for small [n]. *)
 
-val local : Host.t -> Strategy.t -> int -> Strategy.ISet.t * float
-(** Facility-location local search: a polynomial-time response that cannot
-    be improved by opening/closing/swapping a single facility. *)
+val exact_and_local :
+  Host.t -> Strategy.t -> int -> (Strategy.ISet.t * float) * (Strategy.ISet.t * float)
+(** [(exact host s u, local)] from one instance, where [local] is the
+    facility-location local search's response: a polynomial-time
+    response that cannot be improved by opening/closing/swapping a single
+    facility.  That local optimum also seeds the exact search. *)
 
 val best_cost : Host.t -> Strategy.t -> int -> float
 (** Cost of the exact best response (branch-and-bound). *)

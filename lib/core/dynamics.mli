@@ -86,8 +86,9 @@ val run : Config.t -> Host.t -> Strategy.t -> outcome
     single-move engine for [Greedy_response]/[Add_only]:
 
     - [`Reference] (default): the stateless {!Greedy} scan — one flat
-      adjacency of the current network per evaluation and one what-if
-      shortest-path pass per candidate, every gain bitwise
+      adjacency of the current network per evaluation, one shortest-path
+      pass per sold owned edge and per addable target, and every swap
+      priced from two of those rows, every gain bitwise
       {!Greedy.move_gain}'s;
     - [`Incremental]: one [Net_state] threaded through the whole run — the
       network and its full distance matrix are maintained across steps, so

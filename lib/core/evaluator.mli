@@ -2,8 +2,9 @@
     [Dynamics.run], the equilibrium trackers and the runs subsystem.
 
     - [`Reference]: the stateless {!Greedy} scan — one flat adjacency of
-      the current network per agent and one what-if shortest-path pass
-      per candidate move, every gain bitwise {!Greedy.move_gain}'s; the
+      the current network per agent, one shortest-path pass per sold
+      owned edge and per addable target, and every swap priced from two
+      of those rows, every gain bitwise {!Greedy.move_gain}'s; the
       specification the other is tested against;
     - [`Incremental]: the live distance-matrix engine ({!Net_state} +
       {!Fast_response}) — the hot path. *)

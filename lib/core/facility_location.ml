@@ -1,4 +1,7 @@
 module Flt = Gncg_util.Flt
+module Metric = Gncg_obs.Metric
+
+let c_bb_nodes = Metric.Counter.make "facility_location.bb_nodes"
 
 type instance = {
   open_cost : float array;
@@ -166,7 +169,102 @@ let local_search inst =
   in
   loop open_set (cost inst open_set)
 
-let solve_exact inst =
+(* The dual-ascent lower bound of one branch-and-bound node (Erlenkotter's
+   DUALOC, Oper. Res. 1978).  The node's open facilities act as one free
+   facility serving client [j] at [served.(j)]; the undecided facilities
+   with a finite opening cost are [avail.(first) .. avail.(na-1)].  For
+   any client prices [v], every completion S of the node costs at least
+
+     opened + Σ_j v_j − Σ_{i ∈ avail} max(0, Σ_j (v_j − c_ij)⁺ − f_i)
+
+   provided [v_j <= served.(j)] (assign each client to its facility in S
+   and charge the excess of [v_j] over its service cost to that
+   facility).  The ascent starts from [v_j = min(served_j, min_i c_ij)],
+   which is the suffix-minimum bound, and raises each price in turn to
+   its next service level while every facility's slack
+   [f_i − Σ_j (v_j − c_ij)⁺] stays non-negative, until no price moves.
+   The penalty is then recomputed from the final prices, so the bound
+   holds whatever rounding did to the tracked slacks.  Returns the bound
+   and [mag], the magnitude that the rounding margin scales with
+   (docs/ALGORITHMS.md).  Costs are non-negative. *)
+type ascent = { v : float array; slack : float array; avail : int array }
+
+let[@inline] fmin (a : float) b = if b < a then b else a
+
+let dual_bound inst sc ~first ~served opened =
+  let nc = Array.length served and na = Array.length sc.avail in
+  let v = sc.v and slack = sc.slack and avail = sc.avail in
+  let feasible = ref true in
+  for j = 0 to nc - 1 do
+    let x = ref served.(j) in
+    for a = first to na - 1 do
+      x := fmin !x inst.service.(avail.(a)).(j)
+    done;
+    if !x = Float.infinity then feasible := false;
+    v.(j) <- !x
+  done;
+  (* A client that nothing left can serve makes every completion cost
+     infinity. *)
+  if not !feasible then (Float.infinity, 0.0)
+  else begin
+    for a = first to na - 1 do
+      slack.(a) <- inst.open_cost.(avail.(a))
+    done;
+    (* Each pass lifts a price by at most one level, so na + 1 passes
+       allow a full ascent; the cap only guarantees termination, since
+       the bound is valid after any number of passes. *)
+    let changed = ref true and passes = ref 0 in
+    while !changed && !passes <= na do
+      changed := false;
+      incr passes;
+      for j = 0 to nc - 1 do
+        let vj = v.(j) and bj = served.(j) in
+        if vj < bj then begin
+          let next = ref bj and room = ref Float.infinity in
+          for a = first to na - 1 do
+            let c = inst.service.(avail.(a)).(j) in
+            if c <= vj then room := fmin !room slack.(a) else if c < !next then next := c
+          done;
+          let delta = fmin (!next -. vj) !room in
+          if delta > 0.0 then begin
+            for a = first to na - 1 do
+              if inst.service.(avail.(a)).(j) <= vj then slack.(a) <- slack.(a) -. delta
+            done;
+            v.(j) <- fmin (vj +. delta) bj;
+            changed := true
+          end
+        end
+      done
+    done;
+    let total = ref opened in
+    for j = 0 to nc - 1 do
+      total := !total +. v.(j)
+    done;
+    let mag = ref !total in
+    for a = first to na - 1 do
+      let i = avail.(a) in
+      let pos = ref 0.0 in
+      for j = 0 to nc - 1 do
+        let e = v.(j) -. inst.service.(i).(j) in
+        if e > 0.0 then pos := !pos +. e
+      done;
+      if !pos > 0.0 then begin
+        let f = inst.open_cost.(i) in
+        mag := !mag +. !pos +. f;
+        if !pos > f then total := !total -. (!pos -. f)
+      end
+    done;
+    (!total, !mag)
+  end
+
+(* The branch-and-bound proper.  [start] seeds the incumbent; the DFS
+   order, the suffix-minimum bound and the leaf rule are those of the
+   plain search (kept in test/test_facility.ml as its specification), so
+   it meets the same incumbents in the same order and returns the same
+   set and cost.  The dual-ascent bound only prunes a node when even its
+   bound minus the rounding margin cannot beat the incumbent by [Flt.eps],
+   that is, when no leaf below would have replaced the incumbent. *)
+let solve_exact ?start inst =
   let nf = num_facilities inst and nc = num_clients inst in
   if nf = 0 then ([||], if nc = 0 then 0.0 else Float.infinity)
   else begin
@@ -178,14 +276,40 @@ let solve_exact inst =
         suffix.(f).(c) <- Float.min inst.service.(f).(c) suffix.(f + 1).(c)
       done
     done;
-    let incumbent_set, incumbent_cost = local_search inst in
+    let nonneg =
+      Array.for_all (fun x -> x >= 0.0) inst.open_cost
+      && Array.for_all (Array.for_all (fun x -> x >= 0.0)) inst.service
+    in
+    let avail =
+      Array.of_list
+        (List.filter (fun f -> Float.is_finite inst.open_cost.(f)) (List.init nf Fun.id))
+    in
+    (* first_avail.(f): the first position in [avail] of a facility >= f. *)
+    let first_avail = Array.make (nf + 1) (Array.length avail) in
+    Array.iteri (fun a f -> first_avail.(f) <- a) avail;
+    for f = nf - 1 downto 0 do
+      first_avail.(f) <- min first_avail.(f) first_avail.(f + 1)
+    done;
+    let sc =
+      { v = Array.make nc 0.0; slack = Array.make (Array.length avail) 0.0; avail }
+    in
+    (* About twice the rounding error of the dual bound plus that of any
+       leaf total below the node (docs/ALGORITHMS.md). *)
+    let margin_scale = 2.0 *. float_of_int (nf + nc + 4) *. epsilon_float in
+    let incumbent_set, incumbent_cost =
+      match start with Some start -> start | None -> local_search inst
+    in
     let best_set = ref (Array.copy incumbent_set) in
     let best_cost = ref incumbent_cost in
     let open_set = Array.make nf false in
     let best_served = Array.make nc Float.infinity in
+    (* The undo trail of [best_served]: (client, previous value) pairs. *)
+    let trail_c = Array.make (nf * nc) 0 and trail_v = Array.make (nf * nc) 0.0 in
+    let top = ref 0 in
     (* DFS over facility indices; [opened] is the running opening cost and
        [best_served] the per-client best over currently-opened ones. *)
     let rec dfs f opened =
+      Metric.Counter.incr c_bb_nodes;
       if f = nf then begin
         let total = ref opened in
         for c = 0 to nc - 1 do
@@ -201,18 +325,34 @@ let solve_exact inst =
         for c = 0 to nc - 1 do
           bound := !bound +. Float.min best_served.(c) suffix.(f).(c)
         done;
-        if !bound < !best_cost -. Flt.eps then begin
+        if
+          !bound < !best_cost -. Flt.eps
+          && not
+               (nonneg
+               &&
+               let dual, mag =
+                 dual_bound inst sc ~first:first_avail.(f) ~served:best_served opened
+               in
+               dual -. (margin_scale *. mag) >= !best_cost -. Flt.eps)
+        then begin
           (* Branch 1: open facility f (unless its cost already dooms us). *)
           if inst.open_cost.(f) < Float.infinity then begin
-            let saved = Array.copy best_served in
+            let mark = !top in
             open_set.(f) <- true;
             for c = 0 to nc - 1 do
-              if inst.service.(f).(c) < best_served.(c) then
+              if inst.service.(f).(c) < best_served.(c) then begin
+                trail_c.(!top) <- c;
+                trail_v.(!top) <- best_served.(c);
+                incr top;
                 best_served.(c) <- inst.service.(f).(c)
+              end
             done;
             dfs (f + 1) (opened +. inst.open_cost.(f));
             open_set.(f) <- false;
-            Array.blit saved 0 best_served 0 nc
+            while !top > mark do
+              decr top;
+              best_served.(trail_c.(!top)) <- trail_v.(!top)
+            done
           end;
           (* Branch 2: keep f closed (forbidden for forced facilities). *)
           if not inst.forced_open.(f) then dfs (f + 1) opened

@@ -3,9 +3,11 @@
 
     [?graph] is a pre-built network of the current profile
     ([Network.graph host s] when omitted).  The scans turn it into one
-    flat adjacency per call and evaluate each candidate as one what-if
-    shortest-path pass on it; every gain is bitwise the one {!move_gain}
-    computes by rebuilding the moved network.  This is the engine's one
+    flat adjacency per call.  They run one shortest-path pass per sold
+    owned edge and one per addable target, and assemble every moved
+    row, swaps included, as an entrywise minimum of two such rows; every
+    gain is bitwise the one {!move_gain} computes by rebuilding the moved
+    network (docs/ALGORITHMS.md, "Single-move evaluation").  This is the engine's one
     stateless single-move evaluator: the GE/AE checks, the [`Reference]
     dynamics evaluator and tracker, and [Random_improving] all run on it. *)
 

@@ -93,8 +93,7 @@ let eval_query ?(exec = Gncg_util.Exec.Seq) cache job =
   | P.Best_response { model; n; alpha; seed; agent } ->
     let host, profile = Cache.host_and_profile cache ~model ~n ~alpha ~seed in
     let current = Gncg.Cost.agent_cost host profile agent in
-    let _, exact = Gncg.Best_response.exact host profile agent in
-    let _, local = Gncg.Best_response.local host profile agent in
+    let (_, exact), (_, local) = Gncg.Best_response.exact_and_local host profile agent in
     ( "best-response",
       Json.Obj
         [

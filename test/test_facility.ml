@@ -116,6 +116,130 @@ let test_empty_instance () =
   Alcotest.(check int) "no facilities" 0 (Array.length set);
   check_float "zero cost" 0.0 cost
 
+(* The branch-and-bound as it was before the dual-ascent bound and the
+   undo trail, verbatim but for the incumbent, which [start] may supply:
+   the specification [Fl.solve_exact] must match set for set and bit for
+   bit. *)
+let spec_solve_exact ?start (inst : Fl.instance) =
+  let nf = Fl.num_facilities inst and nc = Fl.num_clients inst in
+  if nf = 0 then ([||], if nc = 0 then 0.0 else Float.infinity)
+  else begin
+    (* Suffix minima of service cost per client over facilities >= i:
+       the admissible-heuristic part of the branch-and-bound lower bound. *)
+    let suffix = Array.make_matrix (nf + 1) nc Float.infinity in
+    for f = nf - 1 downto 0 do
+      for c = 0 to nc - 1 do
+        suffix.(f).(c) <- Float.min inst.service.(f).(c) suffix.(f + 1).(c)
+      done
+    done;
+    let incumbent_set, incumbent_cost =
+      match start with Some start -> start | None -> Fl.local_search inst
+    in
+    let best_set = ref (Array.copy incumbent_set) in
+    let best_cost = ref incumbent_cost in
+    let open_set = Array.make nf false in
+    let best_served = Array.make nc Float.infinity in
+    (* DFS over facility indices; [opened] is the running opening cost and
+       [best_served] the per-client best over currently-opened ones. *)
+    let rec dfs f opened =
+      if f = nf then begin
+        let total = ref opened in
+        for c = 0 to nc - 1 do
+          total := !total +. best_served.(c)
+        done;
+        if !total < !best_cost -. Gncg_util.Flt.eps then begin
+          best_cost := !total;
+          best_set := Array.copy open_set
+        end
+      end
+      else begin
+        let bound = ref opened in
+        for c = 0 to nc - 1 do
+          bound := !bound +. Float.min best_served.(c) suffix.(f).(c)
+        done;
+        if !bound < !best_cost -. Gncg_util.Flt.eps then begin
+          (* Branch 1: open facility f (unless its cost already dooms us). *)
+          if inst.open_cost.(f) < Float.infinity then begin
+            let saved = Array.copy best_served in
+            open_set.(f) <- true;
+            for c = 0 to nc - 1 do
+              if inst.service.(f).(c) < best_served.(c) then
+                best_served.(c) <- inst.service.(f).(c)
+            done;
+            dfs (f + 1) (opened +. inst.open_cost.(f));
+            open_set.(f) <- false;
+            Array.blit saved 0 best_served 0 nc
+          end;
+          (* Branch 2: keep f closed (forbidden for forced facilities). *)
+          if not inst.forced_open.(f) then dfs (f + 1) opened
+        end
+      end
+    in
+    dfs 0 0.0;
+    (!best_set, !best_cost)
+  end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let matches_spec ?start inst =
+  let set, cost = Fl.solve_exact ?start inst in
+  let spec_set, spec_cost = spec_solve_exact ?start inst in
+  set = spec_set && same_bits cost spec_cost
+
+(* Random instances with up to 14 facilities.  Costs are drawn as
+   integers (ties everywhere), as fractions, or across four decades (the
+   order of a sum shows in its bits); a third of the draws forces
+   facilities open, and a third makes some opening and service costs
+   infinite. *)
+let random_fl_instance seed =
+  let r = rng (seed + 900) in
+  let nf = 1 + Prng.int r 14 and nc = 1 + Prng.int r 14 in
+  let draw =
+    match Prng.int r 3 with
+    | 0 -> fun () -> float_of_int (Prng.int r 6)
+    | 1 -> fun () -> Prng.float r 10.0
+    | _ -> fun () -> Float.pow 10.0 (Prng.float_in r (-2.0) 2.0)
+  in
+  let flavour = Prng.int r 3 in
+  let inf_or x = if flavour = 2 && Prng.coin r 0.15 then Float.infinity else x in
+  let open_cost = Array.init nf (fun _ -> inf_or (draw ())) in
+  let service = Array.init nf (fun _ -> Array.init nc (fun _ -> inf_or (draw ()))) in
+  let forced_open = Array.init nf (fun _ -> flavour = 1 && Prng.coin r 0.3) in
+  Array.iteri (fun f b -> if b then open_cost.(f) <- 0.0) forced_open;
+  Fl.make ~forced_open ~open_cost ~service ()
+
+(* Agent [u]'s instance in a random game of up to 15 agents on one of the
+   default host models (1-inf hosts among them). *)
+let random_umfl_instance seed =
+  let r = rng (seed + 1900) in
+  let n = 2 + Prng.int r 14 in
+  let models = Gncg_workload.Instances.default_models in
+  let model = List.nth models (Prng.int r (List.length models)) in
+  let host = Gncg_workload.Instances.random_host r model ~n ~alpha:(0.3 +. Prng.float r 4.0) in
+  let s = Gncg_workload.Instances.random_profile r host in
+  fst (Gncg.Best_response.umfl_instance host s (Prng.int r n))
+
+(* No incumbent at all: every set is an improvement until the search
+   finds one, so every node a bound prunes is one that could matter. *)
+let cold inst = (Array.make (Fl.num_facilities inst) false, Float.infinity)
+
+(* Incumbents a few ulps above the optimum plus [Flt.eps]: the optimum
+   still beats each of them, but only just, so a bound that rounds above
+   the leaf totals it stands for (the dual-ascent bound without its
+   rounding margin) would prune the optimum away. *)
+let matches_spec_near_optimum inst =
+  let _, opt = spec_solve_exact ~start:(cold inst) inst in
+  (not (Float.is_finite opt))
+  ||
+  let closed = fst (cold inst) in
+  let rec go c k =
+    k = 0 || (matches_spec ~start:(closed, c) inst && go (Float.succ c) (k - 1))
+  in
+  go (opt +. Gncg_util.Flt.eps) 40
+
+let qtest ?(count = 60) name prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name QCheck.small_nat prop)
+
 let suites =
   [
     ( "facility-location",
@@ -128,5 +252,18 @@ let suites =
         case "local search within locality gap" test_local_search_3_approx_on_metric;
         case "infinite costs" test_infinite_costs_handled;
         case "empty instance" test_empty_instance;
+        qtest ~count:300 "exact = spec on random instances (bits)" (fun seed ->
+            matches_spec (random_fl_instance seed));
+        qtest ~count:150 "exact = spec on best-response instances (bits)" (fun seed ->
+            matches_spec (random_umfl_instance seed));
+        qtest ~count:300 "exact = spec from no incumbent (bits)" (fun seed ->
+            let inst = random_fl_instance seed in
+            matches_spec ~start:(cold inst) inst);
+        qtest ~count:150 "exact = spec from no incumbent, best-response instances (bits)"
+          (fun seed ->
+            let inst = random_umfl_instance seed in
+            matches_spec ~start:(cold inst) inst);
+        qtest ~count:100 "exact = spec from incumbents just above the optimum (bits)"
+          (fun seed -> matches_spec_near_optimum (random_fl_instance seed));
       ] );
   ]

@@ -57,7 +57,30 @@ let random_game seed =
   in
   (host, Strategy.of_lists n (List.init n (fun u -> (u, buys u))))
 
-let kind_sets = [ [ `Add ]; [ `Add; `Delete; `Swap ] ]
+(* Spanning trees where every agent but the root buys one edge towards an
+   earlier agent, at a price that makes additions dear: deleting
+   disconnects and adding costs more than it saves, so the best move is
+   often a swap.  Now and then an agent also buys a second edge, so swaps
+   of an edge whose deletion keeps the network connected occur too. *)
+let swap_game seed =
+  let host, _ = random_game seed in
+  let r = Prng.create (seed + 2800) in
+  let n = Gncg.Host.n host in
+  let alpha = 1.0 +. Prng.float r 5.0 in
+  let host = Gncg.Host.make ~alpha (Gncg.Host.metric host) in
+  let finite u v = Float.is_finite (Gncg.Host.weight host u v) in
+  let buys u =
+    if u = 0 then []
+    else
+      let pick () = Prng.int r u in
+      let first = pick () in
+      let first = if finite u first then first else 0 in
+      let extra = pick () in
+      if extra <> first && Prng.coin r 0.2 then [ first; extra ] else [ first ]
+  in
+  (host, Strategy.of_lists n (List.init n (fun u -> (u, buys u))))
+
+let kind_sets = [ [ `Add ]; [ `Add; `Delete; `Swap ]; [ `Delete; `Swap ]; [ `Swap ] ]
 
 (* The pick rule folded over the rebuild-path gain of every candidate. *)
 let spec_best ~kinds host s ~agent =
@@ -83,8 +106,7 @@ let same_pick a b =
   | Some (mv, g), Some (mv', g') -> mv = mv' && same g g'
   | _ -> false
 
-let prop_best_move_exact seed =
-  let host, s = random_game seed in
+let best_move_exact (host, s) =
   List.for_all
     (fun kinds ->
       List.for_all
@@ -130,8 +152,7 @@ let prop_certify_exact seed =
 
 (* [Greedy.gains]: the current cost and every candidate's gain, in
    [Move.candidates] order, each the rebuild path's [move_gain]. *)
-let prop_gains_exact seed =
-  let host, s = random_game seed in
+let gains_exact (host, s) =
   List.for_all
     (fun kinds ->
       List.for_all
@@ -146,6 +167,32 @@ let prop_gains_exact seed =
         (List.init (Strategy.n s) Fun.id))
     kind_sets
 
+let prop_best_move_exact seed = best_move_exact (random_game seed)
+
+let prop_gains_exact seed = gains_exact (random_game seed)
+
+(* The swap-heavy games, where a missed or mispriced swap decides the
+   pick. *)
+let prop_swap_best_move_exact seed = best_move_exact (swap_game seed)
+
+let prop_swap_gains_exact seed = gains_exact (swap_game seed)
+
+(* Some agent's best single move must be a swap in at least half of the
+   swap games (86 of the first 100 today), or the generator has lost its
+   bias. *)
+let test_swap_game_bias () =
+  let swap_best seed =
+    let host, s = swap_game seed in
+    List.exists
+      (fun agent ->
+        match spec_best ~kinds:[ `Add; `Delete; `Swap ] host s ~agent with
+        | Some (Move.Swap _, _) -> true
+        | _ -> false)
+      (List.init (Strategy.n s) Fun.id)
+  in
+  let hits = List.length (List.filter swap_best (List.init 100 Fun.id)) in
+  if hits < 50 then Alcotest.failf "only %d of 100 swap games have a swap as a best move" hits
+
 let suites =
   [
     ( "greedy-scan",
@@ -153,5 +200,9 @@ let suites =
         qtest ~count:150 "best move = spec (bits)" seed_gen prop_best_move_exact;
         qtest ~count:100 "certify GE/AE = spec (bits)" seed_gen prop_certify_exact;
         qtest ~count:150 "gains = move_gain (bits)" seed_gen prop_gains_exact;
+        qtest ~count:150 "swap games: best move = spec (bits)" seed_gen
+          prop_swap_best_move_exact;
+        qtest ~count:100 "swap games: gains = move_gain (bits)" seed_gen prop_swap_gains_exact;
+        Alcotest.test_case "swap games favour swaps" `Quick test_swap_game_bias;
       ] );
   ]
