@@ -10,10 +10,19 @@ let p_check = Gncg_obs.Span.probe "equilibrium.check"
 
 let kinds_of = function AE -> [ `Add ] | GE -> [ `Add; `Delete; `Swap ] | NE -> []
 
+(* G(s) in flat form, built once per profile for the greedy kinds: each
+   agent's scan works on a private copy, so the agents of one check share
+   it under [Seq] and [Par] alike.  The NE oracle builds its own. *)
+let profile_adj kind host s =
+  match kind with
+  | NE -> None
+  | GE | AE -> Some (Gncg_graph.Flat_adj.of_wgraph (Network.graph host s))
+
 (* The agent's current cost and the cost of its cheapest deviation of the
-   kind.  The greedy kinds get both from one scan: one network build and
-   one incumbent shortest-path pass per agent. *)
-let current_and_best ?(oracle = `Branch_and_bound) kind host s u =
+   kind.  The greedy kinds get both from one scan: one incumbent
+   shortest-path pass per agent on the profile's network, [adj] when
+   given. *)
+let current_and_best ?(oracle = `Branch_and_bound) ?adj kind host s u =
   match kind with
   | NE ->
     let best =
@@ -23,12 +32,12 @@ let current_and_best ?(oracle = `Branch_and_bound) kind host s u =
     in
     (Cost.agent_cost host s u, best)
   | GE | AE -> (
-    match Greedy.scan ~kinds:(kinds_of kind) host s ~agent:u with
+    match Greedy.scan ~kinds:(kinds_of kind) ?adj host s ~agent:u with
     | current, None -> (current, current)
     | current, Some (_, gain) -> (current, current -. gain))
 
-let agent_happy ?oracle kind host s u =
-  let current, best = current_and_best ?oracle kind host s u in
+let agent_happy ?oracle ?adj kind host s u =
+  let current, best = current_and_best ?oracle ?adj kind host s u in
   Flt.le current best
 
 (* The per-agent check is pure on immutable host/profile data, so under
@@ -37,11 +46,13 @@ let agent_happy ?oracle kind host s u =
 
 let is_ae ?(exec = Exec.Seq) host s =
   Gncg_obs.Span.with_probe p_check (fun () ->
-      Exec.for_all ~exec (Strategy.n s) (agent_happy AE host s))
+      let adj = profile_adj AE host s in
+      Exec.for_all ~exec (Strategy.n s) (agent_happy ?adj AE host s))
 
 let is_ge ?(exec = Exec.Seq) host s =
   Gncg_obs.Span.with_probe p_check (fun () ->
-      Exec.for_all ~exec (Strategy.n s) (agent_happy GE host s))
+      let adj = profile_adj GE host s in
+      Exec.for_all ~exec (Strategy.n s) (agent_happy ?adj GE host s))
 
 let is_ne ?oracle ?(exec = Exec.Seq) host s =
   Gncg_obs.Span.with_probe p_check (fun () ->
@@ -53,17 +64,19 @@ let is_equilibrium ?exec kind host s =
   | GE -> is_ge ?exec host s
   | NE -> is_ne ?exec host s
 
-let agent_approx_factor kind host s u =
-  let current, best = current_and_best kind host s u in
+let factor (current, best) =
   if Flt.approx_eq current best then 1.0
   else if best <= 0.0 then if current <= 0.0 then 1.0 else Float.infinity
   else current /. best
 
+let agent_approx_factor kind host s u = factor (current_and_best kind host s u)
+
 let approx_factor kind host s =
   let n = Strategy.n s in
+  let adj = profile_adj kind host s in
   let worst = ref 1.0 in
   for u = 0 to n - 1 do
-    worst := Float.max !worst (agent_approx_factor kind host s u)
+    worst := Float.max !worst (factor (current_and_best ?adj kind host s u))
   done;
   !worst
 
@@ -74,11 +87,12 @@ let is_beta kind ~beta host s =
 let unhappy_agents ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check @@ fun () ->
   let n = Strategy.n s in
+  let adj = profile_adj kind host s in
   match exec with
   | Exec.Seq ->
-    List.filter (fun u -> not (agent_happy kind host s u)) (List.init n (fun u -> u))
+    List.filter (fun u -> not (agent_happy ?adj kind host s u)) (List.init n (fun u -> u))
   | _ ->
-    let happy = Exec.init ~exec n (agent_happy kind host s) in
+    let happy = Exec.init ~exec n (agent_happy ?adj kind host s) in
     List.filter (fun u -> not happy.(u)) (List.init n (fun u -> u))
 
 type grievance = {
@@ -88,14 +102,14 @@ type grievance = {
   deviation : Strategy.ISet.t option;
 }
 
-let agent_grievance kind host s u =
+let agent_grievance ?adj kind host s u =
   let current, best, deviation =
     match kind with
     | NE ->
       let set, cost = Best_response.exact host s u in
       (Cost.agent_cost host s u, cost, Some set)
     | GE | AE ->
-      let current, best = current_and_best kind host s u in
+      let current, best = current_and_best ?adj kind host s u in
       (current, best, None)
   in
   if Flt.lt best current then
@@ -114,12 +128,13 @@ let verdict_of_grievances = function
 let certify ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check @@ fun () ->
   let n = Strategy.n s in
+  let adj = profile_adj kind host s in
   match exec with
   | Exec.Seq ->
     verdict_of_grievances
-      (List.filter_map (agent_grievance kind host s) (List.init n (fun u -> u)))
+      (List.filter_map (agent_grievance ?adj kind host s) (List.init n (fun u -> u)))
   | _ ->
-    let per_agent = Exec.init ~exec n (agent_grievance kind host s) in
+    let per_agent = Exec.init ~exec n (agent_grievance ?adj kind host s) in
     verdict_of_grievances (List.filter_map Fun.id (Array.to_list per_agent))
 
 let pp_grievance fmt g =

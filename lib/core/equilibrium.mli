@@ -14,7 +14,10 @@ type kind = NE | GE | AE
     [Par] the per-agent checks fan out across OCaml 5 domains with an
     early exit once any domain finds an unhappy agent.  Same verdict as
     the sequential scan (property-tested); only the set of agents
-    actually inspected on a negative answer differs. *)
+    actually inspected on a negative answer differs.  The GE/AE checks
+    here ({!unhappy_agents}, {!certify} and {!approx_factor} too) build
+    the profile's network once and share it, read-only, across every
+    agent's {!Greedy.scan}. *)
 
 val is_ae : ?exec:Gncg_util.Exec.t -> Host.t -> Strategy.t -> bool
 

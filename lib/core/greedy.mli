@@ -2,14 +2,23 @@
     Equilibria and Add-only Equilibria.
 
     [?graph] is a pre-built network of the current profile
-    ([Network.graph host s] when omitted).  The scans turn it into one
-    flat adjacency per call.  They run one shortest-path pass per sold
-    owned edge and one per addable target, and assemble every moved
-    row, swaps included, as an entrywise minimum of two such rows; every
-    gain is bitwise the one {!move_gain} computes by rebuilding the moved
-    network (docs/ALGORITHMS.md, "Single-move evaluation").  This is the engine's one
-    stateless single-move evaluator: the GE/AE checks, the [`Reference]
-    dynamics evaluator and tracker, and [Random_improving] all run on it. *)
+    ([Network.graph host s] when omitted); every call turns it into a
+    flat adjacency of its own.  {!scan} takes that flat adjacency
+    pre-built instead, as [?adj], and never edits it: it works on a
+    private copy, so one network per profile can serve every agent's
+    scan, sequential or parallel.  Per agent the
+    scan runs one shortest-path pass on the network, one what-if per sold
+    owned edge and one bounded pass per addable target, and assembles
+    every moved row, swaps included, as an entrywise minimum of two rows.
+    A target's pass settles only the vertices whose value lies below the
+    envelope, the entrywise maximum of the rows it is min'ed with; every
+    other vertex would leave each of those minima unchanged.  A candidate
+    whose row no settled vertex improves takes the row's precomputed
+    sum.  Every gain is bitwise the one {!move_gain} computes by
+    rebuilding the moved network (docs/ALGORITHMS.md, "Single-move
+    evaluation").  This is the engine's one stateless single-move
+    evaluator: the GE/AE checks, the [`Reference] dynamics evaluator and
+    tracker, and [Random_improving] all run on it. *)
 
 val move_gain :
   ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> agent:int -> Move.t -> float
@@ -40,6 +49,7 @@ val best_single_move_cost :
 
 val scan :
   ?kinds:[ `Add | `Delete | `Swap ] list ->
+  ?adj:Gncg_graph.Flat_adj.t ->
   Host.t ->
   Strategy.t ->
   agent:int ->

@@ -11,6 +11,8 @@ type t = {
   deg : int array;
   heap : int array;               (* heap slots -> vertex id *)
   pos : int array;                (* vertex id -> heap slot, or -1 *)
+  no_bound : float array;         (* +inf everywhere: [sssp_into]'s bound *)
+  ids : int array;                (* [sssp_into]'s reached ids, unread *)
 }
 
 let create n =
@@ -22,6 +24,8 @@ let create n =
     deg = Array.make n 0;
     heap = Array.make (max n 1) 0;
     pos = Array.make (max n 1) (-1);
+    no_bound = Array.make n Float.infinity;
+    ids = Array.make n 0;
   }
 
 let check t u name =
@@ -84,6 +88,14 @@ let remove_edge t u v =
     drop t u i;
     drop t v (find t v u)
   end
+
+let isolate t u =
+  check t u "isolate";
+  for i = 0 to t.deg.(u) - 1 do
+    let v = t.nbr.(u).(i) in
+    drop t v (find t v u)
+  done;
+  t.deg.(u) <- 0
 
 let of_wgraph g =
   let t = create (Wgraph.n g) in
@@ -150,43 +162,67 @@ let sift_down heap pos (dist : float array) size =
   Array.unsafe_set heap !i v;
   Array.unsafe_set pos v !i
 
+(* Dijkstra from a seeded source, with one more test per relaxation: a
+   value not strictly below [bound] is never written, so such a vertex is
+   never pushed and stays +inf.  Every pushed vertex is settled, and its
+   id is recorded once, when it is first pushed.  [sssp_into] is this
+   loop under an all-+inf bound: on dyn-greedy-n100, whose time is mostly
+   [sssp_into], a separate unbounded loop measured no faster (op_ms
+   171.9 ms against 173.9 ms, medians of 10 alternating pairs on a 2-core
+   x86-64 VM, each side faster in 5 of them). *)
+let sssp_bounded_into t ~src ~start ~bound dist reached =
+  let n = t.n in
+  check t src "sssp_bounded_into";
+  if Array.length dist < n || Array.length bound < n || Array.length reached < n then
+    invalid_arg "Flat_adj.sssp_bounded_into: array too short";
+  if Float.is_nan start || start < 0.0 then
+    invalid_arg "Flat_adj.sssp_bounded_into: negative start";
+  if not (start < Array.unsafe_get bound src) then 0
+  else begin
+    let heap = t.heap and pos = t.pos in
+    Array.unsafe_set dist src start;
+    Array.unsafe_set heap 0 src;
+    Array.unsafe_set pos src 0;
+    Array.unsafe_set reached 0 src;
+    let count = ref 1 and size = ref 1 in
+    while !size > 0 do
+      let u = Array.unsafe_get heap 0 in
+      Array.unsafe_set pos u (-1);
+      decr size;
+      if !size > 0 then begin
+        Array.unsafe_set heap 0 (Array.unsafe_get heap !size);
+        sift_down heap pos dist !size
+      end;
+      let du = Array.unsafe_get dist u in
+      let nb = Array.unsafe_get t.nbr u and wt = Array.unsafe_get t.wt u in
+      for i = 0 to Array.unsafe_get t.deg u - 1 do
+        let v = Array.unsafe_get nb i in
+        let dv = du +. Float.Array.unsafe_get wt i in
+        if dv < Array.unsafe_get dist v && dv < Array.unsafe_get bound v then begin
+          Array.unsafe_set dist v dv;
+          let slot = Array.unsafe_get pos v in
+          (* A settled vertex is never improved, so [slot < 0] here is a
+             first push. *)
+          if slot < 0 then begin
+            Array.unsafe_set reached !count v;
+            incr count;
+            Array.unsafe_set heap !size v;
+            sift_up heap pos dist !size;
+            incr size
+          end
+          else sift_up heap pos dist slot
+        end
+      done
+    done;
+    !count
+  end
+
 let sssp_into t s dist =
   let n = t.n in
   check t s "sssp_into";
   if Array.length dist < n then invalid_arg "Flat_adj.sssp_into: row too short";
   Array.fill dist 0 n Float.infinity;
-  let heap = t.heap and pos = t.pos in
-  Array.unsafe_set dist s 0.0;
-  Array.unsafe_set heap 0 s;
-  Array.unsafe_set pos s 0;
-  let size = ref 1 in
-  while !size > 0 do
-    let u = Array.unsafe_get heap 0 in
-    Array.unsafe_set pos u (-1);
-    decr size;
-    if !size > 0 then begin
-      Array.unsafe_set heap 0 (Array.unsafe_get heap !size);
-      sift_down heap pos dist !size
-    end;
-    (* A settled vertex is never improved again (weights are
-       non-negative), so [pos = -1] below means "not yet reached". *)
-    let du = Array.unsafe_get dist u in
-    let nb = Array.unsafe_get t.nbr u and wt = Array.unsafe_get t.wt u in
-    for i = 0 to Array.unsafe_get t.deg u - 1 do
-      let v = Array.unsafe_get nb i in
-      let dv = du +. Float.Array.unsafe_get wt i in
-      if dv < Array.unsafe_get dist v then begin
-        Array.unsafe_set dist v dv;
-        let slot = Array.unsafe_get pos v in
-        if slot < 0 then begin
-          Array.unsafe_set heap !size v;
-          sift_up heap pos dist !size;
-          incr size
-        end
-        else sift_up heap pos dist slot
-      end
-    done
-  done
+  ignore (sssp_bounded_into t ~src:s ~start:0.0 ~bound:t.no_bound dist t.ids)
 
 (* --- what-if passes ------------------------------------------------------ *)
 

@@ -7,7 +7,9 @@
     also owns the scratch of one indexed binary heap, so {!sssp_into}
     allocates nothing: the heap stores vertex ids only and is keyed on
     the output row itself, and the loop passes no float across a
-    function call.
+    function call.  {!sssp_into} is {!sssp_bounded_into} from the source
+    at [0.0] under an all-[+inf] bound, which the structure keeps with a
+    reached-id scratch.
 
     The kernel computes exactly the distances of {!Dijkstra.sssp} on the
     same edge set.  Each is the minimum, over all paths from the source,
@@ -44,6 +46,25 @@ val sssp_into : t -> int -> float array -> unit
     [row.(0 .. n-1)] ([Float.infinity] when unreachable; longer rows keep
     their tail).  Allocation-free.  Raises [Invalid_argument] when [s] is
     out of range or the row is shorter than [n]. *)
+
+val sssp_bounded_into :
+  t -> src:int -> start:float -> bound:float array -> float array -> int array -> int
+(** [sssp_bounded_into t ~src ~start ~bound dist reached] is a pass from
+    [src], seeded at [start >= 0], that settles only values strictly
+    below [bound]: [dist.(x)] becomes the least float length, [start]
+    plus the edges summed one by one, over the paths from [src] to [x]
+    whose running value stays below [bound] at every vertex, and [+inf]
+    when no such path exists.  A vertex whose {!sssp_into}-style value is
+    below [bound] along all of one shortest path therefore gets exactly
+    that value.  [dist.(0 .. n-1)] must be [+inf] on entry.  The vertices
+    given a value are written to [reached.(0 .. k-1)] and [k] is
+    returned; resetting just those entries leaves [dist] ready for the
+    next pass.  Allocation-free.  Raises [Invalid_argument] when [src] is
+    out of range, [start] is negative or NaN, or an array is shorter
+    than [n]. *)
+
+val isolate : t -> int -> unit
+(** Removes every edge at the vertex. *)
 
 val sssp_edited_into :
   t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit

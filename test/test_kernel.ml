@@ -1,6 +1,7 @@
 (* The flat-adjacency SSSP kernel behind every distance store.  Its rows
    must equal the reference Dijkstra's exactly (bitwise, not within a
-   tolerance), before and after arbitrary edits; copies must not share
+   tolerance), before and after arbitrary edits; a bounded pass must settle
+   exactly the values below its envelope; copies must not share
    adjacency with their originals; a what-if that raises must leave the
    store as it found it; and a warmed what-if must allocate a constant
    amount, independent of n. *)
@@ -130,6 +131,106 @@ let prop_copy_is_independent seed =
   Incr_apsp.matrix e = rows0 && whatifs () = whatifs0 && D.matrix dd = drows0
   && dwhatifs () = dwhatifs0
 
+(* --- bounded passes ------------------------------------------------------- *)
+
+(* A full pass from [src] seeded at [start]: Dijkstra from an extra
+   vertex whose one edge, to [src], weighs [start]. *)
+let seeded_full g src start =
+  let n = Wgraph.n g in
+  let g' = Wgraph.create (n + 1) in
+  Wgraph.iter_edges g (fun u v w -> Wgraph.add_edge g' u v w);
+  Wgraph.add_edge g' n src start;
+  Array.sub (Dijkstra.sssp g' n) 0 n
+
+(* The bounded pass's specification: the least seeded value over the
+   walks whose running value stays below [bound] at every vertex, by
+   relaxing every edge until nothing changes. *)
+let bounded_spec g src start bound =
+  let d = Array.make (Wgraph.n g) Float.infinity in
+  if start < bound.(src) then d.(src) <- 0.0 +. start;
+  let changed = ref true in
+  let relax a b w =
+    let c = d.(a) +. w in
+    if c < d.(b) && c < bound.(b) then begin
+      d.(b) <- c;
+      changed := true
+    end
+  in
+  while !changed do
+    changed := false;
+    Wgraph.iter_edges g (fun u v w ->
+        relax u v w;
+        relax v u w)
+  done;
+  d
+
+(* Any envelope: each entry +inf, the full value itself, or the full
+   value moved by up to 2. *)
+let random_envelope r full =
+  Array.map
+    (fun f ->
+      match Prng.int r 4 with
+      | 0 -> Float.infinity
+      | 1 -> f
+      | _ -> f +. Prng.float_in r (-2.0) 2.0)
+    full
+
+(* An envelope no pass can climb back under: the entrywise maximum of
+   rows that satisfy R(y) <= R(z) + w(z,y) on every edge — the full row,
+   and Dijkstra rows of the graph with a few edges added.  A supergraph
+   row from a vertex of another component is +inf there. *)
+let closed_envelope r g full =
+  let n = Wgraph.n g in
+  let super = Wgraph.copy g in
+  for _ = 1 to Prng.int r 4 do
+    let u = Prng.int r n and v = Prng.int r n in
+    if u <> v && not (Wgraph.has_edge super u v) then Wgraph.add_edge super u v (tie_weight r)
+  done;
+  let row () = if Prng.coin r 0.3 then full else Dijkstra.sssp super (Prng.int r n) in
+  let env = Array.copy (row ()) in
+  for _ = 1 to Prng.int r 3 do
+    let other = row () in
+    Array.iteri (fun x v -> if v > env.(x) then env.(x) <- v) other
+  done;
+  env
+
+(* Passes from random sources and seeds share one [dist] and one
+   [reached], with only the reached entries reset between them.  Against
+   any envelope, a pass equals the specification bitwise and reports
+   exactly its finite entries; against a closed envelope, every vertex
+   whose full value is below the envelope gets that value and every other
+   stays +inf.  A full pass afterwards still equals Dijkstra, so the heap
+   scratch is left clean. *)
+let prop_bounded_pass seed =
+  let r = Prng.create (seed + 1306) in
+  let g = random_tie_graph r in
+  let n = Wgraph.n g in
+  let adj = Flat_adj.of_wgraph g in
+  let dist = Array.make n Float.infinity and reached = Array.make n (-1) in
+  let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let ok = ref true in
+  for _ = 1 to 12 do
+    let src = Prng.int r n in
+    let start = if Prng.coin r 0.5 then tie_weight r else Prng.float r 4.0 in
+    let full = seeded_full g src start in
+    let closed = Prng.coin r 0.5 in
+    let bound = if closed then closed_envelope r g full else random_envelope r full in
+    let k = Flat_adj.sssp_bounded_into adj ~src ~start ~bound dist reached in
+    let spec = bounded_spec g src start bound in
+    for x = 0 to n - 1 do
+      if not (bits_eq dist.(x) spec.(x)) then ok := false;
+      if full.(x) >= bound.(x) && dist.(x) <> Float.infinity then ok := false;
+      if closed && full.(x) < bound.(x) && not (bits_eq dist.(x) full.(x)) then ok := false
+    done;
+    let ids = List.sort_uniq compare (Array.to_list (Array.sub reached 0 k)) in
+    let finite = List.filter (fun x -> dist.(x) < Float.infinity) (List.init n Fun.id) in
+    if List.length ids <> k || ids <> finite then ok := false;
+    for i = 0 to k - 1 do
+      dist.(reached.(i)) <- Float.infinity
+    done
+  done;
+  !ok && rows_equal g adj
+
 (* --- a failed what-if leaves no edit behind ----------------------------- *)
 
 let cycle4 () =
@@ -208,6 +309,8 @@ let suites =
         qtest ~count:30 "dense what-if = Dijkstra on edited graph" seed_gen
           prop_whatif_equals_reference;
         qtest ~count:20 "copies are independent" seed_gen prop_copy_is_independent;
+        qtest ~count:100 "bounded pass = spec; below a closed envelope = full pass" seed_gen
+          prop_bounded_pass;
         Alcotest.test_case "failed what-if restores dense" `Quick test_failed_whatif_dense;
         Alcotest.test_case "failed what-if restores tree" `Quick test_failed_whatif_tree;
         Alcotest.test_case "what-if allocation independent of n" `Quick

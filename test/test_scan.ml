@@ -1,9 +1,11 @@
 (* The single-move scan against its specification, bit for bit.
    [Greedy.scan], [gains], [best_move], [best_single_move_cost] and the
-   greedy [Equilibrium.certify] verdicts run one what-if pass per
-   candidate on a flat adjacency; [Greedy.move_gain] rebuilds the moved
-   network.  Every gain, cost and grievance must agree exactly, compared
-   by [Int64.bits_of_float], never within a tolerance. *)
+   greedy [Equilibrium.certify] verdicts assemble every moved row from a
+   pass on the network, one what-if per sold edge and one bounded pass
+   per addable target, on a flat adjacency that certify builds once per
+   profile; [Greedy.move_gain] rebuilds the moved network.  Every gain,
+   cost and grievance must agree exactly, compared by
+   [Int64.bits_of_float], never within a tolerance. *)
 
 module Prng = Gncg_util.Prng
 module Flt = Gncg_util.Flt
@@ -12,6 +14,8 @@ module Strategy = Gncg.Strategy
 module Move = Gncg.Move
 module Greedy = Gncg.Greedy
 module Eq = Gncg.Equilibrium
+module D = Gncg.Dynamics
+module Random_host = Gncg_metric.Random_host
 
 let seed_gen = QCheck.small_nat
 
@@ -82,11 +86,14 @@ let swap_game seed =
 
 let kind_sets = [ [ `Add ]; [ `Add; `Delete; `Swap ]; [ `Delete; `Swap ]; [ `Swap ] ]
 
-(* The pick rule folded over the rebuild-path gain of every candidate. *)
-let spec_best ~kinds host s ~agent =
+let rebuild_gain host s ~agent mv = Greedy.move_gain host s ~agent mv
+
+(* The pick rule folded over the rebuild-path gain of every candidate
+   ([gain], [rebuild_gain] by default). *)
+let spec_best ?(gain = rebuild_gain) ~kinds host s ~agent =
   List.fold_left
     (fun acc mv ->
-      let gain = Greedy.move_gain host s ~agent mv in
+      let gain = gain host s ~agent mv in
       match acc with
       | Some (_, g) when g >= gain -> acc
       | _ when gain > Flt.eps -> Some (mv, gain)
@@ -94,9 +101,9 @@ let spec_best ~kinds host s ~agent =
     None
     (Move.candidates ~kinds host s ~agent)
 
-let spec_best_cost ~kinds host s ~agent =
+let spec_best_cost ?gain ~kinds host s ~agent =
   let current = Gncg.Cost.agent_cost host s agent in
-  match spec_best ~kinds host s ~agent with
+  match spec_best ?gain ~kinds host s ~agent with
   | None -> current
   | Some (_, gain) -> current -. gain
 
@@ -106,35 +113,34 @@ let same_pick a b =
   | Some (mv, g), Some (mv', g') -> mv = mv' && same g g'
   | _ -> false
 
-let best_move_exact (host, s) =
+let best_move_exact ?gain (host, s) =
   List.for_all
     (fun kinds ->
       List.for_all
         (fun agent ->
           let current, best = Greedy.scan ~kinds host s ~agent in
-          same_pick best (spec_best ~kinds host s ~agent)
+          same_pick best (spec_best ?gain ~kinds host s ~agent)
           && same_pick (Greedy.best_move ~kinds host s ~agent) best
           && same current (Gncg.Cost.agent_cost host s agent)
           && same
                (Greedy.best_single_move_cost ~kinds host s ~agent)
-               (spec_best_cost ~kinds host s ~agent))
+               (spec_best_cost ?gain ~kinds host s ~agent))
         (List.init (Strategy.n s) Fun.id))
     kind_sets
 
 (* Certify's grievances, from the specification: every agent whose best
    single-move cost beats its current cost, largest saving first. *)
-let spec_grievances kind host s =
+let spec_grievances ?gain kind host s =
   let kinds = match kind with Eq.AE -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ] in
   List.filter_map
     (fun u ->
       let current = Gncg.Cost.agent_cost host s u in
-      let best = spec_best_cost ~kinds host s ~agent:u in
+      let best = spec_best_cost ?gain ~kinds host s ~agent:u in
       if Flt.lt best current then Some (u, current, best) else None)
     (List.init (Strategy.n s) Fun.id)
   |> List.stable_sort (fun (_, c, b) (_, c', b') -> Float.compare (c' -. b') (c -. b))
 
-let prop_certify_exact seed =
-  let host, s = random_game seed in
+let certify_exact ?gain (host, s) =
   List.for_all
     (fun kind ->
       let got =
@@ -143,16 +149,18 @@ let prop_certify_exact seed =
         | Error gs ->
           List.map (fun g -> Eq.(g.agent, g.current_cost, g.best_cost, g.deviation)) gs
       in
-      let want = spec_grievances kind host s in
+      let want = spec_grievances ?gain kind host s in
       List.length got = List.length want
       && List.for_all2
            (fun (u, c, b, dev) (u', c', b') -> u = u' && same c c' && same b b' && dev = None)
            got want)
     [ Eq.GE; Eq.AE ]
 
+let prop_certify_exact seed = certify_exact (random_game seed)
+
 (* [Greedy.gains]: the current cost and every candidate's gain, in
    [Move.candidates] order, each the rebuild path's [move_gain]. *)
-let gains_exact (host, s) =
+let gains_exact ?(gain = rebuild_gain) (host, s) =
   List.for_all
     (fun kinds ->
       List.for_all
@@ -162,7 +170,7 @@ let gains_exact (host, s) =
           same current (Gncg.Cost.agent_cost host s agent)
           && List.length got = List.length cands
           && List.for_all2
-               (fun (mv, g) mv' -> mv = mv' && same g (Greedy.move_gain host s ~agent mv'))
+               (fun (mv, g) mv' -> mv = mv' && same g (gain host s ~agent mv'))
                got cands)
         (List.init (Strategy.n s) Fun.id))
     kind_sets
@@ -193,6 +201,73 @@ let test_swap_game_bias () =
   let hits = List.length (List.filter swap_best (List.init 100 Fun.id)) in
   if hits < 50 then Alcotest.failf "only %d of 100 swap games have a swap as a best move" hits
 
+(* Profiles [`Incremental] greedy dynamics converged to at n = 20-40, on
+   uniform metric hosts (the certification benchmark's family) and tree
+   metrics, each also one random move away from convergence so that
+   improving moves exist.  On the uniform hosts almost all of each
+   addition pass lies at or above the envelope, so the bounded pass and
+   the reused row sums decide most candidates; the tree hosts settle
+   more. *)
+let converged_games () =
+  List.concat_map
+    (fun (i, n) ->
+      let rng = Prng.create (1500 + i) in
+      let metric =
+        if i mod 2 = 0 then Random_host.uniform_metric rng ~n ~lo:1.0 ~hi:6.0
+        else fst (Random_host.tree_metric rng ~n ~wmin:1.0 ~wmax:10.0)
+      in
+      let host = Gncg.Host.make ~alpha:2.0 metric in
+      let start = Gncg_workload.Instances.random_profile rng host in
+      let config =
+        D.Config.make ~max_steps:200_000 ~evaluator:`Incremental D.Greedy_response
+          D.Round_robin
+      in
+      match D.run config host start with
+      | D.Converged { profile; _ } ->
+        let agent = Prng.int rng n in
+        let cands = Array.of_list (Move.candidates host profile ~agent) in
+        let mv = cands.(Prng.int rng (Array.length cands)) in
+        let moved = Move.apply profile ~agent mv in
+        [ (host, profile); (host, moved) ]
+      | _ -> Alcotest.failf "greedy dynamics did not converge at n = %d" n)
+    [ (0, 20); (1, 24); (2, 30); (3, 36); (4, 40) ]
+
+let counter name =
+  match Gncg_obs.Metric.find_counter name with
+  | Some c -> Gncg_obs.Metric.Counter.value c
+  | None -> 0
+
+(* Best moves, every gain and certify's grievances against the rebuild
+   path, bit for bit, with each rebuild gain computed once per profile.
+   The addition passes must settle under half the vertices that the
+   scans' passes would settle in full (about a fifth today), or the
+   bounded branch went untested. *)
+let test_converged_exact () =
+  Gncg_obs.Obs.set_profiling true;
+  Fun.protect ~finally:(fun () -> Gncg_obs.Obs.set_profiling false) @@ fun () ->
+  let settled0 = counter "greedy.settled" in
+  let cells = ref 0 in
+  List.iteri
+    (fun i game ->
+      let memo = Hashtbl.create 4096 in
+      let gain host s ~agent mv =
+        match Hashtbl.find_opt memo (agent, mv) with
+        | Some g -> g
+        | None ->
+          let g = rebuild_gain host s ~agent mv in
+          Hashtbl.add memo (agent, mv) g;
+          g
+      in
+      let p0 = counter "greedy.whatif_sssp" in
+      if not (best_move_exact ~gain game) then Alcotest.failf "profile %d: best move" i;
+      if not (gains_exact ~gain game) then Alcotest.failf "profile %d: gains" i;
+      if not (certify_exact ~gain game) then Alcotest.failf "profile %d: grievances" i;
+      cells := !cells + ((counter "greedy.whatif_sssp" - p0) * Strategy.n (snd game)))
+    (converged_games ());
+  let settled = counter "greedy.settled" - settled0 in
+  if !cells = 0 || 2 * settled >= !cells then
+    Alcotest.failf "%d vertices settled; passes x n = %d" settled !cells
+
 let suites =
   [
     ( "greedy-scan",
@@ -204,5 +279,7 @@ let suites =
           prop_swap_best_move_exact;
         qtest ~count:100 "swap games: gains = move_gain (bits)" seed_gen prop_swap_gains_exact;
         Alcotest.test_case "swap games favour swaps" `Quick test_swap_game_bias;
+        Alcotest.test_case "converged games: moves, gains, grievances = spec (bits)" `Quick
+          test_converged_exact;
       ] );
   ]
