@@ -59,8 +59,7 @@ let path g u v =
 
 let eccentricity g u = Gncg_util.Flt.max_array (sssp g u)
 
-(* Below this size the ~0.1 ms domain-spawn cost dwarfs the sweep itself;
-   the bench harness measures the crossover. *)
+(* Below this size the ~0.1 ms domain-spawn cost dwarfs the sweep itself. *)
 let parallel_threshold = 64
 
 let eccentricities ?domains g =

@@ -104,6 +104,35 @@ let test_crash_carries_backtrace () =
         check_true "backtrace recorded" (String.length backtrace > 0)
       | _ -> Alcotest.fail "expected one crashed report")
 
+(* --- a whole batch under chaos ------------------------------------------- *)
+
+(* The same plan wrapped around Job.execute at the Batch level: with no
+   retries every crash the oracle predicts surfaces as Crashed; one retry
+   outlasts fault_attempts = 1, so nothing crashes and every predicted
+   crash costs at least one retry. *)
+let test_batch_crashes_match_plan () =
+  let config =
+    R.Batch.config
+      (Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 5.0 })
+      ~ns:[ 5; 6 ] ~alphas:[ 1.0; 3.0 ] ~seeds:[ 1; 2; 3 ]
+  in
+  let plan = C.plan ~seed:42 ~crash_p:0.4 ~fault_attempts:1 () in
+  let predicted =
+    List.length
+      (List.filter
+         (fun j -> C.decide plan ~key:(R.Job.hash j) ~attempt:1 = Some C.Crash)
+         (R.Batch.jobs config))
+  in
+  check_true "the plan injects at least one crash" (predicted > 0);
+  let run retries =
+    (R.Batch.run ~retries ~exec:(C.wrap plan ~key:R.Job.hash R.Job.execute) config)
+      .progress
+  in
+  Alcotest.(check int) "no retries: crashed = predicted" predicted (run 0).crashed;
+  let retried = run 1 in
+  Alcotest.(check int) "one retry: nothing crashes" 0 retried.crashed;
+  check_true "one retry: retries >= predicted" (retried.retries >= predicted)
+
 (* --- journal corruption -------------------------------------------------- *)
 
 let small_config =
@@ -206,5 +235,6 @@ let suites =
         case "interleaved writes: 2 jobs re-execute" test_interleaved_writes_resume;
         QCheck_alcotest.to_alcotest truncated_journal_resume;
         case "fault decisions are seed-deterministic" test_decide_deterministic;
+        case "batch crashes match the plan, retries recover" test_batch_crashes_match_plan;
       ] );
   ]

@@ -492,6 +492,41 @@ let test_spec_round_trip () =
     "garbage rejected" true
     (Result.is_error (D.spec_of_string "quantum"))
 
+(* --- the memory ceiling: implicit oracles at n = 10^5 ---
+
+   The point of the tree and R^d oracles: they answer n = 10^5 hosts
+   (Prng 8: a random tree with weights in [1, 10], then a uniform R^2
+   box of side 100) in O(n log n) / O(n d) memory, where a dense store
+   would need 8n^2 = 80 GB.  CI runs this case alone under
+   `ulimit -v 2097152` (2 GB).  The backend ids are checked at n = 10^3
+   first, so a dense fallback fails there instead of allocating 80 GB. *)
+
+let test_oracles_at_1e5 () =
+  List.iter
+    (fun n ->
+      let rng = Prng.create 8 in
+      let tree = Random_host.tree_geometry rng ~n ~wmin:1.0 ~wmax:10.0 in
+      let points = Random_host.euclidean_geometry rng ~n ~d:2 ~lo:0.0 ~hi:100.0 in
+      let finite label x =
+        if not (Float.is_finite x) then Alcotest.failf "%s at n = %d: %g" label n x
+      in
+      List.iter
+        (fun (id, geometry) ->
+          let d = Geometry.to_distances geometry in
+          Alcotest.(check string) (Printf.sprintf "backend at n = %d" n) id (D.backend_id d);
+          let mem = D.memory_bytes d in
+          if 10 * mem >= 8 * n * n then
+            Alcotest.failf "%s at n = %d holds %d bytes, not an implicit oracle" id n mem;
+          finite (id ^ " distance") (D.distance d 0 (n - 1));
+          finite (id ^ " dist_sum") (D.dist_sum d (n / 2));
+          finite (id ^ " dist_sum_with_edge") (D.dist_sum_with_edge d 1 (n - 2) 1.5);
+          if id = "rd" then
+            match D.nearest d 0 with
+            | Some (v, w) -> finite "rd nearest + add kernel" (D.dist_sum_with_edge d 0 v w)
+            | None -> Alcotest.failf "rd nearest found nothing at n = %d" n)
+        [ ("tree", tree); ("rd", points) ])
+    [ 1_000; 100_000 ]
+
 let suites =
   [
     ( "distances-backends",
@@ -519,4 +554,6 @@ let suites =
         Alcotest.test_case "spec round-trip" `Quick test_spec_round_trip;
       ] );
     ("distances-sentinel", sentinel_tests);
+    ( "distances-scaling",
+      [ Alcotest.test_case "tree and rd oracles at n = 10^5" `Slow test_oracles_at_1e5 ] );
   ]

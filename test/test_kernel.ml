@@ -3,8 +3,8 @@
    tolerance), before and after arbitrary edits; a bounded pass must settle
    exactly the values below its envelope; copies must not share
    adjacency with their originals; a what-if that raises must leave the
-   store as it found it; and a warmed what-if must allocate a constant
-   amount, independent of n. *)
+   store as it found it; and a warmed what-if or row kernel must allocate
+   a constant amount, independent of n. *)
 
 module Prng = Gncg_util.Prng
 module Wgraph = Gncg_graph.Wgraph
@@ -270,8 +270,15 @@ let test_failed_whatif_tree () = check_failed_whatif_restores "tree" (D.tree (pa
 
 (* --- allocation guard ------------------------------------------------- *)
 
-(* Minor words one warmed round of what-ifs allocates on a dense store
-   over a random connected graph on [n] vertices. *)
+(* Minor words the second of two identical rounds allocates. *)
+let warmed_words round =
+  round ();
+  let before = Gc.minor_words () in
+  round ();
+  Gc.minor_words () -. before
+
+(* One round of what-ifs on a dense store over a random connected graph
+   on [n] vertices. *)
 let whatif_words n =
   let g = Helpers.random_graph (Prng.create 1305) n n in
   let store = D.dense g in
@@ -291,14 +298,26 @@ let whatif_words n =
     D.sssp_edited_into store ~remove:(0, nb) 0 dst;
     D.sssp_edited_into store ~remove:(0, nb) ~add:(0, far, 1.5) 0 dst
   in
-  round ();
-  let before = Gc.minor_words () in
-  round ();
-  Gc.minor_words () -. before
+  warmed_words round
+
+(* The same for the dense store's row kernels: each call boxes its float
+   result through the [Distances] pack (2 words), and nothing grows with
+   n. *)
+let row_kernel_words n =
+  let store = D.dense (Helpers.random_graph (Prng.create 1306) n n) in
+  let against = D.row store (n - 1) in
+  let round () =
+    ignore (Sys.opaque_identity (D.dist_sum store 0));
+    ignore (Sys.opaque_identity (D.dist_sum_with_edge store 0 (n / 2) 1.5));
+    ignore (Sys.opaque_identity (D.min_sum_against store against 0 1.5))
+  in
+  warmed_words round
 
 let test_whatif_allocation_constant () =
   let small = whatif_words 50 and large = whatif_words 200 in
-  Alcotest.(check (float 0.0)) "minor words at n = 50 and n = 200" small large
+  Alcotest.(check (float 0.0)) "minor words at n = 50 and n = 200" small large;
+  let small = row_kernel_words 50 and large = row_kernel_words 400 in
+  Alcotest.(check (float 0.0)) "row kernel minor words at n = 50 and n = 400" small large
 
 let suites =
   [

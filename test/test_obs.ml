@@ -10,8 +10,8 @@ module Span = Gncg_obs.Span
 
 (* Every test must leave the process-wide observability state as it
    found it (off): the rest of the suite runs with instrumentation
-   disabled, which is also the configuration whose zero-overhead claim
-   BENCH_4 documents. *)
+   disabled, which is also the configuration the benchmark under
+   benchmark/ times. *)
 let shielded f () =
   Fun.protect
     ~finally:(fun () ->

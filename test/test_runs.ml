@@ -228,6 +228,9 @@ let lopsided_exec i =
   done;
   !acc
 
+(* Two inputs: synthetic lopsided work, and a real heterogeneous grid of
+   dynamics jobs (n and alpha both vary the run time), whose CSV must not
+   depend on the runner. *)
 let test_scheduler_matches_sequential () =
   let jobs = List.init 37 Fun.id in
   let diverged r = r mod 3 = 0 in
@@ -235,7 +238,25 @@ let test_scheduler_matches_sequential () =
   let par = R.Scheduler.run ~domains:4 ~diverged lopsided_exec jobs in
   Alcotest.(check (list string)) "same outcomes in input order"
     (List.map (fun (i, r) -> Printf.sprintf "%d:%s" i (outcome_to_string r.R.Scheduler.outcome)) seq)
-    (List.map (fun (i, r) -> Printf.sprintf "%d:%s" i (outcome_to_string r.R.Scheduler.outcome)) par)
+    (List.map (fun (i, r) -> Printf.sprintf "%d:%s" i (outcome_to_string r.R.Scheduler.outcome)) par);
+  let grid =
+    R.Batch.jobs
+      (R.Batch.config
+         (W.Instances.General { lo = 1.0; hi = 6.0 })
+         ~ns:[ 8; 12 ] ~alphas:[ 0.5; 8.0 ] ~seeds:[ 1; 2 ])
+  in
+  let csv reports =
+    W.Report.runs_to_csv
+      (List.map
+         (fun (_, r) ->
+           match r.R.Scheduler.outcome with
+           | R.Scheduler.Completed run | R.Scheduler.Diverged run -> run
+           | R.Scheduler.Timeout | R.Scheduler.Crashed _ -> Alcotest.fail "a grid job did not run")
+         reports)
+  in
+  Alcotest.(check string) "Job.execute grid: scheduler csv = sequential csv"
+    (csv (R.Scheduler.run_sequential R.Job.execute grid))
+    (csv (R.Scheduler.run ~domains:2 R.Job.execute grid))
 
 let test_scheduler_crash_isolation_and_retry () =
   let attempts_seen = Array.init 12 (fun _ -> Atomic.make 0) in

@@ -538,6 +538,59 @@ let jbool key j =
   | Ok b -> b
   | Error m -> Alcotest.failf "field %S: %s" key m
 
+(* A healthy pool: one fault-free worker answers an eq-check and a best
+   response exactly as an in-process session does, and supervision
+   records a spawn and nothing else — no restart, no degraded job, no
+   breaker trip.  The worker's own jobs_done count proves the replies
+   crossed the process boundary rather than degrading in-process. *)
+let test_pool_healthy_matches_in_process () =
+  with_metrics (fun () ->
+      let names = [ "spawns"; "restarts"; "degraded_jobs"; "breaker_trips" ] in
+      let before = List.map (fun name -> Metric.Counter.value (counter name)) names in
+      let queries =
+        [
+          ("verdict", eq_job ~seed:2);
+          ("best-response", P.Best_response { model; n = 6; alpha = 2.0; seed = 2; agent = 1 });
+        ]
+      in
+      let replies session =
+        List.map
+          (fun (name, job) ->
+            let _, events = submit_and_finish session job in
+            Json.to_string (find_event name events))
+          queries
+      in
+      let pooled =
+        Session.create ~state_dir:(tmp_dir ())
+          ~pool:({ Pool.default_config with Pool.workers = 1 }, chaos_spawn ~seed:1 ())
+          ()
+      in
+      let from_pool = replies pooled in
+      let status =
+        match Session.pool_status pooled with
+        | Some status -> status
+        | None -> Alcotest.fail "session has a pool"
+      in
+      Session.drain pooled;
+      let in_process = Session.create ~state_dir:(tmp_dir ()) ~domains:2 () in
+      let local = replies in_process in
+      Session.drain in_process;
+      Alcotest.(check (list string)) "pool replies = in-process replies" local from_pool;
+      let delta =
+        List.map2 (fun name v0 -> (name, Metric.Counter.value (counter name) - v0)) names before
+      in
+      check_true "the pool spawned its worker" (List.assoc "spawns" delta >= 1);
+      List.iter
+        (fun name -> Alcotest.(check int) (name ^ " delta") 0 (List.assoc name delta))
+        [ "restarts"; "degraded_jobs"; "breaker_trips" ];
+      check_false "breaker closed" (jbool "breaker_open" status);
+      let jobs_done =
+        match Result.bind (Json.member "workers" status) Json.get_list with
+        | Ok workers -> List.fold_left (fun acc w -> acc + jint "jobs_done" w) 0 workers
+        | Error m -> Alcotest.failf "pool status has no workers: %s" m
+      in
+      Alcotest.(check int) "the worker answered every query" (List.length queries) jobs_done)
+
 let test_pool_kill_requeue () =
   with_metrics (fun () ->
       let requeues0 = Metric.Counter.value (counter "requeues") in
@@ -778,6 +831,7 @@ let suites =
         slow_case "hung worker killed at the budget deadline" test_pool_hang_times_out;
         slow_case "restart storm trips the breaker, jobs degrade" test_pool_breaker_degrades;
         slow_case "crash frames surface in status" test_pool_crash_frames_in_status;
+        slow_case "healthy pool answers like in-process" test_pool_healthy_matches_in_process;
       ] );
     ( "serve-stdio",
       [ slow_case "full protocol over channels" test_stdio_end_to_end ] );
