@@ -73,10 +73,9 @@ module Common = struct
     profile : bool;
     selfcheck : int option;
     strict_validate : bool;
-    dist_backend : Gncg_graph.Distances.spec option;
   }
 
-  type flag = Exec_flags | Trace | Profile | Selfcheck | Strict_validate | Dist_backend
+  type flag = Exec_flags | Trace | Profile | Selfcheck | Strict_validate
 
   let exec_conv =
     let parse s = Result.map_error (fun m -> `Msg m) (Gncg_util.Exec.of_string s) in
@@ -129,27 +128,10 @@ module Common = struct
                   generation): reject non-finite, non-positive, asymmetric, \
                   disconnected, or triangle-violating inputs with a typed error")
     in
-    let dist_backend_arg =
-      let backend_conv =
-        let parse s =
-          Result.map_error (fun m -> `Msg m) (Gncg_graph.Distances.spec_of_string s)
-        in
-        Arg.conv ~docv:"BACKEND"
-          (parse, fun fmt s -> Format.pp_print_string fmt (Gncg_graph.Distances.spec_to_string s))
-      in
-      Arg.(value
-           & opt (some backend_conv) None
-           & info [ "dist-backend" ] ~docv:"BACKEND"
-               ~doc:
-                 "distance storage backend: auto | dense | tree | rd.  \
-                  auto (default) picks an implicit oracle (no O(n²) matrix) when \
-                  the host geometry and network shape allow, dense otherwise; \
-                  mutating dynamics degrade oracle selections to dense")
-    in
-    Term.(const (fun exec domains trace profile selfcheck strict_validate dist_backend ->
-              { exec; domains; trace; profile; selfcheck; strict_validate; dist_backend })
+    Term.(const (fun exec domains trace profile selfcheck strict_validate ->
+              { exec; domains; trace; profile; selfcheck; strict_validate })
           $ exec_arg $ domains_arg $ trace_arg $ profile_arg $ selfcheck_arg
-          $ strict_validate_arg $ dist_backend_arg)
+          $ strict_validate_arg)
 
   (* Validates the provided flags against the verb's accept list, wires
      up tracing/profiling, and resolves the execution strategy
@@ -169,15 +151,10 @@ module Common = struct
     if c.selfcheck <> None && not (List.mem Selfcheck accepts) then reject "--selfcheck";
     if c.strict_validate && not (List.mem Strict_validate accepts) then
       reject "--strict-validate";
-    if c.dist_backend <> None && not (List.mem Dist_backend accepts) then
-      reject "--dist-backend";
     Printexc.record_backtrace true;
     Gncg_util.Parallel.set_default_domains c.domains;
     (match c.selfcheck with
     | Some n -> Gncg_graph.Incr_apsp.set_default_selfcheck n
-    | None -> ());
-    (match c.dist_backend with
-    | Some spec -> Gncg_graph.Distances.set_default_spec spec
     | None -> ());
     if c.strict_validate then Gncg_util.Gncg_error.set_strict_validation true;
     (match c.trace with Some path -> Gncg_obs.Obs.trace_to_file path | None -> ());
@@ -189,7 +166,7 @@ module Common = struct
     | Some exec -> exec
     | None -> Gncg_util.Exec.Par { domains = c.domains }
 
-  let all = [ Exec_flags; Trace; Profile; Selfcheck; Strict_validate; Dist_backend ]
+  let all = [ Exec_flags; Trace; Profile; Selfcheck; Strict_validate ]
 end
 
 (* --- sweep ----------------------------------------------------------- *)

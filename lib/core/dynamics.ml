@@ -131,10 +131,7 @@ let run cfg host start =
      candidate. *)
   let state =
     match (evaluator, rule) with
-    | `Incremental, (Greedy_response | Add_only) ->
-      (* Dynamics mutate the network, so a read-only oracle backend
-         (tree/rd) must degrade to dense — hence [require_mutable]. *)
-      Some (Net_state.create ~require_mutable:true host start)
+    | `Incremental, (Greedy_response | Add_only) -> Some (Net_state.create host start)
     | _ -> None
   in
   (* rowlocal.(u): u's latest "no improving move" verdict was decided with

@@ -162,34 +162,20 @@ module Tracker = struct
 
   type t = {
     kind : kind;
-    evaluator : Evaluator.t;
     st : Net_state.t;
     happy : Bytes.t;    (* cached per-agent verdict, '\001' = happy *)
     rowlocal : Bytes.t; (* verdict decided with zero what-if Dijkstras *)
     mutable last_reevaluated : int;
   }
 
-  (* The stateless [`Reference] scan never proves row-locality, so its
-     verdicts are re-derived on every refresh — correct (the dirty rule
-     treats non-row-local as always dirty), just without the skipping. *)
   let evaluate t u =
-    let happy, rl =
-      match t.evaluator with
-      | `Incremental ->
-        let best, rl =
-          Fast_response.best_move_state_verdict ~kinds:(kinds_of t.kind) t.st ~agent:u
-        in
-        (best = None, rl)
-      | `Reference ->
-        let current, best =
-          current_and_best t.kind (Net_state.host t.st) (Net_state.profile t.st) u
-        in
-        (Flt.le current best, false)
+    let best, rl =
+      Fast_response.best_move_state_verdict ~kinds:(kinds_of t.kind) t.st ~agent:u
     in
-    Bytes.unsafe_set t.happy u (if happy then '\001' else '\000');
+    Bytes.unsafe_set t.happy u (if best = None then '\001' else '\000');
     Bytes.unsafe_set t.rowlocal u (if rl then '\001' else '\000')
 
-  let create ?(evaluator = `Incremental) kind st =
+  let create kind st =
     (match kind with
     | NE -> invalid_arg "Equilibrium.Tracker.create: NE needs the best-response oracle"
     | GE | AE -> ());
@@ -200,7 +186,6 @@ module Tracker = struct
     let t =
       {
         kind;
-        evaluator;
         st;
         happy = Bytes.make n '\000';
         rowlocal = Bytes.make n '\000';
@@ -217,8 +202,6 @@ module Tracker = struct
   let state t = t.st
 
   let kind t = t.kind
-
-  let evaluator t = t.evaluator
 
   (* Same preservation rule as Dynamics.run: a cached verdict — happy or
      unhappy — is a pure replay of its inputs when it was row-local and

@@ -79,24 +79,17 @@ val pp_grievance : Format.formatter -> grievance -> unit
 module Tracker : sig
   type t
 
-  val create : ?evaluator:Evaluator.t -> kind -> Net_state.t -> t
+  val create : kind -> Net_state.t -> t
   (** Full initial scan of every agent.  The tracker holds onto the state
       (apply moves through {!Net_state.apply_move} on it, then
       {!refresh}); it drains any change report already pending.  Raises
       [Invalid_argument] for [NE] — single-move verdicts cover GE and AE
-      only.
-
-      [evaluator] (default [`Incremental]) selects the single-move
-      engine behind each verdict.  Both agree on every verdict
-      (property-tested), but only [`Incremental] produces row-locality
-      proofs, so [`Reference] re-evaluates every agent on each
-      {!refresh}. *)
+      only.  Each verdict comes from
+      {!Fast_response.best_move_state_verdict}. *)
 
   val state : t -> Net_state.t
 
   val kind : t -> kind
-
-  val evaluator : t -> Evaluator.t
 
   val refresh : t -> unit
   (** Re-evaluates exactly the agents whose cached verdict the change

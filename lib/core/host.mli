@@ -14,9 +14,8 @@ val check_n : int -> (int, string) result
 
 val make : ?geometry:Gncg_metric.Geometry.t -> alpha:float -> Gncg_metric.Metric.t -> t
 (** Requires {!check_alpha}.  An attached [?geometry] records the implicit
-    structure (tree / point set) the metric was tabulated from, letting
-    {!Net_state} select an oracle distance backend that never
-    materializes the O(n²) matrix; sizes must agree. *)
+    structure (tree / point set) the metric was tabulated from; sizes
+    must agree.  Nothing in the engine reads it. *)
 
 val metric : t -> Gncg_metric.Metric.t
 

@@ -1,17 +1,14 @@
 module Wgraph = Gncg_graph.Wgraph
-module Distances = Gncg_graph.Distances
+module Incr_apsp = Gncg_graph.Incr_apsp
 module Changed_rows = Gncg_graph.Changed_rows
-module Geometry = Gncg_metric.Geometry
 module Flt = Gncg_util.Flt
 module Metric = Gncg_obs.Metric
 
-(* Layer-2 probes: the cost-cache hit rate, the size of the change
-   reports flowing to the trackers above, and which distance backends
-   actually get selected. *)
+(* Layer-2 probes: the cost-cache hit rate and the size of the change
+   reports flowing to the trackers above. *)
 let c_cache_hits = Metric.Counter.make "net_state.cost_cache_hits"
 let c_cache_misses = Metric.Counter.make "net_state.cost_cache_misses"
 let c_moves_applied = Metric.Counter.make "net_state.moves_applied"
-let c_backend_fallbacks = Metric.Counter.make "net_state.backend_fallbacks"
 let h_report_rows = Metric.Histogram.make "net_state.change_report_rows"
 
 type changes = {
@@ -31,8 +28,7 @@ type scratch = {
 type t = {
   host : Host.t;
   mutable profile : Strategy.t;
-  dist : Distances.t;
-  net : Wgraph.t;               (* the built network G(s) *)
+  dist : Incr_apsp.t;           (* tracks the built network G(s) *)
   costs : float array;          (* per-agent cost cache *)
   cost_valid : Bytes.t;         (* 1 = costs.(u) is current *)
   mutable pending_rows : Changed_rows.t;  (* rows changed since last drain *)
@@ -44,64 +40,14 @@ type t = {
 let empty_scratch () =
   { targets = [||]; weights = [||]; sums = [||]; del_rows = [||]; del_for = [||] }
 
-(* --- backend selection -------------------------------------------------- *)
-
-(* Resolve a {!Distances.spec} against the host's geometry and the
-   network's shape.  [require_mutable] is set by callers that will push
-   add/remove updates through the state (dynamics): the implicit oracles
-   are read-only, so such callers degrade to dense with an obs-counted
-   fallback rather than raising mid-run. *)
-let resolve_backend spec ~require_mutable host g =
-  let n = Wgraph.n g in
-  let complete = Wgraph.m g = n * (n - 1) / 2 in
-  let dense () = Distances.dense g in
-  let fallback () =
-    Metric.Counter.incr c_backend_fallbacks;
-    dense ()
-  in
-  let rd_of_points points norm =
-    Distances.rd (Geometry.pnorm norm) points
-  in
-  match (spec : Distances.spec) with
-  | Dense -> dense ()
-  | Tree -> if require_mutable then fallback () else Distances.tree g
-  | Rd ->
-    if require_mutable then fallback ()
-    else (
-      match Host.geometry host with
-      | Some (Geometry.Points { points; norm }) when complete -> rd_of_points points norm
-      | Some (Geometry.Points _) ->
-        invalid_arg
-          "Net_state: the rd backend is exact only on complete networks \
-           (the host metric itself)"
-      | _ ->
-        invalid_arg "Net_state: the rd backend needs point-set geometry on the host")
-  | Auto ->
-    if require_mutable then dense ()
-    else (
-      match Host.geometry host with
-      | Some (Geometry.Tree tr)
-        when Wgraph.n g = Gncg_metric.Tree_metric.size tr
-             && Wgraph.equal g (Gncg_metric.Tree_metric.graph tr) ->
-        Distances.tree g
-      | Some (Geometry.Points { points; norm }) when complete -> rd_of_points points norm
-      | _ -> dense ())
-
-let create ?backend ?(require_mutable = false) host profile =
+let create ?require_mutable:_ host profile =
   if Strategy.n profile <> Host.n host then
     invalid_arg "Net_state.create: profile/host size mismatch";
   let n = Host.n host in
-  let g = Network.graph host profile in
-  let spec = match backend with Some s -> s | None -> Distances.default_spec () in
-  let dist = resolve_backend spec ~require_mutable host g in
-  (* Graph-backed backends adopt [g]; the rd oracle has no graph, so the
-     state keeps the network it built (read-only from then on). *)
-  let net = match Distances.graph dist with Some g' -> g' | None -> g in
   {
     host;
     profile;
-    dist;
-    net;
+    dist = Incr_apsp.of_graph_no_copy (Network.graph host profile);
     costs = Array.make n 0.0;
     cost_valid = Bytes.make n '\000';
     pending_rows = Changed_rows.create n;
@@ -114,26 +60,22 @@ let host t = t.host
 
 let profile t = t.profile
 
-let graph t = t.net
+let graph t = Incr_apsp.graph t.dist
 
-let distances t = t.dist
+let dist t u v = Incr_apsp.distance t.dist u v
 
-let backend_id t = Distances.backend_id t.dist
+let dist_row t u = Incr_apsp.row t.dist u
 
-let dist t u v = Distances.distance t.dist u v
+let dist_row_into t u dst = Incr_apsp.row_into t.dist u dst
 
-let dist_row t u = Distances.row t.dist u
+let agent_dist_sum t u = Incr_apsp.dist_sum t.dist u
 
-let dist_row_into t u dst = Distances.row_into t.dist u dst
-
-let agent_dist_sum t u = Distances.dist_sum t.dist u
-
-let dist_sum_with_edge t u v w = Distances.dist_sum_with_edge t.dist u v w
+let dist_sum_with_edge t u v w = Incr_apsp.dist_sum_with_edge t.dist u v w
 
 let dist_sums_with_edges t u targets weights k out =
-  Distances.dist_sums_with_edges t.dist u targets weights k out
+  Incr_apsp.dist_sums_with_edges t.dist u targets weights k out
 
-let min_sum_against t r v w = Distances.min_sum_against t.dist r v w
+let min_sum_against t r v w = Incr_apsp.min_sum_against t.dist r v w
 
 let scratch t = t.scratch
 
@@ -144,7 +86,7 @@ let agent_cost t u =
   end
   else begin
     Metric.Counter.incr c_cache_misses;
-    let c = Cost.agent_edge_cost t.host t.profile u +. Distances.dist_sum t.dist u in
+    let c = Cost.agent_edge_cost t.host t.profile u +. Incr_apsp.dist_sum t.dist u in
     Array.unsafe_set t.costs u c;
     Bytes.unsafe_set t.cost_valid u '\001';
     c
@@ -185,15 +127,13 @@ let has_pending_changes t =
   || not (Changed_rows.is_empty t.pending_rows)
 
 (* Network-level edge deltas.  An edge (a,b) is in the network iff either
-   side owns it; finite host weight is required, matching Network.graph.
-   On a read-only (oracle) backend these raise {!Distances.Unsupported} —
-   mutating callers must create the state with [~require_mutable:true]. *)
+   side owns it; finite host weight is required, matching Network.graph. *)
 let net_add t a b =
   let w = Host.weight t.host a b in
-  if Float.is_finite w && not (Wgraph.has_edge t.net a b) then
-    invalidate_rows t (Distances.add_edge t.dist a b w)
+  if Float.is_finite w && not (Wgraph.has_edge (graph t) a b) then
+    invalidate_rows t (Incr_apsp.add_edge t.dist a b w)
 
-let net_remove t a b = invalidate_rows t (Distances.remove_edge t.dist a b)
+let net_remove t a b = invalidate_rows t (Incr_apsp.remove_edge t.dist a b)
 
 let apply_move t ~agent mv =
   Metric.Counter.incr c_moves_applied;
@@ -222,11 +162,11 @@ let set_profile t s' =
   (* Removals first (against the edge list of the tracked graph), then
      additions from the new profile's ownership lists. *)
   let stale = ref [] in
-  Wgraph.iter_edges t.net (fun u v _ -> if not (in_new u v) then stale := (u, v) :: !stale);
+  Wgraph.iter_edges (graph t) (fun u v _ -> if not (in_new u v) then stale := (u, v) :: !stale);
   t.profile <- s';
   List.iter (fun (u, v) -> net_remove t u v) !stale;
   List.iter
-    (fun (u, v) -> if not (Wgraph.has_edge t.net u v) then net_add t u v)
+    (fun (u, v) -> if not (Wgraph.has_edge (graph t) u v) then net_add t u v)
     (Strategy.owned_edges s');
   (* Ownership may have moved arbitrarily even where the network did not:
      every cached verdict upstream is suspect. *)
@@ -235,38 +175,35 @@ let set_profile t s' =
 
 (* --- drift sentinel passthrough --- *)
 
-let set_selfcheck t n = Distances.set_selfcheck t.dist n
+let set_selfcheck t n = Incr_apsp.set_selfcheck t.dist n
 
-let selfcheck_cadence t = Distances.selfcheck_cadence t.dist
+let selfcheck_cadence t = Incr_apsp.selfcheck_cadence t.dist
 
 let selfcheck_now t =
-  let clean = Distances.selfcheck_now t.dist in
+  let clean = Incr_apsp.selfcheck_now t.dist in
   if not clean then begin
-    (* The backend repaired itself: every cached cost and every row
+    (* The store repaired itself: every cached cost and every row
        upstream is suspect. *)
     Bytes.fill t.cost_valid 0 (Bytes.length t.cost_valid) '\000';
     t.pending_full <- true
   end;
   clean
 
-let inject_distance_error t u v delta = Distances.inject_cell_error t.dist u v delta
+let inject_distance_error t u v delta = Incr_apsp.inject_cell_error t.dist u v delta
 
-let sssp_edited t ?remove ?add source = Distances.sssp_edited t.dist ?remove ?add source
+let sssp_edited t ?remove ?add source = Incr_apsp.sssp_edited t.dist ?remove ?add source
 
 let sssp_edited_into t ?remove ?add source dst =
-  Distances.sssp_edited_into t.dist ?remove ?add source dst
+  Incr_apsp.sssp_edited_into t.dist ?remove ?add source dst
 
 let sssp_edited_sum t ?remove ?add source =
-  Distances.sssp_edited_sum t.dist ?remove ?add source
+  Incr_apsp.sssp_edited_sum t.dist ?remove ?add source
 
 let copy t =
-  let dist = Distances.copy t.dist in
-  let net = match Distances.graph dist with Some g -> g | None -> Wgraph.copy t.net in
   {
     host = t.host;
     profile = t.profile;
-    dist;
-    net;
+    dist = Incr_apsp.copy t.dist;
     costs = Array.copy t.costs;
     cost_valid = Bytes.copy t.cost_valid;
     pending_rows = Changed_rows.copy t.pending_rows;
@@ -288,7 +225,7 @@ let check_consistent t =
      claims validity. *)
   for u = 0 to n - 1 do
     if Bytes.get t.cost_valid u = '\001' then begin
-      let fresh = Cost.agent_edge_cost t.host t.profile u +. Distances.dist_sum t.dist u in
+      let fresh = Cost.agent_edge_cost t.host t.profile u +. Incr_apsp.dist_sum t.dist u in
       if not (Flt.approx_eq t.costs.(u) fresh) then ok := false
     end
   done;

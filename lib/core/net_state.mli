@@ -3,10 +3,8 @@
     Response dynamics mutate the network one edge at a time; rebuilding
     [Network.graph] and re-running Dijkstra after every step is the
     engine's historic bottleneck.  A [Net_state.t] pairs the current
-    strategy profile with a {!Gncg_graph.Distances.t} backend tracking
-    its network — the dense incremental matrix by default, or (when the
-    host carries a {!Gncg_metric.Geometry.t} and the backend allows) an
-    implicit oracle that never materializes O(n²) floats — so that
+    strategy profile with a {!Gncg_graph.Incr_apsp.t} tracking its
+    network, so that
 
     - applying a move costs O(n²) (insertion) or one Dijkstra pass per
       affected source (deletion) instead of a full rebuild + APSP,
@@ -36,32 +34,10 @@ type changes = {
   full : bool;
 }
 
-val create :
-  ?backend:Gncg_graph.Distances.spec -> ?require_mutable:bool -> Host.t -> Strategy.t -> t
-(** Builds the network of the profile and a distance backend over it.
-
-    [?backend] defaults to {!Gncg_graph.Distances.default_spec} (the
-    CLI's [--dist-backend], [Auto] out of the box).  Resolution:
-    [Dense] wraps the network in the incremental APSP engine; [Tree]
-    requires the network to be a connected tree; [Rd] requires point-set
-    geometry on the host and a complete network;
-    [Auto] picks the tree oracle when the network {e is} the host's
-    tree, the R^d oracle when the network is complete over point-set
-    geometry, and dense otherwise.
-
-    [~require_mutable:true] (dynamics and anything else that will push
-    moves through the state) degrades read-only oracle selections to
-    dense — counted on [net_state.backend_fallbacks] — instead of
-    raising {!Gncg_graph.Distances.Unsupported} mid-run.
-
-    Dense cost: O(n · (m + n log n)) once, amortized over the run; the
-    oracles cost O(n log n) / O(n·d) and never allocate a matrix. *)
-
-val distances : t -> Gncg_graph.Distances.t
-(** The live distance backend (benches, tests, sentinel tooling). *)
-
-val backend_id : t -> string
-(** ["dense" | "tree" | "rd"]. *)
+val create : ?require_mutable:bool -> Host.t -> Strategy.t -> t
+(** Builds the network of the profile and its distance matrix:
+    O(n · (m + n log n)) once, amortized over the run.
+    [?require_mutable] has no effect; the store is always mutable. *)
 
 val host : t -> Host.t
 

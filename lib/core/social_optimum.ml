@@ -1,4 +1,5 @@
 module Wgraph = Gncg_graph.Wgraph
+module Incr_apsp = Gncg_graph.Incr_apsp
 module Metric = Gncg_metric.Metric
 module Flt = Gncg_util.Flt
 
@@ -84,7 +85,7 @@ let greedy_heuristic host =
         if Float.is_finite w && not (Wgraph.has_edge g u v) then begin
           let c =
             (alpha *. (edge_weight_total +. w))
-            +. Gncg_graph.Dist_matrix.total_with_edge_added dm u v w
+            +. Incr_apsp.total_with_edge_added dm u v w
           in
           let delta = c -. current in
           if delta < !best_delta -. Flt.eps then begin
@@ -114,17 +115,17 @@ let greedy_heuristic host =
   (* Phase 1 — additions only, the bulk of the walk from the MST: the
      distance matrix is maintained incrementally (one exact O(n^2) update
      per applied edge), so no shortest-path recomputation is needed. *)
-  let dm = ref (Gncg_graph.Dist_matrix.of_graph g) in
+  let dm = Incr_apsp.of_graph g in
   let weight_total = ref (Wgraph.total_weight g) in
-  let current = ref ((alpha *. !weight_total) +. Gncg_graph.Dist_matrix.total !dm) in
+  let current = ref ((alpha *. !weight_total) +. Incr_apsp.total dm) in
   let adding = ref true in
   while !adding do
-    match best_addition !dm !current !weight_total with
+    match best_addition dm !current !weight_total with
     | Some (u, v, w) ->
       Wgraph.add_edge g u v w;
-      Gncg_graph.Dist_matrix.add_edge !dm u v w;
+      ignore (Incr_apsp.add_edge dm u v w);
       weight_total := !weight_total +. w;
-      current := (alpha *. !weight_total) +. Gncg_graph.Dist_matrix.total !dm
+      current := (alpha *. !weight_total) +. Incr_apsp.total dm
     | None -> adding := false
   done;
   (* Phase 2 — full steepest descent over additions and removals; usually
@@ -133,7 +134,7 @@ let greedy_heuristic host =
   let improved = ref true in
   while !improved do
     improved := false;
-    let dm = Gncg_graph.Dist_matrix.of_graph g in
+    let dm = Incr_apsp.of_graph g in
     let current = Cost.network_social_cost host g in
     let add = best_addition dm current (Wgraph.total_weight g) in
     let remove = best_removal current in
@@ -142,7 +143,7 @@ let greedy_heuristic host =
       | None -> 0.0
       | Some (u, v, w) ->
         (alpha *. (Wgraph.total_weight g +. w))
-        +. Gncg_graph.Dist_matrix.total_with_edge_added dm u v w
+        +. Incr_apsp.total_with_edge_added dm u v w
         -. current
     in
     let delta_of_remove =

@@ -1,11 +1,5 @@
 (* The implicit description a host was generated from — the tree or the
-   point set — carried alongside (or instead of) the O(n²) tabulated
-   Metric.t, so the oracle distance backends can consume the structure
-   directly.  This is what breaks the dense wall: at n = 100k the tree
-   and point-set descriptions are a few MB where the matrix is 80 GB. *)
-
-module Distances = Gncg_graph.Distances
-module Pnorm = Gncg_graph.Pnorm
+   point set — carried alongside the tabulated Metric.t. *)
 
 type t =
   | Tree of Tree_metric.tree
@@ -31,24 +25,6 @@ let describe = function
       | Euclidean.L2 -> "l2"
       | Euclidean.Lp p -> Printf.sprintf "l%g" p
       | Euclidean.Linf -> "linf")
-
-let pnorm = function
-  | Euclidean.L1 -> Pnorm.L1
-  | Euclidean.L2 -> Pnorm.L2
-  | Euclidean.Lp p -> Pnorm.Lp p
-  | Euclidean.Linf -> Pnorm.Linf
-
-let norm_of_pnorm = function
-  | Pnorm.L1 -> Euclidean.L1
-  | Pnorm.L2 -> Euclidean.L2
-  | Pnorm.Lp p -> Euclidean.Lp p
-  | Pnorm.Linf -> Euclidean.Linf
-
-(* Oracle backends straight from the description — no Metric.t, no
-   matrix, no O(n²) step anywhere on this path. *)
-let to_distances = function
-  | Tree tr -> Distances.tree (Tree_metric.graph tr)
-  | Points { points; norm } -> Distances.rd (pnorm norm) points
 
 let to_metric = function
   | Tree tr -> Tree_metric.metric tr

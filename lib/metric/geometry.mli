@@ -1,11 +1,8 @@
 (** The implicit structure a host was generated from.
 
     Tree-metric and R^d hosts are defined by O(n) / O(n·d) descriptions
-    (the tree; the point set), yet {!Tree_metric.metric} /
-    {!Euclidean.metric} tabulate all O(n²) pairs.  A [Geometry.t]
-    carries the description itself so the implicit
-    {!Gncg_graph.Distances} backends can answer queries straight from
-    it — the only path that scales to n = 10⁴–10⁵. *)
+    (the tree; the point set); {!to_metric} tabulates all O(n²) pairs
+    from them. *)
 
 type t =
   | Tree of Tree_metric.tree
@@ -20,16 +17,5 @@ val n : t -> int
 
 val describe : t -> string
 
-val pnorm : Euclidean.norm -> Gncg_graph.Pnorm.t
-(** The mgraph-level norm of a metric-level one (same constructors; the
-    two types live on opposite sides of the library boundary). *)
-
-val norm_of_pnorm : Gncg_graph.Pnorm.t -> Euclidean.norm
-
-val to_distances : t -> Gncg_graph.Distances.t
-(** The oracle backend reading the description directly: {b no} O(n²)
-    materialization — tree → Euler-tour/LCA oracle, points → p-norm
-    oracle with a k-d index. *)
-
 val to_metric : t -> Metric.t
-(** The tabulated host ({e does} allocate all pairs — small n only). *)
+(** The tabulated host (allocates all O(n²) pairs). *)

@@ -22,9 +22,8 @@ let uniform_metric rng ~n ~lo ~hi =
   checked ~context:"Random_host.uniform_metric" ~require_metric:true
     (Metric.metric_closure (uniform rng ~n ~lo ~hi))
 
-(* Geometric hosts keep their implicit description: the callers that can
-   (oracle backends, large-n benches) consume the geometry directly and
-   never pay the O(n²) tabulation of [Geometry.to_metric]. *)
+(* Geometric hosts keep their implicit description next to the tabulated
+   metric; the [*_geometry] forms skip the O(n²) tabulation. *)
 
 let tree_geometry rng ~n ~wmin ~wmax =
   Geometry.tree (Tree_metric.random rng ~n ~wmin ~wmax)

@@ -21,11 +21,9 @@ val random_graph_metric :
 
 (** {1 Geometric hosts with their implicit description}
 
-    The historic generators tabulate all O(n²) pairs even though tree
-    and R^d hosts are defined by O(n)-size structure.  These variants
-    expose the {!Geometry.t} so oracle distance backends can consume the
-    description directly; the [*_geometry] forms never materialize a
-    matrix at all. *)
+    Tree and R^d hosts are defined by O(n)-size structure.  These
+    variants expose that structure as a {!Geometry.t}; the [*_geometry]
+    forms return it alone, without tabulating the O(n²) pairs. *)
 
 val tree_geometry :
   Gncg_util.Prng.t -> n:int -> wmin:float -> wmax:float -> Geometry.t

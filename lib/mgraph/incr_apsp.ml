@@ -40,8 +40,6 @@ let default_selfcheck = ref 0
 
 let set_default_selfcheck n = default_selfcheck := max 0 n
 
-let default_selfcheck_cadence () = !default_selfcheck
-
 (* Recomputes source row [s] through the scratch row. *)
 let fill_row t s =
   Flat_adj.sssp_into t.adj s t.scratch;
@@ -256,6 +254,57 @@ let min_sum_against t r v w =
     end
   done;
   if !any_inf then Float.infinity else !s
+
+(* --- whole-matrix totals ------------------------------------------------ *)
+
+let total t =
+  (* Kahan over the whole flat buffer; any infinite entry (disconnected
+     pair) makes the total infinite without reaching the compensation. *)
+  let len = t.n * t.n in
+  let s = ref 0.0 and c = ref 0.0 in
+  let any_inf = ref false in
+  for i = 0 to len - 1 do
+    let x = Float.Array.unsafe_get t.d i in
+    if x = Float.infinity then any_inf := true
+    else begin
+      let y = x -. !c in
+      let tt = !s +. y in
+      c := tt -. !s -. y;
+      s := tt
+    end
+  done;
+  if !any_inf then Float.infinity else !s
+
+(* [total] of the matrix [add_edge] would leave, without writing it: the
+   same three-routing minimum per entry, summed in [total]'s order. *)
+let total_with_edge_added t u v w =
+  check t u "total_with_edge_added";
+  check t v "total_with_edge_added";
+  let n = t.n in
+  if w >= Float.Array.get t.d ((u * n) + v) then total t
+  else begin
+    let ubase = u * n and vbase = v * n in
+    let s = ref 0.0 and c = ref 0.0 in
+    let any_inf = ref false in
+    for x = 0 to n - 1 do
+      let base = x * n in
+      let dxu = Float.Array.unsafe_get t.d (ubase + x)
+      and dxv = Float.Array.unsafe_get t.d (vbase + x) in
+      for y = 0 to n - 1 do
+        let via_uv = dxu +. w +. Float.Array.unsafe_get t.d (vbase + y) in
+        let via_vu = dxv +. w +. Float.Array.unsafe_get t.d (ubase + y) in
+        let d = fmin (Float.Array.unsafe_get t.d (base + y)) (fmin via_uv via_vu) in
+        if d = Float.infinity then any_inf := true
+        else begin
+          let y' = d -. !c in
+          let tt = !s +. y' in
+          c := tt -. !s -. y';
+          s := tt
+        end
+      done
+    done;
+    if !any_inf then Float.infinity else !s
+  end
 
 (* --- drift sentinel ---------------------------------------------------- *)
 

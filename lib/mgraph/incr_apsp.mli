@@ -90,6 +90,16 @@ val min_sum_against : t -> float array -> int -> float -> float
     insertion relaxation applied to a caller-held row [r] (typically a
     deletion what-if), used as an exact lower bound on swap what-ifs. *)
 
+val total : t -> float
+(** Kahan-compensated sum over all ordered pairs, row-major; infinite
+    when any pair is disconnected. *)
+
+val total_with_edge_added : t -> int -> int -> float -> float
+(** [total_with_edge_added t u v w] is the {!total} that [add_edge t u v w]
+    would leave, bit for bit, without touching the matrix: the same
+    insertion minimum per entry, summed in the same order.  O(n²), no
+    allocation; the inner loop of the social-optimum local search. *)
+
 val add_edge : t -> int -> int -> float -> Changed_rows.t
 (** Inserts the edge into the graph and updates all rows in O(n²) without
     allocating (beyond the returned report).  Returns exactly the rows
@@ -158,10 +168,6 @@ val set_default_selfcheck : int -> unit
 (** Process-wide default cadence applied to newly created engines — how
     the CLI's [--selfcheck N] reaches internally constructed instances.
     Set once at startup. *)
-
-val default_selfcheck_cadence : unit -> int
-(** The process-wide default cadence — consulted by every {!Distances}
-    backend at construction so [--selfcheck N] covers them uniformly. *)
 
 val inject_cell_error : t -> int -> int -> float -> unit
 (** [inject_cell_error t u v delta] perturbs the single maintained cell

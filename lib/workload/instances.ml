@@ -35,8 +35,7 @@ let default_models =
   ]
 
 (* Geometric models keep their implicit description alongside the
-   tabulated host, so Net_state can select an oracle distance backend
-   (no O(n²) matrix) when the network shape allows. *)
+   tabulated host. *)
 let random_geometry rng model ~n =
   match model with
   | Tree { wmin; wmax } ->

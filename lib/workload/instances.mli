@@ -16,17 +16,6 @@ val default_models : model list
 
 val random_metric : Gncg_util.Prng.t -> model -> n:int -> Gncg_metric.Metric.t
 
-val random_geometry :
-  Gncg_util.Prng.t -> model -> n:int -> Gncg_metric.Geometry.t option
-(** The implicit description alone for the geometric models ([Tree],
-    [Euclid]) — O(n) / O(n·d), no matrix; [None] for the others.  The
-    large-n path: feed it to {!Gncg_metric.Geometry.to_distances}. *)
-
-val random_metric_geometry :
-  Gncg_util.Prng.t -> model -> n:int -> Gncg_metric.Metric.t * Gncg_metric.Geometry.t option
-(** Tabulated host plus its description when one exists; {!random_host}
-    attaches it so oracle distance backends can be auto-selected. *)
-
 val validate_host : model -> Gncg.Host.t -> (unit, Gncg_util.Gncg_error.t) result
 (** {!Gncg.Host.validate} with the profile that fits the model family:
     exact triangle checks for 1-2 weights, [Flt]-tolerant for the

@@ -9,12 +9,6 @@ let test_bfs_reachable () =
   Alcotest.(check (array bool)) "reachable flags" [| true; true; false; false |]
     (Gncg_graph.Bfs.reachable g 0)
 
-let test_pairing_heap_empty_ops () =
-  let h = Gncg_graph.Pairing_heap.empty ~cmp:compare in
-  Alcotest.(check (option int)) "find_min empty" None (Gncg_graph.Pairing_heap.find_min h);
-  check_true "delete_min empty" (Gncg_graph.Pairing_heap.delete_min h = None);
-  Alcotest.(check int) "size empty" 0 (Gncg_graph.Pairing_heap.size h)
-
 let test_heap_priority_query () =
   let h = Gncg_graph.Binary_heap.create 4 in
   Alcotest.(check (option (float 0.0))) "absent" None (Gncg_graph.Binary_heap.priority h 2);
@@ -112,7 +106,6 @@ let suites =
     ( "coverage",
       [
         case "bfs reachable" test_bfs_reachable;
-        case "pairing heap empties" test_pairing_heap_empty_ops;
         case "heap priority query" test_heap_priority_query;
         case "table alignment" test_tablefmt_alignment;
         case "network distance helpers" test_network_distance_helpers;

@@ -3,7 +3,6 @@ module Prng = Gncg_util.Prng
 module Dyn = Gncg.Dynamics
 module Eq = Gncg.Equilibrium
 module Strategy = Gncg.Strategy
-module D = Gncg_graph.Distances
 
 let small_metric_host r ~n ~alpha =
   Gncg.Host.make ~alpha (Gncg_metric.Random_host.uniform_metric r ~n ~lo:1.0 ~hi:5.0)
@@ -146,32 +145,6 @@ let outcomes_identical a b =
     Strategy.equal p1 p2 && steps_equal s1 s2
   | _ -> false
 
-(* The incremental evaluator mutates its distance backend, so a read-only
-   oracle selection (tree, rd) must degrade to dense: the outcome is the
-   same bytes whatever the process-wide backend default.  Fresh scheduler
-   rngs per run keep the activation streams identical. *)
-let prop_backends_agree =
-  QCheck.Test.make ~count:40 ~name:"outcome identical across dist backends"
-    QCheck.(pair small_nat (int_range 1 2))
-    (fun (seed, backend_idx) ->
-      let host, start = random_game (seed + 37) ~n:8 in
-      let go spec =
-        let saved = D.default_spec () in
-        D.set_default_spec spec;
-        Fun.protect
-          ~finally:(fun () -> D.set_default_spec saved)
-          (fun () ->
-            let scheduler =
-              if seed mod 2 = 0 then Dyn.Round_robin
-              else Dyn.Random_order (Prng.create (7919 * seed))
-            in
-            Dyn.run
-              (Dyn.Config.make ~max_steps:3000 ~evaluator:`Incremental Dyn.Greedy_response
-                 scheduler)
-              host start)
-      in
-      outcomes_identical (go D.Dense) (go (List.nth [ D.Dense; D.Tree; D.Rd ] backend_idx)))
-
 (* --- collision-safe cycle detection ---
 
    [spec_run] is the run loop with its visited set keyed by
@@ -185,7 +158,7 @@ let spec_run ?(incremental = false) ~max_steps rule scheduler host start =
   let n = Strategy.n start in
   let kinds = match rule with Dyn.Add_only -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ] in
   let st =
-    if incremental then Some (Gncg.Net_state.create ~require_mutable:true host start) else None
+    if incremental then Some (Gncg.Net_state.create host start) else None
   in
   let attempt s u =
     match st with
@@ -437,7 +410,6 @@ let suites =
         slow_case "random improving Fig. 8 cycle" test_random_improving_fig8_cycle;
         case "config defaults" test_config_defaults;
         case "evaluator strings" test_evaluator_strings;
-        QCheck_alcotest.to_alcotest prop_backends_agree;
         case "colliding hash = canonical-key spec" test_colliding_hash_random_games;
         slow_case "colliding hash on the Fig. 8 host" test_colliding_hash_fig8;
       ] );

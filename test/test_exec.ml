@@ -72,36 +72,27 @@ let prop_seq_par_agree =
            (Gncg.Cost.social_cost host s)
            (Gncg.Cost.social_cost ~exec:par host s))
 
-(* Both tracker evaluators must produce identical verdicts, both on
-   the initial scan and across refreshes after local perturbations. *)
+(* The stateful tracker must report exactly the stateless scan's
+   unhappy agents, on the initial scan and after each refresh: agent 0
+   buys some currently-absent edge, then sells it again. *)
 let prop_tracker_evaluators_agree =
   QCheck.Test.make ~count:15 ~name:"tracker evaluators agree"
     QCheck.(pair (int_range 5 10) small_nat)
     (fun (n, seed) ->
       let host, s = instance ~n seed in
-      let trackers =
-        List.map
-          (fun evaluator ->
-            Gncg.Equilibrium.Tracker.create ~evaluator Gncg.Equilibrium.GE
-              (Gncg.Net_state.create host s))
-          [ `Incremental; `Reference ]
+      let tracker =
+        Gncg.Equilibrium.Tracker.create Gncg.Equilibrium.GE (Gncg.Net_state.create host s)
       in
+      let st = Gncg.Equilibrium.Tracker.state tracker in
       let agree () =
-        match
-          List.map
-            (fun t ->
-              ( Gncg.Equilibrium.Tracker.is_equilibrium t,
-                Gncg.Equilibrium.Tracker.unhappy t ))
-            trackers
-        with
-        | v :: rest -> List.for_all (( = ) v) rest
-        | [] -> true
+        let stateless =
+          Gncg.Equilibrium.unhappy_agents Gncg.Equilibrium.GE host (Gncg.Net_state.profile st)
+        in
+        Gncg.Equilibrium.Tracker.unhappy tracker = stateless
+        && Gncg.Equilibrium.Tracker.is_equilibrium tracker = (stateless = [])
       in
       let initial = agree () in
-      (* Perturb: agent 0 buys some currently-absent edge, everyone
-         refreshes, then the move is undone. *)
       let target =
-        let st = Gncg.Equilibrium.Tracker.state (List.hd trackers) in
         let rec find v =
           if v >= n then None
           else if Gncg.Move.addable host (Gncg.Net_state.profile st) ~agent:0 v then Some v
@@ -109,17 +100,17 @@ let prop_tracker_evaluators_agree =
         in
         find 1
       in
+      let after mv =
+        ignore (Gncg.Net_state.apply_move st ~agent:0 mv);
+        Gncg.Equilibrium.Tracker.refresh tracker;
+        agree ()
+      in
       let perturbed =
         match target with
         | None -> true
         | Some v ->
-          List.iter
-            (fun t ->
-              let st = Gncg.Equilibrium.Tracker.state t in
-              ignore (Gncg.Net_state.apply_move st ~agent:0 (Gncg.Move.Add v));
-              Gncg.Equilibrium.Tracker.refresh t)
-            trackers;
-          agree ()
+          let bought = after (Gncg.Move.Add v) in
+          bought && after (Gncg.Move.Delete v)
       in
       initial && perturbed)
 

@@ -7,7 +7,6 @@ module Prng = Gncg_util.Prng
 module Flt = Gncg_util.Flt
 module Wgraph = Gncg_graph.Wgraph
 module Dijkstra = Gncg_graph.Dijkstra
-module Dist_matrix = Gncg_graph.Dist_matrix
 module Incr_apsp = Gncg_graph.Incr_apsp
 module Changed_rows = Gncg_graph.Changed_rows
 module Strategy = Gncg.Strategy
@@ -31,26 +30,26 @@ let random_connected_graph r n =
   done;
   g
 
-(* --- flat Dist_matrix vs reference --- *)
+(* --- insertions vs reference --- *)
 
-let prop_dist_matrix_matches_reference seed =
+let prop_insertions_match_reference seed =
   let r = Prng.create (seed + 301) in
   let n = 4 + Prng.int r 8 in
   let g = random_connected_graph r n in
-  let m = Dist_matrix.of_graph g in
+  let m = Incr_apsp.of_graph g in
   let ok = ref true in
   for _ = 1 to 6 do
     let u = Prng.int r n and v = Prng.int r n in
     if u <> v && not (Wgraph.has_edge g u v) then begin
       let w = Prng.float_in r 0.5 9.0 in
       Wgraph.add_edge g u v w;
-      Dist_matrix.add_edge m u v w
+      ignore (Incr_apsp.add_edge m u v w)
     end
   done;
   let reference = Dijkstra.apsp g in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
-      if not (Flt.approx_eq ~tol:1e-6 (Dist_matrix.distance m u v) reference.(u).(v)) then
+      if not (Flt.approx_eq ~tol:1e-6 (Incr_apsp.distance m u v) reference.(u).(v)) then
         ok := false
     done
   done;
@@ -162,16 +161,15 @@ let random_sparse_graph r n =
   g
 
 (* After every add or remove of a random sequence, the maintained matrix
-   is bitwise the Float.min reference (and so is Dist_matrix's insertion
-   update, fed the same additions from the same start). *)
+   is bitwise the Float.min reference, and before every add the fused
+   total is bitwise both the reference's sum after the add and [total]
+   after the materialized add. *)
 let prop_incr_apsp_matches_float_min seed =
   let r = Prng.create (seed + 305) in
   let n = 3 + Prng.int r 10 in
   let incr = Incr_apsp.of_graph (random_sparse_graph r n) in
   let g = Incr_apsp.graph incr in
   let reference = Incr_apsp.matrix incr in
-  let dm = Dist_matrix.of_matrix (Incr_apsp.matrix incr) in
-  let dm_reference = Incr_apsp.matrix incr in
   let ok = ref true in
   for _ = 1 to 14 do
     let u = Prng.int r n and v = Prng.int r n in
@@ -182,19 +180,12 @@ let prop_incr_apsp_matches_float_min seed =
         remove_reference reference g u v w
       | None ->
         let w = Prng.float_in r 0.5 9.0 in
+        let fused = Incr_apsp.total_with_edge_added incr u v w in
         ignore (Incr_apsp.add_edge incr u v w);
         relax_reference reference u v w;
-        let total = Dist_matrix.total_with_edge_added dm u v w in
-        Dist_matrix.add_edge dm u v w;
-        relax_reference dm_reference u v w;
-        let flat = Array.concat (Array.to_list dm_reference) in
-        if not (same_bits total (Flt.sum flat)) then ok := false;
-        for x = 0 to n - 1 do
-          for y = 0 to n - 1 do
-            if not (same_bits (Dist_matrix.distance dm x y) dm_reference.(x).(y)) then
-              ok := false
-          done
-        done);
+        let flat = Array.concat (Array.to_list reference) in
+        if not (same_bits fused (Flt.sum flat) && same_bits fused (Incr_apsp.total incr))
+        then ok := false);
       if not (matrices_bitwise (Incr_apsp.matrix incr) reference) then ok := false
     end
   done;
@@ -229,6 +220,45 @@ let prop_insertion_kernels_match_float_min seed =
   done;
   !ok
 
+(* The batched insertion sum is the single-target kernel, bit for bit,
+   for every k in 0..9 (every remainder mod 4).  The graph is often
+   disconnected and some weights are infinite, so infinite lanes sit
+   among finite ones.  Entries from k on are left alone, and the store
+   counts one add kernel per sum. *)
+let prop_batched_sums_match_single seed =
+  let r = Prng.create (seed + 809) in
+  let n = 2 + Prng.int r 14 in
+  let incr = Incr_apsp.of_graph (random_sparse_graph r n) in
+  let kernels () =
+    match Gncg_obs.Metric.find_counter "incr_apsp.add_kernels" with
+    | Some c -> Gncg_obs.Metric.Counter.value c
+    | None -> 0
+  in
+  Gncg_obs.Obs.set_profiling true;
+  Fun.protect
+    ~finally:(fun () -> Gncg_obs.Obs.set_profiling false)
+    (fun () ->
+      List.for_all
+        (fun k ->
+          let u = Prng.int r n in
+          let targets = Array.init (k + 2) (fun _ -> Prng.int r n) in
+          let weights =
+            Array.init (k + 2) (fun _ ->
+                if Prng.int r 6 = 0 then Float.infinity else Prng.float_in r 0.0 9.0)
+          in
+          let out = Array.make (k + 2) Float.nan in
+          let before = kernels () in
+          Incr_apsp.dist_sums_with_edges incr u targets weights k out;
+          kernels () - before = k
+          && List.for_all
+               (fun i ->
+                 if i < k then
+                   same_bits out.(i)
+                     (Incr_apsp.dist_sum_with_edge incr u targets.(i) weights.(i))
+                 else Float.is_nan out.(i))
+               (List.init (k + 2) Fun.id))
+        (List.init 10 Fun.id))
+
 (* --- streaming min-sum reference vs the materialized sum --- *)
 
 let prop_sum_min_add_matches_naive seed =
@@ -262,18 +292,19 @@ let test_total_with_edge_added_infinity () =
   let g = Wgraph.create 4 in
   Wgraph.add_edge g 0 1 1.0;
   Wgraph.add_edge g 2 3 1.0;
-  let m = Dist_matrix.of_graph g in
-  Alcotest.(check bool) "disconnected total" true (Dist_matrix.total m = Float.infinity);
+  let m = Incr_apsp.of_graph g in
+  Alcotest.(check bool) "disconnected total" true (Incr_apsp.total m = Float.infinity);
   (* Bridging the components makes every pair finite; the fused total
      must agree with the materialized update. *)
-  let fused = Dist_matrix.total_with_edge_added m 1 2 2.0 in
-  let materialized = Dist_matrix.total (Dist_matrix.with_edge_added m 1 2 2.0) in
+  let fused = Incr_apsp.total_with_edge_added m 1 2 2.0 in
+  let bridged = Incr_apsp.copy m in
+  ignore (Incr_apsp.add_edge bridged 1 2 2.0);
   Alcotest.(check bool) "bridged total finite" true (Float.is_finite fused);
-  Alcotest.(check (float 1e-9)) "fused = materialized" materialized fused;
+  Alcotest.(check (float 0.0)) "fused = materialized" (Incr_apsp.total bridged) fused;
   (* A useless edge leaves the total infinite. *)
   Alcotest.(check bool)
     "parallel edge keeps inf" true
-    (Dist_matrix.total_with_edge_added m 0 1 5.0 = Float.infinity)
+    (Incr_apsp.total_with_edge_added m 0 1 5.0 = Float.infinity)
 
 (* --- the deterministic star instance for the skipping guarantees ---
 
@@ -392,8 +423,8 @@ let suites =
   [
     ( "flat-distance-engine",
       [
-        qtest ~count:25 "flat Dist_matrix = reference" seed_gen
-          prop_dist_matrix_matches_reference;
+        qtest ~count:25 "flat insertions = reference" seed_gen
+          prop_insertions_match_reference;
         qtest ~count:25 "change reports are exact" seed_gen prop_changed_rows_exact;
         qtest ~count:50 "sum_min_add = naive" seed_gen prop_sum_min_add_matches_naive;
         qtest ~count:25 "dist_sum_with_edge kernel" seed_gen prop_dist_sum_with_edge_matches;
@@ -401,6 +432,7 @@ let suites =
           prop_incr_apsp_matches_float_min;
         qtest ~count:40 "insertion kernels = Float.min, bitwise" seed_gen
           prop_insertion_kernels_match_float_min;
+        qtest "batched insertion sums = single" seed_gen prop_batched_sums_match_single;
         Alcotest.test_case "fused total: infinity" `Quick test_total_with_edge_added_infinity;
         Alcotest.test_case "tracker: partial refresh" `Quick test_tracker_partial_refresh;
         Alcotest.test_case "dynamics: clean agents skipped" `Quick

@@ -3,7 +3,6 @@ module Wgraph = Gncg_graph.Wgraph
 module Dijkstra = Gncg_graph.Dijkstra
 module Fw = Gncg_graph.Floyd_warshall
 module Heap = Gncg_graph.Binary_heap
-module Pheap = Gncg_graph.Pairing_heap
 
 (* --- Wgraph ------------------------------------------------------------ *)
 
@@ -102,23 +101,6 @@ let test_heap_duplicate_insert () =
   Heap.insert h 0 1.0;
   Alcotest.check_raises "duplicate" (Invalid_argument "Binary_heap.insert: duplicate id")
     (fun () -> Heap.insert h 0 2.0)
-
-(* --- Pairing heap ------------------------------------------------------- *)
-
-let test_pairing_heap_sorts () =
-  let r = rng 6 in
-  let xs = List.init 300 (fun _ -> Gncg_util.Prng.int r 1000) in
-  let h = Pheap.of_list ~cmp:compare xs in
-  Alcotest.(check int) "size" 300 (Pheap.size h);
-  Alcotest.(check (list int)) "sorted" (List.sort compare xs) (Pheap.to_sorted_list h)
-
-let test_pairing_heap_merge () =
-  let a = Pheap.of_list ~cmp:compare [ 5; 1; 9 ] in
-  let b = Pheap.of_list ~cmp:compare [ 3; 7 ] in
-  let m = Pheap.merge a b in
-  Alcotest.(check (list int)) "merged sorted" [ 1; 3; 5; 7; 9 ] (Pheap.to_sorted_list m);
-  Alcotest.(check (option int)) "find_min" (Some 1) (Pheap.find_min m);
-  check_true "empty is empty" (Pheap.is_empty (Pheap.empty ~cmp:compare))
 
 (* --- Shortest paths ----------------------------------------------------- *)
 
@@ -304,8 +286,6 @@ let suites =
         case "decrease key" test_heap_decrease;
         case "insert_or_decrease" test_heap_insert_or_decrease;
         case "duplicate insert rejected" test_heap_duplicate_insert;
-        case "pairing heap sorts" test_pairing_heap_sorts;
-        case "pairing heap merge" test_pairing_heap_merge;
       ] );
     ( "graph.shortest-paths",
       [

@@ -36,12 +36,13 @@ let test_spanner_guards () =
   raises_invalid "t < 1" (fun () -> Gncg_graph.Spanner.greedy 4 (fun _ _ -> 1.0) 0.5)
 
 let test_dist_matrix_guards () =
-  let m = Gncg_graph.Dist_matrix.of_graph (Gncg_graph.Wgraph.create 3) in
-  raises_invalid "self loop" (fun () -> Gncg_graph.Dist_matrix.add_edge m 1 1 1.0);
-  raises_invalid "range" (fun () -> ignore (Gncg_graph.Dist_matrix.distance m 0 9));
-  raises_invalid "negative weight" (fun () -> Gncg_graph.Dist_matrix.add_edge m 0 1 (-3.0));
-  raises_invalid "non-square" (fun () ->
-      ignore (Gncg_graph.Dist_matrix.of_matrix [| [| 0.0 |]; [| 0.0; 1.0 |] |]))
+  let m = Gncg_graph.Incr_apsp.of_graph (Gncg_graph.Wgraph.create 3) in
+  raises_invalid "self loop" (fun () -> ignore (Gncg_graph.Incr_apsp.add_edge m 1 1 1.0));
+  raises_invalid "range" (fun () -> ignore (Gncg_graph.Incr_apsp.distance m 0 9));
+  raises_invalid "negative weight" (fun () ->
+      ignore (Gncg_graph.Incr_apsp.add_edge m 0 1 (-3.0)));
+  raises_invalid "total_with_edge_added range" (fun () ->
+      ignore (Gncg_graph.Incr_apsp.total_with_edge_added m 0 9 1.0))
 
 let test_generator_guards () =
   let r = rng 2 in

@@ -303,7 +303,7 @@ let prop_evaluator_matches_spec seed =
   Fun.protect
     ~finally:(fun () -> Gncg_obs.Obs.set_profiling false)
     (fun () ->
-      let st = Net_state.create ~require_mutable:true host s in
+      let st = Net_state.create host s in
       let ok = ref (all_verdicts_agree (Net_state.create host s)) in
       for _ = 1 to 4 do
         if !ok && all_verdicts_agree st then begin

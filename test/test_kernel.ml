@@ -1,4 +1,4 @@
-(* The flat-adjacency SSSP kernel behind every distance store.  Its rows
+(* The flat-adjacency SSSP kernel behind the distance store.  Its rows
    must equal the reference Dijkstra's exactly (bitwise, not within a
    tolerance), before and after arbitrary edits; a bounded pass must settle
    exactly the values below its envelope; copies must not share
@@ -11,7 +11,6 @@ module Wgraph = Gncg_graph.Wgraph
 module Dijkstra = Gncg_graph.Dijkstra
 module Flat_adj = Gncg_graph.Flat_adj
 module Incr_apsp = Gncg_graph.Incr_apsp
-module D = Gncg_graph.Distances
 
 let seed_gen = QCheck.small_nat
 
@@ -105,31 +104,20 @@ let prop_copy_is_independent seed =
   let g = random_tie_graph r in
   let n = Wgraph.n g in
   let e = Incr_apsp.of_graph g in
-  let dd = D.dense (Wgraph.copy g) in
   let removal s = (s, (s + 1) mod n) in
   let whatifs () = Array.init n (fun s -> Incr_apsp.sssp_edited e ~remove:(removal s) s) in
-  let dwhatifs () = Array.init n (fun s -> D.sssp_edited dd ~remove:(removal s) s) in
   let rows0 = Incr_apsp.matrix e and whatifs0 = whatifs () in
-  let drows0 = D.matrix dd and dwhatifs0 = dwhatifs () in
-  let c = Incr_apsp.copy e and dc = D.copy dd in
+  let c = Incr_apsp.copy e in
   for _ = 1 to 15 do
     let u = Prng.int r n and v = Prng.int r n in
     if u <> v then begin
       ignore (Incr_apsp.sssp_edited c ~remove:(u, v) ~add:(v, (v + 1) mod n, 1.0) u);
-      ignore (D.sssp_edited_sum dc ~remove:(u, v) u);
-      if Wgraph.has_edge (Incr_apsp.graph c) u v then begin
-        ignore (Incr_apsp.remove_edge c u v);
-        ignore (D.remove_edge dc u v)
-      end
-      else begin
-        let w = tie_weight r in
-        ignore (Incr_apsp.add_edge c u v w);
-        ignore (D.add_edge dc u v w)
-      end
+      ignore (Incr_apsp.sssp_edited_sum c ~remove:(u, v) u);
+      if Wgraph.has_edge (Incr_apsp.graph c) u v then ignore (Incr_apsp.remove_edge c u v)
+      else ignore (Incr_apsp.add_edge c u v (tie_weight r))
     end
   done;
-  Incr_apsp.matrix e = rows0 && whatifs () = whatifs0 && D.matrix dd = drows0
-  && dwhatifs () = dwhatifs0
+  Incr_apsp.matrix e = rows0 && whatifs () = whatifs0
 
 (* --- bounded passes ------------------------------------------------------- *)
 
@@ -236,37 +224,33 @@ let prop_bounded_pass seed =
 let cycle4 () =
   Wgraph.of_edges 4 [ (0, 1, 1.0); (1, 2, 2.0); (2, 3, 1.0); (3, 0, 2.0) ]
 
-let path4 () = Wgraph.of_edges 4 [ (0, 1, 1.0); (1, 2, 2.0); (2, 3, 1.0) ]
-
-let check_failed_whatif_restores name store =
-  let g = match D.graph store with Some g -> Wgraph.copy g | None -> assert false in
-  let sum0 = D.sssp_edited_sum store 0 in
+let test_failed_whatif_restores () =
+  let store = Incr_apsp.of_graph (cycle4 ()) in
+  let g = Wgraph.copy (Incr_apsp.graph store) in
+  let sum0 = Incr_apsp.sssp_edited_sum store 0 in
   let raises f =
     match f () with
-    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+    | () -> Alcotest.fail "expected Invalid_argument"
     | exception Invalid_argument _ -> ()
   in
+  let whatif_sum ?remove ?add () = Incr_apsp.sssp_edited_sum store ?remove ?add 0 in
   (* Row too short for the store. *)
-  raises (fun () -> D.sssp_edited_into store ~remove:(0, 1) 0 (Array.make 2 0.0));
+  raises (fun () -> Incr_apsp.sssp_edited_into store ~remove:(0, 1) 0 (Array.make 2 0.0));
   (* A removal paired with an invalid addition. *)
-  raises (fun () -> ignore (D.sssp_edited_sum store ~remove:(0, 1) ~add:(2, 2, 1.0) 0));
-  raises (fun () -> ignore (D.sssp_edited_sum store ~remove:(0, 1) ~add:(0, 2, -1.0) 0));
-  raises (fun () -> ignore (D.sssp_edited_sum store ~remove:(0, 1) ~add:(0, 9, 1.0) 0));
-  Alcotest.(check bool) (name ^ ": graph unchanged") true
-    (Wgraph.equal g (Option.get (D.graph store)));
-  Alcotest.(check (float 0.0)) (name ^ ": unedited what-if") sum0 (D.sssp_edited_sum store 0);
-  Alcotest.(check (float 0.0)) (name ^ ": what-if = dist_sum") (D.dist_sum store 0)
-    (D.sssp_edited_sum store 0);
+  raises (fun () -> ignore (whatif_sum ~remove:(0, 1) ~add:(2, 2, 1.0) ()));
+  raises (fun () -> ignore (whatif_sum ~remove:(0, 1) ~add:(0, 2, -1.0) ()));
+  raises (fun () -> ignore (whatif_sum ~remove:(0, 1) ~add:(0, 9, 1.0) ()));
+  Alcotest.(check bool) "graph unchanged" true (Wgraph.equal g (Incr_apsp.graph store));
+  Alcotest.(check (float 0.0)) "unedited what-if" sum0 (whatif_sum ());
+  Alcotest.(check (float 0.0)) "what-if = dist_sum" (Incr_apsp.dist_sum store 0) (whatif_sum ());
   Alcotest.(check (array (float 0.0)))
-    (name ^ ": removal what-if") (Dijkstra.sssp
+    "removal what-if"
+    (Dijkstra.sssp
        (let g' = Wgraph.copy g in
         Wgraph.remove_edge g' 0 1;
         g')
        0)
-    (D.sssp_edited store ~remove:(0, 1) 0)
-
-let test_failed_whatif_dense () = check_failed_whatif_restores "dense" (D.dense (cycle4 ()))
-let test_failed_whatif_tree () = check_failed_whatif_restores "tree" (D.tree (path4 ()))
+    (Incr_apsp.sssp_edited store ~remove:(0, 1) 0)
 
 (* --- allocation guard ------------------------------------------------- *)
 
@@ -281,8 +265,7 @@ let warmed_words round =
    on [n] vertices. *)
 let whatif_words n =
   let g = Helpers.random_graph (Prng.create 1305) n n in
-  let store = D.dense g in
-  let g = Option.get (D.graph store) in
+  let store = Incr_apsp.of_graph_no_copy g in
   let nb = match Wgraph.neighbors g 0 with (v, _) :: _ -> v | [] -> assert false in
   let far = ref 1 in
   while Wgraph.has_edge g 0 !far do
@@ -291,25 +274,23 @@ let whatif_words n =
   let far = !far in
   let dst = Array.make n 0.0 in
   let round () =
-    ignore (D.sssp_edited_sum store 0);
-    ignore (D.sssp_edited_sum store ~remove:(0, nb) 0);
-    ignore (D.sssp_edited_sum store ~remove:(0, nb) ~add:(0, far, 1.5) 0);
-    D.sssp_edited_into store 0 dst;
-    D.sssp_edited_into store ~remove:(0, nb) 0 dst;
-    D.sssp_edited_into store ~remove:(0, nb) ~add:(0, far, 1.5) 0 dst
+    ignore (Incr_apsp.sssp_edited_sum store 0);
+    ignore (Incr_apsp.sssp_edited_sum store ~remove:(0, nb) 0);
+    ignore (Incr_apsp.sssp_edited_sum store ~remove:(0, nb) ~add:(0, far, 1.5) 0);
+    Incr_apsp.sssp_edited_into store 0 dst;
+    Incr_apsp.sssp_edited_into store ~remove:(0, nb) 0 dst;
+    Incr_apsp.sssp_edited_into store ~remove:(0, nb) ~add:(0, far, 1.5) 0 dst
   in
   warmed_words round
 
-(* The same for the dense store's row kernels: each call boxes its float
-   result through the [Distances] pack (2 words), and nothing grows with
-   n. *)
+(* The same for the store's row kernels: nothing grows with n. *)
 let row_kernel_words n =
-  let store = D.dense (Helpers.random_graph (Prng.create 1306) n n) in
-  let against = D.row store (n - 1) in
+  let store = Incr_apsp.of_graph_no_copy (Helpers.random_graph (Prng.create 1306) n n) in
+  let against = Incr_apsp.row store (n - 1) in
   let round () =
-    ignore (Sys.opaque_identity (D.dist_sum store 0));
-    ignore (Sys.opaque_identity (D.dist_sum_with_edge store 0 (n / 2) 1.5));
-    ignore (Sys.opaque_identity (D.min_sum_against store against 0 1.5))
+    ignore (Sys.opaque_identity (Incr_apsp.dist_sum store 0));
+    ignore (Sys.opaque_identity (Incr_apsp.dist_sum_with_edge store 0 (n / 2) 1.5));
+    ignore (Sys.opaque_identity (Incr_apsp.min_sum_against store against 0 1.5))
   in
   warmed_words round
 
@@ -330,8 +311,7 @@ let suites =
         qtest ~count:20 "copies are independent" seed_gen prop_copy_is_independent;
         qtest ~count:100 "bounded pass = spec; below a closed envelope = full pass" seed_gen
           prop_bounded_pass;
-        Alcotest.test_case "failed what-if restores dense" `Quick test_failed_whatif_dense;
-        Alcotest.test_case "failed what-if restores tree" `Quick test_failed_whatif_tree;
+        Alcotest.test_case "failed what-if restores dense" `Quick test_failed_whatif_restores;
         Alcotest.test_case "what-if allocation independent of n" `Quick
           test_whatif_allocation_constant;
       ] );

@@ -226,22 +226,22 @@ let prop_dist_matrix_insertion seed =
   for i = 1 to n - 1 do
     Wgraph.add_edge g i (Prng.int r i) (Prng.float_in r 0.5 5.0)
   done;
-  let m = Gncg_graph.Dist_matrix.of_graph g in
+  let updated = Gncg_graph.Incr_apsp.of_graph g in
   let u = Prng.int r n and v = Prng.int r n in
   if u = v || Wgraph.has_edge g u v then true
   else begin
     let w = Prng.float_in r 0.1 4.0 in
-    let updated = Gncg_graph.Dist_matrix.with_edge_added m u v w in
+    ignore (Gncg_graph.Incr_apsp.add_edge updated u v w);
     Wgraph.add_edge g u v w;
-    let reference = Gncg_graph.Dist_matrix.of_graph g in
+    let reference = Gncg_graph.Incr_apsp.of_graph g in
     let ok = ref true in
     for x = 0 to n - 1 do
       for y = 0 to n - 1 do
         if
           not
             (Gncg_util.Flt.approx_eq ~tol:1e-9
-               (Gncg_graph.Dist_matrix.distance updated x y)
-               (Gncg_graph.Dist_matrix.distance reference x y))
+               (Gncg_graph.Incr_apsp.distance updated x y)
+               (Gncg_graph.Incr_apsp.distance reference x y))
         then ok := false
       done
     done;

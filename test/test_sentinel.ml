@@ -151,8 +151,35 @@ let test_dynamics_transparent_under_sentinel () =
   check_float "stable cost unchanged" cost_plain cost_checked;
   Alcotest.(check int) "step count unchanged" steps_plain steps_checked
 
+(* Inject -> detect -> repair on a tree: the probe loop may sample rows,
+   so it is repeated n times; once the fault is caught the engine must
+   probe clean and agree with a fresh Dijkstra everywhere. *)
+let test_sentinel_dense () =
+  let n = 12 in
+  let graph () =
+    Gncg_graph.Generators.random_tree (rng 21) ~n ~wmin:1.0 ~wmax:10.0
+  in
+  let t = Incr.of_graph (graph ()) in
+  check_true "dense clean probe" (Incr.selfcheck_now t);
+  Incr.inject_cell_error t 1 3 0.5;
+  let detected = ref false in
+  for _ = 1 to n do
+    if not (Incr.selfcheck_now t) then detected := true
+  done;
+  check_true "dense detects injected fault" !detected;
+  check_true "dense healed" (Incr.selfcheck_now t);
+  let reference = Dijkstra.apsp (graph ()) in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if not (approx (Incr.distance t u v) reference.(u).(v)) then
+        Alcotest.failf "dense after repair: d(%d,%d) = %g, oracle %g" u v
+          (Incr.distance t u v) reference.(u).(v)
+    done
+  done
+
 let suites =
   [
+    ("distances-sentinel", [ case "sentinel dense" test_sentinel_dense ]);
     ( "sentinel",
       [
         case "single-cell perturbation detected in one window"
