@@ -16,9 +16,9 @@ let gain_between cur_cost cost' =
 (* State-based evaluation: no graph build, no SSSP for the mover or for
    addition targets — their rows live in the state's flat matrix, so an
    addition is one streaming O(n) kernel with no row materialized.
-   Deletions and swaps still need one what-if Dijkstra each (removal
-   invalidates the precomputed rows), run through the state's scratch
-   buffers (no fresh heap, no fresh rows). *)
+   Deletions and swaps still need one what-if pass each (removal
+   invalidates the precomputed rows), settled from the mover's live row
+   in the state's scratch buffers (no fresh heap, no fresh rows). *)
 let move_gains_state ?kinds st ~agent =
   let host = Net_state.host st in
   let s = Net_state.profile st in

@@ -59,7 +59,9 @@ let min_sum_reached row row_sum h reached k tmp =
      row(G + ut) = min(row(G), row(H_t))
      row(G - uo + ut) = min(row(G - uo), row(H_t)).
    Per agent: one pass on G, one what-if per sold owned edge and one
-   bounded pass per H_t; a swap is one minimum and sum.
+   bounded pass per H_t; a swap is one minimum and sum.  Each what-if
+   starts from a copy of row(G), which [Flat_adj.sssp_edited_into]
+   settles into the fresh pass's row bit for bit.
 
    The H_t passes settle only values below the envelope R, the entrywise
    maximum of row(G) and every row they are min'ed with.  Past its first
@@ -103,8 +105,8 @@ let fold_gains ?(kinds = [ `Add; `Delete; `Swap ]) adj host s ~agent f init =
           if Strategy.owns s o agent || not (Flat_adj.has_edge adj agent o) then cur
           else begin
             Metric.Counter.incr c_whatifs;
-            let row = Array.make n 0.0 in
-            Flat_adj.sssp_edited_into adj ~remove:(agent, o) agent row;
+            let row = Array.copy cur in
+            ignore (Flat_adj.sssp_edited_into adj ~remove:(agent, o) agent row);
             row
           end)
         owned

@@ -8,7 +8,8 @@
     private copy, so one network per profile can serve every agent's
     scan, sequential or parallel.  Per agent the
     scan runs one shortest-path pass on the network, one what-if per sold
-    owned edge and one bounded pass per addable target, and assembles
+    owned edge (settled from the network's row) and one bounded pass per
+    addable target, and assembles
     every moved row, swaps included, as an entrywise minimum of two rows.
     A target's pass settles only the vertices whose value lies below the
     envelope, the entrywise maximum of the rows it is min'ed with; every

@@ -2,7 +2,9 @@
    plus the scratch of one indexed binary heap.  The heap stores vertex
    ids only and orders them by the output row being written, so the SSSP
    loop below passes no float across a function call, returns no option
-   or tuple and builds no closure: it allocates nothing. *)
+   or tuple and builds no closure: it allocates nothing.  [settle_into]'s
+   reset queue and membership flags are sized on its first call, so an
+   adjacency that never settles a row never pays for them. *)
 
 type t = {
   n : int;
@@ -13,6 +15,8 @@ type t = {
   pos : int array;                (* vertex id -> heap slot, or -1 *)
   no_bound : float array;         (* +inf everywhere: [sssp_into]'s bound *)
   ids : int array;                (* [sssp_into]'s reached ids, unread *)
+  mutable queue : int array;      (* [settle_into]'s reset vertices *)
+  mutable mark : Bytes.t;         (* [settle_into]'s reset flags, all '\000' between calls *)
 }
 
 let create n =
@@ -26,6 +30,8 @@ let create n =
     pos = Array.make (max n 1) (-1);
     no_bound = Array.make n Float.infinity;
     ids = Array.make n 0;
+    queue = [||];
+    mark = Bytes.empty;
   }
 
 let check t u name =
@@ -162,14 +168,53 @@ let sift_down heap pos (dist : float array) size =
   Array.unsafe_set heap !i v;
   Array.unsafe_set pos v !i
 
-(* Dijkstra from a seeded source, with one more test per relaxation: a
-   value not strictly below [bound] is never written, so such a vertex is
-   never pushed and stays +inf.  Every pushed vertex is settled, and its
-   id is recorded once, when it is first pushed.  [sssp_into] is this
-   loop under an all-+inf bound: on dyn-greedy-n100, whose time is mostly
-   [sssp_into], a separate unbounded loop measured no faster (op_ms
-   171.9 ms against 173.9 ms, medians of 10 alternating pairs on a 2-core
-   x86-64 VM, each side faster in 5 of them). *)
+(* The Dijkstra loop over a heap holding [size] vertices, each keyed on
+   its [dist] entry, with one more test per relaxation: a value not
+   strictly below [bound] is never written, so such a vertex is never
+   pushed.  A vertex is recorded in [reached] once, when first pushed;
+   [count] entries are already there.  Pops come in nondecreasing order
+   (each relaxation yields fl(du + w) >= du), so a popped vertex is never
+   improved.  Returns the new count. *)
+let drain t ~bound (dist : float array) reached count size =
+  let heap = t.heap and pos = t.pos in
+  let count = ref count and size = ref size in
+  while !size > 0 do
+    let u = Array.unsafe_get heap 0 in
+    Array.unsafe_set pos u (-1);
+    decr size;
+    if !size > 0 then begin
+      Array.unsafe_set heap 0 (Array.unsafe_get heap !size);
+      sift_down heap pos dist !size
+    end;
+    let du = Array.unsafe_get dist u in
+    let nb = Array.unsafe_get t.nbr u and wt = Array.unsafe_get t.wt u in
+    for i = 0 to Array.unsafe_get t.deg u - 1 do
+      let v = Array.unsafe_get nb i in
+      let dv = du +. Float.Array.unsafe_get wt i in
+      if dv < Array.unsafe_get dist v && dv < Array.unsafe_get bound v then begin
+        Array.unsafe_set dist v dv;
+        let slot = Array.unsafe_get pos v in
+        (* A popped vertex is never improved, so [slot < 0] here is a
+           first push. *)
+        if slot < 0 then begin
+          Array.unsafe_set reached !count v;
+          incr count;
+          Array.unsafe_set heap !size v;
+          sift_up heap pos dist !size;
+          incr size
+        end
+        else sift_up heap pos dist slot
+      end
+    done
+  done;
+  !count
+
+(* Dijkstra from a seeded source under [bound].  Every pushed vertex is
+   settled.  [sssp_into] is this loop under an all-+inf bound: on
+   dyn-greedy-n100, whose time is mostly [sssp_into], a separate
+   unbounded loop measured no faster (op_ms 171.9 ms against 173.9 ms,
+   medians of 10 alternating pairs on a 2-core x86-64 VM, each side
+   faster in 5 of them). *)
 let sssp_bounded_into t ~src ~start ~bound dist reached =
   let n = t.n in
   check t src "sssp_bounded_into";
@@ -179,42 +224,11 @@ let sssp_bounded_into t ~src ~start ~bound dist reached =
     invalid_arg "Flat_adj.sssp_bounded_into: negative start";
   if not (start < Array.unsafe_get bound src) then 0
   else begin
-    let heap = t.heap and pos = t.pos in
     Array.unsafe_set dist src start;
-    Array.unsafe_set heap 0 src;
-    Array.unsafe_set pos src 0;
+    Array.unsafe_set t.heap 0 src;
+    Array.unsafe_set t.pos src 0;
     Array.unsafe_set reached 0 src;
-    let count = ref 1 and size = ref 1 in
-    while !size > 0 do
-      let u = Array.unsafe_get heap 0 in
-      Array.unsafe_set pos u (-1);
-      decr size;
-      if !size > 0 then begin
-        Array.unsafe_set heap 0 (Array.unsafe_get heap !size);
-        sift_down heap pos dist !size
-      end;
-      let du = Array.unsafe_get dist u in
-      let nb = Array.unsafe_get t.nbr u and wt = Array.unsafe_get t.wt u in
-      for i = 0 to Array.unsafe_get t.deg u - 1 do
-        let v = Array.unsafe_get nb i in
-        let dv = du +. Float.Array.unsafe_get wt i in
-        if dv < Array.unsafe_get dist v && dv < Array.unsafe_get bound v then begin
-          Array.unsafe_set dist v dv;
-          let slot = Array.unsafe_get pos v in
-          (* A settled vertex is never improved, so [slot < 0] here is a
-             first push. *)
-          if slot < 0 then begin
-            Array.unsafe_set reached !count v;
-            incr count;
-            Array.unsafe_set heap !size v;
-            sift_up heap pos dist !size;
-            incr size
-          end
-          else sift_up heap pos dist slot
-        end
-      done
-    done;
-    !count
+    drain t ~bound dist reached 1 1
   end
 
 let sssp_into t s dist =
@@ -224,7 +238,139 @@ let sssp_into t s dist =
   Array.fill dist 0 n Float.infinity;
   ignore (sssp_bounded_into t ~src:s ~start:0.0 ~bound:t.no_bound dist t.ids)
 
+(* Let D be [sssp_into]'s row: the least float length of a path from s,
+   summed edge by edge.  A guess r with r(s) = 0 is repaired in four
+   steps, each over the vertices the previous one names.
+
+   1. The local test.  A vertex x <> s passes when no edge offers it
+      less, fl(r(p) + w) >= r(x) for every edge (p, x), and a finite
+      r(x) has a strict exact predecessor: an edge (p, x) with
+      r(p) < r(x) = fl(r(p) + w).  The rest fail.
+   2. The reset set R: the failing vertices and, transitively, their
+      tight children (y with r(x) < r(y) = fl(r(x) + w)).
+   3. Every vertex of R is set to +inf, then seeded with the least
+      offer of its neighbours and pushed when finite.
+   4. The Dijkstra loop runs from those seeds; it may also lower a
+      vertex outside R, which it then pushes and settles like any other.
+
+   Why the result is D, bit for bit.  Outside R, every strict exact
+   predecessor of a finite vertex lies outside R too (else the vertex
+   would be a tight child of R), so following them walks strictly down
+   to s: r(x) is the float length of a path, hence >= D(x), and +inf is
+   >= D(x) as well.  The seeds and every relaxation are offers from
+   values >= D, and D(x) <= fl(D(p) + w) on every edge, so the loop
+   never goes below D.  Conversely, when the loop stops, every edge
+   (p, x) with x <> s has f(x) <= fl(f(p) + w): between two vertices
+   outside R that the loop left alone by the local test, into R by the
+   seed, and out of any vertex the loop popped by its relaxation.  With
+   f(s) = 0, induction along the path that attains D(x), through the
+   monotone x -> fl(x + w), gives f(x) <= D(x). *)
+let settle_into t s (row : float array) =
+  let n = t.n in
+  check t s "settle_into";
+  if Array.length row < n then invalid_arg "Flat_adj.settle_into: row too short";
+  if not (Array.unsafe_get row s = 0.0) then begin
+    sssp_into t s row;
+    n
+  end
+  else begin
+    (* A -0 source entry passes the test above; D's is +0. *)
+    Array.unsafe_set row s 0.0;
+    if Array.length t.queue < n then begin
+      t.queue <- Array.make n 0;
+      t.mark <- Bytes.make n '\000'
+    end;
+    let queue = t.queue and mark = t.mark in
+    let k = ref 0 in
+    for x = 0 to n - 1 do
+      if x <> s then begin
+        let rx = Array.unsafe_get row x in
+        let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
+        let deg = Array.unsafe_get t.deg x in
+        let i = ref 0 and lower = ref false and pred = ref false in
+        while !i < deg && not !lower do
+          let rp = Array.unsafe_get row (Array.unsafe_get nb !i) in
+          let offer = rp +. Float.Array.unsafe_get wt !i in
+          if offer < rx then lower := true else if offer = rx && rp < rx then pred := true;
+          incr i
+        done;
+        if !lower || not (!pred || rx = Float.infinity) then begin
+          Bytes.unsafe_set mark x '\001';
+          Array.unsafe_set queue !k x;
+          incr k
+        end
+      end
+    done;
+    if !k = 0 then 0
+    else begin
+      let head = ref 0 in
+      while !head < !k do
+        let x = Array.unsafe_get queue !head in
+        incr head;
+        let rx = Array.unsafe_get row x in
+        if rx < Float.infinity then begin
+          let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
+          for i = 0 to Array.unsafe_get t.deg x - 1 do
+            let y = Array.unsafe_get nb i in
+            (* The source is pinned at 0: a negative guess can make it a
+               tight child. *)
+            if y <> s && Bytes.unsafe_get mark y = '\000' then begin
+              let ry = Array.unsafe_get row y in
+              if rx < ry && rx +. Float.Array.unsafe_get wt i = ry then begin
+                Bytes.unsafe_set mark y '\001';
+                Array.unsafe_set queue !k y;
+                incr k
+              end
+            end
+          done
+        end
+      done;
+      let k = !k in
+      for i = 0 to k - 1 do
+        let x = Array.unsafe_get queue i in
+        Array.unsafe_set row x Float.infinity;
+        Bytes.unsafe_set mark x '\000'
+      done;
+      let heap = t.heap and pos = t.pos and reached = t.ids in
+      let size = ref 0 in
+      for i = 0 to k - 1 do
+        let x = Array.unsafe_get queue i in
+        let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
+        let m = ref Float.infinity in
+        for j = 0 to Array.unsafe_get t.deg x - 1 do
+          let offer = Array.unsafe_get row (Array.unsafe_get nb j) +. Float.Array.unsafe_get wt j in
+          if offer < !m then m := offer
+        done;
+        if !m < Float.infinity then begin
+          Array.unsafe_set row x !m;
+          Array.unsafe_set reached !size x;
+          Array.unsafe_set heap !size x;
+          sift_up heap pos row !size;
+          incr size
+        end
+      done;
+      let pushed = drain t ~bound:t.no_bound row reached !size !size in
+      (* Every pushed vertex ends finite and every unpushed one of R at
+         +inf: [pushed] plus those counts R and each vertex lowered
+         outside it. *)
+      let unreached = ref 0 in
+      for i = 0 to k - 1 do
+        if Array.unsafe_get row (Array.unsafe_get queue i) = Float.infinity then incr unreached
+      done;
+      pushed + !unreached
+    end
+  end
+
 (* --- what-if passes ------------------------------------------------------ *)
+
+(* A what-if edits the source's own edges, so its settle resets the whole
+   region the sold edge served, about a third of the row on random
+   geometric networks.  Below this size the heap costs too little for the
+   settle's scan of every edge to pay: per what-if from the unedited row,
+   a plain pass took 1.4 us against 2.0 us at n = 20, they tied at
+   n = 32, split by host model at n = 48, and the settle won from n = 64
+   on (greedy-converged networks, 2-core x86-64 VM). *)
+let whatif_settle_min_n = 64
 
 let sssp_edited_into t ?remove ?add s dst =
   check t s "sssp_edited_into";
@@ -260,4 +406,9 @@ let sssp_edited_into t ?remove ?add s dst =
     ~finally:(fun () ->
       Option.iter (fun (u, v) -> remove_edge t u v) added;
       Option.iter (fun (u, v, w) -> add_edge t u v w) removed)
-    (fun () -> sssp_into t s dst)
+    (fun () ->
+      if t.n < whatif_settle_min_n then begin
+        sssp_into t s dst;
+        t.n
+      end
+      else settle_into t s dst)

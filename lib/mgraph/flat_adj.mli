@@ -66,12 +66,38 @@ val sssp_bounded_into :
 val isolate : t -> int -> unit
 (** Removes every edge at the vertex. *)
 
+val settle_into : t -> int -> float array -> int
+(** [settle_into t s row] turns any [row.(0 .. n-1)] with [row.(s) = 0]
+    into exactly the row {!sssp_into} would write, bit for bit, and works
+    only where the guess is wrong (or tied across a zero-weight edge,
+    which gives no strict predecessor).  Each {!sssp_into} distance is the
+    least float path sum, so that row is the least fixed point of
+    [r(x) = min_p fl(r(p) + w(p,x))] with [r(s) = 0].  A vertex other
+    than [s] passes when no edge offers it less and, if its value is
+    finite, some edge [(p,x)] is a strict exact predecessor:
+    [r(p) < r(x) = fl(r(p) + w)].  The failing vertices and, transitively,
+    their tight children are reset to [+inf], seeded from their
+    neighbours and settled by the Dijkstra loop, which also lowers any
+    other vertex it improves.  The test costs one look at each edge; a
+    guess that passes everywhere is left as it is.  When [row.(s)] is
+    not [0] (NaN included) the call is a plain {!sssp_into}.  Returns
+    the number of vertices reset or lowered ([n] for a plain pass).
+    Allocation-free once warm: the first call sizes a reset queue and
+    flag array of [n] entries each, kept by the adjacency.  Raises
+    [Invalid_argument] when [s] is out of range or the row is shorter
+    than [n]. *)
+
 val sssp_edited_into :
-  t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit
+  t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> int
 (** {!sssp_into} on a hypothetical edit: the edge [remove] taken out
     and/or the edge [add] put in, then both undone.  An absent removal
     or an already-present addition is ignored; the removal applies
-    first.  Every argument is checked before the first edit, and the
+    first.  The prior contents of [dst] are a starting guess for
+    {!settle_into}, which runs on the edited adjacency: the result does
+    not depend on them, but a guess close to the edited row (the source's
+    row before the edit) makes the pass cheap.  Below 64 vertices the
+    guess is ignored and a plain {!sssp_into} runs, which measured faster
+    there.  Returns {!settle_into}'s count ([n] for a plain pass).  Every argument is checked before the first edit, and the
     edits are undone even if the pass raises, so the adjacency always
     leaves with the edge set it came with (neighbour order may differ,
     which no result depends on). *)

@@ -12,6 +12,7 @@ let c_rows_changed = Metric.Counter.make "incr_apsp.rows_changed"
 let c_deletions = Metric.Counter.make "incr_apsp.deletions"
 let c_deletion_rows_recomputed = Metric.Counter.make "incr_apsp.deletion_rows_recomputed"
 let c_whatif_sssp = Metric.Counter.make "incr_apsp.whatif_sssp"
+let c_settled_vertices = Metric.Counter.make "incr_apsp.settled_vertices"
 let c_add_kernels = Metric.Counter.make "incr_apsp.add_kernels"
 let c_selfcheck_probes = Metric.Counter.make "incr_apsp.selfcheck_probes"
 let c_selfcheck_mismatches = Metric.Counter.make "incr_apsp.selfcheck_mismatches"
@@ -25,7 +26,6 @@ type t = {
   snap_u : Float.Array.t;     (* row snapshots for the insertion update *)
   snap_v : Float.Array.t;
   scratch : float array;      (* reusable row for what-if / recompute passes *)
-  mutable last_recomputed : int;
   (* Drift sentinel: every [selfcheck_every] updates (0 = off), cross-check
      the matrix and self-heal by rebuilding on a mismatch. *)
   mutable selfcheck_every : int;
@@ -64,7 +64,6 @@ let of_graph_no_copy g =
       snap_u = Float.Array.create n;
       snap_v = Float.Array.create n;
       scratch = Array.make n Float.infinity;
-      last_recomputed = 0;
       selfcheck_every = !default_selfcheck;
       selfcheck_countdown = (if !default_selfcheck > 0 then !default_selfcheck else 0);
       selfcheck_cursor = 0;
@@ -445,7 +444,7 @@ let remove_edge t u v =
   let n = t.n in
   let changed = Changed_rows.create n in
   (match Wgraph.weight t.g u v with
-  | None -> t.last_recomputed <- 0
+  | None -> ()
   | Some w ->
     Wgraph.remove_edge t.g u v;
     Flat_adj.remove_edge t.adj u v;
@@ -457,10 +456,13 @@ let remove_edge t u v =
        differently than Dijkstra would, so a genuinely used edge can be
        off by ulps.  The tolerance only over-approximates the affected
        set (extra recomputes), never misses a used edge.  Each affected
-       row is recomputed into the preallocated scratch by the flat
-       adjacency's allocation-free kernel and written back only where it
-       differs, so the change report is exact on the recomputed set. *)
-    let recomputed = ref 0 in
+       row is copied into the preallocated scratch and settled there from
+       its own stored values: the kernel resets only the vertices whose
+       value the removal (or an earlier insertion's rounding) left
+       unsupported, and returns [sssp_into]'s row bit for bit.  The row
+       is written back only where it differs, so the change report is
+       exact on the recomputed set. *)
+    let recomputed = ref 0 and settled = ref 0 in
     for s = 0 to n - 1 do
       let base = s * n in
       let dsu = Float.Array.unsafe_get t.d (base + u)
@@ -469,7 +471,10 @@ let remove_edge t u v =
         Gncg_util.Flt.approx_eq (dsu +. w) dsv
         || Gncg_util.Flt.approx_eq (dsv +. w) dsu
       then begin
-        Flat_adj.sssp_into t.adj s t.scratch;
+        for x = 0 to n - 1 do
+          Array.unsafe_set t.scratch x (Float.Array.unsafe_get t.d (base + x))
+        done;
+        settled := !settled + Flat_adj.settle_into t.adj s t.scratch;
         let differs = ref false in
         for x = 0 to n - 1 do
           let fresh = Array.unsafe_get t.scratch x in
@@ -482,22 +487,31 @@ let remove_edge t u v =
         incr recomputed
       end
     done;
-    t.last_recomputed <- !recomputed;
     Metric.Counter.add c_deletion_rows_recomputed !recomputed;
+    Metric.Counter.add c_settled_vertices !settled;
     Metric.Counter.add c_rows_changed (Changed_rows.cardinal changed));
   tick_selfcheck t changed;
   changed
 
-let last_deletion_recomputed t = t.last_recomputed
-
 (* --- what-if evaluation --- *)
 
 (* The edit lives only in the flat adjacency, for the length of one
-   kernel pass; the graph and the matrix are never touched. *)
+   kernel pass; the graph and the matrix are never touched.  The pass
+   settles [dst] from the source's live row, which differs from the
+   edited row only where the edit reaches. *)
+let settle_edited t ?remove ?add source dst =
+  let base = source * t.n in
+  for x = 0 to t.n - 1 do
+    Array.unsafe_set dst x (Float.Array.unsafe_get t.d (base + x))
+  done;
+  Metric.Counter.incr c_whatif_sssp;
+  Metric.Counter.add c_settled_vertices
+    (Flat_adj.sssp_edited_into t.adj ?remove ?add source dst)
+
 let sssp_edited_into t ?remove ?add source dst =
   check t source "sssp_edited_into";
-  Metric.Counter.incr c_whatif_sssp;
-  Flat_adj.sssp_edited_into t.adj ?remove ?add source dst
+  if Array.length dst < t.n then invalid_arg "Incr_apsp.sssp_edited_into: row too short";
+  settle_edited t ?remove ?add source dst
 
 let sssp_edited t ?remove ?add source =
   check t source "sssp_edited";
@@ -507,8 +521,7 @@ let sssp_edited t ?remove ?add source =
 
 let sssp_edited_sum t ?remove ?add source =
   check t source "sssp_edited_sum";
-  Metric.Counter.incr c_whatif_sssp;
-  Flat_adj.sssp_edited_into t.adj ?remove ?add source t.scratch;
+  settle_edited t ?remove ?add source t.scratch;
   Gncg_util.Flt.sum t.scratch
 
 let copy t =
@@ -521,7 +534,6 @@ let copy t =
       snap_u = Float.Array.create t.n;
       snap_v = Float.Array.create t.n;
       scratch = Array.make t.n Float.infinity;
-      last_recomputed = t.last_recomputed;
       selfcheck_every = t.selfcheck_every;
       selfcheck_countdown = t.selfcheck_countdown;
       selfcheck_cursor = t.selfcheck_cursor;

@@ -13,8 +13,10 @@
     - {e deletion} recomputes only the {e affected sources}: a source [s]
       whose shortest paths may use [(u,v)] must have the edge tight, i.e.
       [d(s,u) + w = d(s,v)] or [d(s,v) + w = d(s,u)].  Rows of unaffected
-      sources are provably unchanged; each affected row costs one pass of
-      the allocation-free {!Flat_adj} kernel.
+      sources are provably unchanged; each affected row is settled from its
+      own stored values by {!Flat_adj.settle_into}, which re-settles only
+      the vertices the removal left unsupported and returns the fresh
+      Dijkstra row bit for bit.
 
     Distances are never NaN and never -0: each is a sum of non-negative
     edge weights, or +inf when unreachable, no kernel subtracts two
@@ -109,20 +111,19 @@ val add_edge : t -> int -> int -> float -> Changed_rows.t
 
 val remove_edge : t -> int -> int -> Changed_rows.t
 (** Removes the edge (no-op when absent) and recomputes the rows of
-    affected sources only, through the flat-adjacency kernel and the
-    preallocated scratch row.  Returns exactly the recomputed rows that differ
-    from their previous contents. *)
-
-val last_deletion_recomputed : t -> int
-(** Number of source rows the most recent {!remove_edge} recomputed —
-    instrumentation for benches and tests. *)
+    affected sources only, each settled from its stored values in the
+    preallocated scratch row by {!Flat_adj.settle_into}.  Returns exactly
+    the recomputed rows that differ from their previous contents.  The
+    [incr_apsp.deletion_rows_recomputed] counter counts the rows, and
+    [incr_apsp.settled_vertices] the vertices they re-settled. *)
 
 val sssp_edited : t -> ?remove:int * int -> ?add:int * int * float -> int -> float array
 (** Single-source distances on a hypothetical edit of the tracked graph
     (one edge removed and/or one added), without touching the maintained
-    matrix: the flat adjacency is edited, measured, and restored, also
-    when the pass raises.  Absent removals and already-present additions
-    are ignored.  The what-if primitive of single-move evaluation; not
+    matrix: the flat adjacency is edited, the source's live row is
+    settled on it ({!Flat_adj.settle_into}, bit for bit a fresh pass),
+    and the edit is undone, also when the pass raises.  Absent removals
+    and already-present additions are ignored.  The what-if primitive of single-move evaluation; not
     thread-safe. *)
 
 val sssp_edited_into :

@@ -1,7 +1,8 @@
 (* The flat-adjacency SSSP kernel behind the distance store.  Its rows
    must equal the reference Dijkstra's exactly (bitwise, not within a
    tolerance), before and after arbitrary edits; a bounded pass must settle
-   exactly the values below its envelope; copies must not share
+   exactly the values below its envelope; a settled guess must become the
+   full pass's row bit for bit, whatever the guess; copies must not share
    adjacency with their originals; a what-if that raises must leave the
    store as it found it; and a warmed what-if or row kernel must allocate
    a constant amount, independent of n. *)
@@ -18,11 +19,12 @@ let qtest ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
 (* Integer weights 1-3 make equal-length paths common, some edges weigh
-   0, and about one vertex in six is isolated. *)
+   0, and about one vertex in six is isolated.  Graphs have 2 to [max_n]
+   vertices. *)
 let tie_weight r = if Prng.coin r 0.1 then 0.0 else float_of_int (1 + Prng.int r 3)
 
-let random_tie_graph r =
-  let n = 2 + Prng.int r 30 in
+let random_tie_graph ?(max_n = 31) r =
+  let n = 2 + Prng.int r (max_n - 1) in
   let g = Wgraph.create n in
   let isolated = Array.init n (fun _ -> Prng.coin r 0.15) in
   for _ = 1 to 2 * n do
@@ -31,6 +33,8 @@ let random_tie_graph r =
     then Wgraph.add_edge g u v (tie_weight r)
   done;
   g
+
+let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let rows_equal g adj =
   let row = Array.make (Wgraph.n g) 0.0 in
@@ -75,10 +79,11 @@ let prop_kernel_tracks_edits seed =
   !ok
 
 (* A dense-store what-if equals Dijkstra on an edited copy of the graph,
-   bitwise, and leaves the store's own rows alone. *)
+   bitwise, and leaves the store's own rows alone.  Graphs reach past the
+   size where what-ifs start settling the live row. *)
 let prop_whatif_equals_reference seed =
   let r = Prng.create (seed + 1303) in
-  let g = random_tie_graph r in
+  let g = random_tie_graph ~max_n:100 r in
   let n = Wgraph.n g in
   let e = Incr_apsp.of_graph g in
   let before = Incr_apsp.matrix e in
@@ -195,7 +200,6 @@ let prop_bounded_pass seed =
   let n = Wgraph.n g in
   let adj = Flat_adj.of_wgraph g in
   let dist = Array.make n Float.infinity and reached = Array.make n (-1) in
-  let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
   let ok = ref true in
   for _ = 1 to 12 do
     let src = Prng.int r n in
@@ -216,6 +220,111 @@ let prop_bounded_pass seed =
     for i = 0 to k - 1 do
       dist.(reached.(i)) <- Float.infinity
     done
+  done;
+  !ok && rows_equal g adj
+
+(* --- settling a guessed row ----------------------------------------------- *)
+
+(* A guess at [exact], the full row from [s]: the row itself, every entry
+   one ulp off, raised, lowered below the true distance (negative
+   included), one entry at +inf, every entry at +inf, or each entry
+   perturbed its own way.  The source entry stays 0, as +0 or -0. *)
+let adversarial_guess r s exact =
+  let n = Array.length exact in
+  let one_ulp f = if Prng.coin r 0.5 then Float.succ f else Float.pred f in
+  let raise_ f = f +. if Prng.coin r 0.5 then tie_weight r else Prng.float r 3.0 in
+  let lower f =
+    if f = Float.infinity then Prng.float r 5.0
+    else f -. if Prng.coin r 0.5 then 1.0 +. tie_weight r else Prng.float r 3.0
+  in
+  let mixed f =
+    match Prng.int r 6 with
+    | 0 -> one_ulp f
+    | 1 -> raise_ f
+    | 2 -> lower f
+    | 3 -> Float.infinity
+    | _ -> f
+  in
+  let guess =
+    match Prng.int r 7 with
+    | 0 -> Array.copy exact
+    | 1 -> Array.map one_ulp exact
+    | 2 -> Array.map raise_ exact
+    | 3 -> Array.map lower exact
+    | 4 ->
+      let g = Array.copy exact in
+      g.(Prng.int r n) <- Float.infinity;
+      g
+    | 5 -> Array.make n Float.infinity
+    | _ -> Array.map mixed exact
+  in
+  guess.(s) <- (if Prng.coin r 0.5 then 0.0 else -0.0);
+  guess
+
+(* From any guess with a zero source entry, [settle_into] writes the
+   full pass's row, bitwise; a guess whose source entry is not zero gets
+   a plain pass.  It reports at most n vertices, and none only when the
+   guess already was that row off the source.  Without zero weights every
+   finite vertex of the row has a strict predecessor, so an exact guess
+   then costs no work.  A full pass afterwards still equals Dijkstra, so
+   the heap scratch is left clean. *)
+let prop_settle_equals_full_pass seed =
+  let r = Prng.create (seed + 1307) in
+  let g = random_tie_graph r in
+  let n = Wgraph.n g in
+  let adj = Flat_adj.of_wgraph g in
+  let positive = ref true in
+  Wgraph.iter_edges g (fun _ _ w -> if w = 0.0 then positive := false);
+  let positive = !positive in
+  let exact = Array.make n 0.0 in
+  let ok = ref true in
+  for _ = 1 to 12 do
+    let s = Prng.int r n in
+    Flat_adj.sssp_into adj s exact;
+    let guess = adversarial_guess r s exact in
+    if Prng.coin r 0.1 then guess.(s) <- (if Prng.coin r 0.5 then Float.infinity else 1.0);
+    let row = Array.copy guess in
+    let k = Flat_adj.settle_into adj s row in
+    if not (Array.for_all2 bits_eq row exact) then ok := false;
+    let was_exact = ref (guess.(s) = 0.0) in
+    Array.iteri (fun x f -> if x <> s && not (bits_eq f exact.(x)) then was_exact := false) guess;
+    if k > n || (k = 0 && not !was_exact) || (!was_exact && positive && k > 0) then
+      ok := false
+  done;
+  !ok && rows_equal g adj
+
+(* The stateless scan's deletion what-ifs: [sssp_edited_into] seeded with
+   the unedited row equals a fresh pass on the edited graph, bitwise, and
+   leaves the adjacency's edge set as it was.  Graphs reach past the size
+   where what-ifs start settling their guess. *)
+let prop_edited_from_unedited_row seed =
+  let r = Prng.create (seed + 1308) in
+  let g = random_tie_graph ~max_n:100 r in
+  let n = Wgraph.n g in
+  let adj = Flat_adj.of_wgraph g in
+  let ok = ref true in
+  for _ = 1 to 12 do
+    let s = Prng.int r n in
+    let remove =
+      match Wgraph.neighbors g s with
+      | (v, _) :: _ when Prng.coin r 0.8 -> Some (s, v)
+      | _ ->
+        let u = Prng.int r n and v = Prng.int r n in
+        if u <> v then Some (u, v) else None
+    in
+    let add =
+      let u = Prng.int r n and v = Prng.int r n in
+      if u <> v && Prng.coin r 0.4 then Some (u, v, tie_weight r) else None
+    in
+    let edited = Wgraph.copy g in
+    Option.iter (fun (u, v) -> Wgraph.remove_edge edited u v) remove;
+    Option.iter
+      (fun (u, v, w) -> if not (Wgraph.has_edge edited u v) then Wgraph.add_edge edited u v w)
+      add;
+    let row = Array.make n 0.0 in
+    Flat_adj.sssp_into adj s row;
+    ignore (Flat_adj.sssp_edited_into adj ?remove ?add s row);
+    if not (Array.for_all2 bits_eq row (Dijkstra.sssp edited s)) then ok := false
   done;
   !ok && rows_equal g adj
 
@@ -314,5 +423,9 @@ let suites =
         Alcotest.test_case "failed what-if restores dense" `Quick test_failed_whatif_restores;
         Alcotest.test_case "what-if allocation independent of n" `Quick
           test_whatif_allocation_constant;
+        qtest ~count:200 "settled guess = full pass, bitwise" seed_gen
+          prop_settle_equals_full_pass;
+        qtest ~count:100 "what-if seeded with the unedited row = fresh pass" seed_gen
+          prop_edited_from_unedited_row;
       ] );
   ]
