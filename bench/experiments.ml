@@ -691,7 +691,7 @@ let e18_one_inf () =
         let start = W.Instances.random_profile r host in
         match
           Gncg.Dynamics.run
-            (Gncg.Dynamics.Config.make ~max_steps:4000 ~evaluator:`Incremental
+            (Gncg.Dynamics.Config.make ~max_steps:4000
                Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
             host start
         with
@@ -795,7 +795,7 @@ let e20_convergence_speed () =
                 let start = W.Instances.random_profile r host in
                 match
                   Gncg.Dynamics.run
-                    (Gncg.Dynamics.Config.make ~max_steps:8000 ~evaluator:`Incremental
+                    (Gncg.Dynamics.Config.make ~max_steps:8000
                        rule Gncg.Dynamics.Round_robin)
                     host start
                 with
@@ -852,7 +852,7 @@ let e21_scaling () =
           let t0 = Sys.time () in
           match
             Gncg.Dynamics.run
-              (Gncg.Dynamics.Config.make ~max_steps:20_000 ~evaluator:`Incremental
+              (Gncg.Dynamics.Config.make ~max_steps:20_000
                  Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
               host start
           with

@@ -186,26 +186,14 @@ let require_renderer format =
     Printf.eprintf "unknown format %S (table | csv | json)\n" format;
     exit 1
 
-(* The canonical --evaluator flag, shared by every verb that runs
-   dynamics; parses through the engine's own [Gncg.Evaluator]. *)
-let evaluator_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Gncg.Evaluator.of_string s) in
-  Arg.conv ~docv:"EVAL" (parse, Gncg.Evaluator.pp)
-
-let evaluator_arg =
-  Arg.(value
-       & opt evaluator_conv `Incremental
-       & info [ "evaluator" ]
-           ~doc:"best-move evaluator: reference | incremental")
-
-let sweep model n alpha seeds format evaluator common =
+let sweep model n alpha seeds format common =
   let render = require_renderer format in
   let (_ : Gncg_util.Exec.t) =
     Common.setup ~verb:"sweep" ~accepts:Common.all common
   in
   let runs =
     List.init seeds (fun seed ->
-        Gncg_workload.Sweep.dynamics_run model ~n ~alpha ~evaluator ~seed:(seed + 1))
+        Gncg_workload.Sweep.dynamics_run model ~n ~alpha ~seed:(seed + 1))
   in
   render runs
 
@@ -214,7 +202,7 @@ let format_arg =
 
 let sweep_one_shot_term =
   Term.(const sweep $ model_arg $ n_arg $ alpha_arg $ seeds_arg $ format_arg
-        $ evaluator_arg $ Common.term)
+        $ Common.term)
 
 (* Journal-backed batch sweeps (the runs subsystem). *)
 
@@ -268,12 +256,12 @@ let retries_arg =
 let report_summary ~label (s : Gncg_runs.Batch.summary) =
   Format.eprintf "%s: %a@." label Gncg_runs.Batch.pp_progress s.progress
 
-let sweep_run model ns alphas seeds rule evaluator max_steps format journal budget
-    retries common =
+let sweep_run model ns alphas seeds rule max_steps format journal budget retries common
+    =
   let render = require_renderer format in
   let exec = Common.setup ~verb:"sweep run" ~accepts:Common.all common in
   let config =
-    Gncg_runs.Batch.config ~rule ~evaluator ~max_steps model ~ns ~alphas
+    Gncg_runs.Batch.config ~rule ~max_steps model ~ns ~alphas
       ~seeds:(List.init seeds (fun s -> s + 1))
   in
   let summary =
@@ -307,9 +295,8 @@ let sweep_status journal common =
   | Ok (manifest, progress, crashes) ->
     Printf.printf "journal            %s\n" path;
     Printf.printf "model              %s\n" manifest.Gncg_runs.Journal.model;
-    Printf.printf "rule / evaluator   %s / %s\n"
-      (Gncg_runs.Job.rule_to_string manifest.Gncg_runs.Journal.rule)
-      (Gncg_runs.Job.evaluator_to_string manifest.Gncg_runs.Journal.evaluator);
+    Printf.printf "rule               %s\n"
+      (Gncg_runs.Job.rule_to_string manifest.Gncg_runs.Journal.rule);
     Printf.printf "grid               ns=%s alphas=%s seeds=%s\n"
       (String.concat "," (List.map string_of_int manifest.Gncg_runs.Journal.ns))
       (String.concat "," (List.map (Printf.sprintf "%g") manifest.Gncg_runs.Journal.alphas))
@@ -344,7 +331,7 @@ let sweep_run_cmd =
     (Cmd.info "run" ~doc:"run a batch sweep through the work-stealing scheduler, \
                           optionally journaled for resume")
     Term.(const sweep_run $ model_arg $ ns_arg $ alphas_arg $ seeds_arg $ rule_arg
-          $ evaluator_arg $ max_steps_arg $ format_arg
+          $ max_steps_arg $ format_arg
           $ journal_arg "optional: enables kill-and-resume"
           $ budget_arg $ retries_arg $ Common.term)
 
@@ -756,12 +743,11 @@ let client_ping socket common =
       Printf.printf "pong (daemon up %.1fs)\n" uptime;
       Ok ())
 
-let client_sweep socket model ns alphas seeds rule evaluator max_steps budget retries
-    common =
+let client_sweep socket model ns alphas seeds rule max_steps budget retries common =
   client_setup "sweep" common;
   with_client socket (fun c ->
       let config =
-        Gncg_runs.Batch.config ~rule ~evaluator ~max_steps model ~ns ~alphas
+        Gncg_runs.Batch.config ~rule ~max_steps model ~ns ~alphas
           ~seeds:(List.init seeds (fun s -> s + 1))
       in
       let job = SP.Sweep { config; budget; retries = Some retries } in
@@ -925,7 +911,7 @@ let client_cmd =
         "submit a journaled sweep, stream it to completion, print the CSV \
          (byte-identical to gncg sweep run --format csv)"
         Term.(const client_sweep $ socket_arg $ model_arg $ ns_arg $ alphas_arg
-              $ seeds_arg $ rule_arg $ evaluator_arg $ max_steps_arg $ budget_arg
+              $ seeds_arg $ rule_arg $ max_steps_arg $ budget_arg
               $ retries_arg $ Common.term);
       sub "check" "equilibrium check on a seeded random instance"
         Term.(const client_check $ socket_arg $ model_arg $ n_arg $ alpha_arg

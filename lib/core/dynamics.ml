@@ -37,12 +37,14 @@ module Config = struct
     rule : rule;
     scheduler : scheduler;
     max_steps : int;
-    evaluator : Evaluator.t;
     metrics : metrics option;
   }
 
-  let make ?(max_steps = 10_000) ?(evaluator = `Reference) ?metrics rule scheduler =
-    { rule; scheduler; max_steps; evaluator; metrics }
+  (* [evaluator] is accepted and ignored: the benchmark harness still
+     passes [~evaluator:`Incremental]. *)
+  let make ?(max_steps = 10_000) ?evaluator:(_ : [ `Incremental ] option) ?metrics rule
+      scheduler =
+    { rule; scheduler; max_steps; metrics }
 end
 
 (* The profiles a run has visited, keyed by a 63-bit hash of the
@@ -118,21 +120,21 @@ let deviation rule host s u =
 let eligible_target host s a v = Move.addable host s ~agent:a v
 
 let run cfg host start =
-  let { Config.rule; scheduler; max_steps; evaluator; metrics } = cfg in
+  let { Config.rule; scheduler; max_steps; metrics } = cfg in
   let n = Strategy.n start in
   let m = match metrics with Some m -> m | None -> { evaluations = 0; moves = 0; skips = 0 } in
   (* Hoisted out of the activation loop: the kinds list used to be
      rebuilt on every evaluation. *)
   let kinds = rule_kinds rule in
-  (* The incremental evaluator threads one mutable state (network + full
+  (* The single-edge rules thread one mutable state (network + full
      distance matrix) through the whole run: a step then costs an O(n²)
      insertion update (or an affected-sources deletion) instead of a
      network rebuild per evaluation and a shortest-path pass per
      candidate. *)
   let state =
-    match (evaluator, rule) with
-    | `Incremental, (Greedy_response | Add_only) -> Some (Net_state.create host start)
-    | _ -> None
+    match rule with
+    | Greedy_response | Add_only -> Some (Net_state.create host start)
+    | Best_response | Random_improving _ -> None
   in
   (* rowlocal.(u): u's latest "no improving move" verdict was decided with
      zero what-if Dijkstras — see Fast_response.best_move_state_verdict. *)

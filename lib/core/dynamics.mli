@@ -26,10 +26,10 @@ type scheduler =
 type step = { mover : int; before_cost : float; after_cost : float }
 
 (** Instrumentation filled by {!run} when passed in via {!Config.make}:
-    [evaluations] counts single-agent evaluator calls, [moves] accepted
+    [evaluations] counts single-agent evaluations, [moves] accepted
     moves, and [skips] agents whose idle verdict was preserved across an
-    accepted move by the dirty-row analysis (incremental evaluator only)
-    instead of being re-evaluated.
+    accepted move by the dirty-row analysis ([Greedy_response] and
+    [Add_only] only) instead of being re-evaluated.
 
     Subsumed by the observability layer: {!run} feeds the same
     accounting into the [dynamics.*] counters of [Gncg_obs.Metric]
@@ -64,59 +64,56 @@ module Config : sig
     rule : rule;
     scheduler : scheduler;
     max_steps : int;
-    evaluator : Evaluator.t;
     metrics : metrics option;
   }
 
   val make :
     ?max_steps:int ->
-    ?evaluator:Evaluator.t ->
+    ?evaluator:[ `Incremental ] ->
     ?metrics:metrics ->
     rule ->
     scheduler ->
     t
-  (** Defaults: [max_steps] 10_000, [evaluator] [`Reference], no
-      metrics record. *)
+  (** Defaults: [max_steps] 10_000, no metrics record.  [evaluator] has
+      one value and no effect: it is kept only because the benchmark
+      harness ([benchmark/]) passes it; nothing else should. *)
 end
 
 val run : Config.t -> Host.t -> Strategy.t -> outcome
 (** Runs until convergence, cycle detection or [Config.max_steps] agent
     activations.  Convergence means every agent has been observed idle
-    since the last accepted move.  [Config.evaluator] selects the
-    single-move engine for [Greedy_response]/[Add_only]:
+    since the last accepted move.
 
-    - [`Reference] (default): the stateless {!Greedy} scan — one flat
-      adjacency of the current network per evaluation, one shortest-path
-      pass per sold owned edge and per addable target, and every swap
-      priced from two of those rows, every gain bitwise
-      {!Greedy.move_gain}'s;
-    - [`Incremental]: one [Net_state] threaded through the whole run — the
-      network and its full distance matrix are maintained across steps, so
-      a step costs O(n²) instead of a network build plus a what-if pass per
-      candidate.
-      After an accepted move the engine drains the state's change report
-      and preserves the idle verdict of every agent it can prove
-      unaffected (row-local verdict, own row unchanged, no incident
-      strategy pair modified, no changed row among its addable targets) —
-      provably byte-identical to re-evaluating everyone, and the reason a
-      step no longer costs a full rescan.
+    [Greedy_response] and [Add_only] thread one [Net_state] through the
+    whole run and pick each move with {!Fast_response}: the network and
+    its full distance matrix are maintained across steps, so a step costs
+    O(n²) instead of a network build plus a what-if pass per candidate.
+    After an accepted move the engine drains the state's change report
+    and preserves the idle verdict of every agent it can prove unaffected
+    (row-local verdict, own row unchanged, no incident strategy pair
+    modified, no changed row among its addable targets) — provably
+    byte-identical to re-evaluating everyone, and the reason a step no
+    longer costs a full rescan.  The tests hold this path to a stateless
+    loop over {!deviation} (the {!Greedy} scan): the same steps, bit for
+    bit, and the same profiles.
+
+    [Best_response] and [Random_improving] run the stateless path of
+    {!deviation}.
 
     Revisits are detected in O(deg) per move: the visited set is keyed
     by a 63-bit hash of the ownership pairs, updated by XORing the
     mover's old strategy out and its new one in, and a hash hit counts
-    as a revisit only after [Strategy.equal] confirms it.
-
-    Both evaluators are semantically equivalent (property-tested);
-    tie-breaking may differ within float tolerance.  [Best_response] and
-    [Random_improving] ignore [Config.evaluator]: they run the stateless
-    path of {!deviation}. *)
+    as a revisit only after [Strategy.equal] confirms it. *)
 
 val deviation : rule -> Host.t -> Strategy.t -> int -> (Strategy.t * float) option
-(** One improving deviation for an agent under the rule, with its gain:
-    the building block of [run], exposed for tests and tools.  It keeps
-    no state between calls: the single-edge rules run {!Greedy.scan}
-    ([Greedy_response], [Add_only]) or draw uniformly from the improving
-    candidates of {!Greedy.gains} ([Random_improving]). *)
+(** One improving deviation for an agent under the rule, with its gain.
+    It keeps no state between calls: the single-edge rules run
+    {!Greedy.scan} ([Greedy_response], [Add_only]) or draw uniformly
+    from the improving candidates of {!Greedy.gains}
+    ([Random_improving]).  [run] takes its [Best_response] and
+    [Random_improving] moves from here; for [Greedy_response] and
+    [Add_only] it is the specification [run]'s stateful path is tested
+    against. *)
 
 (**/**)
 

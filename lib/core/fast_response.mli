@@ -1,4 +1,5 @@
-(** The stateful single-move evaluator: the [`Incremental] engine.
+(** The stateful single-move evaluator: the engine of greedy and
+    add-only dynamics ({!Dynamics.run}) and of {!Equilibrium.Tracker}.
 
     It evaluates {!Greedy}'s move set against a {!Net_state.t}, whose
     maintained distance matrix replaces the per-call network build and
@@ -25,7 +26,7 @@ val move_gains_state :
 val best_move_state :
   ?kinds:[ `Add | `Delete | `Swap ] list -> Net_state.t -> agent:int -> (Move.t * float) option
 (** Best improving move per {!move_gains_state} — the per-step engine of
-    the incremental dynamics evaluator.  The insertion sums of all
+    greedy and add-only dynamics.  The insertion sums of all
     addable targets come from one batched
     {!Net_state.dist_sums_with_edges} call; each owned edge costs at most
     one deletion what-if row, which the delete candidate sums and every

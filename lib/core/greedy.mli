@@ -18,8 +18,9 @@
     sum.  Every gain is bitwise the one {!move_gain} computes by
     rebuilding the moved network (docs/ALGORITHMS.md, "Single-move
     evaluation").  This is the engine's one stateless single-move
-    evaluator: the GE/AE checks, the [`Reference] dynamics evaluator and
-    tracker, and [Random_improving] all run on it. *)
+    evaluator: the GE/AE checks and [Random_improving] dynamics run on
+    it, and it is the specification that greedy and add-only dynamics
+    ({!Fast_response} on a {!Net_state}) are tested against. *)
 
 val move_gain :
   ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> agent:int -> Move.t -> float

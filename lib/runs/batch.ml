@@ -11,19 +11,16 @@ type config = {
   alphas : float list;
   seeds : int list;
   rule : Job.rule;
-  evaluator : Job.evaluator;
   max_steps : int;
 }
 
-let config ?(rule = Job.Greedy_response) ?(evaluator = `Incremental) ?(max_steps = 5000)
-    model ~ns ~alphas ~seeds =
-  { model; ns; alphas; seeds; rule; evaluator; max_steps }
+let config ?(rule = Job.Greedy_response) ?(max_steps = 5000) model ~ns ~alphas ~seeds =
+  { model; ns; alphas; seeds; rule; max_steps }
 
 let jobs c =
   List.map
     (fun (n, alpha, seed) ->
-      Job.make ~rule:c.rule ~evaluator:c.evaluator ~max_steps:c.max_steps c.model ~n
-        ~alpha ~seed)
+      Job.make ~rule:c.rule ~max_steps:c.max_steps c.model ~n ~alpha ~seed)
     (Sweep.cartesian ~ns:c.ns ~alphas:c.alphas ~seeds:c.seeds)
 
 let manifest c =
@@ -34,7 +31,6 @@ let manifest c =
     alphas = c.alphas;
     seeds = c.seeds;
     rule = c.rule;
-    evaluator = c.evaluator;
     max_steps = c.max_steps;
     jobs = List.length c.ns * List.length c.alphas * List.length c.seeds;
   }

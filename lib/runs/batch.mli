@@ -8,13 +8,11 @@ type config = {
   alphas : float list;
   seeds : int list;
   rule : Job.rule;
-  evaluator : Job.evaluator;
   max_steps : int;
 }
 
 val config :
   ?rule:Job.rule ->
-  ?evaluator:Job.evaluator ->
   ?max_steps:int ->
   Gncg_workload.Instances.model ->
   ns:int list ->

@@ -2,21 +2,17 @@ module Instances = Gncg_workload.Instances
 
 type rule = Best_response | Greedy_response | Add_only
 
-type evaluator = Gncg.Evaluator.t
-
 type spec = {
   model : Instances.model;
   n : int;
   alpha : float;
   seed : int;
   rule : rule;
-  evaluator : evaluator;
   max_steps : int;
 }
 
-let make ?(rule = Greedy_response) ?(evaluator = `Incremental) ?(max_steps = 5000) model
-    ~n ~alpha ~seed =
-  { model; n; alpha; seed; rule; evaluator; max_steps }
+let make ?(rule = Greedy_response) ?(max_steps = 5000) model ~n ~alpha ~seed =
+  { model; n; alpha; seed; rule; max_steps }
 
 let dynamics_rule = function
   | Best_response -> Gncg.Dynamics.Best_response
@@ -34,9 +30,14 @@ let rule_of_string = function
   | "add-only" -> Ok Add_only
   | s -> Error (Printf.sprintf "unknown rule %S (best | greedy | add-only)" s)
 
-let evaluator_to_string = Gncg.Evaluator.to_string
-
-let evaluator_of_string = Gncg.Evaluator.of_string
+let legacy_evaluator v =
+  match Json.member "evaluator" v with
+  | Error _ -> Ok ()
+  | Ok e -> (
+    match Json.get_string e with
+    | Ok ("reference" | "incremental") -> Ok ()
+    | Ok s -> Error (Printf.sprintf "unknown evaluator %S (reference | incremental)" s)
+    | Error _ as err -> err)
 
 (* --- model encoding ---------------------------------------------------- *)
 
@@ -123,54 +124,13 @@ let model_of_string s =
 
 (* --- canonical encoding + hash ----------------------------------------- *)
 
+(* [eval=incremental] is a constant: dynamics once ran under a choice of
+   two evaluators, and journal entries on disk are keyed by the hash of
+   this string, so it keeps its bytes. *)
 let to_canonical j =
-  Printf.sprintf "gncg-job:1;model=%s;n=%d;alpha=%s;seed=%d;rule=%s;eval=%s;max_steps=%d"
-    (model_to_string j.model) j.n (fl j.alpha) j.seed (rule_to_string j.rule)
-    (evaluator_to_string j.evaluator) j.max_steps
-
-let of_canonical s =
-  let ( let* ) = Result.bind in
-  let kv part =
-    match String.index_opt part '=' with
-    | Some i ->
-      Ok (String.sub part 0 i, String.sub part (i + 1) (String.length part - i - 1))
-    | None -> Error (Printf.sprintf "bad job field %S" part)
-  in
-  match String.split_on_char ';' s with
-  | "gncg-job:1" :: fields ->
-    let* kvs = List.fold_left
-        (fun acc part ->
-          let* acc = acc in
-          let* kv = kv part in
-          Ok (kv :: acc))
-        (Ok []) fields
-    in
-    let get k =
-      match List.assoc_opt k kvs with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing job field %S" k)
-    in
-    let int_field k =
-      let* v = get k in
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "bad integer %S for %S" v k)
-    in
-    let float_field k =
-      let* v = get k in
-      match float_of_string_opt v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad float %S for %S" v k)
-    in
-    let* model = Result.bind (get "model") model_of_string in
-    let* n = int_field "n" in
-    let* alpha = float_field "alpha" in
-    let* seed = int_field "seed" in
-    let* rule = Result.bind (get "rule") rule_of_string in
-    let* evaluator = Result.bind (get "eval") evaluator_of_string in
-    let* max_steps = int_field "max_steps" in
-    Ok { model; n; alpha; seed; rule; evaluator; max_steps }
-  | _ -> Error (Printf.sprintf "bad job encoding %S" s)
+  Printf.sprintf
+    "gncg-job:1;model=%s;n=%d;alpha=%s;seed=%d;rule=%s;eval=incremental;max_steps=%d"
+    (model_to_string j.model) j.n (fl j.alpha) j.seed (rule_to_string j.rule) j.max_steps
 
 let hash j =
   (* FNV-1a, 64 bit.  OCaml's native int is 63 bits: do the arithmetic in
@@ -194,7 +154,6 @@ let to_json j =
       ("alpha", Json.Num j.alpha);
       ("seed", Json.num_int j.seed);
       ("rule", Json.Str (rule_to_string j.rule));
-      ("evaluator", Json.Str (evaluator_to_string j.evaluator));
       ("max_steps", Json.num_int j.max_steps);
     ]
 
@@ -207,10 +166,10 @@ let of_json v =
   let* alpha = Result.bind (Json.member "alpha" v) Json.get_float in
   let* seed = int "seed" in
   let* rule = Result.bind (str "rule") rule_of_string in
-  let* evaluator = Result.bind (str "evaluator") evaluator_of_string in
+  let* () = legacy_evaluator v in
   let* max_steps = int "max_steps" in
-  Ok { model; n; alpha; seed; rule; evaluator; max_steps }
+  Ok { model; n; alpha; seed; rule; max_steps }
 
 let execute j =
   Gncg_workload.Sweep.dynamics_run ~rule:(dynamics_rule j.rule) ~max_steps:j.max_steps
-    ~evaluator:j.evaluator j.model ~n:j.n ~alpha:j.alpha ~seed:j.seed
+    j.model ~n:j.n ~alpha:j.alpha ~seed:j.seed

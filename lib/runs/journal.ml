@@ -21,7 +21,6 @@ type manifest = {
   alphas : float list;
   seeds : int list;
   rule : Job.rule;
-  evaluator : Job.evaluator;
   max_steps : int;
   jobs : int;
 }
@@ -35,8 +34,7 @@ let manifest_jobs m =
   Ok
     (List.map
        (fun (n, alpha, seed) ->
-         Job.make ~rule:m.rule ~evaluator:m.evaluator ~max_steps:m.max_steps model ~n
-           ~alpha ~seed)
+         Job.make ~rule:m.rule ~max_steps:m.max_steps model ~n ~alpha ~seed)
        (Sweep.cartesian ~ns:m.ns ~alphas:m.alphas ~seeds:m.seeds))
 
 (* --- run record <-> JSON ------------------------------------------------ *)
@@ -147,7 +145,6 @@ let manifest_to_json m =
       ("alphas", Json.List (List.map (fun a -> Json.Num a) m.alphas));
       ("seeds", Json.List (List.map Json.num_int m.seeds));
       ("rule", Json.Str (Job.rule_to_string m.rule));
-      ("evaluator", Json.Str (Job.evaluator_to_string m.evaluator));
       ("max_steps", Json.num_int m.max_steps);
       ("jobs", Json.num_int m.jobs);
     ]
@@ -182,10 +179,10 @@ let manifest_of_json v =
       vs (Ok [])
   in
   let* rule = Result.bind (str "rule") Job.rule_of_string in
-  let* evaluator = Result.bind (str "evaluator") Job.evaluator_of_string in
+  let* () = Job.legacy_evaluator v in
   let* max_steps = int "max_steps" in
   let* jobs = int "jobs" in
-  Ok { schema; model; ns; alphas; seeds; rule; evaluator; max_steps; jobs }
+  Ok { schema; model; ns; alphas; seeds; rule; max_steps; jobs }
 
 (* --- file handling ------------------------------------------------------ *)
 

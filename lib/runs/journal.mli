@@ -35,7 +35,6 @@ type manifest = {
   alphas : float list;
   seeds : int list;
   rule : Job.rule;
-  evaluator : Job.evaluator;
   max_steps : int;
   jobs : int;  (** expected batch size, |ns|·|alphas|·|seeds| *)
 }

@@ -76,7 +76,10 @@ let job_to_json job =
         ("alphas", num_list (fun a -> Json.Num a) c.alphas);
         ("seeds", num_list Json.num_int c.seeds);
         ("rule", Json.Str (Job.rule_to_string c.rule));
-        ("evaluator", Json.Str (Job.evaluator_to_string c.evaluator));
+        (* A constant since dynamics lost their choice of evaluator:
+           this rendering is hashed into the job key that names
+           [sweep-<key>.jsonl] journals on disk, so it keeps its bytes. *)
+        ("evaluator", Json.Str "incremental");
         ("max_steps", Json.num_int c.max_steps);
         ("budget", (match budget with Some b -> Json.Num b | None -> Json.Null));
         ("retries", (match retries with Some r -> Json.num_int r | None -> Json.Null));
@@ -157,15 +160,13 @@ let job_of_json j =
         let* s = str v in
         Result.map_error (fun m -> E.v ~context:ctx Parse m) (Job.rule_of_string s)
     in
-    let* evaluator =
-      match mem_opt "evaluator" j with
-      | None -> Ok `Incremental
-      | Some v ->
-        let* s = str v in
-        Result.map_error (fun m -> E.v ~context:ctx Parse m) (Job.evaluator_of_string s)
-    in
+    let* () = lift (Job.legacy_evaluator j) in
     let* max_steps =
-      match mem_opt "max_steps" j with None -> Ok 5000 | Some v -> int v
+      match mem_opt "max_steps" j with
+      | None -> Ok 5000
+      | Some v ->
+        let* m = int v in
+        if m >= 1 then Ok m else perr "max_steps must be positive (got %d)" m
     in
     let* budget =
       match mem_opt "budget" j with
@@ -189,7 +190,7 @@ let job_of_json j =
         (Sweep
            {
              config =
-               { Gncg_runs.Batch.model; ns; alphas; seeds; rule; evaluator; max_steps };
+               { Gncg_runs.Batch.model; ns; alphas; seeds; rule; max_steps };
              budget;
              retries;
            })

@@ -72,8 +72,8 @@ let eval_query ?(exec = Gncg_util.Exec.Seq) cache job =
       if stabilize then
         outcome_fields
           (Gncg.Dynamics.run
-             (Gncg.Dynamics.Config.make ~max_steps:5000 ~evaluator:`Incremental
-                Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
+             (Gncg.Dynamics.Config.make ~max_steps:5000 Gncg.Dynamics.Greedy_response
+                Gncg.Dynamics.Round_robin)
              host profile)
       else (profile, [])
     in

@@ -13,15 +13,15 @@ type run = {
   is_tree : bool;
 }
 
-let dynamics_run ?(rule = Gncg.Dynamics.Greedy_response) ?(max_steps = 5000)
-    ?(evaluator = `Incremental) model ~n ~alpha ~seed =
+let dynamics_run ?(rule = Gncg.Dynamics.Greedy_response) ?(max_steps = 5000) model ~n
+    ~alpha ~seed =
   let rng = Gncg_util.Prng.create seed in
   let host = Instances.random_host rng model ~n ~alpha in
   let start = Instances.random_profile rng host in
   let scheduler = Gncg.Dynamics.Random_order (Gncg_util.Prng.split rng) in
   let outcome =
     Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~max_steps ~evaluator rule scheduler)
+      (Gncg.Dynamics.Config.make ~max_steps rule scheduler)
       host start
   in
   let profile, converged, steps =
@@ -59,9 +59,9 @@ let cartesian ~ns ~alphas ~seeds =
       List.concat_map (fun alpha -> List.map (fun seed -> (n, alpha, seed)) seeds) alphas)
     ns
 
-let dynamics_batch ?rule ?max_steps ?evaluator model ~ns ~alphas ~seeds =
+let dynamics_batch ?rule ?max_steps model ~ns ~alphas ~seeds =
   List.map
-    (fun (n, alpha, seed) -> dynamics_run ?rule ?max_steps ?evaluator model ~n ~alpha ~seed)
+    (fun (n, alpha, seed) -> dynamics_run ?rule ?max_steps model ~n ~alpha ~seed)
     (cartesian ~ns ~alphas ~seeds)
 
 let ratios runs =

@@ -20,17 +20,14 @@ type run = {
 val dynamics_run :
   ?rule:Gncg.Dynamics.rule ->
   ?max_steps:int ->
-  ?evaluator:Gncg.Evaluator.t ->
   Instances.model ->
   n:int ->
   alpha:float ->
   seed:int ->
   run
-(** One seeded dynamics run from a random profile; the optimum is
-    [Social_optimum.best_known] (exact on small hosts).  The dynamics run
-    through the incrementally maintained distance engine by default
-    ([`Incremental]); pass [`Reference] to force the from-scratch
-    evaluator. *)
+(** One seeded dynamics run from a random profile under a
+    [Random_order] scheduler split from the instance's generator; the
+    optimum is [Social_optimum.best_known] (exact on small hosts). *)
 
 val cartesian :
   ns:int list -> alphas:float list -> seeds:int list -> (int * float * int) list
@@ -41,7 +38,6 @@ val cartesian :
 val dynamics_batch :
   ?rule:Gncg.Dynamics.rule ->
   ?max_steps:int ->
-  ?evaluator:Gncg.Evaluator.t ->
   Instances.model ->
   ns:int list ->
   alphas:float list ->

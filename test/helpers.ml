@@ -39,3 +39,105 @@ let random_graph ?(wmin = 1.0) ?(wmax = 10.0) r n extra =
     end
   done;
   g
+
+(* --- a specification of the dynamics loop ---
+
+   [spec_dynamics] is [Dynamics.run]'s loop without its shortcuts: the
+   same slots and the same [Random_order] draws (one per slot, idle
+   agents included), each activation through [attempt], every idle mark
+   cleared after each move, and revisits confirmed by [Strategy.equal]
+   (candidates are looked up by the injective [Strategy.canonical_key],
+   never by the engine's pair hash).  [attempt s u] returns the moved
+   profile, the gain and the mover's cost before the move.  [rounds] is
+   [slot / n] at convergence, which may exceed the engine's: the engine
+   keeps provably idle agents idle across a move. *)
+let spec_dynamics ~attempt ~max_steps scheduler start =
+  let module Dyn = Gncg.Dynamics in
+  let module S = Gncg.Strategy in
+  let n = S.n start in
+  let seen = Hashtbl.create 97 in
+  Hashtbl.add seen (S.canonical_key start) start;
+  let trace = ref [ start ] and steps = ref [] in
+  let idle = Array.make n false and idle_count = ref 0 in
+  let rec go s slot =
+    if !idle_count >= n then
+      Dyn.Converged { profile = s; rounds = slot / n; steps = List.rev !steps }
+    else if slot >= max_steps then Dyn.Out_of_steps { profile = s; steps = List.rev !steps }
+    else
+      let u =
+        match scheduler with
+        | Dyn.Round_robin -> slot mod n
+        | Dyn.Random_order r -> Gncg_util.Prng.int r n
+      in
+      if idle.(u) then go s (slot + 1)
+      else
+        match attempt s u with
+        | None ->
+          idle.(u) <- true;
+          incr idle_count;
+          go s (slot + 1)
+        | Some (s', gain, before) ->
+          steps := { Dyn.mover = u; before_cost = before; after_cost = before -. gain } :: !steps;
+          let key = S.canonical_key s' in
+          if List.exists (S.equal s') (Hashtbl.find_all seen key) then begin
+            let rec take acc = function
+              | [] -> acc
+              | p :: rest -> if S.equal p s' then p :: acc else take (p :: acc) rest
+            in
+            Dyn.Cycle { profiles = take [] !trace @ [ s' ]; steps = List.rev !steps }
+          end
+          else begin
+            Hashtbl.add seen key s';
+            trace := s' :: !trace;
+            Array.fill idle 0 n false;
+            idle_count := 0;
+            go s' (slot + 1)
+          end
+  in
+  go start 0
+
+(* The stateless loop: every move from [Dynamics.deviation], the mover's
+   cost from [Cost.agent_cost]. *)
+let stateless_dynamics ~max_steps rule scheduler host start =
+  spec_dynamics ~max_steps scheduler start ~attempt:(fun s u ->
+      Option.map
+        (fun (s', gain) -> (s', gain, Gncg.Cost.agent_cost host s u))
+        (Gncg.Dynamics.deviation rule host s u))
+
+(* The same movers, and costs bit for bit or, with [~ulps], within
+   [ulps] units in the last place.  The stateful engine prices a move
+   from its maintained rows and the stateless scan from a fresh network:
+   the sums run in different orders, so on float-weighted hosts their
+   step costs can differ in the last bits while every pick agrees.  On
+   integer-weighted hosts both sums are exact. *)
+let same_steps ?(ulps = 0) (a : Gncg.Dynamics.step list) (b : Gncg.Dynamics.step list) =
+  let close x y =
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    || ulps > 0
+       && Float.abs (x -. y) <= float ulps *. epsilon_float *. Float.max (Float.abs x) (Float.abs y)
+  in
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Gncg.Dynamics.step) (y : Gncg.Dynamics.step) ->
+         x.mover = y.mover && close x.before_cost y.before_cost && close x.after_cost y.after_cost)
+       a b
+
+(* The [~ulps] the equivalence tests grant float-weighted hosts; the
+   largest gap measured on [gncg sweep]'s setups at n = 14 and 24 is
+   under 3 ulps. *)
+let float_ulps = 16
+
+(* The same outcome constructor, the same steps ([same_steps]) and equal
+   profiles; [rounds] is not compared (see [spec_dynamics]). *)
+let same_trajectory ?ulps a b =
+  let module Dyn = Gncg.Dynamics in
+  let module S = Gncg.Strategy in
+  match (a, b) with
+  | Dyn.Converged { profile = p1; steps = s1; _ }, Dyn.Converged { profile = p2; steps = s2; _ }
+  | Dyn.Out_of_steps { profile = p1; steps = s1 }, Dyn.Out_of_steps { profile = p2; steps = s2 } ->
+    S.equal p1 p2 && same_steps ?ulps s1 s2
+  | Dyn.Cycle { profiles = ps1; steps = s1 }, Dyn.Cycle { profiles = ps2; steps = s2 } ->
+    List.length ps1 = List.length ps2
+    && List.for_all2 S.equal ps1 ps2
+    && same_steps ?ulps s1 s2
+  | _ -> false

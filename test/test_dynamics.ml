@@ -120,125 +120,63 @@ let random_game seed ~n =
   let s = Gncg_workload.Instances.random_profile r host in
   (host, s)
 
-let steps_equal (a : Dyn.step list) (b : Dyn.step list) =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : Dyn.step) (y : Dyn.step) ->
-         x.mover = y.mover
-         && Float.equal x.before_cost y.before_cost
-         && Float.equal x.after_cost y.after_cost)
-       a b
-
 (* Same constructor, same rounds, same step list bit for bit, and
    structurally equal profiles. *)
 let outcomes_identical a b =
   match (a, b) with
   | ( Dyn.Converged { profile = p1; rounds = r1; steps = s1 },
       Dyn.Converged { profile = p2; rounds = r2; steps = s2 } ) ->
-    Strategy.equal p1 p2 && r1 = r2 && steps_equal s1 s2
+    Strategy.equal p1 p2 && r1 = r2 && same_steps s1 s2
   | Dyn.Cycle { profiles = ps1; steps = s1 }, Dyn.Cycle { profiles = ps2; steps = s2 } ->
     List.length ps1 = List.length ps2
     && List.for_all2 Strategy.equal ps1 ps2
-    && steps_equal s1 s2
+    && same_steps s1 s2
   | ( Dyn.Out_of_steps { profile = p1; steps = s1 },
       Dyn.Out_of_steps { profile = p2; steps = s2 } ) ->
-    Strategy.equal p1 p2 && steps_equal s1 s2
+    Strategy.equal p1 p2 && same_steps s1 s2
   | _ -> false
 
 (* --- collision-safe cycle detection ---
 
-   [spec_run] is the run loop with its visited set keyed by
-   [Strategy.canonical_key], re-evaluating every agent after each move.
-   With the pair hash forced constant, every lookup of [Dyn.run]'s
-   visited set collides, so only its [Strategy.equal] confirmation
-   separates revisits from collisions: the outcome must still be the
-   spec's. *)
+   [spec_run] is the run loop of {!Helpers.spec_dynamics}: revisits are
+   found through [Strategy.canonical_key], and every agent is
+   re-evaluated after each move — statelessly, or ([~net_state:true])
+   on one [Net_state] with [Fast_response.best_move_state].  With the
+   pair hash forced constant, every lookup of [Dyn.run]'s visited set
+   collides, so only its [Strategy.equal] confirmation separates
+   revisits from collisions: the outcome must still be the spec's. *)
 
-let spec_run ?(incremental = false) ~max_steps rule scheduler host start =
-  let n = Strategy.n start in
-  let kinds = match rule with Dyn.Add_only -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ] in
-  let st =
-    if incremental then Some (Gncg.Net_state.create host start) else None
-  in
-  let attempt s u =
-    match st with
-    | Some st -> (
-      match Gncg.Fast_response.best_move_state ~kinds st ~agent:u with
-      | None -> None
-      | Some (mv, gain) ->
-        let before = Gncg.Net_state.agent_cost st u in
-        Some (Gncg.Net_state.apply_move st ~agent:u mv, gain, before))
-    | None ->
-      Option.map
-        (fun (s', gain) -> (s', gain, Gncg.Cost.agent_cost host s u))
-        (Dyn.deviation rule host s u)
-  in
-  let seen = Hashtbl.create 97 in
-  Hashtbl.replace seen (Strategy.canonical_key start) ();
-  let trace = ref [ start ] and steps = ref [] in
-  let idle = Array.make n false and idle_count = ref 0 in
-  let rec go s slot =
-    if !idle_count >= n then Dyn.Converged { profile = s; rounds = slot / n; steps = List.rev !steps }
-    else if slot >= max_steps then Dyn.Out_of_steps { profile = s; steps = List.rev !steps }
-    else
-      let u =
-        match scheduler with Dyn.Round_robin -> slot mod n | Dyn.Random_order r -> Prng.int r n
-      in
-      if idle.(u) then go s (slot + 1)
-      else
-        match attempt s u with
-        | None ->
-          idle.(u) <- true;
-          incr idle_count;
-          go s (slot + 1)
-        | Some (s', gain, before) ->
-          steps := { Dyn.mover = u; before_cost = before; after_cost = before -. gain } :: !steps;
-          let key = Strategy.canonical_key s' in
-          if Hashtbl.mem seen key then begin
-            let rec take acc = function
-              | [] -> acc
-              | p :: rest ->
-                if Strategy.canonical_key p = key then p :: acc else take (p :: acc) rest
-            in
-            Dyn.Cycle { profiles = take [] !trace @ [ s' ]; steps = List.rev !steps }
-          end
-          else begin
-            Hashtbl.replace seen key ();
-            trace := s' :: !trace;
-            Array.fill idle 0 n false;
-            idle_count := 0;
-            go s' (slot + 1)
-          end
-  in
-  go start 0
+let spec_run ?(net_state = false) ~max_steps rule scheduler host start =
+  if not net_state then stateless_dynamics ~max_steps rule scheduler host start
+  else
+    let kinds = match rule with Dyn.Add_only -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ] in
+    let st = Gncg.Net_state.create host start in
+    spec_dynamics ~max_steps scheduler start ~attempt:(fun _ u ->
+        match Gncg.Fast_response.best_move_state ~kinds st ~agent:u with
+        | None -> None
+        | Some (mv, gain) ->
+          let before = Gncg.Net_state.agent_cost st u in
+          Some (Gncg.Net_state.apply_move st ~agent:u mv, gain, before))
 
 let with_colliding_hash f =
   Dyn.Visited.pair_hash := (fun _ _ -> 0);
   Fun.protect ~finally:(fun () -> Dyn.Visited.pair_hash := Dyn.Visited.default_pair_hash) f
 
-(* Profiles and steps bit for bit, ignoring [rounds]: the incremental
-   engine keeps provably idle agents idle across moves and so may
-   converge in fewer rounds than a spec that re-evaluates everyone. *)
-let same_trajectory a b =
-  match (a, b) with
-  | Dyn.Converged { profile = p1; steps = s1; _ }, Dyn.Converged { profile = p2; steps = s2; _ }
-  | Dyn.Out_of_steps { profile = p1; steps = s1 }, Dyn.Out_of_steps { profile = p2; steps = s2 } ->
-    Strategy.equal p1 p2 && steps_equal s1 s2
-  | Dyn.Cycle _, Dyn.Cycle _ -> outcomes_identical a b
-  | _ -> false
-
 (* Runs [rule] under [scheduler] (both rebuilt from their seeds for each
    run) through [Dyn.run], with a colliding hash and with the default
-   one, and through the spec. *)
-let collision_case ?(evaluator = `Reference) ~max_steps mk_rule mk_scheduler host start =
-  let run () =
-    Dyn.run (Dyn.Config.make ~max_steps ~evaluator (mk_rule ()) (mk_scheduler ())) host start
-  in
+   one, and through the spec.  Greedy and add-only runs keep provably
+   idle agents idle across moves, so they are held to the spec's
+   trajectory and not to its [rounds]. *)
+let collision_case ~net_state ~max_steps mk_rule mk_scheduler host start =
+  let run () = Dyn.run (Dyn.Config.make ~max_steps (mk_rule ()) (mk_scheduler ())) host start in
   let colliding = with_colliding_hash run and default = run () in
-  let incremental = evaluator = `Incremental in
-  let spec = spec_run ~incremental ~max_steps (mk_rule ()) (mk_scheduler ()) host start in
+  let spec = spec_run ~net_state ~max_steps (mk_rule ()) (mk_scheduler ()) host start in
   outcomes_identical colliding default
-  && if incremental then same_trajectory default spec else outcomes_identical default spec
+  &&
+  match mk_rule () with
+  | Dyn.Greedy_response | Dyn.Add_only ->
+    same_trajectory ?ulps:(if net_state then None else Some float_ulps) default spec
+  | Dyn.Best_response | Dyn.Random_improving _ -> outcomes_identical default spec
 
 let test_colliding_hash_random_games () =
   for seed = 0 to 7 do
@@ -248,17 +186,18 @@ let test_colliding_hash_random_games () =
     let const rule () = rule in
     let improving () = Dyn.Random_improving (Prng.create seed) in
     List.iter
-      (fun (name, mk_rule, mk_scheduler, evaluator) ->
-        check_true name (collision_case ~evaluator ~max_steps:600 mk_rule mk_scheduler host start))
+      (fun (name, mk_rule, mk_scheduler, net_state) ->
+        check_true name
+          (collision_case ~net_state ~max_steps:600 mk_rule mk_scheduler host start))
       [
-        ("greedy, round robin", const Dyn.Greedy_response, round_robin, `Reference);
-        ("greedy, random order", const Dyn.Greedy_response, random_order, `Reference);
-        ("best response", const Dyn.Best_response, round_robin, `Reference);
-        ("random improving", improving, random_order, `Reference);
-        ("add only", const Dyn.Add_only, round_robin, `Reference);
-        ("incremental greedy", const Dyn.Greedy_response, round_robin, `Incremental);
-        ("incremental greedy, random order", const Dyn.Greedy_response, random_order, `Incremental);
-        ("incremental add only", const Dyn.Add_only, random_order, `Incremental);
+        ("greedy, round robin", const Dyn.Greedy_response, round_robin, false);
+        ("greedy, random order", const Dyn.Greedy_response, random_order, false);
+        ("best response", const Dyn.Best_response, round_robin, false);
+        ("random improving", improving, random_order, false);
+        ("add only", const Dyn.Add_only, round_robin, false);
+        ("net-state greedy", const Dyn.Greedy_response, round_robin, true);
+        ("net-state greedy, random order", const Dyn.Greedy_response, random_order, true);
+        ("net-state add only", const Dyn.Add_only, random_order, true);
       ]
   done
 
@@ -380,19 +319,7 @@ let test_random_improving_fig8_cycle () =
 let test_config_defaults () =
   let cfg = Dyn.Config.make Dyn.Greedy_response Dyn.Round_robin in
   Alcotest.(check int) "default max_steps" 10_000 cfg.Dyn.Config.max_steps;
-  check_true "default evaluator" (cfg.Dyn.Config.evaluator = `Reference);
   check_true "no metrics record" (cfg.Dyn.Config.metrics = None)
-
-let test_evaluator_strings () =
-  check_true "evaluator strings roundtrip"
-    (List.for_all
-       (fun e -> Gncg.Evaluator.of_string (Gncg.Evaluator.to_string e) = Ok e)
-       Gncg.Evaluator.all);
-  check_true "two evaluators" (Gncg.Evaluator.all = [ `Reference; `Incremental ]);
-  check_true "no alias or deleted spellings"
-    (List.for_all
-       (fun s -> Result.is_error (Gncg.Evaluator.of_string s))
-       [ "stateless"; "fast" ])
 
 let suites =
   [
@@ -409,7 +336,6 @@ let suites =
         case "random improving steps are move gains" test_random_improving_steps_are_move_gains;
         slow_case "random improving Fig. 8 cycle" test_random_improving_fig8_cycle;
         case "config defaults" test_config_defaults;
-        case "evaluator strings" test_evaluator_strings;
         case "colliding hash = canonical-key spec" test_colliding_hash_random_games;
         slow_case "colliding hash on the Fig. 8 host" test_colliding_hash_fig8;
       ] );

@@ -62,25 +62,23 @@ let test_graph_restored_after_evaluation () =
     a b
 
 let test_dynamics_evaluators_agree () =
-  (* Full dynamics runs under the reference and incremental evaluators
-     reach equally good stable states (profiles may differ on exact ties). *)
+  (* Greedy dynamics on the state evaluator take the stateless scan's
+     steps, bit for bit, and stop at the same profile. *)
   let r = rng 1106 in
   for _ = 1 to 6 do
     let n = 6 + Prng.int r 3 in
     let host, start = random_setup r ~n in
-    let run evaluator =
-      Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~max_steps:4000 ~evaluator Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
-      host start
+    let rule = Gncg.Dynamics.Greedy_response and scheduler = Gncg.Dynamics.Round_robin in
+    let engine =
+      Gncg.Dynamics.run (Gncg.Dynamics.Config.make ~max_steps:4000 rule scheduler) host start
     in
-    match (run `Reference, run `Incremental) with
-    | ( Gncg.Dynamics.Converged { profile = a; _ },
-        Gncg.Dynamics.Converged { profile = b; _ } ) ->
-      check_true "incremental result is GE" (Gncg.Equilibrium.is_ge host b);
-      check_float ~tol:1e-6 "same social cost"
-        (Gncg.Cost.social_cost host a)
-        (Gncg.Cost.social_cost host b)
-    | _ -> () (* cycles/budget: nothing to compare *)
+    check_true "same trajectory as the stateless scan"
+      (same_trajectory ~ulps:float_ulps engine
+         (stateless_dynamics ~max_steps:4000 rule scheduler host start));
+    match engine with
+    | Gncg.Dynamics.Converged { profile; _ } ->
+      check_true "converged profile is a GE" (Gncg.Equilibrium.is_ge host profile)
+    | _ -> ()
   done
 
 (* --- parallel helpers ---------------------------------------------------- *)

@@ -368,17 +368,16 @@ let test_dynamics_skips_clean_agents () =
   let metrics = { Gncg.Dynamics.evaluations = 0; moves = 0; skips = 0 } in
   let outcome =
     Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~evaluator:`Incremental ~metrics Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin)
+      (Gncg.Dynamics.Config.make ~metrics Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin)
       host s
   in
   let reference =
-    Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~evaluator:`Reference Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin)
-      host s
+    Helpers.stateless_dynamics ~max_steps:10_000 Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin host s
   in
-  match (outcome, reference) with
-  | Gncg.Dynamics.Converged { profile; _ }, Gncg.Dynamics.Converged { profile = ref_p; _ } ->
-    Alcotest.(check bool) "same limit as reference" true (Strategy.equal profile ref_p);
+  Alcotest.(check bool) "same trajectory as the stateless loop" true
+    (Helpers.same_trajectory outcome reference);
+  match outcome with
+  | Gncg.Dynamics.Converged _ ->
     (* The center was idle before the accepted move and provably clean
        after it: preserved, not re-evaluated. *)
     Alcotest.(check int) "one agent skipped" 1 metrics.Gncg.Dynamics.skips;
@@ -425,7 +424,7 @@ let prop_incremental_add_only_reaches_ae seed =
   let metrics = { Gncg.Dynamics.evaluations = 0; moves = 0; skips = 0 } in
   match
     Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~max_steps:4000 ~evaluator:`Incremental ~metrics Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin)
+      (Gncg.Dynamics.Config.make ~max_steps:4000 ~metrics Gncg.Dynamics.Add_only Gncg.Dynamics.Round_robin)
       host s
   with
   | Gncg.Dynamics.Converged { profile; _ } ->

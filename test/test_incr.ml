@@ -324,7 +324,7 @@ let prop_incremental_dynamics_converge_to_ge seed =
   let _, host, s = random_game (seed + 106) ~n:8 in
   match
     Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~max_steps:4000 ~evaluator:`Incremental Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
+      (Gncg.Dynamics.Config.make ~max_steps:4000 Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
       host s
   with
   | Gncg.Dynamics.Converged { profile; _ } -> Gncg.Equilibrium.is_ge host profile

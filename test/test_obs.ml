@@ -178,7 +178,7 @@ let test_trace_file_roundtrip () =
   let start = Gncg_workload.Instances.random_profile rng host in
   ignore
     (Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~max_steps:4000 ~evaluator:`Incremental Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
+      (Gncg.Dynamics.Config.make ~max_steps:4000 Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
       host start);
   Obs.close_trace ();
   let lines =
@@ -254,7 +254,7 @@ let test_four_layer_coverage () =
   let stable =
     match
       Gncg.Dynamics.run
-      (Gncg.Dynamics.Config.make ~max_steps:6000 ~evaluator:`Incremental Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
+      (Gncg.Dynamics.Config.make ~max_steps:6000 Gncg.Dynamics.Greedy_response Gncg.Dynamics.Round_robin)
       host start
     with
     | Gncg.Dynamics.Converged { profile; _ } -> profile

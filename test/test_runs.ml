@@ -10,28 +10,36 @@ let spec_testable =
     (fun fmt j -> Format.pp_print_string fmt (R.Job.to_canonical j))
     (fun a b -> compare a b = 0)
 
+(* Pairwise distinct specs: every field varies on its own, and two
+   alphas differ only in their last bit (0.1 +. 0.2 against 0.3). *)
 let sample_specs =
   List.concat_map
     (fun model ->
       List.map
-        (fun (rule, evaluator, max_steps) ->
-          R.Job.make ~rule ~evaluator ~max_steps model ~n:7 ~alpha:2.5 ~seed:3)
+        (fun (rule, max_steps, n, alpha, seed) ->
+          R.Job.make ~rule ~max_steps model ~n ~alpha ~seed)
         [
-          (R.Job.Greedy_response, `Incremental, 5000);
-          (R.Job.Best_response, `Reference, 123);
-          (R.Job.Add_only, `Reference, 1);
+          (R.Job.Greedy_response, 5000, 7, 2.5, 3);
+          (R.Job.Best_response, 123, 7, 2.5, 3);
+          (R.Job.Add_only, 1, 7, 2.5, 3);
+          (R.Job.Greedy_response, 5000, 8, 2.5, 3);
+          (R.Job.Greedy_response, 5000, 7, 2.5, 4);
+          (R.Job.Greedy_response, 5000, 7, 0.1 +. 0.2, 3);
+          (R.Job.Greedy_response, 5000, 7, 0.3, 3);
         ])
     W.Instances.default_models
 
 (* --- Job ---------------------------------------------------------------- *)
 
-let test_job_canonical_roundtrip () =
-  List.iter
-    (fun spec ->
-      match R.Job.of_canonical (R.Job.to_canonical spec) with
-      | Ok spec' -> Alcotest.check spec_testable "roundtrip" spec spec'
-      | Error e -> Alcotest.failf "of_canonical failed: %s" e)
-    sample_specs
+(* The journal skips a job by its hash, so distinct specs must never
+   share a canonical string or a hash. *)
+let test_job_canonical_injective () =
+  let distinct xs = List.length (List.sort_uniq compare xs) in
+  let count = List.length sample_specs in
+  Alcotest.(check int) "the samples are distinct specs" count (distinct sample_specs);
+  Alcotest.(check int) "distinct canonical strings" count
+    (distinct (List.map R.Job.to_canonical sample_specs));
+  Alcotest.(check int) "distinct hashes" count (distinct (List.map R.Job.hash sample_specs))
 
 let test_job_json_roundtrip () =
   List.iter
@@ -41,6 +49,24 @@ let test_job_json_roundtrip () =
       | Ok spec' -> Alcotest.check spec_testable "roundtrip" spec spec'
       | Error e -> Alcotest.failf "json roundtrip failed on %s: %s" rendered e)
     sample_specs
+
+(* Specs written while dynamics had two evaluators carry an
+   "evaluator" field: either old value is read and ignored, anything
+   else is refused. *)
+let test_job_json_old_evaluator () =
+  let spec = List.hd sample_specs in
+  let with_evaluator v =
+    match R.Job.to_json spec with
+    | R.Json.Obj fields -> R.Json.Obj (fields @ [ ("evaluator", R.Json.Str v) ])
+    | _ -> Alcotest.fail "a spec renders as an object"
+  in
+  List.iter
+    (fun v ->
+      match R.Job.of_json (with_evaluator v) with
+      | Ok spec' -> Alcotest.check spec_testable v spec spec'
+      | Error e -> Alcotest.failf "evaluator %S refused: %s" v e)
+    [ "reference"; "incremental" ];
+  check_true "unknown evaluator refused" (Result.is_error (R.Job.of_json (with_evaluator "fast")))
 
 let test_job_hash_stable_and_distinct () =
   (* The hash is part of the on-disk journal contract: a drift in the
@@ -52,6 +78,10 @@ let test_job_hash_stable_and_distinct () =
       ~n:8 ~alpha:2.0 ~seed:1
   in
   Alcotest.(check string) "hash is deterministic" (R.Job.hash spec) (R.Job.hash spec);
+  (* Measured before the evaluator choice was removed: the canonical
+     string still ends in "eval=incremental;max_steps=5000". *)
+  Alcotest.(check string) "pinned hash" "6b49332ea8210452"
+    (R.Job.hash (R.Job.make (W.Instances.Tree { wmin = 1.0; wmax = 10.0 }) ~n:5 ~alpha:1.0 ~seed:1));
   let config =
     R.Batch.config
       (W.Instances.Euclid { norm = L2; d = 2; box = 100.0 })
@@ -103,7 +133,6 @@ let small_manifest =
     alphas = [ 1.0; 4.0 ];
     seeds = [ 1; 2 ];
     rule = R.Job.Greedy_response;
-    evaluator = `Incremental;
     max_steps = 5000;
     jobs = 4;
   }
@@ -399,6 +428,38 @@ let test_batch_kill_and_resume () =
   Sys.remove full_path;
   Sys.remove cut_path
 
+(* Journals as the engine wrote them while dynamics had two evaluators:
+   the manifest names its evaluator and the one job of the grid is
+   complete.  The entry of the "incremental" journal is keyed by the hash
+   the job still has, so a resume skips it.  The "reference" journal's
+   entry is keyed by "eval=reference", which no job hashes to any more:
+   a resume re-executes the job and gets the same row. *)
+let old_journal ~evaluator ~key =
+  Printf.sprintf
+    {|{"gncg-journal":1,"model":"tree(1,10)","ns":[5],"alphas":[1],"seeds":[1],"rule":"greedy","evaluator":"%s","max_steps":5000,"jobs":1}
+{"job":"%s","status":"completed","attempts":1,"elapsed":0.00080084800720214844,"result":{"model":"tree","n":5,"alpha":1,"seed":1,"converged":true,"steps":3,"stable_cost":245.11430743754863,"opt_cost":245.11430743754863,"ratio":1,"diameter":20.300502638571928,"stretch":1,"is_tree":true}}
+|}
+    evaluator key
+
+let test_old_journal_resumes () =
+  let fresh =
+    W.Report.runs_to_csv
+      [ R.Job.execute (R.Job.make (W.Instances.Tree { wmin = 1.0; wmax = 10.0 }) ~n:5 ~alpha:1.0 ~seed:1) ]
+  in
+  List.iter
+    (fun (evaluator, key, executed) ->
+      let path = Filename.temp_file "gncg_test" ".jsonl" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (old_journal ~evaluator ~key));
+      (match R.Batch.resume ~journal:path () with
+      | Error e -> Alcotest.failf "%s journal: resume failed: %s" evaluator e
+      | Ok s ->
+        Alcotest.(check int) (evaluator ^ ": re-executed") executed s.progress.executed;
+        Alcotest.(check int) (evaluator ^ ": completed") 1 s.progress.completed;
+        Alcotest.(check string) (evaluator ^ ": same row") fresh (W.Report.runs_to_csv s.runs));
+      Sys.remove path)
+    [ ("incremental", "6b49332ea8210452", 0); ("reference", "8568c7b329bdc6b5", 1) ]
+
 let test_batch_status () =
   let path = Filename.temp_file "gncg_test" ".jsonl" in
   let _ = R.Batch.run ~journal:path batch_config in
@@ -436,8 +497,9 @@ let suites =
   [
     ( "runs",
       [
-        case "job canonical roundtrip" test_job_canonical_roundtrip;
+        case "job canonical injective" test_job_canonical_injective;
         case "job json roundtrip" test_job_json_roundtrip;
+        case "job json ignores an old evaluator" test_job_json_old_evaluator;
         case "job hashes stable & distinct" test_job_hash_stable_and_distinct;
         case "model parse errors" test_model_of_string_errors;
         case "json rejects garbage" test_json_parse_rejects_garbage;
@@ -452,6 +514,7 @@ let suites =
         case "ws_deque sequential semantics" test_ws_deque_sequential_semantics;
         case "ws_deque concurrent conservation" test_ws_deque_concurrent_conservation;
         case "batch kill-and-resume" test_batch_kill_and_resume;
+        case "old-format journal resumes" test_old_journal_resumes;
         case "batch status" test_batch_status;
         case "batch status surfaces crash details" test_batch_status_surfaces_crashes;
       ] );

@@ -219,7 +219,7 @@ let converged_games () =
       let host = Gncg.Host.make ~alpha:2.0 metric in
       let start = Gncg_workload.Instances.random_profile rng host in
       let config =
-        D.Config.make ~max_steps:200_000 ~evaluator:`Incremental D.Greedy_response
+        D.Config.make ~max_steps:200_000 D.Greedy_response
           D.Round_robin
       in
       match D.run config host start with

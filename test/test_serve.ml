@@ -150,6 +150,8 @@ let test_out_of_range_jobs_refused () =
   refused "alphas [0]" sweep_job [ ("alphas", nums [ 0.0 ]) ];
   refused "alphas [-1]" sweep_job [ ("alphas", nums [ 1.5; -1.0 ]) ];
   refused "alphas [nan]" sweep_job [ ("alphas", nums [ Float.nan ]) ];
+  refused "max_steps 0" sweep_job [ ("max_steps", Json.num_int 0) ];
+  refused "max_steps -5" sweep_job [ ("max_steps", Json.num_int (-5)) ];
   refused "eq-check n 0" (eq_job ~seed:1) [ ("n", Json.num_int 0) ];
   refused "eq-check alpha 0" (eq_job ~seed:1) [ ("alpha", Json.Num 0.0) ];
   refused "eq-check alpha inf" (eq_job ~seed:1) [ ("alpha", Json.Num Float.infinity) ];
@@ -174,7 +176,38 @@ let test_job_keys () =
   (* Decoding the canonical form must preserve the key: the daemon dedups
      on it across the wire. *)
   let back = ok_exn "job_of_json" (P.job_of_json (P.job_to_json sweep_job)) in
-  Alcotest.(check string) "key survives the wire" k1 (P.job_key back)
+  Alcotest.(check string) "key survives the wire" k1 (P.job_key back);
+  (* Sweep journals on disk are named by this key: it was measured before
+     dynamics lost their evaluator choice and must not move. *)
+  let pinned =
+    P.Sweep
+      {
+        config =
+          Batch.config
+            (Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 10.0 })
+            ~ns:[ 5 ] ~alphas:[ 1.0 ] ~seeds:[ 1 ];
+        budget = None;
+        retries = None;
+      }
+  in
+  Alcotest.(check string) "pinned sweep key" "f548021c35bea5ab" (P.job_key pinned);
+  (* Requests written for either old evaluator still parse, as the one
+     sweep there is now. *)
+  List.iter
+    (fun evaluator ->
+      let line =
+        Printf.sprintf
+          {|{"v":1,"id":"x","op":"submit","job":{"kind":"sweep","model":"tree(1,10)","ns":[5],"alphas":[1],"seeds":[1],"rule":"greedy","evaluator":"%s"}}|}
+          evaluator
+      in
+      match (ok_exn ("evaluator " ^ evaluator) (P.request_of_line line)).P.request with
+      | P.Submit job -> Alcotest.(check string) ("evaluator " ^ evaluator) "f548021c35bea5ab" (P.job_key job)
+      | _ -> Alcotest.fail "a submit parses as a submit")
+    [ "reference"; "incremental" ];
+  check_true "unknown evaluator refused"
+    (Result.is_error
+       (P.request_of_line
+          {|{"v":1,"id":"x","op":"submit","job":{"kind":"sweep","model":"tree(1,10)","ns":[5],"alphas":[1],"seeds":[1],"evaluator":"fast"}}|}))
 
 (* --- protocol-hostile Json payloads ------------------------------------ *)
 
@@ -512,6 +545,8 @@ let test_cli_rejects_out_of_range () =
           [ "sweep"; "run"; "--ns"; "0" ];
           [ "sweep"; "run"; "--alphas"; "0" ];
           [ "sweep"; "--evaluator"; "fast" ];
+          [ "sweep"; "--evaluator"; "incremental" ];
+          [ "sweep"; "run"; "--evaluator"; "reference" ];
         ])
 
 let chaos_spawn ?(kill_p = 0.0) ?(hang_p = 0.0) ?(hang_s = 5.0) ?(fault_attempts = 1)
