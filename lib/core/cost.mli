@@ -21,25 +21,16 @@ val agent_dist_cost : ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> int 
 
 val agent_cost : ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> int -> float
 
-val agent_cost_with_dists : Host.t -> Strategy.t -> int -> float array -> float
-(** [agent_cost] given an already-known distance row for the agent (e.g.
-    from the incrementally maintained matrix of [Net_state]): O(n), no
-    graph work. *)
-
 val agent_parts : ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> int -> parts
 
-val social_cost : ?exec:Gncg_util.Exec.t -> Host.t -> Strategy.t -> float
-(** Defaults to [Exec.Seq].  Under [Par] the per-agent distance sums are
-    split across OCaml 5 domains — the engine's hot loop on large hosts.
-    The two strategies sum floats in different orders, so totals can
-    differ in the last ulps; equilibrium verdicts never depend on them
-    at that precision. *)
+val social_cost : Host.t -> Strategy.t -> float
+(** [social_parts]' edge total plus its distance total. *)
 
 val social_parts : Host.t -> Strategy.t -> parts
 
-val network_social_cost : ?exec:Gncg_util.Exec.t -> Host.t -> Gncg_graph.Wgraph.t -> float
+val network_social_cost : Host.t -> Gncg_graph.Wgraph.t -> float
 (** Social cost of a network in which every edge is bought exactly once
     (ownership does not matter for the total):
-    [α · Σ_e w(e) + Σ_u Σ_v d(u,v)].  Defaults to [Exec.Seq]. *)
+    [α · Σ_e w(e) + Σ_u Σ_v d(u,v)]. *)
 
 val network_parts : Host.t -> Gncg_graph.Wgraph.t -> parts

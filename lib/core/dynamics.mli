@@ -24,6 +24,12 @@ type scheduler =
       (** a fresh uniformly random agent each activation *)
 
 type step = { mover : int; before_cost : float; after_cost : float }
+(** One accepted move: the mover's cost before it and after it.  On
+    [Greedy_response] and [Add_only] runs both come from the stateful
+    engine ([Net_state.agent_cost] and the {!Fast_response} gain), which
+    sums in a different order from {!Cost.agent_cost}: on float-weighted
+    hosts they can differ from it by a few ulps.  Compare them within a
+    tolerance, never bit for bit. *)
 
 (** Instrumentation filled by {!run} when passed in via {!Config.make}:
     [evaluations] counts single-agent evaluations, [moves] accepted

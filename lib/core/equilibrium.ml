@@ -22,22 +22,16 @@ let profile_adj kind host s =
    kind.  The greedy kinds get both from one scan: one incumbent
    shortest-path pass per agent on the profile's network, [adj] when
    given. *)
-let current_and_best ?(oracle = `Branch_and_bound) ?adj kind host s u =
+let current_and_best ?adj kind host s u =
   match kind with
-  | NE ->
-    let best =
-      match oracle with
-      | `Branch_and_bound -> snd (Best_response.exact host s u)
-      | `Enumerate -> snd (Best_response.exact_enum host s u)
-    in
-    (Cost.agent_cost host s u, best)
+  | NE -> (Cost.agent_cost host s u, snd (Best_response.exact host s u))
   | GE | AE -> (
     match Greedy.scan ~kinds:(kinds_of kind) ?adj host s ~agent:u with
     | current, None -> (current, current)
     | current, Some (_, gain) -> (current, current -. gain))
 
-let agent_happy ?oracle ?adj kind host s u =
-  let current, best = current_and_best ?oracle ?adj kind host s u in
+let agent_happy ?adj kind host s u =
+  let current, best = current_and_best ?adj kind host s u in
   Flt.le current best
 
 (* The per-agent check is pure on immutable host/profile data, so under
@@ -54,9 +48,9 @@ let is_ge ?(exec = Exec.Seq) host s =
       let adj = profile_adj GE host s in
       Exec.for_all ~exec (Strategy.n s) (agent_happy ?adj GE host s))
 
-let is_ne ?oracle ?(exec = Exec.Seq) host s =
+let is_ne ?(exec = Exec.Seq) host s =
   Gncg_obs.Span.with_probe p_check (fun () ->
-      Exec.for_all ~exec (Strategy.n s) (agent_happy ?oracle NE host s))
+      Exec.for_all ~exec (Strategy.n s) (agent_happy NE host s))
 
 let is_equilibrium ?exec kind host s =
   match kind with
@@ -146,105 +140,36 @@ let pp_grievance fmt g =
       (String.concat ", " (List.map string_of_int (Strategy.ISet.elements set)))
   | None -> ()
 
-(* --- cached equilibrium scanning over a live Net_state --- *)
+(* --- one stateful scan over a live Net_state --- *)
 
 module Tracker = struct
-  module Changed_rows = Gncg_graph.Changed_rows
   module Metric = Gncg_obs.Metric
   module Span = Gncg_obs.Span
 
-  (* Layer-3 probes: re-evaluation vs skip accounting of the cached
-     scans, and the scan/refresh spans. *)
+  (* Layer-3 probes: the evaluations and the span of the scan. *)
   let c_reevals = Metric.Counter.make "equilibrium.tracker_reevals"
-  let c_skips = Metric.Counter.make "equilibrium.tracker_skips"
   let p_scan = Span.probe "equilibrium.scan"
-  let p_refresh = Span.probe "equilibrium.refresh"
 
-  type t = {
-    kind : kind;
-    st : Net_state.t;
-    happy : Bytes.t;    (* cached per-agent verdict, '\001' = happy *)
-    rowlocal : Bytes.t; (* verdict decided with zero what-if Dijkstras *)
-    mutable last_reevaluated : int;
-  }
-
-  let evaluate t u =
-    let best, rl =
-      Fast_response.best_move_state_verdict ~kinds:(kinds_of t.kind) t.st ~agent:u
-    in
-    Bytes.unsafe_set t.happy u (if best = None then '\001' else '\000');
-    Bytes.unsafe_set t.rowlocal u (if rl then '\001' else '\000')
+  type t = Bytes.t (* per-agent verdict, '\001' = happy *)
 
   let create kind st =
-    (match kind with
-    | NE -> invalid_arg "Equilibrium.Tracker.create: NE needs the best-response oracle"
-    | GE | AE -> ());
-    let n = Strategy.n (Net_state.profile st) in
-    (* Adopt whatever already accumulated in the state: the full scan
-       below makes it moot. *)
-    ignore (Net_state.drain_changes st);
-    let t =
-      {
-        kind;
-        st;
-        happy = Bytes.make n '\000';
-        rowlocal = Bytes.make n '\000';
-        last_reevaluated = n;
-      }
+    let kinds =
+      match kind with
+      | NE -> invalid_arg "Equilibrium.Tracker.create: NE needs the best-response oracle"
+      | GE | AE -> kinds_of kind
     in
+    let n = Strategy.n (Net_state.profile st) in
+    let happy = Bytes.make n '\000' in
     Span.with_probe p_scan (fun () ->
         for u = 0 to n - 1 do
-          evaluate t u
+          if fst (Fast_response.best_move_state_verdict ~kinds st ~agent:u) = None then
+            Bytes.unsafe_set happy u '\001'
         done);
     Metric.Counter.add c_reevals n;
-    t
+    happy
 
-  let state t = t.st
-
-  let kind t = t.kind
-
-  (* Same preservation rule as Dynamics.run: a cached verdict — happy or
-     unhappy — is a pure replay of its inputs when it was row-local and
-     (a) the agent's own distance row is unchanged, (b) no strategy pair
-     incident to the agent was modified, and (c) no changed row belongs
-     to one of its addable targets.  Everything else is re-evaluated;
-     the refreshed verdicts are byte-identical to a full rescan. *)
-  let refresh t =
-    Span.with_probe p_refresh (fun () ->
-        let n = Strategy.n (Net_state.profile t.st) in
-        let ch = Net_state.drain_changes t.st in
-        let host = Net_state.host t.st in
-        let s = Net_state.profile t.st in
-        let dirty u =
-          Bytes.unsafe_get t.rowlocal u = '\000'
-          || Changed_rows.mem ch.Net_state.rows u
-          || List.exists (fun (x, y) -> x = u || y = u) ch.Net_state.pairs
-          ||
-          let hit = ref false in
-          Changed_rows.iter
-            (fun v -> if (not !hit) && Move.addable host s ~agent:u v then hit := true)
-            ch.Net_state.rows;
-          !hit
-        in
-        let reevaluated = ref 0 in
-        for u = 0 to n - 1 do
-          if ch.Net_state.full || dirty u then begin
-            evaluate t u;
-            incr reevaluated
-          end
-          else Metric.Counter.incr c_skips
-        done;
-        Metric.Counter.add c_reevals !reevaluated;
-        t.last_reevaluated <- !reevaluated)
-
-  let last_reevaluated t = t.last_reevaluated
-
-  let is_equilibrium t =
-    let n = Bytes.length t.happy in
-    let rec go u = u >= n || (Bytes.unsafe_get t.happy u = '\001' && go (u + 1)) in
-    go 0
+  let is_equilibrium t = Bytes.for_all (fun c -> c = '\001') t
 
   let unhappy t =
-    let n = Bytes.length t.happy in
-    List.filter (fun u -> Bytes.get t.happy u = '\000') (List.init n (fun u -> u))
+    List.filter (fun u -> Bytes.get t u = '\000') (List.init (Bytes.length t) Fun.id)
 end

@@ -23,14 +23,9 @@ val is_ae : ?exec:Gncg_util.Exec.t -> Host.t -> Strategy.t -> bool
 
 val is_ge : ?exec:Gncg_util.Exec.t -> Host.t -> Strategy.t -> bool
 
-val is_ne :
-  ?oracle:[ `Branch_and_bound | `Enumerate ] ->
-  ?exec:Gncg_util.Exec.t ->
-  Host.t ->
-  Strategy.t ->
-  bool
-(** Exact Nash check via best responses; exponential.  The default oracle
-    is the branch-and-bound. *)
+val is_ne : ?exec:Gncg_util.Exec.t -> Host.t -> Strategy.t -> bool
+(** Exact Nash check via the branch-and-bound best response
+    ({!Best_response.exact}); exponential. *)
 
 val is_equilibrium : ?exec:Gncg_util.Exec.t -> kind -> Host.t -> Strategy.t -> bool
 
@@ -66,45 +61,22 @@ val certify :
 
 val pp_grievance : Format.formatter -> grievance -> unit
 
-(** Cached equilibrium scanning over a live {!Net_state.t}.
-
-    Dynamics and search loops repeatedly ask "is this still an
-    equilibrium / who is unhappy?" after single-move perturbations.  A
-    tracker caches every agent's verdict together with its row-locality
-    flag ({!Fast_response.best_move_state_verdict}); {!Tracker.refresh}
-    drains the state's change report and re-evaluates only the agents
-    whose cached verdict could have been invalidated — the same
-    preservation rule as the dirty-agent skipping in [Dynamics.run],
-    hence byte-identical to a full rescan (property-tested). *)
+(** The stateful equilibrium scan over a live {!Net_state.t}: one
+    {!Fast_response.best_move_state_verdict} per agent against the
+    state's maintained distance matrix, instead of a shortest-path pass
+    per agent on a freshly built network.  Same verdicts as
+    {!unhappy_agents} (property-tested). *)
 module Tracker : sig
   type t
 
   val create : kind -> Net_state.t -> t
-  (** Full initial scan of every agent.  The tracker holds onto the state
-      (apply moves through {!Net_state.apply_move} on it, then
-      {!refresh}); it drains any change report already pending.  Raises
-      [Invalid_argument] for [NE] — single-move verdicts cover GE and AE
-      only.  Each verdict comes from
-      {!Fast_response.best_move_state_verdict}. *)
-
-  val state : t -> Net_state.t
-
-  val kind : t -> kind
-
-  val refresh : t -> unit
-  (** Re-evaluates exactly the agents whose cached verdict the change
-      report cannot prove intact (own row changed, incident strategy pair
-      modified, a changed row among their addable targets, or a verdict
-      that needed what-if Dijkstras). *)
-
-  val last_reevaluated : t -> int
-  (** Number of agents the most recent {!refresh} (or {!create})
-      re-evaluated — the instrumentation behind the "strictly fewer than
-      n after one local move" guarantee in the tests. *)
+  (** Scans every agent of the state's current profile once; the state
+      is not modified.  Raises [Invalid_argument] for [NE] — single-move
+      verdicts cover GE and AE only. *)
 
   val is_equilibrium : t -> bool
 
   val unhappy : t -> int list
   (** Ascending list of agents with an improving single move of the
-      tracker's kind, per the cached verdicts. *)
+      scanned kind. *)
 end

@@ -13,52 +13,6 @@ let c_rowlocal_verdicts = Metric.Counter.make "fast_response.rowlocal_verdicts"
 let gain_between cur_cost cost' =
   if Flt.approx_eq cost' cur_cost then 0.0 else cur_cost -. cost'
 
-(* State-based evaluation: no graph build, no SSSP for the mover or for
-   addition targets — their rows live in the state's flat matrix, so an
-   addition is one streaming O(n) kernel with no row materialized.
-   Deletions and swaps still need one what-if pass each (removal
-   invalidates the precomputed rows), settled from the mover's live row
-   in the state's scratch buffers (no fresh heap, no fresh rows). *)
-let move_gains_state ?kinds st ~agent =
-  let host = Net_state.host st in
-  let s = Net_state.profile st in
-  let cur_dist = Net_state.agent_dist_sum st agent in
-  let cur_edge = Cost.agent_edge_cost host s agent in
-  let cur_cost = cur_edge +. cur_dist in
-  let alpha = Host.alpha host in
-  let edge_survives_sale v = Strategy.owns s v agent in
-  let gain_of = function
-    | Move.Add v ->
-      let w = Host.weight host agent v in
-      let cost' = cur_edge +. (alpha *. w) +. Net_state.dist_sum_with_edge st agent v w in
-      gain_between cur_cost cost'
-    | Move.Delete v ->
-      let w = Host.weight host agent v in
-      if edge_survives_sale v then alpha *. w
-      else begin
-        let dist' = Net_state.sssp_edited_sum st ~remove:(agent, v) agent in
-        gain_between cur_cost (cur_edge -. (alpha *. w) +. dist')
-      end
-    | Move.Swap (old_t, new_t) ->
-      let w_old = Host.weight host agent old_t in
-      let w_new = Host.weight host agent new_t in
-      if edge_survives_sale old_t then
-        (* The sold edge stays (other side owns it too): the swap is a pure
-           insertion, evaluated by the O(n) formula. *)
-        gain_between cur_cost
-          (cur_edge
-          +. (alpha *. (w_new -. w_old))
-          +. Net_state.dist_sum_with_edge st agent new_t w_new)
-      else begin
-        let dist' =
-          Net_state.sssp_edited_sum st ~remove:(agent, old_t) ~add:(agent, new_t, w_new)
-            agent
-        in
-        gain_between cur_cost (cur_edge +. (alpha *. (w_new -. w_old)) +. dist')
-      end
-  in
-  List.map (fun mv -> (mv, gain_of mv)) (Move.candidates ?kinds host s ~agent)
-
 (* Sizes the state's evaluator workspace for [n] vertices and [deg]
    owned edges, and marks every deletion row stale. *)
 let prepare (sc : Net_state.scratch) n deg =
@@ -80,9 +34,9 @@ let prepare (sc : Net_state.scratch) n deg =
    entirely from live matrix rows and the profile, with zero what-if
    Dijkstras.  Row-local verdicts are a pure function of (a) the agent's
    strategy entry and co-ownership pairs involving the agent and (b) the
-   distance rows of the agent and of its eligible targets — so a dynamics
-   or equilibrium scan may reuse them verbatim while those inputs are
-   untouched (see Dynamics).
+   distance rows of the agent and of its eligible targets — so
+   Dynamics.run may reuse them verbatim while those inputs are
+   untouched.
 
    The candidate enumeration below is Move.candidates inlined — additions
    in ascending target order, then deletions in ascending owned order,
@@ -207,5 +161,3 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   end;
   if !rowlocal then Metric.Counter.incr c_rowlocal_verdicts;
   (!best, !rowlocal)
-
-let best_move_state ?kinds st ~agent = fst (best_move_state_verdict ?kinds st ~agent)

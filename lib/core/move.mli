@@ -16,9 +16,9 @@ val addable : Host.t -> Strategy.t -> agent:int -> int -> bool
 (** Is [v] a legal addition target for the agent — distinct, absent from
     [G(s)] in both directions, finite host weight?  The shared predicate
     behind the [Add]/[Swap] candidates here, the streaming kernels of
-    [Fast_response], and the dirty-agent analyses of [Dynamics] and
-    [Equilibrium.Tracker] (a changed distance row can enter a row-local
-    verdict only through an addable target). *)
+    [Fast_response], and the idle-verdict preservation of [Dynamics.run]
+    (a changed distance row can enter a row-local verdict only through an
+    addable target). *)
 
 val candidates : ?kinds:[ `Add | `Delete | `Swap ] list -> Host.t -> Strategy.t -> agent:int -> t list
 (** All coherent single-edge moves for the agent.  [Add v] is proposed only

@@ -5,7 +5,7 @@ module Flt = Gncg_util.Flt
 module Metric = Gncg_obs.Metric
 
 (* Layer-2 probes: the cost-cache hit rate and the size of the change
-   reports flowing to the trackers above. *)
+   reports flowing to the dynamics loop above. *)
 let c_cache_hits = Metric.Counter.make "net_state.cost_cache_hits"
 let c_cache_misses = Metric.Counter.make "net_state.cost_cache_misses"
 let c_moves_applied = Metric.Counter.make "net_state.moves_applied"
@@ -33,12 +33,9 @@ type t = {
   cost_valid : Bytes.t;         (* 1 = costs.(u) is current *)
   mutable pending_rows : Changed_rows.t;  (* rows changed since last drain *)
   mutable pending_pairs : (int * int) list; (* strategy pairs modified since last drain *)
-  mutable pending_full : bool;  (* set_profile happened: everything dirty *)
+  mutable pending_full : bool;  (* the sentinel repaired the store: everything dirty *)
   scratch : scratch;            (* the move evaluator's workspace *)
 }
-
-let empty_scratch () =
-  { targets = [||]; weights = [||]; sums = [||]; del_rows = [||]; del_for = [||] }
 
 let create ?require_mutable:_ host profile =
   if Strategy.n profile <> Host.n host then
@@ -53,7 +50,7 @@ let create ?require_mutable:_ host profile =
     pending_rows = Changed_rows.create n;
     pending_pairs = [];
     pending_full = false;
-    scratch = empty_scratch ();
+    scratch = { targets = [||]; weights = [||]; sums = [||]; del_rows = [||]; del_for = [||] };
   }
 
 let host t = t.host
@@ -61,12 +58,6 @@ let host t = t.host
 let profile t = t.profile
 
 let graph t = Incr_apsp.graph t.dist
-
-let dist t u v = Incr_apsp.distance t.dist u v
-
-let dist_row t u = Incr_apsp.row t.dist u
-
-let dist_row_into t u dst = Incr_apsp.row_into t.dist u dst
 
 let agent_dist_sum t u = Incr_apsp.dist_sum t.dist u
 
@@ -92,14 +83,6 @@ let agent_cost t u =
     c
   end
 
-let social_cost t =
-  let n = Strategy.n t.profile in
-  let acc = ref 0.0 in
-  for u = 0 to n - 1 do
-    acc := !acc +. agent_cost t u
-  done;
-  !acc
-
 (* --- change bookkeeping --- *)
 
 let invalidate_rows t changed =
@@ -120,11 +103,6 @@ let drain_changes t =
   t.pending_pairs <- [];
   t.pending_full <- false;
   { rows; pairs; full }
-
-let has_pending_changes t =
-  t.pending_full
-  || t.pending_pairs <> []
-  || not (Changed_rows.is_empty t.pending_rows)
 
 (* Network-level edge deltas.  An edge (a,b) is in the network iff either
    side owns it; finite host weight is required, matching Network.graph. *)
@@ -155,29 +133,9 @@ let apply_move t ~agent mv =
   t.profile <- s';
   s'
 
-let set_profile t s' =
-  if Strategy.n s' <> Strategy.n t.profile then
-    invalid_arg "Net_state.set_profile: size mismatch";
-  let in_new u v = Strategy.edge_in_network s' u v in
-  (* Removals first (against the edge list of the tracked graph), then
-     additions from the new profile's ownership lists. *)
-  let stale = ref [] in
-  Wgraph.iter_edges (graph t) (fun u v _ -> if not (in_new u v) then stale := (u, v) :: !stale);
-  t.profile <- s';
-  List.iter (fun (u, v) -> net_remove t u v) !stale;
-  List.iter
-    (fun (u, v) -> if not (Wgraph.has_edge (graph t) u v) then net_add t u v)
-    (Strategy.owned_edges s');
-  (* Ownership may have moved arbitrarily even where the network did not:
-     every cached verdict upstream is suspect. *)
-  Bytes.fill t.cost_valid 0 (Bytes.length t.cost_valid) '\000';
-  t.pending_full <- true
-
 (* --- drift sentinel passthrough --- *)
 
 let set_selfcheck t n = Incr_apsp.set_selfcheck t.dist n
-
-let selfcheck_cadence t = Incr_apsp.selfcheck_cadence t.dist
 
 let selfcheck_now t =
   let clean = Incr_apsp.selfcheck_now t.dist in
@@ -191,26 +149,11 @@ let selfcheck_now t =
 
 let inject_distance_error t u v delta = Incr_apsp.inject_cell_error t.dist u v delta
 
-let sssp_edited t ?remove ?add source = Incr_apsp.sssp_edited t.dist ?remove ?add source
-
 let sssp_edited_into t ?remove ?add source dst =
   Incr_apsp.sssp_edited_into t.dist ?remove ?add source dst
 
 let sssp_edited_sum t ?remove ?add source =
   Incr_apsp.sssp_edited_sum t.dist ?remove ?add source
-
-let copy t =
-  {
-    host = t.host;
-    profile = t.profile;
-    dist = Incr_apsp.copy t.dist;
-    costs = Array.copy t.costs;
-    cost_valid = Bytes.copy t.cost_valid;
-    pending_rows = Changed_rows.copy t.pending_rows;
-    pending_pairs = t.pending_pairs;
-    pending_full = t.pending_full;
-    scratch = empty_scratch ();
-  }
 
 let check_consistent t =
   let reference = Gncg_graph.Dijkstra.apsp (Network.graph t.host t.profile) in
@@ -218,7 +161,7 @@ let check_consistent t =
   let ok = ref true in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
-      if not (Flt.approx_eq (dist t u v) reference.(u).(v)) then ok := false
+      if not (Flt.approx_eq (Incr_apsp.distance t.dist u v) reference.(u).(v)) then ok := false
     done
   done;
   (* The cost cache must agree with a from-scratch evaluation wherever it

@@ -11,8 +11,8 @@
     - every agent's cost is served from a per-agent cache invalidated
       only when that agent's distance row or own strategy changed, and
     - every mutation accumulates a change report (changed distance rows
-      plus modified strategy pairs) that dynamics and equilibrium
-      scanners drain to skip provably unaffected agents.
+      plus modified strategy pairs) that {!Dynamics.run} drains to keep
+      the idle verdicts of provably unaffected agents.
 
     The structure is single-owner and not thread-safe; the read-only
     accessors may be shared across domains between updates. *)
@@ -26,8 +26,8 @@ type t
       was modified by {!apply_move}, {e including} moves that left the
       network itself untouched (co-owned buys/sells change purchase
       costs and edge-survival behaviour at both endpoints);
-    - [full] — {!set_profile} re-pointed the state at an arbitrary
-      profile; consumers must treat every agent as dirty. *)
+    - [full] — a repairing {!selfcheck_now} rebuilt the matrix; consumers
+      must treat every agent as dirty. *)
 type changes = {
   rows : Gncg_graph.Changed_rows.t;
   pairs : (int * int) list;
@@ -37,24 +37,13 @@ type changes = {
 val create : ?require_mutable:bool -> Host.t -> Strategy.t -> t
 (** Builds the network of the profile and its distance matrix:
     O(n · (m + n log n)) once, amortized over the run.
-    [?require_mutable] has no effect; the store is always mutable. *)
+    [?require_mutable] has no effect; the store is always mutable.  It
+    is kept only because the benchmark harness ([benchmark/]) passes it. *)
 
 val host : t -> Host.t
 
 val profile : t -> Strategy.t
-(** The current profile; updated by {!apply_move} / {!set_profile}. *)
-
-val graph : t -> Gncg_graph.Wgraph.t
-(** The tracked network — read-only for callers. *)
-
-val dist : t -> int -> int -> float
-
-val dist_row : t -> int -> float array
-(** Fresh copy of the agent's distance row (the backing store is flat
-    and unboxed). *)
-
-val dist_row_into : t -> int -> float array -> unit
-(** Allocation-free {!dist_row} into a caller buffer of length >= n. *)
+(** The current profile; updated by {!apply_move}. *)
 
 val agent_dist_sum : t -> int -> float
 (** Streaming sum of the agent's distance row — no row materialized. *)
@@ -77,8 +66,7 @@ val min_sum_against : t -> float array -> int -> float -> float
     the agent's addable targets with their weights and insertion sums,
     and one deletion what-if row per owned edge ([del_for.(i)] is the
     target whose row [del_rows.(i)] holds, or [-1]).  The evaluator
-    grows it on demand; its contents mean nothing between evaluations,
-    and {!copy} starts a fresh one. *)
+    grows it on demand; its contents mean nothing between evaluations. *)
 type scratch = {
   mutable targets : int array;
   mutable weights : float array;
@@ -94,41 +82,25 @@ val agent_cost : t -> int -> float
     cache (recomputed in O(n) only after the agent's row or strategy
     changed). *)
 
-val social_cost : t -> float
-
 val apply_move : t -> agent:int -> Move.t -> Strategy.t
 (** Applies the move to the profile ({!Move.apply} semantics, including
     its validation) and updates the network and distances incrementally.
     An edge bought from both sides stays in the network when only one
     side sells it.  Returns the new profile. *)
 
-val set_profile : t -> Strategy.t -> unit
-(** Re-points the state at an arbitrary profile of the same size by
-    diffing the two networks edge by edge — incremental when the profiles
-    are close, never worse than a rebuild by more than the diff size.
-    Used when a dynamics rule jumps to a multi-edge deviation.  Marks the
-    pending change report as [full]. *)
-
 val drain_changes : t -> changes
 (** Returns everything accumulated since the previous drain and resets
     the accumulator.  A fresh state drains empty. *)
 
-val has_pending_changes : t -> bool
-
-val sssp_edited :
-  t -> ?remove:int * int -> ?add:int * int * float -> int -> float array
-(** What-if single-source distances on a hypothetical one-edge edit; see
-    {!Gncg_graph.Incr_apsp.sssp_edited}. *)
-
 val sssp_edited_into :
   t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit
-(** Allocation-free {!sssp_edited} into a caller buffer. *)
+(** What-if single-source distances on a hypothetical one-edge edit,
+    written into a caller buffer; see
+    {!Gncg_graph.Incr_apsp.sssp_edited}. *)
 
 val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int -> float
 (** [Flt.sum] of the what-if row through the engine's scratch buffer —
     zero allocation; the form the response engines use. *)
-
-val copy : t -> t
 
 (** {1 Drift sentinel}
 
@@ -140,8 +112,6 @@ val copy : t -> t
 
 val set_selfcheck : t -> int -> unit
 (** Probe every [n] network mutations; [0] disables (the default). *)
-
-val selfcheck_cadence : t -> int
 
 val selfcheck_now : t -> bool
 (** One immediate probe; on repair also drops the whole cost cache and

@@ -2,9 +2,8 @@
 
     The incremental APSP updates ({!Incr_apsp.add_edge} /
     {!Incr_apsp.remove_edge}) report which source rows they touched so
-    that the layers above (cost caches, dynamics idle flags, equilibrium
-    trackers) can invalidate per-agent work selectively instead of
-    wholesale.  The report is {e sound}: every row whose distances differ
+    that the layers above (cost caches, dynamics idle flags) can
+    invalidate per-agent work selectively instead of wholesale.  The report is {e sound}: every row whose distances differ
     from before the update is a member.  It may over-approximate (a
     recomputed-but-identical row can be reported), never the reverse. *)
 

@@ -46,8 +46,7 @@ let sssp_bounded g s limit = fst (run ~limit g s)
 
 let distance g u v = (sssp g u).(v)
 
-let apsp ?(exec = Gncg_util.Exec.Seq) g =
-  Gncg_util.Exec.init ~exec (Wgraph.n g) (fun s -> sssp g s)
+let apsp g = Array.init (Wgraph.n g) (fun s -> sssp g s)
 
 let path g u v =
   let dist, parent = run g u in
@@ -59,20 +58,7 @@ let path g u v =
 
 let eccentricity g u = Gncg_util.Flt.max_array (sssp g u)
 
-(* Below this size the ~0.1 ms domain-spawn cost dwarfs the sweep itself. *)
-let parallel_threshold = 64
+let eccentricities g = Array.init (Wgraph.n g) (eccentricity g)
 
-let eccentricities ?domains g =
-  let n = Wgraph.n g in
-  if n = 0 then [||]
-  else begin
-    let rows =
-      if n >= parallel_threshold then apsp ~exec:(Gncg_util.Exec.Par { domains }) g
-      else apsp g
-    in
-    Array.map Gncg_util.Flt.max_array rows
-  end
-
-let diameter ?domains g =
-  let n = Wgraph.n g in
-  if n <= 1 then 0.0 else Gncg_util.Flt.max_array (eccentricities ?domains g)
+let diameter g =
+  if Wgraph.n g <= 1 then 0.0 else Gncg_util.Flt.max_array (eccentricities g)

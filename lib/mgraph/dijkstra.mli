@@ -20,23 +20,19 @@ val sssp_bounded : Wgraph.t -> int -> float -> float array
 
 val distance : Wgraph.t -> int -> int -> float
 
-val apsp : ?exec:Gncg_util.Exec.t -> Wgraph.t -> float array array
-(** All-pairs shortest paths by repeated Dijkstra: O(n (m + n log n)).
-    Defaults to [Exec.Seq]; under [Par] the sources are split across
-    OCaml 5 domains (the graph must not be mutated concurrently), with
-    an identical result. *)
+val apsp : Wgraph.t -> float array array
+(** All-pairs shortest paths by repeated Dijkstra: O(n (m + n log n)). *)
 
 val path : Wgraph.t -> int -> int -> int list option
 (** Vertex sequence of one shortest path from [u] to [v], inclusive. *)
 
 val eccentricity : Wgraph.t -> int -> float
 
-val eccentricities : ?domains:int -> Wgraph.t -> float array
-(** Eccentricity of every vertex from one all-pairs sweep; the sources are
-    split across domains on graphs large enough to amortize the spawn
-    cost. *)
+val eccentricities : Wgraph.t -> float array
+(** {!eccentricity} of every vertex, one SSSP per source, in the calling
+    domain: it runs inside sweep jobs that the scheduler already spreads
+    across domains, so it must not spawn any of its own. *)
 
-val diameter : ?domains:int -> Wgraph.t -> float
-(** Infinite when the graph is disconnected, 0 for n <= 1.  Runs the
-    eccentricity sweep of {!eccentricities} (multicore on large graphs)
-    instead of n sequential SSSP calls. *)
+val diameter : Wgraph.t -> float
+(** The largest of the {!eccentricities}: infinite when the graph is
+    disconnected, 0 for n <= 1. *)

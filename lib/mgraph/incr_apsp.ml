@@ -92,14 +92,6 @@ let row t u =
   let n = t.n in
   Array.init n (fun v -> Float.Array.unsafe_get t.d ((u * n) + v))
 
-let row_into t u dst =
-  check t u "row_into";
-  if Array.length dst < t.n then invalid_arg "Incr_apsp.row_into: row too short";
-  let base = u * t.n in
-  for v = 0 to t.n - 1 do
-    Array.unsafe_set dst v (Float.Array.unsafe_get t.d (base + v))
-  done
-
 let matrix t = Array.init t.n (fun u -> row t u)
 
 (* --- streaming row kernels (allocation-free, Kahan, inf-propagating) --- *)
@@ -328,8 +320,6 @@ let set_selfcheck t n =
   let n = max 0 n in
   t.selfcheck_every <- n;
   t.selfcheck_countdown <- n
-
-let selfcheck_cadence t = t.selfcheck_every
 
 let selfcheck_now t =
   Metric.Counter.incr c_selfcheck_probes;

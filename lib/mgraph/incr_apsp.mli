@@ -58,10 +58,6 @@ val row : t -> int -> float array
 (** A fresh copy of a source's distance row (the backing store is flat
     and unboxed; there is no live [float array] to alias). *)
 
-val row_into : t -> int -> float array -> unit
-(** Copies a source's distance row into a caller-provided buffer of
-    length >= n — the allocation-free form of {!row}. *)
-
 val matrix : t -> float array array
 (** A fresh boxed copy of the whole matrix (test/oracle convenience). *)
 
@@ -158,8 +154,6 @@ val rebuild : t -> unit
 val set_selfcheck : t -> int -> unit
 (** Sets the probe cadence: check every [n] updates; [0] (the default)
     disables the sentinel.  Resets the countdown. *)
-
-val selfcheck_cadence : t -> int
 
 val selfcheck_now : t -> bool
 (** Runs one probe immediately (outside the cadence), repairing on

@@ -141,7 +141,7 @@ let outcomes_identical a b =
    [spec_run] is the run loop of {!Helpers.spec_dynamics}: revisits are
    found through [Strategy.canonical_key], and every agent is
    re-evaluated after each move — statelessly, or ([~net_state:true])
-   on one [Net_state] with [Fast_response.best_move_state].  With the
+   on one [Net_state] with [Fast_response.best_move_state_verdict].  With the
    pair hash forced constant, every lookup of [Dyn.run]'s visited set
    collides, so only its [Strategy.equal] confirmation separates
    revisits from collisions: the outcome must still be the spec's. *)
@@ -152,7 +152,7 @@ let spec_run ?(net_state = false) ~max_steps rule scheduler host start =
     let kinds = match rule with Dyn.Add_only -> [ `Add ] | _ -> [ `Add; `Delete; `Swap ] in
     let st = Gncg.Net_state.create host start in
     spec_dynamics ~max_steps scheduler start ~attempt:(fun _ u ->
-        match Gncg.Fast_response.best_move_state ~kinds st ~agent:u with
+        match fst (Gncg.Fast_response.best_move_state_verdict ~kinds st ~agent:u) with
         | None -> None
         | Some (mv, gain) ->
           let before = Gncg.Net_state.agent_cost st u in

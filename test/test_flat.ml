@@ -338,31 +338,6 @@ let star_instance () =
   let s = Strategy.of_lists n [ (0, [ 1; 2; 3; 4; 5 ]) ] in
   (host, s)
 
-let test_tracker_partial_refresh () =
-  let host, s = star_instance () in
-  let st = Gncg.Net_state.create host s in
-  let tr = Gncg.Equilibrium.Tracker.create Gncg.Equilibrium.AE st in
-  Alcotest.(check (list int)) "initial unhappy" [ 1; 2 ] (Gncg.Equilibrium.Tracker.unhappy tr);
-  ignore (Gncg.Net_state.apply_move st ~agent:1 (Gncg.Move.Add 2));
-  Gncg.Equilibrium.Tracker.refresh tr;
-  let reevaluated = Gncg.Equilibrium.Tracker.last_reevaluated tr in
-  (* Strictly fewer than n agents re-examined after one local move... *)
-  Alcotest.(check bool) "refresh < n" true (reevaluated < Strategy.n s);
-  Alcotest.(check int) "exactly the dirty agents" 2 reevaluated;
-  (* ...and the cached verdicts are byte-identical to a full rescan. *)
-  let fresh =
-    Gncg.Equilibrium.Tracker.create Gncg.Equilibrium.AE (Gncg.Net_state.copy st)
-  in
-  Alcotest.(check (list int))
-    "refresh = full rescan"
-    (Gncg.Equilibrium.Tracker.unhappy fresh)
-    (Gncg.Equilibrium.Tracker.unhappy tr);
-  Alcotest.(check (list int))
-    "tracker = reference scan"
-    (Gncg.Equilibrium.unhappy_agents Gncg.Equilibrium.AE host (Gncg.Net_state.profile st))
-    (Gncg.Equilibrium.Tracker.unhappy tr);
-  Alcotest.(check bool) "now an AE" true (Gncg.Equilibrium.Tracker.is_equilibrium tr)
-
 let test_dynamics_skips_clean_agents () =
   let host, s = star_instance () in
   let metrics = { Gncg.Dynamics.evaluations = 0; moves = 0; skips = 0 } in
@@ -388,8 +363,6 @@ let test_dynamics_skips_clean_agents () =
     Alcotest.(check int) "n+1 evaluations" 7 metrics.Gncg.Dynamics.evaluations
   | _ -> Alcotest.fail "star dynamics did not converge"
 
-(* --- tracker refresh = full rescan on random games --- *)
-
 let random_game seed ~n =
   let r = Prng.create seed in
   let alpha = 0.5 +. Prng.float r 3.0 in
@@ -397,24 +370,6 @@ let random_game seed ~n =
   let host = Gncg_workload.Instances.random_host r model ~n ~alpha in
   let s = Gncg_workload.Instances.random_profile r host in
   (r, host, s)
-
-let prop_tracker_refresh_byte_identical seed =
-  let r, host, s = random_game (seed + 305) ~n:7 in
-  let st = Gncg.Net_state.create host s in
-  let kind = if Prng.int r 2 = 0 then Gncg.Equilibrium.GE else Gncg.Equilibrium.AE in
-  let tr = Gncg.Equilibrium.Tracker.create kind st in
-  let ok = ref true in
-  for _ = 1 to 5 do
-    let u = Prng.int r 7 in
-    (match Gncg.Move.candidates host (Gncg.Net_state.profile st) ~agent:u with
-    | [] -> ()
-    | cands -> ignore (Gncg.Net_state.apply_move st ~agent:u (List.nth cands (Prng.int r (List.length cands)))));
-    Gncg.Equilibrium.Tracker.refresh tr;
-    let fresh = Gncg.Equilibrium.Tracker.create kind (Gncg.Net_state.copy st) in
-    if Gncg.Equilibrium.Tracker.unhappy tr <> Gncg.Equilibrium.Tracker.unhappy fresh then
-      ok := false
-  done;
-  !ok
 
 (* Incremental Add_only dynamics with dirty-skipping still land on an
    add-stable profile (a wrongly preserved idle verdict would let the
@@ -446,10 +401,8 @@ let suites =
           prop_insertion_kernels_match_float_min;
         qtest "batched insertion sums = single" seed_gen prop_batched_sums_match_single;
         Alcotest.test_case "fused total: infinity" `Quick test_total_with_edge_added_infinity;
-        Alcotest.test_case "tracker: partial refresh" `Quick test_tracker_partial_refresh;
         Alcotest.test_case "dynamics: clean agents skipped" `Quick
           test_dynamics_skips_clean_agents;
-        qtest ~count:20 "tracker refresh = rescan" seed_gen prop_tracker_refresh_byte_identical;
         qtest ~count:15 "add-only dynamics reach AE" seed_gen
           prop_incremental_add_only_reaches_ae;
       ] );

@@ -248,14 +248,6 @@ let prop_dist_matrix_insertion seed =
     !ok
   end
 
-let prop_fast_response_equivalence seed =
-  let r, host, s = random_game (seed + 16) ~n:6 in
-  let u = Prng.int r 6 in
-  List.for_all
-    (fun (mv, fast) ->
-      Gncg_util.Flt.approx_eq ~tol:1e-6 fast (Gncg.Greedy.move_gain host s ~agent:u mv))
-    (Gncg.Fast_response.move_gains_state (Gncg.Net_state.create host s) ~agent:u)
-
 let prop_betweenness_distance_identity seed =
   let r = Prng.create (seed + 17) in
   let n = 4 + Prng.int r 8 in
@@ -370,7 +362,6 @@ let suites =
         qtest ~count:15 "Thm 20 ratio closed form" seed_gen prop_thm20_ratio;
         qtest "serialize roundtrip" seed_gen prop_serialize_roundtrip;
         qtest "dist-matrix insertion exact" seed_gen prop_dist_matrix_insertion;
-        qtest ~count:20 "fast-response equivalence" seed_gen prop_fast_response_equivalence;
         qtest "betweenness distance identity" seed_gen prop_betweenness_distance_identity;
         qtest ~count:60 "parallel init = Array.init at corners" parallel_corner_gen
           prop_parallel_init_matches_array;

@@ -112,6 +112,14 @@ let test_net_state_verdict_after_repair () =
   Gncg.Net_state.inject_distance_error st 1 7 0.5;
   check_false "probe detects the injected cell" (Gncg.Net_state.selfcheck_now st);
   check_true "state consistent after repair" (Gncg.Net_state.check_consistent st);
+  (* The repair is the one producer of a [full] change report: a drain
+     reports it once, and the next drain is empty. *)
+  let ch = Gncg.Net_state.drain_changes st in
+  check_true "repair drains as full" ch.Gncg.Net_state.full;
+  let ch = Gncg.Net_state.drain_changes st in
+  check_false "second drain not full" ch.Gncg.Net_state.full;
+  check_true "second drain has no rows" (Gncg_graph.Changed_rows.is_empty ch.Gncg.Net_state.rows);
+  check_true "second drain has no pairs" (ch.Gncg.Net_state.pairs = []);
   let n = Gncg.Host.n host in
   for u = 0 to n - 1 do
     check_float
