@@ -147,7 +147,7 @@ module Tracker = struct
   module Span = Gncg_obs.Span
 
   (* Layer-3 probes: the evaluations and the span of the scan. *)
-  let c_reevals = Metric.Counter.make "equilibrium.tracker_reevals"
+  let c_scan_evals = Metric.Counter.make "equilibrium.scan_evals"
   let p_scan = Span.probe "equilibrium.scan"
 
   type t = Bytes.t (* per-agent verdict, '\001' = happy *)
@@ -165,7 +165,7 @@ module Tracker = struct
           if fst (Fast_response.best_move_state_verdict ~kinds st ~agent:u) = None then
             Bytes.unsafe_set happy u '\001'
         done);
-    Metric.Counter.add c_reevals n;
+    Metric.Counter.add c_scan_evals n;
     happy
 
   let is_equilibrium t = Bytes.for_all (fun c -> c = '\001') t

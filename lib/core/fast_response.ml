@@ -7,6 +7,12 @@ module Metric = Gncg_obs.Metric
 let c_state_evals = Metric.Counter.make "fast_response.state_evals"
 let c_rowlocal_verdicts = Metric.Counter.make "fast_response.rowlocal_verdicts"
 
+(* How many tight targets' insertion sums were never computed, and how
+   many were forced through the exact kernel because their bound could
+   not settle a decision. *)
+let c_tight_targets = Metric.Counter.make "fast_response.tight_targets"
+let c_tight_exact = Metric.Counter.make "fast_response.tight_exact"
+
 (* Near-ties are classified with the engine tolerance, like everywhere
    else: a candidate within [Flt.eps] of the incumbent cost is "no gain"
    (this also absorbs inf - inf for disconnected states). *)
@@ -19,7 +25,11 @@ let prepare (sc : Net_state.scratch) n deg =
   if Array.length sc.targets < n then begin
     sc.targets <- Array.make n 0;
     sc.weights <- Array.make n 0.0;
-    sc.sums <- Array.make n 0.0
+    sc.sums <- Array.make n 0.0;
+    sc.known <- Array.make n false;
+    sc.loose <- Array.make n 0;
+    sc.loose_targets <- Array.make n 0;
+    sc.loose_weights <- Array.make n 0.0
   end;
   let have = Array.length sc.del_rows in
   if have < deg then begin
@@ -29,6 +39,18 @@ let prepare (sc : Net_state.scratch) n deg =
     sc.del_for <- Array.make cap (-1)
   end;
   Array.fill sc.del_for 0 deg (-1)
+
+(* The rounding margin Δ of a tight target's insertion sum: when the
+   stored d(u,v) <= w, the exact Kahan sum Σ_x min(d_u(x), w + d_v(x))
+   lies within Δ = 8n·ε·(2n·w + cur_dist) of cur_dist, the Kahan sum of
+   d_u.  In exact arithmetic the triangle inequality makes the two sums
+   equal; the stored matrix meets it only up to the relative error of
+   its entries, which with the two Kahan sums stays below half of Δ
+   (ALGORITHMS.md, "Tight targets").  Defined here with float
+   annotations so that it inlines unboxed. *)
+let[@inline] tight_margin n (cur_dist : float) (w : float) =
+  let nf = float_of_int n in
+  8.0 *. nf *. epsilon_float *. ((2.0 *. nf *. w) +. cur_dist)
 
 (* Best improving move, plus whether the verdict is "row-local": decided
    entirely from live matrix rows and the profile, with zero what-if
@@ -59,39 +81,80 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   let want_swap = List.mem `Swap kinds in
   let sc = Net_state.scratch st in
   prepare sc n deg;
-  (* The addable targets in ascending order, their weights, and their
-     insertion sums Σ_x min(d_u(x), w + d_v(x)), shared by the Add
-     candidates and by every swap bound below.  One batched call fills
-     them, exactly when some candidate reads them: when additions are
-     evaluated, or swaps are and the agent owns an edge. *)
-  let k =
-    if List.mem `Add kinds || (want_swap && deg > 0) then begin
-      let k = ref 0 in
-      for v = 0 to n - 1 do
-        if Move.addable host s ~agent v then begin
-          Array.unsafe_set sc.targets !k v;
-          Array.unsafe_set sc.weights !k (Host.weight host agent v);
-          incr k
-        end
-      done;
+  (* The addable targets in ascending order and their weights, read by
+     the Add candidates and by every swap, exactly when some candidate
+     reads them: when additions are evaluated, or swaps are and the agent
+     owns an edge.  A loose target (d(u,v) > w) gets its insertion sum
+     Σ_x min(d_u(x), w + d_v(x)) from one batched call over the
+     compacted loose list.  A tight one (d(u,v) <= w) gets none: its sum
+     lies within [tight_margin] of cur_dist, and each reader below first
+     asks whether that bound already settles its decision.  When the
+     agent's cost is infinite every target counts as loose. *)
+  let k = ref 0 and kl = ref 0 in
+  if List.mem `Add kinds || (want_swap && deg > 0) then begin
+    for v = 0 to n - 1 do
+      if Move.addable host s ~agent v then begin
+        Array.unsafe_set sc.targets !k v;
+        Array.unsafe_set sc.weights !k (Host.weight host agent v);
+        incr k
+      end
+    done;
+    kl :=
+      if cur_cost < Float.infinity then
+        Net_state.loose_targets st agent sc.targets sc.weights !k sc.loose
+      else !k;
+    if !kl = !k then begin
       Net_state.dist_sums_with_edges st agent sc.targets sc.weights !k sc.sums;
-      !k
+      Array.fill sc.known 0 !k true
     end
-    else 0
+    else begin
+      Array.fill sc.known 0 !k false;
+      for i = 0 to !kl - 1 do
+        let j = sc.loose.(i) in
+        sc.loose_targets.(i) <- sc.targets.(j);
+        sc.loose_weights.(i) <- sc.weights.(j);
+        sc.known.(j) <- true
+      done;
+      Net_state.dist_sums_with_edges st agent sc.loose_targets sc.loose_weights !kl sc.sums;
+      (* Move each sum from its compacted slot to its target's, last
+         first: loose.(i) >= i, so no sum is overwritten before it moves. *)
+      for i = !kl - 1 downto 0 do
+        sc.sums.(sc.loose.(i)) <- sc.sums.(i)
+      done
+    end
+  end;
+  let k = !k in
+  (* A tight target's exact sum, computed on first need and kept. *)
+  let tight_exact = ref 0 in
+  let exact_sum j =
+    if not sc.known.(j) then begin
+      sc.sums.(j) <- Net_state.dist_sum_with_edge st agent sc.targets.(j) sc.weights.(j);
+      sc.known.(j) <- true;
+      incr tight_exact
+    end
   in
   let rowlocal = ref true in
-  let best = ref None in
+  let best_move = ref None and best_gain = ref Flt.eps in
   let pick mv gain =
-    match !best with
-    | Some (_, g) when g >= gain -> ()
-    | _ -> if gain > Flt.eps then best := Some (mv, gain)
+    if gain > !best_gain then begin
+      best_move := Some mv;
+      best_gain := gain
+    end
   in
-  let best_gain () = match !best with Some (_, g) -> g | None -> Flt.eps in
+  (* A candidate whose distance sum is a tight target's is skipped when
+     even the lowest sum its bound allows leaves a gain of at most the
+     incumbent's: [pick] could not take it.  Costs are monotone in the
+     sum, so the bound's end decides for every sum inside it. *)
   if List.mem `Add kinds then
     for i = 0 to k - 1 do
       let w = sc.weights.(i) in
-      let cost' = cur_edge +. (alpha *. w) +. sc.sums.(i) in
-      pick (Move.Add sc.targets.(i)) (gain_between cur_cost cost')
+      let edge' = cur_edge +. (alpha *. w) in
+      if sc.known.(i)
+         || cur_cost -. (edge' +. (cur_dist -. tight_margin n cur_dist w)) > !best_gain
+      then begin
+        exact_sum i;
+        pick (Move.Add sc.targets.(i)) (gain_between cur_cost (edge' +. sc.sums.(i)))
+      end
     done;
   (* The deletion what-if row r_del(x) = d_{G-e}(u,x) of the [i]-th owned
      edge e = (u, old_t), computed at most once per evaluation: the
@@ -116,7 +179,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
       (fun v ->
         let w = Host.weight host agent v in
         if edge_survives_sale v then pick (Move.Delete v) (alpha *. w)
-        else if alpha *. w > best_gain () then begin
+        else if alpha *. w > !best_gain then begin
           rowlocal := false;
           let dist' = Flt.sum (del_row !i v) in
           pick (Move.Delete v) (gain_between cur_cost (cur_edge -. (alpha *. w) +. dist'))
@@ -137,27 +200,51 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
         for j = 0 to k - 1 do
           let new_t = sc.targets.(j) and w_new = sc.weights.(j) in
           let edge_delta = alpha *. (w_new -. w_old) in
-          let insertion_cost = cur_edge +. edge_delta +. sc.sums.(j) in
-          if survives then
+          let edge' = cur_edge +. edge_delta in
+          if survives then begin
             (* The sold edge stays (other side owns it too): the swap is
                a pure insertion, evaluated exactly by the O(n) formula. *)
-            pick (Move.Swap (old_t, new_t)) (gain_between cur_cost insertion_cost)
-          else if cur_cost -. insertion_cost > best_gain () then begin
-            rowlocal := false;
-            let refined_cost =
-              cur_edge +. edge_delta +. Net_state.min_sum_against st (del_row !i old_t) new_t w_new
+            if sc.known.(j)
+               || cur_cost -. (edge' +. (cur_dist -. tight_margin n cur_dist w_new)) > !best_gain
+            then begin
+              exact_sum j;
+              pick (Move.Swap (old_t, new_t)) (gain_between cur_cost (edge' +. sc.sums.(j)))
+            end
+          end
+          else begin
+            (* The pre-filter cur_cost - insertion_cost > best.  A tight
+               target's bound settles it when both its ends agree. *)
+            let passes =
+              if sc.known.(j) then cur_cost -. (edge' +. sc.sums.(j)) > !best_gain
+              else begin
+                let margin = tight_margin n cur_dist w_new in
+                if cur_cost -. (edge' +. (cur_dist +. margin)) > !best_gain then true
+                else if cur_cost -. (edge' +. (cur_dist -. margin)) <= !best_gain then false
+                else begin
+                  exact_sum j;
+                  cur_cost -. (edge' +. sc.sums.(j)) > !best_gain
+                end
+              end
             in
-            if cur_cost -. refined_cost > best_gain () then begin
-              let dist' =
-                Net_state.sssp_edited_sum st ~remove:(agent, old_t)
-                  ~add:(agent, new_t, w_new) agent
+            if passes then begin
+              rowlocal := false;
+              let refined_cost =
+                edge' +. Net_state.min_sum_against st (del_row !i old_t) new_t w_new
               in
-              pick (Move.Swap (old_t, new_t)) (gain_between cur_cost (cur_edge +. edge_delta +. dist'))
+              if cur_cost -. refined_cost > !best_gain then begin
+                let dist' =
+                  Net_state.sssp_edited_sum st ~remove:(agent, old_t)
+                    ~add:(agent, new_t, w_new) agent
+                in
+                pick (Move.Swap (old_t, new_t)) (gain_between cur_cost (edge' +. dist'))
+              end
             end
           end
         done;
         incr i)
       owned
   end;
+  Metric.Counter.add c_tight_targets (k - !kl - !tight_exact);
+  Metric.Counter.add c_tight_exact !tight_exact;
   if !rowlocal then Metric.Counter.incr c_rowlocal_verdicts;
-  (!best, !rowlocal)
+  (Option.map (fun mv -> (mv, !best_gain)) !best_move, !rowlocal)

@@ -23,12 +23,19 @@ val best_move_state_verdict :
 (** The best improving move of the agent against the state (positive
     gain), plus a row-locality flag.  The state is not modified.
 
-    The insertion sums of all addable targets come from one batched
-    {!Net_state.dist_sums_with_edges} call; each owned edge costs at most
-    one deletion what-if row, which the delete candidate sums and every
-    swap from that edge reuses for its pruning bound.  Targets, sums and
-    rows live in the state's {!Net_state.scratch}, so evaluating an
-    agent allocates no array.
+    The insertion sums of the loose addable targets (stored
+    [d(u,v) > w(u,v)]) come from one batched
+    {!Net_state.dist_sums_with_edges} call over their compacted list.  A
+    tight target ([d(u,v) <= w(u,v)]) gets no sum up front: its sum lies
+    within a rounding margin of the agent's current distance sum, and
+    each decision that reads it (the add pick, the co-owned swap pick and
+    the swap pre-filter) computes the exact sum, once, only when that
+    bound cannot settle it.  Every branch is therefore taken as with
+    every sum computed.  Each owned edge costs at most one deletion
+    what-if row, which the delete candidate sums and every swap from
+    that edge reuses for its pruning bound.  Targets, sums and rows live
+    in the state's {!Net_state.scratch}, so evaluating an agent
+    allocates no array.
 
     The flag is [true] when the verdict was decided with zero what-if
     Dijkstras, i.e. purely from the live distance rows of the agent and

@@ -21,6 +21,10 @@ type scratch = {
   mutable targets : int array;
   mutable weights : float array;
   mutable sums : float array;
+  mutable known : bool array;
+  mutable loose : int array;
+  mutable loose_targets : int array;
+  mutable loose_weights : float array;
   mutable del_rows : float array array;
   mutable del_for : int array;
 }
@@ -50,7 +54,18 @@ let create ?require_mutable:_ host profile =
     pending_rows = Changed_rows.create n;
     pending_pairs = [];
     pending_full = false;
-    scratch = { targets = [||]; weights = [||]; sums = [||]; del_rows = [||]; del_for = [||] };
+    scratch =
+      {
+        targets = [||];
+        weights = [||];
+        sums = [||];
+        known = [||];
+        loose = [||];
+        loose_targets = [||];
+        loose_weights = [||];
+        del_rows = [||];
+        del_for = [||];
+      };
   }
 
 let host t = t.host
@@ -65,6 +80,9 @@ let dist_sum_with_edge t u v w = Incr_apsp.dist_sum_with_edge t.dist u v w
 
 let dist_sums_with_edges t u targets weights k out =
   Incr_apsp.dist_sums_with_edges t.dist u targets weights k out
+
+let loose_targets t u targets weights k idx =
+  Incr_apsp.loose_targets t.dist u targets weights k idx
 
 let min_sum_against t r v w = Incr_apsp.min_sum_against t.dist r v w
 

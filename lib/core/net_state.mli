@@ -58,19 +58,30 @@ val dist_sums_with_edges : t -> int -> int array -> float array -> int -> float 
     [i < k] — the batched form; see
     {!Gncg_graph.Incr_apsp.dist_sums_with_edges}. *)
 
+val loose_targets : t -> int -> int array -> float array -> int -> int array -> int
+(** The targets a new edge from [u] can shorten a distance through; see
+    {!Gncg_graph.Incr_apsp.loose_targets}. *)
+
 val min_sum_against : t -> float array -> int -> float -> float
 (** See {!Gncg_graph.Incr_apsp.min_sum_against}. *)
 
 (** The workspace of the stateful move evaluator ({!Fast_response}),
     kept here so that evaluating an agent allocates no per-call arrays:
-    the agent's addable targets with their weights and insertion sums,
-    and one deletion what-if row per owned edge ([del_for.(i)] is the
-    target whose row [del_rows.(i)] holds, or [-1]).  The evaluator
-    grows it on demand; its contents mean nothing between evaluations. *)
+    the agent's addable targets with their weights and insertion sums
+    ([known.(i)] says whether [sums.(i)] holds target [i]'s sum yet), the
+    positions, targets and weights of the loose ones (the batched
+    kernel's compacted input), and one deletion what-if row per owned
+    edge ([del_for.(i)] is the target whose row [del_rows.(i)] holds, or
+    [-1]).  The evaluator grows it on demand; its contents mean nothing
+    between evaluations. *)
 type scratch = {
   mutable targets : int array;
   mutable weights : float array;
   mutable sums : float array;
+  mutable known : bool array;
+  mutable loose : int array;
+  mutable loose_targets : int array;
+  mutable loose_weights : float array;
   mutable del_rows : float array array;
   mutable del_for : int array;
 }

@@ -47,5 +47,3 @@ let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
 let union_into ~dst src =
   if dst.n <> src.n then invalid_arg "Changed_rows.union_into: size mismatch";
   iter (fun i -> add dst i) src
-
-let copy t = { bits = Bytes.copy t.bits; n = t.n; card = t.card }

@@ -37,5 +37,3 @@ val to_list : t -> int list
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] adds every member of [src] to [dst]; the
     universes must have equal size. *)
-
-val copy : t -> t

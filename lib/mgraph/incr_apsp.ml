@@ -223,6 +223,25 @@ let dist_sums_with_edges t u targets weights k out =
       (sum_with_edge t u (Array.unsafe_get targets j) (Array.unsafe_get weights j))
   done
 
+(* Integer compares only: the distance and the weight are read and
+   compared unboxed here, so the evaluator's target loop reads no float
+   across a module boundary. *)
+let loose_targets t u targets weights k idx =
+  check t u "loose_targets";
+  if k < 0 || k > Array.length targets || k > Array.length weights || k > Array.length idx
+  then invalid_arg "Incr_apsp.loose_targets: arrays shorter than k";
+  let ubase = u * t.n in
+  let kl = ref 0 in
+  for i = 0 to k - 1 do
+    let v = Array.unsafe_get targets i in
+    check t v "loose_targets";
+    if Float.Array.unsafe_get t.d (ubase + v) > Array.unsafe_get weights i then begin
+      Array.unsafe_set idx !kl i;
+      incr kl
+    end
+  done;
+  !kl
+
 let min_sum_against t r v w =
   check t v "min_sum_against";
   Metric.Counter.incr c_add_kernels;
@@ -513,21 +532,3 @@ let sssp_edited_sum t ?remove ?add source =
   check t source "sssp_edited_sum";
   settle_edited t ?remove ?add source t.scratch;
   Gncg_util.Flt.sum t.scratch
-
-let copy t =
-  let t' =
-    {
-      g = Wgraph.copy t.g;
-      adj = Flat_adj.copy t.adj;
-      n = t.n;
-      d = Float.Array.create (t.n * t.n);
-      snap_u = Float.Array.create t.n;
-      snap_v = Float.Array.create t.n;
-      scratch = Array.make t.n Float.infinity;
-      selfcheck_every = t.selfcheck_every;
-      selfcheck_countdown = t.selfcheck_countdown;
-      selfcheck_cursor = t.selfcheck_cursor;
-    }
-  in
-  Float.Array.blit t.d 0 t'.d 0 (t.n * t.n);
-  t'

@@ -83,6 +83,15 @@ val dist_sums_with_edges :
     over run the single-target kernel.  Counts one
     [incr_apsp.add_kernels] per sum. *)
 
+val loose_targets : t -> int -> int array -> float array -> int -> int array -> int
+(** [loose_targets t u targets weights k idx] writes to [idx], in
+    ascending order, every [i < k] with [d(u, targets.(i)) > weights.(i)]
+    and returns their count.  Those are the {e loose} targets, the only
+    ones whose new edge [(u, targets.(i))] can shorten a distance from
+    [u].  For a {e tight} target ([d(u,v) <= w]) the insertion sum
+    {!dist_sum_with_edge} equals {!dist_sum} up to rounding.  No float
+    crosses the call. *)
+
 val min_sum_against : t -> float array -> int -> float -> float
 (** [min_sum_against t r v w] is [Σ_x min(r.(x), w + d(v,x))]: the same
     insertion relaxation applied to a caller-held row [r] (typically a
@@ -131,8 +140,6 @@ val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int ->
 (** [Flt.sum] of the {!sssp_edited} row computed through the internal
     scratch row — the allocation-free form the response engines use when
     only the distance sum matters. *)
-
-val copy : t -> t
 
 val rebuild : t -> unit
 (** Recomputes the whole matrix from the graph through the flat-adjacency

@@ -64,7 +64,7 @@ let test_distance_cost_disconnected () =
 
 (* The matrix after inserting (u,v,w), leaving [m] as it was. *)
 let with_edge_added m u v w =
-  let m' = Dm.copy m in
+  let m' = Dm.of_graph (Dm.graph m) in
   ignore (Dm.add_edge m' u v w);
   m'
 
@@ -117,13 +117,6 @@ let test_dist_matrix_noop_insertion () =
   check_float "unchanged" (Dm.total m) (Dm.total m');
   check_float "unchanged total shortcut" (Dm.total m) (Dm.total_with_edge_added m 0 2 10.0)
 
-let test_dist_matrix_copy_independent () =
-  let m = Dm.of_graph (Wgraph.of_edges 3 [ (0, 2, 2.0); (2, 1, 2.0) ]) in
-  let c = Dm.copy m in
-  ignore (Dm.add_edge c 0 1 1.0);
-  check_float "copy updated" 1.0 (Dm.distance c 0 1);
-  check_float "original intact" 4.0 (Dm.distance m 0 1)
-
 let suites =
   [
     ( "graph.betweenness",
@@ -141,6 +134,5 @@ let suites =
         case "insertion matches recompute" test_dist_matrix_insertion_exact;
         case "insertion can connect" test_dist_matrix_insertion_connects;
         case "useless insertion is no-op" test_dist_matrix_noop_insertion;
-        case "copy independence" test_dist_matrix_copy_independent;
       ] );
   ]

@@ -103,27 +103,6 @@ let prop_whatif_equals_reference seed =
   done;
   !ok && Incr_apsp.matrix e = before && Wgraph.equal (Incr_apsp.graph e) g
 
-(* Edits and what-ifs on a copy never reach the original. *)
-let prop_copy_is_independent seed =
-  let r = Prng.create (seed + 1304) in
-  let g = random_tie_graph r in
-  let n = Wgraph.n g in
-  let e = Incr_apsp.of_graph g in
-  let removal s = (s, (s + 1) mod n) in
-  let whatifs () = Array.init n (fun s -> Incr_apsp.sssp_edited e ~remove:(removal s) s) in
-  let rows0 = Incr_apsp.matrix e and whatifs0 = whatifs () in
-  let c = Incr_apsp.copy e in
-  for _ = 1 to 15 do
-    let u = Prng.int r n and v = Prng.int r n in
-    if u <> v then begin
-      ignore (Incr_apsp.sssp_edited c ~remove:(u, v) ~add:(v, (v + 1) mod n, 1.0) u);
-      ignore (Incr_apsp.sssp_edited_sum c ~remove:(u, v) u);
-      if Wgraph.has_edge (Incr_apsp.graph c) u v then ignore (Incr_apsp.remove_edge c u v)
-      else ignore (Incr_apsp.add_edge c u v (tie_weight r))
-    end
-  done;
-  Incr_apsp.matrix e = rows0 && whatifs () = whatifs0
-
 (* --- bounded passes ------------------------------------------------------- *)
 
 (* A full pass from [src] seeded at [start]: Dijkstra from an extra
@@ -417,7 +396,6 @@ let suites =
         qtest ~count:30 "kernel tracks add/remove" seed_gen prop_kernel_tracks_edits;
         qtest ~count:30 "dense what-if = Dijkstra on edited graph" seed_gen
           prop_whatif_equals_reference;
-        qtest ~count:20 "copies are independent" seed_gen prop_copy_is_independent;
         qtest ~count:100 "bounded pass = spec; below a closed envelope = full pass" seed_gen
           prop_bounded_pass;
         Alcotest.test_case "failed what-if restores dense" `Quick test_failed_whatif_restores;

@@ -1,0 +1,323 @@
+(* The tight-target rule of [Fast_response.best_move_state_verdict]
+   against the evaluator it replaced.  [batched_verdict] below is that
+   evaluator's body, verbatim but for two things: its workspace is a
+   fresh private one, so the two evaluators share no scratch, and it
+   ticks none of the library's counters.  Its helpers [gain_between]
+   and [prepare] are copied beside it.  Every addable target's
+   insertion sum comes from one batched call: it knows no tight
+   targets.  The new evaluator must
+   return the same move, the same gain bits and the same row-local flag
+   for every agent and every kinds list.  The hosts: all 7 CLI model
+   families, the tie-heavy all-ones and 1-2 hosts, and a line host with
+   coincident points, so that zero-weight pairs exist.  Each runs at
+   three prices: 2, 1e-12 and the smallest positive float.  Host.make
+   rejects alpha = 0, so the smallest positive float stands in for it.
+   The states are random starts with co-owned edges and the states
+   reached from them by greedy and random moves. *)
+
+open Helpers
+module Prng = Gncg_util.Prng
+module Flt = Gncg_util.Flt
+module Strategy = Gncg.Strategy
+module ISet = Strategy.ISet
+module Move = Gncg.Move
+module Host = Gncg.Host
+module Cost = Gncg.Cost
+module Net_state = Gncg.Net_state
+module I = Gncg_workload.Instances
+module Wgraph = Gncg_graph.Wgraph
+module Incr_apsp = Gncg_graph.Incr_apsp
+
+(* --- the evaluator before the tight-target rule ------------------------- *)
+
+let gain_between cur_cost cost' =
+  if Flt.approx_eq cost' cur_cost then 0.0 else cur_cost -. cost'
+
+let workspace () : Net_state.scratch =
+  {
+    targets = [||];
+    weights = [||];
+    sums = [||];
+    known = [||];
+    loose = [||];
+    loose_targets = [||];
+    loose_weights = [||];
+    del_rows = [||];
+    del_for = [||];
+  }
+
+let prepare (sc : Net_state.scratch) n deg =
+  if Array.length sc.targets < n then begin
+    sc.targets <- Array.make n 0;
+    sc.weights <- Array.make n 0.0;
+    sc.sums <- Array.make n 0.0
+  end;
+  let have = Array.length sc.del_rows in
+  if have < deg then begin
+    let cap = max deg (2 * have) in
+    sc.del_rows <-
+      Array.init cap (fun i -> if i < have then sc.del_rows.(i) else Array.make n Float.infinity);
+    sc.del_for <- Array.make cap (-1)
+  end;
+  Array.fill sc.del_for 0 deg (-1)
+
+let batched_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
+  let host = Net_state.host st in
+  let s = Net_state.profile st in
+  let n = Strategy.n s in
+  let cur_dist = Net_state.agent_dist_sum st agent in
+  let cur_edge = Cost.agent_edge_cost host s agent in
+  let cur_cost = cur_edge +. cur_dist in
+  let alpha = Host.alpha host in
+  let edge_survives_sale v = Strategy.owns s v agent in
+  let owned = Strategy.strategy s agent in
+  let deg = ISet.cardinal owned in
+  let want_swap = List.mem `Swap kinds in
+  let sc = workspace () in
+  prepare sc n deg;
+  (* The addable targets in ascending order, their weights, and their
+     insertion sums Σ_x min(d_u(x), w + d_v(x)), shared by the Add
+     candidates and by every swap bound below.  One batched call fills
+     them, exactly when some candidate reads them: when additions are
+     evaluated, or swaps are and the agent owns an edge. *)
+  let k =
+    if List.mem `Add kinds || (want_swap && deg > 0) then begin
+      let k = ref 0 in
+      for v = 0 to n - 1 do
+        if Move.addable host s ~agent v then begin
+          Array.unsafe_set sc.targets !k v;
+          Array.unsafe_set sc.weights !k (Host.weight host agent v);
+          incr k
+        end
+      done;
+      Net_state.dist_sums_with_edges st agent sc.targets sc.weights !k sc.sums;
+      !k
+    end
+    else 0
+  in
+  let rowlocal = ref true in
+  let best = ref None in
+  let pick mv gain =
+    match !best with
+    | Some (_, g) when g >= gain -> ()
+    | _ -> if gain > Flt.eps then best := Some (mv, gain)
+  in
+  let best_gain () = match !best with Some (_, g) -> g | None -> Flt.eps in
+  if List.mem `Add kinds then
+    for i = 0 to k - 1 do
+      let w = sc.weights.(i) in
+      let cost' = cur_edge +. (alpha *. w) +. sc.sums.(i) in
+      pick (Move.Add sc.targets.(i)) (gain_between cur_cost cost')
+    done;
+  (* The deletion what-if row r_del(x) = d_{G-e}(u,x) of the [i]-th owned
+     edge e = (u, old_t), computed at most once per evaluation: the
+     delete loop sums it, the swap loop bounds with it. *)
+  let del_row i old_t =
+    let row = sc.del_rows.(i) in
+    if sc.del_for.(i) <> old_t then begin
+      Net_state.sssp_edited_into st ~remove:(agent, old_t) agent row;
+      sc.del_for.(i) <- old_t
+    end;
+    row
+  in
+  (* Branch-and-bound over deletions and swaps: a what-if Dijkstra is
+     spent only on moves whose admissible gain bound beats the incumbent
+     best.  Deleting an edge gains at most its price back (the removal
+     can only lengthen distances); a swap gains at most its pure-
+     insertion relaxation.  Skipping a bounded-out move is exact: its
+     true gain can never replace the incumbent. *)
+  if List.mem `Delete kinds then begin
+    let i = ref 0 in
+    ISet.iter
+      (fun v ->
+        let w = Host.weight host agent v in
+        if edge_survives_sale v then pick (Move.Delete v) (alpha *. w)
+        else if alpha *. w > best_gain () then begin
+          rowlocal := false;
+          let dist' = Flt.sum (del_row !i v) in
+          pick (Move.Delete v) (gain_between cur_cost (cur_edge -. (alpha *. w) +. dist'))
+        end;
+        incr i)
+      owned
+  end;
+  if want_swap then begin
+    (* The refined bound Σ_x min(r_del(x), w_new + d(new_t,x)) is a valid
+       lower bound on the swap distance sum (d_{G-e} >= d on the new
+       endpoint's row) and is much tighter than the pure-insertion bound,
+       so most swap Dijkstras are pruned away. *)
+    let i = ref 0 in
+    ISet.iter
+      (fun old_t ->
+        let w_old = Host.weight host agent old_t in
+        let survives = edge_survives_sale old_t in
+        for j = 0 to k - 1 do
+          let new_t = sc.targets.(j) and w_new = sc.weights.(j) in
+          let edge_delta = alpha *. (w_new -. w_old) in
+          let insertion_cost = cur_edge +. edge_delta +. sc.sums.(j) in
+          if survives then
+            (* The sold edge stays (other side owns it too): the swap is
+               a pure insertion, evaluated exactly by the O(n) formula. *)
+            pick (Move.Swap (old_t, new_t)) (gain_between cur_cost insertion_cost)
+          else if cur_cost -. insertion_cost > best_gain () then begin
+            rowlocal := false;
+            let refined_cost =
+              cur_edge +. edge_delta +. Net_state.min_sum_against st (del_row !i old_t) new_t w_new
+            in
+            if cur_cost -. refined_cost > best_gain () then begin
+              let dist' =
+                Net_state.sssp_edited_sum st ~remove:(agent, old_t)
+                  ~add:(agent, new_t, w_new) agent
+              in
+              pick (Move.Swap (old_t, new_t)) (gain_between cur_cost (cur_edge +. edge_delta +. dist'))
+            end
+          end
+        done;
+        incr i)
+      owned
+  end;
+  (!best, !rowlocal)
+
+(* --- the comparison ------------------------------------------------------ *)
+
+let counter name =
+  match Gncg_obs.Metric.find_counter name with
+  | Some c -> Gncg_obs.Metric.Counter.value c
+  | None -> 0
+
+let with_profiling f =
+  Gncg_obs.Obs.set_profiling true;
+  Fun.protect ~finally:(fun () -> Gncg_obs.Obs.set_profiling false) f
+
+(* The first agent and kinds list on which the two evaluators differ. *)
+let first_difference st =
+  let n = Strategy.n (Net_state.profile st) in
+  List.find_map
+    (fun kinds ->
+      List.find_opt
+        (fun agent ->
+          not
+            (Test_incr.same_verdict
+               (Gncg.Fast_response.best_move_state_verdict ~kinds st ~agent)
+               (batched_verdict ~kinds st ~agent)))
+        (List.init n Fun.id)
+      |> Option.map (fun agent -> (agent, List.length kinds)))
+    Test_incr.kinds_lists
+
+(* From a random start with some owned edges bought back by their other
+   endpoint, so that co-owned edges exist, the evaluators are compared
+   on the start and after each of six steps.  Even steps are one round
+   of greedy moves, which walk toward the stable networks where most
+   targets are tight.  Odd steps are one random move. *)
+let check_walk label r host =
+  let s = I.random_profile r host in
+  let s =
+    List.fold_left
+      (fun s (u, v) -> if Prng.int r 3 = 0 then Strategy.buy s v u else s)
+      s (Strategy.owned_edges s)
+  in
+  let st = Net_state.create host s in
+  let n = Strategy.n s in
+  for step = 0 to 6 do
+    (match first_difference st with
+    | Some (agent, kinds) ->
+      Alcotest.failf "%s, step %d: agent %d differs (kinds list of %d)" label step agent kinds
+    | None -> ());
+    if step mod 2 = 0 then
+      for u = 0 to n - 1 do
+        match fst (Gncg.Fast_response.best_move_state_verdict st ~agent:u) with
+        | Some (mv, _) -> ignore (Net_state.apply_move st ~agent:u mv)
+        | None -> ()
+      done
+    else begin
+      let u = Prng.int r n in
+      match Move.candidates host (Net_state.profile st) ~agent:u with
+      | [] -> ()
+      | cands ->
+        ignore (Net_state.apply_move st ~agent:u (List.nth cands (Prng.int r (List.length cands))))
+    end
+  done
+
+(* Host.make rejects alpha = 0; the smallest positive float stands in. *)
+let alphas = [ 2.0; 1e-12; Float.succ 0.0 ]
+
+(* Points on a line, four positions for up to 14 agents: many pairs
+   coincide and weigh 0. *)
+let line_host r ~n ~alpha =
+  let p = Array.init n (fun _ -> float_of_int (Prng.int r 4)) in
+  Host.make ~alpha (Gncg_metric.Metric.make n (fun u v -> Float.abs (p.(u) -. p.(v))))
+
+let hosts r ~alpha =
+  List.map
+    (fun (name, model) -> (name, fun n -> I.random_host r model ~n ~alpha))
+    Test_equiv.cli_models
+  @ [
+      ("all-ones", fun n -> Host.make ~alpha (Gncg_metric.Metric.make n (fun _ _ -> 1.0)));
+      ("1-2", fun n -> Host.make ~alpha (Gncg_metric.One_two.random r ~n ~p_one:0.5));
+      ("zero-weight line", fun n -> line_host r ~n ~alpha);
+    ]
+
+let test_matches_batched () =
+  let r = rng 2400 in
+  with_profiling (fun () ->
+      let skipped0 = counter "fast_response.tight_targets"
+      and exact0 = counter "fast_response.tight_exact" in
+      List.iter
+        (fun alpha ->
+          List.iter
+            (fun (name, make) ->
+              for trial = 1 to 3 do
+                let n = 6 + Prng.int r 9 in
+                check_walk
+                  (Printf.sprintf "%s n=%d alpha=%g trial %d" name n alpha trial)
+                  r (make n)
+              done)
+            (hosts r ~alpha))
+        alphas;
+      (* Both sides of the rule ran: sums that were never computed, and
+         tight targets whose bound could not settle a decision. *)
+      check_true "some tight sums skipped" (counter "fast_response.tight_targets" > skipped0);
+      check_true "some tight sums computed exactly" (counter "fast_response.tight_exact" > exact0))
+
+(* The margin itself, with the factor of two that ALGORITHMS.md claims
+   as headroom: for every tight pair (u, v) and w = d(u,v), the tightest
+   price, the insertion sum lies within half of
+   8n·ε·(2n·w + dist_sum u) of dist_sum u.  The store has been through up
+   to 60 edge insertions and deletions, so its entries come from
+   insertion generations and settled rows as well as fresh passes. *)
+let prop_margin_has_headroom seed =
+  let r = Prng.create (seed + 2410) in
+  let n = 3 + Prng.int r 30 in
+  let g = random_graph ~wmin:0.1 ~wmax:(1.0 +. Prng.float r 1000.0) r n (Prng.int r n) in
+  let d = Incr_apsp.of_graph g in
+  let ok = ref true in
+  for _ = 0 to Prng.int r 60 do
+    let u = Prng.int r n and v = Prng.int r n in
+    (if u <> v then
+       if Wgraph.has_edge (Incr_apsp.graph d) u v then ignore (Incr_apsp.remove_edge d u v)
+       else ignore (Incr_apsp.add_edge d u v (Prng.float_in r 0.1 50.0)));
+    for u = 0 to n - 1 do
+      let cur = Incr_apsp.dist_sum d u in
+      if Float.is_finite cur then
+        for v = 0 to n - 1 do
+          let w = Incr_apsp.distance d u v in
+          if v <> u then begin
+            let nf = float_of_int n in
+            let margin = 8.0 *. nf *. epsilon_float *. ((2.0 *. nf *. w) +. cur) in
+            if Float.abs (Incr_apsp.dist_sum_with_edge d u v w -. cur) > margin /. 2.0 then
+              ok := false
+          end
+        done
+    done
+  done;
+  !ok
+
+let suites =
+  [
+    ( "tight-targets",
+      [
+        case "verdicts = batched evaluator (bits)" test_matches_batched;
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~count:60 ~name:"tight sums within half the margin"
+             QCheck.small_nat prop_margin_has_headroom);
+      ] );
+  ]

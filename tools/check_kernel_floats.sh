@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Lint: the distance kernels and the move evaluators take float minima
+# and maxima by compare-select, never through Float.min / Float.max.
+# Those test the sign bit and NaN, which costs a C call whenever the
+# first comparison fails, and in the dev profile (-opaque) a float
+# passed across a module boundary is boxed.  On the distances these
+# files see (never NaN, never -0) a compare-select returns the same
+# bits.  See ROADMAP.md item 6, "Kernel note", and the [fmin] comment
+# in lib/mgraph/incr_apsp.ml.
+#
+# Comments and string literals are skipped, so prose may still name the
+# functions.  Any call in code fails the build (`dune build @lint`).
+set -u
+
+root="$(cd "$(dirname "$0")/.." && pwd)"
+cd "$root"
+
+files="lib/mgraph/incr_apsp.ml lib/mgraph/flat_adj.ml lib/core/fast_response.ml lib/core/greedy.ml"
+
+status=0
+
+check_file() {
+  awk -v file="$1" '
+    BEGIN { call = "Float[.](min|max)([^A-Za-z0-9_\047]|$)" }
+    {
+      line = $0; code = ""; i = 1; len = length(line)
+      while (i <= len) {
+        c = substr(line, i, 1); c2 = substr(line, i, 2)
+        if (instr) {
+          if (c == "\\") { i += 2; continue }
+          if (c == "\"") instr = 0
+          i++; continue
+        }
+        if (c2 == "(*") { depth++; i += 2; continue }
+        if (depth > 0 && c2 == "*)") { depth--; i += 2; continue }
+        if (depth > 0) { i++; continue }
+        if (c == "\"") { instr = 1; i++; continue }
+        code = code c; i++
+      }
+      if (code ~ call) printf "%s:%d:%s\n", file, NR, $0
+    }
+  ' "$1"
+}
+
+for f in $files; do
+  if [ ! -f "$f" ]; then
+    echo "check_kernel_floats: missing $f" >&2
+    status=1
+    continue
+  fi
+  out="$(check_file "$f")"
+  if [ -n "$out" ]; then
+    printf '%s\n' "$out"
+    status=1
+  fi
+done
+
+if [ "$status" -ne 0 ]; then
+  echo "check_kernel_floats: Float.min/Float.max call in a kernel file (use a local [@inline] compare-select, see lib/mgraph/incr_apsp.ml)" >&2
+  exit 1
+fi
+echo "check_kernel_floats: ok"
