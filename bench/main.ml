@@ -26,7 +26,7 @@ let () =
     | [] -> List.rev selected
     | "--domains" :: d :: rest ->
       (match int_of_string_opt d with
-      | Some k when k >= 1 -> Gncg_util.Parallel.set_default_domains (Some k)
+      | Some k when k >= 1 -> Gncg_util.Exec.set_default_domains (Some k)
       | _ -> usage_error "--domains expects a positive integer, got %s" d);
       parse selected rest
     | "--trace" :: path :: rest ->

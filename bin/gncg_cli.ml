@@ -67,7 +67,6 @@ let seeds_arg = Arg.(value & opt nonneg_int 5 & info [ "seeds" ] ~doc:"seeded re
    silently dropped (sweep status used to swallow --domains). *)
 module Common = struct
   type t = {
-    exec : Gncg_util.Exec.t option;
     domains : int option;
     trace : string option;
     profile : bool;
@@ -75,28 +74,16 @@ module Common = struct
     strict_validate : bool;
   }
 
-  type flag = Exec_flags | Trace | Profile | Selfcheck | Strict_validate
-
-  let exec_conv =
-    let parse s = Result.map_error (fun m -> `Msg m) (Gncg_util.Exec.of_string s) in
-    Arg.conv ~docv:"EXEC" (parse, Gncg_util.Exec.pp)
+  type flag = Domains | Trace | Profile | Selfcheck | Strict_validate
 
   let term =
-    let exec_arg =
-      Arg.(value
-           & opt (some exec_conv) None
-           & info [ "exec" ]
-               ~doc:
-                 "execution strategy for the engine scans: seq | par | par:K \
-                  (default par; overrides --domains)")
-    in
     let domains_arg =
       Arg.(value
            & opt (some positive_int) None
            & info [ "domains" ]
                ~doc:
-                 "parallel domain count for the multicore scans (default: the \
-                  hardware-recommended count)")
+                 "domain count for the multicore scans and the sweep scheduler; 1 \
+                  runs sequentially (default: the hardware-recommended count)")
     in
     let trace_arg =
       Arg.(value
@@ -128,31 +115,28 @@ module Common = struct
                   generation): reject non-finite, non-positive, asymmetric, \
                   disconnected, or triangle-violating inputs with a typed error")
     in
-    Term.(const (fun exec domains trace profile selfcheck strict_validate ->
-              { exec; domains; trace; profile; selfcheck; strict_validate })
-          $ exec_arg $ domains_arg $ trace_arg $ profile_arg $ selfcheck_arg
+    Term.(const (fun domains trace profile selfcheck strict_validate ->
+              { domains; trace; profile; selfcheck; strict_validate })
+          $ domains_arg $ trace_arg $ profile_arg $ selfcheck_arg
           $ strict_validate_arg)
 
   (* Validates the provided flags against the verb's accept list, wires
-     up tracing/profiling, and resolves the execution strategy
-     ([--exec] wins over [--domains]; the historical default is
-     parallel with the default domain count). *)
+     up tracing/profiling, and resolves the execution strategy: [--domains]
+     sizes it, and without it every verb runs on the default domain
+     count. *)
   let setup ~verb ~accepts c =
     let reject flag =
       Printf.eprintf "gncg %s does not accept %s\n" verb flag;
       exit 1
     in
-    if not (List.mem Exec_flags accepts) then begin
-      if c.exec <> None then reject "--exec";
-      if c.domains <> None then reject "--domains"
-    end;
+    if c.domains <> None && not (List.mem Domains accepts) then reject "--domains";
     if c.trace <> None && not (List.mem Trace accepts) then reject "--trace";
     if c.profile && not (List.mem Profile accepts) then reject "--profile";
     if c.selfcheck <> None && not (List.mem Selfcheck accepts) then reject "--selfcheck";
     if c.strict_validate && not (List.mem Strict_validate accepts) then
       reject "--strict-validate";
     Printexc.record_backtrace true;
-    Gncg_util.Parallel.set_default_domains c.domains;
+    Gncg_util.Exec.set_default_domains c.domains;
     (match c.selfcheck with
     | Some n -> Gncg_graph.Incr_apsp.set_default_selfcheck n
     | None -> ());
@@ -162,11 +146,9 @@ module Common = struct
       Gncg_obs.Obs.set_profiling true;
       at_exit (fun () -> Gncg_obs.Obs.print_summary stderr)
     end;
-    match c.exec with
-    | Some exec -> exec
-    | None -> Gncg_util.Exec.Par { domains = c.domains }
+    Gncg_util.Exec.Par { domains = c.domains }
 
-  let all = [ Exec_flags; Trace; Profile; Selfcheck; Strict_validate ]
+  let all = [ Domains; Trace; Profile; Selfcheck; Strict_validate ]
 end
 
 (* --- sweep ----------------------------------------------------------- *)
@@ -328,7 +310,7 @@ let sweep_status journal common =
 
 let sweep_run_cmd =
   Cmd.v
-    (Cmd.info "run" ~doc:"run a batch sweep through the work-stealing scheduler, \
+    (Cmd.info "run" ~doc:"run a batch sweep through the runs scheduler, \
                           optionally journaled for resume")
     Term.(const sweep_run $ model_arg $ ns_arg $ alphas_arg $ seeds_arg $ rule_arg
           $ max_steps_arg $ format_arg
@@ -527,7 +509,7 @@ let cycles_cmd =
 (* --- br ----------------------------------------------------------------- *)
 
 (* br is a sequential per-agent comparison: tracing/profiling make
-   sense, the execution flags do not. *)
+   sense, --domains does not. *)
 let br model n alpha seed common =
   let (_ : Gncg_util.Exec.t) =
     Common.setup ~verb:"br" ~accepts:[ Common.Trace; Common.Profile ] common

@@ -82,12 +82,8 @@ let unhappy_agents ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check @@ fun () ->
   let n = Strategy.n s in
   let adj = profile_adj kind host s in
-  match exec with
-  | Exec.Seq ->
-    List.filter (fun u -> not (agent_happy ?adj kind host s u)) (List.init n (fun u -> u))
-  | _ ->
-    let happy = Exec.init ~exec n (agent_happy ?adj kind host s) in
-    List.filter (fun u -> not happy.(u)) (List.init n (fun u -> u))
+  let happy = Exec.init ~exec n (agent_happy ?adj kind host s) in
+  List.filter (fun u -> not happy.(u)) (List.init n (fun u -> u))
 
 type grievance = {
   agent : int;
@@ -123,13 +119,8 @@ let certify ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check @@ fun () ->
   let n = Strategy.n s in
   let adj = profile_adj kind host s in
-  match exec with
-  | Exec.Seq ->
-    verdict_of_grievances
-      (List.filter_map (agent_grievance ?adj kind host s) (List.init n (fun u -> u)))
-  | _ ->
-    let per_agent = Exec.init ~exec n (agent_grievance ?adj kind host s) in
-    verdict_of_grievances (List.filter_map Fun.id (Array.to_list per_agent))
+  let per_agent = Exec.init ~exec n (agent_grievance ?adj kind host s) in
+  verdict_of_grievances (List.filter_map Fun.id (Array.to_list per_agent))
 
 let pp_grievance fmt g =
   Format.fprintf fmt "agent %d pays %.4f but could pay %.4f" g.agent g.current_cost

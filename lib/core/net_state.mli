@@ -107,7 +107,7 @@ val sssp_edited_into :
   t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit
 (** What-if single-source distances on a hypothetical one-edge edit,
     written into a caller buffer; see
-    {!Gncg_graph.Incr_apsp.sssp_edited}. *)
+    {!Gncg_graph.Incr_apsp.sssp_edited_into}. *)
 
 val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int -> float
 (** [Flt.sum] of the what-if row through the engine's scratch buffer —

@@ -84,7 +84,7 @@ let parse_n ~context lines =
   | [] -> perr ~context "missing size"
 
 let host_of_string_result ?validate s =
-  let context = "Serialize.host_of_string" in
+  let context = "Serialize.host_of_string_result" in
   let* lines = expect_header ~context (lines_of s) "gncg-host" in
   let* n, lines = parse_n ~context lines in
   let* alpha, lines =
@@ -150,7 +150,7 @@ let host_of_string_result ?validate s =
   Ok host
 
 let profile_of_string_result str =
-  let context = "Serialize.profile_of_string" in
+  let context = "Serialize.profile_of_string_result" in
   let* lines = expect_header ~context (lines_of str) "gncg-profile" in
   let* n, lines = parse_n ~context lines in
   List.fold_left
@@ -186,26 +186,13 @@ let read_file_result ~context path =
     Gncg_error.fail ~where:(Gncg_error.File path) ~context Gncg_error.Io msg
 
 let host_of_file_result ?validate path =
-  let* s = read_file_result ~context:"Serialize.host_of_file" path in
+  let* s = read_file_result ~context:"Serialize.host_of_file_result" path in
   Result.map_error (Gncg_error.in_file path) (host_of_string_result ?validate s)
 
 let profile_of_file_result path =
-  let* s = read_file_result ~context:"Serialize.profile_of_file" path in
+  let* s = read_file_result ~context:"Serialize.profile_of_file_result" path in
   Result.map_error (Gncg_error.in_file path) (profile_of_string_result s)
 
 let host_to_file path host = write_file path (host_to_string host)
 
 let profile_to_file path s = write_file path (profile_to_string s)
-
-(* BEGIN legacy raising aliases *)
-(* Pre-PR-5 entry points: same parsers, but a malformed input raises
-   [Gncg_error.Error] (carrying the structured value the [_result] forms
-   return) instead of the historical stringly [Failure _]. *)
-let host_of_string s = Gncg_error.get_ok (host_of_string_result s)
-
-let profile_of_string s = Gncg_error.get_ok (profile_of_string_result s)
-
-let host_of_file path = Gncg_error.get_ok (host_of_file_result path)
-
-let profile_of_file path = Gncg_error.get_ok (profile_of_file_result path)
-(* END legacy raising aliases *)

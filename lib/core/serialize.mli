@@ -24,8 +24,7 @@
 
     The [_result] parsers reject malformed input with a typed
     {!Gncg_util.Gncg_error.t} locating the offending line (and column,
-    for bad numbers); the historical raising names survive as aliases
-    that raise {!Gncg_util.Gncg_error.Error} with the same value. *)
+    for bad numbers). *)
 
 val host_to_string : Host.t -> string
 
@@ -52,16 +51,3 @@ val host_of_file_result :
 val profile_to_file : string -> Strategy.t -> unit
 
 val profile_of_file_result : string -> (Strategy.t, Gncg_util.Gncg_error.t) result
-
-(** {1 Legacy raising aliases}
-
-    Deprecated: use the [_result] forms.  These raise
-    {!Gncg_util.Gncg_error.Error} on malformed input. *)
-
-val host_of_string : string -> Host.t
-
-val profile_of_string : string -> Strategy.t
-
-val host_of_file : string -> Host.t
-
-val profile_of_file : string -> Strategy.t

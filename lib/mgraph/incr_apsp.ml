@@ -35,7 +35,7 @@ type t = {
 
 (* Process-wide default cadence applied to newly created engines — the
    hook [--selfcheck N] reaches every internally constructed instance
-   through (mirrors Parallel.set_default_domains). *)
+   through (mirrors Exec.set_default_domains). *)
 let default_selfcheck = ref 0
 
 let set_default_selfcheck n = default_selfcheck := max 0 n
@@ -87,12 +87,9 @@ let distance t u v =
   check t v "distance";
   Float.Array.get t.d ((u * t.n) + v)
 
-let row t u =
-  check t u "row";
+let matrix t =
   let n = t.n in
-  Array.init n (fun v -> Float.Array.unsafe_get t.d ((u * n) + v))
-
-let matrix t = Array.init t.n (fun u -> row t u)
+  Array.init n (fun u -> Array.init n (fun v -> Float.Array.unsafe_get t.d ((u * n) + v)))
 
 (* --- streaming row kernels (allocation-free, Kahan, inf-propagating) --- *)
 
@@ -521,12 +518,6 @@ let sssp_edited_into t ?remove ?add source dst =
   check t source "sssp_edited_into";
   if Array.length dst < t.n then invalid_arg "Incr_apsp.sssp_edited_into: row too short";
   settle_edited t ?remove ?add source dst
-
-let sssp_edited t ?remove ?add source =
-  check t source "sssp_edited";
-  let dst = Array.make t.n Float.infinity in
-  sssp_edited_into t ?remove ?add source dst;
-  dst
 
 let sssp_edited_sum t ?remove ?add source =
   check t source "sssp_edited_sum";

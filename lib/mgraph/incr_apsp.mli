@@ -54,12 +54,10 @@ val n : t -> int
 
 val distance : t -> int -> int -> float
 
-val row : t -> int -> float array
-(** A fresh copy of a source's distance row (the backing store is flat
-    and unboxed; there is no live [float array] to alias). *)
-
 val matrix : t -> float array array
-(** A fresh boxed copy of the whole matrix (test/oracle convenience). *)
+(** A fresh boxed copy of the whole matrix (test/oracle convenience; the
+    backing store is flat and unboxed, so there is no live row to
+    alias). *)
 
 val dist_sum : t -> int -> float
 (** Kahan-compensated sum of a source's row, infinite when the source is
@@ -122,28 +120,23 @@ val remove_edge : t -> int -> int -> Changed_rows.t
     [incr_apsp.deletion_rows_recomputed] counter counts the rows, and
     [incr_apsp.settled_vertices] the vertices they re-settled. *)
 
-val sssp_edited : t -> ?remove:int * int -> ?add:int * int * float -> int -> float array
-(** Single-source distances on a hypothetical edit of the tracked graph
-    (one edge removed and/or one added), without touching the maintained
-    matrix: the flat adjacency is edited, the source's live row is
-    settled on it ({!Flat_adj.settle_into}, bit for bit a fresh pass),
-    and the edit is undone, also when the pass raises.  Absent removals
-    and already-present additions are ignored.  The what-if primitive of single-move evaluation; not
-    thread-safe. *)
-
 val sssp_edited_into :
   t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit
-(** {!sssp_edited} into a caller-provided row of length >= n, checked
-    before any edit — allocation independent of n. *)
+(** [sssp_edited_into t ?remove ?add source dst] writes into [dst]
+    (length >= n, checked before any edit) the single-source distances
+    on a hypothetical edit of the tracked graph (one edge removed and/or
+    one added), without touching the maintained matrix: the flat
+    adjacency is edited, the source's live row is settled on it
+    ({!Flat_adj.settle_into}, bit for bit a fresh pass), and the edit is
+    undone, also when the pass raises.  Absent removals and
+    already-present additions are ignored.  The what-if primitive of
+    single-move evaluation; allocation independent of n; not
+    thread-safe. *)
 
 val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int -> float
-(** [Flt.sum] of the {!sssp_edited} row computed through the internal
+(** [Flt.sum] of the {!sssp_edited_into} row computed through the internal
     scratch row — the allocation-free form the response engines use when
     only the distance sum matters. *)
-
-val rebuild : t -> unit
-(** Recomputes the whole matrix from the graph through the flat-adjacency
-    kernel (an oracle/repair hook; normal use never needs it). *)
 
 (** {1 Drift sentinel}
 

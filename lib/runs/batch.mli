@@ -59,7 +59,7 @@ val run :
   ?journal:string ->
   config ->
   summary
-(** Executes the whole batch through the work-stealing scheduler.  With
+(** Executes the whole batch through the runs scheduler.  With
     [journal], creates/truncates the file first and appends every result
     as it lands, so the batch can be killed and picked up by {!resume}.
     [exec] (default {!Job.execute}) is the fault-injection seam the

@@ -54,7 +54,7 @@ let decide plan ~key ~attempt =
 let wrap plan ~key ?(corrupt = fun r -> r) exec =
   (* Attempt numbers live here, not in the scheduler: the wrapper must
      see the same attempt the retry loop is on.  Mutex-protected — the
-     work-stealing scheduler executes from several domains. *)
+     scheduler executes from several domains. *)
   let attempts = Hashtbl.create 16 in
   let lock = Mutex.create () in
   fun job ->

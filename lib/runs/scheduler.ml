@@ -1,12 +1,10 @@
-module Ws_deque = Gncg_util.Ws_deque
 module Metric = Gncg_obs.Metric
 
-(* Layer-4 probes: job throughput and the scheduler's failure/steal
+(* Layer-4 probes: job throughput and the scheduler's failure
    accounting.  Counters are atomic, so the parallel workers can bump
    them concurrently; the per-job span event carries outcome and
    attempts. *)
 let c_jobs = Metric.Counter.make "runs.jobs_executed"
-let c_steals = Metric.Counter.make "runs.steals"
 let c_retries = Metric.Counter.make "runs.retries"
 let c_timeouts = Metric.Counter.make "runs.timeouts"
 let c_crashes = Metric.Counter.make "runs.crashes"
@@ -127,64 +125,23 @@ let run_sequential ?(budget = Float.infinity) ?(retries = 0)
 
 let run ?domains ?(budget = Float.infinity) ?(retries = 0) ?(diverged = fun _ -> false)
     ?(on_result = fun _ _ -> ()) exec jobs =
-  let n = List.length jobs in
   let domains =
     match domains with
-    | Some d when d >= 1 -> min d (max n 1)
+    | Some d when d >= 1 -> d
     | Some _ -> invalid_arg "Scheduler.run: domains must be positive"
-    | None -> min (Gncg_util.Parallel.default_domains ()) (max n 1)
+    | None -> Gncg_util.Exec.default_domains ()
   in
-  if domains <= 1 then run_sequential ~budget ~retries ~diverged ~on_result exec jobs
+  if domains <= 1 || List.compare_length_with jobs 1 <= 0 then
+    run_sequential ~budget ~retries ~diverged ~on_result exec jobs
   else begin
     let jobs = Array.of_list jobs in
-    let reports = Array.make n None in
-    let deques = Array.init domains (fun _ -> Ws_deque.create ()) in
-    (* Deal round-robin: neighbouring jobs (typically neighbouring sweep
-       points, with similar cost) spread across domains up front. *)
-    Array.iteri (fun i _ -> Ws_deque.push deques.(i mod domains) i) jobs;
     let result_lock = Mutex.create () in
-    let worker w () =
-      let next_job () =
-        match Ws_deque.pop deques.(w) with
-        | Some i -> Some i
-        | None ->
-          (* Own deque drained: steal from the siblings, oldest first.  No
-             work is ever added after the deal, so one full empty scan
-             means the batch is done for this worker. *)
-          let rec scan k =
-            if k >= domains then None
-            else
-              match Ws_deque.steal deques.((w + k) mod domains) with
-              | Some i ->
-                Metric.Counter.incr c_steals;
-                Some i
-              | None -> scan (k + 1)
-          in
-          scan 1
-      in
-      let rec loop () =
-        match next_job () with
-        | None -> ()
-        | Some i ->
+    let reports =
+      Gncg_util.Exec.init ~exec:(Gncg_util.Exec.par ~domains ()) (Array.length jobs)
+        (fun i ->
           let report = attempt ~budget ~retries ~diverged exec jobs.(i) in
-          Mutex.lock result_lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock result_lock)
-            (fun () ->
-              reports.(i) <- Some report;
-              on_result jobs.(i) report);
-          loop ()
-      in
-      loop ()
+          Mutex.protect result_lock (fun () -> on_result jobs.(i) report);
+          report)
     in
-    let handles = List.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-    worker 0 ();
-    List.iter Domain.join handles;
-    Array.to_list
-      (Array.mapi
-         (fun i job ->
-           match reports.(i) with
-           | Some r -> (job, r)
-           | None -> assert false (* every dealt index is executed exactly once *))
-         jobs)
+    List.combine (Array.to_list jobs) (Array.to_list reports)
   end

@@ -1,13 +1,14 @@
-(** Work-stealing job scheduler over OCaml 5 domains.
+(** Job scheduler over OCaml 5 domains.
 
-    [Parallel] (lib/util) splits an index space into static contiguous
-    chunks — the right shape for homogeneous hot loops (APSP rows,
-    per-agent cost sums), and the wrong one for sweep batches, where run
-    times vary by orders of magnitude across [alpha] and a single static
-    chunk of slow jobs idles every other core.  This scheduler deals the
-    jobs round-robin into per-domain deques; each worker pops its own
-    deque from the bottom and, when empty, steals from the top of a
-    sibling's, so load migrates to idle cores automatically.
+    Sweep batches are heterogeneous: run times vary by orders of
+    magnitude across [alpha] and [n], so a static split of the job list
+    would leave one domain holding the slow ones while the others idle.
+    The scheduler runs the jobs on {!Gncg_util.Exec}'s domain loop
+    instead: every worker claims the next unstarted job from a shared
+    atomic counter, in input order, so no domain idles while a job is
+    unstarted.  How close that comes to the best split depends on where
+    the slow jobs sit in the list; docs/RUNS.md gives the measurements
+    on a sweep grid.
 
     One pathological instance never kills a batch: every job execution is
     classified — an uncaught exception is [Crashed] (and retried up to
@@ -73,7 +74,8 @@ val run :
     input order (execution order is scheduler-dependent; results must
     not be).  [on_result] fires once per job as it finishes, serialized
     under a lock — the journal appends from it.  [domains] defaults to
-    {!Gncg_util.Parallel.default_domains}; [budget] to no limit;
+    {!Gncg_util.Exec.default_domains}; one domain, or at most one job,
+    runs through {!run_sequential}.  [budget] defaults to no limit;
     [retries] to [0]; [diverged] to [fun _ -> false]. *)
 
 val run_sequential :

@@ -153,13 +153,13 @@ let contains ~needle hay =
   nn = 0 || go 0
 
 let test_rendering_and_protect () =
-  let e = E.v ~where:(E.Line_column (4, 7)) ~context:"Serialize.host_of_string" E.Parse "bad float" in
+  let e = E.v ~where:(E.Line_column (4, 7)) ~context:"Serialize.host_of_string_result" E.Parse "bad float" in
   let s = E.to_string e in
   List.iter
     (fun needle ->
       check_true (Printf.sprintf "rendering contains %S" needle)
         (contains ~needle s))
-    [ "Serialize.host_of_string"; "parse error"; "line 4"; "column 7"; "bad float" ];
+    [ "Serialize.host_of_string_result"; "parse error"; "line 4"; "column 7"; "bad float" ];
   (match E.protect (fun () -> E.raise_ e) with
   | Error e' -> check_true "protect catches Error" (e' = e)
   | Ok _ -> Alcotest.fail "protect let Error through");

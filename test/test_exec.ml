@@ -1,6 +1,5 @@
-(* The unified execution API (Gncg_util.Exec): parsing and the Seq/Par
-   combinators.  (The extensional-equality properties for the PR-4
-   [_parallel] aliases lived here until the aliases were deleted.) *)
+(* The unified execution API (Gncg_util.Exec): the domain count, the
+   Seq/Par combinators and the domain loop under them. *)
 
 module Exec = Gncg_util.Exec
 
@@ -14,33 +13,12 @@ let instance ~n seed =
   let rng = Gncg_util.Prng.create (1000 + seed) in
   (host, Gncg_workload.Instances.random_profile rng host)
 
-let test_of_string () =
-  let ok s e = Alcotest.(check bool) s true (Exec.of_string s = Ok e) in
-  ok "seq" Exec.Seq;
-  ok "par" (Exec.Par { domains = None });
-  ok "par:3" (Exec.Par { domains = Some 3 });
-  let bad s =
-    Alcotest.(check bool) (s ^ " rejected") true
-      (match Exec.of_string s with Error _ -> true | Ok _ -> false)
-  in
-  bad "par:0";
-  bad "par:-2";
-  bad "par:x";
-  bad "sequential";
-  List.iter
-    (fun e ->
-      Alcotest.(check bool)
-        ("roundtrip " ^ Exec.to_string e)
-        true
-        (Exec.of_string (Exec.to_string e) = Ok e))
-    [ Exec.Seq; Exec.par (); Exec.par ~domains:5 () ]
-
 let test_domain_count () =
   Alcotest.(check int) "Seq is one domain" 1 (Exec.domain_count Exec.Seq);
   Alcotest.(check int) "explicit Par count" 4
     (Exec.domain_count (Exec.Par { domains = Some 4 }));
   Alcotest.(check int) "Par None follows the process default"
-    (Gncg_util.Parallel.default_domains ())
+    (Exec.default_domains ())
     (Exec.domain_count (Exec.Par { domains = None }))
 
 let test_combinators () =
@@ -52,10 +30,37 @@ let test_combinators () =
         (Exec.init ~exec n f = Array.init n f);
       Alcotest.(check bool) "for_all agrees" true
         (Exec.for_all ~exec n (fun i -> f i < 11));
-      Alcotest.(check bool) "exists agrees" true
-        (Exec.exists ~exec n (fun i -> f i = 10)
-        = Array.exists (fun x -> x = 10) (Array.init n f)))
+      Alcotest.(check bool) "for_all finds the counterexample" false
+        (Exec.for_all ~exec n (fun i -> f i <> 10)))
     [ Exec.Seq; Exec.Par { domains = Some 3 } ]
+
+(* Four domains claim from 5,000 indices: every index runs exactly once,
+   under [init] and under a [for_all] that never exits early. *)
+let test_every_index_once () =
+  let n = 5000 in
+  let exec = Exec.par ~domains:4 () in
+  let counts = Array.init n (fun _ -> Atomic.make 0) in
+  let once label =
+    Array.iteri
+      (fun i c ->
+        if Atomic.get c <> 1 then
+          Alcotest.failf "%s: index %d ran %d times" label i (Atomic.get c);
+        Atomic.set c 0)
+      counts
+  in
+  let result = Exec.init ~exec n (fun i -> Atomic.incr counts.(i); i) in
+  once "init";
+  Alcotest.(check bool) "init keeps index order" true (result = Array.init n Fun.id);
+  Alcotest.(check bool) "for_all holds" true
+    (Exec.for_all ~exec n (fun i -> Atomic.incr counts.(i); true));
+  once "for_all"
+
+(* An exception on any domain reaches the caller after the join. *)
+let test_exception_propagates () =
+  let exec = Exec.par ~domains:3 () in
+  match Exec.init ~exec 100 (fun i -> if i = 57 then failwith "index 57" else i) with
+  | _ -> Alcotest.fail "the raising index was swallowed"
+  | exception Failure msg -> Alcotest.(check string) "the raised exception" "index 57" msg
 
 (* Seq and Par must agree on every boolean/structural verdict. *)
 let prop_seq_par_agree =
@@ -86,9 +91,10 @@ let suites =
   [
     ( "exec",
       [
-        Alcotest.test_case "of_string / to_string" `Quick test_of_string;
         Alcotest.test_case "domain_count" `Quick test_domain_count;
         Alcotest.test_case "combinators vs sequential" `Quick test_combinators;
+        Alcotest.test_case "every index exactly once" `Quick test_every_index_once;
+        Alcotest.test_case "exceptions reach the caller" `Quick test_exception_propagates;
       ]
       @ [
           QCheck_alcotest.to_alcotest prop_seq_par_agree;

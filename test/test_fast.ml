@@ -88,13 +88,14 @@ let test_parallel_init_matches_sequential () =
   for n = 0 to 40 do
     Alcotest.(check (array (float 0.0)))
       "init matches" (Array.init n f)
-      (Gncg_util.Parallel.init ~domains:4 n f)
+      (Gncg_util.Exec.init ~exec:(Gncg_util.Exec.par ~domains:4 ()) n f)
   done
 
 let test_parallel_map () =
   let a = Array.init 100 (fun i -> i) in
   Alcotest.(check (array int)) "map matches" (Array.map (fun x -> x * 3) a)
-    (Gncg_util.Parallel.map_array ~domains:3 (fun x -> x * 3) a)
+    (Gncg_util.Exec.init ~exec:(Gncg_util.Exec.par ~domains:3 ()) (Array.length a) (fun i ->
+         a.(i) * 3))
 
 let suites =
   [

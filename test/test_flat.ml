@@ -220,12 +220,13 @@ let prop_insertion_kernels_match_float_min seed =
   for _ = 1 to 8 do
     let u = Prng.int r n and v = Prng.int r n in
     let w = Prng.float_in r 0.0 9.0 in
-    let row_v = Incr_apsp.row incr v in
+    let rows = Incr_apsp.matrix incr in
+    let row_v = rows.(v) in
     if
       not
         (same_bits
            (Incr_apsp.dist_sum_with_edge incr u v w)
-           (sum_min_add (Incr_apsp.row incr u) w row_v))
+           (sum_min_add rows.(u) w row_v))
     then ok := false;
     let held = held_row r n in
     if not (same_bits (Incr_apsp.min_sum_against incr held v w) (sum_min_add held w row_v))
@@ -294,10 +295,9 @@ let prop_dist_sum_with_edge_matches seed =
   let incr = Incr_apsp.of_graph (random_connected_graph r n) in
   let u = Prng.int r n and v = Prng.int r n in
   let w = Prng.float_in r 0.5 9.0 in
+  let rows = Incr_apsp.matrix incr in
   u = v
-  || same_bits
-       (Incr_apsp.dist_sum_with_edge incr u v w)
-       (sum_min_add (Incr_apsp.row incr u) w (Incr_apsp.row incr v))
+  || same_bits (Incr_apsp.dist_sum_with_edge incr u v w) (sum_min_add rows.(u) w rows.(v))
 
 (* --- infinity propagation through the fused total --- *)
 

@@ -18,7 +18,28 @@ let test_prng_guards () =
       Gncg_util.Prng.sample_without_replacement r 5 3)
 
 let test_parallel_guards () =
-  raises_invalid "negative size" (fun () -> Gncg_util.Parallel.init (-1) (fun i -> i))
+  let exec = Gncg_util.Exec.par ~domains:2 () in
+  raises_invalid "negative size" (fun () -> Gncg_util.Exec.init ~exec (-1) (fun i -> i));
+  raises_invalid "negative for_all" (fun () -> Gncg_util.Exec.for_all ~exec (-1) (fun _ -> true))
+
+(* A domain count past the runtime's limit (128 domains) makes
+   [Domain.spawn] raise partway through the spawns.  The domains already
+   spawned must be stopped and joined before that exception reaches the
+   caller: no index may run once the call has returned. *)
+let test_spawn_failure_joins () =
+  let ran = Atomic.make 0 in
+  let exec = Gncg_util.Exec.par ~domains:200 () in
+  (match
+     Gncg_util.Exec.init ~exec 100_000 (fun i ->
+         Atomic.incr ran;
+         Unix.sleepf 0.001;
+         i)
+   with
+  | _ -> Alcotest.fail "200 domains spawned: the runtime's domain limit was not hit"
+  | exception Failure _ -> ());
+  let after = Atomic.get ran in
+  Unix.sleepf 0.05;
+  Alcotest.(check int) "indices run after the call returned" after (Atomic.get ran)
 
 (* --- mgraph ------------------------------------------------------------ *)
 
@@ -145,6 +166,7 @@ let suites =
       [
         case "prng" test_prng_guards;
         case "parallel" test_parallel_guards;
+        case "parallel spawn failure" test_spawn_failure_joins;
         case "wgraph" test_wgraph_guards;
         case "dijkstra" test_dijkstra_guards;
         case "spanner" test_spanner_guards;

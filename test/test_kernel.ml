@@ -99,7 +99,9 @@ let prop_whatif_equals_reference seed =
     Option.iter
       (fun (u, v, w) -> if not (Wgraph.has_edge edited u v) then Wgraph.add_edge edited u v w)
       add;
-    if Incr_apsp.sssp_edited e ?remove ?add s <> Dijkstra.sssp edited s then ok := false
+    let row = Array.make n Float.infinity in
+    Incr_apsp.sssp_edited_into e ?remove ?add s row;
+    if row <> Dijkstra.sssp edited s then ok := false
   done;
   !ok && Incr_apsp.matrix e = before && Wgraph.equal (Incr_apsp.graph e) g
 
@@ -338,7 +340,9 @@ let test_failed_whatif_restores () =
         Wgraph.remove_edge g' 0 1;
         g')
        0)
-    (Incr_apsp.sssp_edited store ~remove:(0, 1) 0)
+    (let row = Array.make (Incr_apsp.n store) Float.infinity in
+     Incr_apsp.sssp_edited_into store ~remove:(0, 1) 0 row;
+     row)
 
 (* --- allocation guard ------------------------------------------------- *)
 
@@ -374,7 +378,7 @@ let whatif_words n =
 (* The same for the store's row kernels: nothing grows with n. *)
 let row_kernel_words n =
   let store = Incr_apsp.of_graph_no_copy (Helpers.random_graph (Prng.create 1306) n n) in
-  let against = Incr_apsp.row store (n - 1) in
+  let against = (Incr_apsp.matrix store).(n - 1) in
   let round () =
     ignore (Sys.opaque_identity (Incr_apsp.dist_sum store 0));
     ignore (Sys.opaque_identity (Incr_apsp.dist_sum_with_edge store 0 (n / 2) 1.5));

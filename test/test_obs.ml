@@ -42,7 +42,7 @@ let test_counter_cross_domain () =
   Metric.set_enabled true;
   let per = 10_000 and tasks = 8 in
   ignore
-    (Gncg_util.Parallel.init ~domains:4 tasks (fun _ ->
+    (Gncg_util.Exec.init ~exec:(Gncg_util.Exec.par ~domains:4 ()) tasks (fun _ ->
          for _ = 1 to per do
            Metric.Counter.incr c
          done));

@@ -213,11 +213,15 @@ let prop_serialize_roundtrip seed =
   in
   let host = Gncg_workload.Instances.random_host r model ~n:6 ~alpha:(0.5 +. Prng.float r 5.0) in
   let s = Gncg_workload.Instances.random_profile r host in
-  let host' = Gncg.Serialize.host_of_string (Gncg.Serialize.host_to_string host) in
-  let s' = Gncg.Serialize.profile_of_string (Gncg.Serialize.profile_to_string s) in
-  Metric.equal ~tol:0.0 (Gncg.Host.metric host) (Gncg.Host.metric host')
-  && Gncg.Host.alpha host = Gncg.Host.alpha host'
-  && Strategy.equal s s'
+  match
+    ( Gncg.Serialize.host_of_string_result (Gncg.Serialize.host_to_string host),
+      Gncg.Serialize.profile_of_string_result (Gncg.Serialize.profile_to_string s) )
+  with
+  | Ok host', Ok s' ->
+    Metric.equal ~tol:0.0 (Gncg.Host.metric host) (Gncg.Host.metric host')
+    && Gncg.Host.alpha host = Gncg.Host.alpha host'
+    && Strategy.equal s s'
+  | _ -> false
 
 let prop_dist_matrix_insertion seed =
   let r = Prng.create (seed + 15) in
@@ -300,11 +304,11 @@ let prop_thm20_ratio seed =
     (Gncg_constructions.Thm20_cycle.cost_ratio ~alpha)
     (Gncg.Quality.metric_upper alpha)
 
-(* Parallel skeleton edge cases: the chunking math must stay correct at
-   the degenerate corners (n = 0, fewer items than domains, a single
-   domain), where an off-by-one in the split silently drops or repeats
-   indices.  Generators draw from those corners explicitly rather than
-   relying on small_nat to hit them. *)
+(* Domain-loop edge cases: the index claiming must stay correct at the
+   degenerate corners (n = 0, fewer items than domains, a single
+   domain), where an off-by-one silently drops or repeats indices.
+   Generators draw from those corners explicitly rather than relying on
+   small_nat to hit them. *)
 
 let parallel_corner_gen =
   QCheck.make
@@ -316,9 +320,11 @@ let parallel_corner_gen =
       let* seed = small_nat in
       return (n, domains, seed))
 
+let par domains = Gncg_util.Exec.par ~domains ()
+
 let prop_parallel_init_matches_array (n, domains, seed) =
   let f i = (i * 31) lxor seed in
-  Gncg_util.Parallel.init ~domains n f = Array.init n f
+  Gncg_util.Exec.init ~exec:(par domains) n f = Array.init n f
 
 let prop_parallel_quantifiers_match (n, domains, seed) =
   (* A predicate that is false on a pseudo-random subset (sometimes empty,
@@ -330,14 +336,15 @@ let prop_parallel_quantifiers_match (n, domains, seed) =
     seq_all := !seq_all && pred i;
     seq_any := !seq_any || pred i
   done;
-  Gncg_util.Parallel.for_all ~domains n pred = !seq_all
-  && Gncg_util.Parallel.exists ~domains n pred = !seq_any
+  let exec = par domains in
+  Gncg_util.Exec.for_all ~exec n pred = !seq_all
+  && (not (Gncg_util.Exec.for_all ~exec n (fun i -> not (pred i)))) = !seq_any
 
 let prop_parallel_vacuous (_, domains, _) =
   (* Quantifiers over the empty index space. *)
-  Gncg_util.Parallel.for_all ~domains 0 (fun _ -> false)
-  && (not (Gncg_util.Parallel.exists ~domains 0 (fun _ -> true)))
-  && Gncg_util.Parallel.init ~domains 0 (fun i -> i) = [||]
+  let exec = par domains in
+  Gncg_util.Exec.for_all ~exec 0 (fun _ -> false)
+  && Gncg_util.Exec.init ~exec 0 (fun i -> i) = [||]
 
 let suites =
   [

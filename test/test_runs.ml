@@ -248,7 +248,7 @@ let outcome_to_string = function
   | R.Scheduler.Timeout -> "timeout"
   | R.Scheduler.Crashed { msg; _ } -> "crashed " ^ msg
 
-(* Unequal work per job: the heterogeneity work stealing exists for. *)
+(* Unequal work per job: the heterogeneity the shared job counter exists for. *)
 let lopsided_exec i =
   let rounds = if i mod 5 = 0 then 200_000 else 100 in
   let acc = ref i in
@@ -312,6 +312,41 @@ let test_scheduler_crash_isolation_and_retry () =
       | o -> Alcotest.failf "job %d: unexpected %s" i (outcome_to_string o))
     results
 
+(* One slow job waits, up to 5 s, for the ten fast jobs around it to
+   finish; the last fast job to finish raises the flag.  A worker that
+   claims the next unstarted job runs every fast job on the other
+   domain while the slow one waits, whether the slow job is at the head
+   or at the tail of the list.  A static two-chunk split queues half of
+   the fast jobs behind the slow one on its own domain for one of the
+   two placements, and the slow job times out. *)
+let test_scheduler_balances_a_slow_job () =
+  let fast = 10 in
+  List.iter
+    (fun slow ->
+      let pending = Atomic.make fast in
+      let flag = Atomic.make false in
+      let exec i =
+        if i = slow then begin
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.001
+          done;
+          Atomic.get flag
+        end
+        else begin
+          if Atomic.fetch_and_add pending (-1) = 1 then Atomic.set flag true;
+          true
+        end
+      in
+      let results = R.Scheduler.run ~domains:2 exec (List.init (fast + 1) Fun.id) in
+      Alcotest.(check (list int)) "reports in input order" (List.init (fast + 1) Fun.id)
+        (List.map fst results);
+      match List.assoc slow results with
+      | { R.Scheduler.outcome = R.Scheduler.Completed seen; _ } ->
+        check_true (Printf.sprintf "the fast jobs finished while job %d waited" slow) seen
+      | _ -> Alcotest.failf "slow job %d did not complete" slow)
+    [ 0; fast ]
+
 let test_scheduler_budget_classifies_timeout () =
   let exec i =
     if i mod 2 = 0 then Unix.sleepf 0.05;
@@ -327,58 +362,6 @@ let test_scheduler_budget_classifies_timeout () =
       | 1, R.Scheduler.Completed v -> Alcotest.(check int) "value" i v
       | _, o -> Alcotest.failf "job %d: unexpected %s" i (outcome_to_string o))
     results
-
-(* --- Ws_deque ----------------------------------------------------------- *)
-
-let test_ws_deque_sequential_semantics () =
-  let d = Gncg_util.Ws_deque.create () in
-  Alcotest.(check (option int)) "empty pop" None (Gncg_util.Ws_deque.pop d);
-  Alcotest.(check (option int)) "empty steal" None (Gncg_util.Ws_deque.steal d);
-  List.iter (Gncg_util.Ws_deque.push d) [ 1; 2; 3; 4 ];
-  Alcotest.(check int) "length" 4 (Gncg_util.Ws_deque.length d);
-  Alcotest.(check (option int)) "pop is LIFO" (Some 4) (Gncg_util.Ws_deque.pop d);
-  Alcotest.(check (option int)) "steal is FIFO" (Some 1) (Gncg_util.Ws_deque.steal d);
-  Alcotest.(check (option int)) "steal again" (Some 2) (Gncg_util.Ws_deque.steal d);
-  Alcotest.(check (option int)) "pop the rest" (Some 3) (Gncg_util.Ws_deque.pop d);
-  Alcotest.(check (option int)) "drained" None (Gncg_util.Ws_deque.pop d);
-  (* Force the ring buffer to wrap and grow. *)
-  for i = 0 to 99 do
-    Gncg_util.Ws_deque.push d i;
-    if i mod 3 = 0 then ignore (Gncg_util.Ws_deque.steal d)
-  done;
-  let rec drain acc =
-    match Gncg_util.Ws_deque.pop d with None -> acc | Some x -> drain (x :: acc)
-  in
-  let remaining = drain [] in
-  Alcotest.(check int) "conserved" (100 - 34) (List.length remaining);
-  Alcotest.(check int) "no duplicates" (List.length remaining)
-    (List.length (List.sort_uniq compare remaining))
-
-let test_ws_deque_concurrent_conservation () =
-  let d = Gncg_util.Ws_deque.create () in
-  let n = 5000 in
-  for i = 0 to n - 1 do
-    Gncg_util.Ws_deque.push d i
-  done;
-  let grab take =
-    let seen = ref [] in
-    let rec go () =
-      match take d with
-      | Some x ->
-        seen := x :: !seen;
-        go ()
-      | None -> !seen
-    in
-    go ()
-  in
-  let thieves =
-    List.init 3 (fun _ -> Domain.spawn (fun () -> grab Gncg_util.Ws_deque.steal))
-  in
-  let popped = grab Gncg_util.Ws_deque.pop in
-  let stolen = List.concat_map Domain.join thieves in
-  let everything = List.sort compare (popped @ stolen) in
-  Alcotest.(check int) "every element taken exactly once" n (List.length everything);
-  Alcotest.(check (list int)) "the exact pushed set" (List.init n Fun.id) everything
 
 (* --- Batch (kill-and-resume end to end) --------------------------------- *)
 
@@ -511,8 +494,7 @@ let suites =
         case "scheduler isolates crashes, bounded retry"
           test_scheduler_crash_isolation_and_retry;
         case "scheduler budget -> timeout" test_scheduler_budget_classifies_timeout;
-        case "ws_deque sequential semantics" test_ws_deque_sequential_semantics;
-        case "ws_deque concurrent conservation" test_ws_deque_concurrent_conservation;
+        case "scheduler balances a slow job" test_scheduler_balances_a_slow_job;
         case "batch kill-and-resume" test_batch_kill_and_resume;
         case "old-format journal resumes" test_old_journal_resumes;
         case "batch status" test_batch_status;

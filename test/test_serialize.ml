@@ -1,13 +1,19 @@
 open Helpers
 module S = Gncg.Serialize
 module Prng = Gncg_util.Prng
+module E = Gncg_util.Gncg_error
+
+(* The loaded value of a load that must succeed. *)
+let loaded name = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" name (E.to_string e)
 
 let test_host_roundtrip () =
   let r = rng 1500 in
   List.iter
     (fun model ->
       let host = Gncg_workload.Instances.random_host r model ~n:7 ~alpha:2.25 in
-      let host' = S.host_of_string (S.host_to_string host) in
+      let host' = loaded "host" (S.host_of_string_result (S.host_to_string host)) in
       check_float "alpha preserved" (Gncg.Host.alpha host) (Gncg.Host.alpha host');
       check_true "metric preserved"
         (Gncg_metric.Metric.equal ~tol:0.0 (Gncg.Host.metric host) (Gncg.Host.metric host')))
@@ -18,14 +24,14 @@ let test_profile_roundtrip () =
   let host = Gncg_workload.Instances.random_host r (List.hd Gncg_workload.Instances.default_models) ~n:8 ~alpha:1.0 in
   for _ = 1 to 5 do
     let s = Gncg_workload.Instances.random_profile r host in
-    let s' = S.profile_of_string (S.profile_to_string s) in
+    let s' = loaded "profile" (S.profile_of_string_result (S.profile_to_string s)) in
     check_true "profile preserved" (Gncg.Strategy.equal s s')
   done
 
 let test_infinite_weights_roundtrip () =
   let m = Gncg_metric.One_inf.of_allowed_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
   let host = Gncg.Host.make ~alpha:3.0 m in
-  let host' = S.host_of_string (S.host_to_string host) in
+  let host' = loaded "host" (S.host_of_string_result (S.host_to_string host)) in
   check_true "forbidden edge stays infinite"
     (Gncg.Host.weight host' 0 3 = Float.infinity);
   check_float "allowed edge" 1.0 (Gncg.Host.weight host' 0 1)
@@ -37,7 +43,7 @@ let test_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       S.host_to_file path host;
-      let host' = S.host_of_file path in
+      let host' = loaded "host file" (S.host_of_file_result path) in
       check_true "file roundtrip"
         (Gncg_metric.Metric.equal ~tol:0.0 (Gncg.Host.metric host) (Gncg.Host.metric host')));
   let s = Gncg_constructions.Thm15_tree_star.ne_profile ~alpha:2.0 ~n:5 in
@@ -46,14 +52,8 @@ let test_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       S.profile_to_file path s;
-      check_true "profile file roundtrip" (Gncg.Strategy.equal s (S.profile_of_file path)))
-
-module E = Gncg_util.Gncg_error
-
-let expect_failure name f =
-  match f () with
-  | exception E.Error _ -> ()
-  | _ -> Alcotest.failf "%s: expected Gncg_error.Error" name
+      check_true "profile file roundtrip"
+        (Gncg.Strategy.equal s (loaded "profile file" (S.profile_of_file_result path))))
 
 let expect_error name result check =
   match result with
@@ -61,16 +61,26 @@ let expect_error name result check =
   | Error e ->
     if not (check e) then Alcotest.failf "%s: wrong error: %s" name (E.to_string e)
 
+(* Every malformed input is a [Parse] error at the offending line (no
+   line when the input ends early). *)
 let test_malformed_rejected () =
-  expect_failure "empty" (fun () -> S.host_of_string "");
-  expect_failure "wrong magic" (fun () -> S.host_of_string "gncg-profile 1\nn 2\nalpha 1\n");
-  expect_failure "missing alpha" (fun () -> S.host_of_string "gncg-host 1\nn 2\n");
-  expect_failure "bad pair" (fun () ->
-      S.host_of_string "gncg-host 1\nn 2\nalpha 1\nw 0 5 1.0\n");
-  expect_failure "bad number" (fun () ->
-      S.host_of_string "gncg-host 1\nn 2\nalpha 1\nw 0 1 zzz\n");
-  expect_failure "self purchase" (fun () ->
-      S.profile_of_string "gncg-profile 1\nn 3\nbuy 1 1\n")
+  let parse_error_at where e = e.E.kind = E.Parse && e.E.where = where in
+  expect_error "empty" (S.host_of_string_result "") (parse_error_at E.Nowhere);
+  expect_error "wrong magic"
+    (S.host_of_string_result "gncg-profile 1\nn 2\nalpha 1\n")
+    (parse_error_at (E.Line 1));
+  expect_error "missing alpha"
+    (S.host_of_string_result "gncg-host 1\nn 2\n")
+    (parse_error_at E.Nowhere);
+  expect_error "bad pair"
+    (S.host_of_string_result "gncg-host 1\nn 2\nalpha 1\nw 0 5 1.0\n")
+    (parse_error_at (E.Line 4));
+  expect_error "bad number"
+    (S.host_of_string_result "gncg-host 1\nn 2\nalpha 1\nw 0 1 zzz\n")
+    (parse_error_at (E.Line_column (4, 7)));
+  expect_error "self purchase"
+    (S.profile_of_string_result "gncg-profile 1\nn 3\nbuy 1 1\n")
+    (parse_error_at (E.Line 3))
 
 (* Malformed fixtures must produce *located* typed errors: the kind
    matches the defect and the location names the offending line (and
@@ -147,7 +157,7 @@ let test_validate_on_load () =
 
 let test_comments_and_blank_lines () =
   let text = "gncg-host 1\n\n# a comment\nn 2\nalpha 1.5\nw 0 1 2.0\n\n" in
-  let host = S.host_of_string text in
+  let host = loaded "commented host" (S.host_of_string_result text) in
   check_float "weight parsed" 2.0 (Gncg.Host.weight host 0 1)
 
 let suites =

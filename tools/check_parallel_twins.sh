@@ -22,6 +22,10 @@
 # 3. The `run_legacy` shim (the pre-Config signature, kept for one
 #    release after the PR 8 redesign) is deleted and must not return —
 #    fenced or not.
+#
+# 4. lib/ spawns domains in one place, the domain loop of
+#    lib/util/exec.ml: every other parallel scan or job pool runs on
+#    `Exec.init` / `Exec.for_all`.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -52,7 +56,7 @@ while IFS= read -r f; do
 done < <(find lib -name '*.mli' | sort)
 
 # Implementation files: no new definitions outside a fence.  Call
-# sites referencing Parallel.* combinators or local helpers are fine.
+# sites referencing Exec.* combinators or local helpers are fine.
 while IFS= read -r f; do
   out="$(check_file "$f" '^[[:space:]]*(let|and)[[:space:]]+[a-z_]*_parallel\>')"
   if [ -n "$out" ]; then
@@ -92,6 +96,13 @@ legacy="$(grep -rn 'run_legacy' lib bin bench test 2>/dev/null || true)"
 if [ -n "$legacy" ]; then
   printf '%s\n' "$legacy"
   echo "check_parallel_twins: Dynamics.run_legacy is deleted — migrate to Dynamics.run with a Dynamics.Config.t (README migration table)" >&2
+  exit 1
+fi
+
+spawns="$(grep -rn --include='*.ml' 'Domain\.spawn' lib | grep -v '^lib/util/exec\.ml:' || true)"
+if [ -n "$spawns" ]; then
+  printf '%s\n' "$spawns"
+  echo "check_parallel_twins: Domain.spawn outside lib/util/exec.ml — run the work on Exec.init / Exec.for_all" >&2
   exit 1
 fi
 
