@@ -948,8 +948,9 @@ let e23_journaled_sweep () =
   section "E23" "Journal-backed PoA sweep (the runs subsystem end to end)";
   print_endline
     "Greedy dynamics PoA series regenerated through a durable journal: the\n\
-     batch runs on the work-stealing scheduler, every result is appended to\n\
-     a JSONL journal, and a resume pass verifies nothing re-executes.";
+     batch runs on the runs scheduler, whose domains claim jobs from one\n\
+     shared index, every result is appended to a JSONL journal, and a\n\
+     resume pass verifies nothing re-executes.";
   let journal = Filename.temp_file "gncg_e23" ".jsonl" in
   let config =
     Gncg_runs.Batch.config

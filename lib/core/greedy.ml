@@ -7,6 +7,7 @@ let c_whatifs = Metric.Counter.make "greedy.whatif_sssp"
 let c_swaps_composed = Metric.Counter.make "greedy.swaps_composed"
 let c_settled = Metric.Counter.make "greedy.settled"
 let c_sums_reused = Metric.Counter.make "greedy.sums_reused"
+let c_prefix_skipped = Metric.Counter.make "greedy.prefix_skipped"
 
 (* Both costs can be infinite (disconnected before and after) and near-ties
    are floating-point noise: the tolerant comparison classifies both as
@@ -23,31 +24,84 @@ let move_gain ?graph host s ~agent mv =
 let[@inline] fmin (a : float) b = if b < a then b else a
 let[@inline] fmax (a : float) b = if b > a then b else a
 
-(* [Flt.sum] of the entrywise minimum of two rows, through [tmp]. *)
-let min_sum a b tmp =
-  for x = 0 to Array.length tmp - 1 do
-    Array.unsafe_set tmp x (fmin (Array.unsafe_get a x) (Array.unsafe_get b x))
-  done;
-  Flt.sum tmp
+(* A base row with the state of [Flt.sum]'s Kahan loop before every
+   index: [ps.(i)] and [pc.(i)] are the running sum and compensation
+   after the entries [0 .. i-1], kept up to [fin], the row's first +inf
+   ([n] when there is none).  [sum] is the row's [Flt.sum]: the last
+   state, or +inf. *)
+type prefix = { row : float array; ps : float array; pc : float array; fin : int; sum : float }
 
-(* The same sum when [h] is +inf off [reached.(0 .. k-1)]: unless a
-   reached vertex lies below the row, the minimum is the row itself and
-   its sum is [row_sum]. *)
-let min_sum_reached row row_sum h reached k tmp =
-  let i = ref 0 in
-  while
-    !i < k
-    &&
-    let x = Array.unsafe_get reached !i in
-    not (Array.unsafe_get h x < Array.unsafe_get row x)
-  do
-    incr i
+let prefix row =
+  let n = Array.length row in
+  let ps = Array.make (n + 1) 0.0 and pc = Array.make (n + 1) 0.0 in
+  let s = ref 0.0 and c = ref 0.0 and i = ref 0 in
+  while !i < n && Array.unsafe_get row !i <> Float.infinity do
+    let y = Array.unsafe_get row !i -. !c in
+    let t = !s +. y in
+    c := t -. !s -. y;
+    s := t;
+    incr i;
+    Array.unsafe_set ps !i !s;
+    Array.unsafe_set pc !i !c
   done;
-  if !i < k then min_sum row h tmp
-  else begin
+  { row; ps; pc; fin = !i; sum = (if !i < n then Float.infinity else !s) }
+
+(* [Flt.sum] of the entrywise minimum of [p.row] and [h], where [h] is
+   +inf off [reached.(0 .. k-1)].  Before the least reached [x] with
+   [h(x) < row(x)] the minimum is the row itself, so its sum is the row's
+   when there is no such [x], +inf when the row has a +inf before [x]
+   ([Flt.sum]'s rule), and otherwise resumes from the row's state at [x]:
+   the same additions, in the same order, as [Flt.sum] of the minimum. *)
+let min_sum_reached p h reached k =
+  let row = p.row in
+  let x = ref max_int in
+  for i = 0 to k - 1 do
+    let v = Array.unsafe_get reached i in
+    if v < !x && Array.unsafe_get h v < Array.unsafe_get row v then x := v
+  done;
+  let x = !x in
+  if x = max_int then begin
     Metric.Counter.incr c_sums_reused;
-    row_sum
+    p.sum
   end
+  else if x > p.fin then Float.infinity
+  else begin
+    Metric.Counter.add c_prefix_skipped x;
+    let n = Array.length row in
+    let s = ref (Array.unsafe_get p.ps x) and c = ref (Array.unsafe_get p.pc x) and i = ref x in
+    while !i < n do
+      let m = fmin (Array.unsafe_get row !i) (Array.unsafe_get h !i) in
+      if m = Float.infinity then begin
+        s := Float.infinity;
+        i := n
+      end
+      else begin
+        let y = m -. !c in
+        let t = !s +. y in
+        c := t -. !s -. y;
+        s := t;
+        incr i
+      end
+    done;
+    !s
+  end
+
+(* [Cost.edge_cost_of] of the agent's [owned] set (ascending, priced
+   [ow]) without [skip] and with [t] priced [wt]; -1 names no vertex.
+   The prices are added to 0.0 in ascending vertex order, as the set's
+   fold adds them, so the bits are the same. *)
+let[@inline] edited_edge_cost alpha owned ow ~skip ~t (wt : float) =
+  let acc = ref 0.0 and pending = ref (t >= 0) in
+  for i = 0 to Array.length owned - 1 do
+    let v = Array.unsafe_get owned i in
+    if !pending && t < v then begin
+      acc := !acc +. wt;
+      pending := false
+    end;
+    if v <> skip then acc := !acc +. Array.unsafe_get ow i
+  done;
+  if !pending then acc := !acc +. wt;
+  alpha *. !acc
 
 (* One fold over the agent's candidates, in [Move.candidates] order.
    Every moved row is the entrywise minimum of two rows, bit for bit.  A
@@ -72,14 +126,15 @@ let min_sum_reached row row_sum h reached k tmp =
    vertex whose H_t value is below R is reached through vertices below R
    only, and gets its exact value, while every vertex the bounded pass
    leaves at +inf has row(H_t)(x) >= R(x), where the minimum is the row
-   either way.  A candidate whose row no reached vertex improves takes
-   the row's sum.
+   either way.  A candidate's sum is the row's own when no reached vertex
+   improves it, and otherwise resumes the row's Kahan sum at the first
+   improved vertex ([min_sum_reached]).
 
    [adj], the flat form of G(s), belongs to the call, which edits it.
    Each candidate's cost is [Cost.agent_cost] of the moved profile to
    the bit: the rows are [Dijkstra.sssp]'s, and the edited set is priced
-   by [Cost.edge_cost_of].  Returns the current cost and the folded
-   result. *)
+   as [Cost.edge_cost_of] prices it ([edited_edge_cost]).  Returns the
+   current cost and the folded result. *)
 let fold_gains ?(kinds = [ `Add; `Delete; `Swap ]) adj host s ~agent f init =
   let n = Strategy.n s in
   let owned_set = Strategy.strategy s agent in
@@ -93,25 +148,24 @@ let fold_gains ?(kinds = [ `Add; `Delete; `Swap ]) adj host s ~agent f init =
   and want_swap = List.mem `Swap kinds in
   let cur = Array.make n 0.0 in
   Flat_adj.sssp_into adj agent cur;
-  let cur_dist = Flt.sum cur in
-  let before = Cost.edge_cost_of host agent owned_set +. cur_dist in
+  let cur_p = prefix cur in
+  let before = Cost.edge_cost_of host agent owned_set +. cur_p.sum in
   (* Row of G(s) - (u,o) for each owned o; G(s)'s own row when the edge
      stays built (the other side buys it too, or it was never built). *)
-  let del_rows =
+  let del_ps =
     if not (want_del || (want_swap && k > 0)) then [||]
     else
       Array.map
         (fun o ->
-          if Strategy.owns s o agent || not (Flat_adj.has_edge adj agent o) then cur
+          if Strategy.owns s o agent || not (Flat_adj.has_edge adj agent o) then cur_p
           else begin
             Metric.Counter.incr c_whatifs;
             let row = Array.copy cur in
             ignore (Flat_adj.sssp_edited_into adj ~remove:(agent, o) agent row);
-            row
+            prefix row
           end)
         owned
   in
-  let del_sums = Array.map (fun row -> if row == cur then cur_dist else Flt.sum row) del_rows in
   (* One pass on each H_t fills the addition sums and, for each owned o,
      the swap sums, so no H_t row outlives its target. *)
   let add_sums = Array.make k 0.0 in
@@ -121,13 +175,12 @@ let fold_gains ?(kinds = [ `Add; `Delete; `Swap ]) adj host s ~agent f init =
     let envelope = Array.copy cur in
     if want_swap then
       Array.iter
-        (fun row ->
+        (fun p ->
           for x = 0 to n - 1 do
-            envelope.(x) <- fmax envelope.(x) row.(x)
+            envelope.(x) <- fmax envelope.(x) p.row.(x)
           done)
-        del_rows;
+        del_ps;
     let h = Array.make n Float.infinity and reached = Array.make n 0 in
-    let tmp = Array.make n 0.0 in
     Array.iteri
       (fun j t ->
         Metric.Counter.incr c_whatifs;
@@ -136,37 +189,40 @@ let fold_gains ?(kinds = [ `Add; `Delete; `Swap ]) adj host s ~agent f init =
         let start = 0.0 +. Host.weight host agent t in
         let r = Flat_adj.sssp_bounded_into adj ~src:t ~start ~bound:envelope h reached in
         Metric.Counter.add c_settled r;
-        if want_add then add_sums.(j) <- min_sum_reached cur cur_dist h reached r tmp;
+        if want_add then add_sums.(j) <- min_sum_reached cur_p h reached r;
         if want_swap then
           Array.iteri
-            (fun i row ->
-              swap_sums.((i * k) + j) <- min_sum_reached row del_sums.(i) h reached r tmp)
-            del_rows;
+            (fun i p -> swap_sums.((i * k) + j) <- min_sum_reached p h reached r)
+            del_ps;
         for i = 0 to r - 1 do
           h.(reached.(i)) <- Float.infinity
         done)
       targets
   end;
-  let edited_set = function
-    | Move.Add v -> ISet.add v owned_set
-    | Move.Delete v -> ISet.remove v owned_set
-    | Move.Swap (o, t) -> ISet.add t (ISet.remove o owned_set)
-  in
+  let alpha = Host.alpha host in
+  let ow = Array.map (Host.weight host agent) owned
+  and tw = Array.map (Host.weight host agent) targets in
   let acc = ref init in
-  let emit mv dist =
-    let after = Cost.edge_cost_of host agent (edited_set mv) +. dist in
-    acc := f !acc mv (gain_between before after)
-  in
-  if want_add then Array.iteri (fun j t -> emit (Move.Add t) add_sums.(j)) targets;
-  if want_del then Array.iteri (fun i o -> emit (Move.Delete o) del_sums.(i)) owned;
+  if want_add then
+    for j = 0 to k - 1 do
+      let edge = edited_edge_cost alpha owned ow ~skip:(-1) ~t:targets.(j) tw.(j) in
+      acc := f !acc (Move.Add targets.(j)) (gain_between before (edge +. add_sums.(j)))
+    done;
+  if want_del then
+    for i = 0 to deg - 1 do
+      let edge = edited_edge_cost alpha owned ow ~skip:owned.(i) ~t:(-1) 0.0 in
+      acc := f !acc (Move.Delete owned.(i)) (gain_between before (edge +. del_ps.(i).sum))
+    done;
   if want_swap then begin
     Metric.Counter.add c_swaps_composed (deg * k);
-    Array.iteri
-      (fun i o ->
-        Array.iteri
-          (fun j t -> emit (Move.Swap (o, t)) swap_sums.((i * k) + j))
-          targets)
-      owned
+    for i = 0 to deg - 1 do
+      for j = 0 to k - 1 do
+        let edge = edited_edge_cost alpha owned ow ~skip:owned.(i) ~t:targets.(j) tw.(j) in
+        acc :=
+          f !acc (Move.Swap (owned.(i), targets.(j)))
+            (gain_between before (edge +. swap_sums.((i * k) + j)))
+      done
+    done
   end;
   (before, !acc)
 

@@ -15,7 +15,8 @@
     envelope, the entrywise maximum of the rows it is min'ed with; every
     other vertex would leave each of those minima unchanged.  A candidate
     whose row no settled vertex improves takes the row's precomputed
-    sum.  Every gain is bitwise the one {!move_gain} computes by
+    sum; any other resumes the row's Kahan sum at its first improved
+    vertex.  Every gain is bitwise the one {!move_gain} computes by
     rebuilding the moved network (docs/ALGORITHMS.md, "Single-move
     evaluation").  This is the engine's one stateless single-move
     evaluator: the GE/AE checks and [Random_improving] dynamics run on

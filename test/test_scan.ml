@@ -201,6 +201,62 @@ let test_swap_game_bias () =
   let hits = List.length (List.filter swap_best (List.init 100 Fun.id)) in
   if hits < 50 then Alcotest.failf "only %d of 100 swap games have a swap as a best move" hits
 
+(* Hand-built games, each aimed at one branch of the resumed sums or of
+   the sorted edge pricing; pairs not listed weigh 4.  Every agent's
+   gains and best move are checked, under every kind set. *)
+let fixed_game ?(alpha = 1.0) n weights buys =
+  let w u v = Option.value (List.assoc_opt (u, v) weights) ~default:4.0 in
+  (Gncg.Host.make ~alpha (Metric.make n w), Strategy.of_lists n buys)
+
+let fixed_games =
+  [
+    (* Agent 2's row is [11; 1; 0; 1]; adding (2,0) improves vertex 0
+       first, so the sum resumes from the empty state.  Swapping (2,1)
+       for (2,0) resumes a deletion row at its first +inf. *)
+    ( "first improved vertex is index 0",
+      fixed_game 4
+        [ ((1, 2), 1.0); ((0, 1), 10.0); ((2, 3), 1.0); ((0, 2), 1.5) ]
+        [ (2, [ 1; 3 ]); (1, [ 0 ]) ] );
+    (* On the path 0-1-2-3-4, adding (0,3) or (0,2) improves vertex 3 or
+       2 and leaves the vertices below it as they are. *)
+    ( "first improved vertex mid-row",
+      fixed_game 5
+        [ ((0, 1), 1.0); ((1, 2), 1.0); ((2, 3), 1.0); ((3, 4), 1.0); ((0, 3), 1.5); ((0, 2), 1.2) ]
+        [ (0, [ 1 ]); (1, [ 2 ]); (2, [ 3 ]); (3, [ 4 ]) ] );
+    (* Vertex 0 is isolated: agent 1's row is [inf; 0; 1; 2; 3], so adding
+       (1,4) or (1,3) costs +inf however much it improves, while adding
+       (1,0) resumes at the +inf itself and fills it. *)
+    ( "+inf before the first improved vertex",
+      fixed_game 5
+        [ ((1, 2), 1.0); ((2, 3), 1.0); ((3, 4), 1.0); ((1, 4), 1.5); ((1, 3), 1.5); ((0, 1), 1.0) ]
+        [ (1, [ 2 ]); (2, [ 3 ]); (3, [ 4 ]) ] );
+    (* Agent 0's row is [0; 1; 2; inf; inf]: adding (0,2) improves vertex
+       2 and the resumed sum stops at vertex 3's +inf; adding (0,3) fills
+       both. *)
+    ( "+inf after the first improved vertex",
+      fixed_game 5
+        [ ((0, 1), 1.0); ((1, 2), 1.0); ((3, 4), 1.0); ((0, 2), 1.5); ((0, 3), 1.0) ]
+        [ (0, [ 1 ]); (1, [ 2 ]); (3, [ 4 ]) ] );
+    (* Agent 3 owns {1, 2, 5, 6} at prices four decades apart, whose sum
+       depends on the order of the additions, and can add or swap to 0
+       (below them), 4 (between) or 7 (above).  Agents 1, 2, 5 and 6 own
+       nothing. *)
+    ( "targets below, between and above the owned set; empty owned sets",
+      fixed_game ~alpha:1.3 8
+        [
+          ((1, 3), 49.7); ((2, 3), 0.0675); ((3, 5), 0.0124); ((3, 6), 1.02);
+          ((0, 3), 39.3); ((3, 4), 40.0); ((3, 7), 66.0);
+        ]
+        [ (3, [ 1; 2; 5; 6 ]); (0, [ 1 ]); (4, [ 5 ]); (7, [ 6 ]) ] );
+  ]
+
+let test_fixed_games () =
+  List.iter
+    (fun (name, game) ->
+      if not (gains_exact game) then Alcotest.failf "%s: gains" name;
+      if not (best_move_exact game) then Alcotest.failf "%s: best move" name)
+    fixed_games
+
 (* Profiles [`Incremental] greedy dynamics converged to at n = 20-40, on
    uniform metric hosts (the certification benchmark's family) and tree
    metrics, each also one random move away from convergence so that
@@ -241,11 +297,13 @@ let counter name =
    path, bit for bit, with each rebuild gain computed once per profile.
    The addition passes must settle under half the vertices that the
    scans' passes would settle in full (about a fifth today), or the
-   bounded branch went untested. *)
+   bounded branch went untested; and some sums must resume from a row's
+   prefix state, or the resumed branch did. *)
 let test_converged_exact () =
   Gncg_obs.Obs.set_profiling true;
   Fun.protect ~finally:(fun () -> Gncg_obs.Obs.set_profiling false) @@ fun () ->
   let settled0 = counter "greedy.settled" in
+  let skipped0 = counter "greedy.prefix_skipped" in
   let cells = ref 0 in
   List.iteri
     (fun i game ->
@@ -266,7 +324,9 @@ let test_converged_exact () =
     (converged_games ());
   let settled = counter "greedy.settled" - settled0 in
   if !cells = 0 || 2 * settled >= !cells then
-    Alcotest.failf "%d vertices settled; passes x n = %d" settled !cells
+    Alcotest.failf "%d vertices settled; passes x n = %d" settled !cells;
+  if counter "greedy.prefix_skipped" = skipped0 then
+    Alcotest.fail "no sum resumed from a prefix state"
 
 let suites =
   [
@@ -279,6 +339,8 @@ let suites =
           prop_swap_best_move_exact;
         qtest ~count:100 "swap games: gains = move_gain (bits)" seed_gen prop_swap_gains_exact;
         Alcotest.test_case "swap games favour swaps" `Quick test_swap_game_bias;
+        Alcotest.test_case "resumed sums and sorted edge prices = move_gain (bits)" `Quick
+          test_fixed_games;
         Alcotest.test_case "converged games: moves, gains, grievances = spec (bits)" `Quick
           test_converged_exact;
       ] );
