@@ -25,10 +25,9 @@ let profile_adj kind host s =
 let current_and_best ?adj kind host s u =
   match kind with
   | NE -> (Cost.agent_cost host s u, snd (Best_response.exact host s u))
-  | GE | AE -> (
-    match Greedy.scan ~kinds:(kinds_of kind) ?adj host s ~agent:u with
-    | current, None -> (current, current)
-    | current, Some (_, gain) -> (current, current -. gain))
+  | GE | AE ->
+    let ((current, _) as scanned) = Greedy.scan ~kinds:(kinds_of kind) ?adj host s ~agent:u in
+    (current, Greedy.best_cost host s ~agent:u scanned)
 
 let agent_happy ?adj kind host s u =
   let current, best = current_and_best ?adj kind host s u in

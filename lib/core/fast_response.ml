@@ -75,6 +75,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   let cur_edge = Cost.agent_edge_cost host s agent in
   let cur_cost = cur_edge +. cur_dist in
   let alpha = Host.alpha host in
+  let wrow = Host.weight_row host agent in
   let edge_survives_sale v = Strategy.owns s v agent in
   let owned = Strategy.strategy s agent in
   let deg = ISet.cardinal owned in
@@ -92,13 +93,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
      agent's cost is infinite every target counts as loose. *)
   let k = ref 0 and kl = ref 0 in
   if List.mem `Add kinds || (want_swap && deg > 0) then begin
-    for v = 0 to n - 1 do
-      if Move.addable host s ~agent v then begin
-        Array.unsafe_set sc.targets !k v;
-        Array.unsafe_set sc.weights !k (Host.weight host agent v);
-        incr k
-      end
-    done;
+    k := Move.addable_into host s ~agent sc.targets sc.weights;
     kl :=
       if cur_cost < Float.infinity then
         Net_state.loose_targets st agent sc.targets sc.weights !k sc.loose
@@ -177,7 +172,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
     let i = ref 0 in
     ISet.iter
       (fun v ->
-        let w = Host.weight host agent v in
+        let w = wrow.(v) in
         if edge_survives_sale v then pick (Move.Delete v) (alpha *. w)
         else if alpha *. w > !best_gain then begin
           rowlocal := false;
@@ -195,7 +190,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
     let i = ref 0 in
     ISet.iter
       (fun old_t ->
-        let w_old = Host.weight host agent old_t in
+        let w_old = wrow.(old_t) in
         let survives = edge_survives_sale old_t in
         for j = 0 to k - 1 do
           let new_t = sc.targets.(j) and w_new = sc.weights.(j) in

@@ -250,7 +250,13 @@ let gains ?kinds host s ~agent =
 let best_move ?kinds ?graph host s ~agent =
   snd (fold_gains ?kinds (build_adj ?graph host s) host s ~agent pick None)
 
-let best_single_move_cost ?kinds ?graph host s ~agent =
-  match fold_gains ?kinds (build_adj ?graph host s) host s ~agent pick None with
+(* A move that connects an agent whose cost is +inf has gain +inf, and
+   +inf -. +inf is NaN: on that path alone the moved profile is priced. *)
+let best_cost host s ~agent = function
   | current, None -> current
+  | _, Some (mv, gain) when gain = Float.infinity ->
+    Cost.agent_cost host (Move.apply s ~agent mv) agent
   | current, Some (_, gain) -> current -. gain
+
+let best_single_move_cost ?kinds ?graph host s ~agent =
+  best_cost host s ~agent (fold_gains ?kinds (build_adj ?graph host s) host s ~agent pick None)

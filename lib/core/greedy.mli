@@ -58,9 +58,16 @@ val scan :
   agent:int ->
   float * (Move.t * float) option
 (** [(current, best)]: the agent's current cost ([Cost.agent_cost], to
-    the bit) and {!best_move}'s result, from one scan.  The best
-    single-move cost is [current -. gain] ([current] when [best] is
-    [None]), as in {!best_single_move_cost}. *)
+    the bit) and {!best_move}'s result, from one scan.  {!best_cost}
+    turns it into the best single-move cost. *)
+
+val best_cost : Host.t -> Strategy.t -> agent:int -> float * (Move.t * float) option -> float
+(** [best_cost host s ~agent (current, best)] is the agent's cost after
+    [best], the lowest cost one move reaches: [current] when [best] is
+    [None], otherwise [current -. gain].  When [current] is +inf and the
+    move makes it finite the gain is +inf and that difference NaN; there
+    alone it is [Cost.agent_cost] of the moved profile.  Used by
+    {!best_single_move_cost} and the greedy [Equilibrium] checks. *)
 
 val gains :
   ?kinds:[ `Add | `Delete | `Swap ] list ->

@@ -28,6 +28,8 @@ let n t = Gncg_metric.Metric.n t.metric
 
 let weight t u v = Gncg_metric.Metric.weight t.metric u v
 
+let weight_row t u = Gncg_metric.Metric.row t.metric u
+
 let edge_price t u v = t.alpha *. weight t u v
 
 let with_alpha alpha t = make ?geometry:t.geometry ~alpha t.metric

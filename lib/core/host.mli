@@ -29,6 +29,11 @@ val n : t -> int
 val weight : t -> int -> int -> float
 (** Host weight of the pair. *)
 
+val weight_row : t -> int -> float array
+(** The host weights of [u]'s pairs, [(weight_row t u).(v) = weight t u v]:
+    a read-only view of the metric row (no copy), so a loop over targets
+    reads each weight unboxed instead of calling {!weight}. *)
+
 val edge_price : t -> int -> int -> float
 (** [alpha * weight]. *)
 

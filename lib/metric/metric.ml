@@ -38,6 +38,10 @@ let weight h u v =
     invalid_arg "Metric.weight: vertex out of range";
   h.w.(u).(v)
 
+let row h u =
+  if u < 0 || u >= h.size then invalid_arg "Metric.row: vertex out of range";
+  h.w.(u)
+
 let to_matrix h = Array.map Array.copy h.w
 
 let triangle_violations ?(tol = Flt.eps) h =

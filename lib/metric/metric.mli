@@ -25,6 +25,10 @@ val n : t -> int
 val weight : t -> int -> int -> float
 (** [weight h u v]; 0 when [u = v]. *)
 
+val row : t -> int -> float array
+(** [row h u] is the weight row of [u] itself, not a copy: [(row h u).(v)]
+    is [weight h u v].  Read-only; writing to it corrupts the host. *)
+
 val to_matrix : t -> float array array
 (** A fresh copy of the weight matrix. *)
 

@@ -415,7 +415,6 @@ let add_edge t u v w =
   let n = t.n in
   let changed = Changed_rows.create n in
   if w < Float.Array.get t.d ((u * n) + v) then begin
-    Metric.Counter.add c_rows_relaxed n;
     (* Rows u and v are read while every row (incl. themselves) is being
        written: snapshot them into the preallocated workspaces first.  A
        row is reported as changed exactly when some entry strictly
@@ -423,22 +422,42 @@ let add_edge t u v w =
     let du = t.snap_u and dv = t.snap_v in
     Float.Array.blit t.d (u * n) du 0 n;
     Float.Array.blit t.d (v * n) dv 0 n;
+    (* Insertion support: row x can change only if the new edge offers x
+       a shortcut to one endpoint, d(x,u) + w < d(x,v) or the mirror.  A
+       row that fails both tests by the margin δ = 8n·ε·(2M + w), M the
+       largest finite entry of the two snapshots, keeps every entry bit
+       for bit: the stored entries meet the triangle inequality through
+       v (and u) up to a relative (4n + 2)·u, far inside δ, and rounding
+       is monotone (ALGORITHMS.md, "Insertion support").  A row reaching
+       neither endpoint is skipped, one reaching exactly one is relaxed. *)
+    let m = ref 0.0 in
     for x = 0 to n - 1 do
-      let base = x * n in
-      let dxu = Float.Array.unsafe_get du x and dxv = Float.Array.unsafe_get dv x in
-      let touched = ref false in
-      for y = 0 to n - 1 do
-        let via_uv = dxu +. w +. Float.Array.unsafe_get dv y in
-        let via_vu = dxv +. w +. Float.Array.unsafe_get du y in
-        let cur = Float.Array.unsafe_get t.d (base + y) in
-        let best = fmin cur (fmin via_uv via_vu) in
-        if best < cur then begin
-          Float.Array.unsafe_set t.d (base + y) best;
-          touched := true
-        end
-      done;
-      if !touched then Changed_rows.add changed x
+      let a = Float.Array.unsafe_get du x and b = Float.Array.unsafe_get dv x in
+      if a > !m && a < Float.infinity then m := a;
+      if b > !m && b < Float.infinity then m := b
     done;
+    let delta = 8.0 *. float_of_int n *. epsilon_float *. ((2.0 *. !m) +. w) in
+    let relaxed = ref 0 in
+    for x = 0 to n - 1 do
+      let dxu = Float.Array.unsafe_get du x and dxv = Float.Array.unsafe_get dv x in
+      if dxu +. w < dxv +. delta || dxv +. w < dxu +. delta then begin
+        incr relaxed;
+        let base = x * n in
+        let touched = ref false in
+        for y = 0 to n - 1 do
+          let via_uv = dxu +. w +. Float.Array.unsafe_get dv y in
+          let via_vu = dxv +. w +. Float.Array.unsafe_get du y in
+          let cur = Float.Array.unsafe_get t.d (base + y) in
+          let best = fmin cur (fmin via_uv via_vu) in
+          if best < cur then begin
+            Float.Array.unsafe_set t.d (base + y) best;
+            touched := true
+          end
+        done;
+        if !touched then Changed_rows.add changed x
+      end
+    done;
+    Metric.Counter.add c_rows_relaxed !relaxed;
     Metric.Counter.add c_rows_changed (Changed_rows.cardinal changed)
   end;
   tick_selfcheck t changed;

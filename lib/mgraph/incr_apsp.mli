@@ -9,7 +9,8 @@
     - {e insertion} of edge [(u,v,w)] is the exact O(n²) relaxation
       [d'(x,y) = min(d(x,y), d(x,u)+w+d(v,y), d(x,v)+w+d(u,y))]
       (one round suffices: with non-negative weights a shortest path
-      never crosses a fixed edge twice);
+      never crosses a fixed edge twice), run only on the rows the new
+      edge can shorten (see {!add_edge});
     - {e deletion} recomputes only the {e affected sources}: a source [s]
       whose shortest paths may use [(u,v)] must have the edge tight, i.e.
       [d(s,u) + w = d(s,v)] or [d(s,v) + w = d(s,u)].  Rows of unaffected
@@ -106,11 +107,22 @@ val total_with_edge_added : t -> int -> int -> float -> float
     allocation; the inner loop of the social-optimum local search. *)
 
 val add_edge : t -> int -> int -> float -> Changed_rows.t
-(** Inserts the edge into the graph and updates all rows in O(n²) without
+(** Inserts the edge into the graph and updates the rows in O(n²) without
     allocating (beyond the returned report).  Returns exactly the rows
     with at least one strictly decreased entry.  Raises like
     {!Wgraph.add_edge} on invalid arguments; the edge must not already be
-    present. *)
+    present.
+
+    Only rows the new edge [(u,v,w)] can shorten are relaxed.  With [M]
+    the largest finite entry of rows [u] and [v] and
+    [δ = 8n·ε·(2M + w)], a row [x] with both
+    [fl(d(u,x) + w) >= fl(d(v,x) + δ)] and
+    [fl(d(v,x) + w) >= fl(d(u,x) + δ)] is skipped: the stored entries
+    meet the triangle inequality through [u] and [v] far inside [δ], so
+    the relaxation would leave every entry of such a row bit for bit
+    (docs/ALGORITHMS.md, "Insertion support").  The matrix and the
+    report are the ones relaxing every row gives.
+    [incr_apsp.rows_relaxed] counts the rows relaxed. *)
 
 val remove_edge : t -> int -> int -> Changed_rows.t
 (** Removes the edge (no-op when absent) and recomputes the rows of

@@ -10,4 +10,5 @@ let () =
    @ Test_props.suites @ Test_incr.suites @ Test_flat.suites @ Test_runs.suites
    @ Test_obs.suites @ Test_exec.suites @ Test_error.suites @ Test_sentinel.suites
    @ Test_chaos.suites @ Test_serve.suites
-   @ Test_kernel.suites @ Test_scan.suites @ Test_equiv.suites @ Test_tight.suites)
+   @ Test_kernel.suites @ Test_scan.suites @ Test_equiv.suites @ Test_tight.suites
+   @ Test_support.suites)

@@ -198,6 +198,33 @@ let test_certify () =
         ignore (Format.asprintf "%a" Eq.pp_grievance g))
       gs
 
+(* A disconnected profile: the Thm 15 star (alpha = 8, n = 20) without
+   its centre's edge to agent 3.  Every agent's cost is +inf and one
+   addition makes it finite, so the greedy move's gain is +inf: certify
+   must indict exactly the agents [unhappy_agents] lists, each with a
+   finite best cost. *)
+let test_certify_disconnected () =
+  let module T = Gncg_constructions.Thm15_tree_star in
+  let host = T.host ~alpha:8.0 ~n:20 in
+  let s = Gncg.Move.apply (T.ne_profile ~alpha:8.0 ~n:20) ~agent:1 (Gncg.Move.Delete 3) in
+  check_false "not GE" (Eq.is_ge host s);
+  let unhappy = Eq.unhappy_agents Eq.GE host s in
+  Alcotest.(check int) "every agent unhappy" 20 (List.length unhappy);
+  match Eq.certify Eq.GE host s with
+  | Ok () -> Alcotest.fail "a disconnected profile must be indicted"
+  | Error gs ->
+    Alcotest.(check (list int))
+      "certify lists the unhappy agents" unhappy
+      (List.sort compare (List.map (fun (g : Eq.grievance) -> g.Eq.agent) gs));
+    List.iter
+      (fun (g : Eq.grievance) ->
+        check_true "current cost infinite" (g.Eq.current_cost = Float.infinity);
+        check_true "best cost finite" (Float.is_finite g.Eq.best_cost);
+        check_true "best cost is the moved profile's"
+          (g.Eq.best_cost
+          = Gncg.Greedy.best_single_move_cost host s ~agent:g.Eq.agent))
+      gs
+
 let test_oracle_consistency () =
   let r = rng 305 in
   for _ = 1 to 5 do
@@ -234,5 +261,6 @@ let suites =
         case "Thm 3: GE is 3-NE" test_thm3_ge_is_3ne;
         case "NE oracle consistency" test_oracle_consistency;
         case "certify evidence" test_certify;
+        case "certify a disconnected profile" test_certify_disconnected;
       ] );
   ]

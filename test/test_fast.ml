@@ -97,10 +97,43 @@ let test_parallel_map () =
     (Gncg_util.Exec.init ~exec:(Gncg_util.Exec.par ~domains:3 ()) (Array.length a) (fun i ->
          a.(i) * 3))
 
+(* [Move.addable_into], the evaluator's target loop, against the
+   predicate [Move.addable] and [Host.weight]: the same targets in the
+   same order and the same weight bits, on all 7 CLI model families
+   (one-inf has forbidden pairs) with random starts in which some owned
+   edges are bought back from the other side. *)
+let prop_addable_into seed =
+  let r = Prng.create (seed + 1150) in
+  let n = 2 + Prng.int r 12 in
+  let _, model = List.nth Test_equiv.cli_models (Prng.int r 7) in
+  let host = Gncg_workload.Instances.random_host r model ~n ~alpha:2.0 in
+  let s = Gncg_workload.Instances.random_profile r host in
+  let s =
+    List.fold_left
+      (fun s (u, v) -> if Prng.int r 3 = 0 then Gncg.Strategy.buy s v u else s)
+      s (Gncg.Strategy.owned_edges s)
+  in
+  let targets = Array.make n (-1) and weights = Array.make n Float.nan in
+  List.for_all
+    (fun agent ->
+      let k = Gncg.Move.addable_into host s ~agent targets weights in
+      let want = List.filter (Gncg.Move.addable host s ~agent) (List.init n Fun.id) in
+      Array.to_list (Array.sub targets 0 k) = want
+      && List.for_all2
+           (fun v w ->
+             Int64.equal (Int64.bits_of_float w)
+               (Int64.bits_of_float (Gncg.Host.weight host agent v)))
+           want
+           (Array.to_list (Array.sub weights 0 k)))
+    (List.init n Fun.id)
+
 let suites =
   [
     ( "fast-response",
       [
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~count:200 ~name:"addable_into = Move.addable" QCheck.small_nat
+             prop_addable_into);
         case "gains match reference" test_gains_match_reference;
         case "best move equivalent" test_best_move_equivalent;
         case "evaluation is effect-free" test_graph_restored_after_evaluation;

@@ -105,6 +105,8 @@ let spec_best_cost ?gain ~kinds host s ~agent =
   let current = Gncg.Cost.agent_cost host s agent in
   match spec_best ?gain ~kinds host s ~agent with
   | None -> current
+  | Some (mv, gain) when gain = Float.infinity ->
+    Gncg.Cost.agent_cost host (Move.apply s ~agent mv) agent
   | Some (_, gain) -> current -. gain
 
 let same_pick a b =
