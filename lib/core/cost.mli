@@ -32,5 +32,3 @@ val network_social_cost : Host.t -> Gncg_graph.Wgraph.t -> float
 (** Social cost of a network in which every edge is bought exactly once
     (ownership does not matter for the total):
     [α · Σ_e w(e) + Σ_u Σ_v d(u,v)]. *)
-
-val network_parts : Host.t -> Gncg_graph.Wgraph.t -> parts

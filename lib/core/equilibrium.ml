@@ -62,8 +62,6 @@ let factor (current, best) =
   else if best <= 0.0 then if current <= 0.0 then 1.0 else Float.infinity
   else current /. best
 
-let agent_approx_factor kind host s u = factor (current_and_best kind host s u)
-
 let approx_factor kind host s =
   let n = Strategy.n s in
   let adj = profile_adj kind host s in

@@ -29,10 +29,6 @@ val is_ne : ?exec:Gncg_util.Exec.t -> Host.t -> Strategy.t -> bool
 
 val is_equilibrium : ?exec:Gncg_util.Exec.t -> kind -> Host.t -> Strategy.t -> bool
 
-val agent_approx_factor : kind -> Host.t -> Strategy.t -> int -> float
-(** [cost(u) / best-deviation-cost(u)] for one agent (1 when already
-    optimal; can be below 1 only by tolerance). *)
-
 val approx_factor : kind -> Host.t -> Strategy.t -> float
 (** The smallest β such that the profile is a β-approximate equilibrium of
     the given kind: the maximum of the per-agent factors. *)

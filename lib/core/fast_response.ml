@@ -27,9 +27,7 @@ let prepare (sc : Net_state.scratch) n deg =
     sc.weights <- Array.make n 0.0;
     sc.sums <- Array.make n 0.0;
     sc.known <- Array.make n false;
-    sc.loose <- Array.make n 0;
-    sc.loose_targets <- Array.make n 0;
-    sc.loose_weights <- Array.make n 0.0
+    sc.loose <- Array.make n 0
   end;
   let have = Array.length sc.del_rows in
   if have < deg then begin
@@ -86,37 +84,28 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
      the Add candidates and by every swap, exactly when some candidate
      reads them: when additions are evaluated, or swaps are and the agent
      owns an edge.  A loose target (d(u,v) > w) gets its insertion sum
-     Σ_x min(d_u(x), w + d_v(x)) from one batched call over the
-     compacted loose list.  A tight one (d(u,v) <= w) gets none: its sum
-     lies within [tight_margin] of cur_dist, and each reader below first
-     asks whether that bound already settles its decision.  When the
-     agent's cost is infinite every target counts as loose. *)
+     Σ_x min(d_u(x), w + d_v(x)) from one batched call over the loose
+     positions, written to its own slot.  A tight one (d(u,v) <= w) gets
+     none: its sum lies within [tight_margin] of cur_dist, and each
+     reader below first asks whether that bound already settles its
+     decision.  When the agent's cost is infinite every target counts as
+     loose. *)
   let k = ref 0 and kl = ref 0 in
   if List.mem `Add kinds || (want_swap && deg > 0) then begin
     k := Move.addable_into host s ~agent sc.targets sc.weights;
-    kl :=
-      if cur_cost < Float.infinity then
-        Net_state.loose_targets st agent sc.targets sc.weights !k sc.loose
-      else !k;
-    if !kl = !k then begin
-      Net_state.dist_sums_with_edges st agent sc.targets sc.weights !k sc.sums;
-      Array.fill sc.known 0 !k true
-    end
+    if cur_cost < Float.infinity then
+      kl := Net_state.loose_targets st agent sc.targets sc.weights !k sc.loose
     else begin
-      Array.fill sc.known 0 !k false;
-      for i = 0 to !kl - 1 do
-        let j = sc.loose.(i) in
-        sc.loose_targets.(i) <- sc.targets.(j);
-        sc.loose_weights.(i) <- sc.weights.(j);
-        sc.known.(j) <- true
+      for i = 0 to !k - 1 do
+        sc.loose.(i) <- i
       done;
-      Net_state.dist_sums_with_edges st agent sc.loose_targets sc.loose_weights !kl sc.sums;
-      (* Move each sum from its compacted slot to its target's, last
-         first: loose.(i) >= i, so no sum is overwritten before it moves. *)
-      for i = !kl - 1 downto 0 do
-        sc.sums.(sc.loose.(i)) <- sc.sums.(i)
-      done
-    end
+      kl := !k
+    end;
+    Net_state.dist_sums_with_edges st agent sc.targets sc.weights sc.loose !kl sc.sums;
+    Array.fill sc.known 0 !k false;
+    for i = 0 to !kl - 1 do
+      sc.known.(sc.loose.(i)) <- true
+    done
   end;
   let k = !k in
   (* A tight target's exact sum, computed on first need and kept. *)

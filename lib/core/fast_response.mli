@@ -25,7 +25,7 @@ val best_move_state_verdict :
 
     The insertion sums of the loose addable targets (stored
     [d(u,v) > w(u,v)]) come from one batched
-    {!Net_state.dist_sums_with_edges} call over their compacted list.  A
+    {!Net_state.dist_sums_with_edges} call over their positions.  A
     tight target ([d(u,v) <= w(u,v)]) gets no sum up front: its sum lies
     within a rounding margin of the agent's current distance sum, and
     each decision that reads it (the add pick, the co-owned swap pick and

@@ -1,13 +1,10 @@
-module Wgraph = Gncg_graph.Wgraph
 module Incr_apsp = Gncg_graph.Incr_apsp
 module Changed_rows = Gncg_graph.Changed_rows
 module Flt = Gncg_util.Flt
 module Metric = Gncg_obs.Metric
 
-(* Layer-2 probes: the cost-cache hit rate and the size of the change
-   reports flowing to the dynamics loop above. *)
-let c_cache_hits = Metric.Counter.make "net_state.cost_cache_hits"
-let c_cache_misses = Metric.Counter.make "net_state.cost_cache_misses"
+(* Layer-2 probes: the moves applied and the size of the change reports
+   flowing to the dynamics loop above. *)
 let c_moves_applied = Metric.Counter.make "net_state.moves_applied"
 let h_report_rows = Metric.Histogram.make "net_state.change_report_rows"
 
@@ -23,8 +20,6 @@ type scratch = {
   mutable sums : float array;
   mutable known : bool array;
   mutable loose : int array;
-  mutable loose_targets : int array;
-  mutable loose_weights : float array;
   mutable del_rows : float array array;
   mutable del_for : int array;
 }
@@ -33,8 +28,6 @@ type t = {
   host : Host.t;
   mutable profile : Strategy.t;
   dist : Incr_apsp.t;           (* tracks the built network G(s) *)
-  costs : float array;          (* per-agent cost cache *)
-  cost_valid : Bytes.t;         (* 1 = costs.(u) is current *)
   mutable pending_rows : Changed_rows.t;  (* rows changed since last drain *)
   mutable pending_pairs : (int * int) list; (* strategy pairs modified since last drain *)
   mutable pending_full : bool;  (* the sentinel repaired the store: everything dirty *)
@@ -44,14 +37,11 @@ type t = {
 let create ?require_mutable:_ host profile =
   if Strategy.n profile <> Host.n host then
     invalid_arg "Net_state.create: profile/host size mismatch";
-  let n = Host.n host in
   {
     host;
     profile;
-    dist = Incr_apsp.of_graph_no_copy (Network.graph host profile);
-    costs = Array.make n 0.0;
-    cost_valid = Bytes.make n '\000';
-    pending_rows = Changed_rows.create n;
+    dist = Incr_apsp.of_graph (Network.graph host profile);
+    pending_rows = Changed_rows.create (Host.n host);
     pending_pairs = [];
     pending_full = false;
     scratch =
@@ -61,8 +51,6 @@ let create ?require_mutable:_ host profile =
         sums = [||];
         known = [||];
         loose = [||];
-        loose_targets = [||];
-        loose_weights = [||];
         del_rows = [||];
         del_for = [||];
       };
@@ -72,14 +60,12 @@ let host t = t.host
 
 let profile t = t.profile
 
-let graph t = Incr_apsp.graph t.dist
-
 let agent_dist_sum t u = Incr_apsp.dist_sum t.dist u
 
 let dist_sum_with_edge t u v w = Incr_apsp.dist_sum_with_edge t.dist u v w
 
-let dist_sums_with_edges t u targets weights k out =
-  Incr_apsp.dist_sums_with_edges t.dist u targets weights k out
+let dist_sums_with_edges t u targets weights idx k out =
+  Incr_apsp.dist_sums_with_edges t.dist u targets weights idx k out
 
 let loose_targets t u targets weights k idx =
   Incr_apsp.loose_targets t.dist u targets weights k idx
@@ -88,30 +74,16 @@ let min_sum_against t r v w = Incr_apsp.min_sum_against t.dist r v w
 
 let scratch t = t.scratch
 
-let agent_cost t u =
-  if Bytes.unsafe_get t.cost_valid u = '\001' then begin
-    Metric.Counter.incr c_cache_hits;
-    Array.unsafe_get t.costs u
-  end
-  else begin
-    Metric.Counter.incr c_cache_misses;
-    let c = Cost.agent_edge_cost t.host t.profile u +. Incr_apsp.dist_sum t.dist u in
-    Array.unsafe_set t.costs u c;
-    Bytes.unsafe_set t.cost_valid u '\001';
-    c
-  end
+let agent_cost t u = Cost.agent_edge_cost t.host t.profile u +. Incr_apsp.dist_sum t.dist u
 
 (* --- change bookkeeping --- *)
 
-let invalidate_rows t changed =
-  Changed_rows.iter (fun r -> Bytes.unsafe_set t.cost_valid r '\000') changed;
-  Changed_rows.union_into ~dst:t.pending_rows changed
+let record_rows t changed = Changed_rows.union_into ~dst:t.pending_rows changed
 
 let record_pair t a b =
-  (* The pair's strategy entry changed: [a]'s purchase cost is stale, and
-     both endpoints' ownership view of the edge (edge_survives_sale etc.)
-     may have flipped even when the network did not. *)
-  Bytes.unsafe_set t.cost_valid a '\000';
+  (* The pair's strategy entry changed: both endpoints' ownership view of
+     the edge (edge_survives_sale etc.) may have flipped even when the
+     network did not. *)
   t.pending_pairs <- (a, b) :: t.pending_pairs
 
 let drain_changes t =
@@ -123,13 +95,13 @@ let drain_changes t =
   { rows; pairs; full }
 
 (* Network-level edge deltas.  An edge (a,b) is in the network iff either
-   side owns it; finite host weight is required, matching Network.graph. *)
+   side owns it; finite host weight is required, matching Network.graph.
+   [apply_move] adds only edges neither side owned, so none is present. *)
 let net_add t a b =
   let w = Host.weight t.host a b in
-  if Float.is_finite w && not (Wgraph.has_edge (graph t) a b) then
-    invalidate_rows t (Incr_apsp.add_edge t.dist a b w)
+  if Float.is_finite w then record_rows t (Incr_apsp.add_edge t.dist a b w)
 
-let net_remove t a b = invalidate_rows t (Incr_apsp.remove_edge t.dist a b)
+let net_remove t a b = record_rows t (Incr_apsp.remove_edge t.dist a b)
 
 let apply_move t ~agent mv =
   Metric.Counter.incr c_moves_applied;
@@ -157,12 +129,8 @@ let set_selfcheck t n = Incr_apsp.set_selfcheck t.dist n
 
 let selfcheck_now t =
   let clean = Incr_apsp.selfcheck_now t.dist in
-  if not clean then begin
-    (* The store repaired itself: every cached cost and every row
-       upstream is suspect. *)
-    Bytes.fill t.cost_valid 0 (Bytes.length t.cost_valid) '\000';
-    t.pending_full <- true
-  end;
+  (* On a repair every row upstream is suspect. *)
+  if not clean then t.pending_full <- true;
   clean
 
 let inject_distance_error t u v delta = Incr_apsp.inject_cell_error t.dist u v delta
@@ -181,13 +149,5 @@ let check_consistent t =
     for v = 0 to n - 1 do
       if not (Flt.approx_eq (Incr_apsp.distance t.dist u v) reference.(u).(v)) then ok := false
     done
-  done;
-  (* The cost cache must agree with a from-scratch evaluation wherever it
-     claims validity. *)
-  for u = 0 to n - 1 do
-    if Bytes.get t.cost_valid u = '\001' then begin
-      let fresh = Cost.agent_edge_cost t.host t.profile u +. Incr_apsp.dist_sum t.dist u in
-      if not (Flt.approx_eq t.costs.(u) fresh) then ok := false
-    end
   done;
   !ok

@@ -2,14 +2,15 @@
 
     Response dynamics mutate the network one edge at a time; rebuilding
     [Network.graph] and re-running Dijkstra after every step is the
-    engine's historic bottleneck.  A [Net_state.t] pairs the current
-    strategy profile with a {!Gncg_graph.Incr_apsp.t} tracking its
-    network, so that
+    engine's historic bottleneck.  A [Net_state.t] is the game state and
+    nothing more: the current strategy profile, a
+    {!Gncg_graph.Incr_apsp.t} tracking its network, the change report
+    and the move evaluator's workspace.  So
 
     - applying a move costs O(n²) (insertion) or one Dijkstra pass per
       affected source (deletion) instead of a full rebuild + APSP,
-    - every agent's cost is served from a per-agent cache invalidated
-      only when that agent's distance row or own strategy changed, and
+    - an agent's cost is its edge price plus one O(n) pass over its
+      distance row, and
     - every mutation accumulates a change report (changed distance rows
       plus modified strategy pairs) that {!Dynamics.run} drains to keep
       the idle verdicts of provably unaffected agents.
@@ -52,10 +53,11 @@ val dist_sum_with_edge : t -> int -> int -> float -> float
 (** [Σ_x min(d(u,x), w + d(v,x))] — see
     {!Gncg_graph.Incr_apsp.dist_sum_with_edge}. *)
 
-val dist_sums_with_edges : t -> int -> int array -> float array -> int -> float array -> unit
-(** [dist_sums_with_edges t u targets weights k out] sets [out.(i)] to
-    [dist_sum_with_edge t u targets.(i) weights.(i)], bit for bit, for
-    [i < k] — the batched form; see
+val dist_sums_with_edges :
+  t -> int -> int array -> float array -> int array -> int -> float array -> unit
+(** [dist_sums_with_edges t u targets weights idx k out] sets [out.(p)]
+    to [dist_sum_with_edge t u targets.(p) weights.(p)], bit for bit, for
+    each position [p = idx.(i)] with [i < k] — the batched form; see
     {!Gncg_graph.Incr_apsp.dist_sums_with_edges}. *)
 
 val loose_targets : t -> int -> int array -> float array -> int -> int array -> int
@@ -69,19 +71,16 @@ val min_sum_against : t -> float array -> int -> float -> float
     kept here so that evaluating an agent allocates no per-call arrays:
     the agent's addable targets with their weights and insertion sums
     ([known.(i)] says whether [sums.(i)] holds target [i]'s sum yet), the
-    positions, targets and weights of the loose ones (the batched
-    kernel's compacted input), and one deletion what-if row per owned
-    edge ([del_for.(i)] is the target whose row [del_rows.(i)] holds, or
-    [-1]).  The evaluator grows it on demand; its contents mean nothing
-    between evaluations. *)
+    positions of the loose ones (the batched kernel's input), and one
+    deletion what-if row per owned edge ([del_for.(i)] is the target
+    whose row [del_rows.(i)] holds, or [-1]).  The evaluator grows it on
+    demand; its contents mean nothing between evaluations. *)
 type scratch = {
   mutable targets : int array;
   mutable weights : float array;
   mutable sums : float array;
   mutable known : bool array;
   mutable loose : int array;
-  mutable loose_targets : int array;
-  mutable loose_weights : float array;
   mutable del_rows : float array array;
   mutable del_for : int array;
 }
@@ -89,9 +88,8 @@ type scratch = {
 val scratch : t -> scratch
 
 val agent_cost : t -> int -> float
-(** Edge price plus the agent's distance sum, served from the per-agent
-    cache (recomputed in O(n) only after the agent's row or strategy
-    changed). *)
+(** [Cost.agent_edge_cost] plus {!agent_dist_sum}: one O(n) pass over
+    the agent's live distance row. *)
 
 val apply_move : t -> agent:int -> Move.t -> Strategy.t
 (** Applies the move to the profile ({!Move.apply} semantics, including
@@ -119,14 +117,14 @@ val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int ->
     cross-check: every [N] applied network mutations the engine verifies
     the maintained matrix (symmetry sweep + one fresh-Dijkstra row) and
     self-heals by rebuilding on a mismatch, reporting every row changed
-    so the caches above invalidate. *)
+    so the idle verdicts above are dropped. *)
 
 val set_selfcheck : t -> int -> unit
 (** Probe every [n] network mutations; [0] disables (the default). *)
 
 val selfcheck_now : t -> bool
-(** One immediate probe; on repair also drops the whole cost cache and
-    marks the pending change report [full].  [true] = clean. *)
+(** One immediate probe; on repair also marks the pending change report
+    [full].  [true] = clean. *)
 
 val inject_distance_error : t -> int -> int -> float -> unit
 (** Perturbs one maintained distance cell without touching the graph —
@@ -134,5 +132,4 @@ val inject_distance_error : t -> int -> int -> float -> unit
 
 val check_consistent : t -> bool
 (** Compares the maintained matrix against a from-scratch APSP of a
-    freshly built network (within [Flt.eps]), and every valid cache entry
-    against a fresh evaluation — test oracle. *)
+    freshly built network (within [Flt.eps]) — test oracle. *)

@@ -27,7 +27,3 @@ let guarded max_edges g =
 let find_ne ?(max_edges = 20) host g =
   guarded max_edges g;
   find g (Equilibrium.is_ne host)
-
-let find_ge ?(max_edges = 20) host g =
-  guarded max_edges g;
-  find g (Equilibrium.is_ge host)

@@ -15,6 +15,3 @@ val find_ne : ?max_edges:int -> Host.t -> Gncg_graph.Wgraph.t -> Strategy.t opti
 (** First orientation that is a Nash equilibrium (exact check; exponential
     in both the edge count and the Nash test).  Refuses networks with more
     than [max_edges] (default 20) edges. *)
-
-val find_ge : ?max_edges:int -> Host.t -> Gncg_graph.Wgraph.t -> Strategy.t option
-(** Same, for greedy equilibria (cheaper test). *)

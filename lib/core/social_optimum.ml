@@ -76,7 +76,8 @@ let greedy_heuristic host =
   let g =
     Wgraph.of_edges n (Gncg_graph.Mst.prim_complete n (fun u v -> Host.weight host u v))
   in
-  (* Best improving addition w.r.t. the given distance matrix (steepest). *)
+  (* Best improving addition w.r.t. the given distance matrix (steepest),
+     with its cost change. *)
   let best_addition dm current edge_weight_total =
     let best_delta = ref 0.0 and best = ref None in
     for u = 0 to n - 1 do
@@ -90,7 +91,7 @@ let greedy_heuristic host =
           let delta = c -. current in
           if delta < !best_delta -. Flt.eps then begin
             best_delta := delta;
-            best := Some (u, v, w)
+            best := Some (delta, (u, v, w))
           end
         end
       done
@@ -107,7 +108,7 @@ let greedy_heuristic host =
         let delta = c -. current in
         if delta < !best_delta -. Flt.eps then begin
           best_delta := delta;
-          best := Some (u, v)
+          best := Some (delta, (u, v))
         end)
       (Wgraph.edges g);
     !best
@@ -121,7 +122,7 @@ let greedy_heuristic host =
   let adding = ref true in
   while !adding do
     match best_addition dm !current !weight_total with
-    | Some (u, v, w) ->
+    | Some (_, (u, v, w)) ->
       Wgraph.add_edge g u v w;
       ignore (Incr_apsp.add_edge dm u v w);
       weight_total := !weight_total +. w;
@@ -136,35 +137,17 @@ let greedy_heuristic host =
     improved := false;
     let dm = Incr_apsp.of_graph g in
     let current = Cost.network_social_cost host g in
+    (* Additions are priced first: the removal scan edits [g] in place,
+       which reorders its hashtables and so [total_weight]'s sum.  Either
+       pick has a negative delta; a missing removal counts as 0. *)
     let add = best_addition dm current (Wgraph.total_weight g) in
     let remove = best_removal current in
-    let delta_of_add =
-      match add with
-      | None -> 0.0
-      | Some (u, v, w) ->
-        (alpha *. (Wgraph.total_weight g +. w))
-        +. Incr_apsp.total_with_edge_added dm u v w
-        -. current
-    in
-    let delta_of_remove =
-      match remove with
-      | None -> 0.0
-      | Some (u, v) ->
-        let w = Option.get (Wgraph.weight g u v) in
-        Wgraph.remove_edge g u v;
-        let c = Cost.network_social_cost host g in
-        Wgraph.add_edge g u v w;
-        c -. current
-    in
     match (add, remove) with
-    | Some (u, v, w), _ when delta_of_add <= delta_of_remove ->
+    | Some (da, (u, v, w)), _ when da <= Option.fold ~none:0.0 ~some:fst remove ->
       Wgraph.add_edge g u v w;
       improved := true
-    | _, Some (u, v) when delta_of_remove < 0.0 ->
+    | _, Some (_, (u, v)) ->
       Wgraph.remove_edge g u v;
-      improved := true
-    | Some (u, v, w), None ->
-      Wgraph.add_edge g u v w;
       improved := true
     | _ -> ()
   done;

@@ -66,8 +66,3 @@ let translate delta pts =
         invalid_arg "Euclidean.translate: dimension mismatch";
       Array.mapi (fun i x -> x +. delta.(i)) p)
     pts
-
-let pp_point fmt p =
-  Format.fprintf fmt "(";
-  Array.iteri (fun i x -> Format.fprintf fmt "%s%g" (if i > 0 then ", " else "") x) p;
-  Format.fprintf fmt ")"

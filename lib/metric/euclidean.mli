@@ -38,5 +38,3 @@ val random_clusters :
     a stand-in for city/PoP layouts in fiber-network scenarios. *)
 
 val translate : float array -> points -> points
-
-val pp_point : Format.formatter -> float array -> unit

@@ -15,17 +15,6 @@ let n = function
   | Tree tr -> Tree_metric.size tr
   | Points { points; _ } -> Array.length points
 
-let describe = function
-  | Tree tr -> Printf.sprintf "tree(n=%d)" (Tree_metric.size tr)
-  | Points { points; norm } ->
-    Printf.sprintf "points(n=%d, d=%d, %s)" (Array.length points)
-      (Euclidean.dimension points)
-      (match norm with
-      | Euclidean.L1 -> "l1"
-      | Euclidean.L2 -> "l2"
-      | Euclidean.Lp p -> Printf.sprintf "l%g" p
-      | Euclidean.Linf -> "linf")
-
 let to_metric = function
   | Tree tr -> Tree_metric.metric tr
   | Points { points; norm } -> Euclidean.metric norm points

@@ -15,7 +15,5 @@ val points : ?norm:Euclidean.norm -> Euclidean.points -> t
 
 val n : t -> int
 
-val describe : t -> string
-
 val to_metric : t -> Metric.t
 (** The tabulated host (allocates all O(n²) pairs). *)

@@ -42,8 +42,6 @@ let row h u =
   if u < 0 || u >= h.size then invalid_arg "Metric.row: vertex out of range";
   h.w.(u)
 
-let to_matrix h = Array.map Array.copy h.w
-
 let triangle_violations ?(tol = Flt.eps) h =
   let acc = ref [] in
   for u = 0 to h.size - 1 do

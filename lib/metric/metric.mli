@@ -29,9 +29,6 @@ val row : t -> int -> float array
 (** [row h u] is the weight row of [u] itself, not a copy: [(row h u).(v)]
     is [weight h u v].  Read-only; writing to it corrupts the host. *)
 
-val to_matrix : t -> float array array
-(** A fresh copy of the weight matrix. *)
-
 val is_metric : ?tol:float -> t -> bool
 (** Triangle inequality [w(u,v) <= w(u,x) + w(x,v)] for all triples, with
     every weight finite and positive off the diagonal. *)

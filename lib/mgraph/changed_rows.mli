@@ -2,10 +2,11 @@
 
     The incremental APSP updates ({!Incr_apsp.add_edge} /
     {!Incr_apsp.remove_edge}) report which source rows they touched so
-    that the layers above (cost caches, dynamics idle flags) can
-    invalidate per-agent work selectively instead of wholesale.  The report is {e sound}: every row whose distances differ
-    from before the update is a member.  It may over-approximate (a
-    recomputed-but-identical row can be reported), never the reverse. *)
+    that the layers above (the dynamics idle flags) can invalidate
+    per-agent work selectively instead of wholesale.  The report is
+    {e sound}: every row whose distances differ from before the update
+    is a member.  It may over-approximate (a recomputed-but-identical
+    row can be reported), never the reverse. *)
 
 type t
 
@@ -22,8 +23,6 @@ val add : t -> int -> unit
 val cardinal : t -> int
 
 val is_empty : t -> bool
-
-val clear : t -> unit
 
 val iter : (int -> unit) -> t -> unit
 (** Ascending row order. *)

@@ -40,8 +40,6 @@ let run ?(limit = Float.infinity) g s =
 
 let sssp g s = fst (run g s)
 
-let sssp_with_parents g s = run g s
-
 let sssp_bounded g s limit = fst (run ~limit g s)
 
 let distance g u v = (sssp g u).(v)

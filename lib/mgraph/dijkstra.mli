@@ -9,10 +9,6 @@ val sssp : Wgraph.t -> int -> float array
     distance stores run their repeated passes through {!Flat_adj}'s
     allocation-free kernel instead, which yields the same rows. *)
 
-val sssp_with_parents : Wgraph.t -> int -> float array * int array
-(** Also returns a shortest-path-tree parent array ([-1] for the source and
-    unreachable vertices). *)
-
 val sssp_bounded : Wgraph.t -> int -> float -> float array
 (** [sssp_bounded g s limit] stops settling vertices once the frontier
     exceeds [limit]; distances beyond it are reported as infinity.  Used by

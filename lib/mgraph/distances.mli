@@ -5,7 +5,7 @@
 type t = Incr_apsp.t
 
 val dense : Wgraph.t -> t
-(** {!Incr_apsp.of_graph_no_copy}: wraps the graph itself, no copy. *)
+(** {!Incr_apsp.of_graph}. *)
 
 val dist_sum : t -> int -> float
 (** {!Incr_apsp.dist_sum}. *)

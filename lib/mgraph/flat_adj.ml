@@ -48,6 +48,12 @@ let has_edge t u v =
   check t v "has_edge";
   find t u v >= 0
 
+let weight t u v =
+  check t u "weight";
+  check t v "weight";
+  let i = find t u v in
+  if i < 0 then None else Some (Float.Array.get t.wt.(u) i)
+
 let degree t u =
   check t u "degree";
   t.deg.(u)
@@ -109,6 +115,16 @@ let of_wgraph g =
       append t u v w;
       append t v u w);
   t
+
+let to_wgraph t =
+  let g = Wgraph.create t.n in
+  for u = 0 to t.n - 1 do
+    for i = 0 to t.deg.(u) - 1 do
+      let v = t.nbr.(u).(i) in
+      if u < v then Wgraph.add_edge g u v (Float.Array.get t.wt.(u) i)
+    done
+  done;
+  g
 
 let copy t =
   {

@@ -25,7 +25,13 @@ type t
 val of_wgraph : Wgraph.t -> t
 (** The same edge set as the graph, in flat form. *)
 
+val to_wgraph : t -> Wgraph.t
+(** A fresh graph with the same edge set and weights. *)
+
 val has_edge : t -> int -> int -> bool
+
+val weight : t -> int -> int -> float option
+(** Weight of the edge [(u,v)] if present. *)
 
 val degree : t -> int -> int
 

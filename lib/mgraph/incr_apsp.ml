@@ -19,8 +19,7 @@ let c_selfcheck_mismatches = Metric.Counter.make "incr_apsp.selfcheck_mismatches
 let c_selfcheck_repairs = Metric.Counter.make "incr_apsp.selfcheck_repairs"
 
 type t = {
-  g : Wgraph.t;
-  adj : Flat_adj.t;           (* the same edge set in flat form: every pass runs on it *)
+  adj : Flat_adj.t;           (* the tracked edge set: every pass runs on it *)
   n : int;
   d : Float.Array.t;          (* n*n distances *)
   snap_u : Float.Array.t;     (* row snapshots for the insertion update *)
@@ -53,11 +52,10 @@ let rebuild t =
     fill_row t s
   done
 
-let of_graph_no_copy g =
+let of_graph g =
   let n = Wgraph.n g in
   let t =
     {
-      g;
       adj = Flat_adj.of_wgraph g;
       n;
       d = Float.Array.create (n * n);
@@ -72,9 +70,7 @@ let of_graph_no_copy g =
   rebuild t;
   t
 
-let of_graph g = of_graph_no_copy (Wgraph.copy g)
-
-let graph t = t.g
+let graph t = Flat_adj.to_wgraph t.adj
 
 let n t = t.n
 
@@ -149,27 +145,33 @@ let dist_sum_with_edge t u v w =
   Metric.Counter.incr c_add_kernels;
   sum_with_edge t u v w
 
-let dist_sums_with_edges t u targets weights k out =
+let dist_sums_with_edges t u targets weights idx k out =
   check t u "dist_sums_with_edges";
-  if k < 0 || k > Array.length targets || k > Array.length weights || k > Array.length out
-  then invalid_arg "Incr_apsp.dist_sums_with_edges: arrays shorter than k";
+  if k < 0 || k > Array.length idx then
+    invalid_arg "Incr_apsp.dist_sums_with_edges: idx shorter than k";
+  let len = min (Array.length targets) (min (Array.length weights) (Array.length out)) in
   for i = 0 to k - 1 do
-    check t (Array.unsafe_get targets i) "dist_sums_with_edges"
+    let p = Array.unsafe_get idx i in
+    if p < 0 || p >= len then
+      invalid_arg "Incr_apsp.dist_sums_with_edges: position out of range";
+    check t (Array.unsafe_get targets p) "dist_sums_with_edges"
   done;
   Metric.Counter.add c_add_kernels k;
   (* Four targets per pass over the mover's row: four independent Kahan
      chains hide each other's latency.  Lane j performs exactly the
-     operations of [sum_with_edge] for target j, in the same order, so
+     operations of [sum_with_edge] for its target, in the same order, so
      every sum is bitwise the single-target one. *)
   let n = t.n and d = t.d in
   let ubase = u * n in
   let i = ref 0 in
   while !i + 4 <= k do
     let j = !i in
-    let b0 = Array.unsafe_get targets j * n and w0 = Array.unsafe_get weights j in
-    let b1 = Array.unsafe_get targets (j + 1) * n and w1 = Array.unsafe_get weights (j + 1) in
-    let b2 = Array.unsafe_get targets (j + 2) * n and w2 = Array.unsafe_get weights (j + 2) in
-    let b3 = Array.unsafe_get targets (j + 3) * n and w3 = Array.unsafe_get weights (j + 3) in
+    let p0 = Array.unsafe_get idx j and p1 = Array.unsafe_get idx (j + 1) in
+    let p2 = Array.unsafe_get idx (j + 2) and p3 = Array.unsafe_get idx (j + 3) in
+    let b0 = Array.unsafe_get targets p0 * n and w0 = Array.unsafe_get weights p0 in
+    let b1 = Array.unsafe_get targets p1 * n and w1 = Array.unsafe_get weights p1 in
+    let b2 = Array.unsafe_get targets p2 * n and w2 = Array.unsafe_get weights p2 in
+    let b3 = Array.unsafe_get targets p3 * n and w3 = Array.unsafe_get weights p3 in
     let s0 = ref 0.0 and c0 = ref 0.0 and f0 = ref false in
     let s1 = ref 0.0 and c1 = ref 0.0 and f1 = ref false in
     let s2 = ref 0.0 and c2 = ref 0.0 and f2 = ref false in
@@ -209,15 +211,16 @@ let dist_sums_with_edges t u targets weights k out =
         s3 := tt
       end
     done;
-    Array.unsafe_set out j (if !f0 then Float.infinity else !s0);
-    Array.unsafe_set out (j + 1) (if !f1 then Float.infinity else !s1);
-    Array.unsafe_set out (j + 2) (if !f2 then Float.infinity else !s2);
-    Array.unsafe_set out (j + 3) (if !f3 then Float.infinity else !s3);
+    Array.unsafe_set out p0 (if !f0 then Float.infinity else !s0);
+    Array.unsafe_set out p1 (if !f1 then Float.infinity else !s1);
+    Array.unsafe_set out p2 (if !f2 then Float.infinity else !s2);
+    Array.unsafe_set out p3 (if !f3 then Float.infinity else !s3);
     i := j + 4
   done;
   for j = !i to k - 1 do
-    Array.unsafe_set out j
-      (sum_with_edge t u (Array.unsafe_get targets j) (Array.unsafe_get weights j))
+    let p = Array.unsafe_get idx j in
+    Array.unsafe_set out p
+      (sum_with_edge t u (Array.unsafe_get targets p) (Array.unsafe_get weights p))
   done
 
 (* Integer compares only: the distance and the weight are read and
@@ -408,8 +411,6 @@ let inject_cell_error t u v delta =
 let add_edge t u v w =
   check t u "add_edge";
   check t v "add_edge";
-  if Wgraph.has_edge t.g u v then invalid_arg "Incr_apsp.add_edge: edge already present";
-  Wgraph.add_edge t.g u v w;
   Flat_adj.add_edge t.adj u v w;
   Metric.Counter.incr c_insertions;
   let n = t.n in
@@ -468,10 +469,9 @@ let remove_edge t u v =
   check t v "remove_edge";
   let n = t.n in
   let changed = Changed_rows.create n in
-  (match Wgraph.weight t.g u v with
+  (match Flat_adj.weight t.adj u v with
   | None -> ()
   | Some w ->
-    Wgraph.remove_edge t.g u v;
     Flat_adj.remove_edge t.adj u v;
     Metric.Counter.incr c_deletions;
     (* A shortest path from s can use (u,v) only if the edge is tight on
@@ -520,10 +520,10 @@ let remove_edge t u v =
 
 (* --- what-if evaluation --- *)
 
-(* The edit lives only in the flat adjacency, for the length of one
-   kernel pass; the graph and the matrix are never touched.  The pass
-   settles [dst] from the source's live row, which differs from the
-   edited row only where the edit reaches. *)
+(* The edit lives only in the adjacency, for the length of one kernel
+   pass; the matrix is never touched.  The pass settles [dst] from the
+   source's live row, which differs from the edited row only where the
+   edit reaches. *)
 let settle_edited t ?remove ?add source dst =
   let base = source * t.n in
   for x = 0 to t.n - 1 do

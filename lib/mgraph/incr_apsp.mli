@@ -4,7 +4,7 @@
     (add / delete / swap) and needs fresh distances after every step.
     Rebuilding the graph and re-running [Dijkstra.apsp] costs
     O(n·(m + n log n)) per step; this module keeps a full distance matrix
-    in sync with a mutable {!Wgraph.t} instead:
+    in sync with its own mutable edge set instead:
 
     - {e insertion} of edge [(u,v,w)] is the exact O(n²) relaxation
       [d'(x,y) = min(d(x,y), d(x,u)+w+d(v,y), d(x,v)+w+d(u,y))]
@@ -33,23 +33,21 @@
     rows they actually modified, so callers can invalidate per-agent
     caches selectively.
 
-    The wrapped graph is owned by this structure and mirrored into a
-    private {!Flat_adj} that every SSSP pass runs on: mutate it only
-    through {!add_edge} / {!remove_edge}, never directly, or the mirror
-    goes stale.  Not thread-safe; the
-    read-only accessors may be shared across domains between updates. *)
+    The edge set lives in one private {!Flat_adj}, which every SSSP pass
+    runs on and only {!add_edge} / {!remove_edge} mutate.  Not
+    thread-safe; the read-only accessors may be shared across domains
+    between updates. *)
 
 type t
 
 val of_graph : Wgraph.t -> t
-(** Adopts a private copy of the graph and computes its distances. *)
-
-val of_graph_no_copy : Wgraph.t -> t
-(** Wraps the graph itself (no copy): the caller transfers ownership and
-    must not mutate it behind the structure's back. *)
+(** Takes the graph's edge set into a private flat adjacency and
+    computes its distances.  Keeps no reference to the graph: later
+    edits to either side do not reach the other. *)
 
 val graph : t -> Wgraph.t
-(** The tracked graph.  Read-only from the caller's perspective. *)
+(** A fresh snapshot of the tracked edge set (test/oracle convenience,
+    like {!matrix}): later updates do not reach it. *)
 
 val n : t -> int
 
@@ -73,14 +71,17 @@ val dist_sum_with_edge : t -> int -> int -> float -> float
     response engines. *)
 
 val dist_sums_with_edges :
-  t -> int -> int array -> float array -> int -> float array -> unit
-(** [dist_sums_with_edges t u targets weights k out] sets [out.(i)] to
-    [dist_sum_with_edge t u targets.(i) weights.(i)] for [i < k], bit
-    for bit: the batched insertion sum.  Four targets share each pass
-    over [u]'s row as four independent Kahan lanes, each running exactly
-    the single-target operations in the same order; the [k mod 4] left
-    over run the single-target kernel.  Counts one
-    [incr_apsp.add_kernels] per sum. *)
+  t -> int -> int array -> float array -> int array -> int -> float array -> unit
+(** [dist_sums_with_edges t u targets weights idx k out] sets [out.(p)]
+    to [dist_sum_with_edge t u targets.(p) weights.(p)], bit for bit, for
+    each position [p = idx.(i)] with [i < k], and writes no other slot of
+    [out]: the batched insertion sum over a subset of the targets (such
+    as the {!loose_targets}).  Four targets share each pass over [u]'s
+    row as four independent Kahan lanes, each running exactly the
+    single-target operations in the same order; the [k mod 4] left over
+    run the single-target kernel.  Counts one [incr_apsp.add_kernels]
+    per sum.  Raises [Invalid_argument] when [k] exceeds [idx], or a
+    position lies outside [targets], [weights] or [out]. *)
 
 val loose_targets : t -> int -> int array -> float array -> int -> int array -> int
 (** [loose_targets t u targets weights k idx] writes to [idx], in
@@ -107,11 +108,11 @@ val total_with_edge_added : t -> int -> int -> float -> float
     allocation; the inner loop of the social-optimum local search. *)
 
 val add_edge : t -> int -> int -> float -> Changed_rows.t
-(** Inserts the edge into the graph and updates the rows in O(n²) without
-    allocating (beyond the returned report).  Returns exactly the rows
-    with at least one strictly decreased entry.  Raises like
-    {!Wgraph.add_edge} on invalid arguments; the edge must not already be
-    present.
+(** Inserts the edge and updates the rows in O(n²) without allocating
+    (beyond the returned report).  Returns exactly the rows with at
+    least one strictly decreased entry.  Raises like
+    {!Flat_adj.add_edge} on invalid arguments; the edge must not already
+    be present.
 
     Only rows the new edge [(u,v,w)] can shorten are relaxed.  With [M]
     the largest finite entry of rows [u] and [v] and
@@ -159,7 +160,7 @@ val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int ->
     Dijkstra recompute of a round-robin sampled source row.  On a
     mismatch it degrades gracefully: the [incr_apsp.selfcheck_mismatches]
     and [incr_apsp.selfcheck_repairs] observability counters are bumped,
-    the whole matrix is rebuilt from the graph, and the triggering
+    the whole matrix is rebuilt from the edge set, and the triggering
     update's change report covers every row so the layers above
     invalidate their caches. *)
 
@@ -178,5 +179,5 @@ val set_default_selfcheck : int -> unit
 
 val inject_cell_error : t -> int -> int -> float -> unit
 (** [inject_cell_error t u v delta] perturbs the single maintained cell
-    [d(u,v)] by [delta] {e without} touching the graph — a fault-injection
+    [d(u,v)] by [delta] {e without} touching the edge set — a fault-injection
     hook for exercising the sentinel in tests and chaos runs. *)

@@ -3,9 +3,10 @@
     This is the substrate on which built networks [G(s)] live: adjacency is
     hash-based so single-edge moves (the add/delete/swap moves of the game)
     are O(1), and neighbour iteration is O(degree) for the stateless
-    {!Dijkstra} queries.  The distance stores run their repeated passes
-    over a {!Flat_adj} mirror instead.  Hashtable iteration order is
-    observable (Kruskal tie-breaks and optimum edge picks depend on it).
+    {!Dijkstra} queries.  The distance store ({!Incr_apsp}) keeps its
+    edge set in its own {!Flat_adj} instead and holds no graph.
+    Hashtable iteration order is observable (Kruskal tie-breaks and
+    optimum edge picks depend on it).
 
     Parallel edges are not representable: adding an existing edge overwrites
     its weight.  Self-loops are rejected. *)

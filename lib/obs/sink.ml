@@ -80,12 +80,6 @@ let callback f =
   let emit e = try f e with _ -> () in
   { emit; flush = ignore }
 
-let tee a b =
-  {
-    emit = (fun e -> a.emit e; b.emit e);
-    flush = (fun () -> a.flush (); b.flush ());
-  }
-
 let memory () =
   let m = Mutex.create () in
   let events = ref [] in

@@ -44,10 +44,6 @@ val callback : (event -> unit) -> t
     must be thread-safe (events arrive from several domains); exceptions
     it raises are swallowed, honouring the emit-never-raises contract. *)
 
-val tee : t -> t -> t
-(** Duplicates every event (and flush) to both sinks, in order — lets a
-    streaming subscriber coexist with a trace file. *)
-
 val event_to_json : event -> string
 (** The single-line JSON rendering used by {!jsonl} (exposed so tests
     and other front ends can share the encoding). *)

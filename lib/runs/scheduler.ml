@@ -33,12 +33,6 @@ type 'r outcome =
   | Timeout
   | Crashed of crash
 
-let outcome_map f = function
-  | Completed r -> Completed (f r)
-  | Diverged r -> Diverged (f r)
-  | Timeout -> Timeout
-  | Crashed c -> Crashed c
-
 type 'r report = { outcome : 'r outcome; attempts : int; elapsed : float }
 
 (* One job, with the budget / retry / divergence classification.  Shared

@@ -55,8 +55,6 @@ type 'r outcome =
           are not retried on timeout — the re-run would time out again. *)
   | Crashed of crash  (** Uncaught exception, after all retries. *)
 
-val outcome_map : ('a -> 'b) -> 'a outcome -> 'b outcome
-
 type 'r report = { outcome : 'r outcome; attempts : int; elapsed : float }
 (** [attempts] counts executions (1 + retries used); [elapsed] is the
     wall-clock of the last attempt in seconds. *)

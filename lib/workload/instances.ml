@@ -83,5 +83,3 @@ let random_host rng model ~n ~alpha =
   host
 
 let random_profile rng host = Gncg_constructions.Brcycle.random_profile rng host
-
-let empty_profile host = Gncg.Strategy.empty (Gncg.Host.n host)

@@ -29,5 +29,3 @@ val random_host : Gncg_util.Prng.t -> model -> n:int -> alpha:float -> Gncg.Host
 
 val random_profile : Gncg_util.Prng.t -> Gncg.Host.t -> Gncg.Strategy.t
 (** Random connected profile (spanning tree + extra purchases). *)
-
-val empty_profile : Gncg.Host.t -> Gncg.Strategy.t

@@ -76,8 +76,8 @@ let counter name =
 let prop_changed_rows_exact seed =
   let r = Prng.create (seed + 302) in
   let n = 4 + Prng.int r 9 in
-  let incr = Incr_apsp.of_graph (random_connected_graph r n) in
-  let g = Incr_apsp.graph incr in
+  let g = random_connected_graph r n in
+  let incr = Incr_apsp.of_graph g in
   let ok = ref true in
   Gncg_obs.Obs.set_profiling true;
   Fun.protect ~finally:(fun () -> Gncg_obs.Obs.set_profiling false) @@ fun () ->
@@ -87,12 +87,17 @@ let prop_changed_rows_exact seed =
       let before = Incr_apsp.matrix incr in
       let report =
         if Wgraph.has_edge g u v then begin
+          Wgraph.remove_edge g u v;
           let rows0 = counter "incr_apsp.deletion_rows_recomputed" in
           let rep = Incr_apsp.remove_edge incr u v in
           if counter "incr_apsp.deletion_rows_recomputed" - rows0 > n then ok := false;
           rep
         end
-        else Incr_apsp.add_edge incr u v (Prng.float_in r 0.5 9.0)
+        else begin
+          let w = Prng.float_in r 0.5 9.0 in
+          Wgraph.add_edge g u v w;
+          Incr_apsp.add_edge incr u v w
+        end
       in
       if not (changed_report_is_exact before (Incr_apsp.matrix incr) report) then
         ok := false
@@ -180,8 +185,8 @@ let random_sparse_graph r n =
 let prop_incr_apsp_matches_float_min seed =
   let r = Prng.create (seed + 305) in
   let n = 3 + Prng.int r 38 in
-  let incr = Incr_apsp.of_graph (random_sparse_graph r n) in
-  let g = Incr_apsp.graph incr in
+  let g = random_sparse_graph r n in
+  let incr = Incr_apsp.of_graph g in
   let reference = Incr_apsp.matrix incr in
   let ok = ref true in
   for _ = 1 to 60 do
@@ -189,11 +194,13 @@ let prop_incr_apsp_matches_float_min seed =
     if u <> v then begin
       (match Wgraph.weight g u v with
       | Some w ->
+        Wgraph.remove_edge g u v;
         ignore (Incr_apsp.remove_edge incr u v);
         remove_reference reference g u v w
       | None ->
         let w = Prng.float_in r 0.5 9.0 in
         let fused = Incr_apsp.total_with_edge_added incr u v w in
+        Wgraph.add_edge g u v w;
         ignore (Incr_apsp.add_edge incr u v w);
         relax_reference reference u v w;
         let flat = Array.concat (Array.to_list reference) in
@@ -234,11 +241,12 @@ let prop_insertion_kernels_match_float_min seed =
   done;
   !ok
 
-(* The batched insertion sum is the single-target kernel, bit for bit,
-   for every k in 0..9 (every remainder mod 4).  The graph is often
-   disconnected and some weights are infinite, so infinite lanes sit
-   among finite ones.  Entries from k on are left alone, and the store
-   counts one add kernel per sum. *)
+(* The batched insertion sum over k positions, for every k in 0..9
+   (every remainder mod 4), drawn as a random ascending subset of up to
+   k + 6 slots: each listed slot gets the single-target kernel's sum bit
+   for bit, every other slot is left alone, and the store counts one add
+   kernel per sum.  The graph is often disconnected and some weights are
+   infinite, so infinite lanes sit among finite ones. *)
 let prop_batched_sums_match_single seed =
   let r = Prng.create (seed + 809) in
   let n = 2 + Prng.int r 14 in
@@ -255,22 +263,34 @@ let prop_batched_sums_match_single seed =
       List.for_all
         (fun k ->
           let u = Prng.int r n in
-          let targets = Array.init (k + 2) (fun _ -> Prng.int r n) in
+          let len = k + Prng.int r 7 in
+          let targets = Array.init len (fun _ -> Prng.int r n) in
           let weights =
-            Array.init (k + 2) (fun _ ->
+            Array.init len (fun _ ->
                 if Prng.int r 6 = 0 then Float.infinity else Prng.float_in r 0.0 9.0)
           in
-          let out = Array.make (k + 2) Float.nan in
+          (* Selection sampling: slot p is listed with probability
+             (still needed) / (slots left), which lists exactly k. *)
+          let idx = Array.make (k + 1) (-1) and listed = Array.make len false in
+          let taken = ref 0 in
+          for p = 0 to len - 1 do
+            if Prng.int r (len - p) < k - !taken then begin
+              idx.(!taken) <- p;
+              listed.(p) <- true;
+              taken := !taken + 1
+            end
+          done;
+          let out = Array.make len Float.nan in
           let before = kernels () in
-          Incr_apsp.dist_sums_with_edges incr u targets weights k out;
+          Incr_apsp.dist_sums_with_edges incr u targets weights idx k out;
           kernels () - before = k
           && List.for_all
-               (fun i ->
-                 if i < k then
-                   same_bits out.(i)
-                     (Incr_apsp.dist_sum_with_edge incr u targets.(i) weights.(i))
-                 else Float.is_nan out.(i))
-               (List.init (k + 2) Fun.id))
+               (fun p ->
+                 if listed.(p) then
+                   same_bits out.(p)
+                     (Incr_apsp.dist_sum_with_edge incr u targets.(p) weights.(p))
+                 else Float.is_nan out.(p))
+               (List.init len Fun.id))
         (List.init 10 Fun.id))
 
 (* --- streaming min-sum reference vs the materialized sum --- *)

@@ -42,14 +42,22 @@ let random_connected_graph r n =
 let prop_incr_apsp_matches_scratch seed =
   let r = Prng.create (seed + 101) in
   let n = 4 + Prng.int r 10 in
-  let incr = Incr_apsp.of_graph (random_connected_graph r n) in
-  let g = Incr_apsp.graph incr in
+  (* [g] replays every edit: the store keeps no reference to it. *)
+  let g = random_connected_graph r n in
+  let incr = Incr_apsp.of_graph g in
   let ok = ref true in
   for _ = 1 to 12 do
     let u = Prng.int r n and v = Prng.int r n in
     if u <> v then
-      if Wgraph.has_edge g u v then ignore (Incr_apsp.remove_edge incr u v)
-      else ignore (Incr_apsp.add_edge incr u v (Prng.float_in r 0.5 9.0));
+      if Wgraph.has_edge g u v then begin
+        Wgraph.remove_edge g u v;
+        ignore (Incr_apsp.remove_edge incr u v)
+      end
+      else begin
+        let w = Prng.float_in r 0.5 9.0 in
+        Wgraph.add_edge g u v w;
+        ignore (Incr_apsp.add_edge incr u v w)
+      end;
     if not (matrices_agree (Incr_apsp.matrix incr) (Gncg_graph.Dijkstra.apsp g)) then
       ok := false
   done;

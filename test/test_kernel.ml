@@ -49,30 +49,39 @@ let prop_kernel_equals_reference seed =
   let g = random_tie_graph (Prng.create (seed + 1301)) in
   rows_equal g (Flat_adj.of_wgraph g)
 
-(* The same random edit sequence on the graph and the flat adjacency:
-   the edge sets, degrees and rows stay identical throughout. *)
+(* The same random edit sequence on the graph, the flat adjacency and a
+   distance store: the edge sets, weights, degrees and rows stay
+   identical throughout, and both snapshots equal the graph. *)
 let prop_kernel_tracks_edits seed =
   let r = Prng.create (seed + 1302) in
   let g = random_tie_graph r in
   let n = Wgraph.n g in
   let adj = Flat_adj.of_wgraph g in
+  let store = Incr_apsp.of_graph g in
   let ok = ref true in
   for _ = 1 to 25 do
     let u = Prng.int r n and v = Prng.int r n in
     if u <> v then begin
       if Wgraph.has_edge g u v then begin
         Wgraph.remove_edge g u v;
-        Flat_adj.remove_edge adj u v
+        Flat_adj.remove_edge adj u v;
+        ignore (Incr_apsp.remove_edge store u v)
       end
       else begin
         let w = tie_weight r in
         Wgraph.add_edge g u v w;
-        Flat_adj.add_edge adj u v w
+        Flat_adj.add_edge adj u v w;
+        ignore (Incr_apsp.add_edge store u v w)
       end;
       for x = 0 to n - 1 do
-        if Flat_adj.degree adj x <> Wgraph.degree g x then ok := false
+        if Flat_adj.degree adj x <> Wgraph.degree g x then ok := false;
+        for y = 0 to n - 1 do
+          if Flat_adj.weight adj x y <> Wgraph.weight g x y then ok := false
+        done
       done;
       if Flat_adj.has_edge adj u v <> Wgraph.has_edge g u v then ok := false;
+      if not (Wgraph.equal (Flat_adj.to_wgraph adj) g) then ok := false;
+      if not (Wgraph.equal (Incr_apsp.graph store) g) then ok := false;
       if not (rows_equal g adj) then ok := false
     end
   done;
@@ -357,7 +366,7 @@ let warmed_words round =
    on [n] vertices. *)
 let whatif_words n =
   let g = Helpers.random_graph (Prng.create 1305) n n in
-  let store = Incr_apsp.of_graph_no_copy g in
+  let store = Incr_apsp.of_graph g in
   let nb = match Wgraph.neighbors g 0 with (v, _) :: _ -> v | [] -> assert false in
   let far = ref 1 in
   while Wgraph.has_edge g 0 !far do
@@ -377,7 +386,7 @@ let whatif_words n =
 
 (* The same for the store's row kernels: nothing grows with n. *)
 let row_kernel_words n =
-  let store = Incr_apsp.of_graph_no_copy (Helpers.random_graph (Prng.create 1306) n n) in
+  let store = Incr_apsp.of_graph (Helpers.random_graph (Prng.create 1306) n n) in
   let against = (Incr_apsp.matrix store).(n - 1) in
   let round () =
     ignore (Sys.opaque_identity (Incr_apsp.dist_sum store 0));

@@ -3,9 +3,10 @@
    evaluator's body, verbatim but for two things: its workspace is a
    fresh private one, so the two evaluators share no scratch, and it
    ticks none of the library's counters.  Its helpers [gain_between]
-   and [prepare] are copied beside it.  Every addable target's
-   insertion sum comes from one batched call: it knows no tight
-   targets.  The new evaluator must
+   and [prepare] are copied beside it, and [prepare] lists every
+   position in [loose], as the batched kernel now takes a position
+   list.  Every addable target's insertion sum comes from one batched
+   call: it knows no tight targets.  The new evaluator must
    return the same move, the same gain bits and the same row-local flag
    for every agent and every kinds list.  The hosts: all 7 CLI model
    families, the tie-heavy all-ones and 1-2 hosts, and a line host with
@@ -40,8 +41,6 @@ let workspace () : Net_state.scratch =
     sums = [||];
     known = [||];
     loose = [||];
-    loose_targets = [||];
-    loose_weights = [||];
     del_rows = [||];
     del_for = [||];
   }
@@ -50,7 +49,8 @@ let prepare (sc : Net_state.scratch) n deg =
   if Array.length sc.targets < n then begin
     sc.targets <- Array.make n 0;
     sc.weights <- Array.make n 0.0;
-    sc.sums <- Array.make n 0.0
+    sc.sums <- Array.make n 0.0;
+    sc.loose <- Array.init n Fun.id
   end;
   let have = Array.length sc.del_rows in
   if have < deg then begin
@@ -90,7 +90,7 @@ let batched_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
           incr k
         end
       done;
-      Net_state.dist_sums_with_edges st agent sc.targets sc.weights !k sc.sums;
+      Net_state.dist_sums_with_edges st agent sc.targets sc.weights sc.loose !k sc.sums;
       !k
     end
     else 0

@@ -1,16 +1,9 @@
 #!/usr/bin/env bash
 # Lint: trust-boundary code must classify failures through the typed
 # Gncg_error module (lib/util/gncg_error.mli), not bare string failures
-# or unreachable-state asserts.  In lib/core and lib/metric, `failwith`
-# and `assert false` may only appear inside explicitly fenced legacy
-# blocks:
-#
-#   (* BEGIN legacy raising aliases *)
-#   ...
-#   (* END legacy raising aliases *)
-#
-# Any occurrence outside such a block fails the build (`dune build @lint`).
-# Use Gncg_error.raise_/failf for classified failures, invalid_arg for
+# or unreachable-state asserts.  Any `failwith` or `assert false` in
+# lib/core or lib/metric fails the build (`dune build @lint`).  Use
+# Gncg_error.raise_/failf for classified failures, invalid_arg for
 # caller contract violations, and Gncg_error.unreachable for states the
 # surrounding invariants rule out.
 set -u
@@ -23,9 +16,7 @@ status=0
 check_file() {
   local file="$1"
   awk -v file="$file" '
-    /BEGIN legacy raising aliases/ { fenced = 1 }
-    /END legacy raising aliases/   { fenced = 0; next }
-    !fenced && /(failwith|assert false)/ { printf "%s:%d:%s\n", file, NR, $0 }
+    /(failwith|assert false)/ { printf "%s:%d:%s\n", file, NR, $0 }
   ' "$file"
 }
 
