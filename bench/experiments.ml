@@ -953,7 +953,7 @@ let e23_journaled_sweep () =
      resume pass verifies nothing re-executes.";
   let journal = Filename.temp_file "gncg_e23" ".jsonl" in
   let config =
-    Gncg_runs.Batch.config
+    Gncg_runs.Job.grid
       (W.Instances.Euclid { norm = L2; d = 2; box = 100.0 })
       ~ns:[ 8 ] ~alphas:[ 0.5; 1.0; 2.0; 4.0 ]
       ~seeds:[ 1; 2; 3; 4 ]

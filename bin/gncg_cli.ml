@@ -2,8 +2,8 @@
    engine.
 
    Subcommands:
-     gncg sweep          — one-shot dynamics sweep over random instances
-     gncg sweep run      — journal-backed batch sweep (durable, parallel)
+     gncg sweep          — sweep run over one n and one alpha, unjournaled
+     gncg sweep run      — batch sweep, optionally journaled (durable, parallel)
      gncg sweep resume   — finish an interrupted journal-backed sweep
      gncg sweep status   — inspect a journal without running anything
      gncg construct      — evaluate a paper construction
@@ -168,25 +168,8 @@ let require_renderer format =
     Printf.eprintf "unknown format %S (table | csv | json)\n" format;
     exit 1
 
-let sweep model n alpha seeds format common =
-  let render = require_renderer format in
-  let (_ : Gncg_util.Exec.t) =
-    Common.setup ~verb:"sweep" ~accepts:Common.all common
-  in
-  let runs =
-    List.init seeds (fun seed ->
-        Gncg_workload.Sweep.dynamics_run model ~n ~alpha ~seed:(seed + 1))
-  in
-  render runs
-
 let format_arg =
   Arg.(value & opt string "table" & info [ "format" ] ~doc:"table | csv | json")
-
-let sweep_one_shot_term =
-  Term.(const sweep $ model_arg $ n_arg $ alpha_arg $ seeds_arg $ format_arg
-        $ Common.term)
-
-(* Journal-backed batch sweeps (the runs subsystem). *)
 
 let ns_arg =
   Arg.(value & opt (list n_conv) [ 8 ] & info [ "ns" ] ~doc:"comma-separated agent counts")
@@ -202,11 +185,13 @@ let rule_conv =
 
 let rule_arg =
   Arg.(value
-       & opt rule_conv Gncg_runs.Job.Greedy_response
+       & opt rule_conv Gncg_runs.Job.default_rule
        & info [ "rule" ] ~doc:"best | greedy | add-only")
 
 let max_steps_arg =
-  Arg.(value & opt positive_int 5000 & info [ "max-steps" ] ~doc:"dynamics step budget")
+  Arg.(value
+       & opt positive_int Gncg_runs.Job.default_max_steps
+       & info [ "max-steps" ] ~doc:"dynamics step budget")
 
 let journal_arg required_for =
   let doc = Printf.sprintf "JSONL journal path (%s)" required_for in
@@ -235,25 +220,34 @@ let budget_arg =
 let retries_arg =
   Arg.(value & opt nonneg_int 0 & info [ "retries" ] ~doc:"extra attempts for crashed jobs")
 
-let report_summary ~label (s : Gncg_runs.Batch.summary) =
-  Format.eprintf "%s: %a@." label Gncg_runs.Batch.pp_progress s.progress
+(* The summary line goes to stderr, the rows to stdout; a timed-out or
+   crashed job has no row, so the exit status says the output is
+   incomplete. *)
+let finish ~label render (s : Gncg_runs.Batch.summary) =
+  Format.eprintf "%s: %a@." label Gncg_runs.Batch.pp_progress s.progress;
+  render s.runs;
+  if s.progress.timeout + s.progress.crashed > 0 then exit 1
 
 let sweep_run model ns alphas seeds rule max_steps format journal budget retries common
     =
   let render = require_renderer format in
-  let exec = Common.setup ~verb:"sweep run" ~accepts:Common.all common in
-  let config =
-    Gncg_runs.Batch.config ~rule ~max_steps model ~ns ~alphas
+  let exec = Common.setup ~verb:"sweep" ~accepts:Common.all common in
+  let grid =
+    Gncg_runs.Job.grid ~rule ~max_steps model ~ns ~alphas
       ~seeds:(List.init seeds (fun s -> s + 1))
   in
   let summary =
     Gncg_runs.Batch.run ~domains:(Gncg_util.Exec.domain_count exec) ?budget ~retries
-      ?journal config
+      ?journal grid
   in
-  report_summary
+  finish
     ~label:(match journal with Some p -> "journal " ^ p | None -> "sweep")
-    summary;
-  render summary.runs
+    render summary
+
+(* Bare [gncg sweep]: [sweep run] over one n and one alpha, unjournaled. *)
+let sweep model n alpha seeds format common =
+  sweep_run model [ n ] [ alpha ] seeds Gncg_runs.Job.default_rule
+    Gncg_runs.Job.default_max_steps format None None 0 common
 
 let sweep_resume journal format budget retries common =
   let render = require_renderer format in
@@ -263,9 +257,7 @@ let sweep_resume journal format budget retries common =
     Gncg_runs.Batch.resume ~domains:(Gncg_util.Exec.domain_count exec) ?budget ~retries
       ~journal:path ()
   with
-  | Ok summary ->
-    report_summary ~label:("journal " ^ path) summary;
-    render summary.runs
+  | Ok summary -> finish ~label:("journal " ^ path) render summary
   | Error msg ->
     Printf.eprintf "resume failed: %s\n" msg;
     exit 1
@@ -274,15 +266,14 @@ let sweep_status journal common =
   let (_ : Gncg_util.Exec.t) = Common.setup ~verb:"sweep status" ~accepts:[] common in
   let path = require_journal journal in
   match Gncg_runs.Batch.status ~journal:path with
-  | Ok (manifest, progress, crashes) ->
+  | Ok ((grid : Gncg_runs.Job.grid), progress, crashes) ->
     Printf.printf "journal            %s\n" path;
-    Printf.printf "model              %s\n" manifest.Gncg_runs.Journal.model;
-    Printf.printf "rule               %s\n"
-      (Gncg_runs.Job.rule_to_string manifest.Gncg_runs.Journal.rule);
+    Printf.printf "model              %s\n" (Gncg_runs.Job.model_to_string grid.model);
+    Printf.printf "rule               %s\n" (Gncg_runs.Job.rule_to_string grid.rule);
     Printf.printf "grid               ns=%s alphas=%s seeds=%s\n"
-      (String.concat "," (List.map string_of_int manifest.Gncg_runs.Journal.ns))
-      (String.concat "," (List.map (Printf.sprintf "%g") manifest.Gncg_runs.Journal.alphas))
-      (String.concat "," (List.map string_of_int manifest.Gncg_runs.Journal.seeds));
+      (String.concat "," (List.map string_of_int grid.ns))
+      (String.concat "," (List.map (Printf.sprintf "%g") grid.alphas))
+      (String.concat "," (List.map string_of_int grid.seeds));
     Printf.printf "jobs               %d\n" progress.Gncg_runs.Batch.total;
     Printf.printf "terminal           %d (completed %d, diverged %d)\n"
       progress.Gncg_runs.Batch.skipped progress.Gncg_runs.Batch.completed
@@ -329,8 +320,12 @@ let sweep_status_cmd =
     (Cmd.info "status" ~doc:"show a journal's manifest and completion counts")
     Term.(const sweep_status $ journal_arg "required" $ Common.term)
 
+let sweep_bare_term =
+  Term.(const sweep $ model_arg $ n_arg $ alpha_arg $ seeds_arg $ format_arg
+        $ Common.term)
+
 let sweep_cmd =
-  Cmd.group ~default:sweep_one_shot_term
+  Cmd.group ~default:sweep_bare_term
     (Cmd.info "sweep" ~doc:"run response dynamics over random instances")
     [ sweep_run_cmd; sweep_resume_cmd; sweep_status_cmd ]
 
@@ -729,7 +724,7 @@ let client_sweep socket model ns alphas seeds rule max_steps budget retries comm
   client_setup "sweep" common;
   with_client socket (fun c ->
       let config =
-        Gncg_runs.Batch.config ~rule ~max_steps model ~ns ~alphas
+        Gncg_runs.Job.grid ~rule ~max_steps model ~ns ~alphas
           ~seeds:(List.init seeds (fun s -> s + 1))
       in
       let job = SP.Sweep { config; budget; retries = Some retries } in

@@ -20,26 +20,29 @@ let agent_cost ?graph host s u =
   let p = agent_parts ?graph host s u in
   p.edge +. p.dist
 
-let social_parts host s =
-  let g = Network.graph host s in
-  let n = Strategy.n s in
-  let edge = ref 0.0 and dist = ref 0.0 in
-  for u = 0 to n - 1 do
-    edge := !edge +. agent_edge_cost host s u;
-    dist := !dist +. agent_dist_cost ~graph:g host s u
+(* Rows summed one after another in agent order: [social_parts], the
+   network costs and the optimum's branch-and-bound all add the same
+   floats in the same order. *)
+let network_dist g =
+  let dist = ref 0.0 in
+  for u = 0 to Gncg_graph.Wgraph.n g - 1 do
+    dist := !dist +. Flt.sum (Gncg_graph.Dijkstra.sssp g u)
   done;
-  { edge = !edge; dist = !dist }
+  !dist
+
+let social_parts host s =
+  let edge = ref 0.0 in
+  for u = 0 to Strategy.n s - 1 do
+    edge := !edge +. agent_edge_cost host s u
+  done;
+  { edge = !edge; dist = network_dist (Network.graph host s) }
 
 let social_cost host s =
   let p = social_parts host s in
   p.edge +. p.dist
 
 let network_parts host g =
-  let dist = ref 0.0 in
-  for u = 0 to Gncg_graph.Wgraph.n g - 1 do
-    dist := !dist +. Flt.sum (Gncg_graph.Dijkstra.sssp g u)
-  done;
-  { edge = Host.alpha host *. Gncg_graph.Wgraph.total_weight g; dist = !dist }
+  { edge = Host.alpha host *. Gncg_graph.Wgraph.total_weight g; dist = network_dist g }
 
 let network_social_cost host g =
   let p = network_parts host g in

@@ -28,6 +28,11 @@ val social_cost : Host.t -> Strategy.t -> float
 
 val social_parts : Host.t -> Strategy.t -> parts
 
+val network_dist : Gncg_graph.Wgraph.t -> float
+(** [Σ_u Σ_v d(u,v)]: each row's {!Gncg_util.Flt.sum}, added in agent
+    order — the distance total of {!social_parts} and
+    {!network_social_cost}; [infinity] on a disconnected network. *)
+
 val network_social_cost : Host.t -> Gncg_graph.Wgraph.t -> float
 (** Social cost of a network in which every edge is bought exactly once
     (ownership does not matter for the total):

@@ -37,25 +37,14 @@ let agent_happy ?adj kind host s u =
    [Par] agents fan out across domains; the boolean checks early-exit as
    soon as any domain finds an unhappy agent. *)
 
-let is_ae ?(exec = Exec.Seq) host s =
+let is_equilibrium ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check (fun () ->
-      let adj = profile_adj AE host s in
-      Exec.for_all ~exec (Strategy.n s) (agent_happy ?adj AE host s))
+      let adj = profile_adj kind host s in
+      Exec.for_all ~exec (Strategy.n s) (agent_happy ?adj kind host s))
 
-let is_ge ?(exec = Exec.Seq) host s =
-  Gncg_obs.Span.with_probe p_check (fun () ->
-      let adj = profile_adj GE host s in
-      Exec.for_all ~exec (Strategy.n s) (agent_happy ?adj GE host s))
-
-let is_ne ?(exec = Exec.Seq) host s =
-  Gncg_obs.Span.with_probe p_check (fun () ->
-      Exec.for_all ~exec (Strategy.n s) (agent_happy NE host s))
-
-let is_equilibrium ?exec kind host s =
-  match kind with
-  | AE -> is_ae ?exec host s
-  | GE -> is_ge ?exec host s
-  | NE -> is_ne ?exec host s
+let is_ae ?exec = is_equilibrium ?exec AE
+let is_ge ?exec = is_equilibrium ?exec GE
+let is_ne ?exec = is_equilibrium ?exec NE
 
 let factor (current, best) =
   if Flt.approx_eq current best then 1.0

@@ -153,13 +153,6 @@ let greedy_heuristic host =
   done;
   (g, Cost.network_social_cost host g)
 
-let dist_total g =
-  let acc = ref 0.0 in
-  for u = 0 to Wgraph.n g - 1 do
-    acc := !acc +. Flt.sum (Gncg_graph.Dijkstra.sssp g u)
-  done;
-  !acc
-
 let exact_bnb ?(max_edges = 28) host =
   let pairs = Array.of_list (finite_pairs host) in
   let k = Array.length pairs in
@@ -189,7 +182,7 @@ let exact_bnb ?(max_edges = 28) host =
   let best_cost = ref warm in
   let rec go idx in_weight =
     (* Candidate: take every undecided edge. *)
-    let dist = dist_total g in
+    let dist = Cost.network_dist g in
     let take_all = (alpha *. (in_weight +. suffix_weight.(idx))) +. dist in
     if take_all < !best_cost -. Flt.eps then begin
       best_cost := take_all;

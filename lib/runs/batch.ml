@@ -5,36 +5,6 @@ module Metric = Gncg_obs.Metric
    first, summed over the batch's fresh reports. *)
 let c_batch_retries = Metric.Counter.make "runs.batch_retry_attempts"
 
-type config = {
-  model : Gncg_workload.Instances.model;
-  ns : int list;
-  alphas : float list;
-  seeds : int list;
-  rule : Job.rule;
-  max_steps : int;
-}
-
-let config ?(rule = Job.Greedy_response) ?(max_steps = 5000) model ~ns ~alphas ~seeds =
-  { model; ns; alphas; seeds; rule; max_steps }
-
-let jobs c =
-  List.map
-    (fun (n, alpha, seed) ->
-      Job.make ~rule:c.rule ~max_steps:c.max_steps c.model ~n ~alpha ~seed)
-    (Sweep.cartesian ~ns:c.ns ~alphas:c.alphas ~seeds:c.seeds)
-
-let manifest c =
-  {
-    Journal.schema = 1;
-    model = Job.model_to_string c.model;
-    ns = c.ns;
-    alphas = c.alphas;
-    seeds = c.seeds;
-    rule = c.rule;
-    max_steps = c.max_steps;
-    jobs = List.length c.ns * List.length c.alphas * List.length c.seeds;
-  }
-
 type progress = {
   total : int;
   executed : int;
@@ -139,22 +109,19 @@ let run_pending ?domains ?budget ?retries ?(exec = Job.execute) ?on_result:notif
   in
   { runs; progress }
 
-let run ?domains ?budget ?retries ?exec ?on_result ?journal c =
-  let all_jobs = jobs c in
-  let handle = Option.map (fun path -> Journal.create path (manifest c)) journal in
-  let result =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Journal.close handle)
-      (fun () -> run_pending ?domains ?budget ?retries ?exec ?on_result handle all_jobs
-          (Hashtbl.create 0) all_jobs)
-  in
-  result
+let run ?domains ?budget ?retries ?exec ?on_result ?journal grid =
+  let all_jobs = Job.jobs grid in
+  let handle = Option.map (fun path -> Journal.create path grid) journal in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Journal.close handle)
+    (fun () -> run_pending ?domains ?budget ?retries ?exec ?on_result handle all_jobs
+        (Hashtbl.create 0) all_jobs)
 
 let ( let* ) = Result.bind
 
 let resume ?domains ?budget ?retries ?exec ?on_result ~journal () =
   let* handle, loaded = Journal.append_to journal in
-  let* all_jobs = Journal.manifest_jobs loaded.Journal.manifest in
+  let all_jobs = Job.jobs loaded.Journal.manifest in
   let terminal = Journal.terminal loaded.Journal.entries in
   let pending =
     List.filter (fun job -> not (Hashtbl.mem terminal (Job.hash job))) all_jobs
@@ -170,7 +137,7 @@ let resume ?domains ?budget ?retries ?exec ?on_result ~journal () =
 
 let status ~journal =
   let* loaded = Journal.load journal in
-  let* all_jobs = Journal.manifest_jobs loaded.Journal.manifest in
+  let all_jobs = Job.jobs loaded.Journal.manifest in
   let terminal = Journal.terminal loaded.Journal.entries in
   let count pred =
     Hashtbl.fold (fun _ e acc -> if pred e.Journal.status then acc + 1 else acc)

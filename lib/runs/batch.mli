@@ -2,30 +2,6 @@
     {!Journal} and {!Scheduler} that the CLI, the bench harness and the
     experiment reproduction drive. *)
 
-type config = {
-  model : Gncg_workload.Instances.model;
-  ns : int list;
-  alphas : float list;
-  seeds : int list;
-  rule : Job.rule;
-  max_steps : int;
-}
-
-val config :
-  ?rule:Job.rule ->
-  ?max_steps:int ->
-  Gncg_workload.Instances.model ->
-  ns:int list ->
-  alphas:float list ->
-  seeds:int list ->
-  config
-
-val jobs : config -> Job.spec list
-(** The deterministic job list, in {!Gncg_workload.Sweep.cartesian}
-    order. *)
-
-val manifest : config -> Journal.manifest
-
 type progress = {
   total : int;  (** batch size *)
   executed : int;  (** jobs run by {e this} invocation *)
@@ -44,9 +20,9 @@ val pp_progress : Format.formatter -> progress -> unit
 
 type summary = {
   runs : Gncg_workload.Sweep.run list;
-      (** [Completed]/[Diverged] run records, in job order — the same
-          shape [Sweep.dynamics_batch] returns, feeding {!Report}
-          unchanged. *)
+      (** [Completed]/[Diverged] run records, in job order ({!Job.jobs}),
+          feeding {!Gncg_workload.Report} unchanged.  A timed-out or
+          crashed job has no row. *)
   progress : progress;
 }
 
@@ -57,9 +33,11 @@ val run :
   ?exec:(Job.spec -> Gncg_workload.Sweep.run) ->
   ?on_result:(Job.spec -> Gncg_workload.Sweep.run Scheduler.report -> unit) ->
   ?journal:string ->
-  config ->
+  Job.grid ->
   summary
-(** Executes the whole batch through the runs scheduler.  With
+(** Executes every job of the grid through the runs scheduler: the one
+    path every sweep row takes (the CLI's [sweep] and [sweep run], the
+    serve daemon, the reproduction harness).  With
     [journal], creates/truncates the file first and appends every result
     as it lands, so the batch can be killed and picked up by {!resume}.
     [exec] (default {!Job.execute}) is the fault-injection seam the
@@ -87,8 +65,8 @@ val resume :
 
 val status :
   journal:string ->
-  (Journal.manifest * progress * (string * string) list, string) result
-(** Read-only: the manifest plus classification counts ([executed] is 0
+  (Job.grid * progress * (string * string) list, string) result
+(** Read-only: the manifest's grid plus classification counts ([executed] is 0
     by construction — nothing runs).  The third component lists, per
     still-pending job whose latest journaled classification is a crash,
     its [(job hash, crash detail)] — the detail is the

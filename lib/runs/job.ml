@@ -11,8 +11,29 @@ type spec = {
   max_steps : int;
 }
 
-let make ?(rule = Greedy_response) ?(max_steps = 5000) model ~n ~alpha ~seed =
+let default_rule = Greedy_response
+
+let default_max_steps = 5000
+
+let make ?(rule = default_rule) ?(max_steps = default_max_steps) model ~n ~alpha ~seed =
   { model; n; alpha; seed; rule; max_steps }
+
+type grid = {
+  model : Instances.model;
+  ns : int list;
+  alphas : float list;
+  seeds : int list;
+  rule : rule;
+  max_steps : int;
+}
+
+let grid ?(rule = default_rule) ?(max_steps = default_max_steps) model ~ns ~alphas ~seeds =
+  { model; ns; alphas; seeds; rule; max_steps }
+
+let jobs (g : grid) =
+  List.map
+    (fun (n, alpha, seed) -> make ~rule:g.rule ~max_steps:g.max_steps g.model ~n ~alpha ~seed)
+    (Gncg_workload.Sweep.cartesian ~ns:g.ns ~alphas:g.alphas ~seeds:g.seeds)
 
 let dynamics_rule = function
   | Best_response -> Gncg.Dynamics.Best_response
@@ -127,12 +148,12 @@ let model_of_string s =
 (* [eval=incremental] is a constant: dynamics once ran under a choice of
    two evaluators, and journal entries on disk are keyed by the hash of
    this string, so it keeps its bytes. *)
-let to_canonical j =
+let to_canonical (j : spec) =
   Printf.sprintf
     "gncg-job:1;model=%s;n=%d;alpha=%s;seed=%d;rule=%s;eval=incremental;max_steps=%d"
     (model_to_string j.model) j.n (fl j.alpha) j.seed (rule_to_string j.rule) j.max_steps
 
-let hash j =
+let content_hash s =
   (* FNV-1a, 64 bit.  OCaml's native int is 63 bits: do the arithmetic in
      int64 so the hash matches the published constants exactly. *)
   let fnv_offset = 0xcbf29ce484222325L and fnv_prime = 0x100000001b3L in
@@ -141,12 +162,14 @@ let hash j =
     (fun c ->
       h := Int64.logxor !h (Int64.of_int (Char.code c));
       h := Int64.mul !h fnv_prime)
-    (to_canonical j);
+    s;
   Printf.sprintf "%016Lx" !h
+
+let hash j = content_hash (to_canonical j)
 
 (* --- JSON -------------------------------------------------------------- *)
 
-let to_json j =
+let to_json (j : spec) =
   Json.Obj
     [
       ("model", Json.Str (model_to_string j.model));
@@ -170,6 +193,6 @@ let of_json v =
   let* max_steps = int "max_steps" in
   Ok { model; n; alpha; seed; rule; max_steps }
 
-let execute j =
+let execute (j : spec) =
   Gncg_workload.Sweep.dynamics_run ~rule:(dynamics_rule j.rule) ~max_steps:j.max_steps
     j.model ~n:j.n ~alpha:j.alpha ~seed:j.seed

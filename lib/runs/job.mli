@@ -23,6 +23,14 @@ type spec = {
   max_steps : int;
 }
 
+val default_rule : rule
+(** [Greedy_response]: the rule of every job, grid and CLI sweep that
+    names none. *)
+
+val default_max_steps : int
+(** 5000: the step budget of every job, grid and CLI sweep that names
+    none. *)
+
 val make :
   ?rule:rule ->
   ?max_steps:int ->
@@ -31,7 +39,35 @@ val make :
   alpha:float ->
   seed:int ->
   spec
-(** Defaults mirror [Sweep.dynamics_run]: greedy rule, 5000 steps. *)
+(** Defaults: {!default_rule}, {!default_max_steps}. *)
+
+type grid = {
+  model : Gncg_workload.Instances.model;
+  ns : int list;
+  alphas : float list;
+  seeds : int list;
+  rule : rule;
+  max_steps : int;
+}
+(** A sweep: one job per [(n, alpha, seed)] of the grid, all under one
+    model, rule and step budget.  It is what a journal's manifest line
+    records ({!Journal}), what a serve sweep request carries and what
+    {!Batch.run} executes. *)
+
+val grid :
+  ?rule:rule ->
+  ?max_steps:int ->
+  Gncg_workload.Instances.model ->
+  ns:int list ->
+  alphas:float list ->
+  seeds:int list ->
+  grid
+(** Defaults as for {!make}. *)
+
+val jobs : grid -> spec list
+(** The grid's deterministic job list, in
+    {!Gncg_workload.Sweep.cartesian} order ([n]-major, then [alpha],
+    then seed): a resume re-derives it from the manifest alone. *)
 
 val dynamics_rule : rule -> Gncg.Dynamics.rule
 
@@ -53,8 +89,13 @@ val to_canonical : spec -> string
     [eval=reference]; a resume re-executes those jobs (with the same
     result rows). *)
 
+val content_hash : string -> string
+(** 64-bit FNV-1a of a string, as 16 lowercase hex digits: the one
+    content hash behind {!hash}, the serve protocol's job keys and the
+    serve worker's host-cache keys. *)
+
 val hash : spec -> string
-(** 64-bit FNV-1a of {!to_canonical}, as 16 lowercase hex digits. *)
+(** {!content_hash} of {!to_canonical}. *)
 
 val to_json : spec -> Json.t
 val of_json : Json.t -> (spec, string) result

@@ -14,28 +14,9 @@ type entry = {
   result : Sweep.run option;
 }
 
-type manifest = {
-  schema : int;
-  model : string;
-  ns : int list;
-  alphas : float list;
-  seeds : int list;
-  rule : Job.rule;
-  max_steps : int;
-  jobs : int;
-}
-
 let schema_version = 1
 
 let ( let* ) = Result.bind
-
-let manifest_jobs m =
-  let* model = Job.model_of_string m.model in
-  Ok
-    (List.map
-       (fun (n, alpha, seed) ->
-         Job.make ~rule:m.rule ~max_steps:m.max_steps model ~n ~alpha ~seed)
-       (Sweep.cartesian ~ns:m.ns ~alphas:m.alphas ~seeds:m.seeds))
 
 (* --- run record <-> JSON ------------------------------------------------ *)
 
@@ -136,17 +117,22 @@ let entry_of_json v =
 
 (* --- manifest ----------------------------------------------------------- *)
 
-let manifest_to_json m =
+(* [schema] and [jobs] live on the wire only: written from the constant
+   and the grid, checked against them on reload. *)
+let job_count (g : Job.grid) =
+  List.length g.ns * List.length g.alphas * List.length g.seeds
+
+let manifest_to_json (g : Job.grid) =
   Json.Obj
     [
-      ("gncg-journal", Json.num_int m.schema);
-      ("model", Json.Str m.model);
-      ("ns", Json.List (List.map Json.num_int m.ns));
-      ("alphas", Json.List (List.map (fun a -> Json.Num a) m.alphas));
-      ("seeds", Json.List (List.map Json.num_int m.seeds));
-      ("rule", Json.Str (Job.rule_to_string m.rule));
-      ("max_steps", Json.num_int m.max_steps);
-      ("jobs", Json.num_int m.jobs);
+      ("gncg-journal", Json.num_int schema_version);
+      ("model", Json.Str (Job.model_to_string g.model));
+      ("ns", Json.List (List.map Json.num_int g.ns));
+      ("alphas", Json.List (List.map (fun a -> Json.Num a) g.alphas));
+      ("seeds", Json.List (List.map Json.num_int g.seeds));
+      ("rule", Json.Str (Job.rule_to_string g.rule));
+      ("max_steps", Json.num_int g.max_steps);
+      ("jobs", Json.num_int (job_count g));
     ]
 
 let manifest_of_json v =
@@ -157,7 +143,7 @@ let manifest_of_json v =
     if schema = schema_version then Ok ()
     else Error (Printf.sprintf "unsupported journal schema %d" schema)
   in
-  let* model = str "model" in
+  let* model = Result.bind (str "model") Job.model_of_string in
   let int_list k =
     let* vs = Result.bind (Json.member k v) Json.get_list in
     List.fold_right
@@ -182,7 +168,9 @@ let manifest_of_json v =
   let* () = Job.legacy_evaluator v in
   let* max_steps = int "max_steps" in
   let* jobs = int "jobs" in
-  Ok { schema; model; ns; alphas; seeds; rule; max_steps; jobs }
+  let grid = { Job.model; ns; alphas; seeds; rule; max_steps } in
+  if jobs = job_count grid then Ok grid
+  else Error (Printf.sprintf "manifest counts %d jobs, its grid has %d" jobs (job_count grid))
 
 (* --- file handling ------------------------------------------------------ *)
 
@@ -194,9 +182,9 @@ let write_line oc line =
   output_string oc (line ^ "\n");
   flush oc
 
-let create path m =
+let create path grid =
   let oc = open_out path in
-  write_line oc (Json.to_string (manifest_to_json m));
+  write_line oc (Json.to_string (manifest_to_json grid));
   { oc; lock = Mutex.create () }
 
 let append t e =
@@ -207,7 +195,7 @@ let append t e =
 
 let close t = close_out t.oc
 
-type loaded = { manifest : manifest; entries : entry list; dropped : int }
+type loaded = { manifest : Job.grid; entries : entry list; dropped : int }
 
 let read_lines path =
   let ic = open_in_bin path in

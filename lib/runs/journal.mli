@@ -1,10 +1,12 @@
 (** Append-only JSONL journal of sweep results.
 
-    Line 1 is the manifest (schema version, job count, and the full
-    generating sweep config, so [resume] can re-derive the job list from
-    the journal alone).  Every subsequent line is one finished job:
-    its content hash, classification, attempt count, elapsed seconds and
-    — for [Completed]/[Diverged] — the run record.
+    Line 1 is the manifest: the schema version, the job count and the
+    generating {!Job.grid}, so [resume] can re-derive the job list from
+    the journal alone ({!Job.jobs}).  The schema version and job count
+    are written and checked on reload; only the grid is kept.  Every
+    subsequent line is one finished job: its content hash,
+    classification, attempt count, elapsed seconds and — for
+    [Completed]/[Diverged] — the run record.
 
     Appends are atomic at line granularity: each entry is rendered to a
     single buffer and written with one [output_string] + flush on a file
@@ -28,39 +30,25 @@ type entry = {
       (** present iff [Completed] or [Diverged] *)
 }
 
-type manifest = {
-  schema : int;
-  model : string;  (** canonical — {!Job.model_to_string} *)
-  ns : int list;
-  alphas : float list;
-  seeds : int list;
-  rule : Job.rule;
-  max_steps : int;
-  jobs : int;  (** expected batch size, |ns|·|alphas|·|seeds| *)
-}
-
-val manifest_jobs : manifest -> (Job.spec list, string) result
-(** Re-derives the full deterministic job list ([n]-major, then [alpha],
-    then seed — the {!Gncg_workload.Sweep.cartesian} order). *)
-
 type t
 (** An open journal (append handle). *)
 
-val create : string -> manifest -> t
+val create : string -> Job.grid -> t
 (** Creates/truncates the file and writes the manifest line. *)
 
 val append : t -> entry -> unit
 val close : t -> unit
 
 type loaded = {
-  manifest : manifest;
+  manifest : Job.grid;  (** the grid of the manifest line *)
   entries : entry list;  (** journal order *)
   dropped : int;  (** unparseable lines skipped during reload *)
 }
 
 val load : string -> (loaded, string) result
 (** Read-only reload.  Fails only when the file is missing/unreadable or
-    the manifest line itself is unusable. *)
+    the manifest line itself is unusable: unparseable, another schema
+    version, or a job count its grid does not give. *)
 
 val append_to : string -> (t * loaded, string) result
 (** {!load} followed by reopening the file for appending — the resume

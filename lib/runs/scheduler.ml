@@ -35,8 +35,7 @@ type 'r outcome =
 
 type 'r report = { outcome : 'r outcome; attempts : int; elapsed : float }
 
-(* One job, with the budget / retry / divergence classification.  Shared
-   verbatim by the parallel and sequential runners so they cannot drift. *)
+(* One job's metrics and span event. *)
 let observe_report report =
   Metric.Counter.incr c_jobs;
   Metric.Histogram.observe h_job_s report.elapsed;
@@ -66,6 +65,7 @@ let observe_report report =
           ];
       }
 
+(* One job, with the budget / retry / divergence classification. *)
 let attempt ~budget ~retries ~diverged exec job =
   let rec go attempt_no =
     let t0 = Unix.gettimeofday () in
@@ -108,15 +108,6 @@ let attempt ~budget ~retries ~diverged exec job =
   observe_report report;
   report
 
-let run_sequential ?(budget = Float.infinity) ?(retries = 0)
-    ?(diverged = fun _ -> false) ?(on_result = fun _ _ -> ()) exec jobs =
-  List.map
-    (fun job ->
-      let report = attempt ~budget ~retries ~diverged exec job in
-      on_result job report;
-      (job, report))
-    jobs
-
 let run ?domains ?(budget = Float.infinity) ?(retries = 0) ?(diverged = fun _ -> false)
     ?(on_result = fun _ _ -> ()) exec jobs =
   let domains =
@@ -125,17 +116,13 @@ let run ?domains ?(budget = Float.infinity) ?(retries = 0) ?(diverged = fun _ ->
     | Some _ -> invalid_arg "Scheduler.run: domains must be positive"
     | None -> Gncg_util.Exec.default_domains ()
   in
-  if domains <= 1 || List.compare_length_with jobs 1 <= 0 then
-    run_sequential ~budget ~retries ~diverged ~on_result exec jobs
-  else begin
-    let jobs = Array.of_list jobs in
-    let result_lock = Mutex.create () in
-    let reports =
-      Gncg_util.Exec.init ~exec:(Gncg_util.Exec.par ~domains ()) (Array.length jobs)
-        (fun i ->
-          let report = attempt ~budget ~retries ~diverged exec jobs.(i) in
-          Mutex.protect result_lock (fun () -> on_result jobs.(i) report);
-          report)
-    in
-    List.combine (Array.to_list jobs) (Array.to_list reports)
-  end
+  let jobs = Array.of_list jobs in
+  let result_lock = Mutex.create () in
+  let reports =
+    Gncg_util.Exec.init ~exec:(Gncg_util.Exec.par ~domains ()) (Array.length jobs)
+      (fun i ->
+        let report = attempt ~budget ~retries ~diverged exec jobs.(i) in
+        Mutex.protect result_lock (fun () -> on_result jobs.(i) report);
+        report)
+  in
+  List.combine (Array.to_list jobs) (Array.to_list reports)

@@ -72,17 +72,7 @@ val run :
     input order (execution order is scheduler-dependent; results must
     not be).  [on_result] fires once per job as it finishes, serialized
     under a lock — the journal appends from it.  [domains] defaults to
-    {!Gncg_util.Exec.default_domains}; one domain, or at most one job,
-    runs through {!run_sequential}.  [budget] defaults to no limit;
-    [retries] to [0]; [diverged] to [fun _ -> false]. *)
-
-val run_sequential :
-  ?budget:float ->
-  ?retries:int ->
-  ?diverged:('r -> bool) ->
-  ?on_result:('a -> 'r report -> unit) ->
-  ('a -> 'r) ->
-  'a list ->
-  ('a * 'r report) list
-(** Single-domain reference runner with identical classification
-    semantics; the equivalence oracle for {!run}. *)
+    {!Gncg_util.Exec.default_domains}; on one domain (or at most one
+    job) {!Gncg_util.Exec.init} runs the jobs in input order on the
+    calling domain, with the same classification.  [budget] defaults to
+    no limit; [retries] to [0]; [diverged] to [fun _ -> false]. *)

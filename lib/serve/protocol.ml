@@ -27,7 +27,7 @@ let perr fmt = E.failf ~context:ctx Parse fmt
 
 type job =
   | Sweep of {
-      config : Gncg_runs.Batch.config;
+      config : Job.grid;
       budget : float option;
       retries : int option;
     }
@@ -155,18 +155,19 @@ let job_of_json j =
     let* seeds = Result.bind (mem "seeds" j) int_list in
     let* rule =
       match mem_opt "rule" j with
-      | None -> Ok Job.Greedy_response
+      | None -> Ok None
       | Some v ->
         let* s = str v in
-        Result.map_error (fun m -> E.v ~context:ctx Parse m) (Job.rule_of_string s)
+        Result.map_error (fun m -> E.v ~context:ctx Parse m)
+          (Result.map Option.some (Job.rule_of_string s))
     in
     let* () = lift (Job.legacy_evaluator j) in
     let* max_steps =
       match mem_opt "max_steps" j with
-      | None -> Ok 5000
+      | None -> Ok None
       | Some v ->
         let* m = int v in
-        if m >= 1 then Ok m else perr "max_steps must be positive (got %d)" m
+        if m >= 1 then Ok (Some m) else perr "max_steps must be positive (got %d)" m
     in
     let* budget =
       match mem_opt "budget" j with
@@ -188,12 +189,7 @@ let job_of_json j =
     else
       Ok
         (Sweep
-           {
-             config =
-               { Gncg_runs.Batch.model; ns; alphas; seeds; rule; max_steps };
-             budget;
-             retries;
-           })
+           { config = Job.grid ?rule ?max_steps model ~ns ~alphas ~seeds; budget; retries })
   | "eq-check" ->
     let* model = model_field j in
     let* n, alpha = n_alpha j in
@@ -216,19 +212,9 @@ let job_of_json j =
    the canonical encoding the content key hashes. *)
 let job_canonical job = Json.to_string (job_to_json job)
 
-let fnv1a64 s =
-  let prime = 0x100000001b3L and basis = 0xcbf29ce484222325L in
-  let h = ref basis in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+let content_hash = Job.content_hash
 
-let content_hash = fnv1a64
-
-let job_key job = fnv1a64 (job_canonical job)
+let job_key job = content_hash (job_canonical job)
 
 (* --- requests ---------------------------------------------------------- *)
 

@@ -30,7 +30,7 @@ val version : int
 
 type job =
   | Sweep of {
-      config : Gncg_runs.Batch.config;
+      config : Gncg_runs.Job.grid;
       budget : float option;  (** per-job wall-clock budget, seconds *)
       retries : int option;  (** extra attempts for crashed jobs *)
     }
@@ -79,8 +79,9 @@ val check_to_string : Gncg.Equilibrium.kind -> string
 val check_of_string : string -> (Gncg.Equilibrium.kind, Gncg_util.Gncg_error.t) result
 
 val content_hash : string -> string
-(** The 64-bit FNV-1a hex digest {!job_key} is built from, exposed for
-    other content-addressed keys (the session's host cache). *)
+(** {!Gncg_runs.Job.content_hash}: the 64-bit FNV-1a hex digest
+    {!job_key} is built from, exposed for other content-addressed keys
+    (the worker's host cache). *)
 
 (** {1 Requests} *)
 

@@ -13,8 +13,7 @@ type run = {
   is_tree : bool;
 }
 
-let dynamics_run ?(rule = Gncg.Dynamics.Greedy_response) ?(max_steps = 5000) model ~n
-    ~alpha ~seed =
+let dynamics_run ~rule ~max_steps model ~n ~alpha ~seed =
   let rng = Gncg_util.Prng.create seed in
   let host = Instances.random_host rng model ~n ~alpha in
   let start = Instances.random_profile rng host in
@@ -58,11 +57,6 @@ let cartesian ~ns ~alphas ~seeds =
     (fun n ->
       List.concat_map (fun alpha -> List.map (fun seed -> (n, alpha, seed)) seeds) alphas)
     ns
-
-let dynamics_batch ?rule ?max_steps model ~ns ~alphas ~seeds =
-  List.map
-    (fun (n, alpha, seed) -> dynamics_run ?rule ?max_steps model ~n ~alpha ~seed)
-    (cartesian ~ns ~alphas ~seeds)
 
 let ratios runs =
   List.filter_map (fun r -> if r.converged then Some r.ratio else None) runs

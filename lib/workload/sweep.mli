@@ -18,8 +18,8 @@ type run = {
 }
 
 val dynamics_run :
-  ?rule:Gncg.Dynamics.rule ->
-  ?max_steps:int ->
+  rule:Gncg.Dynamics.rule ->
+  max_steps:int ->
   Instances.model ->
   n:int ->
   alpha:float ->
@@ -27,22 +27,15 @@ val dynamics_run :
   run
 (** One seeded dynamics run from a random profile under a
     [Random_order] scheduler split from the instance's generator; the
-    optimum is [Social_optimum.best_known] (exact on small hosts). *)
+    optimum is [Social_optimum.best_known] (exact on small hosts).
+    Sweeps reach it through [Gncg_runs.Job.execute], whose specs carry
+    the default rule and step budget. *)
 
 val cartesian :
   ns:int list -> alphas:float list -> seeds:int list -> (int * float * int) list
 (** The batch grid in canonical order: [n]-major, then [alpha], then
     seed.  This order is a contract — the journal of the runs subsystem
     re-derives job lists from it on resume. *)
-
-val dynamics_batch :
-  ?rule:Gncg.Dynamics.rule ->
-  ?max_steps:int ->
-  Instances.model ->
-  ns:int list ->
-  alphas:float list ->
-  seeds:int list ->
-  run list
 
 val ratios : run list -> float list
 (** Ratios of the converged runs ([[]] on an empty batch). *)

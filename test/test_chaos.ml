@@ -19,7 +19,7 @@ let chaos_classification =
     (fun (seed, jobs) ->
       let plan = C.plan ~seed ~crash_p:0.35 ~fault_attempts:1 () in
       let exec = C.wrap plan ~key:key_of_int (fun i -> i * 3) in
-      let results = R.Scheduler.run_sequential exec (List.init jobs Fun.id) in
+      let results = R.Scheduler.run ~domains:1 exec (List.init jobs Fun.id) in
       List.for_all
         (fun (i, r) ->
           match (C.decide plan ~key:(key_of_int i) ~attempt:1, r.R.Scheduler.outcome) with
@@ -37,7 +37,7 @@ let chaos_retries_recover =
     (fun seed ->
       let plan = C.plan ~seed ~crash_p:0.5 ~fault_attempts:2 () in
       let exec = C.wrap plan ~key:key_of_int Fun.id in
-      let results = R.Scheduler.run_sequential ~retries:2 exec (List.init 25 Fun.id) in
+      let results = R.Scheduler.run ~domains:1 ~retries:2 exec (List.init 25 Fun.id) in
       List.for_all
         (fun (i, r) ->
           let crashes_at a = C.decide plan ~key:(key_of_int i) ~attempt:a = Some C.Crash in
@@ -68,7 +68,7 @@ let test_corrupt_result_classified () =
   let plan = C.plan ~seed:5 ~corrupt_p:0.5 () in
   let exec = C.wrap plan ~key:key_of_int ~corrupt:(fun _ -> Float.nan) float_of_int in
   let results =
-    R.Scheduler.run_sequential ~diverged:Float.is_nan exec (List.init 20 Fun.id)
+    R.Scheduler.run ~domains:1 ~diverged:Float.is_nan exec (List.init 20 Fun.id)
   in
   List.iter
     (fun (i, r) ->
@@ -94,7 +94,7 @@ let test_crash_carries_backtrace () =
     ~finally:(fun () -> Printexc.record_backtrace was)
     (fun () ->
       let results =
-        R.Scheduler.run_sequential
+        R.Scheduler.run ~domains:1
           (fun _ -> failwith "kaboom")
           [ 0 ]
       in
@@ -112,7 +112,7 @@ let test_crash_carries_backtrace () =
    crash costs at least one retry. *)
 let test_batch_crashes_match_plan () =
   let config =
-    R.Batch.config
+    R.Job.grid
       (Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 5.0 })
       ~ns:[ 5; 6 ] ~alphas:[ 1.0; 3.0 ] ~seeds:[ 1; 2; 3 ]
   in
@@ -121,7 +121,7 @@ let test_batch_crashes_match_plan () =
     List.length
       (List.filter
          (fun j -> C.decide plan ~key:(R.Job.hash j) ~attempt:1 = Some C.Crash)
-         (R.Batch.jobs config))
+         (R.Job.jobs config))
   in
   check_true "the plan injects at least one crash" (predicted > 0);
   let run retries =
@@ -136,7 +136,7 @@ let test_batch_crashes_match_plan () =
 (* --- journal corruption -------------------------------------------------- *)
 
 let small_config =
-  R.Batch.config
+  R.Job.grid
     (Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 5.0 })
     ~ns:[ 5 ] ~alphas:[ 1.0; 4.0 ] ~seeds:[ 1; 2 ]
 

@@ -61,7 +61,7 @@ let test_sweep_setups () =
               ~max_steps rule mk_scheduler host start)
           rules;
         (* The setup above is the sweep's: its step count matches. *)
-        let run = Gncg_workload.Sweep.dynamics_run model ~n ~alpha ~seed in
+        let run = Gncg_runs.Job.execute (Gncg_runs.Job.make model ~n ~alpha ~seed) in
         match stateless_dynamics ~max_steps Dyn.Greedy_response (mk_scheduler ()) host start with
         | Dyn.Converged { steps; _ } ->
           check_true (Printf.sprintf "%s seed %d: sweep row" name seed)

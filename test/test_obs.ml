@@ -219,8 +219,8 @@ let prop_trace_transparent =
     (fun (n, alpha_i, seed) ->
       let model = Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 5.0 } in
       let run () =
-        Gncg_workload.Sweep.dynamics_run model ~n ~alpha:(float_of_int alpha_i)
-          ~seed ~max_steps:4000
+        Gncg_runs.Job.execute
+          (Gncg_runs.Job.make ~max_steps:4000 model ~n ~alpha:(float_of_int alpha_i) ~seed)
       in
       let plain = run () in
       let traced =
@@ -265,7 +265,7 @@ let test_four_layer_coverage () =
   Alcotest.(check bool) "stable profile is a GE" true
     (Gncg.Equilibrium.Tracker.is_equilibrium tracker);
   let config =
-    Gncg_runs.Batch.config (Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 5.0 })
+    Gncg_runs.Job.grid (Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 5.0 })
       ~ns:[ 5 ] ~alphas:[ 2.0 ] ~seeds:[ 1; 2 ]
   in
   ignore (Gncg_runs.Batch.run ~domains:2 config);

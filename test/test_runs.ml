@@ -82,12 +82,12 @@ let test_job_hash_stable_and_distinct () =
      string still ends in "eval=incremental;max_steps=5000". *)
   Alcotest.(check string) "pinned hash" "6b49332ea8210452"
     (R.Job.hash (R.Job.make (W.Instances.Tree { wmin = 1.0; wmax = 10.0 }) ~n:5 ~alpha:1.0 ~seed:1));
-  let config =
-    R.Batch.config
+  let grid =
+    R.Job.grid
       (W.Instances.Euclid { norm = L2; d = 2; box = 100.0 })
       ~ns:[ 5; 6; 7 ] ~alphas:[ 0.5; 1.0; 2.0 ] ~seeds:[ 1; 2; 3 ]
   in
-  let hashes = List.map R.Job.hash (R.Batch.jobs config) in
+  let hashes = List.map R.Job.hash (R.Job.jobs grid) in
   Alcotest.(check int) "27 distinct hashes" 27
     (List.length (List.sort_uniq compare hashes));
   (* Hash depends on what is computed, not how the batch was assembled. *)
@@ -125,17 +125,9 @@ let test_json_nonfinite_to_null () =
 
 (* --- Journal ------------------------------------------------------------ *)
 
-let small_manifest =
-  {
-    R.Journal.schema = 1;
-    model = "tree(1,10)";
-    ns = [ 5 ];
-    alphas = [ 1.0; 4.0 ];
-    seeds = [ 1; 2 ];
-    rule = R.Job.Greedy_response;
-    max_steps = 5000;
-    jobs = 4;
-  }
+let small_grid =
+  R.Job.grid (W.Instances.Tree { wmin = 1.0; wmax = 10.0 }) ~ns:[ 5 ] ~alphas:[ 1.0; 4.0 ]
+    ~seeds:[ 1; 2 ]
 
 let fake_run ?(converged = true) ?(ratio = 1.25) seed =
   {
@@ -187,7 +179,7 @@ let sample_entries =
   ]
 
 let write_journal path entries =
-  let j = R.Journal.create path small_manifest in
+  let j = R.Journal.create path small_grid in
   List.iter (R.Journal.append j) entries;
   R.Journal.close j
 
@@ -198,7 +190,7 @@ let test_journal_roundtrip () =
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok loaded ->
     Alcotest.(check int) "no dropped lines" 0 loaded.R.Journal.dropped;
-    Alcotest.(check int) "manifest job count" 4 loaded.R.Journal.manifest.R.Journal.jobs;
+    Alcotest.(check int) "manifest job count" 4 (List.length (R.Job.jobs loaded.R.Journal.manifest));
     Alcotest.(check (list string)) "entries survive byte-identically"
       (List.map R.Journal.entry_to_string sample_entries)
       (List.map R.Journal.entry_to_string loaded.R.Journal.entries);
@@ -226,19 +218,34 @@ let test_journal_truncated_tail () =
     Alcotest.(check int) "prefix preserved" 3 (List.length loaded.R.Journal.entries));
   Sys.remove path
 
+(* The manifest line alone re-derives the job list: the grid read back
+   gives the hashes, in the order, of the jobs built one by one. *)
 let test_manifest_jobs_rederivation () =
-  match R.Journal.manifest_jobs small_manifest with
-  | Error e -> Alcotest.failf "manifest_jobs failed: %s" e
-  | Ok jobs ->
+  let path = Filename.temp_file "gncg_test" ".jsonl" in
+  write_journal path [];
+  (match R.Journal.load path with
+  | Error e -> Alcotest.failf "load failed: %s" e
+  | Ok loaded ->
+    let jobs = R.Job.jobs loaded.R.Journal.manifest in
     Alcotest.(check int) "grid size" 4 (List.length jobs);
     let expected =
-      R.Batch.jobs
-        (R.Batch.config
-           (W.Instances.Tree { wmin = 1.0; wmax = 10.0 })
-           ~ns:[ 5 ] ~alphas:[ 1.0; 4.0 ] ~seeds:[ 1; 2 ])
+      List.concat_map
+        (fun alpha ->
+          List.map
+            (fun seed ->
+              R.Job.make (W.Instances.Tree { wmin = 1.0; wmax = 10.0 }) ~n:5 ~alpha ~seed)
+            [ 1; 2 ])
+        [ 1.0; 4.0 ]
     in
     Alcotest.(check (list string)) "same hashes, same order"
-      (List.map R.Job.hash expected) (List.map R.Job.hash jobs)
+      (List.map R.Job.hash expected) (List.map R.Job.hash jobs));
+  (* The job count is written from the grid and checked against it. *)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        {|{"gncg-journal":1,"model":"tree(1,10)","ns":[5],"alphas":[1,4],"seeds":[1,2],"rule":"greedy","max_steps":5000,"jobs":5}|});
+  check_true "a manifest counting 5 jobs of a 4-job grid is refused"
+    (Result.is_error (R.Journal.load path));
+  Sys.remove path
 
 (* --- Scheduler ---------------------------------------------------------- *)
 
@@ -263,14 +270,14 @@ let lopsided_exec i =
 let test_scheduler_matches_sequential () =
   let jobs = List.init 37 Fun.id in
   let diverged r = r mod 3 = 0 in
-  let seq = R.Scheduler.run_sequential ~diverged lopsided_exec jobs in
+  let seq = R.Scheduler.run ~domains:1 ~diverged lopsided_exec jobs in
   let par = R.Scheduler.run ~domains:4 ~diverged lopsided_exec jobs in
   Alcotest.(check (list string)) "same outcomes in input order"
     (List.map (fun (i, r) -> Printf.sprintf "%d:%s" i (outcome_to_string r.R.Scheduler.outcome)) seq)
     (List.map (fun (i, r) -> Printf.sprintf "%d:%s" i (outcome_to_string r.R.Scheduler.outcome)) par);
   let grid =
-    R.Batch.jobs
-      (R.Batch.config
+    R.Job.jobs
+      (R.Job.grid
          (W.Instances.General { lo = 1.0; hi = 6.0 })
          ~ns:[ 8; 12 ] ~alphas:[ 0.5; 8.0 ] ~seeds:[ 1; 2 ])
   in
@@ -284,7 +291,7 @@ let test_scheduler_matches_sequential () =
          reports)
   in
   Alcotest.(check string) "Job.execute grid: scheduler csv = sequential csv"
-    (csv (R.Scheduler.run_sequential R.Job.execute grid))
+    (csv (R.Scheduler.run ~domains:1 R.Job.execute grid))
     (csv (R.Scheduler.run ~domains:2 R.Job.execute grid))
 
 let test_scheduler_crash_isolation_and_retry () =
@@ -366,7 +373,7 @@ let test_scheduler_budget_classifies_timeout () =
 (* --- Batch (kill-and-resume end to end) --------------------------------- *)
 
 let batch_config =
-  R.Batch.config
+  R.Job.grid
     (W.Instances.Tree { wmin = 1.0; wmax = 5.0 })
     ~ns:[ 5 ] ~alphas:[ 1.0; 4.0 ] ~seeds:[ 1; 2; 3 ]
 
@@ -448,8 +455,8 @@ let test_batch_status () =
   let _ = R.Batch.run ~journal:path batch_config in
   (match R.Batch.status ~journal:path with
   | Error e -> Alcotest.failf "status failed: %s" e
-  | Ok (manifest, progress, crashes) ->
-    Alcotest.(check int) "manifest jobs" 6 manifest.R.Journal.jobs;
+  | Ok (grid, progress, crashes) ->
+    Alcotest.(check int) "manifest jobs" 6 (List.length (R.Job.jobs grid));
     Alcotest.(check int) "all terminal" 6 progress.R.Batch.skipped;
     Alcotest.(check int) "status executes nothing" 0 progress.R.Batch.executed;
     Alcotest.(check int) "no crash details on a clean batch" 0 (List.length crashes));

@@ -22,7 +22,7 @@ module Metric = Gncg_obs.Metric
 let model = Gncg_workload.Instances.Euclid { norm = L2; d = 2; box = 100.0 }
 
 let small_config =
-  Batch.config ~max_steps:4000 model ~ns:[ 4; 5 ] ~alphas:[ 1.5; 3.0 ] ~seeds:[ 1; 2 ]
+  Job.grid ~max_steps:4000 model ~ns:[ 4; 5 ] ~alphas:[ 1.5; 3.0 ] ~seeds:[ 1; 2 ]
 
 let sweep_job = P.Sweep { config = small_config; budget = None; retries = None }
 
@@ -183,7 +183,7 @@ let test_job_keys () =
     P.Sweep
       {
         config =
-          Batch.config
+          Job.grid
             (Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 10.0 })
             ~ns:[ 5 ] ~alphas:[ 1.0 ] ~seeds:[ 1 ];
         budget = None;
@@ -402,7 +402,7 @@ let test_session_cancel () =
          (P.Sweep
             {
               config =
-                Batch.config ~max_steps:4000 model ~ns:[ 4 ] ~alphas:[ 9.0 ]
+                Job.grid ~max_steps:4000 model ~ns:[ 4 ] ~alphas:[ 9.0 ]
                   ~seeds:[ 1 ];
               budget = None;
               retries = None;
@@ -663,7 +663,7 @@ let test_pool_hang_times_out () =
          classify the job [Timeout] — same verdict as an in-process
          overrun, minutes earlier than the hang. *)
       let config =
-        Batch.config ~max_steps:4000 model ~ns:[ 4 ] ~alphas:[ 1.5 ] ~seeds:[ 1 ]
+        Job.grid ~max_steps:4000 model ~ns:[ 4 ] ~alphas:[ 1.5 ] ~seeds:[ 1 ]
       in
       let session =
         Session.create ~state_dir:(tmp_dir ())

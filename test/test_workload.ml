@@ -1,6 +1,14 @@
 open Helpers
 module W = Gncg_workload
 module Prng = Gncg_util.Prng
+module Job = Gncg_runs.Job
+
+(* Sweep rows as the sweep commands build them: from job specs under the
+   default rule and step budget. *)
+let dynamics_run model ~n ~alpha ~seed = Job.execute (Job.make model ~n ~alpha ~seed)
+
+let batch model ~ns ~alphas ~seeds =
+  (Gncg_runs.Batch.run ~domains:1 (Job.grid model ~ns ~alphas ~seeds)).runs
 
 let test_models_produce_valid_hosts () =
   let r = rng 1000 in
@@ -43,7 +51,7 @@ let test_model_names_distinct () =
 
 let test_dynamics_run_record () =
   let run =
-    W.Sweep.dynamics_run (W.Instances.Tree { wmin = 1.0; wmax = 5.0 }) ~n:6 ~alpha:2.0
+    dynamics_run (W.Instances.Tree { wmin = 1.0; wmax = 5.0 }) ~n:6 ~alpha:2.0
       ~seed:3
   in
   check_true "opt positive" (run.W.Sweep.opt_cost > 0.0);
@@ -60,7 +68,7 @@ let test_one_agent_ratio () =
      PoA ratio of that 0/0 is 1, never NaN, in the record and the CSV. *)
   List.iter
     (fun model ->
-      let run = W.Sweep.dynamics_run model ~n:1 ~alpha:2.0 ~seed:1 in
+      let run = dynamics_run model ~n:1 ~alpha:2.0 ~seed:1 in
       check_true "converged" run.W.Sweep.converged;
       Alcotest.(check (float 0.)) "ratio of 0/0 is 1" 1.0 run.W.Sweep.ratio;
       check_false "no nan in the csv"
@@ -69,7 +77,7 @@ let test_one_agent_ratio () =
 
 let test_batch_shape () =
   let runs =
-    W.Sweep.dynamics_batch
+    batch
       (W.Instances.One_two { p_one = 0.5 })
       ~ns:[ 5; 6 ] ~alphas:[ 0.4; 2.0 ] ~seeds:[ 1; 2 ]
   in
@@ -82,7 +90,7 @@ let test_batch_shape () =
 
 let test_structured_output () =
   let runs =
-    W.Sweep.dynamics_batch
+    batch
       (W.Instances.Tree { wmin = 1.0; wmax = 5.0 })
       ~ns:[ 5 ] ~alphas:[ 1.0 ] ~seeds:[ 1; 2 ]
   in
@@ -125,7 +133,7 @@ let test_json_nonfinite_roundtrip () =
      parseable by any strict JSON reader. *)
   let base =
     List.hd
-      (W.Sweep.dynamics_batch
+      (batch
          (W.Instances.Tree { wmin = 1.0; wmax = 5.0 })
          ~ns:[ 5 ] ~alphas:[ 1.0 ] ~seeds:[ 1 ])
   in
@@ -157,7 +165,7 @@ let test_json_nonfinite_roundtrip () =
 
 let test_report_renders () =
   let runs =
-    W.Sweep.dynamics_batch
+    batch
       (W.Instances.Tree { wmin = 1.0; wmax = 5.0 })
       ~ns:[ 5 ] ~alphas:[ 1.0 ] ~seeds:[ 1 ]
   in
