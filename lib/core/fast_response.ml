@@ -50,6 +50,32 @@ let[@inline] tight_margin n (cur_dist : float) (w : float) =
   let nf = float_of_int n in
   8.0 *. nf *. epsilon_float *. ((2.0 *. nf *. w) +. cur_dist)
 
+(* [Move.addable] for every vertex in ascending order.  The agent's
+   network neighbours are flagged once from the store's adjacency (for a
+   finite weight, exactly the pairs [Strategy.edge_in_network] finds),
+   then the host's weight row is scanned, read unboxed: no set lookup
+   and no float crossing a call per target. *)
+let addable_into st ~agent targets weights =
+  let row = Host.weight_row (Net_state.host st) agent in
+  let n = Array.length row in
+  if Array.length targets < n || Array.length weights < n then
+    invalid_arg "Fast_response.addable_into: arrays shorter than n";
+  let sc = Net_state.scratch st in
+  if Array.length sc.adjacent < n then sc.adjacent <- Array.make n false;
+  let adjacent = sc.adjacent in
+  Net_state.mark_neighbours st agent adjacent true;
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    let w = Array.unsafe_get row v in
+    if v <> agent && w < Float.infinity && not (Array.unsafe_get adjacent v) then begin
+      Array.unsafe_set targets !k v;
+      Array.unsafe_set weights !k w;
+      incr k
+    end
+  done;
+  Net_state.mark_neighbours st agent adjacent false;
+  !k
+
 (* Best improving move, plus whether the verdict is "row-local": decided
    entirely from live matrix rows and the profile, with zero what-if
    Dijkstras.  Row-local verdicts are a pure function of (a) the agent's
@@ -92,7 +118,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
      loose. *)
   let k = ref 0 and kl = ref 0 in
   if List.mem `Add kinds || (want_swap && deg > 0) then begin
-    k := Move.addable_into host s ~agent sc.targets sc.weights;
+    k := addable_into st ~agent sc.targets sc.weights;
     if cur_cost < Float.infinity then
       kl := Net_state.loose_targets st agent sc.targets sc.weights !k sc.loose
     else begin

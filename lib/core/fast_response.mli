@@ -15,6 +15,15 @@
     Gains agree with {!Greedy.move_gain} within float tolerance and
     picks agree up to tie-breaking (property-tested). *)
 
+val addable_into : Net_state.t -> agent:int -> int array -> float array -> int
+(** [addable_into st ~agent targets weights] writes every
+    {!Move.addable} target of the state's profile in ascending order to
+    [targets] and its host weight to [weights] (each of length >= n),
+    and returns their count: the target loop of the evaluator.  The
+    agent's network neighbours come from the state's adjacency and the
+    weights from {!Host.weight_row}, so no set is searched and no float
+    is boxed per target. *)
+
 val best_move_state_verdict :
   ?kinds:[ `Add | `Delete | `Swap ] list ->
   Net_state.t ->

@@ -20,24 +20,6 @@ let addable host s ~agent v =
   && (not (Strategy.edge_in_network s agent v))
   && Float.is_finite (Host.weight host agent v)
 
-(* [addable] for every vertex in ascending order, the weight read
-   unboxed from the host's row: no float crosses a call per target. *)
-let addable_into host s ~agent targets weights =
-  let row = Host.weight_row host agent in
-  let n = Array.length row in
-  if Array.length targets < n || Array.length weights < n then
-    invalid_arg "Move.addable_into: arrays shorter than n";
-  let k = ref 0 in
-  for v = 0 to n - 1 do
-    let w = Array.unsafe_get row v in
-    if v <> agent && w < Float.infinity && not (Strategy.edge_in_network s agent v) then begin
-      Array.unsafe_set targets !k v;
-      Array.unsafe_set weights !k w;
-      incr k
-    end
-  done;
-  !k
-
 let candidates ?(kinds = [ `Add; `Delete; `Swap ]) host s ~agent =
   let n = Strategy.n s in
   let owned = Strategy.strategy s agent in

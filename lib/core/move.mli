@@ -20,13 +20,6 @@ val addable : Host.t -> Strategy.t -> agent:int -> int -> bool
     (a changed distance row can enter a row-local verdict only through an
     addable target). *)
 
-val addable_into : Host.t -> Strategy.t -> agent:int -> int array -> float array -> int
-(** [addable_into host s ~agent targets weights] writes every {!addable}
-    target in ascending order to [targets] and its host weight to
-    [weights] (each of length >= n), and returns their count.  The
-    weights are read from {!Host.weight_row}, so no float is boxed per
-    target: the target loop of [Fast_response]. *)
-
 val candidates : ?kinds:[ `Add | `Delete | `Swap ] list -> Host.t -> Strategy.t -> agent:int -> t list
 (** All coherent single-edge moves for the agent.  [Add v] is proposed only
     when the edge [(u,v)] is absent from [G(s)] in both directions (buying

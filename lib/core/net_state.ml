@@ -22,6 +22,7 @@ type scratch = {
   mutable loose : int array;
   mutable del_rows : float array array;
   mutable del_for : int array;
+  mutable adjacent : bool array;
 }
 
 type t = {
@@ -53,6 +54,7 @@ let create ?require_mutable:_ host profile =
         loose = [||];
         del_rows = [||];
         del_for = [||];
+        adjacent = [||];
       };
   }
 
@@ -73,6 +75,8 @@ let loose_targets t u targets weights k idx =
 let min_sum_against t r v w = Incr_apsp.min_sum_against t.dist r v w
 
 let scratch t = t.scratch
+
+let mark_neighbours t u marks b = Incr_apsp.mark_neighbours t.dist u marks b
 
 let agent_cost t u = Cost.agent_edge_cost t.host t.profile u +. Incr_apsp.dist_sum t.dist u
 

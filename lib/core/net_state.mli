@@ -73,8 +73,10 @@ val min_sum_against : t -> float array -> int -> float -> float
     ([known.(i)] says whether [sums.(i)] holds target [i]'s sum yet), the
     positions of the loose ones (the batched kernel's input), and one
     deletion what-if row per owned edge ([del_for.(i)] is the target
-    whose row [del_rows.(i)] holds, or [-1]).  The evaluator grows it on
-    demand; its contents mean nothing between evaluations. *)
+    whose row [del_rows.(i)] holds, or [-1]), and flags for the agent's
+    network neighbours ([adjacent], all [false] between evaluations).
+    The evaluator grows it on demand; apart from [adjacent], its
+    contents mean nothing between evaluations. *)
 type scratch = {
   mutable targets : int array;
   mutable weights : float array;
@@ -83,9 +85,15 @@ type scratch = {
   mutable loose : int array;
   mutable del_rows : float array array;
   mutable del_for : int array;
+  mutable adjacent : bool array;
 }
 
 val scratch : t -> scratch
+
+val mark_neighbours : t -> int -> bool array -> bool -> unit
+(** [mark_neighbours t u marks b] sets [marks.(v)] to [b] for every
+    neighbour [v] of [u] in the network G(s): exactly the [v] with
+    {!Strategy.edge_in_network} and a finite host weight. *)
 
 val agent_cost : t -> int -> float
 (** [Cost.agent_edge_cost] plus {!agent_dist_sum}: one O(n) pass over

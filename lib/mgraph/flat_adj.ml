@@ -17,6 +17,8 @@ type t = {
   ids : int array;                (* [sssp_into]'s reached ids, unread *)
   mutable queue : int array;      (* [settle_into]'s reset vertices *)
   mutable mark : Bytes.t;         (* [settle_into]'s reset flags, all '\000' between calls *)
+  mutable pushed : int;           (* ids.(0 .. pushed-1): the last settle's pushed
+                                     vertices; -1 once a full pass reused [ids] *)
 }
 
 let create n =
@@ -32,6 +34,7 @@ let create n =
     ids = Array.make n 0;
     queue = [||];
     mark = Bytes.empty;
+    pushed = -1;
   }
 
 let check t u name =
@@ -57,6 +60,13 @@ let weight t u v =
 let degree t u =
   check t u "degree";
   t.deg.(u)
+
+let mark_neighbours t u (marks : bool array) b =
+  check t u "mark_neighbours";
+  let nb = t.nbr.(u) in
+  for i = 0 to t.deg.(u) - 1 do
+    marks.(nb.(i)) <- b
+  done
 
 let append t u v w =
   let d = t.deg.(u) in
@@ -252,6 +262,7 @@ let sssp_into t s dist =
   check t s "sssp_into";
   if Array.length dist < n then invalid_arg "Flat_adj.sssp_into: row too short";
   Array.fill dist 0 n Float.infinity;
+  t.pushed <- -1;
   ignore (sssp_bounded_into t ~src:s ~start:0.0 ~bound:t.no_bound dist t.ids)
 
 (* Let D be [sssp_into]'s row: the least float length of a path from s,
@@ -281,10 +292,142 @@ let sssp_into t s dist =
    seed, and out of any vertex the loop popped by its relaxation.  With
    f(s) = 0, induction along the path that attains D(x), through the
    monotone x -> fl(x + w), gives f(x) <= D(x). *)
-let settle_into t s (row : float array) =
+
+(* Step 1 for one vertex x <> s: [true] when x fails the local test.
+   [scan_failing] inlines the same test: with a call per vertex, full
+   scans made the n = 1000 tree anchor (ROADMAP item 6) 13-19% slower. *)
+let fails t (row : float array) x =
+  let rx = Array.unsafe_get row x in
+  let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
+  let deg = Array.unsafe_get t.deg x in
+  let i = ref 0 and lower = ref false and pred = ref false in
+  while !i < deg && not !lower do
+    let rp = Array.unsafe_get row (Array.unsafe_get nb !i) in
+    let offer = rp +. Float.Array.unsafe_get wt !i in
+    if offer < rx then lower := true else if offer = rx && rp < rx then pred := true;
+    incr i
+  done;
+  !lower || not (!pred || rx = Float.infinity)
+
+(* Step 1 over every vertex but [s]: the failing ones are written to
+   [out] in ascending order, and their count is returned. *)
+let scan_failing t s (row : float array) (out : int array) =
+  let k = ref 0 in
+  for x = 0 to t.n - 1 do
+    if x <> s then begin
+      let rx = Array.unsafe_get row x in
+      let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
+      let deg = Array.unsafe_get t.deg x in
+      let i = ref 0 and lower = ref false and pred = ref false in
+      while !i < deg && not !lower do
+        let rp = Array.unsafe_get row (Array.unsafe_get nb !i) in
+        let offer = rp +. Float.Array.unsafe_get wt !i in
+        if offer < rx then lower := true else if offer = rx && rp < rx then pred := true;
+        incr i
+      done;
+      if !lower || not (!pred || rx = Float.infinity) then begin
+        Array.unsafe_set out !k x;
+        incr k
+      end
+    end
+  done;
+  !k
+
+(* Queues [x] for step 2 when it is not the source, not queued yet and
+   fails the local test.  Returns the new queue length. *)
+let enqueue_failing t s row x k =
+  if x <> s && Bytes.unsafe_get t.mark x = '\000' && fails t row x then begin
+    Bytes.unsafe_set t.mark x '\001';
+    Array.unsafe_set t.queue k x;
+    k + 1
+  end
+  else k
+
+(* Insertion sort of a.(0 .. k-1): a listed step 1 queues its failures
+   in the order it tested them, and steps 2-4 then see them in the
+   ascending order of a full scan. *)
+let sort_prefix (a : int array) k =
+  for i = 1 to k - 1 do
+    let x = Array.unsafe_get a i in
+    let j = ref (i - 1) in
+    while !j >= 0 && Array.unsafe_get a !j > x do
+      Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+      decr j
+    done;
+    Array.unsafe_set a (!j + 1) x
+  done
+
+(* Steps 2-4 over the [k] failing vertices queued and marked by step 1. *)
+let repair t s (row : float array) k =
+  if k = 0 then begin
+    t.pushed <- 0;
+    0
+  end
+  else begin
+    let queue = t.queue and mark = t.mark in
+    let k = ref k in
+    let head = ref 0 in
+    while !head < !k do
+      let x = Array.unsafe_get queue !head in
+      incr head;
+      let rx = Array.unsafe_get row x in
+      if rx < Float.infinity then begin
+        let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
+        for i = 0 to Array.unsafe_get t.deg x - 1 do
+          let y = Array.unsafe_get nb i in
+          (* The source is pinned at 0: a negative guess can make it a
+             tight child. *)
+          if y <> s && Bytes.unsafe_get mark y = '\000' then begin
+            let ry = Array.unsafe_get row y in
+            if rx < ry && rx +. Float.Array.unsafe_get wt i = ry then begin
+              Bytes.unsafe_set mark y '\001';
+              Array.unsafe_set queue !k y;
+              incr k
+            end
+          end
+        done
+      end
+    done;
+    let k = !k in
+    for i = 0 to k - 1 do
+      let x = Array.unsafe_get queue i in
+      Array.unsafe_set row x Float.infinity;
+      Bytes.unsafe_set mark x '\000'
+    done;
+    let heap = t.heap and pos = t.pos and reached = t.ids in
+    let size = ref 0 in
+    for i = 0 to k - 1 do
+      let x = Array.unsafe_get queue i in
+      let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
+      let m = ref Float.infinity in
+      for j = 0 to Array.unsafe_get t.deg x - 1 do
+        let offer = Array.unsafe_get row (Array.unsafe_get nb j) +. Float.Array.unsafe_get wt j in
+        if offer < !m then m := offer
+      done;
+      if !m < Float.infinity then begin
+        Array.unsafe_set row x !m;
+        Array.unsafe_set reached !size x;
+        Array.unsafe_set heap !size x;
+        sift_up heap pos row !size;
+        incr size
+      end
+    done;
+    let pushed = drain t ~bound:t.no_bound row reached !size !size in
+    t.pushed <- pushed;
+    (* Every pushed vertex ends finite and every unpushed one of R at
+       +inf: [pushed] plus those counts R and each vertex lowered
+       outside it. *)
+    let unreached = ref 0 in
+    for i = 0 to k - 1 do
+      if Array.unsafe_get row (Array.unsafe_get queue i) = Float.infinity then incr unreached
+    done;
+    pushed + !unreached
+  end
+
+(* The settle, with step 1 over every vertex when [len < 0], and else
+   over [list.(0 .. len-1)] plus the endpoints of [remove] and [add]. *)
+let settle_gen t s (row : float array) list len remove add =
   let n = t.n in
-  check t s "settle_into";
-  if Array.length row < n then invalid_arg "Flat_adj.settle_into: row too short";
   if not (Array.unsafe_get row s = 0.0) then begin
     sssp_into t s row;
     n
@@ -296,85 +439,90 @@ let settle_into t s (row : float array) =
       t.queue <- Array.make n 0;
       t.mark <- Bytes.make n '\000'
     end;
-    let queue = t.queue and mark = t.mark in
     let k = ref 0 in
-    for x = 0 to n - 1 do
-      if x <> s then begin
-        let rx = Array.unsafe_get row x in
-        let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
-        let deg = Array.unsafe_get t.deg x in
-        let i = ref 0 and lower = ref false and pred = ref false in
-        while !i < deg && not !lower do
-          let rp = Array.unsafe_get row (Array.unsafe_get nb !i) in
-          let offer = rp +. Float.Array.unsafe_get wt !i in
-          if offer < rx then lower := true else if offer = rx && rp < rx then pred := true;
-          incr i
-        done;
-        if !lower || not (!pred || rx = Float.infinity) then begin
-          Bytes.unsafe_set mark x '\001';
-          Array.unsafe_set queue !k x;
-          incr k
-        end
-      end
-    done;
-    if !k = 0 then 0
-    else begin
-      let head = ref 0 in
-      while !head < !k do
-        let x = Array.unsafe_get queue !head in
-        incr head;
-        let rx = Array.unsafe_get row x in
-        if rx < Float.infinity then begin
-          let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
-          for i = 0 to Array.unsafe_get t.deg x - 1 do
-            let y = Array.unsafe_get nb i in
-            (* The source is pinned at 0: a negative guess can make it a
-               tight child. *)
-            if y <> s && Bytes.unsafe_get mark y = '\000' then begin
-              let ry = Array.unsafe_get row y in
-              if rx < ry && rx +. Float.Array.unsafe_get wt i = ry then begin
-                Bytes.unsafe_set mark y '\001';
-                Array.unsafe_set queue !k y;
-                incr k
-              end
-            end
-          done
-        end
-      done;
-      let k = !k in
-      for i = 0 to k - 1 do
-        let x = Array.unsafe_get queue i in
-        Array.unsafe_set row x Float.infinity;
-        Bytes.unsafe_set mark x '\000'
-      done;
-      let heap = t.heap and pos = t.pos and reached = t.ids in
-      let size = ref 0 in
-      for i = 0 to k - 1 do
-        let x = Array.unsafe_get queue i in
-        let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
-        let m = ref Float.infinity in
-        for j = 0 to Array.unsafe_get t.deg x - 1 do
-          let offer = Array.unsafe_get row (Array.unsafe_get nb j) +. Float.Array.unsafe_get wt j in
-          if offer < !m then m := offer
-        done;
-        if !m < Float.infinity then begin
-          Array.unsafe_set row x !m;
-          Array.unsafe_set reached !size x;
-          Array.unsafe_set heap !size x;
-          sift_up heap pos row !size;
-          incr size
-        end
-      done;
-      let pushed = drain t ~bound:t.no_bound row reached !size !size in
-      (* Every pushed vertex ends finite and every unpushed one of R at
-         +inf: [pushed] plus those counts R and each vertex lowered
-         outside it. *)
-      let unreached = ref 0 in
-      for i = 0 to k - 1 do
-        if Array.unsafe_get row (Array.unsafe_get queue i) = Float.infinity then incr unreached
-      done;
-      pushed + !unreached
+    if len < 0 then begin
+      k := scan_failing t s row t.queue;
+      for i = 0 to !k - 1 do
+        Bytes.unsafe_set t.mark (Array.unsafe_get t.queue i) '\001'
+      done
     end
+    else begin
+      for i = 0 to len - 1 do
+        k := enqueue_failing t s row (Array.unsafe_get list i) !k
+      done;
+      (match remove with
+      | Some (u, v) -> k := enqueue_failing t s row v (enqueue_failing t s row u !k)
+      | None -> ());
+      (match add with
+      | Some (u, v, _) -> k := enqueue_failing t s row v (enqueue_failing t s row u !k)
+      | None -> ());
+      sort_prefix t.queue !k
+    end;
+    repair t s row !k
+  end
+
+let check_row t s (row : float array) name =
+  check t s name;
+  if Array.length row < t.n then invalid_arg (Printf.sprintf "Flat_adj.%s: row too short" name)
+
+let check_list t list len name =
+  if len > Array.length list then
+    invalid_arg (Printf.sprintf "Flat_adj.%s: list shorter than its count" name);
+  for i = 0 to len - 1 do
+    check t (Array.unsafe_get list i) name
+  done
+
+let settle_into t s row =
+  check_row t s row "settle_into";
+  settle_gen t s row [||] (-1) None None
+
+let settle_listed_into t s row suspects k =
+  check_row t s row "settle_listed_into";
+  check_list t suspects k "settle_listed_into";
+  settle_gen t s row suspects k None None
+
+let failing_into t s row out =
+  check_row t s row "failing_into";
+  if Array.length out < t.n then invalid_arg "Flat_adj.failing_into: output too short";
+  scan_failing t s row out
+
+(* Which vertices fail after a settle.  The row is then D, a fixed point,
+   so no edge offers any vertex less, and a vertex left at +inf passes.
+   A vertex x outside R that the loop did not lower passed before and
+   keeps a strict exact predecessor p: p lies outside R, and if the loop
+   lowered p then fl(D(p) + w) < r(x) would have lowered x too, so
+   fl(D(p) + w) = r(x) = D(x) with D(p) < r(p) < r(x).  Only the pushed
+   vertices, listed in [ids], can fail, and each fails exactly when it
+   has no strict exact predecessor: the search stops at the first. *)
+let lacks_strict_pred t (row : float array) x =
+  let rx = Array.unsafe_get row x in
+  let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
+  let deg = Array.unsafe_get t.deg x in
+  let i = ref 0 and pred = ref false in
+  while !i < deg && not !pred do
+    let rp = Array.unsafe_get row (Array.unsafe_get nb !i) in
+    if rp < rx && rp +. Float.Array.unsafe_get wt !i = rx then pred := true;
+    incr i
+  done;
+  not !pred
+
+let settled_failing_into t (row : float array) out =
+  if t.pushed < 0 || Array.length row < t.n then -1
+  else begin
+    let cap = Array.length out in
+    let m = ref 0 and i = ref 0 in
+    while !m >= 0 && !i < t.pushed do
+      let x = Array.unsafe_get t.ids !i in
+      if lacks_strict_pred t row x then
+        if !m = cap then m := -1
+        else begin
+          Array.unsafe_set out !m x;
+          incr m
+        end;
+      incr i
+    done;
+    if !m > 0 then sort_prefix out !m;
+    !m
   end
 
 (* --- what-if passes ------------------------------------------------------ *)
@@ -385,12 +533,17 @@ let settle_into t s (row : float array) =
    settle's scan of every edge to pay: per what-if from the unedited row,
    a plain pass took 1.4 us against 2.0 us at n = 20, they tied at
    n = 32, split by host model at n = 48, and the settle won from n = 64
-   on (greedy-converged networks, 2-core x86-64 VM). *)
+   on (greedy-converged networks, 2-core x86-64 VM).  A settle from a
+   known suspect list tests only a few vertices and is cheaper: on
+   uniform hosts 0.96 us against a plain 1.68 us at n = 20 and 2.79
+   against 8.59 us at n = 64, on tree hosts 0.27 against 0.28 us at
+   n = 20 and 1.28 against 2.10 us at n = 64, while a settle that scans
+   every vertex took 1.79 / 6.84 us and 0.56 / 2.79 us there
+   (docs/ALGORITHMS.md, "Suspect sets").  The threshold still follows
+   the full-scan settle, which [Greedy]'s what-ifs always run. *)
 let whatif_settle_min_n = 64
 
-let sssp_edited_into t ?remove ?add s dst =
-  check t s "sssp_edited_into";
-  if Array.length dst < t.n then invalid_arg "Flat_adj.sssp_edited_into: row too short";
+let edited_gen t ?remove ?add s dst list len =
   (* Validate everything before the first edit, so a bad argument can
      never leave the adjacency half-edited. *)
   Option.iter
@@ -427,4 +580,13 @@ let sssp_edited_into t ?remove ?add s dst =
         sssp_into t s dst;
         t.n
       end
-      else settle_into t s dst)
+      else settle_gen t s dst list len remove add)
+
+let sssp_edited_into t ?remove ?add s dst =
+  check_row t s dst "sssp_edited_into";
+  edited_gen t ?remove ?add s dst [||] (-1)
+
+let sssp_edited_listed_into t ?remove ?add ~suspects ~count s dst =
+  check_row t s dst "sssp_edited_listed_into";
+  check_list t suspects count "sssp_edited_listed_into";
+  edited_gen t ?remove ?add s dst suspects count

@@ -35,6 +35,10 @@ val weight : t -> int -> int -> float option
 
 val degree : t -> int -> int
 
+val mark_neighbours : t -> int -> bool array -> bool -> unit
+(** [mark_neighbours t u marks b] sets [marks.(v)] to [b] for every
+    neighbour [v] of [u]: O(degree), no allocation. *)
+
 val add_edge : t -> int -> int -> float -> unit
 (** Appends the undirected edge [(u,v)] with weight [w >= 0].  Raises
     [Invalid_argument] on self-loops, out-of-range vertices, negative or
@@ -93,6 +97,38 @@ val settle_into : t -> int -> float array -> int
     [Invalid_argument] when [s] is out of range or the row is shorter
     than [n]. *)
 
+val settle_listed_into : t -> int -> float array -> int array -> int -> int
+(** [settle_listed_into t s row suspects k] is {!settle_into} whose
+    local test runs only on [suspects.(0 .. k-1)], in any order, with
+    repeats and [s] allowed.  Every other vertex of the row must pass
+    the test on the current adjacency; the failing set, and with it the
+    result, the count and every step after the test, is then exactly
+    {!settle_into}'s.  A negative [k] tests every vertex.  Raises
+    [Invalid_argument] when a listed vertex is out of range or [k]
+    exceeds [suspects]. *)
+
+val failing_into : t -> int -> float array -> int array -> int
+(** [failing_into t s row out] writes the vertices [x <> s] of the row
+    that fail {!settle_into}'s local test to [out], in ascending order,
+    and returns their count: the full scan whose result
+    {!settle_listed_into} and {!sssp_edited_listed_into} can reuse while
+    the row and the adjacency stay as they are.  Allocation-free.
+    Raises [Invalid_argument] when [out] or the row is shorter than
+    [n]. *)
+
+val settled_failing_into : t -> float array -> int array -> int
+(** Right after a settle ({!settle_into}, {!settle_listed_into}) of
+    [row], and before any other pass on the adjacency: writes the
+    vertices of the settled row that fail the local test to [out], in
+    ascending order, and returns their count.  Only the vertices the
+    settle pushed can fail, so this tests only them.  Returns [-1] when
+    more than [Array.length out] fail, or when the call was a plain
+    pass (the test then has nothing to go on). *)
+
+val whatif_settle_min_n : int
+(** 64: below this many vertices a what-if ignores its guess and runs a
+    plain {!sssp_into}, which measured faster there. *)
+
 val sssp_edited_into :
   t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> int
 (** {!sssp_into} on a hypothetical edit: the edge [remove] taken out
@@ -101,9 +137,28 @@ val sssp_edited_into :
     first.  The prior contents of [dst] are a starting guess for
     {!settle_into}, which runs on the edited adjacency: the result does
     not depend on them, but a guess close to the edited row (the source's
-    row before the edit) makes the pass cheap.  Below 64 vertices the
-    guess is ignored and a plain {!sssp_into} runs, which measured faster
-    there.  Returns {!settle_into}'s count ([n] for a plain pass).  Every argument is checked before the first edit, and the
+    row before the edit) makes the pass cheap.  Below
+    {!whatif_settle_min_n} vertices the guess is ignored and a plain
+    {!sssp_into} runs.  Returns {!settle_into}'s count ([n] for a plain
+    pass).  Every argument is checked before the first edit, and the
     edits are undone even if the pass raises, so the adjacency always
     leaves with the edge set it came with (neighbour order may differ,
     which no result depends on). *)
+
+val sssp_edited_listed_into :
+  t ->
+  ?remove:int * int ->
+  ?add:int * int * float ->
+  suspects:int array ->
+  count:int ->
+  int ->
+  float array ->
+  int
+(** {!sssp_edited_into} whose settle tests only [suspects.(0 .. count-1)]
+    and the endpoints of the edit.  Every other vertex of the guess
+    [dst] must pass the local test on the {e unedited} adjacency, as
+    when [suspects] is the {!failing_into} list of the unedited row.
+    Only the edit's endpoints see their edges change, so the settle
+    finds the same failing set as {!sssp_edited_into}, and the result
+    and the count are the same.  A negative [count] tests every vertex.
+    Allocates what {!sssp_edited_into} does. *)

@@ -13,6 +13,7 @@ let c_deletions = Metric.Counter.make "incr_apsp.deletions"
 let c_deletion_rows_recomputed = Metric.Counter.make "incr_apsp.deletion_rows_recomputed"
 let c_whatif_sssp = Metric.Counter.make "incr_apsp.whatif_sssp"
 let c_settled_vertices = Metric.Counter.make "incr_apsp.settled_vertices"
+let c_full_scans = Metric.Counter.make "incr_apsp.full_scans"
 let c_add_kernels = Metric.Counter.make "incr_apsp.add_kernels"
 let c_selfcheck_probes = Metric.Counter.make "incr_apsp.selfcheck_probes"
 let c_selfcheck_mismatches = Metric.Counter.make "incr_apsp.selfcheck_mismatches"
@@ -25,6 +26,14 @@ type t = {
   snap_u : Float.Array.t;     (* row snapshots for the insertion update *)
   snap_v : Float.Array.t;
   scratch : float array;      (* reusable row for what-if / recompute passes *)
+  (* Suspect sets: sus.(s).(0 .. sus_len.(s)-1), ascending, holds every
+     vertex of row s that may fail the settle's local test on the current
+     adjacency; sus_len.(s) = -1 when nothing is known.  See "Suspect
+     sets" below. *)
+  sus : int array array;
+  sus_len : int array;
+  fails : int array;          (* a full scan's failing vertices *)
+  cands : int array;          (* a deletion row's suspects plus u and v *)
   (* Drift sentinel: every [selfcheck_every] updates (0 = off), cross-check
      the matrix and self-heal by rebuilding on a mismatch. *)
   mutable selfcheck_every : int;
@@ -39,6 +48,64 @@ let default_selfcheck = ref 0
 
 let set_default_selfcheck n = default_selfcheck := max 0 n
 
+(* --- suspect sets ------------------------------------------------------ *)
+
+(* A settle tests only the vertices its row's suspect set names, plus the
+   endpoints of the edit it runs on; every other vertex passes the local
+   test of [Flat_adj.settle_into], because it passed when the set was
+   last written and neither its value nor its edges have changed since.
+   The sets are kept by three rules:
+
+   - a full scan (a what-if on a row with no set) records the failing
+     vertices of the live row on the unedited adjacency;
+   - an insertion of (u,v,w) drops the set of every row it changed, and
+     adds u (or v) to every other row's set when the new edge offers it
+     less: only u and v gained an edge, and a gained edge can add a
+     predecessor but take none away;
+   - a deletion keeps the sets of the rows its tolerance test passes
+     over: a lost edge offers nothing, and a vertex loses its only
+     strict exact predecessor over it only when the edge is tight, which
+     that test selects.  A selected row is settled from its suspects
+     plus u and v, and gets as its set the vertices that fail after the
+     settle ([Flat_adj.settled_failing_into]).
+
+   A set that would outgrow [suspect_cap], a rebuild and an injected
+   cell error leave the row with no set.  The sets choose only which
+   vertices step 1 tests, never what a settle returns: every row and
+   count is the one a full scan gives. *)
+let suspect_cap = 8
+
+(* Adds [y] to row [x]'s set, if the row has one. *)
+let add_suspect t x y =
+  let len = Array.unsafe_get t.sus_len x in
+  if len >= 0 && y <> x then begin
+    let a = Array.unsafe_get t.sus x in
+    let i = ref 0 in
+    while !i < len && Array.unsafe_get a !i < y do
+      incr i
+    done;
+    if !i = len || Array.unsafe_get a !i <> y then
+      if len = suspect_cap then Array.unsafe_set t.sus_len x (-1)
+      else begin
+        Array.blit a !i a (!i + 1) (len - !i);
+        Array.unsafe_set a !i y;
+        Array.unsafe_set t.sus_len x (len + 1)
+      end
+  end
+
+(* The full scan of row [s], held in [row], on the current adjacency: the
+   failing vertices land in [t.fails] and, when they fit and the row is
+   one a settle would test ([row.(s) = 0]), become the row's set.
+   Returns their count. *)
+let scan_row t s (row : float array) =
+  Metric.Counter.incr c_full_scans;
+  let k = Flat_adj.failing_into t.adj s row t.fails in
+  if k <= suspect_cap && Array.unsafe_get row s = 0.0 then begin
+    Array.blit t.fails 0 (Array.unsafe_get t.sus s) 0 k;
+    Array.unsafe_set t.sus_len s k
+  end;
+  k
+
 (* Recomputes source row [s] through the scratch row. *)
 let fill_row t s =
   Flat_adj.sssp_into t.adj s t.scratch;
@@ -50,7 +117,8 @@ let fill_row t s =
 let rebuild t =
   for s = 0 to t.n - 1 do
     fill_row t s
-  done
+  done;
+  Array.fill t.sus_len 0 t.n (-1)
 
 let of_graph g =
   let n = Wgraph.n g in
@@ -62,6 +130,10 @@ let of_graph g =
       snap_u = Float.Array.create n;
       snap_v = Float.Array.create n;
       scratch = Array.make n Float.infinity;
+      sus = Array.init n (fun _ -> Array.make suspect_cap 0);
+      sus_len = Array.make n (-1);
+      fails = Array.make n 0;
+      cands = Array.make (suspect_cap + 2) 0;
       selfcheck_every = !default_selfcheck;
       selfcheck_countdown = (if !default_selfcheck > 0 then !default_selfcheck else 0);
       selfcheck_cursor = 0;
@@ -71,6 +143,8 @@ let of_graph g =
   t
 
 let graph t = Flat_adj.to_wgraph t.adj
+
+let mark_neighbours t u marks b = Flat_adj.mark_neighbours t.adj u marks b
 
 let n t = t.n
 
@@ -86,6 +160,11 @@ let distance t u v =
 let matrix t =
   let n = t.n in
   Array.init n (fun u -> Array.init n (fun v -> Float.Array.unsafe_get t.d ((u * n) + v)))
+
+let suspects t s =
+  check t s "suspects";
+  let k = t.sus_len.(s) in
+  if k < 0 then None else Some (Array.to_list (Array.sub t.sus.(s) 0 k))
 
 (* --- streaming row kernels (allocation-free, Kahan, inf-propagating) --- *)
 
@@ -404,7 +483,8 @@ let inject_cell_error t u v delta =
   check t u "inject_cell_error";
   check t v "inject_cell_error";
   let i = (u * t.n) + v in
-  Float.Array.set t.d i (Float.Array.get t.d i +. delta)
+  Float.Array.set t.d i (Float.Array.get t.d i +. delta);
+  t.sus_len.(u) <- -1
 
 (* --- updates --- *)
 
@@ -461,6 +541,17 @@ let add_edge t u v w =
     Metric.Counter.add c_rows_relaxed !relaxed;
     Metric.Counter.add c_rows_changed (Changed_rows.cardinal changed)
   end;
+  (* Suspect sets: a changed row has none any more; every other row kept
+     its values, and only u and v gained an edge. *)
+  for x = 0 to n - 1 do
+    if Changed_rows.mem changed x then Array.unsafe_set t.sus_len x (-1)
+    else if Array.unsafe_get t.sus_len x >= 0 then begin
+      let dxu = Float.Array.unsafe_get t.d ((x * n) + u)
+      and dxv = Float.Array.unsafe_get t.d ((x * n) + v) in
+      if dxv +. w < dxu then add_suspect t x u;
+      if dxu +. w < dxv then add_suspect t x v
+    end
+  done;
   tick_selfcheck t changed;
   changed
 
@@ -499,7 +590,24 @@ let remove_edge t u v =
         for x = 0 to n - 1 do
           Array.unsafe_set t.scratch x (Float.Array.unsafe_get t.d (base + x))
         done;
-        settled := !settled + Flat_adj.settle_into t.adj s t.scratch;
+        (* Only u and v lost an edge: the row's suspects and they cover
+           every vertex that can fail now. *)
+        let k = Array.unsafe_get t.sus_len s in
+        let count =
+          if k >= 0 then begin
+            Array.blit (Array.unsafe_get t.sus s) 0 t.cands 0 k;
+            Array.unsafe_set t.cands k u;
+            Array.unsafe_set t.cands (k + 1) v;
+            Flat_adj.settle_listed_into t.adj s t.scratch t.cands (k + 2)
+          end
+          else begin
+            Metric.Counter.incr c_full_scans;
+            Flat_adj.settle_into t.adj s t.scratch
+          end
+        in
+        settled := !settled + count;
+        Array.unsafe_set t.sus_len s
+          (Flat_adj.settled_failing_into t.adj t.scratch (Array.unsafe_get t.sus s));
         let differs = ref false in
         for x = 0 to n - 1 do
           let fresh = Array.unsafe_get t.scratch x in
@@ -530,8 +638,17 @@ let settle_edited t ?remove ?add source dst =
     Array.unsafe_set dst x (Float.Array.unsafe_get t.d (base + x))
   done;
   Metric.Counter.incr c_whatif_sssp;
+  (* Below [whatif_settle_min_n] the pass ignores its guess: no list. *)
+  let count =
+    if t.n < Flat_adj.whatif_settle_min_n then -1
+    else if Array.unsafe_get t.sus_len source >= 0 then Array.unsafe_get t.sus_len source
+    else scan_row t source dst
+  in
+  let suspects =
+    if Array.unsafe_get t.sus_len source >= 0 then Array.unsafe_get t.sus source else t.fails
+  in
   Metric.Counter.add c_settled_vertices
-    (Flat_adj.sssp_edited_into t.adj ?remove ?add source dst)
+    (Flat_adj.sssp_edited_listed_into t.adj ?remove ?add ~suspects ~count source dst)
 
 let sssp_edited_into t ?remove ?add source dst =
   check t source "sssp_edited_into";

@@ -49,6 +49,10 @@ val graph : t -> Wgraph.t
 (** A fresh snapshot of the tracked edge set (test/oracle convenience,
     like {!matrix}): later updates do not reach it. *)
 
+val mark_neighbours : t -> int -> bool array -> bool -> unit
+(** [mark_neighbours t u marks b] sets [marks.(v)] to [b] for every
+    neighbour [v] of [u] in the tracked edge set ({!Flat_adj.mark_neighbours}). *)
+
 val n : t -> int
 
 val distance : t -> int -> int -> float
@@ -128,10 +132,12 @@ val add_edge : t -> int -> int -> float -> Changed_rows.t
 val remove_edge : t -> int -> int -> Changed_rows.t
 (** Removes the edge (no-op when absent) and recomputes the rows of
     affected sources only, each settled from its stored values in the
-    preallocated scratch row by {!Flat_adj.settle_into}.  Returns exactly
-    the recomputed rows that differ from their previous contents.  The
-    [incr_apsp.deletion_rows_recomputed] counter counts the rows, and
-    [incr_apsp.settled_vertices] the vertices they re-settled. *)
+    preallocated scratch row by {!Flat_adj.settle_into}, whose local
+    test runs only on the row's {!suspects} and the endpoints when the
+    row has a set.  Returns exactly the recomputed rows that differ from
+    their previous contents.  The [incr_apsp.deletion_rows_recomputed]
+    counter counts the rows, and [incr_apsp.settled_vertices] the
+    vertices they re-settled. *)
 
 val sssp_edited_into :
   t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit
@@ -140,8 +146,9 @@ val sssp_edited_into :
     on a hypothetical edit of the tracked graph (one edge removed and/or
     one added), without touching the maintained matrix: the flat
     adjacency is edited, the source's live row is settled on it
-    ({!Flat_adj.settle_into}, bit for bit a fresh pass), and the edit is
-    undone, also when the pass raises.  Absent removals and
+    ({!Flat_adj.sssp_edited_listed_into} from the row's {!suspects}, bit
+    for bit a fresh pass), and the edit is undone, also when the pass
+    raises.  Absent removals and
     already-present additions are ignored.  The what-if primitive of
     single-move evaluation; allocation independent of n; not
     thread-safe. *)
@@ -150,6 +157,21 @@ val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int ->
 (** [Flt.sum] of the {!sssp_edited_into} row computed through the internal
     scratch row — the allocation-free form the response engines use when
     only the distance sum matters. *)
+
+val suspects : t -> int -> int list option
+(** Row [s]'s suspect set, ascending: every vertex of the row outside it
+    passes the local test of {!Flat_adj.settle_into} on the tracked
+    edge set, so a deletion row or a what-if from [s] tests only these
+    vertices and the endpoints of its edit.  [None] when the row has no
+    set; its next what-if then scans the whole row once
+    ([incr_apsp.full_scans]) and keeps the result when it holds at most
+    8 vertices.  Insertions drop the sets of the rows they change and
+    add an endpoint to another row's set when the new edge offers it
+    less; deletions rewrite the sets of the rows they settle; a
+    rebuild and {!inject_cell_error} drop them (docs/ALGORITHMS.md,
+    "Suspect sets").  The sets decide only which vertices are tested:
+    every row and count is the one a full scan gives.  Test/oracle
+    convenience. *)
 
 (** {1 Drift sentinel}
 

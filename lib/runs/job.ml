@@ -193,6 +193,25 @@ let of_json v =
   let* max_steps = int "max_steps" in
   Ok { model; n; alpha; seed; rule; max_steps }
 
+(* The lists of a grid object, each entry checked by the engine's own
+   range rule: the one decoder of journal manifests and serve sweep
+   requests. *)
+let grid_lists_of_json v =
+  let ( let* ) = Result.bind in
+  let list k get check =
+    let* xs = Result.bind (Json.member k v) Json.get_list in
+    List.fold_right
+      (fun x acc ->
+        let* acc = acc in
+        let* y = Result.bind (get x) check in
+        Ok (y :: acc))
+      xs (Ok [])
+  in
+  let* ns = list "ns" Json.get_int Gncg.Host.check_n in
+  let* alphas = list "alphas" Json.get_float Gncg.Host.check_alpha in
+  let* seeds = list "seeds" Json.get_int Result.ok in
+  Ok (ns, alphas, seeds)
+
 let execute (j : spec) =
   Gncg_workload.Sweep.dynamics_run ~rule:(dynamics_rule j.rule) ~max_steps:j.max_steps
     j.model ~n:j.n ~alpha:j.alpha ~seed:j.seed

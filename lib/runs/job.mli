@@ -109,6 +109,13 @@ val legacy_evaluator : Json.t -> (unit, string) result
     and serve sweep requests written before the field was dropped read
     through it. *)
 
+val grid_lists_of_json : Json.t -> (int list * float list * int list, string) result
+(** The ["ns"], ["alphas"] and ["seeds"] members of a grid object, in
+    order, with every [n] checked by {!Gncg.Host.check_n} and every
+    alpha by {!Gncg.Host.check_alpha}: the one decoder behind a journal
+    manifest ({!Journal}) and a serve sweep request, so both refuse the
+    same grids. *)
+
 val execute : spec -> Gncg_workload.Sweep.run
 (** Runs the job ([Sweep.dynamics_run] under the spec's parameters).
     Deterministic: the run is a function of the spec only. *)

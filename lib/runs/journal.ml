@@ -144,26 +144,7 @@ let manifest_of_json v =
     else Error (Printf.sprintf "unsupported journal schema %d" schema)
   in
   let* model = Result.bind (str "model") Job.model_of_string in
-  let int_list k =
-    let* vs = Result.bind (Json.member k v) Json.get_list in
-    List.fold_right
-      (fun x acc ->
-        let* acc = acc in
-        let* i = Json.get_int x in
-        Ok (i :: acc))
-      vs (Ok [])
-  in
-  let* ns = int_list "ns" in
-  let* seeds = int_list "seeds" in
-  let* alphas =
-    let* vs = Result.bind (Json.member "alphas" v) Json.get_list in
-    List.fold_right
-      (fun x acc ->
-        let* acc = acc in
-        let* f = Json.get_float x in
-        Ok (f :: acc))
-      vs (Ok [])
-  in
+  let* ns, alphas, seeds = Job.grid_lists_of_json v in
   let* rule = Result.bind (str "rule") Job.rule_of_string in
   let* () = Job.legacy_evaluator v in
   let* max_steps = int "max_steps" in

@@ -17,7 +17,6 @@ let str j = lift (Json.get_string j)
 let int j = lift (Json.get_int j)
 let flt j = lift (Json.get_float j)
 let bol j = lift (Json.get_bool j)
-let lst j = lift (Json.get_list j)
 
 let mem_opt k j = match Json.member k j with Ok v -> Some v | Error _ -> None
 
@@ -110,32 +109,6 @@ let model_field j =
   let* s = Result.bind (mem "model" j) str in
   Result.map_error (fun m -> E.v ~context:ctx Parse m) (Job.model_of_string s)
 
-let int_list j =
-  let* items = lst j in
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* i = int item in
-      Ok (i :: acc))
-    (Ok []) items
-  |> Result.map List.rev
-
-let float_list j =
-  let* items = lst j in
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* x = flt item in
-      Ok (x :: acc))
-    (Ok []) items
-  |> Result.map List.rev
-
-(* The engine's own range rules, as typed parse errors. *)
-let all_ok check xs =
-  List.fold_left
-    (fun acc x -> Result.bind acc (fun () -> Result.map ignore (lift (check x))))
-    (Ok ()) xs
-
 let n_alpha j =
   let* n = Result.bind (mem "n" j) int in
   let* n = lift (Gncg.Host.check_n n) in
@@ -148,11 +121,7 @@ let job_of_json j =
   match kind with
   | "sweep" ->
     let* model = model_field j in
-    let* ns = Result.bind (mem "ns" j) int_list in
-    let* () = all_ok Gncg.Host.check_n ns in
-    let* alphas = Result.bind (mem "alphas" j) float_list in
-    let* () = all_ok Gncg.Host.check_alpha alphas in
-    let* seeds = Result.bind (mem "seeds" j) int_list in
+    let* ns, alphas, seeds = lift (Job.grid_lists_of_json j) in
     let* rule =
       match mem_opt "rule" j with
       | None -> Ok None

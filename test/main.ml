@@ -11,4 +11,4 @@ let () =
    @ Test_obs.suites @ Test_exec.suites @ Test_error.suites @ Test_sentinel.suites
    @ Test_chaos.suites @ Test_serve.suites
    @ Test_kernel.suites @ Test_scan.suites @ Test_equiv.suites @ Test_tight.suites
-   @ Test_support.suites)
+   @ Test_support.suites @ Test_suspects.suites)

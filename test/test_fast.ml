@@ -97,11 +97,14 @@ let test_parallel_map () =
     (Gncg_util.Exec.init ~exec:(Gncg_util.Exec.par ~domains:3 ()) (Array.length a) (fun i ->
          a.(i) * 3))
 
-(* [Move.addable_into], the evaluator's target loop, against the
-   predicate [Move.addable] and [Host.weight]: the same targets in the
-   same order and the same weight bits, on all 7 CLI model families
+(* [Fast_response.addable_into], the evaluator's target loop, against
+   the predicate [Move.addable] and [Host.weight]: the same targets in
+   the same order and the same weight bits, on all 7 CLI model families
    (one-inf has forbidden pairs) with random starts in which some owned
-   edges are bought back from the other side. *)
+   edges are bought back from the other side.  The loop reads the
+   agent's neighbours from the state's adjacency, so the check runs on
+   the start and again after each of a few random moves applied to the
+   state. *)
 let prop_addable_into seed =
   let r = Prng.create (seed + 1150) in
   let n = 2 + Prng.int r 12 in
@@ -113,19 +116,37 @@ let prop_addable_into seed =
       (fun s (u, v) -> if Prng.int r 3 = 0 then Gncg.Strategy.buy s v u else s)
       s (Gncg.Strategy.owned_edges s)
   in
+  let st = Gncg.Net_state.create host s in
   let targets = Array.make n (-1) and weights = Array.make n Float.nan in
-  List.for_all
-    (fun agent ->
-      let k = Gncg.Move.addable_into host s ~agent targets weights in
-      let want = List.filter (Gncg.Move.addable host s ~agent) (List.init n Fun.id) in
-      Array.to_list (Array.sub targets 0 k) = want
-      && List.for_all2
-           (fun v w ->
-             Int64.equal (Int64.bits_of_float w)
-               (Int64.bits_of_float (Gncg.Host.weight host agent v)))
-           want
-           (Array.to_list (Array.sub weights 0 k)))
-    (List.init n Fun.id)
+  let matches () =
+    let s = Gncg.Net_state.profile st in
+    List.for_all
+      (fun agent ->
+        let k = Gncg.Fast_response.addable_into st ~agent targets weights in
+        let want = List.filter (Gncg.Move.addable host s ~agent) (List.init n Fun.id) in
+        Array.to_list (Array.sub targets 0 k) = want
+        && List.for_all2
+             (fun v w ->
+               Int64.equal (Int64.bits_of_float w)
+                 (Int64.bits_of_float (Gncg.Host.weight host agent v)))
+             want
+             (Array.to_list (Array.sub weights 0 k)))
+      (List.init n Fun.id)
+  in
+  let rec walk moves =
+    matches ()
+    && (moves = 0
+       ||
+       let agent = Prng.int r n in
+       match Gncg.Move.candidates host (Gncg.Net_state.profile st) ~agent with
+       | [] -> walk (moves - 1)
+       | cands ->
+         ignore
+           (Gncg.Net_state.apply_move st ~agent
+              (List.nth cands (Prng.int r (List.length cands))));
+         walk (moves - 1))
+  in
+  walk 4
 
 let suites =
   [

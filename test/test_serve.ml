@@ -163,6 +163,64 @@ let test_out_of_range_jobs_refused () =
     (fun job -> ignore (ok_exn "in-range job" (P.job_of_json (P.job_to_json job))))
     [ sweep_job; eq_job ~seed:1; br ]
 
+(* A journal manifest and a serve sweep request decode their grid lists
+   through one decoder ([Job.grid_lists_of_json]): both refuse the same
+   out-of-range grids and accept the same in-range one. *)
+let test_grid_decoders_agree () =
+  let nums xs = Json.List (List.map (fun x -> Json.Num x) xs) in
+  let manifest_loads ns alphas =
+    let path = Filename.temp_file "gncg_test" ".jsonl" in
+    let line =
+      Json.to_string
+        (Json.Obj
+           [
+             ("gncg-journal", Json.num_int 1);
+             ("model", Json.Str "tree(1,10)");
+             ("ns", nums ns);
+             ("alphas", nums alphas);
+             ("seeds", nums [ 1.0 ]);
+             ("rule", Json.Str "greedy");
+             ("max_steps", Json.num_int 5000);
+             ("jobs", Json.num_int (List.length ns * List.length alphas));
+           ])
+    in
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (line ^ "\n"));
+    let loaded = Gncg_runs.Journal.load path in
+    Sys.remove path;
+    Result.is_ok loaded
+  in
+  let request_parses ns alphas =
+    match
+      P.job_of_json
+        (Json.Obj
+           [
+             ("kind", Json.Str "sweep");
+             ("model", Json.Str "tree(1,10)");
+             ("ns", nums ns);
+             ("alphas", nums alphas);
+             ("seeds", nums [ 1.0 ]);
+           ])
+    with
+    | Ok _ -> true
+    | Error e ->
+      check_true "a refused grid is a Parse error" (e.E.kind = E.Parse);
+      false
+  in
+  List.iter
+    (fun (label, ns, alphas) ->
+      check_false ("manifest refuses " ^ label) (manifest_loads ns alphas);
+      check_false ("request refuses " ^ label) (request_parses ns alphas))
+    [
+      ("n = 0", [ 0.0 ], [ 1.0 ]);
+      ("n = -1", [ 4.0; -1.0 ], [ 1.0 ]);
+      ("alpha = 0", [ 4.0 ], [ 0.0 ]);
+      ("alpha < 0", [ 4.0 ], [ 2.0; -1.5 ]);
+      ("alpha = nan", [ 4.0 ], [ Float.nan ]);
+      ("alpha = inf", [ 4.0 ], [ Float.infinity ]);
+    ];
+  check_true "manifest accepts an in-range grid" (manifest_loads [ 4.0; 6.0 ] [ 1.5 ]);
+  check_true "request accepts an in-range grid" (request_parses [ 4.0; 6.0 ] [ 1.5 ])
+
 let test_job_keys () =
   let k1 = P.job_key sweep_job and k1' = P.job_key sweep_job in
   Alcotest.(check string) "key is deterministic" k1 k1';
@@ -837,6 +895,7 @@ let suites =
         case "malformed requests refused" test_malformed_requests;
         case "content keys" test_job_keys;
         case "out-of-range jobs refused" test_out_of_range_jobs_refused;
+        case "manifest and request refuse the same grids" test_grid_decoders_agree;
         case "cli rejects out-of-range values" test_cli_rejects_out_of_range;
       ] );
     ( "serve-json-hostile",

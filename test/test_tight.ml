@@ -43,6 +43,7 @@ let workspace () : Net_state.scratch =
     loose = [||];
     del_rows = [||];
     del_for = [||];
+    adjacent = [||];
   }
 
 let prepare (sc : Net_state.scratch) n deg =
