@@ -21,8 +21,6 @@ let fig8_points =
 
 let fig8_host ~alpha = Gncg.Host.make ~alpha (Euclidean.metric L1 fig8_points)
 
-let fig5_weights = [ 3.0; 7.0; 2.0; 5.0; 12.0; 9.0; 11.0; 2.0; 10.0 ]
-
 let random_profile rng host =
   let n = Gncg.Host.n host in
   (* Random spanning forest of the *finite-weight* host pairs (randomized

@@ -8,16 +8,9 @@
     profile repeats — a repeat is a complete certificate (every transition
     strictly improves its mover and the sequence returns to its start). *)
 
-val fig8_points : Gncg_metric.Euclidean.points
-(** The ten points of Thm. 17:
-    (3,0) (0,3) (2,2) (0,2) (1,1) (4,3) (2,0) (4,1) (1,4) (1,0). *)
-
 val fig8_host : alpha:float -> Gncg.Host.t
-(** The ℓ1 host on {!fig8_points}. *)
-
-val fig5_weights : float list
-(** The nine edge weights of the Fig. 5 tree: 3 7 2 5 12 9 11 2 10 (the
-    tree's topology is not recoverable from the text). *)
+(** The ℓ1 host on the ten points of Thm. 17:
+    (3,0) (0,3) (2,2) (0,2) (1,1) (4,3) (2,0) (4,1) (1,4) (1,0). *)
 
 val random_profile : Gncg_util.Prng.t -> Gncg.Host.t -> Gncg.Strategy.t
 (** A random connected starting profile: a uniformly random spanning-tree

@@ -19,5 +19,3 @@ val opt_network : alpha:float -> n:int -> Gncg_graph.Wgraph.t
 val ne_profile : alpha:float -> n:int -> Gncg.Strategy.t
 (** The star centered at [v_0], owned by the center. *)
 
-val star_edge_weight : alpha:float -> int -> float
-(** [(1 + 2/α)^(i-1)], the host distance from [v_0] to [v_i]. *)

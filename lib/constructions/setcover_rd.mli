@@ -28,8 +28,6 @@ val subset_node : Set_cover.t -> int -> int
 
 val blocker_node : Set_cover.t -> int -> int
 
-val element_node : Set_cover.t -> int -> int
-
 val host : ?params:params -> ?norm:Gncg_metric.Euclidean.norm -> Set_cover.t -> Gncg.Host.t
 (** Default norm: L2. *)
 

@@ -17,17 +17,11 @@ val default_params : params
 (** L = 100, ε = 0.001, β = 1 — satisfying the proof's constraints
     (L ≫ ε, kε < β < L/3) for every k below 500. *)
 
-val check_params : params -> k:int -> unit
-(** Raises when the constraints are violated for universes of size [k]. *)
-
 val game_size : Set_cover.t -> int
 (** [2 + 2m + k]. *)
 
 val u_agent : int
 (** 0. *)
-
-val c_hub : int
-(** 1. *)
 
 val subset_node : Set_cover.t -> int -> int
 

@@ -17,9 +17,6 @@
 
 type variant = Alpha_one | Alpha_mid
 
-val hub : int
-(** Index of the hub vertex [u] (= 0). *)
-
 val center : nb_centers:int -> int -> int
 (** [center ~nb_centers i] is the vertex of clique member [i] (1-based). *)
 

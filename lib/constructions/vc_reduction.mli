@@ -20,12 +20,6 @@ val game_size : instance -> int
 val u_agent : instance -> int
 (** [u] is vertex 0 of the host. *)
 
-val vertex_node : instance -> int -> int
-(** Host vertex of VC vertex [i]. *)
-
-val edge_nodes : instance -> int -> int * int
-(** Host vertices [(p_j, p'_j)] of VC edge [j]. *)
-
 val host : instance -> Gncg.Host.t
 (** The 1-2 host with α = 1. *)
 

@@ -15,10 +15,6 @@ val agent_edge_cost : Host.t -> Strategy.t -> int -> float
 (** [α · w(u, S_u)] — the price of everything [u] buys (including edges
     also bought by the other side: both owners pay). *)
 
-val agent_dist_cost : ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> int -> float
-(** [Σ_v d_{G(s)}(u, v)]; [infinity] if some agent is unreachable.  Pass
-    [graph] to reuse an already-built [G(s)]. *)
-
 val agent_cost : ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> int -> float
 
 val agent_parts : ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> int -> parts

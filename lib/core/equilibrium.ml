@@ -60,10 +60,6 @@ let approx_factor kind host s =
   done;
   !worst
 
-let is_beta kind ~beta host s =
-  if beta < 1.0 then invalid_arg "Equilibrium.is_beta: beta < 1";
-  Flt.le (approx_factor kind host s) beta
-
 let unhappy_agents ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check @@ fun () ->
   let n = Strategy.n s in

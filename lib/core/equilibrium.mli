@@ -33,8 +33,6 @@ val approx_factor : kind -> Host.t -> Strategy.t -> float
 (** The smallest β such that the profile is a β-approximate equilibrium of
     the given kind: the maximum of the per-agent factors. *)
 
-val is_beta : kind -> beta:float -> Host.t -> Strategy.t -> bool
-
 val unhappy_agents : ?exec:Gncg_util.Exec.t -> kind -> Host.t -> Strategy.t -> int list
 (** Agents with an improving deviation of the given kind, in ascending
     agent order regardless of [exec]; under [Par] there is no early exit

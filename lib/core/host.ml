@@ -1,8 +1,4 @@
-type t = {
-  metric : Gncg_metric.Metric.t;
-  alpha : float;
-  geometry : Gncg_metric.Geometry.t option;
-}
+type t = { metric : Gncg_metric.Metric.t; alpha : float }
 
 let check_alpha alpha =
   if alpha > 0.0 && Float.is_finite alpha then Ok alpha
@@ -16,13 +12,11 @@ let make ?geometry ~alpha metric =
   | Some g when Gncg_metric.Geometry.n g <> Gncg_metric.Metric.n metric ->
     invalid_arg "Host.make: geometry/metric size mismatch"
   | _ -> ());
-  { metric; alpha; geometry }
+  { metric; alpha }
 
 let metric t = t.metric
 
 let alpha t = t.alpha
-
-let geometry t = t.geometry
 
 let n t = Gncg_metric.Metric.n t.metric
 
@@ -32,7 +26,7 @@ let weight_row t u = Gncg_metric.Metric.row t.metric u
 
 let edge_price t u v = t.alpha *. weight t u v
 
-let with_alpha alpha t = make ?geometry:t.geometry ~alpha t.metric
+let with_alpha alpha t = make ~alpha t.metric
 
 module Gncg_error = Gncg_util.Gncg_error
 

@@ -13,16 +13,13 @@ val check_n : int -> (int, string) result
 (** [Ok n] when it is a valid instance size: at least one agent. *)
 
 val make : ?geometry:Gncg_metric.Geometry.t -> alpha:float -> Gncg_metric.Metric.t -> t
-(** Requires {!check_alpha}.  An attached [?geometry] records the implicit
-    structure (tree / point set) the metric was tabulated from; sizes
-    must agree.  Nothing in the engine reads it. *)
+(** Requires {!check_alpha}.  A [?geometry] (the tree or point set the
+    metric was tabulated from) is only checked to have the metric's size
+    and is not kept. *)
 
 val metric : t -> Gncg_metric.Metric.t
 
 val alpha : t -> float
-
-val geometry : t -> Gncg_metric.Geometry.t option
-(** The implicit description, when the host was built from one. *)
 
 val n : t -> int
 

@@ -44,24 +44,6 @@ let validate ?(require_connected = false) host s =
   then err Gncg_error.Disconnected "built network does not span all agents"
   else Ok ()
 
-let distances_from host s u = Gncg_graph.Dijkstra.sssp (graph host s) u
-
-let all_distances host s = Gncg_graph.Dijkstra.apsp (graph host s)
-
 let is_connected host s = Gncg_graph.Connectivity.is_connected (graph host s)
 
 let diameter host s = Gncg_graph.Dijkstra.diameter (graph host s)
-
-let to_dot ?(name = "G") host s =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n" name);
-  for v = 0 to Strategy.n s - 1 do
-    Buffer.add_string buf (Printf.sprintf "  %d;\n" v)
-  done;
-  List.iter
-    (fun (u, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %d -> %d [label=\"%g\"];\n" u v (Host.weight host u v)))
-    (Strategy.owned_edges s);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -14,16 +14,6 @@ val validate :
     disconnected network is a legal, infinitely costly state) the built
     network must also span all agents. *)
 
-val distances_from : Host.t -> Strategy.t -> int -> float array
-(** Shortest-path distances in [G(s)] from one agent. *)
-
-val all_distances : Host.t -> Strategy.t -> float array array
-
 val is_connected : Host.t -> Strategy.t -> bool
 
 val diameter : Host.t -> Strategy.t -> float
-
-val to_dot : ?name:string -> Host.t -> Strategy.t -> string
-(** Graphviz digraph of the built network with ownership as edge
-    direction (owner → target) and host weights as labels; doubly-bought
-    edges appear once per owner. *)

@@ -8,9 +8,6 @@
 val orientations : Gncg_graph.Wgraph.t -> Strategy.t Seq.t
 (** All 2^m ways to assign each edge to one endpoint. *)
 
-val find : Gncg_graph.Wgraph.t -> (Strategy.t -> bool) -> Strategy.t option
-(** First orientation satisfying the predicate. *)
-
 val find_ne : ?max_edges:int -> Host.t -> Gncg_graph.Wgraph.t -> Strategy.t option
 (** First orientation that is a Nash equilibrium (exact check; exponential
     in both the edge count and the Nash test).  Refuses networks with more

@@ -67,19 +67,6 @@ let min_weight_spanner_exact ?(max_two_edges = 16) host =
     Gncg_util.Gncg_error.unreachable ~context:"Spanner_nash.min_weight_spanner"
       "no spanner found although the full 2-edge set qualifies"
 
-let min_weight_spanner_heuristic host =
-  require_one_two host;
-  (* Start from all edges, then drop 2-edges greedily while the 3/2-spanner
-     property survives. *)
-  let g = base_one_graph host in
-  List.iter (fun (u, v) -> Wgraph.add_edge g u v 2.0) (two_pairs host);
-  List.iter
-    (fun (u, v) ->
-      Wgraph.remove_edge g u v;
-      if not (is_three_half_spanner host g) then Wgraph.add_edge g u v 2.0)
-    (two_pairs host);
-  g
-
 let nash_ownership host g =
   require_one_two host;
   Ownership.find_ne host g

@@ -14,9 +14,6 @@ val min_weight_spanner_exact : ?max_two_edges:int -> Host.t -> Gncg_graph.Wgraph
     1-edges are forced by Lemma 5).  Refuses more than [max_two_edges]
     (default 16) candidate 2-edges. *)
 
-val min_weight_spanner_heuristic : Host.t -> Gncg_graph.Wgraph.t
-(** All 1-edges plus a greedily minimized set of 2-edges. *)
-
 val nash_ownership : Host.t -> Gncg_graph.Wgraph.t -> Strategy.t option
 (** Search for an ownership assignment of the network's edges that is a
     Nash equilibrium (Thm. 5 guarantees one exists when the network is a

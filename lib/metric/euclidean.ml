@@ -59,10 +59,3 @@ let random_clusters rng ~n ~d ~clusters ~spread ~box =
       let c = centers.(Gncg_util.Prng.int rng clusters) in
       Array.init d (fun i -> c.(i) +. (spread *. Gncg_util.Prng.gaussian rng)))
 
-let translate delta pts =
-  Array.map
-    (fun p ->
-      if Array.length p <> Array.length delta then
-        invalid_arg "Euclidean.translate: dimension mismatch";
-      Array.mapi (fun i x -> x +. delta.(i)) p)
-    pts

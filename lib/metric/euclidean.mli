@@ -37,4 +37,3 @@ val random_clusters :
 (** Gaussian clusters with uniformly placed centers in \[0,box\]^d —
     a stand-in for city/PoP layouts in fiber-network scenarios. *)
 
-val translate : float array -> points -> points

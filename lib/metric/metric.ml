@@ -174,15 +174,6 @@ let perturb rng ~magnitude h =
       if Float.is_finite h.w.(u).(v) then h.w.(u).(v) +. Gncg_util.Prng.float rng magnitude
       else h.w.(u).(v))
 
-let min_weight h =
-  let best = ref Float.infinity in
-  for u = 0 to h.size - 1 do
-    for v = u + 1 to h.size - 1 do
-      best := Float.min !best h.w.(u).(v)
-    done
-  done;
-  if !best = Float.infinity then 0.0 else !best
-
 let max_finite_weight h =
   let best = ref 0.0 in
   for u = 0 to h.size - 1 do

@@ -48,9 +48,6 @@ val validate :
     [Flt.eps] suits Euclidean and closure-derived hosts).  Non-metric
     families (general, 1-∞) validate with [~require_metric:false]. *)
 
-val triangle_violations : ?tol:float -> t -> (int * int * int) list
-(** Triples [(u,v,x)] with [w(u,v) > w(u,x) + w(x,v) + tol]. *)
-
 val metric_closure : t -> t
 (** Shortest-path closure: the smallest metric pointwise below the weights.
     Idempotent; equal to the input iff the input is metric. *)
@@ -70,9 +67,6 @@ val perturb : Gncg_util.Prng.t -> magnitude:float -> t -> t
 (** Add independent uniform noise in \[0, magnitude) to every off-diagonal
     weight (used to break ties in randomized experiments); the result is
     re-symmetrized but not re-metricized. *)
-
-val min_weight : t -> float
-(** Smallest off-diagonal weight; 0 when [n < 2]. *)
 
 val max_finite_weight : t -> float
 (** Largest finite off-diagonal weight; 0 when none exists. *)

@@ -10,10 +10,6 @@ let of_allowed_edges size allowed =
   Metric.make size (fun u v ->
       if Hashtbl.mem tbl (min u v, max u v) then 1.0 else Float.infinity)
 
-let of_graph g =
-  let allowed = List.map (fun (u, v, _) -> (u, v)) (Gncg_graph.Wgraph.edges g) in
-  of_allowed_edges (Gncg_graph.Wgraph.n g) allowed
-
 let random_connected rng ~n ~p =
   let allowed = ref [] in
   (* A random spanning tree first, so every agent can reach every other. *)

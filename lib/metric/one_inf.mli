@@ -6,9 +6,6 @@
 val of_allowed_edges : int -> (int * int) list -> Metric.t
 (** Weight 1 on the listed pairs, ∞ elsewhere. *)
 
-val of_graph : Gncg_graph.Wgraph.t -> Metric.t
-(** Weight 1 on the edges of the graph (ignoring their weights). *)
-
 val random_connected :
   Gncg_util.Prng.t -> n:int -> p:float -> Metric.t
 (** Erdős–Rényi allowed-edge set, augmented with a random spanning tree so

@@ -28,18 +28,9 @@ let uniform_metric rng ~n ~lo ~hi =
 let tree_geometry rng ~n ~wmin ~wmax =
   Geometry.tree (Tree_metric.random rng ~n ~wmin ~wmax)
 
-let euclidean_geometry ?(norm = Euclidean.L2) rng ~n ~d ~lo ~hi =
-  Geometry.points ~norm (Euclidean.random_uniform rng ~n ~d ~lo ~hi)
-
 let tree_metric rng ~n ~wmin ~wmax =
   let geo = tree_geometry rng ~n ~wmin ~wmax in
   ( checked ~context:"Random_host.tree_metric" ~require_metric:true
-      (Geometry.to_metric geo),
-    geo )
-
-let euclidean_metric ?norm rng ~n ~d ~lo ~hi =
-  let geo = euclidean_geometry ?norm rng ~n ~d ~lo ~hi in
-  ( checked ~context:"Random_host.euclidean_metric" ~require_metric:true
       (Geometry.to_metric geo),
     geo )
 

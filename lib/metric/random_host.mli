@@ -19,25 +19,16 @@ val random_graph_metric :
 (** Metric closure of a connected Erdős–Rényi graph with uniform weights:
     the "graph metric" workloads of the paper's M-GNCG. *)
 
-(** {1 Geometric hosts with their implicit description}
+(** {1 Tree hosts with their implicit description}
 
-    Tree and R^d hosts are defined by O(n)-size structure.  These
-    variants expose that structure as a {!Geometry.t}; the [*_geometry]
-    forms return it alone, without tabulating the O(n²) pairs. *)
+    A tree host is defined by O(n)-size structure.  These variants
+    expose that structure as a {!Geometry.t}; [tree_geometry] returns it
+    alone, without tabulating the O(n²) pairs. *)
 
 val tree_geometry :
   Gncg_util.Prng.t -> n:int -> wmin:float -> wmax:float -> Geometry.t
 (** Random recursive tree — O(n), no matrix. *)
 
-val euclidean_geometry :
-  ?norm:Euclidean.norm ->
-  Gncg_util.Prng.t -> n:int -> d:int -> lo:float -> hi:float -> Geometry.t
-(** Uniform box points — O(n·d), no matrix.  Defaults to [L2]. *)
-
 val tree_metric :
   Gncg_util.Prng.t -> n:int -> wmin:float -> wmax:float -> Metric.t * Geometry.t
 (** Tabulated host {e plus} its description (small n). *)
-
-val euclidean_metric :
-  ?norm:Euclidean.norm ->
-  Gncg_util.Prng.t -> n:int -> d:int -> lo:float -> hi:float -> Metric.t * Geometry.t

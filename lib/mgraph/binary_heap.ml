@@ -14,10 +14,6 @@ let create capacity =
     size = 0;
   }
 
-let is_empty h = h.size = 0
-
-let size h = h.size
-
 let mem h id = id >= 0 && id < Array.length h.pos && h.pos.(id) >= 0
 
 let swap h i j =

@@ -6,13 +6,6 @@ type t
 val create : int -> t
 (** [create capacity] makes an empty heap able to hold each id once. *)
 
-val is_empty : t -> bool
-
-val size : t -> int
-
-val mem : t -> int -> bool
-(** Whether the id is currently stored. *)
-
 val insert : t -> int -> float -> unit
 (** Raises [Invalid_argument] if the id is already present. *)
 

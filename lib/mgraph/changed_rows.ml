@@ -26,8 +26,6 @@ let add t i =
 
 let cardinal t = t.card
 
-let is_empty t = t.card = 0
-
 let iter f t =
   for i = 0 to t.n - 1 do
     if Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0 then f i

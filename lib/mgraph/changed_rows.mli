@@ -22,8 +22,6 @@ val add : t -> int -> unit
 
 val cardinal : t -> int
 
-val is_empty : t -> bool
-
 val iter : (int -> unit) -> t -> unit
 (** Ascending row order. *)
 

@@ -15,35 +15,4 @@ let component_count g = List.length (components g)
 
 let is_connected g = Wgraph.n g <= 1 || component_count g = 1
 
-(* Iterative Tarjan bridge finding (explicit stack: hosts can be large). *)
-let bridges g =
-  let n = Wgraph.n g in
-  let disc = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let timer = ref 0 in
-  let result = ref [] in
-  let rec dfs u parent =
-    disc.(u) <- !timer;
-    low.(u) <- !timer;
-    incr timer;
-    let first_parent_skipped = ref false in
-    Wgraph.iter_neighbors g u (fun v _ ->
-        if v = parent && not !first_parent_skipped then
-          (* Skip one parent edge occurrence; parallel edges are impossible
-             in [Wgraph] so a single skip is correct. *)
-          first_parent_skipped := true
-        else if disc.(v) >= 0 then low.(u) <- min low.(u) disc.(v)
-        else begin
-          dfs v u;
-          low.(u) <- min low.(u) low.(v);
-          if low.(v) > disc.(u) then result := ((min u v, max u v)) :: !result
-        end)
-  in
-  for s = 0 to n - 1 do
-    if disc.(s) < 0 then dfs s (-1)
-  done;
-  List.sort compare !result
-
-let is_forest g = Wgraph.m g = Wgraph.n g - component_count g
-
 let is_tree g = is_connected g && Wgraph.m g = Wgraph.n g - 1

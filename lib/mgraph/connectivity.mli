@@ -1,4 +1,4 @@
-(** Connectivity queries and bridge (cut-edge) detection. *)
+(** Connectivity queries. *)
 
 val is_connected : Wgraph.t -> bool
 
@@ -7,11 +7,6 @@ val components : Wgraph.t -> int list list
 
 val component_count : Wgraph.t -> int
 
-val bridges : Wgraph.t -> (int * int) list
-(** Cut edges [(u,v)] with [u < v]: removing one disconnects its component.
-    Tarjan's low-link algorithm, O(n + m). *)
-
 val is_tree : Wgraph.t -> bool
 (** Connected with exactly n-1 edges. *)
 
-val is_forest : Wgraph.t -> bool

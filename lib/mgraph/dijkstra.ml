@@ -54,9 +54,6 @@ let path g u v =
     Some (build [] v)
   end
 
-let eccentricity g u = Gncg_util.Flt.max_array (sssp g u)
-
-let eccentricities g = Array.init (Wgraph.n g) (eccentricity g)
-
 let diameter g =
-  if Wgraph.n g <= 1 then 0.0 else Gncg_util.Flt.max_array (eccentricities g)
+  let ecc u = Gncg_util.Flt.max_array (sssp g u) in
+  if Wgraph.n g <= 1 then 0.0 else Gncg_util.Flt.max_array (Array.init (Wgraph.n g) ecc)

@@ -22,13 +22,8 @@ val apsp : Wgraph.t -> float array array
 val path : Wgraph.t -> int -> int -> int list option
 (** Vertex sequence of one shortest path from [u] to [v], inclusive. *)
 
-val eccentricity : Wgraph.t -> int -> float
-
-val eccentricities : Wgraph.t -> float array
-(** {!eccentricity} of every vertex, one SSSP per source, in the calling
-    domain: it runs inside sweep jobs that the scheduler already spreads
-    across domains, so it must not spawn any of its own. *)
-
 val diameter : Wgraph.t -> float
-(** The largest of the {!eccentricities}: infinite when the graph is
-    disconnected, 0 for n <= 1. *)
+(** The largest eccentricity: infinite when the graph is disconnected,
+    0 for n <= 1.  One SSSP per source, in the calling domain: it runs
+    inside sweep jobs that the scheduler already spreads across domains,
+    so it must not spawn any of its own. *)

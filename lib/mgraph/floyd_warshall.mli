@@ -8,8 +8,5 @@ val run : float array array -> float array array
     not) weight matrix [w]; [Float.infinity] encodes a missing edge.  The
     diagonal of the result is 0.  The input is not modified. *)
 
-val of_graph : Wgraph.t -> float array array
-(** Adjacency matrix of a graph (infinity off-edges, 0 diagonal). *)
-
 val closure_of_graph : Wgraph.t -> float array array
 (** Shortest-path distance matrix of a graph. *)

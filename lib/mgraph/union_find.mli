@@ -4,9 +4,6 @@ type t
 
 val create : int -> t
 
-val find : t -> int -> int
-(** Canonical representative. *)
-
 val union : t -> int -> int -> bool
 (** [union t a b] merges the two classes; returns [false] when they were
     already joined. *)

@@ -69,8 +69,6 @@ val jobs : grid -> spec list
     {!Gncg_workload.Sweep.cartesian} order ([n]-major, then [alpha],
     then seed): a resume re-derives it from the manifest alone. *)
 
-val dynamics_rule : rule -> Gncg.Dynamics.rule
-
 val model_to_string : Gncg_workload.Instances.model -> string
 (** Canonical, parseable model encoding, e.g. ["euclid(l2,2,100)"].
     Distinct from [Instances.model_name], which is a display label that

@@ -440,12 +440,6 @@ let dispatch t ?budget payload =
 
 (* --- introspection and shutdown ------------------------------------------ *)
 
-let breaker_open t =
-  Mutex.lock t.mutex;
-  let b = t.breaker_open in
-  Mutex.unlock t.mutex;
-  b
-
 let size t = Array.length t.fleet
 
 let restarts t =

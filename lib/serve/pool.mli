@@ -84,8 +84,6 @@ val dispatch :
     the worker (worker-side message and frames) or the worker died
     mid-job more than [max_requeues] times. *)
 
-val breaker_open : t -> bool
-
 val size : t -> int
 (** Configured fleet size. *)
 

@@ -57,14 +57,11 @@ type job =
 val job_kind_string : job -> string
 (** ["sweep"] | ["eq-check"] | ["best-response"]. *)
 
-val job_canonical : job -> string
-(** Deterministic one-line encoding — equal jobs, and only equal jobs
-    (up to float identity), encode identically. *)
-
 val job_key : job -> string
-(** 64-bit FNV-1a of {!job_canonical} as 16 hex digits: the content
-    hash the session manager dedups submissions and names sweep
-    journals by. *)
+(** 64-bit FNV-1a of the job's canonical one-line encoding (equal jobs,
+    and only equal jobs, encode identically, up to float identity) as
+    16 hex digits: the content hash the session manager dedups
+    submissions and names sweep journals by. *)
 
 val job_to_json : job -> Json.t
 val job_of_json : Json.t -> (job, Gncg_util.Gncg_error.t) result
@@ -99,10 +96,8 @@ type request =
 type envelope = { id : string; request : request }
 
 val request_to_json : envelope -> Json.t
-val request_of_json : Json.t -> (envelope, Gncg_util.Gncg_error.t) result
-
 val request_of_line : string -> (envelope, Gncg_util.Gncg_error.t) result
-(** [parse] + {!request_of_json}. *)
+(** [parse], then decode the envelope. *)
 
 (** {1 Responses} *)
 
@@ -116,7 +111,6 @@ type response =
   | Event of { id : string; event : event }
 
 val response_to_json : response -> Json.t
-val response_of_json : Json.t -> (response, Gncg_util.Gncg_error.t) result
 val response_of_line : string -> (response, Gncg_util.Gncg_error.t) result
 
 (** {1 The worker sub-protocol}
@@ -167,10 +161,8 @@ module Worker_wire : sig
       {!Gncg_runs.Job.hash} for specs, {!job_key} for queries. *)
 
   val req_to_json : req -> Json.t
-  val req_of_json : Json.t -> (req, Gncg_util.Gncg_error.t) result
   val req_of_line : string -> (req, Gncg_util.Gncg_error.t) result
   val msg_to_json : msg -> Json.t
-  val msg_of_json : Json.t -> (msg, Gncg_util.Gncg_error.t) result
   val msg_of_line : string -> (msg, Gncg_util.Gncg_error.t) result
 end
 

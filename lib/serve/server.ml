@@ -56,6 +56,11 @@ let watch session ~id ~job ~since ~trace emit =
   in
   loop since
 
+(* One request: zero or more [Event]s, then exactly one terminal line
+   ([Reply] or [Refused]) through [emit]; a [Watch] stream ends with an
+   event named "done" instead of a reply.  [Shutdown] drains the
+   session, replies, then calls [stop].  Never raises: handler failures
+   become [Refused]. *)
 let handle session ~stop { P.id; request } emit =
   Metric.Counter.incr c_requests;
   Span.with_

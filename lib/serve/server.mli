@@ -15,18 +15,6 @@
     completion, sweep journals are flushed, and a subsequent daemon
     started on the same state directory resumes rather than recomputes. *)
 
-val handle :
-  Session.t ->
-  stop:(unit -> unit) ->
-  Protocol.envelope ->
-  (Protocol.response -> unit) ->
-  unit
-(** Processes one request, pushing zero or more [Event]s and exactly one
-    terminal line ([Reply] or [Refused]) through the emit callback —
-    except [Watch], whose stream ends with an event named ["done"]
-    instead of a reply.  [Shutdown] drains the session, replies, then
-    invokes [stop].  Never raises: handler failures become [Refused]. *)
-
 val serve_stdio : Session.t -> in_channel -> out_channel -> unit
 (** Reads one request per line until EOF or [shutdown]; malformed lines
     are answered with a [Refused] carrying an empty id.  Drains the

@@ -21,16 +21,6 @@ module Cache : sig
   val create : unit -> t
 
   val size : t -> int
-
-  val host_and_profile :
-    t ->
-    model:Gncg_workload.Instances.model ->
-    n:int ->
-    alpha:float ->
-    seed:int ->
-    Gncg.Host.t * Gncg.Strategy.t
-  (** Cached seeded instance construction; hits and misses bump the
-      [serve.host_cache_hits]/[serve.host_cache_misses] counters. *)
 end
 
 val eval_query :

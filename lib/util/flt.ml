@@ -10,10 +10,6 @@ let le ?(tol = eps) a b = a <= b +. tol
 
 let is_finite x = Float.is_finite x
 
-let min_array a =
-  if Array.length a = 0 then invalid_arg "Flt.min_array: empty";
-  Array.fold_left Float.min a.(0) a
-
 let max_array a =
   if Array.length a = 0 then invalid_arg "Flt.max_array: empty";
   Array.fold_left Float.max a.(0) a

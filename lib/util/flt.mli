@@ -18,9 +18,6 @@ val le : ?tol:float -> float -> float -> bool
 
 val is_finite : float -> bool
 
-val min_array : float array -> float
-(** Minimum of a non-empty array. *)
-
 val max_array : float array -> float
 (** Maximum of a non-empty array. *)
 

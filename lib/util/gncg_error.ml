@@ -41,8 +41,6 @@ let raise_ e = raise (Error e)
 
 let unreachable ~context message = raise_ (v ~context Internal message)
 
-let get_ok = function Ok x -> x | Stdlib.Error e -> raise_ e
-
 let protect f =
   match f () with
   | x -> Ok x

@@ -63,10 +63,6 @@ val unreachable : context:string -> string -> 'a
 (** Raises an {!Internal} error: the typed replacement for
     [assert false] on paths the surrounding invariants rule out. *)
 
-val get_ok : ('a, t) result -> 'a
-(** [Ok] payload, or raises {!Error} — the bridge the deprecated raising
-    aliases are built from. *)
-
 val protect : (unit -> 'a) -> ('a, t) result
 (** Runs the thunk, catching {!Error} (and [Sys_error], mapped to
     {!Io}) into [Error _].  Other exceptions propagate. *)
@@ -75,12 +71,6 @@ val in_file : string -> t -> t
 (** Attaches a file path to an error's location: [Line n] and
     [Line_column (n, _)] become [File_line (path, n)], [Nowhere] becomes
     [File path]; locations that already carry structure are kept. *)
-
-val kind_to_string : kind -> string
-
-val location_to_string : location -> string
-(** Empty for [Nowhere], otherwise a short human form such as
-    ["line 12"] or ["pair (3,7)"]. *)
 
 val to_string : t -> string
 (** One line: [context: kind[ at location]: message]. *)
@@ -91,19 +81,6 @@ val to_string : t -> string
     process boundary (the serve protocol renders it as a JSON object).
     Unlike the display strings above, these are an exact round-trip
     contract: [of_wire (to_wire e) = Ok e] for every [e]. *)
-
-val kind_to_wire : kind -> string
-(** Stable machine slug, e.g. ["not-finite"] — distinct from
-    {!kind_to_string}, which is a display form. *)
-
-val kind_of_wire : string -> (kind, string) result
-
-val location_to_wire : location -> string
-(** Compact single-string form (["pair:3:7"], ["file-line:12:PATH"]);
-    empty for [Nowhere].  File paths are placed last so embedded [':']
-    cannot confuse the parse. *)
-
-val location_of_wire : string -> (location, string) result
 
 val to_wire : t -> (string * string) list
 (** [[("kind", _); ("context", _); ("message", _); ("where", _)]]. *)

@@ -67,10 +67,6 @@ let permutation t n =
   shuffle t a;
   a
 
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
-  a.(int t (Array.length a))
-
 let sample_without_replacement t k n =
   if k > n then invalid_arg "Prng.sample_without_replacement: k > n";
   let a = permutation t n in

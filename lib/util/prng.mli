@@ -49,9 +49,6 @@ val shuffle : t -> 'a array -> unit
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of \[0..n-1\]. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] draws [k] distinct values from
     \[0..n-1\]; requires [k <= n]. *)

@@ -1,41 +1,7 @@
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
 let mean xs =
   match xs with
   | [] -> invalid_arg "Stats.mean: empty sample"
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let summarize xs =
-  match xs with
-  | [] -> invalid_arg "Stats.summarize: empty sample"
-  | _ ->
-    let n = List.length xs in
-    let m = mean xs in
-    let var =
-      List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs
-      /. float_of_int n
-    in
-    {
-      count = n;
-      mean = m;
-      stddev = sqrt var;
-      min = List.fold_left Float.min Float.infinity xs;
-      max = List.fold_left Float.max Float.neg_infinity xs;
-    }
-
-let geometric_mean xs =
-  match xs with
-  | [] -> invalid_arg "Stats.geometric_mean: empty sample"
-  | _ ->
-    if List.exists (fun x -> x <= 0.0) xs then
-      invalid_arg "Stats.geometric_mean: non-positive sample";
-    exp (mean (List.map log xs))
 
 let median xs =
   match xs with

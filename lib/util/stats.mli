@@ -1,19 +1,5 @@
-(** Small summary statistics used by the benchmark harness. *)
-
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-}
-
-val summarize : float list -> summary
-(** Summary of a non-empty sample (population standard deviation). *)
+(** Sample statistics of float lists. *)
 
 val mean : float list -> float
-
-val geometric_mean : float list -> float
-(** Geometric mean of positive samples. *)
 
 val median : float list -> float

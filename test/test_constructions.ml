@@ -211,7 +211,12 @@ let test_fig8_cycle () =
   (* The host really is the Fig 8 point set under l1. *)
   check_true "host matches the Fig 8 points"
     (Metric.equal (Gncg.Host.metric host)
-       (Gncg_metric.Euclidean.metric L1 C.Brcycle.fig8_points))
+       (Gncg_metric.Euclidean.metric L1
+          (Gncg_metric.Euclidean.of_list
+             [
+               [ 3.0; 0.0 ]; [ 0.0; 3.0 ]; [ 2.0; 2.0 ]; [ 0.0; 2.0 ]; [ 1.0; 1.0 ];
+               [ 4.0; 3.0 ]; [ 2.0; 0.0 ]; [ 4.0; 1.0 ]; [ 1.0; 4.0 ]; [ 1.0; 0.0 ];
+             ])))
 
 let test_verify_cycle_rejects_bad_certificates () =
   let host, cycle = C.Brcycle.fig5_like_instance () in

@@ -29,17 +29,6 @@ let test_tablefmt_alignment () =
   check_true "right aligned" (List.exists (fun l ->
       String.length l > 0 && l.[String.length l - 1] = '5') lines)
 
-let test_network_distance_helpers () =
-  let host =
-    Gncg.Host.make ~alpha:1.0
-      (Gncg_metric.Euclidean.metric L1 (Gncg_metric.Euclidean.line [ 0.0; 1.0; 3.0 ]))
-  in
-  let s = Gncg.Strategy.of_lists 3 [ (0, [ 1 ]); (1, [ 2 ]) ] in
-  let d0 = Gncg.Network.distances_from host s 0 in
-  Alcotest.(check (array (float 1e-9))) "distances from 0" [| 0.0; 1.0; 3.0 |] d0;
-  let all = Gncg.Network.all_distances host s in
-  check_float "all distances symmetric" all.(0).(2) all.(2).(0)
-
 let test_host_with_alpha_shares_metric () =
   let m = Gncg_metric.Metric.make 3 (fun _ _ -> 2.0) in
   let h = Gncg.Host.make ~alpha:1.0 m in
@@ -108,7 +97,6 @@ let suites =
         case "bfs reachable" test_bfs_reachable;
         case "heap priority query" test_heap_priority_query;
         case "table alignment" test_tablefmt_alignment;
-        case "network distance helpers" test_network_distance_helpers;
         case "with_alpha shares metric" test_host_with_alpha_shares_metric;
         case "move printer" test_move_pp;
         case "metric & strategy printers" test_metric_pp_and_strategy_pp;

@@ -100,16 +100,13 @@ let test_lemma3_one_edges_improving () =
 let test_approx_factor_at_equilibrium () =
   let host = Gncg_constructions.Thm15_tree_star.host ~alpha:2.0 ~n:6 in
   let s = Gncg_constructions.Thm15_tree_star.ne_profile ~alpha:2.0 ~n:6 in
-  check_float ~tol:1e-9 "NE factor is 1" 1.0 (Eq.approx_factor Eq.NE host s);
-  check_true "beta-NE for beta=1" (Eq.is_beta Eq.NE ~beta:1.0 host s)
+  check_float ~tol:1e-9 "NE factor is 1" 1.0 (Eq.approx_factor Eq.NE host s)
 
 let test_approx_factor_detects_gap () =
   let host = unit_host ~alpha:2.0 2 in
   let s = Strategy.of_lists 2 [ (0, [ 1 ]); (1, [ 0 ]) ] in
   (* Each owner pays 2 + 1 = 3 but could free-ride at 1: factor 3. *)
-  check_float ~tol:1e-9 "factor" 3.0 (Eq.approx_factor Eq.NE host s);
-  check_true "is 3-NE" (Eq.is_beta Eq.NE ~beta:3.0 host s);
-  check_false "not 2-NE" (Eq.is_beta Eq.NE ~beta:2.0 host s)
+  check_float ~tol:1e-9 "factor" 3.0 (Eq.approx_factor Eq.NE host s)
 
 let test_thm2_ae_is_alpha_plus_one_ge () =
   (* Thm 2: on metric hosts any AE is an (alpha+1)-approximate GE. *)

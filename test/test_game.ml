@@ -97,7 +97,7 @@ let test_agent_cost () =
   (* Path 0-1-2; 0 owns (0,1), 1 owns (1,2). *)
   let s = Strategy.of_lists 3 [ (0, [ 1 ]); (1, [ 2 ]) ] in
   check_float "edge cost agent0" (2.0 *. 1.0) (Cost.agent_edge_cost h s 0);
-  check_float "dist cost agent0" (1.0 +. 3.0) (Cost.agent_dist_cost h s 0);
+  check_float "dist cost agent0" (1.0 +. 3.0) (Cost.agent_parts h s 0).Cost.dist;
   check_float "cost agent0" 6.0 (Cost.agent_cost h s 0);
   check_float "cost agent1" ((2.0 *. 2.0) +. 1.0 +. 2.0) (Cost.agent_cost h s 1);
   check_float "cost agent2" (2.0 +. 3.0) (Cost.agent_cost h s 2)
@@ -116,15 +116,6 @@ let test_double_buy_charged_twice () =
   let double = Strategy.of_lists 2 [ (0, [ 1 ]); (1, [ 0 ]) ] in
   check_float "single pays once" (1.0 +. 2.0) (Cost.social_cost h single);
   check_float "double pays twice" (2.0 +. 2.0) (Cost.social_cost h double)
-
-let test_network_dot () =
-  let h = line_host 1.0 in
-  let s = Strategy.of_lists 3 [ (0, [ 1 ]); (2, [ 1 ]) ] in
-  let dot = Network.to_dot h s in
-  check_true "is a digraph" (String.length dot > 8 && String.sub dot 0 7 = "digraph");
-  check_true "owner direction"
-    (String.split_on_char '\n' dot
-    |> List.exists (fun l -> String.trim l = "2 -> 1 [label=\"2\"];"))
 
 let test_disconnected_cost_infinite () =
   let h = unit_host 3 in
@@ -213,7 +204,6 @@ let suites =
         case "social decomposition" test_social_cost_decomposition;
         case "double buy charged twice" test_double_buy_charged_twice;
         case "disconnected infinite" test_disconnected_cost_infinite;
-        case "ownership dot export" test_network_dot;
         case "network vs profile views" test_network_social_cost_matches_profile;
       ] );
     ( "game.moves",

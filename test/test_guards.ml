@@ -13,7 +13,6 @@ let raises_invalid name f =
 let test_prng_guards () =
   let r = rng 1 in
   raises_invalid "int_in empty" (fun () -> Gncg_util.Prng.int_in r 3 2);
-  raises_invalid "choose empty" (fun () -> Gncg_util.Prng.choose r [||]);
   raises_invalid "sample k>n" (fun () ->
       Gncg_util.Prng.sample_without_replacement r 5 3)
 
@@ -114,8 +113,10 @@ let test_strategy_guards () =
 
 let test_equilibrium_guards () =
   let host = unit_host 2 in
-  raises_invalid "beta < 1" (fun () ->
-      ignore (Gncg.Equilibrium.is_beta Gncg.Equilibrium.NE ~beta:0.5 host (Gncg.Strategy.empty 2)))
+  raises_invalid "NE tracker" (fun () ->
+      ignore
+        (Gncg.Equilibrium.Tracker.create Gncg.Equilibrium.NE
+           (Gncg.Net_state.create host (Gncg.Strategy.empty 2))))
 
 let test_best_response_guards () =
   let host = unit_host 30 in

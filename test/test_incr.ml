@@ -352,19 +352,79 @@ let prop_parallel_certify_agree seed =
       | _ -> false)
     [ Gncg.Equilibrium.NE; Gncg.Equilibrium.GE; Gncg.Equilibrium.AE ]
 
-(* The eccentricity sweep behind the diameter is the per-vertex maximum
-   of the APSP rows, bit for bit, and the diameter is the largest of
-   them.  Each case checks a small graph and one with n >= 64, the size
-   at which the sweep used to split its sources across domains. *)
+(* The diameter is the largest of the per-vertex maxima of the APSP
+   rows, bit for bit.  Each case checks a small graph and one with
+   n >= 64, the size at which the eccentricity sweep used to split its
+   sources across domains. *)
 let prop_diameter_agrees seed =
   let r = Prng.create (seed + 110) in
   List.for_all
     (fun n ->
       let g = random_connected_graph r n in
       let ecc = Array.map Flt.max_array (Gncg_graph.Dijkstra.apsp g) in
-      Gncg_graph.Dijkstra.eccentricities g = ecc
-      && Gncg_graph.Dijkstra.diameter g = Array.fold_left Float.max 0.0 ecc)
+      Gncg_graph.Dijkstra.diameter g = Array.fold_left Float.max 0.0 ecc)
     [ 4 + Prng.int r 8; 64 + Prng.int r 16 ]
+
+(* --- dynamic distance matrix: hand-checked insertions ------------------ *)
+
+(* The matrix after inserting (u,v,w), leaving [m] as it was. *)
+let with_edge_added m u v w =
+  let m' = Incr_apsp.of_graph (Incr_apsp.graph m) in
+  ignore (Incr_apsp.add_edge m' u v w);
+  m'
+
+let test_dist_matrix_basics () =
+  let g = Wgraph.of_edges 3 [ (0, 1, 1.0); (1, 2, 2.0) ] in
+  let m = Incr_apsp.of_graph g in
+  Alcotest.(check int) "size" 3 (Incr_apsp.n m);
+  Helpers.check_float "distance" 3.0 (Incr_apsp.distance m 0 2);
+  Helpers.check_float "total" (2.0 *. (1.0 +. 2.0 +. 3.0)) (Incr_apsp.total m)
+
+let test_dist_matrix_insertion_exact () =
+  let r = Helpers.rng 1201 in
+  for _ = 1 to 10 do
+    let g = Helpers.random_graph r 12 8 in
+    let m = Incr_apsp.of_graph g in
+    (* Insert a random absent pair and compare with recomputation. *)
+    let u = Prng.int r 12 and v = Prng.int r 12 in
+    if u <> v && not (Wgraph.has_edge g u v) then begin
+      let w = Prng.float_in r 0.1 3.0 in
+      let updated = with_edge_added m u v w in
+      Wgraph.add_edge g u v w;
+      let reference = Incr_apsp.of_graph g in
+      for x = 0 to 11 do
+        for y = 0 to 11 do
+          if
+            not
+              (Helpers.approx ~tol:1e-9 (Incr_apsp.distance updated x y)
+                 (Incr_apsp.distance reference x y))
+          then
+            Alcotest.failf "d(%d,%d): incremental %g vs recomputed %g" x y
+              (Incr_apsp.distance updated x y) (Incr_apsp.distance reference x y)
+        done
+      done;
+      Helpers.check_float ~tol:1e-6 "total shortcut agrees" (Incr_apsp.total reference)
+        (Incr_apsp.total_with_edge_added m u v w)
+    end
+  done
+
+let test_dist_matrix_insertion_connects () =
+  (* Inserting across components makes the total finite. *)
+  let g = Wgraph.of_edges 4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
+  let m = Incr_apsp.of_graph g in
+  Helpers.check_true "initially infinite" (Incr_apsp.total m = Float.infinity);
+  let m' = with_edge_added m 1 2 5.0 in
+  Helpers.check_true "finite after bridging" (Float.is_finite (Incr_apsp.total m'));
+  Helpers.check_float "new route" 7.0 (Incr_apsp.distance m' 0 3)
+
+let test_dist_matrix_noop_insertion () =
+  let g = Wgraph.of_edges 3 [ (0, 1, 1.0); (1, 2, 1.0) ] in
+  let m = Incr_apsp.of_graph g in
+  (* A heavy parallel route cannot improve anything. *)
+  let m' = with_edge_added m 0 2 10.0 in
+  Helpers.check_float "unchanged" (Incr_apsp.total m) (Incr_apsp.total m');
+  Helpers.check_float "unchanged total shortcut" (Incr_apsp.total m)
+    (Incr_apsp.total_with_edge_added m 0 2 10.0)
 
 let suites =
   [
@@ -380,5 +440,12 @@ let suites =
         qtest ~count:10 "parallel unhappy = sequential" seed_gen prop_parallel_unhappy_agree;
         qtest ~count:10 "parallel certify = sequential" seed_gen prop_parallel_certify_agree;
         qtest ~count:20 "diameter identity" seed_gen prop_diameter_agrees;
+      ] );
+    ( "graph.dist-matrix",
+      [
+        Helpers.case "basics" test_dist_matrix_basics;
+        Helpers.case "insertion matches recompute" test_dist_matrix_insertion_exact;
+        Helpers.case "insertion can connect" test_dist_matrix_insertion_connects;
+        Helpers.case "useless insertion is no-op" test_dist_matrix_noop_insertion;
       ] );
   ]

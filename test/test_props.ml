@@ -252,25 +252,6 @@ let prop_dist_matrix_insertion seed =
     !ok
   end
 
-let prop_betweenness_distance_identity seed =
-  let r = Prng.create (seed + 17) in
-  let n = 4 + Prng.int r 8 in
-  let g = Wgraph.create n in
-  for i = 1 to n - 1 do
-    Wgraph.add_edge g i (Prng.int r i) (Prng.float_in r 0.5 5.0)
-  done;
-  for _ = 1 to n / 2 do
-    let u = Prng.int r n and v = Prng.int r n in
-    if u <> v && not (Wgraph.has_edge g u v) then
-      Wgraph.add_edge g u v (Prng.float_in r 0.5 5.0)
-  done;
-  let direct =
-    Array.fold_left (fun acc row -> acc +. Gncg_util.Flt.sum row) 0.0
-      (Gncg_graph.Dijkstra.apsp g)
-  in
-  Gncg_util.Flt.approx_eq ~tol:1e-6 direct
-    (Gncg_graph.Betweenness.distance_cost_via_betweenness g)
-
 (* The paper's equilibrium constructions hold for every alpha, not just
    the grid the harness prints: sample the parameter space. *)
 
@@ -369,7 +350,6 @@ let suites =
         qtest ~count:15 "Thm 20 ratio closed form" seed_gen prop_thm20_ratio;
         qtest "serialize roundtrip" seed_gen prop_serialize_roundtrip;
         qtest "dist-matrix insertion exact" seed_gen prop_dist_matrix_insertion;
-        qtest "betweenness distance identity" seed_gen prop_betweenness_distance_identity;
         qtest ~count:60 "parallel init = Array.init at corners" parallel_corner_gen
           prop_parallel_init_matches_array;
         qtest ~count:60 "parallel for_all/exists = sequential at corners"

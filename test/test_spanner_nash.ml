@@ -30,18 +30,6 @@ let test_exact_spanner_properties () =
     check_true "diameter <= 3" (Gncg_graph.Dijkstra.diameter g <= 3.0 +. 1e-9)
   done
 
-let test_heuristic_not_below_exact () =
-  let r = rng 601 in
-  for _ = 1 to 8 do
-    let n = 5 in
-    let host = random_host r ~n ~alpha:0.8 in
-    let exact = Sn.min_weight_spanner_exact host in
-    let heur = Sn.min_weight_spanner_heuristic host in
-    check_true "heuristic is spanner" (Sn.is_three_half_spanner host heur);
-    check_true "exact weight <= heuristic weight"
-      (Gncg_graph.Wgraph.total_weight exact <= Gncg_graph.Wgraph.total_weight heur +. 1e-9)
-  done
-
 let test_thm5_nash_ownership_exists () =
   (* Thm 5: for 1/2 <= alpha <= 1 a min-weight 3/2-spanner admits a NE
      ownership. *)
@@ -64,7 +52,7 @@ let test_onetwo_guard () =
   let host = Host.make ~alpha:0.8 (Gncg_metric.Metric.make 4 (fun _ _ -> 3.0)) in
   Alcotest.check_raises "non 1-2 rejected"
     (Invalid_argument "Spanner_nash: host is not a 1-2 graph") (fun () ->
-      ignore (Sn.min_weight_spanner_heuristic host))
+      ignore (Sn.min_weight_spanner_exact host))
 
 let test_ownership_orientations_count () =
   let g = Gncg_graph.Wgraph.of_edges 3 [ (0, 1, 1.0); (1, 2, 1.0) ] in
@@ -79,7 +67,6 @@ let suites =
       [
         case "3/2-spanner check" test_spanner_check;
         case "exact min-weight spanner (Lemma 5)" test_exact_spanner_properties;
-        case "heuristic vs exact" test_heuristic_not_below_exact;
         slow_case "Thm 5: NE ownership exists" test_thm5_nash_ownership_exists;
         case "1-2 guard" test_onetwo_guard;
         case "ownership enumeration" test_ownership_orientations_count;
