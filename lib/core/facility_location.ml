@@ -293,9 +293,11 @@ let solve_exact ?start inst =
     let sc =
       { v = Array.make nc 0.0; slack = Array.make (Array.length avail) 0.0; avail }
     in
-    (* About twice the rounding error of the dual bound plus that of any
-       leaf total below the node (docs/ALGORITHMS.md). *)
-    let margin_scale = 2.0 *. float_of_int (nf + nc + 4) *. epsilon_float in
+    (* The dual bound and any leaf total below the node are float sums
+       of at most nf + nc + 4 rounded terms: the node's margin is
+       [Flt.sum_margin] over them at the bound's magnitude, about twice
+       their rounding error (docs/ALGORITHMS.md). *)
+    let terms = nf + nc + 4 in
     let incumbent_set, incumbent_cost =
       match start with Some start -> start | None -> local_search inst
     in
@@ -333,7 +335,7 @@ let solve_exact ?start inst =
                let dual, mag =
                  dual_bound inst sc ~first:first_avail.(f) ~served:best_served opened
                in
-               dual -. (margin_scale *. mag) >= !best_cost -. Flt.eps)
+               dual -. Flt.sum_margin terms mag >= !best_cost -. Flt.eps)
         then begin
           (* Branch 1: open facility f (unless its cost already dooms us). *)
           if inst.open_cost.(f) < Float.infinity then begin

@@ -40,12 +40,13 @@ let prepare (sc : Net_state.scratch) n deg =
 
 (* The rounding margin Δ of a tight target's insertion sum: when the
    stored d(u,v) <= w, the exact Kahan sum Σ_x min(d_u(x), w + d_v(x))
-   lies within Δ = 8n·ε·(2n·w + cur_dist) of cur_dist, the Kahan sum of
-   d_u.  In exact arithmetic the triangle inequality makes the two sums
-   equal; the stored matrix meets it only up to the relative error of
-   its entries, which with the two Kahan sums stays below half of Δ
-   (ALGORITHMS.md, "Tight targets").  Defined here with float
-   annotations so that it inlines unboxed. *)
+   lies within Δ = [Flt.stored_margin] at 2n·w + cur_dist of cur_dist,
+   the Kahan sum of d_u.  In exact arithmetic the triangle inequality
+   makes the two sums equal; the stored matrix meets it only up to the
+   relative error of its entries, which with the two Kahan sums stays
+   below half of Δ (ALGORITHMS.md, "Tight targets").  Copied here with
+   float annotations so that it inlines unboxed; test/test_tight.ml
+   checks the copy against [Flt] bit for bit. *)
 let[@inline] tight_margin n (cur_dist : float) (w : float) =
   let nf = float_of_int n in
   8.0 *. nf *. epsilon_float *. ((2.0 *. nf *. w) +. cur_dist)

@@ -24,6 +24,13 @@ val addable_into : Net_state.t -> agent:int -> int array -> float array -> int
     weights from {!Host.weight_row}, so no set is searched and no float
     is boxed per target. *)
 
+val tight_margin : int -> float -> float -> float
+(** [tight_margin n cur_dist w] is the margin Δ that bounds a tight
+    target's insertion sum around the agent's distance sum [cur_dist]:
+    [Flt.stored_margin n (2n·w + cur_dist)], bit for bit.  An inlined
+    copy of the [Flt] margin, so that pricing a target boxes no float
+    (docs/ALGORITHMS.md, "Tight targets"). *)
+
 val best_move_state_verdict :
   ?kinds:[ `Add | `Delete | `Swap ] list ->
   Net_state.t ->

@@ -24,10 +24,6 @@ let weight t u v = Gncg_metric.Metric.weight t.metric u v
 
 let weight_row t u = Gncg_metric.Metric.row t.metric u
 
-let edge_price t u v = t.alpha *. weight t u v
-
-let with_alpha alpha t = make ~alpha t.metric
-
 module Gncg_error = Gncg_util.Gncg_error
 
 let validate ?tol ?require_metric ?require_connected t =

@@ -31,12 +31,6 @@ val weight_row : t -> int -> float array
     a read-only view of the metric row (no copy), so a loop over targets
     reads each weight unboxed instead of calling {!weight}. *)
 
-val edge_price : t -> int -> int -> float
-(** [alpha * weight]. *)
-
-val with_alpha : float -> t -> t
-(** Same host space, different α. *)
-
 val validate :
   ?tol:float ->
   ?require_metric:bool ->

@@ -151,7 +151,7 @@ let check_consistent t =
   let ok = ref true in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
-      if not (Flt.approx_eq (Incr_apsp.distance t.dist u v) reference.(u).(v)) then ok := false
+      if not (Flt.stored_eq n (Incr_apsp.distance t.dist u v) reference.(u).(v)) then ok := false
     done
   done;
   !ok

@@ -140,4 +140,6 @@ val inject_distance_error : t -> int -> int -> float -> unit
 
 val check_consistent : t -> bool
 (** Compares the maintained matrix against a from-scratch APSP of a
-    freshly built network (within [Flt.eps]) — test oracle. *)
+    freshly built network under {!Gncg_util.Flt.stored_eq}: the same
+    finiteness, and within the rounding model's margin, at any weight
+    scale — test oracle. *)

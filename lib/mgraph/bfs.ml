@@ -15,8 +15,6 @@ let hops g s =
   done;
   dist
 
-let reachable g s = Array.map (fun d -> d >= 0) (hops g s)
-
 let component g s =
   let d = hops g s in
   let order = ref [] in

@@ -4,7 +4,5 @@ val hops : Wgraph.t -> int -> int array
 (** [hops g s] is the hop distance from [s] to every vertex, [-1] when
     unreachable. *)
 
-val reachable : Wgraph.t -> int -> bool array
-
 val component : Wgraph.t -> int -> int list
 (** Vertices of the connected component of [s], in BFS order. *)

@@ -79,5 +79,3 @@ let pop_min h =
     if h.size > 0 then sift_down h 0;
     Some (id, p)
   end
-
-let priority h id = if mem h id then Some h.prio.(h.pos.(id)) else None

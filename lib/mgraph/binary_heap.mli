@@ -20,5 +20,3 @@ val insert_or_decrease : t -> int -> float -> unit
 
 val pop_min : t -> (int * float) option
 (** Removes and returns the minimum-priority entry. *)
-
-val priority : t -> int -> float option

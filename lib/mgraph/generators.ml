@@ -9,26 +9,6 @@ let complete n w =
   done;
   g
 
-let ring n w =
-  if n < 3 then invalid_arg "Generators.ring: n >= 3 required";
-  let g = Wgraph.create n in
-  for v = 0 to n - 1 do
-    Wgraph.add_edge g v ((v + 1) mod n) w
-  done;
-  g
-
-let grid ~rows ~cols w =
-  if rows < 1 || cols < 1 then invalid_arg "Generators.grid";
-  let g = Wgraph.create (rows * cols) in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      let v = (r * cols) + c in
-      if c + 1 < cols then Wgraph.add_edge g v (v + 1) w;
-      if r + 1 < rows then Wgraph.add_edge g v (v + cols) w
-    done
-  done;
-  g
-
 let random_tree rng ~n ~wmin ~wmax =
   if n < 1 then invalid_arg "Generators.random_tree";
   let g = Wgraph.create n in
@@ -53,42 +33,5 @@ let gnp_connected rng ~n ~p ~wmin ~wmax =
     let u = order.(i) and v = order.(Prng.int rng i) in
     if not (Wgraph.has_edge g u v) then
       Wgraph.add_edge g u v (Prng.float_in rng wmin wmax)
-  done;
-  g
-
-let barabasi_albert rng ~n ~attach ~wmin ~wmax =
-  if attach < 1 || n <= attach then invalid_arg "Generators.barabasi_albert";
-  let g = Wgraph.create n in
-  (* Seed: a small clique on the first attach+1 vertices. *)
-  for u = 0 to attach do
-    for v = u + 1 to attach do
-      Wgraph.add_edge g u v (Prng.float_in rng wmin wmax)
-    done
-  done;
-  (* Degree-proportional sampling via the repeated-endpoints urn. *)
-  let urn = ref [] in
-  Wgraph.iter_edges g (fun u v _ -> urn := u :: v :: !urn);
-  for v = attach + 1 to n - 1 do
-    let arr = Array.of_list !urn in
-    let targets = ref [] in
-    let guard = ref 0 in
-    while List.length !targets < attach && !guard < 10_000 do
-      incr guard;
-      let t = arr.(Prng.int rng (Array.length arr)) in
-      if t <> v && not (List.mem t !targets) then targets := t :: !targets
-    done;
-    (* Fallback for degenerate urns: attach to the lowest-index vertices. *)
-    let rec fill u =
-      if List.length !targets < attach && u < v then begin
-        if not (List.mem u !targets) then targets := u :: !targets;
-        fill (u + 1)
-      end
-    in
-    fill 0;
-    List.iter
-      (fun t ->
-        Wgraph.add_edge g v t (Prng.float_in rng wmin wmax);
-        urn := v :: t :: !urn)
-      !targets
   done;
   g

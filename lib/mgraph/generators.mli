@@ -3,26 +3,10 @@
 val complete : int -> (int -> int -> float) -> Wgraph.t
 (** [complete n w] with weights from the symmetric function [w]. *)
 
-val ring : int -> float -> Wgraph.t
-(** Cycle [0-1-...-n-1-0] with uniform edge weight; requires [n >= 3]. *)
-
-val grid : rows:int -> cols:int -> float -> Wgraph.t
-(** 4-neighbour lattice with uniform edge weight; vertex [(r,c)] is
-    [r*cols + c]. *)
-
 val random_tree : Gncg_util.Prng.t -> n:int -> wmin:float -> wmax:float -> Wgraph.t
 (** Random recursive tree with i.i.d. uniform weights. *)
 
-val gnp :
-  Gncg_util.Prng.t -> n:int -> p:float -> wmin:float -> wmax:float -> Wgraph.t
-(** Erdős–Rényi G(n,p) with uniform weights; possibly disconnected. *)
-
 val gnp_connected :
   Gncg_util.Prng.t -> n:int -> p:float -> wmin:float -> wmax:float -> Wgraph.t
-(** A random spanning tree plus G(n,p) edges: always connected. *)
-
-val barabasi_albert :
-  Gncg_util.Prng.t -> n:int -> attach:int -> wmin:float -> wmax:float -> Wgraph.t
-(** Preferential attachment: each new vertex attaches to [attach] distinct
-    existing vertices chosen proportionally to degree.  Requires
-    [attach >= 1] and [n > attach]. *)
+(** Erdős–Rényi G(n,p) with uniform weights, plus the edges of a
+    random spanning tree that it lacks: always connected. *)

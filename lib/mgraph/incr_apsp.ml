@@ -403,11 +403,15 @@ let total_with_edge_added t u v w =
    verdict above.  The sentinel cross-checks the matrix every
    [selfcheck_every] updates with two complementary probes:
 
-   - an O(n²) symmetry sweep ([Flt]-tolerant — rows are computed from
-     opposite endpoints, so ulp-level asymmetry is legitimate): catches
-     any single-cell corruption within one cadence window;
+   - an O(n²) symmetry sweep: catches any single-cell corruption within
+     one cadence window;
    - one fresh-Dijkstra row compare against a round-robin sampled source
      row: catches symmetric/logical drift across n windows.
+
+   Both compare under [Flt.stored_eq], the rounding model's tolerance:
+   rows are computed from opposite endpoints and through other sums than
+   a fresh pass, so a relative gap of a few n·u is legitimate, and an
+   absolute tolerance would call it drift once distances pass about 10⁶.
 
    On mismatch it degrades gracefully: bump the obs counters and rebuild
    the whole matrix from the graph instead of propagating corrupt
@@ -428,7 +432,7 @@ let selfcheck_now t =
        for v = u + 1 to n - 1 do
          if
            not
-             (Gncg_util.Flt.approx_eq
+             (Gncg_util.Flt.stored_eq n
                 (Float.Array.unsafe_get t.d ((u * n) + v))
                 (Float.Array.unsafe_get t.d ((v * n) + u)))
          then begin
@@ -447,7 +451,7 @@ let selfcheck_now t =
       for x = 0 to n - 1 do
         if
           not
-            (Gncg_util.Flt.approx_eq
+            (Gncg_util.Flt.stored_eq n
                (Array.unsafe_get t.scratch x)
                (Float.Array.unsafe_get t.d (base + x)))
         then begin
@@ -505,19 +509,20 @@ let add_edge t u v w =
     Float.Array.blit t.d (v * n) dv 0 n;
     (* Insertion support: row x can change only if the new edge offers x
        a shortcut to one endpoint, d(x,u) + w < d(x,v) or the mirror.  A
-       row that fails both tests by the margin δ = 8n·ε·(2M + w), M the
-       largest finite entry of the two snapshots, keeps every entry bit
-       for bit: the stored entries meet the triangle inequality through
-       v (and u) up to a relative (4n + 2)·u, far inside δ, and rounding
-       is monotone (ALGORITHMS.md, "Insertion support").  A row reaching
-       neither endpoint is skipped, one reaching exactly one is relaxed. *)
+       row that fails both tests by the margin δ = [Flt.stored_margin] at
+       2M + w, M the largest finite entry of the two snapshots, keeps
+       every entry bit for bit: the stored entries meet the triangle
+       inequality through v (and u) up to a relative (4n + 2)·u, far
+       inside δ, and rounding is monotone (ALGORITHMS.md, "Insertion
+       support").  A row reaching neither endpoint is skipped, one
+       reaching exactly one is relaxed. *)
     let m = ref 0.0 in
     for x = 0 to n - 1 do
       let a = Float.Array.unsafe_get du x and b = Float.Array.unsafe_get dv x in
       if a > !m && a < Float.infinity then m := a;
       if b > !m && b < Float.infinity then m := b
     done;
-    let delta = 8.0 *. float_of_int n *. epsilon_float *. ((2.0 *. !m) +. w) in
+    let delta = Gncg_util.Flt.stored_margin n ((2.0 *. !m) +. w) in
     let relaxed = ref 0 in
     for x = 0 to n - 1 do
       let dxu = Float.Array.unsafe_get du x and dxv = Float.Array.unsafe_get dv x in
@@ -555,6 +560,19 @@ let add_edge t u v w =
   tick_selfcheck t changed;
   changed
 
+(* The deletion's tightness tolerance on row s: [Flt.stored_margin] at
+   max(d(s,u), d(s,v)) + w, floored at [Flt.eps].  Copied here with
+   float annotations so that the per-row test inlines unboxed;
+   test/test_kernel.ml checks the copy against [Flt] bit for bit.  Below
+   the floor (8n·ε·mag < 1e-9) the selection is the absolute test's. *)
+let[@inline] deletion_tol n (dsu : float) (dsv : float) (w : float) =
+  let mag = (if dsv > dsu then dsv else dsu) +. w in
+  let m = 8.0 *. float_of_int n *. epsilon_float *. mag in
+  if m < Gncg_util.Flt.eps then Gncg_util.Flt.eps else m
+
+(* [Flt.approx_eq ~tol], inlined: equal infinities compare equal. *)
+let[@inline] near (a : float) (b : float) tol = a = b || Float.abs (a -. b) <= tol
+
 let remove_edge t u v =
   check t u "remove_edge";
   check t v "remove_edge";
@@ -567,26 +585,25 @@ let remove_edge t u v =
     Metric.Counter.incr c_deletions;
     (* A shortest path from s can use (u,v) only if the edge is tight on
        s's row: d(s,u) + w = d(s,v) (or symmetrically).  Tightness is
-       tested with the engine tolerance, not exact equality — rows
-       produced by earlier incremental insertions associate their sums
+       tested behind [deletion_tol], not exact equality — rows produced
+       by earlier incremental insertions associate their sums
        differently than Dijkstra would, so a genuinely used edge can be
-       off by ulps.  The tolerance only over-approximates the affected
-       set (extra recomputes), never misses a used edge.  Each affected
-       row is copied into the preallocated scratch and settled there from
-       its own stored values: the kernel resets only the vertices whose
-       value the removal (or an earlier insertion's rounding) left
-       unsupported, and returns [sssp_into]'s row bit for bit.  The row
-       is written back only where it differs, so the change report is
-       exact on the recomputed set. *)
+       off by a relative few n·u.  The tolerance only over-approximates
+       the affected set (extra recomputes), never misses a used edge
+       (ALGORITHMS.md, "Rounding model").  Each affected row is copied
+       into the preallocated scratch and settled there from its own
+       stored values: the kernel resets only the vertices whose value the
+       removal (or an earlier insertion's rounding) left unsupported, and
+       returns [sssp_into]'s row bit for bit.  The row is written back
+       only where it differs, so the change report is exact on the
+       recomputed set. *)
     let recomputed = ref 0 and settled = ref 0 in
     for s = 0 to n - 1 do
       let base = s * n in
       let dsu = Float.Array.unsafe_get t.d (base + u)
       and dsv = Float.Array.unsafe_get t.d (base + v) in
-      if
-        Gncg_util.Flt.approx_eq (dsu +. w) dsv
-        || Gncg_util.Flt.approx_eq (dsv +. w) dsu
-      then begin
+      let tol = deletion_tol n dsu dsv w in
+      if near (dsu +. w) dsv tol || near (dsv +. w) dsu tol then begin
         for x = 0 to n - 1 do
           Array.unsafe_set t.scratch x (Float.Array.unsafe_get t.d (base + x))
         done;

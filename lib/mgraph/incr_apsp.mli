@@ -13,9 +13,12 @@
       edge can shorten (see {!add_edge});
     - {e deletion} recomputes only the {e affected sources}: a source [s]
       whose shortest paths may use [(u,v)] must have the edge tight, i.e.
-      [d(s,u) + w = d(s,v)] or [d(s,v) + w = d(s,u)].  Rows of unaffected
-      sources are provably unchanged; each affected row is settled from its
-      own stored values by {!Flat_adj.settle_into}, which re-settles only
+      [d(s,u) + w = d(s,v)] or [d(s,v) + w = d(s,u)].  The stored floats
+      meet that equality only up to rounding, so the test runs behind
+      {!deletion_tol}, the rounding model's margin; it may select more
+      rows than the exact test, never fewer.  Rows of unaffected sources
+      are provably unchanged; each affected row is settled from its own
+      stored values by {!Flat_adj.settle_into}, which re-settles only
       the vertices the removal left unsupported and returns the fresh
       Dijkstra row bit for bit.
 
@@ -120,7 +123,7 @@ val add_edge : t -> int -> int -> float -> Changed_rows.t
 
     Only rows the new edge [(u,v,w)] can shorten are relaxed.  With [M]
     the largest finite entry of rows [u] and [v] and
-    [δ = 8n·ε·(2M + w)], a row [x] with both
+    [δ = Flt.stored_margin n (2M + w)], a row [x] with both
     [fl(d(u,x) + w) >= fl(d(v,x) + δ)] and
     [fl(d(v,x) + w) >= fl(d(u,x) + δ)] is skipped: the stored entries
     meet the triangle inequality through [u] and [v] far inside [δ], so
@@ -138,6 +141,14 @@ val remove_edge : t -> int -> int -> Changed_rows.t
     their previous contents.  The [incr_apsp.deletion_rows_recomputed]
     counter counts the rows, and [incr_apsp.settled_vertices] the
     vertices they re-settled. *)
+
+val deletion_tol : int -> float -> float -> float -> float
+(** [deletion_tol n dsu dsv w] is the tolerance of {!remove_edge}'s
+    tightness test on a row with [d(s,u) = dsu] and [d(s,v) = dsv] for
+    an edge of weight [w]: [max Flt.eps (Flt.stored_margin n (max dsu
+    dsv +. w))], bit for bit.  An inlined copy of the [Flt] margin, so
+    that the per-row test boxes no float (docs/ALGORITHMS.md, "Rounding
+    model"). *)
 
 val sssp_edited_into :
   t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit
@@ -177,9 +188,11 @@ val suspects : t -> int -> int list option
 
     A configurable-cadence cross-check of the maintained matrix against
     ground truth.  Every [N] updates ({!add_edge} / {!remove_edge}) the
-    engine runs a cheap probe — an [Flt]-tolerant O(n²) symmetry sweep
-    (any single-cell corruption breaks [d(u,v) = d(v,u)]) plus one fresh
-    Dijkstra recompute of a round-robin sampled source row.  On a
+    engine runs a cheap probe — an O(n²) symmetry sweep (any single-cell
+    corruption breaks [d(u,v) = d(v,u)]) plus one fresh Dijkstra
+    recompute of a round-robin sampled source row, both compared under
+    {!Gncg_util.Flt.stored_eq}, so legitimate rounding is never drift at
+    any weight scale.  On a
     mismatch it degrades gracefully: the [incr_apsp.selfcheck_mismatches]
     and [incr_apsp.selfcheck_repairs] observability counters are bumped,
     the whole matrix is rebuilt from the edge set, and the triggering

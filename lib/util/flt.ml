@@ -10,9 +10,29 @@ let le ?(tol = eps) a b = a <= b +. tol
 
 let is_finite x = Float.is_finite x
 
+(* The rounding model of stored distances (docs/ALGORITHMS.md, "Rounding
+   model").  Both margins associate left to right, as the inlined copies
+   in the kernels do, so a copy returns these bits. *)
+let stored_margin n (mag : float) = 8.0 *. float_of_int n *. epsilon_float *. mag
+
+let sum_margin k (mag : float) = 2.0 *. float_of_int k *. epsilon_float *. mag
+
+let stored_eq n (a : float) b =
+  a = b
+  || a < Float.infinity
+     && b < Float.infinity
+     &&
+     let tol = stored_margin n (if b > a then b else a) in
+     Float.abs (a -. b) <= if tol < eps then eps else tol
+
 let max_array a =
   if Array.length a = 0 then invalid_arg "Flt.max_array: empty";
-  Array.fold_left Float.max a.(0) a
+  let m = ref a.(0) in
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    if x > !m then m := x
+  done;
+  !m
 
 let sum a =
   (* Kahan summation: distance costs add up thousands of terms and the

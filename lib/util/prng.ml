@@ -31,10 +31,6 @@ let int t bound =
   in
   draw ()
 
-let int_in t lo hi =
-  if lo > hi then invalid_arg "Prng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   (* 53 random bits scaled into [0, bound). *)
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in

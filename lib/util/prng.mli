@@ -25,9 +25,6 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound); [bound] must be positive. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in \[lo, hi\] inclusive; requires [lo <= hi]. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
 

@@ -2,12 +2,3 @@ let mean xs =
   match xs with
   | [] -> invalid_arg "Stats.mean: empty sample"
   | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let median xs =
-  match xs with
-  | [] -> invalid_arg "Stats.median: empty sample"
-  | _ ->
-    let a = Array.of_list xs in
-    Array.sort Float.compare a;
-    let n = Array.length a in
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0

@@ -40,6 +40,59 @@ let random_graph ?(wmin = 1.0) ?(wmax = 10.0) r n extra =
   done;
   g
 
+(* --- adversarial hosts ---
+
+   One generator for every test of a rule that prunes behind a rounding
+   margin (tight targets, insertion support, suspect sets, the stored
+   distance tolerances): each entry builds an [n]-agent host at price
+   [alpha] from [r]. *)
+
+module I = Gncg_workload.Instances
+
+(* The models [gncg sweep --model] offers, with the CLI's parameters. *)
+let cli_models =
+  [
+    ("one-two", I.One_two { p_one = 0.4 });
+    ("tree", I.Tree { wmin = 1.0; wmax = 10.0 });
+    ("euclid", I.Euclid { norm = L2; d = 2; box = 100.0 });
+    ("l1", I.Euclid { norm = L1; d = 2; box = 100.0 });
+    ("graph", I.Graph_metric { p = 0.3; wmin = 1.0; wmax = 10.0 });
+    ("general", I.General { lo = 1.0; hi = 10.0 });
+    ("one-inf", I.One_inf { p = 0.3 });
+  ]
+
+(* The weight scales of the magnitude family: distances in metres of a
+   continental fibre plan reach 10⁶ and more. *)
+let magnitudes = [ 1048576.0; 1e6; 1e8; 1e10 ]
+
+let host_of ~alpha n w = Gncg.Host.make ~alpha (Gncg_metric.Metric.make n w)
+
+let adversarial_hosts r ~alpha =
+  let module Prng = Gncg_util.Prng in
+  List.map (fun (name, model) -> (name, fun n -> I.random_host r model ~n ~alpha)) cli_models
+  @ [
+      ("all-ones", fun n -> host_of ~alpha n (fun _ _ -> 1.0));
+      ("1-2", fun n -> Gncg.Host.make ~alpha (Gncg_metric.One_two.random r ~n ~p_one:0.5));
+      (* Points on a line, four positions: many pairs coincide and weigh 0. *)
+      ( "zero-weight line",
+        fun n ->
+          let p = Array.init n (fun _ -> float_of_int (Prng.int r 4)) in
+          host_of ~alpha n (fun u v -> Float.abs (p.(u) -. p.(v))) );
+      ( "four decades",
+        fun n -> host_of ~alpha n (fun _ _ -> Float.pow 10.0 (Prng.float_in r (-2.0) 2.0)) );
+      (* Vertices below [n / 3] form a part that no finite weight leaves. *)
+      ( "disconnected part",
+        fun n ->
+          let cut = n / 3 in
+          host_of ~alpha n (fun u v ->
+              if u < cut <> (v < cut) then Float.infinity else Prng.float_in r 1.0 10.0) );
+      (* Weights in [1, 10] times one of [magnitudes]. *)
+      ( "magnitude",
+        fun n ->
+          let scale = List.nth magnitudes (Prng.int r (List.length magnitudes)) in
+          host_of ~alpha n (fun _ _ -> scale *. Prng.float_in r 1.0 10.0) );
+    ]
+
 (* --- a specification of the dynamics loop ---
 
    [spec_dynamics] is [Dynamics.run]'s loop without its shortcuts: the

@@ -4,18 +4,6 @@
 open Helpers
 module Wgraph = Gncg_graph.Wgraph
 
-let test_bfs_reachable () =
-  let g = Wgraph.of_edges 4 [ (0, 1, 1.0) ] in
-  Alcotest.(check (array bool)) "reachable flags" [| true; true; false; false |]
-    (Gncg_graph.Bfs.reachable g 0)
-
-let test_heap_priority_query () =
-  let h = Gncg_graph.Binary_heap.create 4 in
-  Alcotest.(check (option (float 0.0))) "absent" None (Gncg_graph.Binary_heap.priority h 2);
-  Gncg_graph.Binary_heap.insert h 2 1.5;
-  Alcotest.(check (option (float 0.0))) "present" (Some 1.5)
-    (Gncg_graph.Binary_heap.priority h 2)
-
 let test_tablefmt_alignment () =
   let s =
     Gncg_util.Tablefmt.render
@@ -28,13 +16,6 @@ let test_tablefmt_alignment () =
   check_true "left aligned" (List.exists (fun l -> String.length l >= 2 && l.[0] = 'a' && l.[1] = ' ') lines);
   check_true "right aligned" (List.exists (fun l ->
       String.length l > 0 && l.[String.length l - 1] = '5') lines)
-
-let test_host_with_alpha_shares_metric () =
-  let m = Gncg_metric.Metric.make 3 (fun _ _ -> 2.0) in
-  let h = Gncg.Host.make ~alpha:1.0 m in
-  let h' = Gncg.Host.with_alpha 4.0 h in
-  check_float "weights preserved" (Gncg.Host.weight h 0 1) (Gncg.Host.weight h' 0 1);
-  check_float "price scales" 8.0 (Gncg.Host.edge_price h' 0 1)
 
 let test_move_pp () =
   Alcotest.(check string) "add" "add->3" (Format.asprintf "%a" Gncg.Move.pp (Gncg.Move.Add 3));
@@ -94,10 +75,7 @@ let suites =
   [
     ( "coverage",
       [
-        case "bfs reachable" test_bfs_reachable;
-        case "heap priority query" test_heap_priority_query;
         case "table alignment" test_tablefmt_alignment;
-        case "with_alpha shares metric" test_host_with_alpha_shares_metric;
         case "move printer" test_move_pp;
         case "metric & strategy printers" test_metric_pp_and_strategy_pp;
         case "graph printer" test_wgraph_pp;

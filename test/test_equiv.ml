@@ -29,18 +29,6 @@ let check_equivalent ?ulps label ~max_steps rule mk_scheduler host start =
     Alcotest.failf "%s: engine %s, stateless loop %s" label (outcome_name engine)
       (outcome_name spec)
 
-(* The models [gncg sweep --model] offers, with the CLI's parameters. *)
-let cli_models =
-  [
-    ("one-two", I.One_two { p_one = 0.4 });
-    ("tree", I.Tree { wmin = 1.0; wmax = 10.0 });
-    ("euclid", I.Euclid { norm = L2; d = 2; box = 100.0 });
-    ("l1", I.Euclid { norm = L1; d = 2; box = 100.0 });
-    ("graph", I.Graph_metric { p = 0.3; wmin = 1.0; wmax = 10.0 });
-    ("general", I.General { lo = 1.0; hi = 10.0 });
-    ("one-inf", I.One_inf { p = 0.3 });
-  ]
-
 (* [Sweep.dynamics_run]'s setup, step for step, at the CLI's default
    alpha: host and start from the seed's generator, then a [Random_order]
    scheduler split from it. *)

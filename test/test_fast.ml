@@ -108,7 +108,7 @@ let test_parallel_map () =
 let prop_addable_into seed =
   let r = Prng.create (seed + 1150) in
   let n = 2 + Prng.int r 12 in
-  let _, model = List.nth Test_equiv.cli_models (Prng.int r 7) in
+  let _, model = List.nth cli_models (Prng.int r 7) in
   let host = Gncg_workload.Instances.random_host r model ~n ~alpha:2.0 in
   let s = Gncg_workload.Instances.random_profile r host in
   let s =

@@ -20,9 +20,6 @@ let test_host_basics () =
   Alcotest.(check int) "n" 3 (Host.n h);
   check_float "alpha" 2.0 (Host.alpha h);
   check_float "weight" 2.0 (Host.weight h 1 2);
-  check_float "edge price" 4.0 (Host.edge_price h 1 2);
-  let h' = Host.with_alpha 5.0 h in
-  check_float "with_alpha" 5.0 (Host.alpha h');
   Alcotest.check_raises "alpha must be positive"
     (Invalid_argument "Host.make: alpha must be positive and finite") (fun () ->
       ignore (Host.make ~alpha:0.0 (Metric.make 2 (fun _ _ -> 1.0))))

@@ -8,25 +8,6 @@ let test_complete () =
   Alcotest.(check int) "edges" 15 (Wgraph.m g);
   Alcotest.(check (option (float 1e-9))) "weight" (Some 5.0) (Wgraph.weight g 2 3)
 
-let test_ring () =
-  let g = G.ring 5 2.0 in
-  Alcotest.(check int) "edges" 5 (Wgraph.m g);
-  for v = 0 to 4 do
-    Alcotest.(check int) "degree 2" 2 (Wgraph.degree g v)
-  done;
-  check_float "diameter" 4.0 (Gncg_graph.Dijkstra.diameter g);
-  Alcotest.check_raises "too small" (Invalid_argument "Generators.ring: n >= 3 required")
-    (fun () -> ignore (G.ring 2 1.0))
-
-let test_grid () =
-  let g = G.grid ~rows:3 ~cols:4 1.0 in
-  Alcotest.(check int) "vertices" 12 (Wgraph.n g);
-  (* Edges: 3*(4-1) horizontal + (3-1)*4 vertical = 9 + 8. *)
-  Alcotest.(check int) "edges" 17 (Wgraph.m g);
-  check_true "connected" (Conn.is_connected g);
-  (* Manhattan diameter between opposite corners. *)
-  check_float "diameter" 5.0 (Gncg_graph.Dijkstra.diameter g)
-
 let test_random_tree () =
   let r = rng 1300 in
   for _ = 1 to 5 do
@@ -43,25 +24,10 @@ let test_gnp_connected () =
 
 let test_gnp_density () =
   let r = rng 1302 in
-  let g0 = G.gnp r ~n:30 ~p:0.0 ~wmin:1.0 ~wmax:2.0 in
-  Alcotest.(check int) "p=0 empty" 0 (Wgraph.m g0);
-  let g1 = G.gnp r ~n:30 ~p:1.0 ~wmin:1.0 ~wmax:2.0 in
+  let g0 = G.gnp_connected r ~n:30 ~p:0.0 ~wmin:1.0 ~wmax:2.0 in
+  check_true "p=0 spanning tree" (Conn.is_tree g0);
+  let g1 = G.gnp_connected r ~n:30 ~p:1.0 ~wmin:1.0 ~wmax:2.0 in
   Alcotest.(check int) "p=1 complete" (30 * 29 / 2) (Wgraph.m g1)
-
-let test_barabasi_albert () =
-  let r = rng 1303 in
-  let n = 40 and attach = 2 in
-  let g = G.barabasi_albert r ~n ~attach ~wmin:1.0 ~wmax:1.0 in
-  check_true "connected" (Conn.is_connected g);
-  (* Seed clique (3 edges for attach=2) + attach edges per later vertex. *)
-  Alcotest.(check int) "edge count" (3 + (attach * (n - attach - 1))) (Wgraph.m g);
-  (* Preferential attachment should produce a hub noticeably above the
-     attachment constant. *)
-  let maxdeg = ref 0 in
-  for v = 0 to n - 1 do
-    maxdeg := max !maxdeg (Wgraph.degree g v)
-  done;
-  check_true "has a hub" (!maxdeg >= 2 * attach + 1)
 
 let test_net_stats () =
   let host = Gncg.Host.make ~alpha:1.0 (Gncg_metric.Metric.make 4 (fun _ _ -> 1.0)) in
@@ -81,12 +47,9 @@ let suites =
     ( "graph.generators",
       [
         case "complete" test_complete;
-        case "ring" test_ring;
-        case "grid" test_grid;
         case "random tree" test_random_tree;
         case "gnp connected" test_gnp_connected;
         case "gnp density extremes" test_gnp_density;
-        case "barabasi-albert" test_barabasi_albert;
       ] );
     ("game.net-stats", [ case "star stats" test_net_stats ]);
   ]

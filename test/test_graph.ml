@@ -93,7 +93,7 @@ let test_heap_insert_or_decrease () =
   Heap.insert_or_decrease h 0 10.0;
   Heap.insert_or_decrease h 0 3.0;
   Heap.insert_or_decrease h 0 50.0 (* ignored: larger *);
-  Alcotest.(check (option (float 1e-9))) "kept min" (Some 3.0) (Heap.priority h 0)
+  Alcotest.(check (option (pair int (float 0.0)))) "kept min" (Some (0, 3.0)) (Heap.pop_min h)
 
 let test_heap_duplicate_insert () =
   let h = Heap.create 3 in

@@ -12,7 +12,6 @@ let raises_invalid name f =
 
 let test_prng_guards () =
   let r = rng 1 in
-  raises_invalid "int_in empty" (fun () -> Gncg_util.Prng.int_in r 3 2);
   raises_invalid "sample k>n" (fun () ->
       Gncg_util.Prng.sample_without_replacement r 5 3)
 
@@ -64,11 +63,11 @@ let test_dist_matrix_guards () =
   raises_invalid "total_with_edge_added range" (fun () ->
       ignore (Gncg_graph.Incr_apsp.total_with_edge_added m 0 9 1.0))
 
+
 let test_generator_guards () =
   let r = rng 2 in
-  raises_invalid "grid" (fun () -> ignore (Gncg_graph.Generators.grid ~rows:0 ~cols:2 1.0));
-  raises_invalid "ba attach" (fun () ->
-      ignore (Gncg_graph.Generators.barabasi_albert r ~n:3 ~attach:3 ~wmin:1.0 ~wmax:2.0))
+  raises_invalid "random tree n" (fun () ->
+      ignore (Gncg_graph.Generators.random_tree r ~n:0 ~wmin:1.0 ~wmax:2.0))
 
 (* --- metric ------------------------------------------------------------- *)
 

@@ -4,10 +4,13 @@
    exactly the values below its envelope; a settled guess must become the
    full pass's row bit for bit, whatever the guess; copies must not share
    adjacency with their originals; a what-if that raises must leave the
-   store as it found it; and a warmed what-if or row kernel must allocate
-   a constant amount, independent of n. *)
+   store as it found it; a warmed what-if or row kernel must allocate
+   a constant amount, independent of n; and at weights of 10⁶ and more
+   the store must track fresh Dijkstra within the rounding model through
+   random insertions and deletions, bridges included. *)
 
 module Prng = Gncg_util.Prng
+module Flt = Gncg_util.Flt
 module Wgraph = Gncg_graph.Wgraph
 module Dijkstra = Gncg_graph.Dijkstra
 module Flat_adj = Gncg_graph.Flat_adj
@@ -401,6 +404,83 @@ let test_whatif_allocation_constant () =
   let small = row_kernel_words 50 and large = row_kernel_words 400 in
   Alcotest.(check (float 0.0)) "row kernel minor words at n = 50 and n = 400" small large
 
+(* --- the rounding model at large weights ---------------------------------- *)
+
+(* Every entry of the store against a fresh Dijkstra of the same edge
+   set: the same finiteness and within the model's margin
+   ([Flt.stored_eq]). *)
+let check_store_model label store g =
+  let n = Wgraph.n g in
+  for s = 0 to n - 1 do
+    let want = Dijkstra.sssp g s in
+    for x = 0 to n - 1 do
+      let got = Incr_apsp.distance store s x in
+      if not (Flt.stored_eq n got want.(x)) then
+        Alcotest.failf "%s: d(%d,%d) = %h, Dijkstra %h" label s x got want.(x)
+    done
+  done
+
+(* Thirty random trees per weight scale, each edited 300 times: a
+   present edge is removed, often a bridge, or an absent pair inserted,
+   at weights in [1, 10] times the scale.  A deletion must select every
+   row whose paths used the edge even when insertion rounding leaves the
+   row's d(s,u) + w an ulp or more away from d(s,v), an ulp that passes
+   the absolute 1e-9 from about 10⁶ on; a skipped row keeps finite
+   entries to the part a bridge cut off. *)
+let test_edits_track_dijkstra_at_scale () =
+  List.iter
+    (fun scale ->
+      let r = Prng.create 1310 in
+      for instance = 1 to 30 do
+        let n = 8 + Prng.int r 23 in
+        let g = Helpers.random_graph ~wmin:scale ~wmax:(10.0 *. scale) r n 0 in
+        let store = Incr_apsp.of_graph g in
+        for step = 1 to 300 do
+          let label = Printf.sprintf "scale %g, instance %d, edit %d" scale instance step in
+          (match Wgraph.edges g with
+          | (_ :: _ as es) when Prng.coin r 0.5 ->
+            let u, v, _ = List.nth es (Prng.int r (List.length es)) in
+            Wgraph.remove_edge g u v;
+            ignore (Incr_apsp.remove_edge store u v)
+          | _ ->
+            let u = Prng.int r n and v = Prng.int r n in
+            if u <> v && not (Wgraph.has_edge g u v) then begin
+              let w = scale *. Prng.float_in r 1.0 10.0 in
+              Wgraph.add_edge g u v w;
+              ignore (Incr_apsp.add_edge store u v w)
+            end);
+          check_store_model label store g
+        done
+      done)
+    [ 1e6; 1e10 ]
+
+(* [Incr_apsp.deletion_tol], the deletion test's inlined copy, is
+   [max Flt.eps (Flt.stored_margin n (max dsu dsv + w))] bit for bit,
+   on both sides of the floor and at infinity. *)
+let test_deletion_tol_copy_bits () =
+  let r = Prng.create 1320 in
+  let values =
+    [ 0.0; 1e-300; 0.5; 1.0; 563.0; 1e6; 1048576.0; 1e10; 1e300; Float.infinity ]
+    @ List.init 20 (fun _ -> Float.pow 10.0 (Prng.float_in r (-6.0) 14.0))
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun dsu ->
+          List.iter
+            (fun dsv ->
+              List.iter
+                (fun w ->
+                  let copy = Incr_apsp.deletion_tol n dsu dsv w in
+                  let model = Float.max Flt.eps (Flt.stored_margin n (Float.max dsu dsv +. w)) in
+                  if not (bits_eq copy model) then
+                    Alcotest.failf "n=%d dsu=%h dsv=%h w=%h: copy %h, Flt %h" n dsu dsv w copy
+                      model)
+                [ 0.0; 1.0; 7.25; 1e8 ])
+            values)
+        values)
+    [ 1; 2; 14; 150; 1000; 100_000 ]
+
 let suites =
   [
     ( "sssp-kernel",
@@ -418,5 +498,9 @@ let suites =
           prop_settle_equals_full_pass;
         qtest ~count:100 "what-if seeded with the unedited row = fresh pass" seed_gen
           prop_edited_from_unedited_row;
+        Alcotest.test_case "edits at 1e6 and 1e10 track Dijkstra within the model" `Quick
+          test_edits_track_dijkstra_at_scale;
+        Alcotest.test_case "inlined deletion tolerance = Flt (bits)" `Quick
+          test_deletion_tol_copy_bits;
       ] );
   ]

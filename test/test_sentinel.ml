@@ -185,6 +185,58 @@ let test_sentinel_dense () =
     done
   done
 
+(* --- the rounding model at large weights --- *)
+
+(* Insertion-only sequences at weights around 10⁸, where an ulp is
+   about 1.5e-8: every probe must find the matrix clean.  Insertion
+   rows associate their sums otherwise than a fresh pass and than the
+   mirror row, so an absolute 1e-9 would call their legitimate ulps
+   drift and rebuild. *)
+let test_no_false_alarm_at_scale () =
+  with_profiling (fun () ->
+      let r = rng 904 in
+      let mismatches0 = counter "incr_apsp.selfcheck_mismatches" in
+      let probes = ref 0 in
+      for trial = 1 to 20 do
+        let n = 8 + Gncg_util.Prng.int r 23 in
+        let t = Incr.of_graph (Gncg_graph.Wgraph.create n) in
+        for _ = 1 to 4 * n do
+          let u = Gncg_util.Prng.int r n and v = Gncg_util.Prng.int r n in
+          if u <> v && not (Gncg_graph.Wgraph.has_edge (Incr.graph t) u v) then begin
+            ignore (Incr.add_edge t u v (1e8 *. Gncg_util.Prng.float_in r 1.0 10.0));
+            incr probes;
+            if not (Incr.selfcheck_now t) then
+              Alcotest.failf "trial %d, probe %d: false mismatch" trial !probes
+          end
+        done
+      done;
+      check_true "probes ran" (!probes > 1000);
+      Alcotest.(check int) "no mismatch counted" mismatches0
+        (counter "incr_apsp.selfcheck_mismatches"))
+
+(* Every adversarial host, the weight-magnitude family included, after
+   four rounds of greedy moves on a [Net_state]: the maintained matrix
+   passes [check_consistent] after every round. *)
+let test_consistent_after_dynamics () =
+  let r = rng 905 in
+  List.iter
+    (fun (name, make) ->
+      for trial = 1 to 3 do
+        let n = 10 + Gncg_util.Prng.int r 15 in
+        let host = make n in
+        let st = Gncg.Net_state.create host (Gncg_workload.Instances.random_profile r host) in
+        for round = 1 to 4 do
+          for u = 0 to n - 1 do
+            match fst (Gncg.Fast_response.best_move_state_verdict st ~agent:u) with
+            | Some (mv, _) -> ignore (Gncg.Net_state.apply_move st ~agent:u mv)
+            | None -> ()
+          done;
+          if not (Gncg.Net_state.check_consistent st) then
+            Alcotest.failf "%s n=%d trial %d: inconsistent after round %d" name n trial round
+        done
+      done)
+    (adversarial_hosts r ~alpha:2.0)
+
 let suites =
   [
     ("distances-sentinel", [ case "sentinel dense" test_sentinel_dense ]);
@@ -198,5 +250,8 @@ let suites =
         case "dynamics transparent under cadence 1"
           test_dynamics_transparent_under_sentinel;
         QCheck_alcotest.to_alcotest sentinel_no_false_positives;
+        case "no false alarm at weights near 1e8" test_no_false_alarm_at_scale;
+        case "check_consistent after dynamics on adversarial hosts"
+          test_consistent_after_dynamics;
       ] );
   ]

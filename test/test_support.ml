@@ -4,10 +4,11 @@
    relaxes every row.  After every insertion of a random sequence of
    insertions and deletions, the store's matrix must equal the spec's
    bit for bit, and its change report must list exactly the spec's
-   changed rows.  The hosts: all 7 CLI model families, the tie-heavy
-   all-ones and 1-2 hosts, a line host with coincident points (so that
-   zero-weight pairs exist), weights spread over four decades, and a
-   host with a part that no finite weight reaches.  Each sequence starts
+   changed rows.  The hosts are [Helpers.adversarial_hosts]: all 7 CLI
+   model families, the tie-heavy all-ones and 1-2 hosts, a line host
+   with coincident points (so that zero-weight pairs exist), weights
+   spread over four decades, a host with a part that no finite weight
+   reaches, and weights scaled by 2²⁰ up to 10¹⁰.  Each sequence starts
    from a sparse random network, often disconnected, so insertions also
    join components (rows reaching exactly one endpoint) and leave rows
    reaching neither. *)
@@ -15,7 +16,6 @@
 open Helpers
 module Prng = Gncg_util.Prng
 module Host = Gncg.Host
-module Metric = Gncg_metric.Metric
 module Wgraph = Gncg_graph.Wgraph
 module Incr_apsp = Gncg_graph.Incr_apsp
 module Changed_rows = Gncg_graph.Changed_rows
@@ -56,26 +56,6 @@ let flat store =
   Float.Array.init (n * n) (fun i -> m.(i / n).(i mod n))
 
 (* --- hosts and sequences -------------------------------------------------- *)
-
-(* Vertices below [n / 3] form a part that no finite weight leaves. *)
-let split_host r ~n =
-  let cut = n / 3 in
-  Host.make ~alpha:2.0
-    (Metric.make n (fun u v ->
-         if u < cut <> (v < cut) then Float.infinity else Prng.float_in r 1.0 10.0))
-
-(* The tight-target suite's hosts (7 CLI families, all-ones, 1-2 and
-   the zero-weight line), plus weights over four decades and a split
-   host. *)
-let hosts r =
-  Test_tight.hosts r ~alpha:2.0
-  @ [
-      ( "four decades",
-        fun n ->
-          Host.make ~alpha:2.0
-            (Metric.make n (fun _ _ -> Float.pow 10.0 (Prng.float_in r (-2.0) 2.0))) );
-      ("disconnected part", fun n -> split_host r ~n);
-    ]
 
 (* A store on a sparse random network of the host's finite pairs. *)
 let random_store r host =
@@ -152,7 +132,7 @@ let test_matches_spec () =
                       (Changed_rows.mem changed x) !want.(x)
                 done)
           done)
-        (hosts r);
+        (adversarial_hosts r ~alpha:2.0);
       (* Both sides of the test ran: some rows were relaxed and some
          skipped. *)
       let relaxed = Test_tight.counter "incr_apsp.rows_relaxed" - relaxed0 in
@@ -163,7 +143,7 @@ let test_matches_spec () =
    headroom: before every insertion of sequences drawn as above, for
    each endpoint z of the new edge, every entry falls short of its route
    through z, fl(d(z,x) + d(z,y)), by at most half of
-   δ = 8n·ε·(2M + w). *)
+   δ = [Flt.stored_margin] at 2M + w. *)
 let test_margin_has_headroom () =
   let r = rng 2710 in
   let worst = ref 0.0 in
@@ -180,7 +160,7 @@ let test_margin_has_headroom () =
                 (fun z -> if Float.is_finite d.(z).(x) then m := Float.max !m d.(z).(x))
                 [ u; v ]
             done;
-            let delta = 8.0 *. float_of_int n *. epsilon_float *. ((2.0 *. !m) +. w) in
+            let delta = Gncg_util.Flt.stored_margin n ((2.0 *. !m) +. w) in
             List.iter
               (fun z ->
                 for x = 0 to n - 1 do
@@ -194,7 +174,7 @@ let test_margin_has_headroom () =
               [ u; v ])
           ~after_insert:(fun _ _ -> ())
       done)
-    (hosts r);
+    (adversarial_hosts r ~alpha:2.0);
   if !worst > 0.5 then Alcotest.failf "shortfall reached %.3g of the margin" !worst
 
 let suites =

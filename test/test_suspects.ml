@@ -6,10 +6,10 @@
    after every edit of random insert/delete walks, against the full
    scan of a fresh adjacency, and every what-if along the way must equal
    a fresh pass on the edited graph bit for bit.  The walks run at
-   n = 70, above the size where what-ifs settle the live row, on the
-   insertion-support suite's hosts: the 7 CLI families, all-ones, 1-2,
-   the zero-weight line, weights over four decades and a host with an
-   unreachable part.  Hand-built cases pin each upkeep rule: the two
+   n = 70, above the size where what-ifs settle the live row, on
+   [Helpers.adversarial_hosts]: the 7 CLI families, all-ones, 1-2, the
+   zero-weight line, weights over four decades, a host with an
+   unreachable part and weights scaled by 2²⁰ up to 10¹⁰.  Hand-built cases pin each upkeep rule: the two
    insertion rules with an injected cell error, which makes a row the
    insertion leaves alone disagree with a row it relaxes, and the
    deletion's rewrite with a zero-weight edge. *)
@@ -116,7 +116,7 @@ let test_sets_cover_failures () =
           tally (check_cover (label ^ ", after what-ifs") store)
         done
       done)
-    (Test_support.hosts r);
+    (adversarial_hosts r ~alpha:2.0);
   (* The walks kept sets, and some of them named failing vertices. *)
   check_true "rows with a set were checked" (!known > 10_000);
   check_true "some sets were non-empty" (!nonempty > 0)

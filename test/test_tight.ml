@@ -8,9 +8,11 @@
    list.  Every addable target's insertion sum comes from one batched
    call: it knows no tight targets.  The new evaluator must
    return the same move, the same gain bits and the same row-local flag
-   for every agent and every kinds list.  The hosts: all 7 CLI model
-   families, the tie-heavy all-ones and 1-2 hosts, and a line host with
-   coincident points, so that zero-weight pairs exist.  Each runs at
+   for every agent and every kinds list.  The hosts are
+   [Helpers.adversarial_hosts]: all 7 CLI model families, the tie-heavy
+   all-ones and 1-2 hosts, a line host with coincident points (so that
+   zero-weight pairs exist), weights over four decades, a part no finite
+   weight reaches, and weights scaled by 2²⁰ up to 10¹⁰.  Each runs at
    three prices: 2, 1e-12 and the smallest positive float.  Host.make
    rejects alpha = 0, so the smallest positive float stands in for it.
    The states are random starts with co-owned edges and the states
@@ -241,22 +243,6 @@ let check_walk label r host =
 (* Host.make rejects alpha = 0; the smallest positive float stands in. *)
 let alphas = [ 2.0; 1e-12; Float.succ 0.0 ]
 
-(* Points on a line, four positions for up to 14 agents: many pairs
-   coincide and weigh 0. *)
-let line_host r ~n ~alpha =
-  let p = Array.init n (fun _ -> float_of_int (Prng.int r 4)) in
-  Host.make ~alpha (Gncg_metric.Metric.make n (fun u v -> Float.abs (p.(u) -. p.(v))))
-
-let hosts r ~alpha =
-  List.map
-    (fun (name, model) -> (name, fun n -> I.random_host r model ~n ~alpha))
-    Test_equiv.cli_models
-  @ [
-      ("all-ones", fun n -> Host.make ~alpha (Gncg_metric.Metric.make n (fun _ _ -> 1.0)));
-      ("1-2", fun n -> Host.make ~alpha (Gncg_metric.One_two.random r ~n ~p_one:0.5));
-      ("zero-weight line", fun n -> line_host r ~n ~alpha);
-    ]
-
 let test_matches_batched () =
   let r = rng 2400 in
   with_profiling (fun () ->
@@ -272,19 +258,50 @@ let test_matches_batched () =
                   (Printf.sprintf "%s n=%d alpha=%g trial %d" name n alpha trial)
                   r (make n)
               done)
-            (hosts r ~alpha))
+            (adversarial_hosts r ~alpha))
         alphas;
       (* Both sides of the rule ran: sums that were never computed, and
          tight targets whose bound could not settle a decision. *)
       check_true "some tight sums skipped" (counter "fast_response.tight_targets" > skipped0);
       check_true "some tight sums computed exactly" (counter "fast_response.tight_exact" > exact0))
 
+(* A path metric at the magnitudes of [Helpers.magnitudes], with its own
+   path bought edge by edge.  Every non-adjacent target is then tight
+   with w = d(u,v), and a tight sum falls short of the current sum
+   wherever fl(d(u,v) + d(v,x)) rounds below the left-to-right path sum
+   d(u,x): by an ulp of the sum, far above [Flt.eps].  At a price near 0
+   that shortfall is the agent's only gain, so a margin too small to
+   cover it changes the verdict. *)
+let test_own_path_at_magnitude () =
+  let r = rng 2430 in
+  List.iter
+    (fun alpha ->
+      List.iter
+        (fun scale ->
+          for trial = 1 to 4 do
+            let n = 6 + Prng.int r 15 in
+            let path =
+              Wgraph.of_edges n
+                (List.init (n - 1) (fun i -> (i, i + 1, scale *. Prng.float_in r 1.0 10.0)))
+            in
+            let host = Host.make ~alpha (Gncg_metric.Metric.of_graph_closure path) in
+            let owned = List.map (fun (u, v, _) -> (u, [ v ])) (Wgraph.edges path) in
+            let st = Net_state.create host (Strategy.of_lists n owned) in
+            match first_difference st with
+            | Some (agent, kinds) ->
+              Alcotest.failf "scale %g alpha %g n=%d trial %d: agent %d differs (kinds list of %d)"
+                scale alpha n trial agent kinds
+            | None -> ()
+          done)
+        magnitudes)
+    alphas
+
 (* The margin itself, with the factor of two that ALGORITHMS.md claims
    as headroom: for every tight pair (u, v) and w = d(u,v), the tightest
-   price, the insertion sum lies within half of
-   8n·ε·(2n·w + dist_sum u) of dist_sum u.  The store has been through up
-   to 60 edge insertions and deletions, so its entries come from
-   insertion generations and settled rows as well as fresh passes. *)
+   price, the insertion sum lies within half of [Flt.stored_margin] at
+   2n·w + dist_sum u of dist_sum u.  The store has been through up to 60
+   edge insertions and deletions, so its entries come from insertion
+   generations and settled rows as well as fresh passes. *)
 let prop_margin_has_headroom seed =
   let r = Prng.create (seed + 2410) in
   let n = 3 + Prng.int r 30 in
@@ -302,8 +319,7 @@ let prop_margin_has_headroom seed =
         for v = 0 to n - 1 do
           let w = Incr_apsp.distance d u v in
           if v <> u then begin
-            let nf = float_of_int n in
-            let margin = 8.0 *. nf *. epsilon_float *. ((2.0 *. nf *. w) +. cur) in
+            let margin = Flt.stored_margin n ((2.0 *. float_of_int n *. w) +. cur) in
             if Float.abs (Incr_apsp.dist_sum_with_edge d u v w -. cur) > margin /. 2.0 then
               ok := false
           end
@@ -312,11 +328,37 @@ let prop_margin_has_headroom seed =
   done;
   !ok
 
+(* [Fast_response.tight_margin], the evaluator's inlined copy, is
+   [Flt.stored_margin] at 2n·w + cur_dist bit for bit, over sizes,
+   weights and sums across every magnitude the model meets, zeros and
+   infinities included. *)
+let test_margin_copy_bits () =
+  let r = rng 2420 in
+  let values =
+    [ 0.0; 1e-300; 0.1; 1.0; 3.7; 1e6; 1048576.0; 1e10; 1e300; Float.infinity ]
+    @ List.init 40 (fun _ -> Float.pow 10.0 (Prng.float_in r (-6.0) 14.0))
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun cur ->
+          List.iter
+            (fun w ->
+              let copy = Gncg.Fast_response.tight_margin n cur w in
+              let model = Flt.stored_margin n ((2.0 *. float_of_int n *. w) +. cur) in
+              if not (Int64.equal (Int64.bits_of_float copy) (Int64.bits_of_float model)) then
+                Alcotest.failf "n=%d cur=%h w=%h: copy %h, Flt %h" n cur w copy model)
+            values)
+        values)
+    [ 1; 2; 3; 14; 70; 150; 1000; 100_000 ]
+
 let suites =
   [
     ( "tight-targets",
       [
         case "verdicts = batched evaluator (bits)" test_matches_batched;
+        case "own path at 2^20..1e10: verdicts = batched (bits)" test_own_path_at_magnitude;
+        case "inlined margin = Flt.stored_margin (bits)" test_margin_copy_bits;
         QCheck_alcotest.to_alcotest
           (QCheck.Test.make ~count:60 ~name:"tight sums within half the margin"
              QCheck.small_nat prop_margin_has_headroom);

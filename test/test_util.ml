@@ -46,14 +46,6 @@ let test_prng_float_range () =
     check_true "in range" (x >= 2.0 && x < 5.0)
   done
 
-let test_prng_int_in () =
-  let r = rng 19 in
-  for _ = 1 to 500 do
-    let x = Prng.int_in r (-3) 4 in
-    check_true "inclusive bounds" (x >= -3 && x <= 4)
-  done;
-  Alcotest.(check int) "singleton range" 7 (Prng.int_in r 7 7)
-
 let test_prng_copy () =
   let a = Prng.create 5 in
   ignore (Prng.bits64 a);
@@ -102,10 +94,6 @@ let test_flt_min_max () =
   Alcotest.check_raises "empty max" (Invalid_argument "Flt.max_array: empty") (fun () ->
       ignore (Flt.max_array [||]))
 
-let test_stats_median () =
-  check_float "odd median" 2.0 (Stats.median [ 3.0; 1.0; 2.0 ]);
-  check_float "even median" 2.5 (Stats.median [ 1.0; 2.0; 3.0; 4.0 ])
-
 let test_tablefmt () =
   let s =
     Gncg_util.Tablefmt.render ~header:[ "a"; "bb" ] [ [ "1"; "2" ]; [ "10"; "20" ] ]
@@ -122,7 +110,6 @@ let suites =
         case "split independent" test_prng_split_independent;
         case "int range" test_prng_int_range;
         case "int roughly uniform" test_prng_int_uniformish;
-        case "int_in inclusive" test_prng_int_in;
         case "copy preserves state" test_prng_copy;
         case "float range" test_prng_float_range;
         case "permutation" test_prng_permutation;
@@ -134,10 +121,6 @@ let suites =
         case "comparisons" test_flt_comparisons;
         case "kahan sum" test_flt_sum_kahan;
         case "min/max" test_flt_min_max;
-      ] );
-    ( "util.stats",
-      [
-        case "median" test_stats_median;
       ] );
     ("util.tablefmt", [ case "render" test_tablefmt ]);
   ]

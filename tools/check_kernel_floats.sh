@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Lint: the distance kernels and the move evaluators take float minima
-# and maxima by compare-select, never through Float.min / Float.max.
+# Lint: the distance kernels, the move evaluators and Flt (whose
+# rounding-model margins the kernels copy inline) take float minima and
+# maxima by compare-select, never through Float.min / Float.max.
 # Those test the sign bit and NaN, which costs a C call whenever the
 # first comparison fails, and in the dev profile (-opaque) a float
 # passed across a module boundary is boxed.  On the distances these
@@ -15,7 +16,7 @@ set -u
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
-files="lib/mgraph/incr_apsp.ml lib/mgraph/flat_adj.ml lib/core/fast_response.ml lib/core/greedy.ml"
+files="lib/mgraph/incr_apsp.ml lib/mgraph/flat_adj.ml lib/core/fast_response.ml lib/core/greedy.ml lib/util/flt.ml"
 
 status=0
 
