@@ -88,9 +88,9 @@ let addable_into st ~agent targets weights =
    The candidate enumeration below is Move.candidates inlined — additions
    in ascending target order, then deletions in ascending owned order,
    then swaps (owned ascending × addable ascending) — and ties keep the
-   earlier candidate, so the result is identical to folding pick over the
-   materialized list (tested).  Every array lives in the state's
-   workspace: an evaluation allocates no array. *)
+   earlier candidate, so the result is identical to folding a strict-[>]
+   pick over the materialized list (tested).  Every array lives in the
+   state's workspace: an evaluation allocates no array. *)
 let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   Metric.Counter.incr c_state_evals;
   let host = Net_state.host st in
@@ -145,16 +145,17 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
     end
   in
   let rowlocal = ref true in
+  (* Each candidate's gain is compared with the incumbent's first, and
+     [take] builds the move only for a new incumbent: a strict [>], so
+     ties keep the earlier candidate. *)
   let best_move = ref None and best_gain = ref Flt.eps in
-  let pick mv gain =
-    if gain > !best_gain then begin
-      best_move := Some mv;
-      best_gain := gain
-    end
+  let take mv gain =
+    best_move := Some mv;
+    best_gain := gain
   in
   (* A candidate whose distance sum is a tight target's is skipped when
      even the lowest sum its bound allows leaves a gain of at most the
-     incumbent's: [pick] could not take it.  Costs are monotone in the
+     incumbent's: it could not be taken.  Costs are monotone in the
      sum, so the bound's end decides for every sum inside it. *)
   if List.mem `Add kinds then
     for i = 0 to k - 1 do
@@ -164,7 +165,8 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
          || cur_cost -. (edge' +. (cur_dist -. tight_margin n cur_dist w)) > !best_gain
       then begin
         exact_sum i;
-        pick (Move.Add sc.targets.(i)) (gain_between cur_cost (edge' +. sc.sums.(i)))
+        let g = gain_between cur_cost (edge' +. sc.sums.(i)) in
+        if g > !best_gain then take (Move.Add sc.targets.(i)) g
       end
     done;
   (* The deletion what-if row r_del(x) = d_{G-e}(u,x) of the [i]-th owned
@@ -189,12 +191,15 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
     ISet.iter
       (fun v ->
         let w = wrow.(v) in
-        if edge_survives_sale v then pick (Move.Delete v) (alpha *. w)
-        else if alpha *. w > !best_gain then begin
-          rowlocal := false;
-          let dist' = Flt.sum (del_row !i v) in
-          pick (Move.Delete v) (gain_between cur_cost (cur_edge -. (alpha *. w) +. dist'))
-        end;
+        let bound = alpha *. w in
+        if bound > !best_gain then
+          if edge_survives_sale v then take (Move.Delete v) bound
+          else begin
+            rowlocal := false;
+            let dist' = Flt.sum (del_row !i v) in
+            let g = gain_between cur_cost (cur_edge -. bound +. dist') in
+            if g > !best_gain then take (Move.Delete v) g
+          end;
         incr i)
       owned
   end;
@@ -219,7 +224,8 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
                || cur_cost -. (edge' +. (cur_dist -. tight_margin n cur_dist w_new)) > !best_gain
             then begin
               exact_sum j;
-              pick (Move.Swap (old_t, new_t)) (gain_between cur_cost (edge' +. sc.sums.(j)))
+              let g = gain_between cur_cost (edge' +. sc.sums.(j)) in
+              if g > !best_gain then take (Move.Swap (old_t, new_t)) g
             end
           end
           else begin
@@ -247,7 +253,8 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
                   Net_state.sssp_edited_sum st ~remove:(agent, old_t)
                     ~add:(agent, new_t, w_new) agent
                 in
-                pick (Move.Swap (old_t, new_t)) (gain_between cur_cost (edge' +. dist'))
+                let g = gain_between cur_cost (edge' +. dist') in
+                if g > !best_gain then take (Move.Swap (old_t, new_t)) g
               end
             end
           end

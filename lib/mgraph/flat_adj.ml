@@ -295,7 +295,8 @@ let sssp_into t s dist =
 
 (* Step 1 for one vertex x <> s: [true] when x fails the local test.
    [scan_failing] inlines the same test: with a call per vertex, full
-   scans made the n = 1000 tree anchor (ROADMAP item 6) 13-19% slower. *)
+   scans made the n = 1000 tree anchor (ROADMAP item 6) 13-19% slower.
+   [fails_in] below is a third copy, on a row of the distance matrix. *)
 let fails t (row : float array) x =
   let rx = Array.unsafe_get row x in
   let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
@@ -525,6 +526,104 @@ let settled_failing_into t (row : float array) out =
     !m
   end
 
+(* Which vertices of row [s] of the n×n row-major matrix [d] fail after
+   an insertion that lowered exactly [lowered.(0 .. nlowered-1)] of it,
+   given that every vertex outside [listed.(0 .. nlisted-1)] passed
+   before.  The listed and lowered vertices get the full local test.  A
+   neighbour y of a lowered p that is neither listed nor lowered kept
+   its value and its edges, and its offers changed only on edges from
+   lowered vertices,
+   each by a monotone fl(r'(p) + w) <= fl(r(p) + w): a lowered strict
+   exact predecessor either still gives r(y) exactly, from r'(p) < r(p),
+   or offers y less.  So y fails exactly when some lowered neighbour
+   offers it less, and every other vertex passes as before.
+
+   [fails_in] is [fails] reading the row from [d] in place.  Copying
+   each changed row into a [float array] for [fails] instead made the
+   n = 1000 tree anchor 8-9% slower (11.1 / 11.6 s against 10.3 /
+   10.6 s, 2-core x86-64 VM): on trees most insertions change most
+   rows.  The kernel test
+   "insertion local test = full scan" checks it against [scan_failing]. *)
+let[@inline] fails_in t (d : Float.Array.t) base x =
+  let rx = Float.Array.unsafe_get d (base + x) in
+  let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
+  let deg = Array.unsafe_get t.deg x in
+  let i = ref 0 and lower = ref false and pred = ref false in
+  while !i < deg && not !lower do
+    let rp = Float.Array.unsafe_get d (base + Array.unsafe_get nb !i) in
+    let offer = rp +. Float.Array.unsafe_get wt !i in
+    if offer < rx then lower := true else if offer = rx && rp < rx then pred := true;
+    incr i
+  done;
+  !lower || not (!pred || rx = Float.infinity)
+
+(* Appends [x] to the [m] failing vertices in [out]; -1 once they
+   outgrow it. *)
+let[@inline] push_failing (out : int array) m x =
+  if m < 0 then m
+  else if m = Array.length out then -1
+  else begin
+    Array.unsafe_set out m x;
+    m + 1
+  end
+
+let insertion_failing_into t (d : Float.Array.t) s listed nlisted lowered nlowered out =
+  let n = t.n in
+  check t s "insertion_failing_into";
+  if Float.Array.length d < n * n then invalid_arg "Flat_adj.insertion_failing_into: matrix too short";
+  check_list t listed nlisted "insertion_failing_into";
+  check_list t lowered nlowered "insertion_failing_into";
+  if Array.length t.queue < n then begin
+    t.queue <- Array.make n 0;
+    t.mark <- Bytes.make n '\000'
+  end;
+  let queue = t.queue and mark = t.mark in
+  let base = s * n in
+  (* Every vertex tested is marked and queued, so each is tested once
+     and the flags can be cleared afterwards; [s], never tested, is
+     marked first. *)
+  Bytes.unsafe_set mark s '\001';
+  Array.unsafe_set queue 0 s;
+  let q = ref 1 and m = ref 0 in
+  let i = ref 0 in
+  while !m >= 0 && !i < nlisted + nlowered do
+    let x =
+      if !i < nlisted then Array.unsafe_get listed !i
+      else Array.unsafe_get lowered (!i - nlisted)
+    in
+    if Bytes.unsafe_get mark x = '\000' then begin
+      Bytes.unsafe_set mark x '\001';
+      Array.unsafe_set queue !q x;
+      incr q;
+      if fails_in t d base x then m := push_failing out !m x
+    end;
+    incr i
+  done;
+  let i = ref 0 in
+  while !m >= 0 && !i < nlowered do
+    let p = Array.unsafe_get lowered !i in
+    let rp = Float.Array.unsafe_get d (base + p) in
+    let nb = Array.unsafe_get t.nbr p and wt = Array.unsafe_get t.wt p in
+    for j = 0 to Array.unsafe_get t.deg p - 1 do
+      let y = Array.unsafe_get nb j in
+      if
+        Bytes.unsafe_get mark y = '\000'
+        && rp +. Float.Array.unsafe_get wt j < Float.Array.unsafe_get d (base + y)
+      then begin
+        Bytes.unsafe_set mark y '\001';
+        Array.unsafe_set queue !q y;
+        incr q;
+        m := push_failing out !m y
+      end
+    done;
+    incr i
+  done;
+  for i = 0 to !q - 1 do
+    Bytes.unsafe_set mark (Array.unsafe_get queue i) '\000'
+  done;
+  if !m > 0 then sort_prefix out !m;
+  !m
+
 (* --- what-if passes ------------------------------------------------------ *)
 
 (* A what-if edits the source's own edges, so its settle resets the whole
@@ -540,7 +639,10 @@ let settled_failing_into t (row : float array) out =
    n = 20 and 1.28 against 2.10 us at n = 64, while a settle that scans
    every vertex took 1.79 / 6.84 us and 0.56 / 2.79 us there
    (docs/ALGORITHMS.md, "Suspect sets").  The threshold still follows
-   the full-scan settle, which [Greedy]'s what-ifs always run. *)
+   the full-scan settle, which [Greedy]'s what-ifs always run, although
+   the store's what-ifs at and above it now start from a set 97-99% of
+   the time, since insertions keep the sets of the rows they change: a
+   lower threshold for settles from a set needs its own constant. *)
 let whatif_settle_min_n = 64
 
 let edited_gen t ?remove ?add s dst list len =

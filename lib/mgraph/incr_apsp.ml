@@ -33,7 +33,8 @@ type t = {
   sus : int array array;
   sus_len : int array;
   fails : int array;          (* a full scan's failing vertices *)
-  cands : int array;          (* a deletion row's suspects plus u and v *)
+  cands : int array;          (* a row's suspects plus the edited edge's u and v *)
+  lowered : int array;        (* the entries an insertion lowered in one row: n per route *)
   (* Drift sentinel: every [selfcheck_every] updates (0 = off), cross-check
      the matrix and self-heal by rebuilding on a mismatch. *)
   mutable selfcheck_every : int;
@@ -58,7 +59,10 @@ let set_default_selfcheck n = default_selfcheck := max 0 n
 
    - a full scan (a what-if on a row with no set) records the failing
      vertices of the live row on the unedited adjacency;
-   - an insertion of (u,v,w) drops the set of every row it changed, and
+   - an insertion of (u,v,w) gives a row it changed the failing
+     vertices among its old suspects, u, v, the entries it lowered and
+     their neighbours ([Flat_adj.insertion_failing_into]): every other
+     vertex kept its value, its edges and its neighbours' values.  It
      adds u (or v) to every other row's set when the new edge offers it
      less: only u and v gained an edge, and a gained edge can add a
      predecessor but take none away;
@@ -133,6 +137,7 @@ let of_graph g =
       sus = Array.init n (fun _ -> Array.make suspect_cap 0);
       sus_len = Array.make n (-1);
       fails = Array.make n 0;
+      lowered = Array.make (2 * n) 0;
       cands = Array.make (suspect_cap + 2) 0;
       selfcheck_every = !default_selfcheck;
       selfcheck_countdown = (if !default_selfcheck > 0 then !default_selfcheck else 0);
@@ -492,6 +497,23 @@ let inject_cell_error t u v delta =
 
 (* --- updates --- *)
 
+(* Relaxes row [x] (at [base]) along one route through the new edge,
+   fl(a + src(y)) for every y, a = fl(d(x,z) + w) for the near endpoint
+   z and [src] the far endpoint's snapshot, and appends the entries it
+   lowers to the [k] already in [t.lowered].  Returns the new count. *)
+let[@inline] relax_route t base (a : float) (src : Float.Array.t) k =
+  let d = t.d and lowered = t.lowered in
+  let k = ref k in
+  for y = 0 to t.n - 1 do
+    let via = a +. Float.Array.unsafe_get src y in
+    if via < Float.Array.unsafe_get d (base + y) then begin
+      Float.Array.unsafe_set d (base + y) via;
+      Array.unsafe_set lowered !k y;
+      incr k
+    end
+  done;
+  !k
+
 let add_edge t u v w =
   check t u "add_edge";
   check t v "add_edge";
@@ -507,15 +529,19 @@ let add_edge t u v w =
     let du = t.snap_u and dv = t.snap_v in
     Float.Array.blit t.d (u * n) du 0 n;
     Float.Array.blit t.d (v * n) dv 0 n;
-    (* Insertion support: row x can change only if the new edge offers x
-       a shortcut to one endpoint, d(x,u) + w < d(x,v) or the mirror.  A
-       row that fails both tests by the margin δ = [Flt.stored_margin] at
-       2M + w, M the largest finite entry of the two snapshots, keeps
-       every entry bit for bit: the stored entries meet the triangle
-       inequality through v (and u) up to a relative (4n + 2)·u, far
-       inside δ, and rounding is monotone (ALGORITHMS.md, "Insertion
-       support").  A row reaching neither endpoint is skipped, one
-       reaching exactly one is relaxed. *)
+    (* Insertion support: the route x -> u -> v -> y can shorten row x
+       only if the new edge offers x a shortcut to v, d(x,u) + w <
+       d(x,v), and x -> v -> u -> y only under the mirror test.  A
+       route that fails its test by the margin δ = [Flt.stored_margin]
+       at 2M + w, M the largest finite entry of the two snapshots,
+       offers no entry of the row less than it holds: the stored
+       entries meet the triangle inequality through v (and u) up to a
+       relative (4n + 2)·u, far inside δ, and rounding is monotone
+       (ALGORITHMS.md, "Insertion support").  So a row is relaxed along
+       each route that passes, one after the other, and skipped when
+       neither does: two strict-< passes leave min(cur, via_uv, via_vu),
+       the bits of the three-way compare-select, as the values are never
+       NaN or -0.  An entry both passes lower is listed twice. *)
     let m = ref 0.0 in
     for x = 0 to n - 1 do
       let a = Float.Array.unsafe_get du x and b = Float.Array.unsafe_get dv x in
@@ -526,31 +552,36 @@ let add_edge t u v w =
     let relaxed = ref 0 in
     for x = 0 to n - 1 do
       let dxu = Float.Array.unsafe_get du x and dxv = Float.Array.unsafe_get dv x in
-      if dxu +. w < dxv +. delta || dxv +. w < dxu +. delta then begin
+      let a_uv = dxu +. w and a_vu = dxv +. w in
+      let uv = a_uv < dxv +. delta and vu = a_vu < dxu +. delta in
+      if uv || vu then begin
         incr relaxed;
         let base = x * n in
-        let touched = ref false in
-        for y = 0 to n - 1 do
-          let via_uv = dxu +. w +. Float.Array.unsafe_get dv y in
-          let via_vu = dxv +. w +. Float.Array.unsafe_get du y in
-          let cur = Float.Array.unsafe_get t.d (base + y) in
-          let best = fmin cur (fmin via_uv via_vu) in
-          if best < cur then begin
-            Float.Array.unsafe_set t.d (base + y) best;
-            touched := true
+        let k = if uv then relax_route t base a_uv dv 0 else 0 in
+        let k = if vu then relax_route t base a_vu du k else k in
+        if k > 0 then begin
+          Changed_rows.add changed x;
+          (* Suspect sets: the changed row keeps one when it had one and
+             at most [suspect_cap] vertices fail now. *)
+          let len = Array.unsafe_get t.sus_len x in
+          if len >= 0 then begin
+            let sus = Array.unsafe_get t.sus x in
+            Array.blit sus 0 t.cands 0 len;
+            Array.unsafe_set t.cands len u;
+            Array.unsafe_set t.cands (len + 1) v;
+            Array.unsafe_set t.sus_len x
+              (Flat_adj.insertion_failing_into t.adj t.d x t.cands (len + 2) t.lowered k sus)
           end
-        done;
-        if !touched then Changed_rows.add changed x
+        end
       end
     done;
     Metric.Counter.add c_rows_relaxed !relaxed;
     Metric.Counter.add c_rows_changed (Changed_rows.cardinal changed)
   end;
-  (* Suspect sets: a changed row has none any more; every other row kept
-     its values, and only u and v gained an edge. *)
+  (* Suspect sets of the unchanged rows: every such row kept its values,
+     and only u and v gained an edge. *)
   for x = 0 to n - 1 do
-    if Changed_rows.mem changed x then Array.unsafe_set t.sus_len x (-1)
-    else if Array.unsafe_get t.sus_len x >= 0 then begin
+    if Array.unsafe_get t.sus_len x >= 0 && not (Changed_rows.mem changed x) then begin
       let dxu = Float.Array.unsafe_get t.d ((x * n) + u)
       and dxv = Float.Array.unsafe_get t.d ((x * n) + v) in
       if dxv +. w < dxu then add_suspect t x u;

@@ -121,16 +121,20 @@ val add_edge : t -> int -> int -> float -> Changed_rows.t
     {!Flat_adj.add_edge} on invalid arguments; the edge must not already
     be present.
 
-    Only rows the new edge [(u,v,w)] can shorten are relaxed.  With [M]
-    the largest finite entry of rows [u] and [v] and
-    [δ = Flt.stored_margin n (2M + w)], a row [x] with both
-    [fl(d(u,x) + w) >= fl(d(v,x) + δ)] and
-    [fl(d(v,x) + w) >= fl(d(u,x) + δ)] is skipped: the stored entries
-    meet the triangle inequality through [u] and [v] far inside [δ], so
-    the relaxation would leave every entry of such a row bit for bit
-    (docs/ALGORITHMS.md, "Insertion support").  The matrix and the
-    report are the ones relaxing every row gives.
-    [incr_apsp.rows_relaxed] counts the rows relaxed. *)
+    Each row is relaxed only along the routes through the new edge
+    [(u,v,w)] that can shorten it.  With [M] the largest finite entry of
+    rows [u] and [v] and [δ = Flt.stored_margin n (2M + w)], row [x]
+    is relaxed along [x -> u -> v] only when
+    [fl(d(u,x) + w) < fl(d(v,x) + δ)], and along [x -> v -> u] only
+    under the mirror test; a row failing both is skipped.  The stored
+    entries meet the triangle inequality through [u] and [v] far inside
+    [δ], so a route that fails its test offers no entry less than it
+    holds (docs/ALGORITHMS.md, "Insertion support").  The matrix and the
+    report are the ones relaxing every row along both routes gives.
+    [incr_apsp.rows_relaxed] counts the rows relaxed.  A changed row that
+    had a suspect set gets the set of vertices that fail now, from its
+    old set, the endpoints and the entries the insertion lowered, with
+    their neighbours ({!suspects}). *)
 
 val remove_edge : t -> int -> int -> Changed_rows.t
 (** Removes the edge (no-op when absent) and recomputes the rows of
@@ -176,11 +180,14 @@ val suspects : t -> int -> int list option
     vertices and the endpoints of its edit.  [None] when the row has no
     set; its next what-if then scans the whole row once
     ([incr_apsp.full_scans]) and keeps the result when it holds at most
-    8 vertices.  Insertions drop the sets of the rows they change and
-    add an endpoint to another row's set when the new edge offers it
-    less; deletions rewrite the sets of the rows they settle; a
-    rebuild and {!inject_cell_error} drop them (docs/ALGORITHMS.md,
-    "Suspect sets").  The sets decide only which vertices are tested:
+    8 vertices.  Insertions rewrite the sets of the rows they change
+    ({!Flat_adj.insertion_failing_into}: the old suspects, the endpoints
+    and the lowered entries are tested in full, their neighbours for a
+    lower offer) and add an endpoint to another row's set when the new
+    edge offers it less; deletions rewrite the sets of the rows they
+    settle; a set that would outgrow 8 vertices, a rebuild and
+    {!inject_cell_error} drop them (docs/ALGORITHMS.md, "Suspect
+    sets").  The sets decide only which vertices are tested:
     every row and count is the one a full scan gives.  Test/oracle
     convenience. *)
 

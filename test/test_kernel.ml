@@ -286,6 +286,38 @@ let prop_settle_equals_full_pass seed =
   done;
   !ok && rows_equal g adj
 
+(* [Flat_adj.insertion_failing_into] runs the settle's local test on a
+   row of the flat distance matrix, a copy of the test that
+   [failing_into]'s full scan runs on a [float array].  With every
+   vertex listed or lowered, split between the two at random and with
+   repeats, it tests each vertex in full, so both must name the same
+   failing vertices of an adversarial guess stored at row s of a matrix
+   whose other rows are junk. *)
+let prop_insertion_test_equals_scan seed =
+  let r = Prng.create (seed + 1309) in
+  let g = random_tie_graph r in
+  let n = Wgraph.n g in
+  let adj = Flat_adj.of_wgraph g in
+  let d = Float.Array.init (n * n) (fun _ -> Prng.float r 10.0) in
+  let exact = Array.make n 0.0 in
+  let want = Array.make n 0 and got = Array.make n 0 in
+  let ok = ref true in
+  for _ = 1 to 12 do
+    let s = Prng.int r n in
+    Flat_adj.sssp_into adj s exact;
+    let row = adversarial_guess r s exact in
+    Array.iteri (fun x f -> Float.Array.set d ((s * n) + x) f) row;
+    let all = Array.init (2 * n) (fun i -> if i < n then i else Prng.int r n) in
+    let nlisted = Prng.int r ((2 * n) + 1) in
+    let listed = Array.sub all 0 nlisted and lowered = Array.sub all nlisted ((2 * n) - nlisted) in
+    let k =
+      Flat_adj.insertion_failing_into adj d s listed nlisted lowered (Array.length lowered) got
+    in
+    let k' = Flat_adj.failing_into adj s row want in
+    if k <> k' || Array.sub got 0 (max k 0) <> Array.sub want 0 k' then ok := false
+  done;
+  !ok
+
 (* The stateless scan's deletion what-ifs: [sssp_edited_into] seeded with
    the unedited row equals a fresh pass on the edited graph, bitwise, and
    leaves the adjacency's edge set as it was.  Graphs reach past the size
@@ -496,6 +528,8 @@ let suites =
           test_whatif_allocation_constant;
         qtest ~count:200 "settled guess = full pass, bitwise" seed_gen
           prop_settle_equals_full_pass;
+        qtest ~count:200 "insertion local test = full scan" seed_gen
+          prop_insertion_test_equals_scan;
         qtest ~count:100 "what-if seeded with the unedited row = fresh pass" seed_gen
           prop_edited_from_unedited_row;
         Alcotest.test_case "edits at 1e6 and 1e10 track Dijkstra within the model" `Quick

@@ -11,7 +11,10 @@
    reaches, and weights scaled by 2²⁰ up to 10¹⁰.  Each sequence starts
    from a sparse random network, often disconnected, so insertions also
    join components (rows reaching exactly one endpoint) and leave rows
-   reaching neither. *)
+   reaching neither.  The walks relax rows along one route through the
+   new edge and along both, so the bits comparison covers a single
+   route pass and the two passes in a row against the spec's three-way
+   compare-select. *)
 
 open Helpers
 module Prng = Gncg_util.Prng
@@ -104,11 +107,29 @@ let bits_equal a b =
   done;
   !ok
 
+(* How many rows of the store pass exactly one of the two route tests of
+   [Incr_apsp.add_edge] for the edge (u, v, w), and how many pass both:
+   the rows relaxed along one route and along both. *)
+let route_counts store u v w =
+  let n = Incr_apsp.n store in
+  let d = Incr_apsp.matrix store in
+  let m = ref 0.0 in
+  for x = 0 to n - 1 do
+    List.iter (fun z -> if d.(z).(x) > !m && d.(z).(x) < Float.infinity then m := d.(z).(x)) [ u; v ]
+  done;
+  let delta = Gncg_util.Flt.stored_margin n ((2.0 *. !m) +. w) in
+  let one = ref 0 and two = ref 0 in
+  for x = 0 to n - 1 do
+    let uv = d.(u).(x) +. w < d.(v).(x) +. delta and vu = d.(v).(x) +. w < d.(u).(x) +. delta in
+    if uv && vu then incr two else if uv || vu then incr one
+  done;
+  (!one, !two)
+
 let test_matches_spec () =
   let r = rng 2700 in
   Test_tight.with_profiling (fun () ->
       let relaxed0 = Test_tight.counter "incr_apsp.rows_relaxed" in
-      let rows = ref 0 in
+      let rows = ref 0 and one_route = ref 0 and two_routes = ref 0 in
       List.iter
         (fun (name, make) ->
           for trial = 1 to 6 do
@@ -120,7 +141,12 @@ let test_matches_spec () =
               ~on_insert:(fun store u v w ->
                 spec := flat store;
                 want := spec_add_edge !spec n u v w;
-                if w < Incr_apsp.distance store u v then rows := !rows + n)
+                if w < Incr_apsp.distance store u v then begin
+                  rows := !rows + n;
+                  let one, two = route_counts store u v w in
+                  one_route := !one_route + one;
+                  two_routes := !two_routes + two
+                end)
               ~after_insert:(fun store changed ->
                 incr step;
                 let label = Printf.sprintf "%s n=%d trial %d insertion %d" name n trial !step in
@@ -133,11 +159,14 @@ let test_matches_spec () =
                 done)
           done)
         (adversarial_hosts r ~alpha:2.0);
-      (* Both sides of the test ran: some rows were relaxed and some
-         skipped. *)
+      (* Every branch of the test ran: some rows were skipped, and of the
+         relaxed ones some along one route and some along both. *)
       let relaxed = Test_tight.counter "incr_apsp.rows_relaxed" - relaxed0 in
       check_true "some rows relaxed" (relaxed > 0);
-      check_true "some rows skipped" (relaxed < !rows))
+      check_true "some rows skipped" (relaxed < !rows);
+      check_true "relaxed rows = one-route + two-route rows" (relaxed = !one_route + !two_routes);
+      check_true "some rows relaxed along one route" (!one_route > 0);
+      check_true "some rows relaxed along both routes" (!two_routes > 0))
 
 (* The margin, with the factor of two that ALGORITHMS.md claims as
    headroom: before every insertion of sequences drawn as above, for
