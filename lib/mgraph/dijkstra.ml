@@ -42,8 +42,6 @@ let sssp g s = fst (run g s)
 
 let sssp_bounded g s limit = fst (run ~limit g s)
 
-let distance g u v = (sssp g u).(v)
-
 let apsp g = Array.init (Wgraph.n g) (fun s -> sssp g s)
 
 let path g u v =

@@ -14,8 +14,6 @@ val sssp_bounded : Wgraph.t -> int -> float -> float array
     exceeds [limit]; distances beyond it are reported as infinity.  Used by
     the greedy spanner where only "is d(u,v) <= t*w" matters. *)
 
-val distance : Wgraph.t -> int -> int -> float
-
 val apsp : Wgraph.t -> float array array
 (** All-pairs shortest paths by repeated Dijkstra: O(n (m + n log n)). *)
 

@@ -9,7 +9,7 @@
 type t = {
   n : int;
   nbr : int array array;          (* nbr.(u).(0 .. deg.(u)-1): neighbour ids *)
-  wt : Float.Array.t array;       (* wt.(u).(i): weight of edge (u, nbr.(u).(i)) *)
+  wt : float array array;         (* wt.(u).(i): weight of edge (u, nbr.(u).(i)) *)
   deg : int array;
   heap : int array;               (* heap slots -> vertex id *)
   pos : int array;                (* vertex id -> heap slot, or -1 *)
@@ -26,7 +26,7 @@ let create n =
   {
     n;
     nbr = Array.make n [||];
-    wt = Array.make n (Float.Array.create 0);
+    wt = Array.make n [||];
     deg = Array.make n 0;
     heap = Array.make (max n 1) 0;
     pos = Array.make (max n 1) (-1);
@@ -55,7 +55,7 @@ let weight t u v =
   check t u "weight";
   check t v "weight";
   let i = find t u v in
-  if i < 0 then None else Some (Float.Array.get t.wt.(u) i)
+  if i < 0 then None else Some t.wt.(u).(i)
 
 let degree t u =
   check t u "degree";
@@ -72,14 +72,14 @@ let append t u v w =
   let d = t.deg.(u) in
   if d = Array.length t.nbr.(u) then begin
     let cap = max 4 (2 * d) in
-    let nb = Array.make cap 0 and wt = Float.Array.create cap in
+    let nb = Array.make cap 0 and wt = Array.make cap 0.0 in
     Array.blit t.nbr.(u) 0 nb 0 d;
-    Float.Array.blit t.wt.(u) 0 wt 0 d;
+    Array.blit t.wt.(u) 0 wt 0 d;
     t.nbr.(u) <- nb;
     t.wt.(u) <- wt
   end;
   t.nbr.(u).(d) <- v;
-  Float.Array.set t.wt.(u) d w;
+  t.wt.(u).(d) <- w;
   t.deg.(u) <- d + 1
 
 let check_edge t u v w name =
@@ -99,7 +99,7 @@ let add_edge t u v w =
 let drop t u i =
   let last = t.deg.(u) - 1 in
   t.nbr.(u).(i) <- t.nbr.(u).(last);
-  Float.Array.set t.wt.(u) i (Float.Array.get t.wt.(u) last);
+  t.wt.(u).(i) <- t.wt.(u).(last);
   t.deg.(u) <- last
 
 let remove_edge t u v =
@@ -131,7 +131,7 @@ let to_wgraph t =
   for u = 0 to t.n - 1 do
     for i = 0 to t.deg.(u) - 1 do
       let v = t.nbr.(u).(i) in
-      if u < v then Wgraph.add_edge g u v (Float.Array.get t.wt.(u) i)
+      if u < v then Wgraph.add_edge g u v t.wt.(u).(i)
     done
   done;
   g
@@ -140,7 +140,7 @@ let copy t =
   {
     (create t.n) with
     nbr = Array.map Array.copy t.nbr;
-    wt = Array.map Float.Array.copy t.wt;
+    wt = Array.map Array.copy t.wt;
     deg = Array.copy t.deg;
   }
 
@@ -216,7 +216,7 @@ let drain t ~bound (dist : float array) reached count size =
     let nb = Array.unsafe_get t.nbr u and wt = Array.unsafe_get t.wt u in
     for i = 0 to Array.unsafe_get t.deg u - 1 do
       let v = Array.unsafe_get nb i in
-      let dv = du +. Float.Array.unsafe_get wt i in
+      let dv = du +. Array.unsafe_get wt i in
       if dv < Array.unsafe_get dist v && dv < Array.unsafe_get bound v then begin
         Array.unsafe_set dist v dv;
         let slot = Array.unsafe_get pos v in
@@ -294,17 +294,18 @@ let sssp_into t s dist =
    monotone x -> fl(x + w), gives f(x) <= D(x). *)
 
 (* Step 1 for one vertex x <> s: [true] when x fails the local test.
-   [scan_failing] inlines the same test: with a call per vertex, full
-   scans made the n = 1000 tree anchor (ROADMAP item 6) 13-19% slower.
-   [fails_in] below is a third copy, on a row of the distance matrix. *)
-let fails t (row : float array) x =
+   The one definition of the test: [scan_failing], [enqueue_failing]
+   and [insertion_failing_into] all call it.  It must stay [@inline]:
+   with an out-of-line call per vertex, full scans made the n = 1000
+   tree anchor (ROADMAP item 9) 13-19% slower. *)
+let[@inline] fails t (row : float array) x =
   let rx = Array.unsafe_get row x in
   let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
   let deg = Array.unsafe_get t.deg x in
   let i = ref 0 and lower = ref false and pred = ref false in
   while !i < deg && not !lower do
     let rp = Array.unsafe_get row (Array.unsafe_get nb !i) in
-    let offer = rp +. Float.Array.unsafe_get wt !i in
+    let offer = rp +. Array.unsafe_get wt !i in
     if offer < rx then lower := true else if offer = rx && rp < rx then pred := true;
     incr i
   done;
@@ -315,21 +316,9 @@ let fails t (row : float array) x =
 let scan_failing t s (row : float array) (out : int array) =
   let k = ref 0 in
   for x = 0 to t.n - 1 do
-    if x <> s then begin
-      let rx = Array.unsafe_get row x in
-      let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
-      let deg = Array.unsafe_get t.deg x in
-      let i = ref 0 and lower = ref false and pred = ref false in
-      while !i < deg && not !lower do
-        let rp = Array.unsafe_get row (Array.unsafe_get nb !i) in
-        let offer = rp +. Float.Array.unsafe_get wt !i in
-        if offer < rx then lower := true else if offer = rx && rp < rx then pred := true;
-        incr i
-      done;
-      if !lower || not (!pred || rx = Float.infinity) then begin
-        Array.unsafe_set out !k x;
-        incr k
-      end
+    if x <> s && fails t row x then begin
+      Array.unsafe_set out !k x;
+      incr k
     end
   done;
   !k
@@ -380,7 +369,7 @@ let repair t s (row : float array) k =
              tight child. *)
           if y <> s && Bytes.unsafe_get mark y = '\000' then begin
             let ry = Array.unsafe_get row y in
-            if rx < ry && rx +. Float.Array.unsafe_get wt i = ry then begin
+            if rx < ry && rx +. Array.unsafe_get wt i = ry then begin
               Bytes.unsafe_set mark y '\001';
               Array.unsafe_set queue !k y;
               incr k
@@ -402,7 +391,7 @@ let repair t s (row : float array) k =
       let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
       let m = ref Float.infinity in
       for j = 0 to Array.unsafe_get t.deg x - 1 do
-        let offer = Array.unsafe_get row (Array.unsafe_get nb j) +. Float.Array.unsafe_get wt j in
+        let offer = Array.unsafe_get row (Array.unsafe_get nb j) +. Array.unsafe_get wt j in
         if offer < !m then m := offer
       done;
       if !m < Float.infinity then begin
@@ -502,7 +491,7 @@ let lacks_strict_pred t (row : float array) x =
   let i = ref 0 and pred = ref false in
   while !i < deg && not !pred do
     let rp = Array.unsafe_get row (Array.unsafe_get nb !i) in
-    if rp < rx && rp +. Float.Array.unsafe_get wt !i = rx then pred := true;
+    if rp < rx && rp +. Array.unsafe_get wt !i = rx then pred := true;
     incr i
   done;
   not !pred
@@ -526,37 +515,6 @@ let settled_failing_into t (row : float array) out =
     !m
   end
 
-(* Which vertices of row [s] of the n×n row-major matrix [d] fail after
-   an insertion that lowered exactly [lowered.(0 .. nlowered-1)] of it,
-   given that every vertex outside [listed.(0 .. nlisted-1)] passed
-   before.  The listed and lowered vertices get the full local test.  A
-   neighbour y of a lowered p that is neither listed nor lowered kept
-   its value and its edges, and its offers changed only on edges from
-   lowered vertices,
-   each by a monotone fl(r'(p) + w) <= fl(r(p) + w): a lowered strict
-   exact predecessor either still gives r(y) exactly, from r'(p) < r(p),
-   or offers y less.  So y fails exactly when some lowered neighbour
-   offers it less, and every other vertex passes as before.
-
-   [fails_in] is [fails] reading the row from [d] in place.  Copying
-   each changed row into a [float array] for [fails] instead made the
-   n = 1000 tree anchor 8-9% slower (11.1 / 11.6 s against 10.3 /
-   10.6 s, 2-core x86-64 VM): on trees most insertions change most
-   rows.  The kernel test
-   "insertion local test = full scan" checks it against [scan_failing]. *)
-let[@inline] fails_in t (d : Float.Array.t) base x =
-  let rx = Float.Array.unsafe_get d (base + x) in
-  let nb = Array.unsafe_get t.nbr x and wt = Array.unsafe_get t.wt x in
-  let deg = Array.unsafe_get t.deg x in
-  let i = ref 0 and lower = ref false and pred = ref false in
-  while !i < deg && not !lower do
-    let rp = Float.Array.unsafe_get d (base + Array.unsafe_get nb !i) in
-    let offer = rp +. Float.Array.unsafe_get wt !i in
-    if offer < rx then lower := true else if offer = rx && rp < rx then pred := true;
-    incr i
-  done;
-  !lower || not (!pred || rx = Float.infinity)
-
 (* Appends [x] to the [m] failing vertices in [out]; -1 once they
    outgrow it. *)
 let[@inline] push_failing (out : int array) m x =
@@ -567,10 +525,19 @@ let[@inline] push_failing (out : int array) m x =
     m + 1
   end
 
-let insertion_failing_into t (d : Float.Array.t) s listed nlisted lowered nlowered out =
+(* Which vertices of row [s] fail after an insertion that lowered
+   exactly [lowered.(0 .. nlowered-1)] of it, given that every vertex
+   outside [listed.(0 .. nlisted-1)] passed before.  The listed and
+   lowered vertices get the full local test.  A neighbour y of a lowered
+   p that is neither listed nor lowered kept its value and its edges,
+   and its offers changed only on edges from lowered vertices, each by a
+   monotone fl(r'(p) + w) <= fl(r(p) + w): a lowered strict exact
+   predecessor either still gives r(y) exactly, from r'(p) < r(p), or
+   offers y less.  So y fails exactly when some lowered neighbour offers
+   it less, and every other vertex passes as before. *)
+let insertion_failing_into t (row : float array) s listed nlisted lowered nlowered out =
   let n = t.n in
-  check t s "insertion_failing_into";
-  if Float.Array.length d < n * n then invalid_arg "Flat_adj.insertion_failing_into: matrix too short";
+  check_row t s row "insertion_failing_into";
   check_list t listed nlisted "insertion_failing_into";
   check_list t lowered nlowered "insertion_failing_into";
   if Array.length t.queue < n then begin
@@ -578,7 +545,6 @@ let insertion_failing_into t (d : Float.Array.t) s listed nlisted lowered nlower
     t.mark <- Bytes.make n '\000'
   end;
   let queue = t.queue and mark = t.mark in
-  let base = s * n in
   (* Every vertex tested is marked and queued, so each is tested once
      and the flags can be cleared afterwards; [s], never tested, is
      marked first. *)
@@ -595,20 +561,20 @@ let insertion_failing_into t (d : Float.Array.t) s listed nlisted lowered nlower
       Bytes.unsafe_set mark x '\001';
       Array.unsafe_set queue !q x;
       incr q;
-      if fails_in t d base x then m := push_failing out !m x
+      if fails t row x then m := push_failing out !m x
     end;
     incr i
   done;
   let i = ref 0 in
   while !m >= 0 && !i < nlowered do
     let p = Array.unsafe_get lowered !i in
-    let rp = Float.Array.unsafe_get d (base + p) in
+    let rp = Array.unsafe_get row p in
     let nb = Array.unsafe_get t.nbr p and wt = Array.unsafe_get t.wt p in
     for j = 0 to Array.unsafe_get t.deg p - 1 do
       let y = Array.unsafe_get nb j in
       if
         Bytes.unsafe_get mark y = '\000'
-        && rp +. Float.Array.unsafe_get wt j < Float.Array.unsafe_get d (base + y)
+        && rp +. Array.unsafe_get wt j < Array.unsafe_get row y
       then begin
         Bytes.unsafe_set mark y '\001';
         Array.unsafe_set queue !q y;
@@ -661,7 +627,7 @@ let edited_gen t ?remove ?add s dst list len =
       let i = find t u v in
       if i < 0 then None
       else begin
-        let w = Float.Array.get t.wt.(u) i in
+        let w = t.wt.(u).(i) in
         remove_edge t u v;
         Some (u, v, w)
       end

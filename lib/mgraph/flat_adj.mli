@@ -126,23 +126,24 @@ val settled_failing_into : t -> float array -> int array -> int
     pass (the test then has nothing to go on). *)
 
 val insertion_failing_into :
-  t -> Float.Array.t -> int -> int array -> int -> int array -> int -> int array -> int
-(** [insertion_failing_into t d s listed nlisted lowered nlowered out]
-    reads row [s] of the n×n row-major matrix [d] right after an edge
-    was added to [t] and the insertion lowered exactly the entries
-    [lowered.(0 .. nlowered-1)] of that row, listed in any order and
-    with repeats allowed.  Every vertex outside
-    [listed.(0 .. nlisted-1)] (the row's old suspects and the new edge's
-    endpoints) must have passed {!settle_into}'s local test before.  The
-    call writes the vertices of the row that fail the test now to [out],
-    in ascending order, and returns their count, or [-1] when more than
-    [Array.length out] fail.  It tests the listed and lowered vertices in
-    full, and a neighbour of a lowered vertex only for a lower offer from
-    it: nothing else that a vertex's test reads has changed
-    (docs/ALGORITHMS.md, "Suspect sets").  Allocation-free once the
-    adjacency has settled a row.  Raises [Invalid_argument] when a listed
-    or lowered vertex is out of range, a count exceeds its array or [d]
-    is shorter than n². *)
+  t -> float array -> int -> int array -> int -> int array -> int -> int array -> int
+(** [insertion_failing_into t row s listed nlisted lowered nlowered out]
+    reads the row of source [s] right after an edge was added to [t] and
+    the insertion lowered exactly the entries
+    [lowered.(0 .. nlowered-1)] of it, listed in any order and with
+    repeats allowed.  Every vertex outside [listed.(0 .. nlisted-1)]
+    (the row's old suspects and the new edge's endpoints) must have
+    passed {!settle_into}'s local test before.  The call writes the
+    vertices of the row that fail the test now to [out], in ascending
+    order, and returns their count, or [-1] when more than
+    [Array.length out] fail.  It runs the local test of {!failing_into}
+    on the listed and lowered vertices, and tests a neighbour of a
+    lowered vertex only for a lower offer from it: nothing else that a
+    vertex's test reads has changed (docs/ALGORITHMS.md, "Suspect
+    sets").  Allocation-free once the adjacency has settled a row.
+    Raises [Invalid_argument] when [s] or a listed or lowered vertex is
+    out of range, a count exceeds its array or the row is shorter than
+    [n]. *)
 
 val whatif_settle_min_n : int
 (** 64: below this many vertices a what-if ignores its guess and runs a

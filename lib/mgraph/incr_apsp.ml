@@ -1,7 +1,7 @@
-(* Flat row-major floatarray backing (index u*n+v), preallocated
-   snapshot/scratch workspaces, and explicit change tracking: every
-   update reports the set of source rows whose distances changed, so the
-   layers above can invalidate per-agent state selectively. *)
+(* One [float array] per source row, preallocated snapshot/scratch
+   rows, and explicit change tracking: every update reports the set of
+   source rows whose distances changed, so the layers above can
+   invalidate per-agent state selectively. *)
 
 module Metric = Gncg_obs.Metric
 
@@ -22,10 +22,11 @@ let c_selfcheck_repairs = Metric.Counter.make "incr_apsp.selfcheck_repairs"
 type t = {
   adj : Flat_adj.t;           (* the tracked edge set: every pass runs on it *)
   n : int;
-  d : Float.Array.t;          (* n*n distances *)
-  snap_u : Float.Array.t;     (* row snapshots for the insertion update *)
-  snap_v : Float.Array.t;
-  scratch : float array;      (* reusable row for what-if / recompute passes *)
+  d : float array array;      (* d.(u).(v): the distance from u to v *)
+  snap_u : float array;       (* row snapshots for the insertion update *)
+  snap_v : float array;
+  mutable scratch : float array;  (* reusable row for what-if / recompute passes;
+                                     a settled deletion row swaps with it *)
   (* Suspect sets: sus.(s).(0 .. sus_len.(s)-1), ascending, holds every
      vertex of row s that may fail the settle's local test on the current
      adjacency; sus_len.(s) = -1 when nothing is known.  See "Suspect
@@ -110,17 +111,9 @@ let scan_row t s (row : float array) =
   end;
   k
 
-(* Recomputes source row [s] through the scratch row. *)
-let fill_row t s =
-  Flat_adj.sssp_into t.adj s t.scratch;
-  let base = s * t.n in
-  for x = 0 to t.n - 1 do
-    Float.Array.unsafe_set t.d (base + x) (Array.unsafe_get t.scratch x)
-  done
-
 let rebuild t =
   for s = 0 to t.n - 1 do
-    fill_row t s
+    Flat_adj.sssp_into t.adj s t.d.(s)
   done;
   Array.fill t.sus_len 0 t.n (-1)
 
@@ -130,9 +123,9 @@ let of_graph g =
     {
       adj = Flat_adj.of_wgraph g;
       n;
-      d = Float.Array.create (n * n);
-      snap_u = Float.Array.create n;
-      snap_v = Float.Array.create n;
+      d = Array.init n (fun _ -> Array.make n Float.infinity);
+      snap_u = Array.make n Float.infinity;
+      snap_v = Array.make n Float.infinity;
       scratch = Array.make n Float.infinity;
       sus = Array.init n (fun _ -> Array.make suspect_cap 0);
       sus_len = Array.make n (-1);
@@ -160,11 +153,9 @@ let check t u name =
 let distance t u v =
   check t u "distance";
   check t v "distance";
-  Float.Array.get t.d ((u * t.n) + v)
+  t.d.(u).(v)
 
-let matrix t =
-  let n = t.n in
-  Array.init n (fun u -> Array.init n (fun v -> Float.Array.unsafe_get t.d ((u * n) + v)))
+let matrix t = Array.map Array.copy t.d
 
 let suspects t s =
   check t s "suspects";
@@ -185,11 +176,11 @@ let[@inline] fmin (a : float) b = if b < a then b else a
 
 let dist_sum t u =
   check t u "dist_sum";
-  let base = u * t.n in
+  let row = Array.unsafe_get t.d u in
   let s = ref 0.0 and c = ref 0.0 in
   let any_inf = ref false in
   for x = 0 to t.n - 1 do
-    let d = Float.Array.unsafe_get t.d (base + x) in
+    let d = Array.unsafe_get row x in
     if d = Float.infinity then any_inf := true
     else begin
       let y = d -. !c in
@@ -204,15 +195,11 @@ let dist_sum t u =
    edge (u,v): any shortest path through the new edge starts with it.
    Unchecked and uncounted: the single-target lane of both entry points. *)
 let sum_with_edge t u v w =
-  let ubase = u * t.n and vbase = v * t.n in
+  let du = Array.unsafe_get t.d u and dv = Array.unsafe_get t.d v in
   let s = ref 0.0 and c = ref 0.0 in
   let any_inf = ref false in
   for x = 0 to t.n - 1 do
-    let m =
-      fmin
-        (Float.Array.unsafe_get t.d (ubase + x))
-        (w +. Float.Array.unsafe_get t.d (vbase + x))
-    in
+    let m = fmin (Array.unsafe_get du x) (w +. Array.unsafe_get dv x) in
     if m = Float.infinity then any_inf := true
     else begin
       let y = m -. !c in
@@ -246,26 +233,30 @@ let dist_sums_with_edges t u targets weights idx k out =
      operations of [sum_with_edge] for its target, in the same order, so
      every sum is bitwise the single-target one. *)
   let n = t.n and d = t.d in
-  let ubase = u * n in
+  let du = Array.unsafe_get d u in
   let i = ref 0 in
   while !i + 4 <= k do
     let j = !i in
     let p0 = Array.unsafe_get idx j and p1 = Array.unsafe_get idx (j + 1) in
     let p2 = Array.unsafe_get idx (j + 2) and p3 = Array.unsafe_get idx (j + 3) in
-    let b0 = Array.unsafe_get targets p0 * n and w0 = Array.unsafe_get weights p0 in
-    let b1 = Array.unsafe_get targets p1 * n and w1 = Array.unsafe_get weights p1 in
-    let b2 = Array.unsafe_get targets p2 * n and w2 = Array.unsafe_get weights p2 in
-    let b3 = Array.unsafe_get targets p3 * n and w3 = Array.unsafe_get weights p3 in
+    let r0 = Array.unsafe_get d (Array.unsafe_get targets p0) in
+    let w0 = Array.unsafe_get weights p0 in
+    let r1 = Array.unsafe_get d (Array.unsafe_get targets p1) in
+    let w1 = Array.unsafe_get weights p1 in
+    let r2 = Array.unsafe_get d (Array.unsafe_get targets p2) in
+    let w2 = Array.unsafe_get weights p2 in
+    let r3 = Array.unsafe_get d (Array.unsafe_get targets p3) in
+    let w3 = Array.unsafe_get weights p3 in
     let s0 = ref 0.0 and c0 = ref 0.0 and f0 = ref false in
     let s1 = ref 0.0 and c1 = ref 0.0 and f1 = ref false in
     let s2 = ref 0.0 and c2 = ref 0.0 and f2 = ref false in
     let s3 = ref 0.0 and c3 = ref 0.0 and f3 = ref false in
     for x = 0 to n - 1 do
-      let du = Float.Array.unsafe_get d (ubase + x) in
-      let m0 = fmin du (w0 +. Float.Array.unsafe_get d (b0 + x)) in
-      let m1 = fmin du (w1 +. Float.Array.unsafe_get d (b1 + x)) in
-      let m2 = fmin du (w2 +. Float.Array.unsafe_get d (b2 + x)) in
-      let m3 = fmin du (w3 +. Float.Array.unsafe_get d (b3 + x)) in
+      let dux = Array.unsafe_get du x in
+      let m0 = fmin dux (w0 +. Array.unsafe_get r0 x) in
+      let m1 = fmin dux (w1 +. Array.unsafe_get r1 x) in
+      let m2 = fmin dux (w2 +. Array.unsafe_get r2 x) in
+      let m3 = fmin dux (w3 +. Array.unsafe_get r3 x) in
       if m0 = Float.infinity then f0 := true
       else begin
         let y = m0 -. !c0 in
@@ -314,12 +305,12 @@ let loose_targets t u targets weights k idx =
   check t u "loose_targets";
   if k < 0 || k > Array.length targets || k > Array.length weights || k > Array.length idx
   then invalid_arg "Incr_apsp.loose_targets: arrays shorter than k";
-  let ubase = u * t.n in
+  let du = Array.unsafe_get t.d u in
   let kl = ref 0 in
   for i = 0 to k - 1 do
     let v = Array.unsafe_get targets i in
     check t v "loose_targets";
-    if Float.Array.unsafe_get t.d (ubase + v) > Array.unsafe_get weights i then begin
+    if Array.unsafe_get du v > Array.unsafe_get weights i then begin
       Array.unsafe_set idx !kl i;
       incr kl
     end
@@ -332,13 +323,11 @@ let min_sum_against t r v w =
   if Array.length r < t.n then invalid_arg "Incr_apsp.min_sum_against: row too short";
   (* Σ_x min(r.(x), w + d(v,x)) — insertion relaxation of a caller-held
      row (e.g. a deletion what-if) against a live matrix row. *)
-  let vbase = v * t.n in
+  let dv = Array.unsafe_get t.d v in
   let s = ref 0.0 and c = ref 0.0 in
   let any_inf = ref false in
   for x = 0 to t.n - 1 do
-    let m =
-      fmin (Array.unsafe_get r x) (w +. Float.Array.unsafe_get t.d (vbase + x))
-    in
+    let m = fmin (Array.unsafe_get r x) (w +. Array.unsafe_get dv x) in
     if m = Float.infinity then any_inf := true
     else begin
       let y = m -. !c in
@@ -352,20 +341,23 @@ let min_sum_against t r v w =
 (* --- whole-matrix totals ------------------------------------------------ *)
 
 let total t =
-  (* Kahan over the whole flat buffer; any infinite entry (disconnected
-     pair) makes the total infinite without reaching the compensation. *)
-  let len = t.n * t.n in
+  (* One Kahan chain over the rows in order; any infinite entry
+     (disconnected pair) makes the total infinite without reaching the
+     compensation. *)
   let s = ref 0.0 and c = ref 0.0 in
   let any_inf = ref false in
-  for i = 0 to len - 1 do
-    let x = Float.Array.unsafe_get t.d i in
-    if x = Float.infinity then any_inf := true
-    else begin
-      let y = x -. !c in
-      let tt = !s +. y in
-      c := tt -. !s -. y;
-      s := tt
-    end
+  for u = 0 to t.n - 1 do
+    let row = Array.unsafe_get t.d u in
+    for v = 0 to t.n - 1 do
+      let x = Array.unsafe_get row v in
+      if x = Float.infinity then any_inf := true
+      else begin
+        let y = x -. !c in
+        let tt = !s +. y in
+        c := tt -. !s -. y;
+        s := tt
+      end
+    done
   done;
   if !any_inf then Float.infinity else !s
 
@@ -375,19 +367,18 @@ let total_with_edge_added t u v w =
   check t u "total_with_edge_added";
   check t v "total_with_edge_added";
   let n = t.n in
-  if w >= Float.Array.get t.d ((u * n) + v) then total t
+  if w >= t.d.(u).(v) then total t
   else begin
-    let ubase = u * n and vbase = v * n in
+    let du = Array.unsafe_get t.d u and dv = Array.unsafe_get t.d v in
     let s = ref 0.0 and c = ref 0.0 in
     let any_inf = ref false in
     for x = 0 to n - 1 do
-      let base = x * n in
-      let dxu = Float.Array.unsafe_get t.d (ubase + x)
-      and dxv = Float.Array.unsafe_get t.d (vbase + x) in
+      let row = Array.unsafe_get t.d x in
+      let dxu = Array.unsafe_get du x and dxv = Array.unsafe_get dv x in
       for y = 0 to n - 1 do
-        let via_uv = dxu +. w +. Float.Array.unsafe_get t.d (vbase + y) in
-        let via_vu = dxv +. w +. Float.Array.unsafe_get t.d (ubase + y) in
-        let d = fmin (Float.Array.unsafe_get t.d (base + y)) (fmin via_uv via_vu) in
+        let via_uv = dxu +. w +. Array.unsafe_get dv y in
+        let via_vu = dxv +. w +. Array.unsafe_get du y in
+        let d = fmin (Array.unsafe_get row y) (fmin via_uv via_vu) in
         if d = Float.infinity then any_inf := true
         else begin
           let y' = d -. !c in
@@ -437,9 +428,7 @@ let selfcheck_now t =
        for v = u + 1 to n - 1 do
          if
            not
-             (Gncg_util.Flt.stored_eq n
-                (Float.Array.unsafe_get t.d ((u * n) + v))
-                (Float.Array.unsafe_get t.d ((v * n) + u)))
+             (Gncg_util.Flt.stored_eq n t.d.(u).(v) t.d.(v).(u))
          then begin
            clean := false;
            raise Exit
@@ -451,15 +440,10 @@ let selfcheck_now t =
     let s = t.selfcheck_cursor mod n in
     t.selfcheck_cursor <- (s + 1) mod n;
     Flat_adj.sssp_into t.adj s t.scratch;
-    let base = s * n in
+    let row = t.d.(s) in
     try
       for x = 0 to n - 1 do
-        if
-          not
-            (Gncg_util.Flt.stored_eq n
-               (Array.unsafe_get t.scratch x)
-               (Float.Array.unsafe_get t.d (base + x)))
-        then begin
+        if not (Gncg_util.Flt.stored_eq n t.scratch.(x) row.(x)) then begin
           clean := false;
           raise Exit
         end
@@ -491,23 +475,22 @@ let tick_selfcheck t changed =
 let inject_cell_error t u v delta =
   check t u "inject_cell_error";
   check t v "inject_cell_error";
-  let i = (u * t.n) + v in
-  Float.Array.set t.d i (Float.Array.get t.d i +. delta);
+  t.d.(u).(v) <- t.d.(u).(v) +. delta;
   t.sus_len.(u) <- -1
 
 (* --- updates --- *)
 
-(* Relaxes row [x] (at [base]) along one route through the new edge,
-   fl(a + src(y)) for every y, a = fl(d(x,z) + w) for the near endpoint
-   z and [src] the far endpoint's snapshot, and appends the entries it
-   lowers to the [k] already in [t.lowered].  Returns the new count. *)
-let[@inline] relax_route t base (a : float) (src : Float.Array.t) k =
-  let d = t.d and lowered = t.lowered in
+(* Relaxes [row] along one route through the new edge, fl(a + src(y))
+   for every y, a = fl(d(x,z) + w) for the near endpoint z and [src] the
+   far endpoint's snapshot, and appends the entries it lowers to the [k]
+   already in [t.lowered].  Returns the new count. *)
+let[@inline] relax_route t (row : float array) (a : float) (src : float array) k =
+  let lowered = t.lowered in
   let k = ref k in
   for y = 0 to t.n - 1 do
-    let via = a +. Float.Array.unsafe_get src y in
-    if via < Float.Array.unsafe_get d (base + y) then begin
-      Float.Array.unsafe_set d (base + y) via;
+    let via = a +. Array.unsafe_get src y in
+    if via < Array.unsafe_get row y then begin
+      Array.unsafe_set row y via;
       Array.unsafe_set lowered !k y;
       incr k
     end
@@ -521,14 +504,14 @@ let add_edge t u v w =
   Metric.Counter.incr c_insertions;
   let n = t.n in
   let changed = Changed_rows.create n in
-  if w < Float.Array.get t.d ((u * n) + v) then begin
+  if w < t.d.(u).(v) then begin
     (* Rows u and v are read while every row (incl. themselves) is being
        written: snapshot them into the preallocated workspaces first.  A
        row is reported as changed exactly when some entry strictly
        decreased. *)
     let du = t.snap_u and dv = t.snap_v in
-    Float.Array.blit t.d (u * n) du 0 n;
-    Float.Array.blit t.d (v * n) dv 0 n;
+    Array.blit t.d.(u) 0 du 0 n;
+    Array.blit t.d.(v) 0 dv 0 n;
     (* Insertion support: the route x -> u -> v -> y can shorten row x
        only if the new edge offers x a shortcut to v, d(x,u) + w <
        d(x,v), and x -> v -> u -> y only under the mirror test.  A
@@ -544,21 +527,21 @@ let add_edge t u v w =
        NaN or -0.  An entry both passes lower is listed twice. *)
     let m = ref 0.0 in
     for x = 0 to n - 1 do
-      let a = Float.Array.unsafe_get du x and b = Float.Array.unsafe_get dv x in
+      let a = Array.unsafe_get du x and b = Array.unsafe_get dv x in
       if a > !m && a < Float.infinity then m := a;
       if b > !m && b < Float.infinity then m := b
     done;
     let delta = Gncg_util.Flt.stored_margin n ((2.0 *. !m) +. w) in
     let relaxed = ref 0 in
     for x = 0 to n - 1 do
-      let dxu = Float.Array.unsafe_get du x and dxv = Float.Array.unsafe_get dv x in
+      let dxu = Array.unsafe_get du x and dxv = Array.unsafe_get dv x in
       let a_uv = dxu +. w and a_vu = dxv +. w in
       let uv = a_uv < dxv +. delta and vu = a_vu < dxu +. delta in
       if uv || vu then begin
         incr relaxed;
-        let base = x * n in
-        let k = if uv then relax_route t base a_uv dv 0 else 0 in
-        let k = if vu then relax_route t base a_vu du k else k in
+        let row = Array.unsafe_get t.d x in
+        let k = if uv then relax_route t row a_uv dv 0 else 0 in
+        let k = if vu then relax_route t row a_vu du k else k in
         if k > 0 then begin
           Changed_rows.add changed x;
           (* Suspect sets: the changed row keeps one when it had one and
@@ -570,7 +553,7 @@ let add_edge t u v w =
             Array.unsafe_set t.cands len u;
             Array.unsafe_set t.cands (len + 1) v;
             Array.unsafe_set t.sus_len x
-              (Flat_adj.insertion_failing_into t.adj t.d x t.cands (len + 2) t.lowered k sus)
+              (Flat_adj.insertion_failing_into t.adj row x t.cands (len + 2) t.lowered k sus)
           end
         end
       end
@@ -582,8 +565,8 @@ let add_edge t u v w =
      and only u and v gained an edge. *)
   for x = 0 to n - 1 do
     if Array.unsafe_get t.sus_len x >= 0 && not (Changed_rows.mem changed x) then begin
-      let dxu = Float.Array.unsafe_get t.d ((x * n) + u)
-      and dxv = Float.Array.unsafe_get t.d ((x * n) + v) in
+      let row = Array.unsafe_get t.d x in
+      let dxu = Array.unsafe_get row u and dxv = Array.unsafe_get row v in
       if dxv +. w < dxu then add_suspect t x u;
       if dxu +. w < dxv then add_suspect t x v
     end
@@ -625,19 +608,17 @@ let remove_edge t u v =
        into the preallocated scratch and settled there from its own
        stored values: the kernel resets only the vertices whose value the
        removal (or an earlier insertion's rounding) left unsupported, and
-       returns [sssp_into]'s row bit for bit.  The row is written back
-       only where it differs, so the change report is exact on the
-       recomputed set. *)
+       returns [sssp_into]'s row bit for bit.  A settled row that differs
+       from the stored one takes its place, and the stored one becomes
+       the scratch, so the change report is exact on the recomputed
+       set. *)
     let recomputed = ref 0 and settled = ref 0 in
     for s = 0 to n - 1 do
-      let base = s * n in
-      let dsu = Float.Array.unsafe_get t.d (base + u)
-      and dsv = Float.Array.unsafe_get t.d (base + v) in
+      let row = Array.unsafe_get t.d s in
+      let dsu = Array.unsafe_get row u and dsv = Array.unsafe_get row v in
       let tol = deletion_tol n dsu dsv w in
       if near (dsu +. w) dsv tol || near (dsv +. w) dsu tol then begin
-        for x = 0 to n - 1 do
-          Array.unsafe_set t.scratch x (Float.Array.unsafe_get t.d (base + x))
-        done;
+        Array.blit row 0 t.scratch 0 n;
         (* Only u and v lost an edge: the row's suspects and they cover
            every vertex that can fail now. *)
         let k = Array.unsafe_get t.sus_len s in
@@ -656,15 +637,15 @@ let remove_edge t u v =
         settled := !settled + count;
         Array.unsafe_set t.sus_len s
           (Flat_adj.settled_failing_into t.adj t.scratch (Array.unsafe_get t.sus s));
-        let differs = ref false in
-        for x = 0 to n - 1 do
-          let fresh = Array.unsafe_get t.scratch x in
-          if fresh <> Float.Array.unsafe_get t.d (base + x) then begin
-            Float.Array.unsafe_set t.d (base + x) fresh;
-            differs := true
-          end
+        let x = ref 0 in
+        while !x < n && Array.unsafe_get t.scratch !x = Array.unsafe_get row !x do
+          incr x
         done;
-        if !differs then Changed_rows.add changed s;
+        if !x < n then begin
+          Array.unsafe_set t.d s t.scratch;
+          t.scratch <- row;
+          Changed_rows.add changed s
+        end;
         incr recomputed
       end
     done;
@@ -681,10 +662,7 @@ let remove_edge t u v =
    source's live row, which differs from the edited row only where the
    edit reaches. *)
 let settle_edited t ?remove ?add source dst =
-  let base = source * t.n in
-  for x = 0 to t.n - 1 do
-    Array.unsafe_set dst x (Float.Array.unsafe_get t.d (base + x))
-  done;
+  Array.blit t.d.(source) 0 dst 0 t.n;
   Metric.Counter.incr c_whatif_sssp;
   (* Below [whatif_settle_min_n] the pass ignores its guess: no list. *)
   let count =

@@ -29,12 +29,14 @@
     returns the same bits as [Float.min] on such inputs, without its
     sign-bit test.
 
-    Storage is one flat row-major unboxed [floatarray] of length n²
-    (index [u*n + v]): the relaxation kernels stream a single contiguous
-    buffer, the row snapshots and what-if rows are preallocated
-    workspaces, and both updates report a {!Changed_rows.t} of the source
-    rows they actually modified, so callers can invalidate per-agent
-    caches selectively.
+    Storage is one unboxed [float array] per source row, the row type
+    of every pass the store runs: {!Flat_adj.sssp_into} and the settles
+    write straight into a stored row or a preallocated workspace (the
+    row snapshots of an insertion, the scratch of deletions and
+    what-ifs), and a settled deletion row swaps places with the scratch.
+    Both updates report a {!Changed_rows.t} of the source rows they
+    actually modified, so callers can invalidate per-agent caches
+    selectively.
 
     The edge set lives in one private {!Flat_adj}, which every SSSP pass
     runs on and only {!add_edge} / {!remove_edge} mutate.  Not
@@ -61,14 +63,13 @@ val n : t -> int
 val distance : t -> int -> int -> float
 
 val matrix : t -> float array array
-(** A fresh boxed copy of the whole matrix (test/oracle convenience; the
-    backing store is flat and unboxed, so there is no live row to
-    alias). *)
+(** A fresh copy of the whole matrix (test/oracle convenience): no
+    returned row aliases a stored one. *)
 
 val dist_sum : t -> int -> float
 (** Kahan-compensated sum of a source's row, infinite when the source is
-    disconnected from anyone — one allocation-free pass over the flat
-    storage. *)
+    disconnected from anyone — one allocation-free pass over the stored
+    row. *)
 
 val dist_sum_with_edge : t -> int -> int -> float -> float
 (** [dist_sum_with_edge t u v w] is [Σ_x min(d(u,x), w + d(v,x))] — the

@@ -426,6 +426,28 @@ let test_dist_matrix_noop_insertion () =
   Helpers.check_float "unchanged total shortcut" (Incr_apsp.total m)
     (Incr_apsp.total_with_edge_added m 0 2 10.0)
 
+(* The store hands out copies of its rows, and a deletion row that
+   swaps places with the scratch row leaves no alias behind: writing into
+   a [matrix] row, or running what-ifs through the scratch row after a
+   deletion, changes no stored distance. *)
+let test_dist_matrix_rows_unaliased () =
+  let g = Wgraph.of_edges 4 [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0); (0, 3, 5.0) ] in
+  let m = Incr_apsp.of_graph g in
+  let check_store name =
+    let want = Gncg_graph.Dijkstra.apsp (Incr_apsp.graph m) in
+    Helpers.check_true name (Incr_apsp.matrix m = want)
+  in
+  let rows = Incr_apsp.matrix m in
+  rows.(0).(2) <- 99.0;
+  Array.fill rows.(3) 0 4 0.0;
+  check_store "matrix rows are copies";
+  let changed = Incr_apsp.remove_edge m 1 2 in
+  Helpers.check_true "the deletion changed rows" (Gncg_graph.Changed_rows.cardinal changed > 0);
+  for s = 0 to 3 do
+    ignore (Incr_apsp.sssp_edited_sum m ~remove:(0, 3) s)
+  done;
+  check_store "what-ifs after a deletion leave the store as it was"
+
 let suites =
   [
     ( "incremental-engine",
@@ -447,5 +469,6 @@ let suites =
         Helpers.case "insertion matches recompute" test_dist_matrix_insertion_exact;
         Helpers.case "insertion can connect" test_dist_matrix_insertion_connects;
         Helpers.case "useless insertion is no-op" test_dist_matrix_noop_insertion;
+        Helpers.case "matrix rows are not aliased" test_dist_matrix_rows_unaliased;
       ] );
   ]

@@ -286,19 +286,16 @@ let prop_settle_equals_full_pass seed =
   done;
   !ok && rows_equal g adj
 
-(* [Flat_adj.insertion_failing_into] runs the settle's local test on a
-   row of the flat distance matrix, a copy of the test that
-   [failing_into]'s full scan runs on a [float array].  With every
-   vertex listed or lowered, split between the two at random and with
-   repeats, it tests each vertex in full, so both must name the same
-   failing vertices of an adversarial guess stored at row s of a matrix
-   whose other rows are junk. *)
+(* [Flat_adj.insertion_failing_into] and [failing_into]'s full scan run
+   the same local test.  With every vertex listed or lowered, split
+   between the two at random and with repeats, the insertion rule tests
+   each vertex in full, so both must name the same failing vertices of an
+   adversarial guess, in the same order. *)
 let prop_insertion_test_equals_scan seed =
   let r = Prng.create (seed + 1309) in
   let g = random_tie_graph r in
   let n = Wgraph.n g in
   let adj = Flat_adj.of_wgraph g in
-  let d = Float.Array.init (n * n) (fun _ -> Prng.float r 10.0) in
   let exact = Array.make n 0.0 in
   let want = Array.make n 0 and got = Array.make n 0 in
   let ok = ref true in
@@ -306,12 +303,11 @@ let prop_insertion_test_equals_scan seed =
     let s = Prng.int r n in
     Flat_adj.sssp_into adj s exact;
     let row = adversarial_guess r s exact in
-    Array.iteri (fun x f -> Float.Array.set d ((s * n) + x) f) row;
     let all = Array.init (2 * n) (fun i -> if i < n then i else Prng.int r n) in
     let nlisted = Prng.int r ((2 * n) + 1) in
     let listed = Array.sub all 0 nlisted and lowered = Array.sub all nlisted ((2 * n) - nlisted) in
     let k =
-      Flat_adj.insertion_failing_into adj d s listed nlisted lowered (Array.length lowered) got
+      Flat_adj.insertion_failing_into adj row s listed nlisted lowered (Array.length lowered) got
     in
     let k' = Flat_adj.failing_into adj s row want in
     if k <> k' || Array.sub got 0 (max k 0) <> Array.sub want 0 k' then ok := false

@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
-# Lint: the distance kernels, the move evaluators and Flt (whose
-# rounding-model margins the kernels copy inline) take float minima and
-# maxima by compare-select, never through Float.min / Float.max.
-# Those test the sign bit and NaN, which costs a C call whenever the
-# first comparison fails, and in the dev profile (-opaque) a float
-# passed across a module boundary is boxed.  On the distances these
-# files see (never NaN, never -0) a compare-select returns the same
-# bits.  See ROADMAP.md item 6, "Kernel note", and the [fmin] comment
-# in lib/mgraph/incr_apsp.ml.
+# Lint, two rules on the distance kernels, the move evaluators and Flt
+# (whose rounding-model margins the kernels copy inline):
 #
-# Comments and string literals are skipped, so prose may still name the
-# functions.  Any call in code fails the build (`dune build @lint`).
+# - Float minima and maxima are taken by compare-select, never through
+#   Float.min / Float.max.  Those test the sign bit and NaN, which costs
+#   a C call whenever the first comparison fails, and in the dev profile
+#   (-opaque) a float passed across a module boundary is boxed.  On the
+#   distances these files see (never NaN, never -0) a compare-select
+#   returns the same bits.  See ROADMAP.md item 9, "Kernel note", and
+#   the [fmin] comment in lib/mgraph/incr_apsp.ml.
+# - Rows of floats are [float array], never Float.Array.t: the distance
+#   store, the adjacency weights and every pass they feed share one row
+#   type, so no copy loop or second copy of a kernel bridges two.
+#
+# Comments and string literals are skipped, so prose may still name
+# them.  Any use in code fails the build (`dune build @lint`).
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -22,7 +26,10 @@ status=0
 
 check_file() {
   awk -v file="$1" '
-    BEGIN { call = "Float[.](min|max)([^A-Za-z0-9_\047]|$)" }
+    BEGIN {
+      call = "Float[.](min|max)([^A-Za-z0-9_\047]|$)"
+      floatarray = "Float[.]Array([^A-Za-z0-9_\047]|$)"
+    }
     {
       line = $0; code = ""; i = 1; len = length(line)
       while (i <= len) {
@@ -38,7 +45,8 @@ check_file() {
         if (c == "\"") { instr = 1; i++; continue }
         code = code c; i++
       }
-      if (code ~ call) printf "%s:%d:%s\n", file, NR, $0
+      if (code ~ call) printf "%s:%d: Float.min/Float.max call: %s\n", file, NR, $0
+      if (code ~ floatarray) printf "%s:%d: Float.Array use: %s\n", file, NR, $0
     }
   ' "$1"
 }
@@ -57,7 +65,7 @@ for f in $files; do
 done
 
 if [ "$status" -ne 0 ]; then
-  echo "check_kernel_floats: Float.min/Float.max call in a kernel file (use a local [@inline] compare-select, see lib/mgraph/incr_apsp.ml)" >&2
+  echo "check_kernel_floats: in a kernel file, take minima by a local [@inline] compare-select (see lib/mgraph/incr_apsp.ml) and keep rows as float array" >&2
   exit 1
 fi
 echo "check_kernel_floats: ok"
