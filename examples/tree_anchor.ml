@@ -10,7 +10,7 @@
    with status 1.
 
    Run:  dune exec examples/tree_anchor.exe
-   (the dynamics take about 15 s on a 2-core x86-64 VM, building the
+   (the dynamics take about 10 s on a 2-core x86-64 VM, building the
    host a few seconds more). *)
 
 let n = 1000

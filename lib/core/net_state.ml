@@ -18,10 +18,18 @@ type scratch = {
   mutable targets : int array;
   mutable weights : float array;
   mutable sums : float array;
+  mutable margins : float array;
   mutable known : bool array;
   mutable loose : int array;
   mutable del_rows : float array array;
   mutable del_for : int array;
+  mutable del_sums : float array;
+  mutable near_best : float array;
+  mutable near_arg : int array;
+  mutable near_second : float array;
+  mutable floor_rows : float array array;
+  mutable floor_for : int array;
+  mutable floor_sums : float array;
   mutable adjacent : bool array;
 }
 
@@ -50,10 +58,18 @@ let create ?require_mutable:_ host profile =
         targets = [||];
         weights = [||];
         sums = [||];
+        margins = [||];
         known = [||];
         loose = [||];
         del_rows = [||];
         del_for = [||];
+        del_sums = [||];
+        near_best = [||];
+        near_arg = [||];
+        near_second = [||];
+        floor_rows = [||];
+        floor_for = [||];
+        floor_sums = [||];
         adjacent = [||];
       };
   }
@@ -66,13 +82,17 @@ let agent_dist_sum t u = Incr_apsp.dist_sum t.dist u
 
 let dist_sum_with_edge t u v w = Incr_apsp.dist_sum_with_edge t.dist u v w
 
-let dist_sums_with_edges t u targets weights idx k out =
-  Incr_apsp.dist_sums_with_edges t.dist u targets weights idx k out
-
 let loose_targets t u targets weights k idx =
   Incr_apsp.loose_targets t.dist u targets weights k idx
 
+let savings_into t u targets weights idx k out =
+  Incr_apsp.savings_into t.dist u targets weights idx k out
+
+let savings_against t r v w = Incr_apsp.savings_against t.dist r v w
+
 let min_sum_against t r v w = Incr_apsp.min_sum_against t.dist r v w
+
+let neighbour_bounds t u best arg second = Incr_apsp.neighbour_bounds t.dist u best arg second
 
 let scratch t = t.scratch
 

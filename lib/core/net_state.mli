@@ -53,38 +53,60 @@ val dist_sum_with_edge : t -> int -> int -> float -> float
 (** [Σ_x min(d(u,x), w + d(v,x))] — see
     {!Gncg_graph.Incr_apsp.dist_sum_with_edge}. *)
 
-val dist_sums_with_edges :
-  t -> int -> int array -> float array -> int array -> int -> float array -> unit
-(** [dist_sums_with_edges t u targets weights idx k out] sets [out.(p)]
-    to [dist_sum_with_edge t u targets.(p) weights.(p)], bit for bit, for
-    each position [p = idx.(i)] with [i < k] — the batched form; see
-    {!Gncg_graph.Incr_apsp.dist_sums_with_edges}. *)
-
 val loose_targets : t -> int -> int array -> float array -> int -> int array -> int
 (** The targets a new edge from [u] can shorten a distance through; see
     {!Gncg_graph.Incr_apsp.loose_targets}. *)
 
+val savings_into : t -> int -> int array -> float array -> int array -> int -> float array -> unit
+(** What the edges from [u] to the listed targets save on [u]'s row,
+    written to their positions; see
+    {!Gncg_graph.Incr_apsp.savings_into}. *)
+
+val savings_against : t -> float array -> int -> float -> float
+(** See {!Gncg_graph.Incr_apsp.savings_against}. *)
+
 val min_sum_against : t -> float array -> int -> float -> float
 (** See {!Gncg_graph.Incr_apsp.min_sum_against}. *)
 
+val neighbour_bounds : t -> int -> float array -> int array -> float array -> unit
+(** The least and second-least offers of [u]'s network neighbours to
+    every vertex; see {!Gncg_graph.Incr_apsp.neighbour_bounds}. *)
+
 (** The workspace of the stateful move evaluator ({!Fast_response}),
     kept here so that evaluating an agent allocates no per-call arrays:
-    the agent's addable targets with their weights and insertion sums
-    ([known.(i)] says whether [sums.(i)] holds target [i]'s sum yet), the
-    positions of the loose ones (the batched kernel's input), and one
-    deletion what-if row per owned edge ([del_for.(i)] is the target
-    whose row [del_rows.(i)] holds, or [-1]), and flags for the agent's
-    network neighbours ([adjacent], all [false] between evaluations).
+    - the agent's addable targets with their weights, and for each an
+      insertion sum or its bound: [sums.(i)] is the exact sum when
+      [known.(i)], else a centre within [margins.(i)] of it
+      ([margins.(i) = 0] once the sum is exact), and [loose] lists the
+      positions of the loose targets (the savings kernel's input);
+    - one deletion what-if row per owned edge: [del_for.(i)] is the
+      target whose row [del_rows.(i)] holds, or [-1], and [del_sums.(i)]
+      its [Flt.sum];
+    - the agent's neighbour offers ([near_best], [near_arg],
+      [near_second], from {!neighbour_bounds}) and, per owned edge, the
+      lower bound they give on its deletion row: [floor_for.(i)] is the
+      target whose bound [floor_rows.(i)] holds, or [-1], and
+      [floor_sums.(i)] its plain sum;
+    - flags for the agent's network neighbours ([adjacent], all [false]
+      between evaluations).
     The evaluator grows it on demand; apart from [adjacent], its
     contents mean nothing between evaluations. *)
 type scratch = {
   mutable targets : int array;
   mutable weights : float array;
   mutable sums : float array;
+  mutable margins : float array;
   mutable known : bool array;
   mutable loose : int array;
   mutable del_rows : float array array;
   mutable del_for : int array;
+  mutable del_sums : float array;
+  mutable near_best : float array;
+  mutable near_arg : int array;
+  mutable near_second : float array;
+  mutable floor_rows : float array array;
+  mutable floor_for : int array;
+  mutable floor_sums : float array;
   mutable adjacent : bool array;
 }
 

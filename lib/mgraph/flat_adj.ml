@@ -68,6 +68,40 @@ let mark_neighbours t u (marks : bool array) b =
     marks.(nb.(i)) <- b
   done
 
+(* One pass per neighbour z over its row: the running least offer
+   fl(w(u,z) + rows.(z).(x)), the neighbour that makes it, and the least
+   offer of any other neighbour.  An offer equal to the least becomes the
+   second, so every value is independent of the neighbour order. *)
+let nearest_two_into t (rows : float array array) u (best : float array) (arg : int array)
+    (second : float array) =
+  check t u "nearest_two_into";
+  let n = t.n in
+  if Array.length rows < n || Array.length best < n || Array.length arg < n
+     || Array.length second < n
+  then invalid_arg "Flat_adj.nearest_two_into: arrays shorter than n";
+  Array.fill best 0 n Float.infinity;
+  Array.fill second 0 n Float.infinity;
+  Array.fill arg 0 n (-1);
+  let nb = t.nbr.(u) and wt = t.wt.(u) in
+  for i = 0 to t.deg.(u) - 1 do
+    let z = Array.unsafe_get nb i and w = Array.unsafe_get wt i in
+    let dz = rows.(z) in
+    if Array.length dz < n then invalid_arg "Flat_adj.nearest_two_into: row shorter than n";
+    for x = 0 to n - 1 do
+      let c = w +. Array.unsafe_get dz x in
+      let b = Array.unsafe_get best x in
+      if c < b then begin
+        Array.unsafe_set second x b;
+        Array.unsafe_set best x c;
+        Array.unsafe_set arg x z
+      end
+      else if c < Array.unsafe_get second x then Array.unsafe_set second x c
+    done
+  done;
+  best.(u) <- 0.0;
+  second.(u) <- 0.0;
+  arg.(u) <- -1
+
 let append t u v w =
   let d = t.deg.(u) in
   if d = Array.length t.nbr.(u) then begin

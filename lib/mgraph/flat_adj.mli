@@ -39,6 +39,20 @@ val mark_neighbours : t -> int -> bool array -> bool -> unit
 (** [mark_neighbours t u marks b] sets [marks.(v)] to [b] for every
     neighbour [v] of [u]: O(degree), no allocation. *)
 
+val nearest_two_into :
+  t -> float array array -> int -> float array -> int array -> float array -> unit
+(** [nearest_two_into t rows u best arg second] sets, for every vertex
+    [x <> u], [best.(x)] to the least [fl(w(u,z) + rows.(z).(x))] over
+    the neighbours [z] of [u], [arg.(x)] to a neighbour that attains it,
+    and [second.(x)] to the least such offer of the neighbours other
+    than [arg.(x)]; +inf and [-1] when there is no such neighbour.  At
+    [u] itself both values are [0] and [arg.(u)] is [-1].  Hence the
+    least offer of the neighbours other than [o] is
+    [if arg.(x) = o then second.(x) else best.(x)], for every [o].  One
+    pass over each neighbour's row, no allocation.  Raises
+    [Invalid_argument] when an array or a neighbour's row is shorter
+    than [n]. *)
+
 val add_edge : t -> int -> int -> float -> unit
 (** Appends the undirected edge [(u,v)] with weight [w >= 0].  Raises
     [Invalid_argument] on self-loops, out-of-range vertices, negative or

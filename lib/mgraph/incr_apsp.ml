@@ -15,6 +15,7 @@ let c_whatif_sssp = Metric.Counter.make "incr_apsp.whatif_sssp"
 let c_settled_vertices = Metric.Counter.make "incr_apsp.settled_vertices"
 let c_full_scans = Metric.Counter.make "incr_apsp.full_scans"
 let c_add_kernels = Metric.Counter.make "incr_apsp.add_kernels"
+let c_savings_scans = Metric.Counter.make "incr_apsp.savings_scans"
 let c_selfcheck_probes = Metric.Counter.make "incr_apsp.selfcheck_probes"
 let c_selfcheck_mismatches = Metric.Counter.make "incr_apsp.selfcheck_mismatches"
 let c_selfcheck_repairs = Metric.Counter.make "incr_apsp.selfcheck_repairs"
@@ -192,9 +193,11 @@ let dist_sum t u =
   if !any_inf then Float.infinity else !s
 
 (* Σ_x min(d(u,x), w + d(v,x)) — the mover's distance sum after buying
-   edge (u,v): any shortest path through the new edge starts with it.
-   Unchecked and uncounted: the single-target lane of both entry points. *)
-let sum_with_edge t u v w =
+   edge (u,v): any shortest path through the new edge starts with it. *)
+let dist_sum_with_edge t u v w =
+  check t u "dist_sum_with_edge";
+  check t v "dist_sum_with_edge";
+  Metric.Counter.incr c_add_kernels;
   let du = Array.unsafe_get t.d u and dv = Array.unsafe_get t.d v in
   let s = ref 0.0 and c = ref 0.0 in
   let any_inf = ref false in
@@ -209,94 +212,6 @@ let sum_with_edge t u v w =
     end
   done;
   if !any_inf then Float.infinity else !s
-
-let dist_sum_with_edge t u v w =
-  check t u "dist_sum_with_edge";
-  check t v "dist_sum_with_edge";
-  Metric.Counter.incr c_add_kernels;
-  sum_with_edge t u v w
-
-let dist_sums_with_edges t u targets weights idx k out =
-  check t u "dist_sums_with_edges";
-  if k < 0 || k > Array.length idx then
-    invalid_arg "Incr_apsp.dist_sums_with_edges: idx shorter than k";
-  let len = min (Array.length targets) (min (Array.length weights) (Array.length out)) in
-  for i = 0 to k - 1 do
-    let p = Array.unsafe_get idx i in
-    if p < 0 || p >= len then
-      invalid_arg "Incr_apsp.dist_sums_with_edges: position out of range";
-    check t (Array.unsafe_get targets p) "dist_sums_with_edges"
-  done;
-  Metric.Counter.add c_add_kernels k;
-  (* Four targets per pass over the mover's row: four independent Kahan
-     chains hide each other's latency.  Lane j performs exactly the
-     operations of [sum_with_edge] for its target, in the same order, so
-     every sum is bitwise the single-target one. *)
-  let n = t.n and d = t.d in
-  let du = Array.unsafe_get d u in
-  let i = ref 0 in
-  while !i + 4 <= k do
-    let j = !i in
-    let p0 = Array.unsafe_get idx j and p1 = Array.unsafe_get idx (j + 1) in
-    let p2 = Array.unsafe_get idx (j + 2) and p3 = Array.unsafe_get idx (j + 3) in
-    let r0 = Array.unsafe_get d (Array.unsafe_get targets p0) in
-    let w0 = Array.unsafe_get weights p0 in
-    let r1 = Array.unsafe_get d (Array.unsafe_get targets p1) in
-    let w1 = Array.unsafe_get weights p1 in
-    let r2 = Array.unsafe_get d (Array.unsafe_get targets p2) in
-    let w2 = Array.unsafe_get weights p2 in
-    let r3 = Array.unsafe_get d (Array.unsafe_get targets p3) in
-    let w3 = Array.unsafe_get weights p3 in
-    let s0 = ref 0.0 and c0 = ref 0.0 and f0 = ref false in
-    let s1 = ref 0.0 and c1 = ref 0.0 and f1 = ref false in
-    let s2 = ref 0.0 and c2 = ref 0.0 and f2 = ref false in
-    let s3 = ref 0.0 and c3 = ref 0.0 and f3 = ref false in
-    for x = 0 to n - 1 do
-      let dux = Array.unsafe_get du x in
-      let m0 = fmin dux (w0 +. Array.unsafe_get r0 x) in
-      let m1 = fmin dux (w1 +. Array.unsafe_get r1 x) in
-      let m2 = fmin dux (w2 +. Array.unsafe_get r2 x) in
-      let m3 = fmin dux (w3 +. Array.unsafe_get r3 x) in
-      if m0 = Float.infinity then f0 := true
-      else begin
-        let y = m0 -. !c0 in
-        let tt = !s0 +. y in
-        c0 := tt -. !s0 -. y;
-        s0 := tt
-      end;
-      if m1 = Float.infinity then f1 := true
-      else begin
-        let y = m1 -. !c1 in
-        let tt = !s1 +. y in
-        c1 := tt -. !s1 -. y;
-        s1 := tt
-      end;
-      if m2 = Float.infinity then f2 := true
-      else begin
-        let y = m2 -. !c2 in
-        let tt = !s2 +. y in
-        c2 := tt -. !s2 -. y;
-        s2 := tt
-      end;
-      if m3 = Float.infinity then f3 := true
-      else begin
-        let y = m3 -. !c3 in
-        let tt = !s3 +. y in
-        c3 := tt -. !s3 -. y;
-        s3 := tt
-      end
-    done;
-    Array.unsafe_set out p0 (if !f0 then Float.infinity else !s0);
-    Array.unsafe_set out p1 (if !f1 then Float.infinity else !s1);
-    Array.unsafe_set out p2 (if !f2 then Float.infinity else !s2);
-    Array.unsafe_set out p3 (if !f3 then Float.infinity else !s3);
-    i := j + 4
-  done;
-  for j = !i to k - 1 do
-    let p = Array.unsafe_get idx j in
-    Array.unsafe_set out p
-      (sum_with_edge t u (Array.unsafe_get targets p) (Array.unsafe_get weights p))
-  done
 
 (* Integer compares only: the distance and the weight are read and
    compared unboxed here, so the evaluator's target loop reads no float
@@ -337,6 +252,49 @@ let min_sum_against t r v w =
     end
   done;
   if !any_inf then Float.infinity else !s
+
+(* --- savings scans ------------------------------------------------------- *)
+
+(* Σ_x max(0, r.(x) − (w + dv.(x))): what an edge of weight w to the
+   owner of [dv] saves on row [r].  One plain accumulator that adds only
+   where the edge offers less, so no compensation chain runs and, on the
+   rows the evaluator scans, few entries add at all.  A +inf entry of [r]
+   facing a finite offer makes the result +inf; where both are +inf the
+   difference is NaN and adds nothing. *)
+let[@inline] savings (r : float array) (dv : float array) (w : float) n =
+  let s = ref 0.0 in
+  for x = 0 to n - 1 do
+    let gap = Array.unsafe_get r x -. (w +. Array.unsafe_get dv x) in
+    if gap > 0.0 then s := !s +. gap
+  done;
+  !s
+
+let savings_into t u targets weights idx k out =
+  check t u "savings_into";
+  if k < 0 || k > Array.length idx then invalid_arg "Incr_apsp.savings_into: idx shorter than k";
+  let len = min (Array.length targets) (min (Array.length weights) (Array.length out)) in
+  for i = 0 to k - 1 do
+    let p = Array.unsafe_get idx i in
+    if p < 0 || p >= len then invalid_arg "Incr_apsp.savings_into: position out of range";
+    check t (Array.unsafe_get targets p) "savings_into"
+  done;
+  Metric.Counter.add c_savings_scans k;
+  let du = Array.unsafe_get t.d u in
+  for i = 0 to k - 1 do
+    let p = Array.unsafe_get idx i in
+    Array.unsafe_set out p
+      (savings du
+         (Array.unsafe_get t.d (Array.unsafe_get targets p))
+         (Array.unsafe_get weights p) t.n)
+  done
+
+let savings_against t r v w =
+  check t v "savings_against";
+  if Array.length r < t.n then invalid_arg "Incr_apsp.savings_against: row too short";
+  Metric.Counter.incr c_savings_scans;
+  savings r (Array.unsafe_get t.d v) w t.n
+
+let neighbour_bounds t u best arg second = Flat_adj.nearest_two_into t.adj t.d u best arg second
 
 (* --- whole-matrix totals ------------------------------------------------ *)
 

@@ -78,19 +78,6 @@ val dist_sum_with_edge : t -> int -> int -> float -> float
     infinity-propagating; the what-if {e addition} kernel of the
     response engines. *)
 
-val dist_sums_with_edges :
-  t -> int -> int array -> float array -> int array -> int -> float array -> unit
-(** [dist_sums_with_edges t u targets weights idx k out] sets [out.(p)]
-    to [dist_sum_with_edge t u targets.(p) weights.(p)], bit for bit, for
-    each position [p = idx.(i)] with [i < k], and writes no other slot of
-    [out]: the batched insertion sum over a subset of the targets (such
-    as the {!loose_targets}).  Four targets share each pass over [u]'s
-    row as four independent Kahan lanes, each running exactly the
-    single-target operations in the same order; the [k mod 4] left over
-    run the single-target kernel.  Counts one [incr_apsp.add_kernels]
-    per sum.  Raises [Invalid_argument] when [k] exceeds [idx], or a
-    position lies outside [targets], [weights] or [out]. *)
-
 val loose_targets : t -> int -> int array -> float array -> int -> int array -> int
 (** [loose_targets t u targets weights k idx] writes to [idx], in
     ascending order, every [i < k] with [d(u, targets.(i)) > weights.(i)]
@@ -99,6 +86,37 @@ val loose_targets : t -> int -> int array -> float array -> int -> int array -> 
     [u].  For a {e tight} target ([d(u,v) <= w]) the insertion sum
     {!dist_sum_with_edge} equals {!dist_sum} up to rounding.  No float
     crosses the call. *)
+
+val savings_into : t -> int -> int array -> float array -> int array -> int -> float array -> unit
+(** [savings_into t u targets weights idx k out] sets [out.(p)], for
+    each position [p = idx.(i)] with [i < k], to the plain sum
+    [Σ_x max(0, d(u,x) − (weights.(p) + d(targets.(p),x)))]: what the
+    edge [(u, targets.(p))] saves on [u]'s row, so that
+    [dist_sum u − out.(p)] is the insertion sum {!dist_sum_with_edge} up
+    to rounding.  One unchained accumulator per target, no
+    compensation; writes no other slot of [out] and allocates nothing.
+    Counts one [incr_apsp.savings_scans] per sum.  Raises
+    [Invalid_argument] when [k] exceeds [idx], or a position lies
+    outside [targets], [weights] or [out]. *)
+
+val savings_against : t -> float array -> int -> float -> float
+(** [savings_against t r v w] is the plain sum
+    [Σ_x max(0, r.(x) − (w + d(v,x)))] for a caller-held row [r]
+    (a deletion what-if, or a lower bound on one): [Σ r − savings] is
+    {!min_sum_against} up to rounding when [r] is finite.  +inf when an
+    infinite entry of [r] meets a finite [w + d(v,x)].  Counts one
+    [incr_apsp.savings_scans]. *)
+
+val neighbour_bounds : t -> int -> float array -> int array -> float array -> unit
+(** [neighbour_bounds t u best arg second] is
+    {!Flat_adj.nearest_two_into} on the tracked edge set and the stored
+    rows: per vertex [x <> u], the least [w(u,z) + d(z,x)] over [u]'s
+    neighbours [z], a neighbour attaining it, and the least over the
+    other neighbours.  A path from [u] leaves through one first edge, so
+    after deleting the edge [(u,o)] no distance from [u] to [x] lies
+    below [if arg.(x) = o then second.(x) else best.(x)], up to the
+    rounding of stored distances (docs/ALGORITHMS.md, "Bound-first
+    evaluation").  One pass over each neighbour's row, no allocation. *)
 
 val min_sum_against : t -> float array -> int -> float -> float
 (** [min_sum_against t r v w] is [Σ_x min(r.(x), w + d(v,x))]: the same

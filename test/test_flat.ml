@@ -241,58 +241,6 @@ let prop_insertion_kernels_match_float_min seed =
   done;
   !ok
 
-(* The batched insertion sum over k positions, for every k in 0..9
-   (every remainder mod 4), drawn as a random ascending subset of up to
-   k + 6 slots: each listed slot gets the single-target kernel's sum bit
-   for bit, every other slot is left alone, and the store counts one add
-   kernel per sum.  The graph is often disconnected and some weights are
-   infinite, so infinite lanes sit among finite ones. *)
-let prop_batched_sums_match_single seed =
-  let r = Prng.create (seed + 809) in
-  let n = 2 + Prng.int r 14 in
-  let incr = Incr_apsp.of_graph (random_sparse_graph r n) in
-  let kernels () =
-    match Gncg_obs.Metric.find_counter "incr_apsp.add_kernels" with
-    | Some c -> Gncg_obs.Metric.Counter.value c
-    | None -> 0
-  in
-  Gncg_obs.Obs.set_profiling true;
-  Fun.protect
-    ~finally:(fun () -> Gncg_obs.Obs.set_profiling false)
-    (fun () ->
-      List.for_all
-        (fun k ->
-          let u = Prng.int r n in
-          let len = k + Prng.int r 7 in
-          let targets = Array.init len (fun _ -> Prng.int r n) in
-          let weights =
-            Array.init len (fun _ ->
-                if Prng.int r 6 = 0 then Float.infinity else Prng.float_in r 0.0 9.0)
-          in
-          (* Selection sampling: slot p is listed with probability
-             (still needed) / (slots left), which lists exactly k. *)
-          let idx = Array.make (k + 1) (-1) and listed = Array.make len false in
-          let taken = ref 0 in
-          for p = 0 to len - 1 do
-            if Prng.int r (len - p) < k - !taken then begin
-              idx.(!taken) <- p;
-              listed.(p) <- true;
-              taken := !taken + 1
-            end
-          done;
-          let out = Array.make len Float.nan in
-          let before = kernels () in
-          Incr_apsp.dist_sums_with_edges incr u targets weights idx k out;
-          kernels () - before = k
-          && List.for_all
-               (fun p ->
-                 if listed.(p) then
-                   same_bits out.(p)
-                     (Incr_apsp.dist_sum_with_edge incr u targets.(p) weights.(p))
-                 else Float.is_nan out.(p))
-               (List.init len Fun.id))
-        (List.init 10 Fun.id))
-
 (* --- streaming min-sum reference vs the materialized sum --- *)
 
 let prop_sum_min_add_matches_naive seed =
@@ -419,7 +367,6 @@ let suites =
           prop_incr_apsp_matches_float_min;
         qtest ~count:40 "insertion kernels = Float.min, bitwise" seed_gen
           prop_insertion_kernels_match_float_min;
-        qtest "batched insertion sums = single" seed_gen prop_batched_sums_match_single;
         Alcotest.test_case "fused total: infinity" `Quick test_total_with_edge_added_infinity;
         Alcotest.test_case "dynamics: clean agents skipped" `Quick
           test_dynamics_skips_clean_agents;
