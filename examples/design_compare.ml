@@ -8,7 +8,6 @@
 
      - MST              cheapest possible edge cost, long detours
      - greedy OPT       steepest-descent network-design heuristic
-     - annealed OPT     simulated-annealing refinement
      - complete host    minimum distances, absurd edge cost
      - selfish (GE)     greedy-response equilibrium from a random start
      - opt-seeded (GE)  equilibrium reached from the heuristic optimum
@@ -56,8 +55,6 @@ let () =
   add "MST" mst;
   let greedy_g, _ = Gncg.Social_optimum.greedy_heuristic host in
   add "greedy OPT" greedy_g;
-  let anneal_g, _ = Gncg.Social_optimum.anneal ~seed:5 ~steps:1500 host in
-  add "annealed OPT" anneal_g;
   add "complete host" (Gncg_metric.Metric.complete_graph (Gncg.Host.metric host));
 
   let start = Gncg_workload.Instances.random_profile rng host in

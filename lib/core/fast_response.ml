@@ -1,4 +1,5 @@
 module Flt = Gncg_util.Flt
+module Incr_apsp = Gncg_graph.Incr_apsp
 module ISet = Strategy.ISet
 module Metric = Gncg_obs.Metric
 
@@ -79,10 +80,11 @@ let addable_into st ~agent targets weights =
   let n = Array.length row in
   if Array.length targets < n || Array.length weights < n then
     invalid_arg "Fast_response.addable_into: arrays shorter than n";
+  let store = Net_state.store st in
   let sc = Net_state.scratch st in
   if Array.length sc.adjacent < n then sc.adjacent <- Array.make n false;
   let adjacent = sc.adjacent in
-  Net_state.mark_neighbours st agent adjacent true;
+  Incr_apsp.mark_neighbours store agent adjacent true;
   let k = ref 0 in
   for v = 0 to n - 1 do
     let w = Array.unsafe_get row v in
@@ -92,7 +94,7 @@ let addable_into st ~agent targets weights =
       incr k
     end
   done;
-  Net_state.mark_neighbours st agent adjacent false;
+  Incr_apsp.mark_neighbours store agent adjacent false;
   !k
 
 (* Best improving move, plus whether the verdict is "row-local": decided
@@ -119,8 +121,9 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   Metric.Counter.incr c_state_evals;
   let host = Net_state.host st in
   let s = Net_state.profile st in
+  let store = Net_state.store st in
   let n = Strategy.n s in
-  let cur_dist = Net_state.agent_dist_sum st agent in
+  let cur_dist = Incr_apsp.dist_sum store agent in
   let cur_edge = Cost.agent_edge_cost host s agent in
   let cur_cost = cur_edge +. cur_dist in
   let alpha = Host.alpha host in
@@ -147,7 +150,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   (* A target's exact sum, computed on first need and kept. *)
   let exact_sum j =
     if not sc.known.(j) then begin
-      sc.sums.(j) <- Net_state.dist_sum_with_edge st agent sc.targets.(j) sc.weights.(j);
+      sc.sums.(j) <- Incr_apsp.dist_sum_with_edge store agent sc.targets.(j) sc.weights.(j);
       sc.margins.(j) <- 0.0;
       sc.known.(j) <- true;
       incr exact
@@ -163,8 +166,8 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
           sc.sums.(i) <- cur_dist;
           sc.margins.(i) <- stored_margin n ((2.0 *. nf *. sc.weights.(i)) +. cur_dist)
         done;
-        let kl = Net_state.loose_targets st agent sc.targets sc.weights k sc.loose in
-        Net_state.savings_into st agent sc.targets sc.weights sc.loose kl sc.sums;
+        let kl = Incr_apsp.loose_targets store agent sc.targets sc.weights k sc.loose in
+        Incr_apsp.savings_into store agent sc.targets sc.weights sc.loose kl sc.sums;
         let margin = sum_margin n cur_dist in
         for i = 0 to kl - 1 do
           let p = sc.loose.(i) in
@@ -208,7 +211,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   let del_row i old_t =
     let row = sc.del_rows.(i) in
     if sc.del_for.(i) <> old_t then begin
-      Net_state.sssp_edited_into st ~remove:(agent, old_t) agent row;
+      Incr_apsp.sssp_edited_into store ~remove:(agent, old_t) agent row;
       sc.del_for.(i) <- old_t;
       sc.del_sums.(i) <- Flt.sum row
     end;
@@ -225,7 +228,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
     let row = sc.floor_rows.(i) in
     if sc.floor_for.(i) <> old_t then begin
       if not !near_ready then begin
-        Net_state.neighbour_bounds st agent sc.near_best sc.near_arg sc.near_second;
+        Incr_apsp.neighbour_bounds store agent sc.near_best sc.near_arg sc.near_second;
         near_ready := true
       end;
       let sum = ref 0.0 in
@@ -310,7 +313,7 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
                 let fs = sc.floor_sums.(!i) in
                 fs = Float.infinity
                 || cur_cost
-                   -. (edge' +. (fs -. Net_state.savings_against st fl new_t w_new -. stored_margin n fs))
+                   -. (edge' +. (fs -. Incr_apsp.savings_against store fl new_t w_new -. stored_margin n fs))
                    > !best_gain
               then begin
                 (* The refined bound Σ_x min(r_del(x), w_new + d(new_t,x))
@@ -322,17 +325,17 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
                 let refined =
                   if rs < Float.infinity then
                     settle cur_cost !best_gain edge'
-                      (rs -. Net_state.savings_against st r new_t w_new)
+                      (rs -. Incr_apsp.savings_against store r new_t w_new)
                       (sum_margin n rs)
                   else 0
                 in
                 if refined > 0
                    || refined = 0
-                      && cur_cost -. (edge' +. Net_state.min_sum_against st r new_t w_new)
+                      && cur_cost -. (edge' +. Incr_apsp.min_sum_against store r new_t w_new)
                          > !best_gain
                 then begin
                   let dist' =
-                    Net_state.sssp_edited_sum st ~remove:(agent, old_t)
+                    Incr_apsp.sssp_edited_sum store ~remove:(agent, old_t)
                       ~add:(agent, new_t, w_new) agent
                   in
                   let g = gain_between cur_cost (edge' +. dist') in

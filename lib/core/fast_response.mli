@@ -42,7 +42,8 @@ val best_move_state_verdict :
   agent:int ->
   (Move.t * float) option * bool
 (** The best improving move of the agent against the state (positive
-    gain), plus a row-locality flag.  The state is not modified.
+    gain), plus a row-locality flag.  The state is not modified: its
+    {!Net_state.store} is only read and asked what-ifs.
 
     Every quantity is priced bound first (docs/ALGORITHMS.md,
     "Bound-first evaluation"): a decision is taken from a centre and a
@@ -52,21 +53,21 @@ val best_move_state_verdict :
     - An insertion sum [Σ_x min(d_u(x), w + d_v(x))] is centred at the
       agent's distance sum: unchanged for a tight target
       ([d(u,v) <= w], no scan), minus the plain sum of what the edge
-      saves ({!Net_state.savings_into}) for a loose one.  The exact
-      Kahan {!Net_state.dist_sum_with_edge} runs once per target at
-      most, and for every target up front when the agent's cost is
-      infinite.
+      saves ({!Gncg_graph.Incr_apsp.savings_into}) for a loose one.
+      The exact Kahan {!Gncg_graph.Incr_apsp.dist_sum_with_edge} runs
+      once per target at most, and for every target up front when the
+      agent's cost is infinite.
     - A deletion or a swap that sells an edge [(u,o)] first meets the
       neighbour floor: no distance from [u] after the sale lies below
       the best offer [w(u,z) + d(z,x)] of [u]'s other neighbours
-      ({!Net_state.neighbour_bounds}).  A move the floor rules out
-      spends no what-if.
+      ({!Gncg_graph.Incr_apsp.neighbour_bounds}).  A move the floor
+      rules out spends no what-if.
     - Otherwise the owned edge gets its deletion what-if row, at most
       once per evaluation; the delete candidate sums it, and a swap's
       refined bound is centred at its sum minus the savings against it
-      ({!Net_state.savings_against}), with the exact
-      {!Net_state.min_sum_against} only inside the band.  A swap that
-      passes every bound costs one what-if.
+      ({!Gncg_graph.Incr_apsp.savings_against}), with the exact
+      {!Gncg_graph.Incr_apsp.min_sum_against} only inside the band.  A
+      swap that passes every bound costs one what-if.
     Targets, sums, rows and floors live in the state's
     {!Net_state.scratch}, so evaluating an agent allocates no array.
 

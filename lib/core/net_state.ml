@@ -78,25 +78,9 @@ let host t = t.host
 
 let profile t = t.profile
 
-let agent_dist_sum t u = Incr_apsp.dist_sum t.dist u
-
-let dist_sum_with_edge t u v w = Incr_apsp.dist_sum_with_edge t.dist u v w
-
-let loose_targets t u targets weights k idx =
-  Incr_apsp.loose_targets t.dist u targets weights k idx
-
-let savings_into t u targets weights idx k out =
-  Incr_apsp.savings_into t.dist u targets weights idx k out
-
-let savings_against t r v w = Incr_apsp.savings_against t.dist r v w
-
-let min_sum_against t r v w = Incr_apsp.min_sum_against t.dist r v w
-
-let neighbour_bounds t u best arg second = Incr_apsp.neighbour_bounds t.dist u best arg second
+let store t = t.dist
 
 let scratch t = t.scratch
-
-let mark_neighbours t u marks b = Incr_apsp.mark_neighbours t.dist u marks b
 
 let agent_cost t u = Cost.agent_edge_cost t.host t.profile u +. Incr_apsp.dist_sum t.dist u
 
@@ -147,23 +131,13 @@ let apply_move t ~agent mv =
   t.profile <- s';
   s'
 
-(* --- drift sentinel passthrough --- *)
-
-let set_selfcheck t n = Incr_apsp.set_selfcheck t.dist n
+(* --- drift sentinel --- *)
 
 let selfcheck_now t =
   let clean = Incr_apsp.selfcheck_now t.dist in
   (* On a repair every row upstream is suspect. *)
   if not clean then t.pending_full <- true;
   clean
-
-let inject_distance_error t u v delta = Incr_apsp.inject_cell_error t.dist u v delta
-
-let sssp_edited_into t ?remove ?add source dst =
-  Incr_apsp.sssp_edited_into t.dist ?remove ?add source dst
-
-let sssp_edited_sum t ?remove ?add source =
-  Incr_apsp.sssp_edited_sum t.dist ?remove ?add source
 
 let check_consistent t =
   let reference = Gncg_graph.Dijkstra.apsp (Network.graph t.host t.profile) in

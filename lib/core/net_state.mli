@@ -46,31 +46,14 @@ val host : t -> Host.t
 val profile : t -> Strategy.t
 (** The current profile; updated by {!apply_move}. *)
 
-val agent_dist_sum : t -> int -> float
-(** Streaming sum of the agent's distance row — no row materialized. *)
-
-val dist_sum_with_edge : t -> int -> int -> float -> float
-(** [Σ_x min(d(u,x), w + d(v,x))] — see
-    {!Gncg_graph.Incr_apsp.dist_sum_with_edge}. *)
-
-val loose_targets : t -> int -> int array -> float array -> int -> int array -> int
-(** The targets a new edge from [u] can shorten a distance through; see
-    {!Gncg_graph.Incr_apsp.loose_targets}. *)
-
-val savings_into : t -> int -> int array -> float array -> int array -> int -> float array -> unit
-(** What the edges from [u] to the listed targets save on [u]'s row,
-    written to their positions; see
-    {!Gncg_graph.Incr_apsp.savings_into}. *)
-
-val savings_against : t -> float array -> int -> float -> float
-(** See {!Gncg_graph.Incr_apsp.savings_against}. *)
-
-val min_sum_against : t -> float array -> int -> float -> float
-(** See {!Gncg_graph.Incr_apsp.min_sum_against}. *)
-
-val neighbour_bounds : t -> int -> float array -> int array -> float array -> unit
-(** The least and second-least offers of [u]'s network neighbours to
-    every vertex; see {!Gncg_graph.Incr_apsp.neighbour_bounds}. *)
+val store : t -> Gncg_graph.Incr_apsp.t
+(** The distance store tracking the network G(s) of {!profile}, for
+    reads and what-ifs only: distances, row sums, the insertion and
+    savings kernels, neighbour bounds and [sssp_edited_into] /
+    [sssp_edited_sum].  {!apply_move} is the one writer and
+    {!selfcheck_now} the one repair, because each must also record what
+    it changed in the change report: a caller that edits the store
+    directly leaves that report stale. *)
 
 (** The workspace of the stateful move evaluator ({!Fast_response}),
     kept here so that evaluating an agent allocates no per-call arrays:
@@ -83,10 +66,10 @@ val neighbour_bounds : t -> int -> float array -> int array -> float array -> un
       target whose row [del_rows.(i)] holds, or [-1], and [del_sums.(i)]
       its [Flt.sum];
     - the agent's neighbour offers ([near_best], [near_arg],
-      [near_second], from {!neighbour_bounds}) and, per owned edge, the
-      lower bound they give on its deletion row: [floor_for.(i)] is the
-      target whose bound [floor_rows.(i)] holds, or [-1], and
-      [floor_sums.(i)] its plain sum;
+      [near_second], from {!Gncg_graph.Incr_apsp.neighbour_bounds}) and,
+      per owned edge, the lower bound they give on its deletion row:
+      [floor_for.(i)] is the target whose bound [floor_rows.(i)] holds,
+      or [-1], and [floor_sums.(i)] its plain sum;
     - flags for the agent's network neighbours ([adjacent], all [false]
       between evaluations).
     The evaluator grows it on demand; apart from [adjacent], its
@@ -112,14 +95,9 @@ type scratch = {
 
 val scratch : t -> scratch
 
-val mark_neighbours : t -> int -> bool array -> bool -> unit
-(** [mark_neighbours t u marks b] sets [marks.(v)] to [b] for every
-    neighbour [v] of [u] in the network G(s): exactly the [v] with
-    {!Strategy.edge_in_network} and a finite host weight. *)
-
 val agent_cost : t -> int -> float
-(** [Cost.agent_edge_cost] plus {!agent_dist_sum}: one O(n) pass over
-    the agent's live distance row. *)
+(** [Cost.agent_edge_cost] plus {!Gncg_graph.Incr_apsp.dist_sum}: one
+    O(n) pass over the agent's live distance row. *)
 
 val apply_move : t -> agent:int -> Move.t -> Strategy.t
 (** Applies the move to the profile ({!Move.apply} semantics, including
@@ -131,34 +109,19 @@ val drain_changes : t -> changes
 (** Returns everything accumulated since the previous drain and resets
     the accumulator.  A fresh state drains empty. *)
 
-val sssp_edited_into :
-  t -> ?remove:int * int -> ?add:int * int * float -> int -> float array -> unit
-(** What-if single-source distances on a hypothetical one-edge edit,
-    written into a caller buffer; see
-    {!Gncg_graph.Incr_apsp.sssp_edited_into}. *)
-
-val sssp_edited_sum : t -> ?remove:int * int -> ?add:int * int * float -> int -> float
-(** [Flt.sum] of the what-if row through the engine's scratch buffer —
-    zero allocation; the form the response engines use. *)
-
 (** {1 Drift sentinel}
 
-    Passthrough to {!Gncg_graph.Incr_apsp}'s configurable-cadence
-    cross-check: every [N] applied network mutations the engine verifies
-    the maintained matrix (symmetry sweep + one fresh-Dijkstra row) and
-    self-heals by rebuilding on a mismatch, reporting every row changed
-    so the idle verdicts above are dropped. *)
-
-val set_selfcheck : t -> int -> unit
-(** Probe every [n] network mutations; [0] disables (the default). *)
+    {!Gncg_graph.Incr_apsp}'s configurable-cadence cross-check runs on
+    {!store}: every [N] applied network mutations
+    ([Incr_apsp.set_selfcheck (store t) N]) the engine verifies the
+    maintained matrix (symmetry sweep + one fresh-Dijkstra row) and
+    self-heals by rebuilding on a mismatch; {!apply_move} then reports
+    every row changed, so the idle verdicts above are dropped.  Tests
+    corrupt a cell with [Incr_apsp.inject_cell_error (store t)]. *)
 
 val selfcheck_now : t -> bool
 (** One immediate probe; on repair also marks the pending change report
     [full].  [true] = clean. *)
-
-val inject_distance_error : t -> int -> int -> float -> unit
-(** Perturbs one maintained distance cell without touching the graph —
-    fault-injection hook for sentinel tests and chaos runs. *)
 
 val check_consistent : t -> bool
 (** Compares the maintained matrix against a from-scratch APSP of a

@@ -204,43 +204,6 @@ let exact_bnb ?(max_edges = 28) host =
   go 0 0.0;
   (!best_graph, !best_cost)
 
-let anneal ?(seed = 1) ?(steps = 4000) ?(t0 = 1.0) ?(cooling = 0.999) host =
-  let rng = Gncg_util.Prng.create seed in
-  let n = Host.n host in
-  let pairs = Array.of_list (finite_pairs host) in
-  if Array.length pairs = 0 then (Wgraph.create n, Cost.network_social_cost host (Wgraph.create n))
-  else begin
-    let g, start_cost = greedy_heuristic host in
-    let current = ref start_cost in
-    let best_graph = ref (Wgraph.copy g) in
-    let best_cost = ref start_cost in
-    let temperature = ref (t0 *. Float.max 1.0 start_cost /. float_of_int (n * n)) in
-    for _ = 1 to steps do
-      let u, v = pairs.(Gncg_util.Prng.int rng (Array.length pairs)) in
-      let w = Host.weight host u v in
-      let had = Wgraph.has_edge g u v in
-      if had then Wgraph.remove_edge g u v else Wgraph.add_edge g u v w;
-      let c = Cost.network_social_cost host g in
-      let delta = c -. !current in
-      let accept =
-        delta <= 0.0
-        || (Float.is_finite delta
-           && Gncg_util.Prng.float rng 1.0 < exp (-.delta /. Float.max 1e-9 !temperature))
-      in
-      if accept then begin
-        current := c;
-        if c < !best_cost -. Flt.eps then begin
-          best_cost := c;
-          best_graph := Wgraph.copy g
-        end
-      end
-      else if had then Wgraph.add_edge g u v w
-      else Wgraph.remove_edge g u v;
-      temperature := !temperature *. cooling
-    done;
-    (!best_graph, !best_cost)
-  end
-
 let best_known host =
   let pairs = List.length (finite_pairs host) in
   (* Branch-and-bound handles n = 7 in well under a second; beyond that

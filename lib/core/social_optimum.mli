@@ -32,12 +32,6 @@ val greedy_heuristic : Host.t -> Gncg_graph.Wgraph.t * float
     deletions of the network.  Additions are evaluated through the exact
     distance-matrix insertion update (O(n²) per candidate). *)
 
-val anneal :
-  ?seed:int -> ?steps:int -> ?t0:float -> ?cooling:float -> Host.t -> Gncg_graph.Wgraph.t * float
-(** Simulated annealing over single-edge toggles, seeded by
-    {!greedy_heuristic}; returns the best network seen.  Escapes the local
-    optima the steepest-descent heuristic can be stuck in. *)
-
 val best_known : Host.t -> Gncg_graph.Wgraph.t * float
 (** Exact (branch-and-bound) up to 7 agents, otherwise the heuristic. *)
 

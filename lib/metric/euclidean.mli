@@ -15,8 +15,6 @@ val dist : norm -> float array -> float array -> float
 val metric : norm -> points -> Metric.t
 (** The induced host space. *)
 
-val dimension : points -> int
-
 val of_list : (float list) list -> points
 
 val line : float list -> points

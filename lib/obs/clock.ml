@@ -1,9 +1,1 @@
-let default () = Unix.gettimeofday () *. 1e9
-
-let current = Atomic.make default
-
-let now_ns () = (Atomic.get current) ()
-
-let set = function
-  | None -> Atomic.set current default
-  | Some f -> Atomic.set current f
+let now_ns () = Unix.gettimeofday () *. 1e9

@@ -2,8 +2,6 @@ let set_profiling = Metric.set_enabled
 
 let profiling = Metric.enabled
 
-let snapshot = Metric.snapshot
-
 let reset = Metric.reset
 
 let counters_event () =

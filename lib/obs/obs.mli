@@ -26,8 +26,6 @@ val close_trace : unit -> unit
     Registered with [at_exit] by {!trace_to_file}, so explicit calls
     are only needed to cut a trace mid-process. *)
 
-val snapshot : unit -> Metric.snapshot
-
 val reset : unit -> unit
 
 val print_summary : out_channel -> unit

@@ -133,8 +133,9 @@ let spec_gain_between cur_cost cost' =
 let spec_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   let host = Net_state.host st in
   let s = Net_state.profile st in
+  let store = Net_state.store st in
   let n = Strategy.n s in
-  let cur_dist = Net_state.agent_dist_sum st agent in
+  let cur_dist = Incr_apsp.dist_sum store agent in
   let cur_edge = Cost.agent_edge_cost host s agent in
   let cur_cost = cur_edge +. cur_dist in
   let alpha = Host.alpha host in
@@ -148,7 +149,7 @@ let spec_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   let added_dist v w =
     let x = Array.unsafe_get added_memo v in
     if Float.is_nan x then begin
-      let x = Net_state.dist_sum_with_edge st agent v w in
+      let x = Incr_apsp.dist_sum_with_edge store agent v w in
       Array.unsafe_set added_memo v x;
       x
     end
@@ -183,7 +184,7 @@ let spec_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
         if edge_survives_sale v then pick (Move.Delete v) (alpha *. w)
         else if alpha *. w > best_gain () then begin
           rowlocal := false;
-          let dist' = Net_state.sssp_edited_sum st ~remove:(agent, v) agent in
+          let dist' = Incr_apsp.sssp_edited_sum store ~remove:(agent, v) agent in
           pick (Move.Delete v) (spec_gain_between cur_cost (cur_edge -. (alpha *. w) +. dist'))
         end)
       owned;
@@ -212,15 +213,15 @@ let spec_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
             else if cur_cost -. insertion_cost > best_gain () then begin
               rowlocal := false;
               if !r_del_for <> old_t then begin
-                Net_state.sssp_edited_into st ~remove:(agent, old_t) agent r_del;
+                Incr_apsp.sssp_edited_into store ~remove:(agent, old_t) agent r_del;
                 r_del_for := old_t
               end;
               let refined_cost =
-                cur_edge +. edge_delta +. Net_state.min_sum_against st r_del new_t w_new
+                cur_edge +. edge_delta +. Incr_apsp.min_sum_against store r_del new_t w_new
               in
               if cur_cost -. refined_cost > best_gain () then begin
                 let dist' =
-                  Net_state.sssp_edited_sum st ~remove:(agent, old_t)
+                  Incr_apsp.sssp_edited_sum store ~remove:(agent, old_t)
                     ~add:(agent, new_t, w_new) agent
                 in
                 pick (Move.Swap (old_t, new_t)) (spec_gain_between cur_cost (cur_edge +. edge_delta +. dist'))

@@ -136,21 +136,6 @@ let test_bnb_nonmetric_and_one_inf () =
        (Gncg_graph.Wgraph.edges g));
   check_true "finite cost" (Float.is_finite bnb)
 
-let test_anneal_sound () =
-  let r = rng 506 in
-  for _ = 1 to 4 do
-    let n = 5 in
-    let m = Gncg_metric.Random_host.uniform_metric r ~n ~lo:1.0 ~hi:5.0 in
-    let host = Host.make ~alpha:(0.5 +. Prng.float r 3.0) m in
-    let g, annealed = Opt.anneal ~seed:7 ~steps:800 host in
-    let _, heur = Opt.greedy_heuristic host in
-    let _, exact = Opt.exact_small host in
-    check_true "anneal connected" (Gncg_graph.Connectivity.is_connected g);
-    check_float ~tol:1e-6 "reported cost correct" (Gncg.Cost.network_social_cost host g) annealed;
-    check_true "anneal never worse than its greedy seed" (annealed <= heur +. 1e-6);
-    check_true "anneal >= exact optimum" (annealed >= exact -. 1e-6)
-  done
-
 let test_opt_spanner_lemma2 () =
   (* Lemma 2: the social optimum is an (alpha/2 + 1)-spanner. *)
   let r = rng 505 in
@@ -177,7 +162,6 @@ let suites =
         case "Cor 3: tree optimal" test_tree_optimum_matches_exact;
         case "tree optimum validation" test_tree_optimum_validation;
         case "heuristic sound" test_heuristic_sound;
-        case "annealing sound" test_anneal_sound;
         case "branch&bound = enumeration" test_bnb_matches_enumeration;
         case "branch&bound on non-metric & 1-inf" test_bnb_nonmetric_and_one_inf;
         case "best_known dispatch" test_best_known_dispatch;

@@ -108,8 +108,8 @@ let test_net_state_verdict_after_repair () =
     | _ -> Alcotest.fail "dynamics did not converge"
   in
   let st = Gncg.Net_state.create host profile in
-  Gncg.Net_state.set_selfcheck st 1;
-  Gncg.Net_state.inject_distance_error st 1 7 0.5;
+  Incr.set_selfcheck (Gncg.Net_state.store st) 1;
+  Incr.inject_cell_error (Gncg.Net_state.store st) 1 7 0.5;
   check_false "probe detects the injected cell" (Gncg.Net_state.selfcheck_now st);
   check_true "state consistent after repair" (Gncg.Net_state.check_consistent st);
   (* The repair is the one producer of a [full] change report: a drain

@@ -22,7 +22,8 @@
    The bounds themselves are checked on the same hosts: the neighbour
    floor under every deletion row, the floor's swap bound under every
    swap sum, the savings centre around every insertion sum, and the
-   inlined margins against [Flt]. *)
+   inlined margins against [Flt].  So is the evaluator's contract with
+   the store it is handed: an evaluation leaves it as it was. *)
 
 open Helpers
 module Prng = Gncg_util.Prng
@@ -80,8 +81,9 @@ let prepare (sc : Net_state.scratch) n deg =
 let batched_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   let host = Net_state.host st in
   let s = Net_state.profile st in
+  let store = Net_state.store st in
   let n = Strategy.n s in
-  let cur_dist = Net_state.agent_dist_sum st agent in
+  let cur_dist = Incr_apsp.dist_sum store agent in
   let cur_edge = Cost.agent_edge_cost host s agent in
   let cur_cost = cur_edge +. cur_dist in
   let alpha = Host.alpha host in
@@ -107,7 +109,7 @@ let batched_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
         end
       done;
       for i = 0 to !k - 1 do
-        sc.sums.(i) <- Net_state.dist_sum_with_edge st agent sc.targets.(i) sc.weights.(i)
+        sc.sums.(i) <- Incr_apsp.dist_sum_with_edge store agent sc.targets.(i) sc.weights.(i)
       done;
       !k
     end
@@ -133,7 +135,7 @@ let batched_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   let del_row i old_t =
     let row = sc.del_rows.(i) in
     if sc.del_for.(i) <> old_t then begin
-      Net_state.sssp_edited_into st ~remove:(agent, old_t) agent row;
+      Incr_apsp.sssp_edited_into store ~remove:(agent, old_t) agent row;
       sc.del_for.(i) <- old_t
     end;
     row
@@ -179,11 +181,11 @@ let batched_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
           else if cur_cost -. insertion_cost > best_gain () then begin
             rowlocal := false;
             let refined_cost =
-              cur_edge +. edge_delta +. Net_state.min_sum_against st (del_row !i old_t) new_t w_new
+              cur_edge +. edge_delta +. Incr_apsp.min_sum_against store (del_row !i old_t) new_t w_new
             in
             if cur_cost -. refined_cost > best_gain () then begin
               let dist' =
-                Net_state.sssp_edited_sum st ~remove:(agent, old_t)
+                Incr_apsp.sssp_edited_sum store ~remove:(agent, old_t)
                   ~add:(agent, new_t, w_new) agent
               in
               pick (Move.Swap (old_t, new_t)) (gain_between cur_cost (cur_edge +. edge_delta +. dist'))
@@ -504,12 +506,13 @@ let test_floor_is_lower_bound () =
   let swaps = ref 0 in
   on_walks 2450 (fun label st ->
       let n = Strategy.n (Net_state.profile st) in
+      let store = Net_state.store st in
       let r = Array.make n 0.0 in
       let targets = Array.make n 0 and weights = Array.make n 0.0 in
       for u = 0 to n - 1 do
         List.iter
           (fun (o, row, sum) ->
-            Net_state.sssp_edited_into st ~remove:(u, o) u r;
+            Incr_apsp.sssp_edited_into store ~remove:(u, o) u r;
             for x = 0 to n - 1 do
               let l = row.(x) in
               if
@@ -528,10 +531,10 @@ let test_floor_is_lower_bound () =
               for j = 0 to k - 1 do
                 let t = targets.(j) and w = weights.(j) in
                 let bound =
-                  sum -. Net_state.savings_against st row t w -. Fast_response.stored_margin n sum
+                  sum -. Incr_apsp.savings_against store row t w -. Fast_response.stored_margin n sum
                 in
-                let refined = Net_state.min_sum_against st r t w in
-                let exact = Net_state.sssp_edited_sum st ~remove:(u, o) ~add:(u, t, w) u in
+                let refined = Incr_apsp.min_sum_against store r t w in
+                let exact = Incr_apsp.sssp_edited_sum store ~remove:(u, o) ~add:(u, t, w) u in
                 incr swaps;
                 if bound > refined || bound > exact then
                   Alcotest.failf
@@ -566,32 +569,33 @@ let prop_savings_centre_headroom seed =
   let targets = Array.make n 0 and weights = Array.make n 0.0 in
   let idx = Array.init n Fun.id and out = Array.make n 0.0 in
   let row = Array.make n 0.0 in
+  let store = Net_state.store st in
   let within centre exact mag = Float.abs (centre -. exact) <= Flt.sum_margin n mag /. 2.0 in
   List.for_all
     (fun u ->
-      let cur = Net_state.agent_dist_sum st u in
+      let cur = Incr_apsp.dist_sum store u in
       let k = Fast_response.addable_into st ~agent:u targets weights in
-      Net_state.savings_into st u targets weights idx k out;
+      Incr_apsp.savings_into store u targets weights idx k out;
       let s = Net_state.profile st in
       (cur = Float.infinity
       || List.for_all
            (fun j ->
              within (cur -. out.(j))
-               (Net_state.dist_sum_with_edge st u targets.(j) weights.(j))
+               (Incr_apsp.dist_sum_with_edge store u targets.(j) weights.(j))
                cur)
            (List.init k Fun.id))
       && List.for_all
            (fun o ->
              Strategy.owns s o u
              ||
-             (Net_state.sssp_edited_into st ~remove:(u, o) u row;
+             (Incr_apsp.sssp_edited_into store ~remove:(u, o) u row;
               let rs = Flt.sum row in
               rs = Float.infinity
               || List.for_all
                    (fun j ->
                      let t = targets.(j) and w = weights.(j) in
-                     within (rs -. Net_state.savings_against st row t w)
-                       (Net_state.min_sum_against st row t w) rs)
+                     within (rs -. Incr_apsp.savings_against store row t w)
+                       (Incr_apsp.min_sum_against store row t w) rs)
                    (List.init k Fun.id)))
            (ISet.elements (Strategy.strategy s u)))
     (List.init n Fun.id)
@@ -638,6 +642,71 @@ let test_evaluation_words () =
   if adds > 200.0 then Alcotest.failf "an addition pass allocated %.0f minor words" adds;
   if all > 700.0 then Alcotest.failf "an evaluation allocated %.0f minor words" all
 
+(* A full evaluation leaves the store as it was: every row bit for bit,
+   the edge set, every suspect set, and an empty change report.  The
+   evaluator works on the live store ([Net_state.store]), so this is the
+   evidence that it only reads it and asks what-ifs.  The one state a
+   what-if may leave behind is a suspect set filled for a row that had
+   none, from a scan of the unchanged row, and only at n >=
+   [Flat_adj.whatif_settle_min_n]; a known set stays as it was.  The
+   states are the walks above (n < 64) and, on every adversarial host,
+   a random start at n = 70 after three random moves; every agent is
+   evaluated with every move kind and additions alone. *)
+let test_evaluation_leaves_store () =
+  let min_n = Gncg_graph.Flat_adj.whatif_settle_min_n in
+  let whatif_verdicts = ref 0 and filled = ref 0 in
+  let check label st =
+    let store = Net_state.store st in
+    let n = Incr_apsp.n store in
+    ignore (Net_state.drain_changes st);
+    List.iter
+      (fun kinds ->
+        for u = 0 to n - 1 do
+          let rows = Incr_apsp.matrix store and g = Incr_apsp.graph store in
+          let sets = Array.init n (Incr_apsp.suspects store) in
+          if not (snd (Fast_response.best_move_state_verdict ~kinds st ~agent:u)) then
+            incr whatif_verdicts;
+          let rows' = Incr_apsp.matrix store in
+          for x = 0 to n - 1 do
+            for y = 0 to n - 1 do
+              if bits_differ rows.(x).(y) rows'.(x).(y) then
+                Alcotest.failf "%s: agent %d moved d(%d,%d) from %h to %h" label u x y
+                  rows.(x).(y) rows'.(x).(y)
+            done
+          done;
+          if not (Wgraph.equal g (Incr_apsp.graph store)) then
+            Alcotest.failf "%s: agent %d changed the edge set" label u;
+          Array.iteri
+            (fun x before ->
+              match (before, Incr_apsp.suspects store x) with
+              | None, Some _ when n >= min_n -> incr filled
+              | before, after when before = after -> ()
+              | _ -> Alcotest.failf "%s: agent %d changed row %d's suspect set" label u x)
+            sets;
+          let ch = Net_state.drain_changes st in
+          if Gncg_graph.Changed_rows.cardinal ch.rows > 0 || ch.pairs <> [] || ch.full then
+            Alcotest.failf "%s: agent %d left a change report" label u
+        done)
+      [ [ `Add; `Delete; `Swap ]; [ `Add ] ]
+  in
+  on_walks 2480 check;
+  let r = rng 2481 in
+  List.iter
+    (fun (name, make) ->
+      let host = make 70 in
+      let st = Net_state.create host (I.random_profile r host) in
+      for _ = 1 to 3 do
+        let u = Prng.int r 70 in
+        match Move.candidates host (Net_state.profile st) ~agent:u with
+        | [] -> ()
+        | cands ->
+          ignore (Net_state.apply_move st ~agent:u (List.nth cands (Prng.int r (List.length cands))))
+      done;
+      check (name ^ " n=70") st)
+    (adversarial_hosts r ~alpha:2.0);
+  check_true "verdicts with what-ifs or floors" (!whatif_verdicts > 0);
+  check_true "a what-if filled a suspect set" (!filled > 0)
+
 let suites =
   [
     ( "tight-targets",
@@ -657,5 +726,6 @@ let suites =
           (QCheck.Test.make ~count:60 ~name:"savings centres within half the margin"
              QCheck.small_nat prop_savings_centre_headroom);
         case "an evaluation's minor words are bounded" test_evaluation_words;
+        case "an evaluation leaves the store as it was" test_evaluation_leaves_store;
       ] );
   ]
