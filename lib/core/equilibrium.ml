@@ -10,37 +10,45 @@ let p_check = Gncg_obs.Span.probe "equilibrium.check"
 
 let kinds_of = function AE -> [ `Add ] | GE -> [ `Add; `Delete; `Swap ] | NE -> []
 
-(* G(s) in flat form, built once per profile for the greedy kinds: each
-   agent's scan works on a private copy, so the agents of one check share
-   it under [Seq] and [Par] alike.  The NE oracle builds its own. *)
-let profile_adj kind host s =
-  match kind with
-  | NE -> None
-  | GE | AE -> Some (Gncg_graph.Flat_adj.of_wgraph (Network.graph host s))
+(* The network and its row matrix, built once per profile for the greedy
+   kinds on the calling domain and read by every agent's scan under [Seq]
+   and [Par] alike.  Spreading its n passes over the domains too took one
+   more round of domain spawns, and measured slower at n = 20 to 100
+   (2-core x86-64 VM).  The NE oracle builds its own. *)
+let greedy_profile kind host s =
+  match kind with NE -> None | GE | AE -> Some (Greedy.prepare host s)
 
 (* The agent's current cost and the cost of its cheapest deviation of the
-   kind.  The greedy kinds get both from one scan: one incumbent
-   shortest-path pass per agent on the profile's network, [adj] when
-   given. *)
-let current_and_best ?adj kind host s u =
+   kind.  The greedy kinds get both from one scan of [profile]. *)
+let current_and_best ?profile kind host s u =
   match kind with
   | NE -> (Cost.agent_cost host s u, snd (Best_response.exact host s u))
   | GE | AE ->
-    let ((current, _) as scanned) = Greedy.scan ~kinds:(kinds_of kind) ?adj host s ~agent:u in
+    let ((current, _) as scanned) = Greedy.scan ~kinds:(kinds_of kind) ?profile host s ~agent:u in
     (current, Greedy.best_cost host s ~agent:u scanned)
 
-let agent_happy ?adj kind host s u =
-  let current, best = current_and_best ?adj kind host s u in
+let agent_happy ?profile kind host s u =
+  let current, best = current_and_best ?profile kind host s u in
   Flt.le current best
 
 (* The per-agent check is pure on immutable host/profile data, so under
    [Par] agents fan out across domains; the boolean checks early-exit as
-   soon as any domain finds an unhappy agent. *)
+   soon as any domain finds an unhappy agent.  A greedy check first scans
+   agent 0 exactly and builds the profile only once that agent is happy:
+   a profile far from equilibrium is refuted by one scan, not after n
+   shortest-path passes. *)
 
 let is_equilibrium ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check (fun () ->
-      let adj = profile_adj kind host s in
-      Exec.for_all ~exec (Strategy.n s) (agent_happy ?adj kind host s))
+      let n = Strategy.n s in
+      match kind with
+      | NE -> Exec.for_all ~exec n (agent_happy kind host s)
+      | GE | AE ->
+        n = 0
+        || agent_happy kind host s 0
+           &&
+           let profile = Greedy.prepare host s in
+           Exec.for_all ~exec (n - 1) (fun i -> agent_happy ~profile kind host s (i + 1)))
 
 let is_ae ?exec = is_equilibrium ?exec AE
 let is_ge ?exec = is_equilibrium ?exec GE
@@ -52,19 +60,18 @@ let factor (current, best) =
   else current /. best
 
 let approx_factor kind host s =
-  let n = Strategy.n s in
-  let adj = profile_adj kind host s in
+  let profile = greedy_profile kind host s in
   let worst = ref 1.0 in
-  for u = 0 to n - 1 do
-    worst := Float.max !worst (factor (current_and_best ?adj kind host s u))
+  for u = 0 to Strategy.n s - 1 do
+    worst := Float.max !worst (factor (current_and_best ?profile kind host s u))
   done;
   !worst
 
 let unhappy_agents ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check @@ fun () ->
   let n = Strategy.n s in
-  let adj = profile_adj kind host s in
-  let happy = Exec.init ~exec n (agent_happy ?adj kind host s) in
+  let profile = greedy_profile kind host s in
+  let happy = Exec.init ~exec n (agent_happy ?profile kind host s) in
   List.filter (fun u -> not happy.(u)) (List.init n (fun u -> u))
 
 type grievance = {
@@ -74,14 +81,14 @@ type grievance = {
   deviation : Strategy.ISet.t option;
 }
 
-let agent_grievance ?adj kind host s u =
+let agent_grievance ?profile kind host s u =
   let current, best, deviation =
     match kind with
     | NE ->
       let set, cost = Best_response.exact host s u in
       (Cost.agent_cost host s u, cost, Some set)
     | GE | AE ->
-      let current, best = current_and_best ?adj kind host s u in
+      let current, best = current_and_best ?profile kind host s u in
       (current, best, None)
   in
   if Flt.lt best current then
@@ -100,8 +107,8 @@ let verdict_of_grievances = function
 let certify ?(exec = Exec.Seq) kind host s =
   Gncg_obs.Span.with_probe p_check @@ fun () ->
   let n = Strategy.n s in
-  let adj = profile_adj kind host s in
-  let per_agent = Exec.init ~exec n (agent_grievance ?adj kind host s) in
+  let profile = greedy_profile kind host s in
+  let per_agent = Exec.init ~exec n (agent_grievance ?profile kind host s) in
   verdict_of_grievances (List.filter_map Fun.id (Array.to_list per_agent))
 
 let pp_grievance fmt g =

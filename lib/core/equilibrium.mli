@@ -10,14 +10,19 @@
 
 type kind = NE | GE | AE
 
-(** The boolean checks all take [?exec] (default [Exec.Seq]): under
-    [Par] the per-agent checks fan out across OCaml 5 domains with an
-    early exit once any domain finds an unhappy agent.  Same verdict as
-    the sequential scan (property-tested); only the set of agents
-    actually inspected on a negative answer differs.  The GE/AE checks
-    here ({!unhappy_agents}, {!certify} and {!approx_factor} too) build
-    the profile's network once and share it, read-only, across every
-    agent's {!Greedy.scan}. *)
+(** The boolean checks, {!unhappy_agents} and {!certify} take [?exec]
+    (default [Exec.Seq]): under [Par] the per-agent checks fan out
+    across OCaml 5 domains, and the boolean ones exit early once any
+    domain finds an unhappy agent.  Same verdict as the sequential scan
+    (property-tested); only the set of agents actually inspected on a
+    negative answer differs.  The GE/AE checks build one
+    {!Greedy.profile} per profile on the calling domain: the network in
+    flat form and its distance row from every vertex.  Every agent's
+    {!Greedy.scan} reads it, read-only, clears the agent from bounds on
+    those rows when it can, and runs the exact scan only where a bound
+    cannot.  The boolean checks scan agent 0 exactly first and build
+    the profile only when that agent is happy, so a profile far from
+    equilibrium costs one scan. *)
 
 val is_ae : ?exec:Gncg_util.Exec.t -> Host.t -> Strategy.t -> bool
 

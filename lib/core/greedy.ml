@@ -8,6 +8,8 @@ let c_swaps_composed = Metric.Counter.make "greedy.swaps_composed"
 let c_settled = Metric.Counter.make "greedy.settled"
 let c_sums_reused = Metric.Counter.make "greedy.sums_reused"
 let c_prefix_skipped = Metric.Counter.make "greedy.prefix_skipped"
+let c_agents_cleared = Metric.Counter.make "greedy.agents_cleared"
+let c_agents_scanned = Metric.Counter.make "greedy.agents_scanned"
 
 (* Both costs can be infinite (disconnected before and after) and near-ties
    are floating-point noise: the tolerant comparison classifies both as
@@ -103,6 +105,22 @@ let[@inline] edited_edge_cost alpha owned ow ~skip ~t (wt : float) =
   if !pending then acc := !acc +. wt;
   alpha *. !acc
 
+(* The agent's addable targets, ascending. *)
+let addable_targets host s ~agent =
+  let n = Strategy.n s in
+  let targets = Array.make n 0 and k = ref 0 in
+  for v = 0 to n - 1 do
+    if Move.addable host s ~agent v then begin
+      targets.(!k) <- v;
+      incr k
+    end
+  done;
+  Array.sub targets 0 !k
+
+(* Whether the owned edge (agent, o) stays built when the agent sells it:
+   the other side buys it too, or it was never built. *)
+let stays_built adj s ~agent o = Strategy.owns s o agent || not (Flat_adj.has_edge adj agent o)
+
 (* One fold over the agent's candidates, in [Move.candidates] order.
    Every moved row is the entrywise minimum of two rows, bit for bit.  A
    simple path from the agent u leaves u once and never returns, so its
@@ -133,21 +151,26 @@ let[@inline] edited_edge_cost alpha owned ow ~skip ~t (wt : float) =
    [adj], the flat form of G(s), belongs to the call, which edits it.
    Each candidate's cost is [Cost.agent_cost] of the moved profile to
    the bit: the rows are [Dijkstra.sssp]'s, and the edited set is priced
-   as [Cost.edge_cost_of] prices it ([edited_edge_cost]).  Returns the
+   as [Cost.edge_cost_of] prices it ([edited_edge_cost]).  [row], when
+   given, is that pass's row, read and never written.  Returns the
    current cost and the folded result. *)
-let fold_gains ?(kinds = [ `Add; `Delete; `Swap ]) adj host s ~agent f init =
+let fold_gains ?(kinds = [ `Add; `Delete; `Swap ]) ?row adj host s ~agent f init =
   let n = Strategy.n s in
   let owned_set = Strategy.strategy s agent in
   let owned = Array.of_list (ISet.elements owned_set) in
-  let targets =
-    Array.of_list (List.filter (Move.addable host s ~agent) (List.init n Fun.id))
-  in
+  let targets = addable_targets host s ~agent in
   let deg = Array.length owned and k = Array.length targets in
   let want_add = List.mem `Add kinds
   and want_del = List.mem `Delete kinds
   and want_swap = List.mem `Swap kinds in
-  let cur = Array.make n 0.0 in
-  Flat_adj.sssp_into adj agent cur;
+  let cur =
+    match row with
+    | Some row -> row
+    | None ->
+      let cur = Array.make n 0.0 in
+      Flat_adj.sssp_into adj agent cur;
+      cur
+  in
   let cur_p = prefix cur in
   let before = Cost.edge_cost_of host agent owned_set +. cur_p.sum in
   (* Row of G(s) - (u,o) for each owned o; G(s)'s own row when the edge
@@ -157,7 +180,7 @@ let fold_gains ?(kinds = [ `Add; `Delete; `Swap ]) adj host s ~agent f init =
     else
       Array.map
         (fun o ->
-          if Strategy.owns s o agent || not (Flat_adj.has_edge adj agent o) then cur_p
+          if stays_built adj s ~agent o then cur_p
           else begin
             Metric.Counter.incr c_whatifs;
             let row = Array.copy cur in
@@ -236,19 +259,165 @@ let pick acc mv gain =
 let build_adj ?graph host s =
   Flat_adj.of_wgraph (match graph with Some g -> g | None -> Network.graph host s)
 
-(* A shared [adj] is copied, never edited, so parallel scans can share it. *)
-let scan ?kinds ?adj host s ~agent =
-  let adj = match adj with Some adj -> Flat_adj.copy adj | None -> build_adj host s in
-  fold_gains ?kinds adj host s ~agent pick None
+(* G(s) in flat form and its row from every vertex, each one
+   [Flat_adj.sssp_into] on it: the pass [fold_gains] would run first for
+   that agent, bit for bit. *)
+type profile = { adj : Flat_adj.t; rows : float array array }
+
+let prepare host s =
+  let adj = build_adj host s in
+  let n = Strategy.n s in
+  let rows =
+    Array.init n (fun x ->
+        let row = Array.make n 0.0 in
+        Flat_adj.sssp_into adj x row;
+        row)
+  in
+  { adj; rows }
+
+(* Plain sums for the bounds below, which carry the rounding margin.
+   Σ_x min(a(x), fl(w + b(x))): *)
+let[@inline] plain_min_sum (a : float array) (w : float) (b : float array) =
+  let acc = ref 0.0 in
+  for x = 0 to Array.length a - 1 do
+    acc := !acc +. fmin (Array.unsafe_get a x) (w +. Array.unsafe_get b x)
+  done;
+  !acc
+
+(* L_o(x), the least offer at x of the agent's neighbours other than o,
+   read from [Flat_adj.nearest_two_into]'s [best], [arg] and [second]. *)
+let[@inline] floor_at (best : float array) (arg : int array) (second : float array) o x =
+  if Array.unsafe_get arg x = o then Array.unsafe_get second x else Array.unsafe_get best x
+
+(* Σ_x L_o(x), summed plainly. *)
+let[@inline] floor_sum (best : float array) arg second o =
+  let acc = ref 0.0 in
+  for x = 0 to Array.length best - 1 do
+    acc := !acc +. floor_at best arg second o x
+  done;
+  !acc
+
+(* Σ_x min(L_o(x), fl(w + b(x))), summed plainly. *)
+let[@inline] floor_min_sum (best : float array) arg second o (w : float) (b : float array) =
+  let acc = ref 0.0 in
+  for x = 0 to Array.length best - 1 do
+    acc := !acc +. fmin (floor_at best arg second o x) (w +. Array.unsafe_get b x)
+  done;
+  !acc
+
+(* A candidate whose edge cost and distance sum are bounded below by
+   [edge] and [p], less [tol] of their sum, gains at most [Flt.eps] over
+   [before].  A NaN, which only an infinite bound could make, clears
+   nothing. *)
+let[@inline] cleared (before : float) (edge : float) (p : float) (tol : float) =
+  let c = edge +. p in
+  before -. (c -. (tol *. c)) <= Flt.eps
+
+(* Whether bounds from the profile's rows prove that no candidate of the
+   agent gains more than [Flt.eps], so that [fold_gains] would return no
+   move (docs/ALGORITHMS.md, "Bound-first certification").  [before] is
+   the agent's finite current cost and [cur_sum] its distance part.
+   Each candidate's moved row is bounded entry by entry:
+   - addition (u,t): min(d_u, w + d_t), since row(H_t) >= w + d_t;
+   - deletion of o: the neighbour floor L_o, the best offer
+     w(u,z) + d_z of u's other neighbours z ([Flat_adj.nearest_two_into]);
+     an infinite entry means the deletion disconnects and cannot gain;
+   - swap (o,t): first the addition's bound (the removal only lengthens
+     distances), then min(L_o, w + d_t); when the sold edge survives the
+     sale the swap is the addition and has no other bound.
+   A bound is summed plainly, its edge cost is α times the owned prices
+   kept, plus w, summed in any order, and the pair stands for the exact
+   cost less [tol] of it: [Flt.stored_margin] plus [Flt.sum_margin].
+   The first candidate no bound clears ends the test. *)
+let bounds_clear ~want_add ~want_del ~want_swap { adj; rows } host s ~agent ~before ~cur_sum =
+  let n = Array.length rows in
+  let d = rows.(agent) in
+  let alpha = Host.alpha host and wrow = Host.weight_row host agent in
+  let tol = Flt.stored_margin n 1.0 +. Flt.sum_margin n 1.0 in
+  let owned = Array.of_list (ISet.elements (Strategy.strategy s agent)) in
+  let deg = Array.length owned in
+  let survives = Array.map (stays_built adj s ~agent) owned in
+  (* The owned prices summed, and summed with each one left out. *)
+  let kept = Array.make deg 0.0 and total = ref 0.0 in
+  Array.iteri
+    (fun i o ->
+      total := !total +. wrow.(o);
+      for i' = 0 to deg - 1 do
+        if i' <> i then kept.(i') <- kept.(i') +. wrow.(o)
+      done)
+    owned;
+  let total = !total in
+  let targets = if want_add || want_swap then addable_targets host s ~agent else [||] in
+  let k = Array.length targets in
+  let for_all m f =
+    let rec go i = i >= m || (f i && go (i + 1)) in
+    go 0
+  in
+  (* The additions' plain sums, which the swaps' pre-filter reuses. *)
+  let add_p = Array.make k 0.0 in
+  (* The deletions and swaps, once the additions are cleared: the floors
+     L_o of the sold edges come from one pass over the neighbours'
+     rows. *)
+  let sales_clear () =
+    let best = Array.make n 0.0 and arg = Array.make n 0 and second = Array.make n 0.0 in
+    if not (Array.for_all Fun.id survives) then
+      Flat_adj.nearest_two_into adj rows agent best arg second;
+    ((not want_del)
+    || for_all deg (fun i ->
+           let edge = alpha *. kept.(i) in
+           if survives.(i) then cleared before edge cur_sum tol
+           else
+             let p = floor_sum best arg second owned.(i) in
+             p = Float.infinity || cleared before edge p tol))
+    && ((not want_swap)
+       || for_all deg (fun i ->
+              for_all k (fun j ->
+                  let t = targets.(j) in
+                  let w = wrow.(t) in
+                  let edge = alpha *. (kept.(i) +. w) in
+                  cleared before edge add_p.(j) tol
+                  || (not survives.(i))
+                     && cleared before edge
+                          (floor_min_sum best arg second owned.(i) w rows.(t))
+                          tol)))
+  in
+  for_all k (fun j ->
+      let t = targets.(j) in
+      let w = wrow.(t) in
+      add_p.(j) <- plain_min_sum d w rows.(t);
+      (not want_add) || cleared before (alpha *. (total +. w)) add_p.(j) tol)
+  && (deg = 0 || not (want_del || want_swap) || sales_clear ())
+
+(* With the profile, an agent the bounds clear is answered from its row
+   alone; any other is scanned exactly, on a copy of the profile's
+   adjacency that starts from the same row, so parallel scans share the
+   profile read-only. *)
+let scan ?(kinds = [ `Add; `Delete; `Swap ]) ?profile host s ~agent =
+  let exact adj row =
+    Metric.Counter.incr c_agents_scanned;
+    fold_gains ~kinds ?row adj host s ~agent pick None
+  in
+  match profile with
+  | None -> exact (build_adj host s) None
+  | Some pr ->
+    let row = pr.rows.(agent) in
+    let cur_sum = Flt.sum row in
+    let before = Cost.agent_edge_cost host s agent +. cur_sum in
+    if
+      before < Float.infinity
+      && bounds_clear ~want_add:(List.mem `Add kinds) ~want_del:(List.mem `Delete kinds)
+           ~want_swap:(List.mem `Swap kinds) pr host s ~agent ~before ~cur_sum
+    then begin
+      Metric.Counter.incr c_agents_cleared;
+      (before, None)
+    end
+    else exact (Flat_adj.copy pr.adj) (Some row)
 
 let gains ?kinds host s ~agent =
   let current, rev =
     fold_gains ?kinds (build_adj host s) host s ~agent (fun acc mv g -> (mv, g) :: acc) []
   in
   (current, List.rev rev)
-
-let best_move ?kinds ?graph host s ~agent =
-  snd (fold_gains ?kinds (build_adj ?graph host s) host s ~agent pick None)
 
 (* A move that connects an agent whose cost is +inf has gain +inf, and
    +inf -. +inf is NaN: on that path alone the moved profile is priced. *)

@@ -3,10 +3,11 @@
 
     [?graph] is a pre-built network of the current profile
     ([Network.graph host s] when omitted); every call turns it into a
-    flat adjacency of its own.  {!scan} takes that flat adjacency
-    pre-built instead, as [?adj], and never edits it: it works on a
-    private copy, so one network per profile can serve every agent's
-    scan, sequential or parallel.  Per agent the
+    flat adjacency of its own.  {!scan} takes a {!profile} instead: the
+    network in flat form and its row from every vertex, built once per
+    profile and never edited, so one profile serves every agent's scan,
+    sequential or parallel.  From those rows {!scan} first tries to
+    clear the agent by bounds alone.  Otherwise, per agent the exact
     scan runs one shortest-path pass on the network, one what-if per sold
     owned edge (settled from the network's row) and one bounded pass per
     addable target, and assembles
@@ -29,17 +30,6 @@ val move_gain :
     moved profile's rebuilt network against the current one.  The
     specification the scans below are tested against. *)
 
-val best_move :
-  ?kinds:[ `Add | `Delete | `Swap ] list ->
-  ?graph:Gncg_graph.Wgraph.t ->
-  Host.t ->
-  Strategy.t ->
-  agent:int ->
-  (Move.t * float) option
-(** The single-edge move with the largest strict improvement for the agent,
-    if any (tolerance-guarded).  [kinds] restricts the move set: use
-    [[`Add]] for add-only dynamics. *)
-
 val best_single_move_cost :
   ?kinds:[ `Add | `Delete | `Swap ] list ->
   ?graph:Gncg_graph.Wgraph.t ->
@@ -50,16 +40,42 @@ val best_single_move_cost :
 (** The lowest cost the agent can reach with at most one single-edge move
     (her current cost when nothing improves). *)
 
+type profile
+(** One profile's network in flat form and its distance row from every
+    vertex: the read-only input that {!scan} shares across all agents of
+    one profile. *)
+
+val prepare : Host.t -> Strategy.t -> profile
+(** [prepare host s] builds the network of [s] once and runs one
+    shortest-path pass from every vertex on it, n passes in all.  Each
+    row is bitwise the first pass an exact scan would run for that
+    agent. *)
+
 val scan :
   ?kinds:[ `Add | `Delete | `Swap ] list ->
-  ?adj:Gncg_graph.Flat_adj.t ->
+  ?profile:profile ->
   Host.t ->
   Strategy.t ->
   agent:int ->
   float * (Move.t * float) option
 (** [(current, best)]: the agent's current cost ([Cost.agent_cost], to
-    the bit) and {!best_move}'s result, from one scan.  {!best_cost}
-    turns it into the best single-move cost. *)
+    the bit) and the single-edge move with the largest strict
+    improvement above [Flt.eps], if any; ties keep the earlier candidate
+    in [Move.candidates] order.  [kinds] restricts the move set: use
+    [[`Add]] for add-only dynamics.  {!best_cost} turns the pair into
+    the best single-move cost.
+
+    With [profile] (the {!prepare} of [s]) the scan is bound first: from
+    the profile's rows alone it bounds every candidate's moved cost from
+    below, and when no bound leaves room for a gain above [Flt.eps] it
+    returns [(current, None)] without a pass or a copy.  The bounds are
+    an addition's min(d_u, w + d_t), a deletion's neighbour floor and a
+    swap's minimum of the two, each summed plainly less a rounding
+    margin (docs/ALGORITHMS.md, "Bound-first certification").  Any other
+    agent, and every agent whose current cost is +inf, gets the exact
+    scan on a private copy of the profile's network, starting from its
+    row; so the result is the same bits with or without [profile], and
+    one profile serves every agent's scan, sequential or parallel. *)
 
 val best_cost : Host.t -> Strategy.t -> agent:int -> float * (Move.t * float) option -> float
 (** [best_cost host s ~agent (current, best)] is the agent's cost after

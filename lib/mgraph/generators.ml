@@ -1,14 +1,5 @@
 module Prng = Gncg_util.Prng
 
-let complete n w =
-  let g = Wgraph.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      Wgraph.add_edge g u v (w u v)
-    done
-  done;
-  g
-
 let random_tree rng ~n ~wmin ~wmax =
   if n < 1 then invalid_arg "Generators.random_tree";
   let g = Wgraph.create n in

@@ -1,8 +1,5 @@
 (** Graph generators for workloads and examples. *)
 
-val complete : int -> (int -> int -> float) -> Wgraph.t
-(** [complete n w] with weights from the symmetric function [w]. *)
-
 val random_tree : Gncg_util.Prng.t -> n:int -> wmin:float -> wmax:float -> Wgraph.t
 (** Random recursive tree with i.i.d. uniform weights. *)
 

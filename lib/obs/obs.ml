@@ -1,7 +1,5 @@
 let set_profiling = Metric.set_enabled
 
-let profiling = Metric.enabled
-
 let reset = Metric.reset
 
 let counters_event () =

@@ -11,8 +11,6 @@ val set_profiling : bool -> unit
 (** Enables metric recording ({!Metric.set_enabled}).  Backs
     [--profile]. *)
 
-val profiling : unit -> bool
-
 val trace_to_file : string -> unit
 (** Opens (truncating) a JSONL trace at the given path, installs it as
     the process sink, and turns profiling on (span/counter events are

@@ -53,10 +53,6 @@ let print_ratio_summary ~group_label groups =
     ~header:[ group_label; "runs"; "conv"; "mean ratio"; "worst ratio" ]
     rows
 
-let series ~header ~rows ~title =
-  print_endline title;
-  T.print ~header rows
-
 let csv_header =
   "model,n,alpha,seed,converged,steps,stable_cost,opt_cost,ratio,diameter,stretch,is_tree"
 

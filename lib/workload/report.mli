@@ -7,10 +7,6 @@ val print_runs : Sweep.run list -> unit
 val print_ratio_summary : group_label:string -> (string * Sweep.run list) list -> unit
 (** One row per group: count, converged fraction, mean/max ratio. *)
 
-val series :
-  header:string list -> rows:string list list -> title:string -> unit
-(** Titled table (used for figure series). *)
-
 val runs_to_csv : Sweep.run list -> string
 (** RFC-4180-ish CSV with a header row (no quoting needed: all cells are
     numeric or simple identifiers). *)

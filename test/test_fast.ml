@@ -37,7 +37,7 @@ let test_best_move_equivalent () =
     let host, s = random_setup r ~n in
     let agent = Prng.int r n in
     let fast = fst (Fr.best_move_state_verdict (Gncg.Net_state.create host s) ~agent) in
-    let slow = Gncg.Greedy.best_move host s ~agent in
+    let slow = snd (Gncg.Greedy.scan host s ~agent) in
     match (fast, slow) with
     | None, None -> ()
     | Some (_, gf), Some (_, gs) -> check_float ~tol:1e-6 "same best gain" gs gf

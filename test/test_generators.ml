@@ -3,11 +3,6 @@ module G = Gncg_graph.Generators
 module Wgraph = Gncg_graph.Wgraph
 module Conn = Gncg_graph.Connectivity
 
-let test_complete () =
-  let g = G.complete 6 (fun u v -> float_of_int (u + v)) in
-  Alcotest.(check int) "edges" 15 (Wgraph.m g);
-  Alcotest.(check (option (float 1e-9))) "weight" (Some 5.0) (Wgraph.weight g 2 3)
-
 let test_random_tree () =
   let r = rng 1300 in
   for _ = 1 to 5 do
@@ -46,7 +41,6 @@ let suites =
   [
     ( "graph.generators",
       [
-        case "complete" test_complete;
         case "random tree" test_random_tree;
         case "gnp connected" test_gnp_connected;
         case "gnp density extremes" test_gnp_density;

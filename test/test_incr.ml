@@ -106,7 +106,8 @@ let prop_best_move_state_equivalence seed =
   let u = Prng.int r 6 in
   let st = Gncg.Net_state.create host s in
   match
-    (fst (Gncg.Fast_response.best_move_state_verdict st ~agent:u), Gncg.Greedy.best_move host s ~agent:u)
+    ( fst (Gncg.Fast_response.best_move_state_verdict st ~agent:u),
+      snd (Gncg.Greedy.scan host s ~agent:u) )
   with
   | None, None -> true
   | Some (_, g1), Some (_, g2) -> Flt.approx_eq ~tol:1e-6 g1 g2

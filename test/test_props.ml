@@ -101,7 +101,7 @@ let prop_move_gain_consistent seed =
   (* Greedy's reported gain equals the cost delta of applying the move. *)
   let r, host, s = random_game (seed + 7) ~n:6 in
   let u = Prng.int r 6 in
-  match Gncg.Greedy.best_move host s ~agent:u with
+  match snd (Gncg.Greedy.scan host s ~agent:u) with
   | None -> true
   | Some (mv, gain) ->
     let before = Gncg.Cost.agent_cost host s u in

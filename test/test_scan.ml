@@ -1,11 +1,14 @@
 (* The single-move scan against its specification, bit for bit.
-   [Greedy.scan], [gains], [best_move], [best_single_move_cost] and the
-   greedy [Equilibrium.certify] verdicts assemble every moved row from a
-   pass on the network, one what-if per sold edge and one bounded pass
-   per addable target, on a flat adjacency that certify builds once per
-   profile; [Greedy.move_gain] rebuilds the moved network.  Every gain,
-   cost and grievance must agree exactly, compared by
-   [Int64.bits_of_float], never within a tolerance. *)
+   [Greedy.scan], [gains], [best_single_move_cost] and the greedy
+   [Equilibrium] checks assemble every moved row from a pass on the
+   network, one what-if per sold edge and one bounded pass per addable
+   target; [Greedy.move_gain] rebuilds the moved network.  With a
+   [Greedy.profile] (the network and its row from every vertex, built
+   once per profile) [scan] first tries to clear the agent from bounds
+   on those rows and runs the exact scan only where a bound cannot: its
+   answer must be the exact scan's, including every agent the bounds
+   clear.  Every gain, cost and grievance must agree exactly, compared
+   by [Int64.bits_of_float], never within a tolerance. *)
 
 module Prng = Gncg_util.Prng
 module Flt = Gncg_util.Flt
@@ -116,14 +119,17 @@ let same_pick a b =
   | _ -> false
 
 let best_move_exact ?gain (host, s) =
+  let profile = Greedy.prepare host s in
   List.for_all
     (fun kinds ->
       List.for_all
         (fun agent ->
           let current, best = Greedy.scan ~kinds host s ~agent in
+          let current', best' = Greedy.scan ~kinds ~profile host s ~agent in
           same_pick best (spec_best ?gain ~kinds host s ~agent)
-          && same_pick (Greedy.best_move ~kinds host s ~agent) best
+          && same_pick best' best
           && same current (Gncg.Cost.agent_cost host s agent)
+          && same current' current
           && same
                (Greedy.best_single_move_cost ~kinds host s ~agent)
                (spec_best_cost ?gain ~kinds host s ~agent))
@@ -330,6 +336,217 @@ let test_converged_exact () =
   if counter "greedy.prefix_skipped" = skipped0 then
     Alcotest.fail "no sum resumed from a prefix state"
 
+(* --- bound-first certification ---
+
+   [scan ~profile] against [scan] without it, bit for bit, on every host
+   of [Helpers.adversarial_hosts] (all 7 CLI models, ties, zero weights,
+   four decades, a part no finite weight leaves, weights up to 10^10), at
+   three prices, on three profiles each: where greedy dynamics
+   converged, a random start, and the converged profile with one agent
+   moved to a strictly worse strategy, which it can then leave.  Besides
+   AE and GE, deletions and swaps are scanned alone, so that each bound
+   is the only one that can clear the agent. *)
+
+let ae = [ `Add ]
+and ge = [ `Add; `Delete; `Swap ]
+
+let all_agents s = List.init (Strategy.n s) Fun.id
+
+(* The first agent whose scan differs with and without the profile. *)
+let first_scan_difference host s =
+  let profile = Greedy.prepare host s in
+  List.find_map
+    (fun (label, kinds) ->
+      List.find_map
+        (fun agent ->
+          let current, best = Greedy.scan ~kinds host s ~agent in
+          let current', best' = Greedy.scan ~kinds ~profile host s ~agent in
+          if same current current' && same_pick best best' then None
+          else Some (Printf.sprintf "%s, agent %d" label agent))
+        (all_agents s))
+    [ ("AE", ae); ("GE", ge); ("deletions", [ `Delete ]); ("swaps", [ `Swap ]) ]
+
+(* The converged profile with one agent's first strictly worsening move
+   applied, preferring a deletion, whose reverse is also an addition;
+   the agent, which can now improve, is returned too. *)
+let perturbed host s r =
+  let n = Strategy.n s in
+  let first = Prng.int r n in
+  let try_agent agent =
+    let worse = List.filter (fun mv -> Greedy.move_gain host s ~agent mv < -.Flt.eps) in
+    let cands = Move.candidates host s ~agent in
+    let dels, rest = List.partition (function Move.Delete _ -> true | _ -> false) cands in
+    match worse dels @ worse rest with
+    | [] -> None
+    | mv :: _ -> Some (Move.apply s ~agent mv, agent, mv)
+  in
+  List.find_map (fun i -> try_agent ((first + i) mod n)) (List.init n Fun.id)
+
+let profiles_of host r =
+  let start = Gncg_workload.Instances.random_profile r host in
+  let config = D.Config.make ~max_steps:20_000 D.Greedy_response D.Round_robin in
+  match D.run config host start with
+  | D.Converged { profile; _ } ->
+    let moved =
+      match perturbed host profile r with
+      | None -> []
+      | Some (s, agent, mv) ->
+        (* The agent's move out of the worse strategy, e.g. the deletion
+           undone, must be on offer. *)
+        let kinds = match mv with Move.Delete _ -> ae | _ -> ge in
+        if snd (Greedy.scan ~kinds host s ~agent) = None then
+          Alcotest.failf "agent %d cannot leave a worse strategy" agent;
+        [ ("perturbed", s) ]
+    in
+    [ ("converged", profile); ("random", start) ] @ moved
+  | _ -> [ ("random", start) ]
+
+(* The greedy checks of [Equilibrium] under [Seq] and [Par 2]: the same
+   verdicts and grievances, bit for bit. *)
+let same_checks par host s =
+  List.for_all
+    (fun kind ->
+      let grievances exec =
+        match Eq.certify ~exec kind host s with
+        | Ok () -> []
+        | Error gs -> List.map (fun g -> Eq.(g.agent, g.current_cost, g.best_cost)) gs
+      in
+      let g1 = grievances Gncg_util.Exec.seq and g2 = grievances par in
+      List.length g1 = List.length g2
+      && List.for_all2 (fun (u, c, b) (u', c', b') -> u = u' && same c c' && same b b') g1 g2
+      && Eq.unhappy_agents kind host s = Eq.unhappy_agents ~exec:par kind host s
+      && Eq.is_equilibrium kind host s = Eq.is_equilibrium ~exec:par kind host s
+      && Eq.is_equilibrium kind host s = (g1 = []))
+    [ Eq.GE; Eq.AE ]
+
+let with_profiling f =
+  Gncg_obs.Obs.set_profiling true;
+  Fun.protect ~finally:(fun () -> Gncg_obs.Obs.set_profiling false) f
+
+(* Both paths must run: agents the bounds clear and agents they leave to
+   the exact scan. *)
+let both_paths_ran cleared0 scanned0 =
+  if counter "greedy.agents_cleared" = cleared0 then Alcotest.fail "no agent cleared by bounds";
+  if counter "greedy.agents_scanned" = scanned0 then Alcotest.fail "no agent scanned exactly"
+
+let test_profile_scan_exact () =
+  let r = Prng.create 3700 in
+  let par = Gncg_util.Exec.par ~domains:2 () in
+  with_profiling @@ fun () ->
+  let cleared0 = counter "greedy.agents_cleared" and scanned0 = counter "greedy.agents_scanned" in
+  List.iter
+    (fun alpha ->
+      List.iter
+        (fun (name, make) ->
+          let n = 8 + Prng.int r 13 in
+          let host = make n in
+          List.iter
+            (fun (label, s) ->
+              let where = Printf.sprintf "%s n=%d alpha=%g, %s" name n alpha label in
+              (match first_scan_difference host s with
+              | Some d -> Alcotest.failf "%s: scans differ (%s)" where d
+              | None -> ());
+              if not (same_checks par host s) then Alcotest.failf "%s: Seq and Par 2 differ" where)
+            (profiles_of host r))
+        (Helpers.adversarial_hosts r ~alpha))
+    [ 0.5; 2.0; 8.0 ];
+  both_paths_ran cleared0 scanned0
+
+(* The own path of [Helpers.magnitudes] weights, as in the tight-targets
+   suite: every non-adjacent target is tight, and an addition's row can
+   fall short of the agent's by an ulp of a sum far above [Flt.eps].  At
+   a price near 0 that shortfall is the whole gain, so a margin that
+   cleared it would change the pick.  With chords (an edge two to four
+   steps on, at its metric weight) deleting a redundant chord, or
+   swapping it for another, moves the agent's sum by rounding alone too,
+   and prices from 1e-17 to 1e-15 put α·w at that rounding's scale.
+   Each move kind is scanned alone as well.  The exact scan must take
+   such moves, and the bounds must leave every one of them to it. *)
+let test_own_path_rounding () =
+  let r = Prng.create 3730 in
+  with_profiling @@ fun () ->
+  let cleared0 = counter "greedy.agents_cleared" and scanned0 = counter "greedy.agents_scanned" in
+  let taken_adds = ref 0 and taken_dels = ref 0 and taken_swaps = ref 0 in
+  List.iter
+    (fun alpha ->
+      List.iter
+        (fun scale ->
+          for trial = 1 to 4 do
+            let n = 6 + Prng.int r 15 in
+            let path =
+              Gncg_graph.Wgraph.of_edges n
+                (List.init (n - 1) (fun i -> (i, i + 1, scale *. Prng.float_in r 1.0 10.0)))
+            in
+            let host = Gncg.Host.make ~alpha (Metric.of_graph_closure path) in
+            let chord i =
+              let v = i + 2 + Prng.int r 3 in
+              if v < n && Prng.int r 2 = 0 then [ i + 1; v ] else [ i + 1 ]
+            in
+            List.iter
+              (fun (label, buys) ->
+                let s = Strategy.of_lists n (List.init (n - 1) (fun i -> (i, buys i))) in
+                (match first_scan_difference host s with
+                | Some d ->
+                  Alcotest.failf "%s, scale %g alpha %g n=%d trial %d: scans differ (%s)" label
+                    scale alpha n trial d
+                | None -> ());
+                List.iter
+                  (fun agent ->
+                    let taken kinds = snd (Greedy.scan ~kinds host s ~agent) <> None in
+                    if taken ae then incr taken_adds;
+                    if taken [ `Delete ] then incr taken_dels;
+                    if taken [ `Swap ] then incr taken_swaps)
+                  (all_agents s))
+              [ ("path", fun i -> [ i + 1 ]); ("chords", chord) ]
+          done)
+        Helpers.magnitudes)
+    [ 2.0; 1e-12; 1e-15; 1e-16; 1e-17; Float.succ 0.0 ];
+  if !taken_adds = 0 || !taken_dels = 0 || !taken_swaps = 0 then
+    Alcotest.failf "%d additions, %d deletions and %d swaps taken: the case lost its teeth"
+      !taken_adds !taken_dels !taken_swaps;
+  both_paths_ran cleared0 scanned0
+
+(* Minor words [f] allocates on this domain. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* A boolean check that agent 0 refutes must not build the profile,
+   whose rows alone take more than n² words: it allocates what agent 0's
+   own scan does, under [Seq] and [Par 2] alike, up to the few words of
+   its own closures. *)
+let test_boolean_early_exit () =
+  let r = Prng.create 3760 in
+  let par = Gncg_util.Exec.par ~domains:2 () in
+  let refuted = ref 0 in
+  List.iter
+    (fun (name, make) ->
+      let n = 10 + Prng.int r 11 in
+      let host = make n in
+      List.iter
+        (fun (label, s) ->
+          List.iter
+            (fun (kind, kinds) ->
+              let scan0 () = Greedy.scan ~kinds host s ~agent:0 in
+              if snd (scan0 ()) <> None then begin
+                incr refuted;
+                let one_scan = words (fun () -> Greedy.best_cost host s ~agent:0 (scan0 ())) in
+                List.iter
+                  (fun exec ->
+                    let holds = ref true in
+                    let check = words (fun () -> holds := Eq.is_equilibrium ~exec kind host s) in
+                    if !holds then Alcotest.failf "%s, %s: agent 0 can improve" name label;
+                    if check -. one_scan > float_of_int (n * n / 2) then
+                      Alcotest.failf "%s, %s: %.0f words against %.0f for agent 0's scan" name
+                        label check one_scan)
+                  [ Gncg_util.Exec.seq; par ]
+              end)
+            [ (Eq.GE, ge); (Eq.AE, ae) ])
+        (profiles_of host r))
+    (Helpers.adversarial_hosts r ~alpha:2.0);
+  if !refuted = 0 then Alcotest.fail "no check refuted at agent 0"
+
 let suites =
   [
     ( "greedy-scan",
@@ -345,5 +562,14 @@ let suites =
           test_fixed_games;
         Alcotest.test_case "converged games: moves, gains, grievances = spec (bits)" `Quick
           test_converged_exact;
+      ] );
+    ( "bound-first-scan",
+      [
+        Alcotest.test_case "adversarial hosts: scan with rows = without (bits), Seq = Par 2"
+          `Quick test_profile_scan_exact;
+        Alcotest.test_case "own path at 2^20..1e10: no rounding-only move cleared" `Quick
+          test_own_path_rounding;
+        Alcotest.test_case "a check refuted at agent 0 builds no profile" `Quick
+          test_boolean_early_exit;
       ] );
   ]

@@ -171,8 +171,7 @@ let test_report_renders () =
   in
   (* Smoke: the printers must not raise. *)
   W.Report.print_runs runs;
-  W.Report.print_ratio_summary ~group_label:"model" [ ("tree", runs) ];
-  W.Report.series ~title:"t" ~header:[ "a" ] ~rows:[ [ "1" ] ]
+  W.Report.print_ratio_summary ~group_label:"model" [ ("tree", runs) ]
 
 let suites =
   [

@@ -6,15 +6,18 @@
 # names it with a reason (reference oracles, fault-injection hooks,
 # test seams, paper formulas awaiting a verdict).
 #
-# The match is on the bare word, anywhere in a file (comments too), so
-# the check never fails on a value that is in use; a common name such
-# as `create` always passes.  It is a ratchet against new test-only
-# exports, not a proof that an export is used: after hiding a value,
-# building the non-test targets lets warning 32 (unused value) say
-# whether the module itself still needs it.
+# The match is on the bare word in code: comments, string literals and
+# character literals are skipped (tools/ocaml_code.awk, shared with
+# tools/check_kernel_floats.sh), so prose that names a value (a
+# {!Module.value} reference, a note in another module) does not keep it
+# exported.  A common name such
+# as `create` still passes on any use of the word, so the check is a
+# ratchet against new test-only exports, not a proof that an export is
+# used: after hiding a value, building the non-test targets lets warning
+# 32 (unused value) say whether the module itself still needs it.
 #
 # One pass builds a (file, word) index of every source file, so the
-# check costs one grep, not one grep per value.  Fails the build
+# check costs one scan, not one grep per value.  Fails the build
 # (`dune build @lint`) on an unmentioned value or on a keep-list entry
 # that names no `val`.
 set -u
@@ -33,9 +36,19 @@ for d in lib bin bench benchmark examples; do
   [ -d "$d" ] && dirs="$dirs $d"
 done
 
-# "path<TAB>word" for every distinct word of every source file.
-index="$(grep -roE --exclude-dir=_build --include='*.ml' --include='*.mli' \
-  "[A-Za-z_][A-Za-z0-9_']*" $dirs | sed 's/:/\t/' | sort -u)"
+# "path<TAB>word" for every distinct word of the code of every source
+# file (tools/ocaml_code.awk blanks comments and literals).
+index="$(find $dirs -path '*/_build' -prune -o \( -name '*.ml' -o -name '*.mli' \) -print \
+  | sort | xargs awk "$(cat tools/ocaml_code.awk)"'
+    FNR == 1 { depth = 0; instr = 0 }
+    {
+      code = ocaml_code($0)
+      while (match(code, /[A-Za-z_][A-Za-z0-9_\047]*/)) {
+        printf "%s\t%s\n", FILENAME, substr(code, RSTART, RLENGTH)
+        code = substr(code, RSTART + RLENGTH)
+      }
+    }
+  ' | sort -u)"
 
 # "mli<TAB>dotted name<TAB>line" for every val, with the enclosing
 # top-level `module X : sig ... end` prefixed to the name.

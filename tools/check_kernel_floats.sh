@@ -13,8 +13,9 @@
 #   store, the adjacency weights and every pass they feed share one row
 #   type, so no copy loop or second copy of a kernel bridges two.
 #
-# Comments and string literals are skipped, so prose may still name
-# them.  Any use in code fails the build (`dune build @lint`).
+# Comments and string and character literals are skipped
+# (tools/ocaml_code.awk), so prose may still name them.  Any use in code
+# fails the build (`dune build @lint`).
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -25,26 +26,13 @@ files="lib/mgraph/incr_apsp.ml lib/mgraph/flat_adj.ml lib/core/fast_response.ml 
 status=0
 
 check_file() {
-  awk -v file="$1" '
+  awk -v file="$1" "$(cat tools/ocaml_code.awk)"'
     BEGIN {
       call = "Float[.](min|max)([^A-Za-z0-9_\047]|$)"
       floatarray = "Float[.]Array([^A-Za-z0-9_\047]|$)"
     }
     {
-      line = $0; code = ""; i = 1; len = length(line)
-      while (i <= len) {
-        c = substr(line, i, 1); c2 = substr(line, i, 2)
-        if (instr) {
-          if (c == "\\") { i += 2; continue }
-          if (c == "\"") instr = 0
-          i++; continue
-        }
-        if (c2 == "(*") { depth++; i += 2; continue }
-        if (depth > 0 && c2 == "*)") { depth--; i += 2; continue }
-        if (depth > 0) { i++; continue }
-        if (c == "\"") { instr = 1; i++; continue }
-        code = code c; i++
-      }
+      code = ocaml_code($0)
       if (code ~ call) printf "%s:%d: Float.min/Float.max call: %s\n", file, NR, $0
       if (code ~ floatarray) printf "%s:%d: Float.Array use: %s\n", file, NR, $0
     }
