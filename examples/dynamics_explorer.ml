@@ -7,15 +7,10 @@
 
 open Cmdliner
 
-let model_of_string = function
-  | "one-two" -> Ok (Gncg_workload.Instances.One_two { p_one = 0.4 })
-  | "tree" -> Ok (Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 10.0 })
-  | "euclid" -> Ok (Gncg_workload.Instances.Euclid { norm = L2; d = 2; box = 100.0 })
-  | "l1" -> Ok (Gncg_workload.Instances.Euclid { norm = L1; d = 2; box = 100.0 })
-  | "graph" -> Ok (Gncg_workload.Instances.Graph_metric { p = 0.3; wmin = 1.0; wmax = 10.0 })
-  | "general" -> Ok (Gncg_workload.Instances.General { lo = 1.0; hi = 10.0 })
-  | "one-inf" -> Ok (Gncg_workload.Instances.One_inf { p = 0.3 })
-  | s -> Error (`Msg (Printf.sprintf "unknown model %S" s))
+let model_of_string s =
+  match List.assoc_opt s Gncg_workload.Instances.named_models with
+  | Some model -> Ok model
+  | None -> Error (`Msg (Printf.sprintf "unknown model %S" s))
 
 let rule_of_string = function
   | "br" -> Ok Gncg.Dynamics.Best_response
@@ -54,7 +49,8 @@ let run model rule n alpha seeds max_steps hunt_cycles =
 let model_arg =
   let mconv = Arg.conv ~docv:"MODEL" (model_of_string, fun fmt _ -> Format.fprintf fmt "<model>") in
   Arg.(value & opt mconv (Gncg_workload.Instances.Tree { wmin = 1.0; wmax = 10.0 })
-       & info [ "model" ] ~doc:"one-two | tree | euclid | l1 | graph | general | one-inf")
+       & info [ "model" ]
+           ~doc:(String.concat " | " (List.map fst Gncg_workload.Instances.named_models)))
 
 let rule_arg =
   let rconv = Arg.conv ~docv:"RULE" (rule_of_string, fun fmt _ -> Format.fprintf fmt "<rule>") in

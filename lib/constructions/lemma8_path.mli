@@ -9,8 +9,6 @@
 val positions : alpha:float -> n:int -> float list
 (** Coordinates of [v_0 .. v_n]; requires [n >= 1]. *)
 
-val points : alpha:float -> n:int -> Gncg_metric.Euclidean.points
-
 val host : alpha:float -> n:int -> Gncg.Host.t
 
 val opt_network : alpha:float -> n:int -> Gncg_graph.Wgraph.t

@@ -15,13 +15,6 @@ type params = { big_l : float; eps : float; beta : float }
 val default_params : params
 (** L = 100, ε = 0.001, β = 1. *)
 
-val points : ?params:params -> Set_cover.t -> Gncg_metric.Euclidean.points
-(** Planar coordinates; vertex order: [u], subset nodes, blocker nodes,
-    element nodes (same layout as {!Setcover_tree} minus the hub). *)
-
-val game_size : Set_cover.t -> int
-(** [1 + 2m + k]. *)
-
 val u_agent : int
 
 val subset_node : Set_cover.t -> int -> int

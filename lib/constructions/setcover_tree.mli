@@ -13,23 +13,8 @@
 
 type params = { big_l : float; eps : float; beta : float }
 
-val default_params : params
-(** L = 100, ε = 0.001, β = 1 — satisfying the proof's constraints
-    (L ≫ ε, kε < β < L/3) for every k below 500. *)
-
-val game_size : Set_cover.t -> int
-(** [2 + 2m + k]. *)
-
 val u_agent : int
 (** 0. *)
-
-val subset_node : Set_cover.t -> int -> int
-
-val blocker_node : Set_cover.t -> int -> int
-
-val element_node : Set_cover.t -> int -> int
-
-val tree : ?params:params -> Set_cover.t -> Gncg_metric.Tree_metric.tree
 
 val host : ?params:params -> Set_cover.t -> Gncg.Host.t
 (** Metric closure of the tree, α = 1. *)

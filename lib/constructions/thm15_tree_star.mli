@@ -8,9 +8,6 @@
     The cost ratio tends to [(α+2)/2] as [n] grows, matching the Thm. 1
     upper bound. *)
 
-val tree : alpha:float -> n:int -> Gncg_metric.Tree_metric.tree
-(** Requires [n >= 3]. *)
-
 val host : alpha:float -> n:int -> Gncg.Host.t
 
 val opt_network : alpha:float -> n:int -> Gncg_graph.Wgraph.t

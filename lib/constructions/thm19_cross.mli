@@ -8,12 +8,6 @@
 
     PoA >= 1 + α / (2 + α/(2d−1)).  *)
 
-val points : alpha:float -> d:int -> Gncg_metric.Euclidean.points
-(** Requires [d >= 1]. *)
-
-val size : d:int -> int
-(** [2d + 1]. *)
-
 val host : alpha:float -> d:int -> Gncg.Host.t
 
 val opt_network : alpha:float -> d:int -> Gncg_graph.Wgraph.t

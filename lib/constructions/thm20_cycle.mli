@@ -11,9 +11,6 @@
 
 val host : alpha:float -> Gncg.Host.t
 
-val opt_network : alpha:float -> Gncg_graph.Wgraph.t
-(** The path {0-edge, 1-edge}. *)
-
 val ne_profile : alpha:float -> Gncg.Strategy.t option
 (** A Nash ownership of the heavy path, found by search. *)
 

@@ -17,9 +17,6 @@
 
 type variant = Alpha_one | Alpha_mid
 
-val center : nb_centers:int -> int -> int
-(** [center ~nb_centers i] is the vertex of clique member [i] (1-based). *)
-
 val size : nb_centers:int -> nb_leaves:int -> int
 
 val host : variant -> alpha:float -> nb_centers:int -> nb_leaves:int -> Gncg.Host.t

@@ -30,8 +30,6 @@ val profile : instance -> cover:int list -> Gncg.Strategy.t
 val min_vertex_cover : instance -> int list
 (** Brute force (for cross-checks; exponential in [nv]). *)
 
-val is_cover : instance -> int list -> bool
-
 val u_cost_formula : instance -> cover_size:int -> float
 (** [3·nv + 6·|es| + k'] — agent [u]'s cost when buying a cover of size
     [k'] (proof of Thm. 4). *)

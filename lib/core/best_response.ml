@@ -80,4 +80,3 @@ let exact_enum host s u =
   done;
   (!best_set, !best_cost)
 
-let best_cost host s u = snd (exact host s u)

@@ -28,6 +28,3 @@ val exact_and_local :
     facility-location local search's response: a polynomial-time
     response that cannot be improved by opening/closing/swapping a single
     facility.  That local optimum also seeds the exact search. *)
-
-val best_cost : Host.t -> Strategy.t -> int -> float
-(** Cost of the exact best response (branch-and-bound). *)

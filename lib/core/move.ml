@@ -37,8 +37,3 @@ let candidates ?(kinds = [ `Add; `Delete; `Swap ]) host s ~agent =
     else []
   in
   adds @ deletes @ swaps
-
-let pp fmt = function
-  | Add v -> Format.fprintf fmt "add->%d" v
-  | Delete v -> Format.fprintf fmt "del->%d" v
-  | Swap (a, b) -> Format.fprintf fmt "swap %d=>%d" a b

@@ -25,5 +25,3 @@ val candidates : ?kinds:[ `Add | `Delete | `Swap ] list -> Host.t -> Strategy.t 
     when the edge [(u,v)] is absent from [G(s)] in both directions (buying
     an edge the other side already owns can never strictly help) and the
     host weight is finite.  [kinds] defaults to all three. *)
-
-val pp : Format.formatter -> t -> unit

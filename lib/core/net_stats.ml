@@ -53,11 +53,3 @@ let row t =
     T.fl ~digits:2 t.social_cost;
     T.fl ~digits:3 t.stretch;
   ]
-
-let pp fmt t =
-  Format.fprintf fmt
-    "@[<v>network: n=%d m=%d weight=%.2f diameter=%.2f avg-degree=%.2f components=%d%s@,\
-     social cost=%.2f stretch=%.3f@]"
-    t.n t.m t.total_weight t.diameter t.avg_degree t.components
-    (if t.is_tree then " (tree)" else "")
-    t.social_cost t.stretch

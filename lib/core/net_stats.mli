@@ -22,5 +22,3 @@ val row : t -> string list
 (** Cells for a [Tablefmt] row, matching {!header}. *)
 
 val header : string list
-
-val pp : Format.formatter -> t -> unit

@@ -44,6 +44,4 @@ let validate ?(require_connected = false) host s =
   then err Gncg_error.Disconnected "built network does not span all agents"
   else Ok ()
 
-let is_connected host s = Gncg_graph.Connectivity.is_connected (graph host s)
-
 let diameter host s = Gncg_graph.Dijkstra.diameter (graph host s)

@@ -14,6 +14,4 @@ val validate :
     disconnected network is a legal, infinitely costly state) the built
     network must also span all agents. *)
 
-val is_connected : Host.t -> Strategy.t -> bool
-
 val diameter : Host.t -> Strategy.t -> float

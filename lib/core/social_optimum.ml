@@ -13,7 +13,8 @@ let finite_pairs host =
   done;
   List.rev !acc
 
-let exact_small ?(max_edges = 16) host =
+let exact_small host =
+  let max_edges = 16 in
   let pairs = Array.of_list (finite_pairs host) in
   let k = Array.length pairs in
   if k > max_edges then
@@ -153,7 +154,8 @@ let greedy_heuristic host =
   done;
   (g, Cost.network_social_cost host g)
 
-let exact_bnb ?(max_edges = 28) host =
+let exact_bnb host =
+  let max_edges = 28 in
   let pairs = Array.of_list (finite_pairs host) in
   let k = Array.length pairs in
   if k > max_edges then

@@ -6,17 +6,16 @@
     limited to tiny instances; the named polynomial cases have dedicated
     solvers (Thm. 6, Cor. 3), and a heuristic covers the rest. *)
 
-val exact_small : ?max_edges:int -> Host.t -> Gncg_graph.Wgraph.t * float
+val exact_small : Host.t -> Gncg_graph.Wgraph.t * float
 (** Optimal network by enumeration over all subsets of the finite-weight
-    host edges.  Refuses instances with more than [max_edges] (default 16)
-    candidate edges. *)
+    host edges.  Refuses instances with more than 16 candidate edges. *)
 
-val exact_bnb : ?max_edges:int -> Host.t -> Gncg_graph.Wgraph.t * float
+val exact_bnb : Host.t -> Gncg_graph.Wgraph.t * float
 (** Optimal network by branch-and-bound over edge inclusion, warm-started
     by the heuristic: the relaxation keeping all undecided edges lower
     bounds the distance cost, the decided edges lower bound the building
-    cost.  Handles up to [max_edges] (default 28, i.e. n = 8) candidate
-    edges in reasonable time. *)
+    cost.  Refuses instances with more than 28 candidate edges (n = 8),
+    the most it handles in reasonable time. *)
 
 val algorithm_one : Host.t -> Gncg_graph.Wgraph.t * float
 (** Algorithm 1 of the paper: for a 1-2 host with α <= 1, start from the

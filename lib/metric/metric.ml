@@ -199,13 +199,3 @@ let equal ?(tol = Flt.eps) a b =
        done;
        !ok
      end
-
-let pp fmt h =
-  Format.fprintf fmt "@[<v>host n=%d" h.size;
-  for u = 0 to h.size - 1 do
-    Format.fprintf fmt "@,  ";
-    for v = 0 to h.size - 1 do
-      Format.fprintf fmt "%8.3f " h.w.(u).(v)
-    done
-  done;
-  Format.fprintf fmt "@]"

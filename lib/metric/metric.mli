@@ -72,5 +72,3 @@ val max_finite_weight : t -> float
 (** Largest finite off-diagonal weight; 0 when none exists. *)
 
 val equal : ?tol:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

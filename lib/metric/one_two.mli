@@ -14,9 +14,6 @@ val random : Gncg_util.Prng.t -> n:int -> p_one:float -> Metric.t
 val is_one_two : Metric.t -> bool
 (** Every off-diagonal weight is exactly 1 or 2. *)
 
-val one_edges : Metric.t -> (int * int) list
-(** The pairs at weight 1, with [u < v]. *)
-
 val one_subgraph : Metric.t -> Gncg_graph.Wgraph.t
 (** The graph induced by the 1-edges (weights 1). *)
 

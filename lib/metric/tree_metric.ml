@@ -21,8 +21,6 @@ let make size edge_list =
 
 let size t = t.size
 
-let edges t = t.tree_edges
-
 let graph t = Wgraph.of_edges t.size t.tree_edges
 
 let metric t = Metric.of_graph_closure (graph t)
@@ -30,10 +28,6 @@ let metric t = Metric.of_graph_closure (graph t)
 let star n leaf_weight =
   if n < 1 then invalid_arg "Tree_metric.star";
   make n (List.init (n - 1) (fun i -> (0, i + 1, leaf_weight (i + 1))))
-
-let path ws =
-  let k = List.length ws in
-  make (k + 1) (List.mapi (fun i w -> (i, i + 1, w)) ws)
 
 let random rng ~n ~wmin ~wmax =
   if n < 1 then invalid_arg "Tree_metric.random";

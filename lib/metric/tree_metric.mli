@@ -10,8 +10,6 @@ val make : int -> (int * int * float) list -> tree
 
 val size : tree -> int
 
-val edges : tree -> (int * int * float) list
-
 val graph : tree -> Gncg_graph.Wgraph.t
 (** The tree as a sparse graph. *)
 
@@ -21,10 +19,6 @@ val metric : tree -> Metric.t
 val star : int -> (int -> float) -> tree
 (** [star n leaf_weight] is a star with center 0 and leaves [1..n-1], the
     edge to leaf [i] weighing [leaf_weight i]. *)
-
-val path : float list -> tree
-(** [path ws] is the path [0 - 1 - ... - k] with the given successive edge
-    weights ([k = length ws]). *)
 
 val random : Gncg_util.Prng.t -> n:int -> wmin:float -> wmax:float -> tree
 (** Random recursive tree (each vertex attaches to a uniform predecessor)

@@ -4,8 +4,6 @@ let create n =
   if n < 0 then invalid_arg "Changed_rows.create: negative size";
   { bits = Bytes.make ((n + 7) / 8) '\000'; n; card = 0 }
 
-let size t = t.n
-
 let check t i name =
   if i < 0 || i >= t.n then
     invalid_arg (Printf.sprintf "Changed_rows.%s: row %d out of range" name i)
@@ -30,13 +28,6 @@ let iter f t =
   for i = 0 to t.n - 1 do
     if Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0 then f i
   done
-
-let fold f t init =
-  let acc = ref init in
-  iter (fun i -> acc := f i !acc) t;
-  !acc
-
-let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
 
 let union_into ~dst src =
   if dst.n <> src.n then invalid_arg "Changed_rows.union_into: size mismatch";

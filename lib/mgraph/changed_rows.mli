@@ -13,9 +13,6 @@ type t
 val create : int -> t
 (** [create n] is the empty set over rows [0 .. n-1]. *)
 
-val size : t -> int
-(** The universe size [n] (not the cardinality). *)
-
 val mem : t -> int -> bool
 
 val add : t -> int -> unit
@@ -23,12 +20,6 @@ val add : t -> int -> unit
 val cardinal : t -> int
 
 val iter : (int -> unit) -> t -> unit
-(** Ascending row order. *)
-
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Ascending row order. *)
-
-val to_list : t -> int list
 (** Ascending row order. *)
 
 val union_into : dst:t -> t -> unit

@@ -44,14 +44,6 @@ let sssp_bounded g s limit = fst (run ~limit g s)
 
 let apsp g = Array.init (Wgraph.n g) (fun s -> sssp g s)
 
-let path g u v =
-  let dist, parent = run g u in
-  if dist.(v) = Float.infinity then None
-  else begin
-    let rec build acc x = if x = u then u :: acc else build (x :: acc) parent.(x) in
-    Some (build [] v)
-  end
-
 let diameter g =
   let ecc u = Gncg_util.Flt.max_array (sssp g u) in
   if Wgraph.n g <= 1 then 0.0 else Gncg_util.Flt.max_array (Array.init (Wgraph.n g) ecc)

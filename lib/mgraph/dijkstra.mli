@@ -17,9 +17,6 @@ val sssp_bounded : Wgraph.t -> int -> float -> float array
 val apsp : Wgraph.t -> float array array
 (** All-pairs shortest paths by repeated Dijkstra: O(n (m + n log n)). *)
 
-val path : Wgraph.t -> int -> int -> int list option
-(** Vertex sequence of one shortest path from [u] to [v], inclusive. *)
-
 val diameter : Wgraph.t -> float
 (** The largest eccentricity: infinite when the graph is disconnected,
     0 for n <= 1.  One SSSP per source, in the calling domain: it runs

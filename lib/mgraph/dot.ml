@@ -1,24 +1,14 @@
-let of_graph ?(name = "G") ?(labels = string_of_int) ?(highlight = []) g =
+let of_graph g =
   let buf = Buffer.create 256 in
-  let is_highlighted u v =
-    List.exists (fun (a, b) -> (a = u && b = v) || (a = v && b = u)) highlight
-  in
-  Buffer.add_string buf (Printf.sprintf "graph \"%s\" {\n" name);
+  Buffer.add_string buf "graph \"G\" {\n";
   for v = 0 to Wgraph.n g - 1 do
-    Buffer.add_string buf (Printf.sprintf "  %d [label=\"%s\"];\n" v (labels v))
+    Buffer.add_string buf (Printf.sprintf "  %d [label=\"%d\"];\n" v v)
   done;
   Wgraph.iter_edges g (fun u v w ->
-      let attrs =
-        if is_highlighted u v then
-          Printf.sprintf "label=\"%g\", color=red, penwidth=2" w
-        else Printf.sprintf "label=\"%g\"" w
-      in
-      Buffer.add_string buf (Printf.sprintf "  %d -- %d [%s];\n" u v attrs));
+      Buffer.add_string buf (Printf.sprintf "  %d -- %d [label=\"%g\"];\n" u v w));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let to_file ?name ?labels ?highlight path g =
+let to_file path g =
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (of_graph ?name ?labels ?highlight g))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (of_graph g))

@@ -1,18 +1,5 @@
 (** Graphviz DOT export, used by the examples to visualize networks. *)
 
-val of_graph :
-  ?name:string ->
-  ?labels:(int -> string) ->
-  ?highlight:(int * int) list ->
-  Wgraph.t ->
-  string
-(** [of_graph g] renders an undirected DOT graph with edge weight labels.
-    Edges in [highlight] (any orientation) are drawn bold red. *)
-
-val to_file :
-  ?name:string ->
-  ?labels:(int -> string) ->
-  ?highlight:(int * int) list ->
-  string ->
-  Wgraph.t ->
-  unit
+val to_file : string -> Wgraph.t -> unit
+(** [to_file path g] writes [g] as an undirected DOT graph named [G],
+    each vertex labelled by its index and each edge by its weight. *)

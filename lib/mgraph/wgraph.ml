@@ -83,9 +83,3 @@ let equal a b =
            | _ -> ok := false);
        !ok
      end
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>graph n=%d m=%d" (n g) (m g);
-  let es = List.sort compare (edges g) in
-  List.iter (fun (u, v, w) -> Format.fprintf fmt "@,  %d -- %d  (%g)" u v w) es;
-  Format.fprintf fmt "@]"

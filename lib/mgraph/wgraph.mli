@@ -58,5 +58,3 @@ val of_edges : int -> (int * int * float) list -> t
 
 val equal : t -> t -> bool
 (** Same vertex count and same edge set with equal weights. *)
-
-val pp : Format.formatter -> t -> unit

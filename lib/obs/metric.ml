@@ -30,8 +30,6 @@ module Counter = struct
 
   let create name = { name; v = Atomic.make 0 }
 
-  let name c = c.name
-
   let incr c = if !on then Atomic.incr c.v
 
   let add c k = if !on then ignore (Atomic.fetch_and_add c.v k)
@@ -61,8 +59,6 @@ module Histogram = struct
       total = Atomic.make 0;
       sum = Atomic.make 0.0;
     }
-
-  let name h = h.name
 
   let observe h x =
     if !on then begin

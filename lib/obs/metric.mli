@@ -23,16 +23,12 @@ module Counter : sig
   val make : string -> t
   (** Registers (or finds) the counter of that name. *)
 
-  val name : t -> string
-
   val incr : t -> unit
   (** Adds 1 when {!enabled}; otherwise a flag read and a branch. *)
 
   val add : t -> int -> unit
 
   val value : t -> int
-
-  val reset : t -> unit
 end
 
 module Histogram : sig
@@ -45,20 +41,12 @@ module Histogram : sig
 
   val make : string -> t
 
-  val name : t -> string
-
   val observe : t -> float -> unit
   (** Records when {!enabled}; negative and NaN observations count into
       bucket 0 (they never arise from the engine's probes). *)
 
-  val count : t -> int
-
-  val sum : t -> float
-
   val buckets : t -> (float * int) list
   (** Nonzero buckets as [(upper_bound, count)], ascending. *)
-
-  val reset : t -> unit
 end
 
 (** {1 Snapshots} *)

@@ -26,9 +26,6 @@ type event = {
 
 type t = { emit : event -> unit; flush : unit -> unit }
 
-val null : t
-(** Drops everything. *)
-
 val jsonl : out_channel -> t
 (** One JSON object per line, in the schema documented in
     docs/OBSERVABILITY.md.  Serialized under an internal mutex; the
@@ -50,7 +47,7 @@ val event_to_json : event -> string
 
 (** {1 The installed sink}
 
-    One process-wide sink.  [install None] restores {!null} and turns
+    One process-wide sink.  [install None] restores the null sink and turns
     the emission flag off. *)
 
 val install : t option -> unit

@@ -79,12 +79,6 @@ let rpc t request =
   in
   await ()
 
-let request t req =
-  match req with
-  | P.Watch _ ->
-    E.fail ~context:ctx Bounds "use Client.watch for streaming requests"
-  | _ -> rpc t req
-
 let lift_field r = Result.map_error (fun m -> E.v ~context:ctx Parse m) r
 
 let ping t =

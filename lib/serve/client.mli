@@ -48,8 +48,3 @@ val watch :
 val shutdown : t -> (unit, Gncg_util.Gncg_error.t) result
 (** Graceful drain: returns once the daemon has run its queue dry and
     acknowledged. *)
-
-val request :
-  t -> Protocol.request -> (Protocol.Json.t, Gncg_util.Gncg_error.t) result
-(** The generic single-reply primitive the wrappers above are built on
-    (not for [Watch] — use {!watch}). *)

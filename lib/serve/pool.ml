@@ -442,12 +442,6 @@ let dispatch t ?budget payload =
 
 let size t = Array.length t.fleet
 
-let restarts t =
-  Mutex.lock t.mutex;
-  let r = Array.fold_left (fun acc w -> acc + w.restarts) 0 t.fleet in
-  Mutex.unlock t.mutex;
-  r
-
 let status_json t =
   Mutex.lock t.mutex;
   let tnow = now () in

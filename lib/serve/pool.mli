@@ -87,9 +87,6 @@ val dispatch :
 val size : t -> int
 (** Configured fleet size. *)
 
-val restarts : t -> int
-(** Total worker restarts since {!create}. *)
-
 val status_json : t -> Protocol.Json.t
 (** Per-worker liveness for [gncg client status]:
     [{"workers":[{"worker":0,"pid":…,"alive":…,"busy":…,

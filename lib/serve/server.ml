@@ -153,7 +153,7 @@ let connection session ~stop_flag fd =
   (try flush oc with Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let serve_unix ?(backlog = 16) session ~path =
+let serve_unix session ~path =
   (* A write to a client that vanished mid-watch must surface as an
      EPIPE error on that connection's thread, not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -166,7 +166,7 @@ let serve_unix ?(backlog = 16) session ~path =
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
      Unix.bind listen_fd (Unix.ADDR_UNIX path);
-     Unix.listen listen_fd backlog
+     Unix.listen listen_fd 16
    with e ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
      raise

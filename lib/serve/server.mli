@@ -20,8 +20,9 @@ val serve_stdio : Session.t -> in_channel -> out_channel -> unit
     are answered with a [Refused] carrying an empty id.  Drains the
     session before returning, whatever ended the loop. *)
 
-val serve_unix : ?backlog:int -> Session.t -> path:string -> unit
-(** Binds [path] (removing a stale socket file first), accepts in a
-    loop, one thread per connection.  Returns after a [shutdown]
-    request or SIGTERM, with the session drained, all connection
-    threads joined and the socket file removed. *)
+val serve_unix : Session.t -> path:string -> unit
+(** Binds [path] (removing a stale socket file first), listens with a
+    backlog of 16 and accepts in a loop, one thread per connection.
+    Returns after a [shutdown] request or SIGTERM, with the session
+    drained, all connection threads joined and the socket file
+    removed. *)

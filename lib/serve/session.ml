@@ -542,8 +542,6 @@ let drain t =
 
 let pool_status t = Option.map Pool.status_json t.pool
 
-let workers t = match t.pool with Some pool -> Pool.size pool | None -> 0
-
 let hosts_cached t = Worker.Cache.size t.cache
 
 let uptime t = Unix.gettimeofday () -. t.started_at

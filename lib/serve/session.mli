@@ -106,9 +106,6 @@ val drain : t -> unit
 val pool_status : t -> Protocol.Json.t option
 (** {!Pool.status_json} when a pool is running, [None] otherwise. *)
 
-val workers : t -> int
-(** Configured pool size; 0 without a pool. *)
-
 val hosts_cached : t -> int
 
 val uptime : t -> float

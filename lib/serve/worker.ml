@@ -101,7 +101,7 @@ let eval_query ?(exec = Gncg_util.Exec.Seq) cache job =
           ("current", Json.Num current);
           ("exact", Json.Num exact);
           ("local", Json.Num local);
-          ("improvable", Json.Bool (exact < current -. 1e-9));
+          ("improvable", Json.Bool (Gncg_util.Flt.lt exact current));
         ] )
   | P.Sweep _ ->
     invalid_arg "Worker.eval_query: sweep jobs are dispatched spec by spec"

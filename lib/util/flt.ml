@@ -8,8 +8,6 @@ let lt ?(tol = eps) a b = a < b -. tol
 
 let le ?(tol = eps) a b = a <= b +. tol
 
-let is_finite x = Float.is_finite x
-
 (* The rounding model of stored distances (docs/ALGORITHMS.md, "Rounding
    model").  Both margins associate left to right, as the inlined copies
    in the kernels do, so a copy returns these bits. *)

@@ -16,8 +16,6 @@ val lt : ?tol:float -> float -> float -> bool
 val le : ?tol:float -> float -> float -> bool
 (** Less-or-equal with tolerance: [a <= b + tol]. *)
 
-val is_finite : float -> bool
-
 (** {1 Rounding model of stored distances}
 
     A stored distance of an [n]-vertex network, from a Dijkstra pass, a

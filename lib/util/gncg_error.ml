@@ -41,12 +41,6 @@ let raise_ e = raise (Error e)
 
 let unreachable ~context message = raise_ (v ~context Internal message)
 
-let protect f =
-  match f () with
-  | x -> Ok x
-  | exception Error e -> Stdlib.Error e
-  | exception Sys_error msg -> fail ~context:"Io" Io msg
-
 let in_file path e =
   let where =
     match e.where with
@@ -190,8 +184,6 @@ let to_string e =
   if loc = "" then Printf.sprintf "%s: %s: %s" e.context (kind_to_string e.kind) e.message
   else
     Printf.sprintf "%s: %s at %s: %s" e.context (kind_to_string e.kind) loc e.message
-
-let pp fmt e = Format.pp_print_string fmt (to_string e)
 
 (* Printexc integration: an escaped [Error _] prints its structured
    rendering instead of the bare constructor. *)

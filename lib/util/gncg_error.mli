@@ -63,10 +63,6 @@ val unreachable : context:string -> string -> 'a
 (** Raises an {!Internal} error: the typed replacement for
     [assert false] on paths the surrounding invariants rule out. *)
 
-val protect : (unit -> 'a) -> ('a, t) result
-(** Runs the thunk, catching {!Error} (and [Sys_error], mapped to
-    {!Io}) into [Error _].  Other exceptions propagate. *)
-
 val in_file : string -> t -> t
 (** Attaches a file path to an error's location: [Line n] and
     [Line_column (n, _)] become [File_line (path, n)], [Nowhere] becomes
@@ -88,8 +84,6 @@ val to_wire : t -> (string * string) list
 val of_wire : (string * string) list -> (t, string) result
 (** Tolerant of missing [context]/[message]/[where] (defaulted empty);
     [kind] is required. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Strict validation mode}
 

@@ -34,6 +34,17 @@ let default_models =
     One_inf { p = 0.3 };
   ]
 
+let named_models =
+  [
+    ("one-two", One_two { p_one = 0.4 });
+    ("tree", Tree { wmin = 1.0; wmax = 10.0 });
+    ("euclid", Euclid { norm = Euclidean.L2; d = 2; box = 100.0 });
+    ("l1", Euclid { norm = Euclidean.L1; d = 2; box = 100.0 });
+    ("graph", Graph_metric { p = 0.3; wmin = 1.0; wmax = 10.0 });
+    ("general", General { lo = 1.0; hi = 10.0 });
+    ("one-inf", One_inf { p = 0.3 });
+  ]
+
 (* Geometric models keep their implicit description alongside the
    tabulated host. *)
 let random_geometry rng model ~n =

@@ -14,6 +14,10 @@ val model_name : model -> string
 val default_models : model list
 (** One representative of each class. *)
 
+val named_models : (string * model) list
+(** The models a command line offers under [--model], by name, with
+    their parameters. *)
+
 val random_metric : Gncg_util.Prng.t -> model -> n:int -> Gncg_metric.Metric.t
 
 val validate_host : model -> Gncg.Host.t -> (unit, Gncg_util.Gncg_error.t) result

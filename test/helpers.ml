@@ -23,6 +23,10 @@ let slow_case name f = Alcotest.test_case name `Slow f
 
 let rng seed = Gncg_util.Prng.create seed
 
+(* Whether the profile's network connects every agent. *)
+let network_connected host s =
+  Gncg_graph.Connectivity.is_connected (Gncg.Network.graph host s)
+
 (* A small random sparse connected graph for substrate tests. *)
 let random_graph ?(wmin = 1.0) ?(wmax = 10.0) r n extra =
   let g = Gncg_graph.Wgraph.create n in
@@ -49,18 +53,6 @@ let random_graph ?(wmin = 1.0) ?(wmax = 10.0) r n extra =
 
 module I = Gncg_workload.Instances
 
-(* The models [gncg sweep --model] offers, with the CLI's parameters. *)
-let cli_models =
-  [
-    ("one-two", I.One_two { p_one = 0.4 });
-    ("tree", I.Tree { wmin = 1.0; wmax = 10.0 });
-    ("euclid", I.Euclid { norm = L2; d = 2; box = 100.0 });
-    ("l1", I.Euclid { norm = L1; d = 2; box = 100.0 });
-    ("graph", I.Graph_metric { p = 0.3; wmin = 1.0; wmax = 10.0 });
-    ("general", I.General { lo = 1.0; hi = 10.0 });
-    ("one-inf", I.One_inf { p = 0.3 });
-  ]
-
 (* The weight scales of the magnitude family: distances in metres of a
    continental fibre plan reach 10⁶ and more. *)
 let magnitudes = [ 1048576.0; 1e6; 1e8; 1e10 ]
@@ -69,7 +61,7 @@ let host_of ~alpha n w = Gncg.Host.make ~alpha (Gncg_metric.Metric.make n w)
 
 let adversarial_hosts r ~alpha =
   let module Prng = Gncg_util.Prng in
-  List.map (fun (name, model) -> (name, fun n -> I.random_host r model ~n ~alpha)) cli_models
+  List.map (fun (name, model) -> (name, fun n -> I.random_host r model ~n ~alpha)) I.named_models
   @ [
       ("all-ones", fun n -> host_of ~alpha n (fun _ _ -> 1.0));
       ("1-2", fun n -> Gncg.Host.make ~alpha (Gncg_metric.One_two.random r ~n ~p_one:0.5));

@@ -42,7 +42,7 @@ let test_best_response_no_worse_than_current () =
     let host, s = random_setup r ~n ~alpha:(0.5 +. Prng.float r 3.0) in
     let u = Prng.int r n in
     let current = Cost.agent_cost host s u in
-    let best = Br.best_cost host s u in
+    let best = snd (Br.exact host s u) in
     check_true "BR <= current" (best <= current +. 1e-6)
   done
 

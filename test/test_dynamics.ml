@@ -42,7 +42,7 @@ let test_add_only_always_converges () =
     with
     | Dyn.Converged { profile; _ } ->
       check_true "result is AE" (Eq.is_ae host profile);
-      check_true "result connected" (Gncg.Network.is_connected host profile)
+      check_true "result connected" (network_connected host profile)
     | _ -> Alcotest.fail "add-only dynamics cannot cycle (edge set grows)"
   done;
   (* The empty-start plateau itself: dynamics converge immediately. *)

@@ -58,7 +58,7 @@ let test_sweep_setups () =
           check_true (Printf.sprintf "%s seed %d: sweep row" name seed)
             ((not run.converged) && run.steps = List.length steps)
       done)
-    cli_models
+    I.named_models
 
 (* Hosts where exact cost ties are everywhere: the all-ones host (the
    classical NCG) and random 1-2 hosts, 20 random starts per host, n and

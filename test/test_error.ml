@@ -152,7 +152,7 @@ let contains ~needle hay =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-let test_rendering_and_protect () =
+let test_rendering_and_unreachable () =
   let e = E.v ~where:(E.Line_column (4, 7)) ~context:"Serialize.host_of_string_result" E.Parse "bad float" in
   let s = E.to_string e in
   List.iter
@@ -160,18 +160,9 @@ let test_rendering_and_protect () =
       check_true (Printf.sprintf "rendering contains %S" needle)
         (contains ~needle s))
     [ "Serialize.host_of_string_result"; "parse error"; "line 4"; "column 7"; "bad float" ];
-  (match E.protect (fun () -> E.raise_ e) with
-  | Error e' -> check_true "protect catches Error" (e' = e)
-  | Ok _ -> Alcotest.fail "protect let Error through");
-  (match E.protect (fun () -> raise (Sys_error "no such file")) with
-  | Error e' -> check_true "protect maps Sys_error to Io" (e'.E.kind = E.Io)
-  | Ok _ -> Alcotest.fail "protect let Sys_error through");
-  (match E.protect (fun () -> 42) with
-  | Ok v -> Alcotest.(check int) "protect passes values" 42 v
-  | Error e -> Alcotest.failf "protect rejected a value: %s" (E.to_string e));
-  match E.protect (fun () -> E.unreachable ~context:"Test" "cannot happen") with
-  | Error e' -> check_true "unreachable is Internal" (e'.E.kind = E.Internal)
-  | Ok _ -> Alcotest.fail "unreachable returned"
+  match E.unreachable ~context:"Test" "cannot happen" with
+  | exception E.Error e' -> check_true "unreachable is Internal" (e'.E.kind = E.Internal)
+  | _ -> Alcotest.fail "unreachable returned"
 
 let suites =
   [
@@ -182,6 +173,6 @@ let suites =
         case "host validation" test_host_validate;
         case "network validation" test_network_validate;
         case "model validators + strict generation" test_model_validation_and_strict_mode;
-        case "rendering, protect, unreachable" test_rendering_and_protect;
+        case "rendering and unreachable" test_rendering_and_unreachable;
       ] );
   ]

@@ -81,7 +81,7 @@ let test_network_build () =
   let g = Network.graph h s in
   Alcotest.(check int) "edges" 2 (Gncg_graph.Wgraph.m g);
   check_float "weight from host" 2.0 (Option.get (Gncg_graph.Wgraph.weight g 1 2));
-  check_true "connected" (Network.is_connected h s);
+  check_true "connected" (network_connected h s);
   check_float "diameter" 3.0 (Network.diameter h s)
 
 let test_network_double_buy_collapses () =

@@ -129,23 +129,6 @@ let test_dijkstra_vs_floyd () =
     done
   done
 
-let test_dijkstra_path_valid () =
-  let r = rng 10 in
-  let g = random_graph r 15 20 in
-  let d = Dijkstra.sssp g 0 in
-  match Dijkstra.path g 0 14 with
-  | None -> Alcotest.fail "connected graph must have a path"
-  | Some p ->
-    check_true "starts at src" (List.hd p = 0);
-    let rec weight_of = function
-      | a :: (b :: _ as rest) -> (
-        match Wgraph.weight g a b with
-        | Some w -> w +. weight_of rest
-        | None -> Alcotest.failf "non-edge %d-%d on path" a b)
-      | _ -> 0.0
-    in
-    check_float ~tol:1e-9 "path length = distance" d.(14) (weight_of p)
-
 let test_dijkstra_bounded () =
   let g = Wgraph.of_edges 4 [ (0, 1, 1.0); (1, 2, 5.0); (2, 3, 1.0) ] in
   let d = Dijkstra.sssp_bounded g 0 2.0 in
@@ -231,12 +214,18 @@ let test_stretch_disconnected () =
 
 let test_dot_output () =
   let g = Wgraph.of_edges 3 [ (0, 1, 1.5); (1, 2, 2.0) ] in
-  let dot = Gncg_graph.Dot.of_graph ~highlight:[ (1, 0) ] g in
-  check_true "mentions edge" (String.length dot > 0);
-  check_true "has highlight"
-    (String.split_on_char '\n' dot |> List.exists (fun l ->
-         String.length l > 0
-         && String.trim l = "0 -- 1 [label=\"1.5\", color=red, penwidth=2];"))
+  let path = Filename.temp_file "gncg" ".dot" in
+  let dot =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Gncg_graph.Dot.to_file path g;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  let lines = List.map String.trim (String.split_on_char '\n' dot) in
+  check_true "graph header" (List.mem "graph \"G\" {" lines);
+  check_true "vertex label" (List.mem "2 [label=\"2\"];" lines);
+  check_true "weighted edge" (List.mem "0 -- 1 [label=\"1.5\"];" lines)
 
 let suites =
   [
@@ -261,7 +250,6 @@ let suites =
         case "line graph" test_dijkstra_line;
         case "disconnected" test_dijkstra_disconnected;
         case "dijkstra = floyd-warshall" test_dijkstra_vs_floyd;
-        case "path reconstruction" test_dijkstra_path_valid;
         case "bounded search" test_dijkstra_bounded;
         case "zero-weight edges" test_zero_weight_edges;
       ] );

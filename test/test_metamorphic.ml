@@ -81,7 +81,7 @@ let prop_relabel_and_scale seed =
       let start = I.random_profile r host in
       relations_hold r host start
       && match greedy_fixpoint host start with Some s -> relations_hold r host s | None -> true)
-    cli_models
+    I.named_models
 
 (* --- unit weights, alpha = 1/2 ------------------------------------------- *)
 

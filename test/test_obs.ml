@@ -19,9 +19,12 @@ let shielded f () =
       Sink.install None)
     f
 
+(* A histogram's count and sum, read from a registry snapshot. *)
+let histogram name = List.assoc name (Metric.snapshot ()).Metric.histograms
+
 let test_counter_gating () =
   let c = Metric.Counter.make "test_obs.gating" in
-  Metric.Counter.reset c;
+  Metric.reset ();
   Metric.set_enabled false;
   Metric.Counter.incr c;
   Metric.Counter.add c 41;
@@ -38,7 +41,7 @@ let test_counter_gating () =
 
 let test_counter_cross_domain () =
   let c = Metric.Counter.make "test_obs.cross_domain" in
-  Metric.Counter.reset c;
+  Metric.reset ();
   Metric.set_enabled true;
   let per = 10_000 and tasks = 8 in
   ignore
@@ -51,12 +54,12 @@ let test_counter_cross_domain () =
 
 let test_histogram_buckets () =
   let h = Metric.Histogram.make "test_obs.buckets" in
-  Metric.Histogram.reset h;
+  Metric.reset ();
   Metric.set_enabled true;
   List.iter (Metric.Histogram.observe h) [ 0.5; 1.0; 1.5; 2.0; 3.0; 1e300 ];
-  Alcotest.(check int) "count" 6 (Metric.Histogram.count h);
-  Alcotest.(check (float 1e290)) "sum" (0.5 +. 1.0 +. 1.5 +. 2.0 +. 3.0 +. 1e300)
-    (Metric.Histogram.sum h);
+  let hs = histogram "test_obs.buckets" in
+  Alcotest.(check int) "count" 6 hs.Metric.hcount;
+  Alcotest.(check (float 1e290)) "sum" (0.5 +. 1.0 +. 1.5 +. 2.0 +. 3.0 +. 1e300) hs.Metric.hsum;
   let buckets = Metric.Histogram.buckets h in
   (* 0.5 and 1.0 land in the <=1 bucket; 1.5 and 2.0 in (1,2]; 3.0 in
      (2,4]; the huge value in the open-ended last bucket. *)
@@ -72,8 +75,7 @@ let test_histogram_buckets () =
 let test_snapshot_merge () =
   let c = Metric.Counter.make "test_obs.merge_c" in
   let h = Metric.Histogram.make "test_obs.merge_h" in
-  Metric.Counter.reset c;
-  Metric.Histogram.reset h;
+  Metric.reset ();
   Metric.set_enabled true;
   Metric.Counter.add c 3;
   Metric.Histogram.observe h 1.5;
@@ -128,13 +130,15 @@ let test_span_histogram () =
     | Some h -> h
     | None -> Alcotest.fail "probe did not register its histogram"
   in
-  Metric.Histogram.reset h;
+  Metric.reset ();
   for _ = 1 to 5 do
     Span.with_probe p (fun () -> ())
   done;
-  Alcotest.(check int) "every span observed" 5 (Metric.Histogram.count h);
-  Alcotest.(check bool) "durations sum to something finite" true
-    (Float.is_finite (Metric.Histogram.sum h))
+  let hs = histogram "span.test_obs.timed" in
+  Alcotest.(check int) "every span observed" 5 hs.Metric.hcount;
+  Alcotest.(check int) "the registered histogram is the probe's" 5
+    (List.fold_left (fun acc (_, k) -> acc + k) 0 (Metric.Histogram.buckets h));
+  Alcotest.(check bool) "durations sum to something finite" true (Float.is_finite hs.Metric.hsum)
 
 let test_jsonl_encoding () =
   let event =

@@ -74,7 +74,7 @@ let test_tree_optimum_matches_exact () =
   done
 
 let test_tree_optimum_validation () =
-  let tree = Gncg_metric.Tree_metric.path [ 1.0; 1.0 ] in
+  let tree = Gncg_metric.Tree_metric.make 3 [ (0, 1, 1.0); (1, 2, 1.0) ] in
   let other = Host.make ~alpha:1.0 (Metric.make 3 (fun _ _ -> 7.0)) in
   Alcotest.check_raises "host mismatch"
     (Invalid_argument "Social_optimum.tree_optimum: host is not the metric of this tree")

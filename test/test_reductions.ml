@@ -64,7 +64,7 @@ let test_thm13_parameter_guards () =
   Alcotest.check_raises "beta too small" (Invalid_argument "Setcover_tree: need beta > 2*k*eps")
     (fun () ->
       ignore
-        (C.Setcover_tree.tree
+        (C.Setcover_tree.host
            ~params:{ C.Setcover_tree.big_l = 100.0; eps = 0.2; beta = 0.5 }
            sc))
 

@@ -35,7 +35,7 @@ let test_random_profile_connected () =
     (fun model ->
       let host = W.Instances.random_host r model ~n:9 ~alpha:2.0 in
       let s = W.Instances.random_profile r host in
-      check_true "profile connects all agents" (Gncg.Network.is_connected host s);
+      check_true "profile connects all agents" (network_connected host s);
       check_true "no double purchases" (Gncg.Strategy.double_bought s = []);
       (* Only affordable edges are bought. *)
       List.iter
