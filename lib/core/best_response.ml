@@ -73,7 +73,7 @@ let exact_enum host s u =
     done;
     let s' = Strategy.with_strategy s u !set in
     let c = Cost.agent_cost host s' u in
-    if c < !best_cost -. Gncg_util.Flt.eps then begin
+    if Gncg_util.Flt.lt c !best_cost then begin
       best_cost := c;
       best_set := !set
     end

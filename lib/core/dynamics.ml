@@ -104,8 +104,9 @@ let deviation_full rule host s u =
     | current, Some best -> commit best current
     | _, None -> None)
   | Random_improving rng -> (
+    (* [Greedy.gains] are 0 within the game tolerance. *)
     let current, gains = Greedy.gains host s ~agent:u in
-    match List.filter (fun (_, gain) -> gain > Flt.eps) gains with
+    match List.filter (fun (_, gain) -> gain > 0.0) gains with
     | [] -> None
     | improving ->
       let arr = Array.of_list improving in

@@ -129,10 +129,15 @@ let improve_step inst open_set =
   let nf = num_facilities inst in
   let asg = compute_assignment inst open_set in
   let current = cost inst open_set in
-  let tol = Flt.eps *. Float.max 1.0 (Float.abs (if Float.is_finite current then current else 1.0)) in
+  let tol = Flt.tol current current in
   let best_delta = ref 0.0 in
   let best_move = ref None in
-  let consider delta mv = if delta < !best_delta -. tol then begin best_delta := delta; best_move := Some mv end in
+  let consider delta mv =
+    if Flt.lt ~tol delta !best_delta then begin
+      best_delta := delta;
+      best_move := Some mv
+    end
+  in
   for f = 0 to nf - 1 do
     if not open_set.(f) then consider (open_gain inst asg f) (`Open f)
     else if not inst.forced_open.(f) then consider (close_gain inst asg f) (`Close f)
@@ -164,7 +169,7 @@ let local_search inst =
   in
   let rec loop open_set c =
     match improve_step inst open_set with
-    | Some (next, c') when c' < c -. Flt.eps -> loop next c'
+    | Some (next, c') when Flt.lt c' c -> loop next c'
     | _ -> (open_set, c)
   in
   loop open_set (cost inst open_set)
@@ -262,8 +267,10 @@ let dual_bound inst sc ~first ~served opened =
    plain search (kept in test/test_facility.ml as its specification), so
    it meets the same incumbents in the same order and returns the same
    set and cost.  The dual-ascent bound only prunes a node when even its
-   bound minus the rounding margin cannot beat the incumbent by [Flt.eps],
-   that is, when no leaf below would have replaced the incumbent. *)
+   bound minus the rounding margin is not [Flt.lt] the incumbent, that
+   is, when no leaf below would have replaced the incumbent: a leaf total
+   is at least that bound, and a larger cost only widens the game
+   tolerance it would have to clear. *)
 let solve_exact ?start inst =
   let nf = num_facilities inst and nc = num_clients inst in
   if nf = 0 then ([||], if nc = 0 then 0.0 else Float.infinity)
@@ -317,7 +324,7 @@ let solve_exact ?start inst =
         for c = 0 to nc - 1 do
           total := !total +. best_served.(c)
         done;
-        if !total < !best_cost -. Flt.eps then begin
+        if Flt.lt !total !best_cost then begin
           best_cost := !total;
           best_set := Array.copy open_set
         end
@@ -328,14 +335,14 @@ let solve_exact ?start inst =
           bound := !bound +. Float.min best_served.(c) suffix.(f).(c)
         done;
         if
-          !bound < !best_cost -. Flt.eps
+          Flt.lt !bound !best_cost
           && not
                (nonneg
                &&
                let dual, mag =
                  dual_bound inst sc ~first:first_avail.(f) ~served:best_served opened
                in
-               dual -. Flt.sum_margin terms mag >= !best_cost -. Flt.eps)
+               not (Flt.lt (dual -. Flt.sum_margin terms mag) !best_cost))
         then begin
           (* Branch 1: open facility f (unless its cost already dooms us). *)
           if inst.open_cost.(f) < Float.infinity then begin

@@ -41,11 +41,11 @@ val solve_exact : ?start:bool array * float -> instance -> bool array * float
 (** Optimal solution by branch-and-bound over facilities.  The search
     starts from the incumbent [start] (an open set and its cost; the
     {!local_search} result by default) and returns it unless some set
-    costs less by more than [Flt.eps].  Each node is bounded by the
-    suffix minima of the service costs and then by a dual-ascent
-    (DUALOC) bound; costs must be non-negative for the latter, which is
-    skipped otherwise.  Exponential worst case.  Every explored node
-    ticks [facility_location.bb_nodes]. *)
+    costs less by more than the game tolerance ([Flt.lt]).  Each node
+    is bounded by the suffix minima of the service costs and then by a
+    dual-ascent (DUALOC) bound; costs must be non-negative for the
+    latter, which is skipped otherwise.  Exponential worst case.  Every
+    explored node ticks [facility_location.bb_nodes]. *)
 
 val local_search : instance -> bool array * float
 (** Arya et al. add/drop/swap local search from the all-open solution; the

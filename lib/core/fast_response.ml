@@ -15,8 +15,8 @@ let c_bounded_sums = Metric.Counter.make "fast_response.bounded_sums"
 let c_exact_sums = Metric.Counter.make "fast_response.exact_sums"
 let c_whatifs_avoided = Metric.Counter.make "fast_response.whatifs_avoided"
 
-(* Near-ties are classified with the engine tolerance, like everywhere
-   else: a candidate within [Flt.eps] of the incumbent cost is "no gain"
+(* Near-ties are classified with the game tolerance, like everywhere
+   else: a candidate within [Flt.tol] of the incumbent cost is "no gain"
    (this also absorbs inf - inf for disconnected states). *)
 let gain_between cur_cost cost' =
   if Flt.approx_eq cost' cur_cost then 0.0 else cur_cost -. cost'
@@ -186,8 +186,10 @@ let best_move_state_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   let rowlocal = ref true in
   (* Each candidate's gain is compared with the incumbent's first, and
      [take] builds the move only for a new incumbent: a strict [>], so
-     ties keep the earlier candidate. *)
-  let best_move = ref None and best_gain = ref Flt.eps in
+     ties keep the earlier candidate.  The first incumbent is the game
+     tolerance at the current cost: [gain_between] keeps a gain exactly
+     when it exceeds that. *)
+  let best_move = ref None and best_gain = ref (Flt.tol cur_cost cur_cost) in
   let take mv gain =
     best_move := Some mv;
     best_gain := gain

@@ -249,11 +249,12 @@ let fold_gains ?(kinds = [ `Add; `Delete; `Swap ]) ?row adj host s ~agent f init
   end;
   (before, !acc)
 
-(* The largest strict improvement; ties keep the earlier candidate. *)
+(* The largest strict improvement; ties keep the earlier candidate.  A
+   gain within the game tolerance is already 0 ([gain_between]). *)
 let pick acc mv gain =
   match acc with
   | Some (_, g) when g >= gain -> acc
-  | _ when gain > Flt.eps -> Some (mv, gain)
+  | _ when gain > 0.0 -> Some (mv, gain)
   | _ -> acc
 
 let build_adj ?graph host s =
@@ -306,17 +307,18 @@ let[@inline] floor_min_sum (best : float array) arg second o (w : float) (b : fl
   !acc
 
 (* A candidate whose edge cost and distance sum are bounded below by
-   [edge] and [p], less [tol] of their sum, gains at most [Flt.eps] over
-   [before].  A NaN, which only an infinite bound could make, clears
-   nothing. *)
-let[@inline] cleared (before : float) (edge : float) (p : float) (tol : float) =
+   [edge] and [p], less [tol] of their sum, gains at most [slack], the
+   game tolerance at [before], so [gain_between] makes its gain 0.  A
+   NaN, which only an infinite bound could make, clears nothing. *)
+let[@inline] cleared (before : float) (slack : float) (edge : float) (p : float) (tol : float) =
   let c = edge +. p in
-  before -. (c -. (tol *. c)) <= Flt.eps
+  before -. (c -. (tol *. c)) <= slack
 
 (* Whether bounds from the profile's rows prove that no candidate of the
-   agent gains more than [Flt.eps], so that [fold_gains] would return no
-   move (docs/ALGORITHMS.md, "Bound-first certification").  [before] is
-   the agent's finite current cost and [cur_sum] its distance part.
+   agent gains more than the game tolerance, so that [fold_gains] would
+   return no move (docs/ALGORITHMS.md, "Bound-first certification").
+   [before] is the agent's finite current cost and [cur_sum] its distance
+   part.
    Each candidate's moved row is bounded entry by entry:
    - addition (u,t): min(d_u, w + d_t), since row(H_t) >= w + d_t;
    - deletion of o: the neighbour floor L_o, the best offer
@@ -334,6 +336,7 @@ let bounds_clear ~want_add ~want_del ~want_swap { adj; rows } host s ~agent ~bef
   let d = rows.(agent) in
   let alpha = Host.alpha host and wrow = Host.weight_row host agent in
   let tol = Flt.stored_margin n 1.0 +. Flt.sum_margin n 1.0 in
+  let slack = Flt.tol before before in
   let owned = Array.of_list (ISet.elements (Strategy.strategy s agent)) in
   let deg = Array.length owned in
   let survives = Array.map (stays_built adj s ~agent) owned in
@@ -365,19 +368,19 @@ let bounds_clear ~want_add ~want_del ~want_swap { adj; rows } host s ~agent ~bef
     ((not want_del)
     || for_all deg (fun i ->
            let edge = alpha *. kept.(i) in
-           if survives.(i) then cleared before edge cur_sum tol
+           if survives.(i) then cleared before slack edge cur_sum tol
            else
              let p = floor_sum best arg second owned.(i) in
-             p = Float.infinity || cleared before edge p tol))
+             p = Float.infinity || cleared before slack edge p tol))
     && ((not want_swap)
        || for_all deg (fun i ->
               for_all k (fun j ->
                   let t = targets.(j) in
                   let w = wrow.(t) in
                   let edge = alpha *. (kept.(i) +. w) in
-                  cleared before edge add_p.(j) tol
+                  cleared before slack edge add_p.(j) tol
                   || (not survives.(i))
-                     && cleared before edge
+                     && cleared before slack edge
                           (floor_min_sum best arg second owned.(i) w rows.(t))
                           tol)))
   in
@@ -385,7 +388,7 @@ let bounds_clear ~want_add ~want_del ~want_swap { adj; rows } host s ~agent ~bef
       let t = targets.(j) in
       let w = wrow.(t) in
       add_p.(j) <- plain_min_sum d w rows.(t);
-      (not want_add) || cleared before (alpha *. (total +. w)) add_p.(j) tol)
+      (not want_add) || cleared before slack (alpha *. (total +. w)) add_p.(j) tol)
   && (deg = 0 || not (want_del || want_swap) || sales_clear ())
 
 (* With the profile, an agent the bounds clear is answered from its row

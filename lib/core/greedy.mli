@@ -27,8 +27,9 @@
 val move_gain :
   ?graph:Gncg_graph.Wgraph.t -> Host.t -> Strategy.t -> agent:int -> Move.t -> float
 (** Cost decrease of a move ([> 0] means improving): the cost of the
-    moved profile's rebuilt network against the current one.  The
-    specification the scans below are tested against. *)
+    moved profile's rebuilt network against the current one, 0 when the
+    two are [Flt.approx_eq].  The specification the scans below are
+    tested against. *)
 
 val best_single_move_cost :
   ?kinds:[ `Add | `Delete | `Swap ] list ->
@@ -60,16 +61,17 @@ val scan :
   float * (Move.t * float) option
 (** [(current, best)]: the agent's current cost ([Cost.agent_cost], to
     the bit) and the single-edge move with the largest strict
-    improvement above [Flt.eps], if any; ties keep the earlier candidate
-    in [Move.candidates] order.  [kinds] restricts the move set: use
+    improvement above the game tolerance ([Flt.tol] at the current
+    cost), if any; ties keep the earlier candidate in
+    [Move.candidates] order.  [kinds] restricts the move set: use
     [[`Add]] for add-only dynamics.  {!best_cost} turns the pair into
     the best single-move cost.
 
     With [profile] (the {!prepare} of [s]) the scan is bound first: from
     the profile's rows alone it bounds every candidate's moved cost from
-    below, and when no bound leaves room for a gain above [Flt.eps] it
-    returns [(current, None)] without a pass or a copy.  The bounds are
-    an addition's min(d_u, w + d_t), a deletion's neighbour floor and a
+    below, and when no bound leaves room for a gain above the game
+    tolerance it returns [(current, None)] without a pass or a copy.
+    The bounds are an addition's min(d_u, w + d_t), a deletion's neighbour floor and a
     swap's minimum of the two, each summed plainly less a rounding
     margin (docs/ALGORITHMS.md, "Bound-first certification").  Any other
     agent, and every agent whose current cost is +inf, gets the exact
@@ -93,5 +95,5 @@ val gains :
   float * (Move.t * float) list
 (** [(current, gains)]: the agent's current cost, as in {!scan}, and the
     gain of every candidate in [Move.candidates] order, each bitwise
-    {!move_gain}.  {!scan}'s [best] is the first candidate with the
-    largest gain above [Flt.eps]. *)
+    {!move_gain}, which is 0 within the game tolerance.  {!scan}'s
+    [best] is the first candidate with the largest positive gain. *)

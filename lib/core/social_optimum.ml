@@ -33,7 +33,7 @@ let exact_small host =
       end
     done;
     let c = Cost.network_social_cost host g in
-    if c < !best_cost -. Flt.eps then begin
+    if Flt.lt c !best_cost then begin
       best_cost := c;
       best_graph := g
     end
@@ -78,8 +78,10 @@ let greedy_heuristic host =
     Wgraph.of_edges n (Gncg_graph.Mst.prim_complete n (fun u v -> Host.weight host u v))
   in
   (* Best improving addition w.r.t. the given distance matrix (steepest),
-     with its cost change. *)
+     with its cost change.  A cost change clears the game tolerance at
+     the current cost. *)
   let best_addition dm current edge_weight_total =
+    let tol = Flt.tol current current in
     let best_delta = ref 0.0 and best = ref None in
     for u = 0 to n - 1 do
       for v = u + 1 to n - 1 do
@@ -90,7 +92,7 @@ let greedy_heuristic host =
             +. Incr_apsp.total_with_edge_added dm u v w
           in
           let delta = c -. current in
-          if delta < !best_delta -. Flt.eps then begin
+          if Flt.lt ~tol delta !best_delta then begin
             best_delta := delta;
             best := Some (delta, (u, v, w))
           end
@@ -100,6 +102,7 @@ let greedy_heuristic host =
     !best
   in
   let best_removal current =
+    let tol = Flt.tol current current in
     let best_delta = ref 0.0 and best = ref None in
     List.iter
       (fun (u, v, w) ->
@@ -107,7 +110,7 @@ let greedy_heuristic host =
         let c = Cost.network_social_cost host g in
         Wgraph.add_edge g u v w;
         let delta = c -. current in
-        if delta < !best_delta -. Flt.eps then begin
+        if Flt.lt ~tol delta !best_delta then begin
           best_delta := delta;
           best := Some (delta, (u, v))
         end)
@@ -186,13 +189,13 @@ let exact_bnb host =
     (* Candidate: take every undecided edge. *)
     let dist = Cost.network_dist g in
     let take_all = (alpha *. (in_weight +. suffix_weight.(idx))) +. dist in
-    if take_all < !best_cost -. Flt.eps then begin
+    if Flt.lt take_all !best_cost then begin
       best_cost := take_all;
       best_graph := Wgraph.copy g
     end;
     (* Bound: building cost of decided edges + relaxed distance cost. *)
     let bound = (alpha *. in_weight) +. dist in
-    if bound < !best_cost -. Flt.eps && idx < k then begin
+    if Flt.lt bound !best_cost && idx < k then begin
       let u, v = pairs.(idx) in
       let w = weight_of idx in
       (* Branch 1: exclude the edge. *)

@@ -15,7 +15,7 @@ let is_three_half_spanner host g =
       (* 3/2 * 1 = 1.5 forces 1-edges to be present (integer distances);
          3/2 * 2 = 3 bounds the detour of absent 2-edges. *)
       let limit = if Host.weight host u v = 1.0 then 1.0 else 3.0 in
-      if d.(v) > limit +. Gncg_util.Flt.eps then ok := false
+      if not (Gncg_util.Flt.le d.(v) limit) then ok := false
     done
   done;
   !ok

@@ -2,7 +2,6 @@ let run ?(limit = Float.infinity) g s =
   let n = Wgraph.n g in
   if s < 0 || s >= n then invalid_arg "Dijkstra: source out of range";
   let dist = Array.make n Float.infinity in
-  let parent = Array.make n (-1) in
   let heap = Binary_heap.create n in
   dist.(s) <- 0.0;
   Binary_heap.insert heap s 0.0;
@@ -15,7 +14,6 @@ let run ?(limit = Float.infinity) g s =
             let dv = du +. w in
             if dv < dist.(v) then begin
               dist.(v) <- dv;
-              parent.(v) <- u;
               Binary_heap.insert_or_decrease heap v dv
             end);
         loop ()
@@ -28,19 +26,17 @@ let run ?(limit = Float.infinity) g s =
           | None -> ()
           | Some (v, _) ->
             dist.(v) <- Float.infinity;
-            parent.(v) <- -1;
             drain ()
         in
         dist.(u) <- Float.infinity;
-        parent.(u) <- -1;
         drain ()
   in
   loop ();
-  (dist, parent)
+  dist
 
-let sssp g s = fst (run g s)
+let sssp g s = run g s
 
-let sssp_bounded g s limit = fst (run ~limit g s)
+let sssp_bounded g s limit = run ~limit g s
 
 let apsp g = Array.init (Wgraph.n g) (fun s -> sssp g s)
 

@@ -1,12 +1,23 @@
 let eps = 1e-9
 
-let approx_eq ?(tol = eps) a b =
+(* |x| when x is finite, else 0: an infinite tolerance would make every
+   finite cost equal to +inf.  [x -. x] is 0 exactly when x is finite.
+   Inlined, so that the comparisons below allocate no float. *)
+let[@inline] magnitude x = if x -. x = 0.0 then Float.abs x else 0.0
+
+let[@inline] tol a b =
+  let a = magnitude a and b = magnitude b in
+  eps *. if b > a then b else a
+
+let[@inline] given_or_tol t a b = match t with Some t -> t | None -> tol a b
+
+let approx_eq ?tol:t a b =
   (* Equal infinities compare equal (their difference would be NaN). *)
-  a = b || Float.abs (a -. b) <= tol
+  a = b || Float.abs (a -. b) <= given_or_tol t a b
 
-let lt ?(tol = eps) a b = a < b -. tol
+let lt ?tol:t a b = a < b -. given_or_tol t a b
 
-let le ?(tol = eps) a b = a <= b +. tol
+let le ?tol:t a b = a <= b +. given_or_tol t a b
 
 (* The rounding model of stored distances (docs/ALGORITHMS.md, "Rounding
    model").  Both margins associate left to right, as the inlined copies
@@ -34,7 +45,7 @@ let max_array a =
 
 let sum a =
   (* Kahan summation: distance costs add up thousands of terms and the
-     equilibrium checks compare them with a 1e-9 tolerance.  Infinite
+     equilibrium checks compare them at the game tolerance.  Infinite
      entries (disconnected agents) must propagate as infinity — the naive
      compensation would produce inf - inf = NaN.  Both passes are plain
      loops: [Array.exists] with a closure would box every element. *)

@@ -1,20 +1,36 @@
 (** Tolerant floating-point comparisons.
 
     Game costs are sums of edge weights; a strategy change only counts as an
-    improvement if it beats the incumbent by more than the tolerance, so that
-    floating-point noise never produces spurious improving moves. *)
+    improvement if it beats the incumbent by more than the game tolerance,
+    so that floating-point noise never produces spurious improving moves.
+    The tolerance is relative to the costs compared: scaling every weight
+    by [c] scales every cost by [c] and leaves every verdict unchanged
+    (docs/ALGORITHMS.md, "Game tolerance"). *)
 
 val eps : float
-(** Default absolute tolerance (1e-9). *)
+(** The factor of the game tolerance, 1e-9.  Outside [Flt] it is read
+    as an absolute value only where weights, not costs, are compared:
+    the default of the [Metric] and [Tree_metric] validation checks, and
+    the floor of the stored-distance tolerances ([Incr_apsp]'s deletion
+    selection, {!stored_eq}). *)
+
+val tol : float -> float -> float
+(** [tol a b] is the game tolerance of a comparison between the costs [a]
+    and [b]: [eps · max(|a|, |b|)] over the finite ones, [0] when both
+    are infinite.  A comparison of cost differences against an incumbent
+    cost [c] takes [tol c c]. *)
 
 val approx_eq : ?tol:float -> float -> float -> bool
-(** [approx_eq a b] holds when [|a - b| <= tol]. *)
+(** [approx_eq a b] holds when [a = b] or [|a - b| <= tol] ({!tol}[ a b]
+    by default). *)
 
 val lt : ?tol:float -> float -> float -> bool
-(** Strictly-less-than with tolerance: [a < b - tol]. *)
+(** Strictly-less-than with tolerance: [a < b - tol] ({!tol}[ a b] by
+    default). *)
 
 val le : ?tol:float -> float -> float -> bool
-(** Less-or-equal with tolerance: [a <= b + tol]. *)
+(** Less-or-equal with tolerance: [a <= b + tol] ({!tol}[ a b] by
+    default). *)
 
 (** {1 Rounding model of stored distances}
 

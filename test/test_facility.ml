@@ -147,7 +147,7 @@ let spec_solve_exact ?start (inst : Fl.instance) =
         for c = 0 to nc - 1 do
           total := !total +. best_served.(c)
         done;
-        if !total < !best_cost -. Gncg_util.Flt.eps then begin
+        if Gncg_util.Flt.lt !total !best_cost then begin
           best_cost := !total;
           best_set := Array.copy open_set
         end
@@ -157,7 +157,7 @@ let spec_solve_exact ?start (inst : Fl.instance) =
         for c = 0 to nc - 1 do
           bound := !bound +. Float.min best_served.(c) suffix.(f).(c)
         done;
-        if !bound < !best_cost -. Gncg_util.Flt.eps then begin
+        if Gncg_util.Flt.lt !bound !best_cost then begin
           (* Branch 1: open facility f (unless its cost already dooms us). *)
           if inst.open_cost.(f) < Float.infinity then begin
             let saved = Array.copy best_served in
@@ -223,10 +223,11 @@ let random_umfl_instance seed =
    finds one, so every node a bound prunes is one that could matter. *)
 let cold inst = (Array.make (Fl.num_facilities inst) false, Float.infinity)
 
-(* Incumbents a few ulps above the optimum plus [Flt.eps]: the optimum
-   still beats each of them, but only just, so a bound that rounds above
-   the leaf totals it stands for (the dual-ascent bound without its
-   rounding margin) would prune the optimum away. *)
+(* Incumbents a few ulps above the optimum plus the game tolerance at
+   the optimum ([Flt.tol]): the optimum still beats each of them, but
+   only just, so a bound that rounds above the leaf totals it stands for
+   (the dual-ascent bound without its rounding margin) would prune the
+   optimum away. *)
 let matches_spec_near_optimum inst =
   let _, opt = spec_solve_exact ~start:(cold inst) inst in
   (not (Float.is_finite opt))
@@ -235,7 +236,7 @@ let matches_spec_near_optimum inst =
   let rec go c k =
     k = 0 || (matches_spec ~start:(closed, c) inst && go (Float.succ c) (k - 1))
   in
-  go (opt +. Gncg_util.Flt.eps) 40
+  go (opt +. Gncg_util.Flt.tol opt opt) 40
 
 let qtest ?(count = 60) name prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name QCheck.small_nat prop)

@@ -4,8 +4,13 @@
    Relabelling the agents by a permutation pi moves every grievance to
    pi of its agent; doubling every host weight (exact in binary floating
    point) doubles every agent cost bit for bit and moves no grievance.
-   Both hold on a random profile and on the profile greedy dynamics
-   reach from it, on every model family the CLI offers.
+   Scaling every weight by a c that is not a power of two scales every
+   cost only up to rounding, and the game tolerance, relative to the
+   costs compared, must still keep every AE/GE verdict and the profile
+   greedy dynamics converge to.  All hold on a random profile and on the
+   profile greedy dynamics reach from it, on every model family the CLI
+   offers, and on an own path at 2^20 weights, where a gain made of
+   rounding alone exceeds an absolute 1e-9.
 
    Alvarez and Messegue (arXiv:1706.09132): on unit weights with
    alpha < 1 the complete graph is the unique Nash equilibrium. *)
@@ -54,22 +59,52 @@ let certified kind host s =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+let scaled c host = Host.make ~alpha:(Host.alpha host) (Metric.scale c (Host.metric host))
+
+let scales = [ 3.0; 10.0; 1e6; 1e-3 ]
+
+let same_fixpoint a b =
+  match (a, b) with
+  | Some a, Some b -> Strategy.equal a b
+  | None, None -> true
+  | _ -> false
+
 let relations_hold r host s =
   let n = Host.n host in
   let pi = Prng.permutation r n in
   let host_pi, s_pi = relabel pi host s in
-  let host_2 = Host.make ~alpha:(Host.alpha host) (Metric.scale 2.0 (Host.metric host)) in
+  let host_2 = scaled 2.0 host in
+  let unhappy = List.map (fun kind -> (kind, Eq.unhappy_agents kind host s)) [ Eq.AE; Eq.GE ] in
   List.for_all
-    (fun kind ->
-      let unhappy = Eq.unhappy_agents kind host s in
+    (fun (kind, unhappy) ->
       Eq.unhappy_agents kind host_pi s_pi = image pi unhappy
       && Eq.unhappy_agents kind host_2 s = unhappy)
-    [ Eq.AE; Eq.GE ]
+    unhappy
   && certified Eq.GE host_pi s_pi = image pi (certified Eq.GE host s)
   && List.for_all
        (fun u ->
          same_bits (Gncg.Cost.agent_cost host_2 s u) (2.0 *. Gncg.Cost.agent_cost host s u))
        (List.init n Fun.id)
+  &&
+  let fixpoint = greedy_fixpoint host s in
+  List.for_all
+    (fun c ->
+      let host_c = scaled c host in
+      List.for_all (fun (kind, unhappy) -> Eq.unhappy_agents kind host_c s = unhappy) unhappy
+      && same_fixpoint (greedy_fixpoint host_c s) fixpoint)
+    scales
+
+(* A path metric of weights in [2^20, 10 * 2^20], its own path bought
+   edge by edge, at a price near 0: every chord an agent could add is
+   tight, and its insertion sum can fall short of the agent's distance
+   sum by an ulp of that sum, a gain of rounding alone. *)
+let own_path r n =
+  let path =
+    Gncg_graph.Wgraph.of_edges n
+      (List.init (n - 1) (fun i -> (i, i + 1, 1048576.0 *. Prng.float_in r 1.0 10.0)))
+  in
+  let host = Host.make ~alpha:(Float.succ 0.0) (Metric.of_graph_closure path) in
+  (host, Strategy.of_lists n (List.init (n - 1) (fun i -> (i, [ i + 1 ]))))
 
 let prop_relabel_and_scale seed =
   let r = Prng.create (seed + 3100) in
@@ -82,6 +117,9 @@ let prop_relabel_and_scale seed =
       relations_hold r host start
       && match greedy_fixpoint host start with Some s -> relations_hold r host s | None -> true)
     I.named_models
+  &&
+  let host, s = own_path r (6 + Prng.int r 15) in
+  relations_hold r host s
 
 (* --- unit weights, alpha = 1/2 ------------------------------------------- *)
 

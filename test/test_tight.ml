@@ -117,12 +117,14 @@ let batched_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   in
   let rowlocal = ref true in
   let best = ref None in
+  (* A gain counts above the game tolerance at the current cost. *)
+  let floor = Flt.tol cur_cost cur_cost in
   let pick mv gain =
     match !best with
     | Some (_, g) when g >= gain -> ()
-    | _ -> if gain > Flt.eps then best := Some (mv, gain)
+    | _ -> if gain > floor then best := Some (mv, gain)
   in
-  let best_gain () = match !best with Some (_, g) -> g | None -> Flt.eps in
+  let best_gain () = match !best with Some (_, g) -> g | None -> floor in
   if List.mem `Add kinds then
     for i = 0 to k - 1 do
       let w = sc.weights.(i) in
