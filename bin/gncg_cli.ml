@@ -67,10 +67,9 @@ module Common = struct
     trace : string option;
     profile : bool;
     selfcheck : int option;
-    strict_validate : bool;
   }
 
-  type flag = Domains | Trace | Profile | Selfcheck | Strict_validate
+  type flag = Domains | Trace | Profile | Selfcheck
 
   let term =
     let domains_arg =
@@ -102,19 +101,8 @@ module Common = struct
                   matrix against fresh Dijkstra every N network mutations and \
                   self-heal on mismatch (default: off)")
     in
-    let strict_validate_arg =
-      Arg.(value
-           & flag
-           & info [ "strict-validate" ]
-               ~doc:
-                 "validate hosts at every trust boundary (serialized loads, random \
-                  generation): reject non-finite, non-positive, asymmetric, \
-                  disconnected, or triangle-violating inputs with a typed error")
-    in
-    Term.(const (fun domains trace profile selfcheck strict_validate ->
-              { domains; trace; profile; selfcheck; strict_validate })
-          $ domains_arg $ trace_arg $ profile_arg $ selfcheck_arg
-          $ strict_validate_arg)
+    Term.(const (fun domains trace profile selfcheck -> { domains; trace; profile; selfcheck })
+          $ domains_arg $ trace_arg $ profile_arg $ selfcheck_arg)
 
   (* Validates the provided flags against the verb's accept list, wires
      up tracing/profiling, and resolves the execution strategy: [--domains]
@@ -129,14 +117,11 @@ module Common = struct
     if c.trace <> None && not (List.mem Trace accepts) then reject "--trace";
     if c.profile && not (List.mem Profile accepts) then reject "--profile";
     if c.selfcheck <> None && not (List.mem Selfcheck accepts) then reject "--selfcheck";
-    if c.strict_validate && not (List.mem Strict_validate accepts) then
-      reject "--strict-validate";
     Printexc.record_backtrace true;
     Gncg_util.Exec.set_default_domains c.domains;
     (match c.selfcheck with
     | Some n -> Gncg_graph.Incr_apsp.set_default_selfcheck n
     | None -> ());
-    if c.strict_validate then Gncg_util.Gncg_error.set_strict_validation true;
     (match c.trace with Some path -> Gncg_obs.Obs.trace_to_file path | None -> ());
     if c.profile then begin
       Gncg_obs.Obs.set_profiling true;
@@ -144,7 +129,7 @@ module Common = struct
     end;
     Gncg_util.Exec.Par { domains = c.domains }
 
-  let all = [ Domains; Trace; Profile; Selfcheck; Strict_validate ]
+  let all = [ Domains; Trace; Profile; Selfcheck ]
 end
 
 (* --- sweep ----------------------------------------------------------- *)
@@ -327,95 +312,86 @@ let sweep_cmd =
 
 (* --- construct -------------------------------------------------------- *)
 
-let construct which alpha n =
-  let report name host ne opt_graph extra =
-    let ne_cost = Gncg.Cost.social_cost host ne in
-    let opt_cost = Gncg.Cost.network_social_cost host opt_graph in
-    Printf.printf "%s (alpha=%g, agents=%d)\n" name alpha (Gncg.Host.n host);
-    Printf.printf "  equilibrium cost  %.4f\n" ne_cost;
-    Printf.printf "  optimum cost      %.4f\n" opt_cost;
-    Printf.printf "  ratio             %.4f\n" (ne_cost /. opt_cost);
-    List.iter (fun (k, v) -> Printf.printf "  %-17s %.4f\n" k v) extra
-  in
+(* The constructions [construct] evaluates, each as its host, its
+   equilibrium profile, an optimum network and the extra report rows;
+   [--save] writes the host and profile of the same table entry. *)
+type construction = {
+  title : string;
+  host : Gncg.Host.t;
+  ne : Gncg.Strategy.t;
+  opt : Gncg_graph.Wgraph.t;
+  extra : (string * float) list;
+}
+
+let construction which ~alpha ~n =
+  let module C = Gncg_constructions in
+  let entry title host ne opt extra = Some { title; host; ne; opt; extra } in
   match which with
   | "thm8" ->
-    let host = Gncg_constructions.Thm8_onetwo.host Alpha_one ~alpha:1.0 ~nb_centers:n ~nb_leaves:n in
-    report "Thm 8 star-of-stars (alpha=1 variant)" host
-      (Gncg_constructions.Thm8_onetwo.ne_profile Alpha_one ~nb_centers:n ~nb_leaves:n)
-      (Gncg_constructions.Thm8_onetwo.opt_network Alpha_one ~nb_centers:n ~nb_leaves:n)
+    entry "Thm 8 star-of-stars (alpha=1 variant)"
+      (C.Thm8_onetwo.host Alpha_one ~alpha:1.0 ~nb_centers:n ~nb_leaves:n)
+      (C.Thm8_onetwo.ne_profile Alpha_one ~nb_centers:n ~nb_leaves:n)
+      (C.Thm8_onetwo.opt_network Alpha_one ~nb_centers:n ~nb_leaves:n)
       [ ("limit", 1.5) ]
   | "thm15" ->
-    let host = Gncg_constructions.Thm15_tree_star.host ~alpha ~n in
-    report "Thm 15 tree star" host
-      (Gncg_constructions.Thm15_tree_star.ne_profile ~alpha ~n)
-      (Gncg_constructions.Thm15_tree_star.opt_network ~alpha ~n)
+    entry "Thm 15 tree star" (C.Thm15_tree_star.host ~alpha ~n)
+      (C.Thm15_tree_star.ne_profile ~alpha ~n)
+      (C.Thm15_tree_star.opt_network ~alpha ~n)
       [ ("limit (a+2)/2", Gncg.Quality.metric_upper alpha) ]
   | "thm18" ->
-    let host = Gncg_constructions.Thm18_fourpoint.host ~alpha in
-    report "Thm 18 four points" host
-      (Gncg_constructions.Thm18_fourpoint.ne_profile ~alpha)
-      (Gncg_constructions.Thm18_fourpoint.opt_network ~alpha)
-      [ ("closed form", Gncg_constructions.Thm18_fourpoint.ratio_formula ~alpha) ]
+    entry "Thm 18 four points" (C.Thm18_fourpoint.host ~alpha)
+      (C.Thm18_fourpoint.ne_profile ~alpha)
+      (C.Thm18_fourpoint.opt_network ~alpha)
+      [ ("closed form", C.Thm18_fourpoint.ratio_formula ~alpha) ]
   | "thm19" ->
     let d = max 1 (n / 2) in
-    let host = Gncg_constructions.Thm19_cross.host ~alpha ~d in
-    report (Printf.sprintf "Thm 19 l1 cross (d=%d)" d) host
-      (Gncg_constructions.Thm19_cross.ne_profile ~alpha ~d)
-      (Gncg_constructions.Thm19_cross.opt_network ~alpha ~d)
-      [ ("closed form", Gncg_constructions.Thm19_cross.ratio_formula ~alpha ~d) ]
+    entry (Printf.sprintf "Thm 19 l1 cross (d=%d)" d) (C.Thm19_cross.host ~alpha ~d)
+      (C.Thm19_cross.ne_profile ~alpha ~d)
+      (C.Thm19_cross.opt_network ~alpha ~d)
+      [ ("closed form", C.Thm19_cross.ratio_formula ~alpha ~d) ]
   | "lemma8" ->
-    let host = Gncg_constructions.Lemma8_path.host ~alpha ~n in
-    report "Lemma 8 line" host
-      (Gncg_constructions.Lemma8_path.ne_profile ~alpha ~n)
-      (Gncg_constructions.Lemma8_path.opt_network ~alpha ~n)
+    entry "Lemma 8 line" (C.Lemma8_path.host ~alpha ~n)
+      (C.Lemma8_path.ne_profile ~alpha ~n)
+      (C.Lemma8_path.opt_network ~alpha ~n)
       []
-  | "thm20" ->
-    Printf.printf "Thm 20 triangle (alpha=%g)\n" alpha;
-    Printf.printf "  actual NE/OPT     %.4f\n" (Gncg_constructions.Thm20_cycle.cost_ratio ~alpha);
-    Printf.printf "  per-pair sigma    %.4f\n"
-      (Gncg_constructions.Thm20_cycle.sigma_heavy_pair ~alpha)
-  | s ->
-    Printf.eprintf "unknown construction %S\n" s;
-    exit 1
+  | _ -> None
 
 let which_arg =
   Arg.(required
        & pos 0 (some string) None
        & info [] ~docv:"WHICH" ~doc:"thm8 | thm15 | thm18 | thm19 | lemma8 | thm20")
 
-let construct_with_save which alpha n save common =
+let construct which alpha n save common =
   let (_ : Gncg_util.Exec.t) =
     Common.setup ~verb:"construct" ~accepts:Common.all common
   in
-  construct which alpha n;
-  match save with
-  | None -> ()
-  | Some prefix ->
-    let host, profile =
-      match which with
-      | "thm8" ->
-        ( Gncg_constructions.Thm8_onetwo.host Alpha_one ~alpha:1.0 ~nb_centers:n ~nb_leaves:n,
-          Gncg_constructions.Thm8_onetwo.ne_profile Alpha_one ~nb_centers:n ~nb_leaves:n )
-      | "thm15" ->
-        ( Gncg_constructions.Thm15_tree_star.host ~alpha ~n,
-          Gncg_constructions.Thm15_tree_star.ne_profile ~alpha ~n )
-      | "thm18" ->
-        (Gncg_constructions.Thm18_fourpoint.host ~alpha,
-         Gncg_constructions.Thm18_fourpoint.ne_profile ~alpha)
-      | "thm19" ->
-        let d = max 1 (n / 2) in
-        (Gncg_constructions.Thm19_cross.host ~alpha ~d,
-         Gncg_constructions.Thm19_cross.ne_profile ~alpha ~d)
-      | "lemma8" ->
-        (Gncg_constructions.Lemma8_path.host ~alpha ~n,
-         Gncg_constructions.Lemma8_path.ne_profile ~alpha ~n)
-      | _ ->
-        Printf.eprintf "--save is not supported for %S\n" which;
-        exit 1
-    in
-    Gncg.Serialize.host_to_file (prefix ^ ".host") host;
-    Gncg.Serialize.profile_to_file (prefix ^ ".profile") profile;
-    Printf.printf "wrote %s.host and %s.profile\n" prefix prefix
+  match construction which ~alpha ~n with
+  | Some c ->
+    let ne_cost = Gncg.Cost.social_cost c.host c.ne in
+    let opt_cost = Gncg.Cost.network_social_cost c.host c.opt in
+    Printf.printf "%s (alpha=%g, agents=%d)\n" c.title alpha (Gncg.Host.n c.host);
+    Printf.printf "  equilibrium cost  %.4f\n" ne_cost;
+    Printf.printf "  optimum cost      %.4f\n" opt_cost;
+    Printf.printf "  ratio             %.4f\n" (ne_cost /. opt_cost);
+    List.iter (fun (k, v) -> Printf.printf "  %-17s %.4f\n" k v) c.extra;
+    Option.iter
+      (fun prefix ->
+        Gncg.Serialize.host_to_file (prefix ^ ".host") c.host;
+        Gncg.Serialize.profile_to_file (prefix ^ ".profile") c.ne;
+        Printf.printf "wrote %s.host and %s.profile\n" prefix prefix)
+      save
+  | None when which = "thm20" ->
+    Printf.printf "Thm 20 triangle (alpha=%g)\n" alpha;
+    Printf.printf "  actual NE/OPT     %.4f\n" (Gncg_constructions.Thm20_cycle.cost_ratio ~alpha);
+    Printf.printf "  per-pair sigma    %.4f\n"
+      (Gncg_constructions.Thm20_cycle.sigma_heavy_pair ~alpha);
+    if save <> None then begin
+      Printf.eprintf "--save is not supported for %S\n" which;
+      exit 1
+    end
+  | None ->
+    Printf.eprintf "unknown construction %S\n" which;
+    exit 1
 
 let save_arg =
   Arg.(value & opt (some string) None
@@ -424,7 +400,7 @@ let save_arg =
 let construct_cmd =
   Cmd.v
     (Cmd.info "construct" ~doc:"evaluate a lower-bound construction of the paper")
-    Term.(const construct_with_save $ which_arg $ alpha_arg $ n_arg $ save_arg $ Common.term)
+    Term.(const construct $ which_arg $ alpha_arg $ n_arg $ save_arg $ Common.term)
 
 (* --- check ---------------------------------------------------------------- *)
 
@@ -437,17 +413,8 @@ let check_files host_path profile_path common =
       exit 1
   in
   let host = or_die (Gncg.Serialize.host_of_file_result host_path) in
-  (* Under --strict-validate the load above already ran the weight/
-     connectivity checks; "check" additionally demands the full metric
-     axioms, triangle inequality included. *)
-  if Gncg_util.Gncg_error.strict_validation () then
-    or_die (Gncg.Host.validate ~require_metric:true host);
   let profile = or_die (Gncg.Serialize.profile_of_file_result profile_path) in
-  if Gncg.Strategy.n profile <> Gncg.Host.n host then begin
-    Printf.eprintf "host has %d agents but profile has %d\n" (Gncg.Host.n host)
-      (Gncg.Strategy.n profile);
-    exit 1
-  end;
+  or_die (Gncg.Network.validate host profile);
   Printf.printf "agents            %d\n" (Gncg.Host.n host);
   Printf.printf "metric host       %b\n" (Gncg_metric.Metric.is_metric (Gncg.Host.metric host));
   Printf.printf "social cost       %.4f\n" (Gncg.Cost.social_cost host profile);
@@ -580,13 +547,20 @@ let serve socket state_dir stdio trace_stream budget retries workers common =
   let exec = Common.setup ~verb:"serve" ~accepts:Common.all common in
   let domains = Gncg_util.Exec.domain_count exec in
   (* Workers are this very binary re-executed as [gncg worker], so a
-     deployed daemon and its fleet can never skew versions. *)
+     deployed daemon and its fleet can never skew versions; they run
+     under the daemon's drift-sentinel cadence. *)
   let pool =
     if workers <= 0 then None
     else
+      let selfcheck =
+        match common.Common.selfcheck with
+        | Some k -> [ "--selfcheck"; string_of_int k ]
+        | None -> []
+      in
       Some
         ( { Gncg_serve.Pool.default_config with workers },
-          Gncg_serve.Pool.spawn_exec [| Sys.executable_name; "worker" |] )
+          Gncg_serve.Pool.spawn_exec
+            (Array.of_list (Sys.executable_name :: "worker" :: selfcheck)) )
   in
   let session =
     Gncg_serve.Session.create ~state_dir ~domains ?budget ~retries ~trace_stream ?pool ()
@@ -636,7 +610,8 @@ let serve_cmd =
 
 (* The worker side of `gncg serve --workers N`: one supervised executor
    speaking the worker sub-protocol on stdin/stdout.  Never started by
-   hand — documented for completeness and debuggability.  The
+   hand — documented for completeness and debuggability.  It accepts
+   the daemon's --selfcheck, which the daemon passes on.  The
    --chaos-* flags inject deterministic process faults (self-SIGKILL,
    stall, protocol garbage) so the supervisor's detection paths can be
    exercised from outside the process: OCaml 5 forbids [Unix.fork] once
@@ -646,7 +621,9 @@ let chaos_arg name docv doc = Arg.(value & opt float 0.0 & info [ name ] ~docv ~
 
 let worker_cmd =
   let run kill_p hang_p hang_s garbage_p fault_attempts seed common =
-    let (_ : Gncg_util.Exec.t) = Common.setup ~verb:"worker" ~accepts:[] common in
+    let (_ : Gncg_util.Exec.t) =
+      Common.setup ~verb:"worker" ~accepts:[ Common.Selfcheck ] common
+    in
     let chaos =
       if kill_p > 0.0 || hang_p > 0.0 || garbage_p > 0.0 then
         Some

@@ -26,7 +26,7 @@ let weight_row t u = Gncg_metric.Metric.row t.metric u
 
 module Gncg_error = Gncg_util.Gncg_error
 
-let validate ?tol ?require_metric ?require_connected t =
+let validate ?tol ?require_metric t =
   let ( let* ) = Result.bind in
   let* () =
     if Float.is_finite t.alpha && t.alpha > 0.0 then Ok ()
@@ -36,4 +36,4 @@ let validate ?tol ?require_metric ?require_connected t =
          else Gncg_error.Negative)
         "alpha %g must be positive and finite" t.alpha
   in
-  Gncg_metric.Metric.validate ?tol ?require_metric ?require_connected t.metric
+  Gncg_metric.Metric.validate ?tol ?require_metric t.metric

@@ -34,9 +34,8 @@ val weight_row : t -> int -> float array
 val validate :
   ?tol:float ->
   ?require_metric:bool ->
-  ?require_connected:bool ->
   t ->
   (unit, Gncg_util.Gncg_error.t) result
 (** α finite and positive, then {!Gncg_metric.Metric.validate} on the
-    host space with the same options — the typed first-failure check
-    behind [--strict-validate]. *)
+    host space with the same options: the typed first-failure check of
+    every loaded host. *)

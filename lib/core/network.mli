@@ -6,12 +6,10 @@ val graph : Host.t -> Strategy.t -> Gncg_graph.Wgraph.t
     can never be part of a finite-cost network; in the 1-∞ variant buying
     one is simply a wasted purchase, which the cost module still charges). *)
 
-val validate :
-  ?require_connected:bool -> Host.t -> Strategy.t -> (unit, Gncg_util.Gncg_error.t) result
+val validate : Host.t -> Strategy.t -> (unit, Gncg_util.Gncg_error.t) result
 (** Strategy/ownership consistency against the host: matching sizes,
     in-range non-self purchases agreeing with the ownership view, no
-    NaN-weight purchases; with [require_connected] (default [false] — a
-    disconnected network is a legal, infinitely costly state) the built
-    network must also span all agents. *)
+    NaN-weight purchases.  A disconnected network passes: it is a legal,
+    infinitely costly state. *)
 
 val diameter : Host.t -> Strategy.t -> float

@@ -83,7 +83,7 @@ let parse_n ~context lines =
     | _ -> perr ~context ~where:(Gncg_error.Line ln) "expected a size line")
   | [] -> perr ~context "missing size"
 
-let host_of_string_result ?validate s =
+let host_of_string_result s =
   let context = "Serialize.host_of_string_result" in
   let* lines = expect_header ~context (lines_of s) "gncg-host" in
   let* n, lines = parse_n ~context lines in
@@ -138,15 +138,10 @@ let host_of_string_result ?validate s =
       (Ok ()) lines
   in
   let host = Host.make ~alpha (Gncg_metric.Metric.of_matrix w) in
-  let* () =
-    let validate =
-      match validate with Some v -> v | None -> Gncg_error.strict_validation ()
-    in
-    (* Loads must accept every family the format stores, including the
-       non-metric general and 1-∞ hosts: validate weights sanity and
-       finite-path connectivity, not the triangle inequality. *)
-    if validate then Host.validate ~require_metric:false host else Ok ()
-  in
+  (* Loads must accept every family the format stores, including the
+     non-metric general and 1-∞ hosts: validate weights sanity and
+     finite-path connectivity, not the triangle inequality. *)
+  let* () = Host.validate ~require_metric:false host in
   Ok host
 
 let profile_of_string_result str =
@@ -185,9 +180,9 @@ let read_file_result ~context path =
   | exception Sys_error msg ->
     Gncg_error.fail ~where:(Gncg_error.File path) ~context Gncg_error.Io msg
 
-let host_of_file_result ?validate path =
+let host_of_file_result path =
   let* s = read_file_result ~context:"Serialize.host_of_file_result" path in
-  Result.map_error (Gncg_error.in_file path) (host_of_string_result ?validate s)
+  Result.map_error (Gncg_error.in_file path) (host_of_string_result s)
 
 let profile_of_file_result path =
   let* s = read_file_result ~context:"Serialize.profile_of_file_result" path in

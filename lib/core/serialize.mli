@@ -28,14 +28,11 @@
 
 val host_to_string : Host.t -> string
 
-val host_of_string_result :
-  ?validate:bool -> string -> (Host.t, Gncg_util.Gncg_error.t) result
-(** Parses a host.  With [validate] (default: the process-wide
-    {!Gncg_util.Gncg_error.strict_validation} flag) the parsed host is
-    additionally checked through [Host.validate ~require_metric:false] —
-    weight sanity and finite-path connectivity; the triangle inequality
-    is not required because the format legitimately stores the
-    non-metric general and 1-∞ families. *)
+val host_of_string_result : string -> (Host.t, Gncg_util.Gncg_error.t) result
+(** Parses a host, then checks it through [Host.validate
+    ~require_metric:false]: weight sanity and finite-path connectivity.
+    The triangle inequality is not required because the format
+    legitimately stores the non-metric general and 1-∞ families. *)
 
 val profile_to_string : Strategy.t -> string
 
@@ -43,8 +40,7 @@ val profile_of_string_result : string -> (Strategy.t, Gncg_util.Gncg_error.t) re
 
 val host_to_file : string -> Host.t -> unit
 
-val host_of_file_result :
-  ?validate:bool -> string -> (Host.t, Gncg_util.Gncg_error.t) result
+val host_of_file_result : string -> (Host.t, Gncg_util.Gncg_error.t) result
 (** {!host_of_string_result} on the file's contents; errors carry the
     path in their location. *)
 

@@ -60,7 +60,7 @@ module Gncg_error = Gncg_util.Gncg_error
    the cheap boolean form.  Exactness is the caller's choice through
    [tol] (1-2 metrics validate with [~tol:0.0]; Euclidean closures need
    the Flt tolerance). *)
-let validate ?(tol = Flt.eps) ?(require_metric = true) ?(require_connected = true) h =
+let validate ?(tol = Flt.eps) ?(require_metric = true) h =
   let ( let* ) = Result.bind in
   let ctx = "Metric.validate" in
   let err ?where kind msg = Gncg_error.fail ?where ~context:ctx kind msg in
@@ -99,7 +99,7 @@ let validate ?(tol = Flt.eps) ?(require_metric = true) ?(require_connected = tru
     | None -> Ok ()
   in
   let* () =
-    if not require_connected || n = 0 then Ok ()
+    if n = 0 then Ok ()
     else begin
       let uf = Gncg_graph.Union_find.create n in
       for u = 0 to n - 1 do

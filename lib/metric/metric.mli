@@ -36,14 +36,13 @@ val is_metric : ?tol:float -> t -> bool
 val validate :
   ?tol:float ->
   ?require_metric:bool ->
-  ?require_connected:bool ->
   t ->
   (unit, Gncg_util.Gncg_error.t) result
 (** First-failure validation with a located, typed error: zero diagonal,
-    symmetry, no NaN, positive off-diagonal weights; with
-    [require_connected] (default [true]) every vertex must be reachable
-    over finite weights; with [require_metric] (default [true]) weights
-    must also be finite and satisfy the triangle inequality within [tol]
+    symmetry, no NaN, positive off-diagonal weights, every vertex
+    reachable over finite weights; with [require_metric] (default
+    [true]) weights must also be finite and satisfy the triangle
+    inequality within [tol]
     (pass [~tol:0.0] for exact families such as 1-2 metrics; the default
     [Flt.eps] suits Euclidean and closure-derived hosts).  Non-metric
     families (general, 1-∞) validate with [~require_metric:false]. *)

@@ -1,26 +1,11 @@
 module Prng = Gncg_util.Prng
 module Wgraph = Gncg_graph.Wgraph
-module Gncg_error = Gncg_util.Gncg_error
-
-(* Under [--strict-validate] every generated host is checked before it
-   escapes: a bad parameterization (or a generator bug) surfaces as a
-   typed, located error at the generation site instead of a corrupted
-   sweep result downstream. *)
-let checked ~context ~require_metric m =
-  if Gncg_error.strict_validation () then
-    (match Metric.validate ~require_metric m with
-    | Ok () -> ()
-    | Error e -> Gncg_error.raise_ { e with context });
-  m
 
 let uniform rng ~n ~lo ~hi =
   if lo <= 0.0 || hi < lo then invalid_arg "Random_host.uniform: bad range";
-  checked ~context:"Random_host.uniform" ~require_metric:false
-    (Metric.make n (fun _ _ -> Prng.float_in rng lo hi))
+  Metric.make n (fun _ _ -> Prng.float_in rng lo hi)
 
-let uniform_metric rng ~n ~lo ~hi =
-  checked ~context:"Random_host.uniform_metric" ~require_metric:true
-    (Metric.metric_closure (uniform rng ~n ~lo ~hi))
+let uniform_metric rng ~n ~lo ~hi = Metric.metric_closure (uniform rng ~n ~lo ~hi)
 
 (* Geometric hosts keep their implicit description next to the tabulated
    metric; the [*_geometry] forms skip the O(n²) tabulation. *)
@@ -30,9 +15,7 @@ let tree_geometry rng ~n ~wmin ~wmax =
 
 let tree_metric rng ~n ~wmin ~wmax =
   let geo = tree_geometry rng ~n ~wmin ~wmax in
-  ( checked ~context:"Random_host.tree_metric" ~require_metric:true
-      (Geometry.to_metric geo),
-    geo )
+  (Geometry.to_metric geo, geo)
 
 let random_graph_metric rng ~n ~p ~wmin ~wmax =
   if wmin <= 0.0 || wmax < wmin then invalid_arg "Random_host.random_graph_metric";
@@ -49,5 +32,4 @@ let random_graph_metric rng ~n ~p ~wmin ~wmax =
         Wgraph.add_edge g u v (Prng.float_in rng wmin wmax)
     done
   done;
-  checked ~context:"Random_host.random_graph_metric" ~require_metric:true
-    (Metric.of_graph_closure g)
+  Metric.of_graph_closure g

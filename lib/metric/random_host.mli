@@ -1,11 +1,5 @@
 (** Random host generators for the general (not necessarily metric) GNCG
-    and for random metric instances.
-
-    When {!Gncg_util.Gncg_error.strict_validation} is on (the CLI's
-    [--strict-validate]), every generated host is validated through
-    {!Metric.validate} before it is returned — metric generators with
-    the full triangle/connectivity check, [uniform] with the weights-only
-    check — and a failure raises {!Gncg_util.Gncg_error.Error}. *)
+    and for random metric instances. *)
 
 val uniform : Gncg_util.Prng.t -> n:int -> lo:float -> hi:float -> Metric.t
 (** Independent uniform weights — generally violates the triangle

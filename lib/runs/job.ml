@@ -93,6 +93,32 @@ let model_to_string = function
   | Instances.General { lo; hi } -> Printf.sprintf "general(%s,%s)" (fl lo) (fl hi)
   | Instances.One_inf { p } -> Printf.sprintf "one-inf(%s)" (fl p)
 
+(* The range of every model parameter: every real finite, a probability
+   in [0, 1], a weight range 0 < lo <= hi, a point box of side > 0 in
+   d >= 1 dimensions, a p-norm with p >= 1.  Outside it a model names no
+   host family of the paper, and its generator fails or returns a
+   degenerate host. *)
+let check_range s model =
+  let prob p = 0.0 <= p && p <= 1.0 in
+  let range lo hi = 0.0 < lo && lo <= hi && hi < Float.infinity in
+  let ok, rule =
+    match model with
+    | Instances.One_two { p_one = p } | Instances.One_inf { p } -> (prob p, "0 <= p <= 1")
+    | Instances.Tree { wmin; wmax } -> (range wmin wmax, "0 < wmin <= wmax")
+    | Instances.Graph_metric { p; wmin; wmax } ->
+      (prob p && range wmin wmax, "0 <= p <= 1 and 0 < wmin <= wmax")
+    | Instances.General { lo; hi } -> (range lo hi, "0 < lo <= hi")
+    | Instances.Euclid { norm; d; box } ->
+      let norm_ok =
+        match norm with
+        | Gncg_metric.Euclidean.Lp p -> 1.0 <= p && p < Float.infinity
+        | Gncg_metric.Euclidean.(L1 | L2 | Linf) -> true
+      in
+      (d >= 1 && 0.0 < box && box < Float.infinity && norm_ok, "d >= 1, 0 < box and p >= 1")
+  in
+  if ok then Ok model
+  else Error (Printf.sprintf "model %S out of range (%s, all finite)" s rule)
+
 let model_of_string s =
   let ( let* ) = Result.bind in
   let parts =
@@ -113,35 +139,36 @@ let model_of_string s =
     | Some x -> Ok x
     | None -> Error (Printf.sprintf "bad model parameter %S in %S" a s)
   in
-  match parts with
-  | None -> Error (Printf.sprintf "bad model %S (expected name(args))" s)
-  | Some (name, args) -> (
-    match (name, args) with
-    | "one-two", [ p ] ->
+  let* model =
+    match parts with
+    | None -> Error (Printf.sprintf "bad model %S (expected name(args))" s)
+    | Some ("one-two", [ p ]) ->
       let* p_one = float_arg p in
       Ok (Instances.One_two { p_one })
-    | "tree", [ a; b ] ->
+    | Some ("tree", [ a; b ]) ->
       let* wmin = float_arg a in
       let* wmax = float_arg b in
       Ok (Instances.Tree { wmin; wmax })
-    | "euclid", [ nm; d; box ] ->
+    | Some ("euclid", [ nm; d; box ]) ->
       let* norm = norm_of_string nm in
       let* d = int_arg d in
       let* box = float_arg box in
       Ok (Instances.Euclid { norm; d; box })
-    | "graph", [ p; a; b ] ->
+    | Some ("graph", [ p; a; b ]) ->
       let* p = float_arg p in
       let* wmin = float_arg a in
       let* wmax = float_arg b in
       Ok (Instances.Graph_metric { p; wmin; wmax })
-    | "general", [ a; b ] ->
+    | Some ("general", [ a; b ]) ->
       let* lo = float_arg a in
       let* hi = float_arg b in
       Ok (Instances.General { lo; hi })
-    | "one-inf", [ p ] ->
+    | Some ("one-inf", [ p ]) ->
       let* p = float_arg p in
       Ok (Instances.One_inf { p })
-    | _ -> Error (Printf.sprintf "unknown model %S" s))
+    | Some _ -> Error (Printf.sprintf "unknown model %S" s)
+  in
+  check_range s model
 
 (* --- canonical encoding + hash ----------------------------------------- *)
 

@@ -75,6 +75,12 @@ val model_to_string : Gncg_workload.Instances.model -> string
     drops parameters. *)
 
 val model_of_string : string -> (Gncg_workload.Instances.model, string) result
+(** The one parser of model strings: serve jobs, journal manifests and
+    worker specs.  It refuses a parameter out of range: every real must
+    be finite, a probability ([one-two], [graph], [one-inf]) lie in
+    [[0, 1]], a weight range satisfy [0 < lo <= hi] ([general]) or
+    [0 < wmin <= wmax] ([tree], [graph]), a point set have [box > 0] and
+    [d >= 1], and a norm [lpP] have [P >= 1]. *)
 
 val to_canonical : spec -> string
 (** The canonical one-line encoding the hash is computed over.  Floats

@@ -55,7 +55,8 @@ type spawn = unit -> proc
 val spawn_exec : string array -> spawn
 (** [spawn_exec argv] launches [argv] via [Unix.create_process] with
     stdin/stdout piped to the supervisor and stderr inherited.  The
-    production spawn: [spawn_exec [| Sys.executable_name; "worker" |]]. *)
+    production spawn: [spawn_exec [| Sys.executable_name; "worker" |]],
+    followed by [--selfcheck K] when the daemon runs under one. *)
 
 type t
 

@@ -37,9 +37,7 @@ let fail ?where ~context kind message = Stdlib.Error (v ?where ~context kind mes
 let failf ?where ~context kind fmt =
   Printf.ksprintf (fun message -> fail ?where ~context kind message) fmt
 
-let raise_ e = raise (Error e)
-
-let unreachable ~context message = raise_ (v ~context Internal message)
+let unreachable ~context message = raise (Error (v ~context Internal message))
 
 let in_file path e =
   let where =
@@ -191,9 +189,3 @@ let () =
   Printexc.register_printer (function
     | Error e -> Some ("Gncg_error.Error: " ^ to_string e)
     | _ -> None)
-
-let strict = ref false
-
-let set_strict_validation v = strict := v
-
-let strict_validation () = !strict

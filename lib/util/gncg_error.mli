@@ -6,8 +6,7 @@
     instead of a bare [Failure _] string: a {e kind} (what invariant
     broke), a {e location} (where in the input), and a {e context} (which
     API boundary rejected it).  Boundaries expose [result]-returning
-    entry points; the historical raising entry points survive as thin
-    aliases that raise {!Error} carrying the same structured value.
+    entry points.
 
     The module lives in [lib/util] so every layer (metric, graph, core,
     runs) can agree on the type without new dependencies. *)
@@ -56,9 +55,6 @@ val failf :
   ('fmt, unit, string, ('a, t) result) format4 ->
   'fmt
 
-val raise_ : t -> 'a
-(** Raises {!Error}. *)
-
 val unreachable : context:string -> string -> 'a
 (** Raises an {!Internal} error: the typed replacement for
     [assert false] on paths the surrounding invariants rule out. *)
@@ -84,16 +80,3 @@ val to_wire : t -> (string * string) list
 val of_wire : (string * string) list -> (t, string) result
 (** Tolerant of missing [context]/[message]/[where] (defaulted empty);
     [kind] is required. *)
-
-(** {1 Strict validation mode}
-
-    A process-wide flag backing the CLI's [--strict-validate]: when on,
-    the boundaries that can validate cheaply but do not by default
-    (serialized loads, random-host generation) run their full validation
-    and reject bad inputs with a typed error.  Reading the flag is a
-    plain ref read; it is set once at startup, not toggled
-    concurrently. *)
-
-val set_strict_validation : bool -> unit
-
-val strict_validation : unit -> bool

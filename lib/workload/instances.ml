@@ -86,11 +86,6 @@ let validate_host model host =
 
 let random_host rng model ~n ~alpha =
   let m, geometry = random_metric_geometry rng model ~n in
-  let host = Gncg.Host.make ?geometry ~alpha m in
-  if Gncg_util.Gncg_error.strict_validation () then
-    (match validate_host model host with
-    | Ok () -> ()
-    | Error e -> Gncg_util.Gncg_error.raise_ e);
-  host
+  Gncg.Host.make ?geometry ~alpha m
 
 let random_profile rng host = Gncg_constructions.Brcycle.random_profile rng host

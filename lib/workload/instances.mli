@@ -27,9 +27,9 @@ val validate_host : model -> Gncg.Host.t -> (unit, Gncg_util.Gncg_error.t) resul
     and 1-∞ families. *)
 
 val random_host : Gncg_util.Prng.t -> model -> n:int -> alpha:float -> Gncg.Host.t
-(** Under {!Gncg_util.Gncg_error.strict_validation}, the generated host
-    is passed through {!validate_host}; a failure raises
-    {!Gncg_util.Gncg_error.Error}. *)
+(** A host of the model's family.  Parameters outside the range that
+    [Gncg_runs.Job.model_of_string] admits may raise
+    [Invalid_argument]. *)
 
 val random_profile : Gncg_util.Prng.t -> Gncg.Host.t -> Gncg.Strategy.t
 (** Random connected profile (spanning tree + extra purchases). *)

@@ -23,6 +23,15 @@ let slow_case name f = Alcotest.test_case name `Slow f
 
 let rng seed = Gncg_util.Prng.create seed
 
+(* Model strings that parse but name no host family of the paper: one per
+   range rule of [Gncg_runs.Job.model_of_string]. *)
+let out_of_range_models =
+  [
+    "tree(-1,5)"; "tree(5,1)"; "tree(1,nan)"; "general(0,0)"; "general(1,inf)";
+    "euclid(lp0.5,2,100)"; "euclid(lpinf,2,100)"; "euclid(l2,2,0)"; "euclid(l2,0,100)";
+    "euclid(l2,2,inf)"; "one-two(7)"; "one-inf(-0.1)"; "graph(1.5,1,10)"; "graph(0.3,2,1)";
+  ]
+
 (* Whether the profile's network connects every agent. *)
 let network_connected host s =
   Gncg_graph.Connectivity.is_connected (Gncg.Network.graph host s)

@@ -158,12 +158,14 @@ let spec_verdict ?(kinds = [ `Add; `Delete; `Swap ]) st ~agent =
   in
   let rowlocal = ref true in
   let best = ref None in
+  (* A gain counts above the game tolerance at the current cost. *)
+  let floor = Flt.tol cur_cost cur_cost in
   let pick mv gain =
     match !best with
     | Some (_, g) when g >= gain -> ()
-    | _ -> if gain > Flt.eps then best := Some (mv, gain)
+    | _ -> if gain > floor then best := Some (mv, gain)
   in
-  let best_gain () = match !best with Some (_, g) -> g | None -> Flt.eps in
+  let best_gain () = match !best with Some (_, g) -> g | None -> floor in
   if List.mem `Add kinds then
     for v = 0 to n - 1 do
       if addable v then begin
@@ -270,8 +272,9 @@ let same_verdict (a, rla) (b, rlb) =
     ma = mb && Test_flat.same_bits ga gb
   | _ -> false
 
-(* Every agent under every kinds list, on one state. *)
-let all_verdicts_agree st =
+(* Every agent under every kinds list, on one state; [small] counts the
+   picks whose gain is at most 1e-9. *)
+let all_verdicts_agree ?(small = ref 0) st =
   List.for_all
     (fun kinds ->
       List.for_all
@@ -280,6 +283,7 @@ let all_verdicts_agree st =
           let got = Gncg.Fast_response.best_move_state_verdict ~kinds st ~agent in
           let w1 = whatifs () in
           let want = spec_verdict ~kinds st ~agent in
+          (match want with Some (_, g), _ when g <= 1e-9 -> incr small | _ -> ());
           let w2 = whatifs () in
           same_verdict got want && w1 - w0 <= w2 - w1)
         (List.init (Strategy.n (Net_state.profile st)) Fun.id))
@@ -289,17 +293,20 @@ let all_verdicts_agree st =
    state's workspace is reused across evaluations of a changing
    network.  Mutable states are dense; the others may resolve to the
    tree or rd oracle. *)
-let prop_evaluator_matches_spec seed =
+let evaluator_matches_spec ?(scale = 1.0) ?small seed =
   let host, s = random_eval_state (seed + 111) in
+  let host =
+    Host.make ~alpha:(Host.alpha host) (Gncg_metric.Metric.scale scale (Host.metric host))
+  in
   let r = Prng.create seed in
   Gncg_obs.Obs.set_profiling true;
   Fun.protect
     ~finally:(fun () -> Gncg_obs.Obs.set_profiling false)
     (fun () ->
       let st = Net_state.create host s in
-      let ok = ref (all_verdicts_agree (Net_state.create host s)) in
+      let ok = ref (all_verdicts_agree ?small (Net_state.create host s)) in
       for _ = 1 to 4 do
-        if !ok && all_verdicts_agree st then begin
+        if !ok && all_verdicts_agree ?small st then begin
           let u = Prng.int r (Strategy.n s) in
           match Move.candidates host (Net_state.profile st) ~agent:u with
           | [] -> ()
@@ -309,6 +316,18 @@ let prop_evaluator_matches_spec seed =
         else ok := false
       done;
       !ok)
+
+let prop_evaluator_matches_spec seed = evaluator_matches_spec seed
+
+(* Weights scaled by 1e-7 put costs near 1e-5, so some best gains fall
+   between the game tolerance and 1e-9, where a pick floored at an
+   absolute 1e-9 would miss the move the evaluator takes. *)
+let test_evaluator_tiny_weights () =
+  let small = ref 0 in
+  for seed = 0 to 299 do
+    if not (evaluator_matches_spec ~scale:1e-7 ~small seed) then Alcotest.failf "seed %d" seed
+  done;
+  if !small = 0 then Alcotest.fail "no best gain between the game tolerance and 1e-9"
 
 (* Incremental dynamics reach a greedy equilibrium, like the reference
    engine (trajectories may split on tolerance ties, so only stability
@@ -464,6 +483,7 @@ let suites =
         qtest ~count:10 "parallel unhappy = sequential" seed_gen prop_parallel_unhappy_agree;
         qtest ~count:10 "parallel certify = sequential" seed_gen prop_parallel_certify_agree;
         qtest ~count:20 "diameter identity" seed_gen prop_diameter_agrees;
+        Helpers.case "state evaluator = spec at weights near 1e-7" test_evaluator_tiny_weights;
       ] );
     ( "graph.dist-matrix",
       [

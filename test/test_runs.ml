@@ -104,7 +104,16 @@ let test_model_of_string_errors () =
       match R.Job.model_of_string s with
       | Ok _ -> Alcotest.failf "expected %S to be rejected" s
       | Error _ -> ())
-    [ ""; "tree"; "tree(1)"; "euclid(l9,2,100)"; "nope(1,2)"; "tree(a,b)" ]
+    ([ ""; "tree"; "tree(1)"; "euclid(l9,2,100)"; "nope(1,2)"; "tree(a,b)" ]
+    @ out_of_range_models);
+  (* The ends of each range are in it. *)
+  List.iter
+    (fun s ->
+      match R.Job.model_of_string s with
+      | Ok m -> Alcotest.(check string) "canonical form" s (R.Job.model_to_string m)
+      | Error e -> Alcotest.failf "%S refused: %s" s e)
+    [ "one-two(0)"; "one-inf(1)"; "tree(2,2)"; "general(0.5,0.5)"; "graph(0,1,1)";
+      "euclid(lp1,1,0.001)" ]
 
 (* --- Json --------------------------------------------------------------- *)
 

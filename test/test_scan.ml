@@ -92,14 +92,17 @@ let kind_sets = [ [ `Add ]; [ `Add; `Delete; `Swap ]; [ `Delete; `Swap ]; [ `Swa
 let rebuild_gain host s ~agent mv = Greedy.move_gain host s ~agent mv
 
 (* The pick rule folded over the rebuild-path gain of every candidate
-   ([gain], [rebuild_gain] by default). *)
+   ([gain], [rebuild_gain] by default): a gain counts above the game
+   tolerance at the agent's current cost. *)
 let spec_best ?(gain = rebuild_gain) ~kinds host s ~agent =
+  let current = Gncg.Cost.agent_cost host s agent in
+  let floor = Flt.tol current current in
   List.fold_left
     (fun acc mv ->
       let gain = gain host s ~agent mv in
       match acc with
       | Some (_, g) when g >= gain -> acc
-      | _ when gain > Flt.eps -> Some (mv, gain)
+      | _ when gain > floor -> Some (mv, gain)
       | _ -> acc)
     None
     (Move.candidates ~kinds host s ~agent)
@@ -184,6 +187,29 @@ let gains_exact ?(gain = rebuild_gain) (host, s) =
     kind_sets
 
 let prop_best_move_exact seed = best_move_exact (random_game seed)
+
+(* [random_game] with every weight scaled by 1e-6: costs fall below 1, so
+   some best gains fall between the game tolerance and 1e-9, where a pick
+   floored at an absolute 1e-9 would miss the move the scan takes. *)
+let test_tiny_weights () =
+  let in_band = ref 0 in
+  for seed = 0 to 199 do
+    let host, s = random_game seed in
+    let host =
+      Gncg.Host.make ~alpha:(Gncg.Host.alpha host) (Metric.scale 1e-6 (Gncg.Host.metric host))
+    in
+    if not (best_move_exact (host, s)) then Alcotest.failf "seed %d: best move" seed;
+    if not (certify_exact (host, s)) then Alcotest.failf "seed %d: grievances" seed;
+    List.iter
+      (fun kinds ->
+        for agent = 0 to Strategy.n s - 1 do
+          match spec_best ~kinds host s ~agent with
+          | Some (_, g) when g <= 1e-9 -> incr in_band
+          | _ -> ()
+        done)
+      kind_sets
+  done;
+  if !in_band = 0 then Alcotest.fail "no best gain between the game tolerance and 1e-9"
 
 let prop_gains_exact seed = gains_exact (random_game seed)
 
@@ -568,6 +594,8 @@ let suites =
           test_fixed_games;
         Alcotest.test_case "converged games: moves, gains, grievances = spec (bits)" `Quick
           test_converged_exact;
+        Alcotest.test_case "weights near 1e-6: best move, grievances = spec (bits)" `Quick
+          test_tiny_weights;
       ] );
     ( "bound-first-scan",
       [

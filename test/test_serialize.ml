@@ -139,21 +139,15 @@ let test_malformed_fixture_file_roundtrip () =
     fixtures
 
 let test_validate_on_load () =
-  (* vertex 2 has no finite-weight path: accepted by default, rejected
-     with a typed Disconnected error under ?validate / strict mode. *)
+  (* vertex 2 has no finite-weight path: every load rejects it with a
+     typed Disconnected error. *)
   let text = "gncg-host 1\nn 3\nalpha 1\nw 0 1 2.0\n" in
-  (match S.host_of_string_result text with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "default load rejected: %s" (E.to_string e));
-  expect_error "validate rejects disconnected"
-    (S.host_of_string_result ~validate:true text)
-    (fun e -> e.E.kind = E.Disconnected);
-  E.set_strict_validation true;
-  Fun.protect
-    ~finally:(fun () -> E.set_strict_validation false)
-    (fun () ->
-      expect_error "strict mode implies validation" (S.host_of_string_result text)
-        (fun e -> e.E.kind = E.Disconnected))
+  expect_error "load rejects disconnected" (S.host_of_string_result text) (fun e ->
+      e.E.kind = E.Disconnected);
+  (* A zero off-diagonal weight names no host family either. *)
+  expect_error "load rejects a zero weight"
+    (S.host_of_string_result "gncg-host 1\nn 2\nalpha 1\nw 0 1 0\n")
+    (fun e -> e.E.kind = E.Negative)
 
 let test_comments_and_blank_lines () =
   let text = "gncg-host 1\n\n# a comment\nn 2\nalpha 1.5\nw 0 1 2.0\n\n" in

@@ -163,6 +163,59 @@ let test_out_of_range_jobs_refused () =
     (fun job -> ignore (ok_exn "in-range job" (P.job_of_json (P.job_to_json job))))
     [ sweep_job; eq_job ~seed:1; br ]
 
+(* [j] with the model string [m] in every "model" field. *)
+let rec with_model m = function
+  | Json.Obj kvs ->
+    Json.Obj (List.map (fun (k, v) -> (k, if k = "model" then Json.Str m else with_model m v)) kvs)
+  | v -> v
+
+(* A model string out of range is refused by the one model parser behind
+   every entry point: a serve job of each kind (a [Parse] error, as for a
+   bad [n] or [alpha]), a journal manifest and a worker's spec. *)
+let test_out_of_range_models_refused () =
+  let br = P.Best_response { model; n = 5; alpha = 1.0; seed = 1; agent = 0 } in
+  let spec =
+    P.Worker_wire.req_to_json
+      (P.Worker_wire.Run
+         {
+           rid = 1;
+           attempt = 1;
+           payload = P.Worker_wire.Spec (Job.make model ~n:5 ~alpha:1.0 ~seed:1);
+         })
+  in
+  ignore (ok_exn "in-range spec" (P.Worker_wire.req_of_line (Json.to_string spec)));
+  List.iter
+    (fun m ->
+      List.iter
+        (fun job ->
+          match P.job_of_json (with_model m (P.job_to_json job)) with
+          | Error e -> check_true (m ^ ": Parse error") (e.E.kind = E.Parse)
+          | Ok _ -> Alcotest.failf "job with model %s must be refused" m)
+        [ sweep_job; eq_job ~seed:1; br ];
+      let path = Filename.temp_file "gncg_test" ".jsonl" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (Json.to_string
+               (Json.Obj
+                  [
+                    ("gncg-journal", Json.num_int 1);
+                    ("model", Json.Str m);
+                    ("ns", Json.List [ Json.num_int 5 ]);
+                    ("alphas", Json.List [ Json.Num 1.0 ]);
+                    ("seeds", Json.List [ Json.num_int 1 ]);
+                    ("rule", Json.Str "greedy");
+                    ("max_steps", Json.num_int 5000);
+                    ("jobs", Json.num_int 1);
+                  ])
+            ^ "\n"));
+      let loaded = Gncg_runs.Journal.load path in
+      Sys.remove path;
+      check_true (m ^ ": manifest refused") (Result.is_error loaded);
+      check_true (m ^ ": worker spec refused")
+        (Result.is_error
+           (P.Worker_wire.req_of_line (Json.to_string (with_model m spec)))))
+    out_of_range_models
+
 (* A journal manifest and a serve sweep request decode their grid lists
    through one decoder ([Job.grid_lists_of_json]): both refuse the same
    out-of-range grids and accept the same in-range one. *)
@@ -684,6 +737,69 @@ let test_pool_healthy_matches_in_process () =
       in
       Alcotest.(check int) "the worker answered every query" (List.length queries) jobs_done)
 
+(* A pool spawned as [gncg worker --selfcheck 1], the worker command line
+   of [gncg serve --workers N --selfcheck 1], runs a sweep to the
+   in-process CSV bytes: the workers accept the flag (a worker that
+   refused it would exit, and the jobs would restart or degrade to the
+   daemon), and the drift sentinel probing inside them changes no row. *)
+let test_pool_selfcheck_matches_in_process () =
+  with_metrics (fun () ->
+      let names = [ "restarts"; "degraded_jobs" ] in
+      let before = List.map (fun name -> Metric.Counter.value (counter name)) names in
+      let session =
+        Session.create ~state_dir:(tmp_dir ())
+          ~pool:
+            ( { Pool.default_config with Pool.workers = 1 },
+              Pool.spawn_exec [| gncg_exe; "worker"; "--selfcheck"; "1" |] )
+          ()
+      in
+      let id, events = submit_and_finish session sweep_job in
+      Alcotest.(check int) "every job completed" 8 (jint "completed" (find_event "summary" events));
+      let csv = ok_exn "fetch_csv" (Session.fetch_csv session id) in
+      Session.drain session;
+      List.iter2
+        (fun name v0 ->
+          Alcotest.(check int) (name ^ " delta") 0 (Metric.Counter.value (counter name) - v0))
+        names before;
+      let direct = Batch.run ~domains:2 small_config in
+      Alcotest.(check string)
+        "csv from sentinel-probing workers is byte-identical"
+        (Gncg_workload.Report.runs_to_csv direct.Batch.runs)
+        csv)
+
+(* The daemon refuses every out-of-range model at submit with a [Parse]
+   error, whether it runs queries in process or on a worker pool: the
+   request parser refuses them before any queue, key or journal. *)
+let test_daemon_refuses_out_of_range_models () =
+  List.iter
+    (fun workers ->
+      let argv =
+        [| gncg_exe; "serve"; "--stdio"; "--state-dir"; tmp_dir (); "--workers"; workers |]
+      in
+      let ic, oc = Unix.open_process_args gncg_exe argv in
+      let send envelope = output_string oc (Json.to_string envelope ^ "\n") in
+      List.iter
+        (fun m ->
+          send (with_model m (P.request_to_json { P.id = m; request = P.Submit (eq_job ~seed:1) })))
+        out_of_range_models;
+      send (P.request_to_json { P.id = "bye"; request = P.Shutdown });
+      flush oc;
+      List.iter
+        (fun m ->
+          match P.response_of_line (input_line ic) with
+          | Ok (P.Refused { error; _ }) ->
+            check_true
+              (Printf.sprintf "--workers %s, %s: Parse refusal" workers m)
+              (error.E.kind = E.Parse)
+          | _ -> Alcotest.failf "--workers %s: %s was not refused" workers m)
+        out_of_range_models;
+      (* The shutdown reply, then end of file when the daemon exits. *)
+      ignore (In_channel.input_all ic);
+      match Unix.close_process (ic, oc) with
+      | Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.failf "--workers %s: the daemon did not exit cleanly" workers)
+    [ "0"; "1" ]
+
 let test_pool_kill_requeue () =
   with_metrics (fun () ->
       let requeues0 = Metric.Counter.value (counter "requeues") in
@@ -897,6 +1013,7 @@ let suites =
         case "out-of-range jobs refused" test_out_of_range_jobs_refused;
         case "manifest and request refuse the same grids" test_grid_decoders_agree;
         case "cli rejects out-of-range values" test_cli_rejects_out_of_range;
+        case "out-of-range models refused" test_out_of_range_models_refused;
       ] );
     ( "serve-json-hostile",
       [
@@ -926,6 +1043,8 @@ let suites =
         slow_case "restart storm trips the breaker, jobs degrade" test_pool_breaker_degrades;
         slow_case "crash frames surface in status" test_pool_crash_frames_in_status;
         slow_case "healthy pool answers like in-process" test_pool_healthy_matches_in_process;
+        slow_case "selfcheck workers match in-process csv" test_pool_selfcheck_matches_in_process;
+        slow_case "daemon refuses out-of-range models" test_daemon_refuses_out_of_range_models;
       ] );
     ( "serve-stdio",
       [ slow_case "full protocol over channels" test_stdio_end_to_end ] );

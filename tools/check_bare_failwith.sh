@@ -3,7 +3,7 @@
 # Gncg_error module (lib/util/gncg_error.mli), not bare string failures
 # or unreachable-state asserts.  Any `failwith` or `assert false` in
 # lib/core or lib/metric fails the build (`dune build @lint`).  Use
-# Gncg_error.raise_/failf for classified failures, invalid_arg for
+# Gncg_error.fail/failf results for classified failures, invalid_arg for
 # caller contract violations, and Gncg_error.unreachable for states the
 # surrounding invariants rule out.
 set -u
